@@ -7,21 +7,17 @@ type t = {
 
 let order_pair u v = if u < v then (u, v) else (v, u)
 
-let of_edges ~n edges =
+let of_edge_array ~n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  let seen = Hashtbl.create (List.length edges) in
-  let check (u, v) =
+  let check ((u, v) as uv) =
     if u < 0 || u >= n || v < 0 || v >= n then
       invalid_arg
         (Printf.sprintf "Graph.of_edges: endpoint out of range (%d,%d), n=%d"
            u v n);
     if u = v then invalid_arg "Graph.of_edges: self-loop";
-    let p = order_pair u v in
-    if Hashtbl.mem seen p then invalid_arg "Graph.of_edges: duplicate edge";
-    Hashtbl.add seen p ();
-    p
+    if u < v then uv else (v, u)
   in
-  let edges = Array.of_list (List.map check edges) in
+  let edges = Array.map check edges in
   let deg = Array.make n 0 in
   Array.iter
     (fun (u, v) ->
@@ -40,8 +36,20 @@ let of_edges ~n edges =
       inc.(v).(pos.(v)) <- e;
       pos.(v) <- pos.(v) + 1)
     edges;
+  (* a duplicate edge is a neighbor seen twice in one row: [last.(w) = u]
+     once row [u] has listed [w] *)
+  let last = pos in
+  Array.fill last 0 n (-1);
+  for u = 0 to n - 1 do
+    Array.iter
+      (fun w ->
+        if last.(w) = u then invalid_arg "Graph.of_edges: duplicate edge";
+        last.(w) <- u)
+      adj.(u)
+  done;
   { n; edges; adj; inc }
 
+let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 let empty n = of_edges ~n []
 let n_nodes g = g.n
 let n_edges g = Array.length g.edges

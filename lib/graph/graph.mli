@@ -18,6 +18,10 @@ val of_edges : n:int -> (int * int) list -> t
     [Invalid_argument] on out-of-range endpoints, self-loops, or duplicate
     edges (in either orientation). *)
 
+val of_edge_array : n:int -> (int * int) array -> t
+(** {!of_edges} from an array: edge [i] of the result is [edges.(i)]
+    (ordered as [(min, max)]); the array is not retained. *)
+
 val empty : int -> t
 (** [empty n] is the edgeless graph on [n] nodes. *)
 

@@ -273,7 +273,9 @@ let of_raw ~graph ~problem labeling cost =
 
 (* Flooding to a fixed point from node 0 — the repo's engine-kernel
    workhorse, served straight off the cached semi-graph: warm requests
-   hit Topology.compile_cached (and Plan.build_cached in shard mode). *)
+   hit Topology.compile_cached (and Plan.build_cached in shard mode).
+   The verdict is Repair's O(n + m) checker: exactly node 0's component
+   is flooded. *)
 let flood inst =
   let sg = Lazy.force inst.sg in
   let topo = Topology.compile_cached sg in
@@ -289,11 +291,12 @@ let flood inst =
   Span.add_trace tr;
   let cost = Round_cost.create () in
   Round_cost.charge cost "flood" o.Engine.rounds;
+  let labels = Array.map (fun b -> if b then 1 else 0) o.Engine.states in
   {
-    p_digest = P.digest_array (fun b -> if b then 1 else 0) o.Engine.states;
+    p_digest = P.digest_array Fun.id labels;
     p_rounds = o.Engine.rounds;
     p_ledger = Round_cost.phases cost;
-    p_valid = true;
+    p_valid = Tl_fault.Repair.check_flood ~sg ~source:0 ~labels;
   }
 
 (* A chaos run builds its own presence-masked views over the instance

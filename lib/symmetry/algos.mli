@@ -9,6 +9,16 @@
     one-class-per-round greedy reduction ([O(Δ² log² Δ)] rounds), with the
     edge problems simulated on the line graph at a 2× round overhead.
 
+    The simulation runs every per-class schedule bucketed: the nodes are
+    counting-sorted by color once, and each round visits only its own
+    class, reading adjacency from the CSR of the compiled topology (see
+    {!Reduce} for the reductions). The order of the nodes within one
+    round cannot change the outcome: the nodes that act in the same
+    round share a color, and a proper coloring never puts two of them
+    next to each other, so none of them reads what another writes that
+    round. Labelings and round counts are therefore those of the plain
+    one-class-per-round schedule.
+
     The paper's Theorems 12/15 are black-box in [A]; these executable
     algorithms exercise the transformation end-to-end, while the
     state-of-the-art [f] of [BBKO22b] enters the experiments through the
@@ -51,4 +61,7 @@ val edge_coloring :
 val line_structure : Semi_graph.t -> Tl_graph.Graph.t * int array
 (** [(lg, edge_of)] where [lg] has one node per present rank-2 edge
     (adjacent iff the edges share a present endpoint) and [edge_of]
-    maps [lg]-nodes back to base edge ids. *)
+    maps [lg]-nodes back to base edge ids. Line nodes follow ascending
+    edge id; line edges are numbered in reverse of their discovery order
+    (present nodes ascending, pairs of incident edges in incident
+    order). *)

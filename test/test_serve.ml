@@ -526,6 +526,26 @@ let test_shard_vs_built_n () =
   | { P.outcome = P.Solved _; _ } -> ()
   | _ -> Alcotest.fail "in-bounds shard request failed"
 
+(* Served flood's [valid] is Repair's checker verdict, not a constant.
+   On a disconnected edge list only node 0's component floods; the
+   checker accepts that labeling and rejects one that floods too far. *)
+let test_flood_valid_is_checked () =
+  let edges = [ (0, 1); (1, 2); (3, 4) ] in
+  let spec = P.Edges { n = 6; edges; seed = 1 } in
+  let sg = Semi_graph.of_graph (Graph.of_edges ~n:6 edges) in
+  let verdict labels = Tl_fault.Repair.check_flood ~sg ~source:0 ~labels in
+  let flooded = [| 1; 1; 1; 0; 0; 0 |] in
+  check "checker accepts the component" true (verdict flooded);
+  check "checker rejects a leak" false (verdict [| 1; 1; 1; 1; 0; 0 |]);
+  match
+    Server.handle_request (Server.create ())
+      (P.request ~id:"f" ~problem:"flood" ~spec ~want_span:false ())
+  with
+  | { P.outcome = P.Solved s; _ } ->
+    check_str "served the component" (P.digest_array Fun.id flooded) s.P.digest;
+    check "valid is the checker's verdict" (verdict flooded) s.P.valid
+  | _ -> Alcotest.fail "flood on an edge list failed"
+
 let test_instance_cache_eviction () =
   let server =
     Server.create
@@ -804,6 +824,8 @@ let () =
             test_shard_vs_built_n;
           Alcotest.test_case "instance cache eviction" `Quick
             test_instance_cache_eviction;
+          Alcotest.test_case "flood validity is checked" `Quick
+            test_flood_valid_is_checked;
         ] );
       ( "daemon",
         [

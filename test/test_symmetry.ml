@@ -314,6 +314,258 @@ let prop_linial_step_keeps_proper =
       in
       Props.is_proper_coloring g colors)
 
+(* ---------- differential: bucketed schedules vs list oracles ----------
+
+   The list-based implementations that the bucketed class schedules of
+   Reduce and Algos replaced, kept as oracles: they rescan every node in
+   every round, which makes them easy to read and slow to run. *)
+
+module Oracle = struct
+  let kw_to_delta_plus_one ~neighbors ~nodes ~colors ~palette ~delta =
+    let target = delta + 1 in
+    let rounds = ref 0 in
+    let pal = ref palette in
+    let recolored = Array.make (Array.length colors) false in
+    while !pal > target do
+      let block = 2 * target in
+      let nblocks = (!pal + block - 1) / block in
+      List.iter (fun v -> recolored.(v) <- false) nodes;
+      let block_of = Array.copy colors in
+      List.iter (fun v -> block_of.(v) <- colors.(v) / block) nodes;
+      for off = 0 to block - 1 do
+        incr rounds;
+        List.iter
+          (fun v ->
+            if (not recolored.(v)) && colors.(v) mod block = off then begin
+              let used = Array.make target false in
+              List.iter
+                (fun u ->
+                  if recolored.(u) && block_of.(u) = block_of.(v) then
+                    used.(colors.(u) mod target) <- true)
+                (neighbors v);
+              let rec first x =
+                if x >= target then invalid_arg "oracle kw: delta too small"
+                else if used.(x) then first (x + 1)
+                else x
+              in
+              colors.(v) <- (block_of.(v) * target) + first 0;
+              recolored.(v) <- true
+            end)
+          nodes
+      done;
+      pal := nblocks * target
+    done;
+    (!pal, !rounds)
+
+  let underlying_neighbors sg v = List.map fst (Semi_graph.rank2_neighbors sg v)
+
+  let mis_of_coloring sg colors palette =
+    let in_mis = Array.make (Graph.n_nodes (Semi_graph.base sg)) false in
+    let nodes = Semi_graph.nodes sg in
+    for c = 0 to palette - 1 do
+      List.iter
+        (fun v ->
+          if
+            colors.(v) = c
+            && not (List.exists (fun u -> in_mis.(u)) (underlying_neighbors sg v))
+          then in_mis.(v) <- true)
+        nodes
+    done;
+    in_mis
+
+  let line_structure sg =
+    let rank2 =
+      List.filter (fun e -> Semi_graph.rank sg e = 2) (Semi_graph.edges sg)
+    in
+    let edge_of = Array.of_list rank2 in
+    let lnode_of = Hashtbl.create (Array.length edge_of) in
+    Array.iteri (fun i e -> Hashtbl.add lnode_of e i) edge_of;
+    let ledges = ref [] in
+    let seen = Hashtbl.create (4 * Array.length edge_of) in
+    List.iter
+      (fun v ->
+        let inc =
+          List.filter_map
+            (fun (_, e) -> Hashtbl.find_opt lnode_of e)
+            (Semi_graph.rank2_neighbors sg v)
+        in
+        let rec pairs = function
+          | [] -> ()
+          | x :: rest ->
+            List.iter
+              (fun y ->
+                let p = if x < y then (x, y) else (y, x) in
+                if not (Hashtbl.mem seen p) then begin
+                  Hashtbl.add seen p ();
+                  ledges := p :: !ledges
+                end)
+              rest;
+            pairs rest
+        in
+        pairs inc)
+      (Semi_graph.nodes sg);
+    (Graph.of_edges ~n:(Array.length edge_of) !ledges, edge_of)
+
+  (* Algos.mis's labeling rule over the oracle's class sweep *)
+  let mis sg ~ids =
+    let colors, palette, color_rounds = Algos.proper_coloring sg ~ids in
+    let in_mis = mis_of_coloring sg colors palette in
+    let base = Semi_graph.base sg in
+    let labeling = Labeling.create base in
+    List.iter
+      (fun v ->
+        if in_mis.(v) then
+          List.iter
+            (fun h -> Labeling.set labeling h Tl_problems.Mis.M)
+            (Semi_graph.half_edges_of sg v)
+        else begin
+          let pointed = ref false in
+          List.iter
+            (fun h ->
+              let u = Graph.other_endpoint base (Graph.half_edge_edge h) v in
+              if Semi_graph.node_present sg u && in_mis.(u) && not !pointed then begin
+                pointed := true;
+                Labeling.set labeling h Tl_problems.Mis.P
+              end
+              else Labeling.set labeling h Tl_problems.Mis.O)
+            (Semi_graph.half_edges_of sg v)
+        end)
+      (Semi_graph.nodes sg);
+    (labeling, color_rounds + palette + 1)
+
+  let line_ids sg edge_of ids =
+    let base = Semi_graph.base sg in
+    let width = 1 + Array.fold_left max 0 ids in
+    Array.map
+      (fun e ->
+        let u, v = Graph.edge_endpoints base e in
+        (min ids.(u) ids.(v) * width) + max ids.(u) ids.(v))
+      edge_of
+
+  (* maximal matching: the line nodes that join the MIS, and the rounds *)
+  let matching sg ~ids =
+    let lg, edge_of = line_structure sg in
+    let lsg = Semi_graph.of_graph lg in
+    let colors, palette, lrounds =
+      Algos.proper_coloring lsg ~ids:(line_ids sg edge_of ids)
+    in
+    let in_mis = mis_of_coloring lsg colors palette in
+    (edge_of, in_mis, 1 + (2 * lrounds) + (2 * palette) + 1)
+end
+
+let labels l g = List.init (Graph.n_half_edges g) (Labeling.get l)
+
+(* One differential run on a semi-graph: KW from distinct-id colors and
+   again from its own output (a palette of Δ+1, so zero KW rounds), the
+   line structure, the MIS labeling and the matched line nodes. *)
+let differential_ok sg ~seed =
+  let g = Semi_graph.base sg in
+  let n = Graph.n_nodes g in
+  let ids = Ids.permuted ~n ~seed in
+  let topo = Tl_engine.Topology.compile sg in
+  let nodes = Semi_graph.nodes sg in
+  let delta = Tl_engine.Topology.max_degree topo in
+  let neighbors = Tl_engine.Topology.neighbor_nodes topo in
+  let kw_same ~palette colors0 =
+    let c1 = Array.copy colors0 and c2 = Array.copy colors0 in
+    let c3 = Array.copy colors0 in
+    let r1 = Reduce.kw_to_delta_plus_one ~neighbors ~nodes ~colors:c1 ~palette ~delta in
+    let r2 = Oracle.kw_to_delta_plus_one ~neighbors ~nodes ~colors:c2 ~palette ~delta in
+    let r3 =
+      Reduce.kw_to_delta_plus_one_csr ~off:topo.off ~adj:topo.adj
+        ~nodes:topo.present_nodes ~colors:c3 ~palette ~delta
+    in
+    (r1 = r2 && r3 = r2 && c1 = c2 && c3 = c2, c1)
+  in
+  let from_ids, reduced = kw_same ~palette:n (Array.map (fun id -> id - 1) ids) in
+  let from_reduced, _ = kw_same ~palette:(delta + 1) reduced in
+  let lg, edge_of = Algos.line_structure sg in
+  let lg', edge_of' = Oracle.line_structure sg in
+  let line_ok =
+    Graph.n_nodes lg = Graph.n_nodes lg'
+    && Graph.edge_list lg = Graph.edge_list lg'
+    && edge_of = edge_of'
+  in
+  let l = Labeling.create g in
+  let rounds = Algos.mis sg ~ids l in
+  let l', rounds' = Oracle.mis sg ~ids in
+  let mis_ok = rounds = rounds' && labels l g = labels l' g in
+  let lm = Labeling.create g in
+  let mrounds = Algos.maximal_matching sg ~ids lm in
+  let edge_of_o, in_mis_o, mrounds' = Oracle.matching sg ~ids in
+  let matched e =
+    Labeling.labels_at_edge lm e = [ Tl_problems.Matching.M; Tl_problems.Matching.M ]
+  in
+  let matching_ok =
+    mrounds = mrounds'
+    && Array.for_all2 (fun e b -> matched e = b) edge_of_o in_mis_o
+  in
+  from_ids && from_reduced && line_ok && mis_ok && matching_ok
+
+let prop_differential_random_trees =
+  QCheck.Test.make ~name:"bucketed = list oracle on random trees" ~count:25
+    QCheck.(pair (int_range 1 300) (int_range 0 100000))
+    (fun (n, seed) ->
+      differential_ok (Semi_graph.of_graph (Gen.random_tree ~n ~seed)) ~seed:(seed + 1))
+
+let prop_differential_power_law =
+  QCheck.Test.make ~name:"bucketed = list oracle on power-law graphs" ~count:15
+    QCheck.(triple (int_range 2 300) (int_range 1 3) (int_range 0 100000))
+    (fun (n, a, seed) ->
+      differential_ok
+        (Semi_graph.of_graph (Gen.power_law_union ~n ~arboricity:a ~seed))
+        ~seed:(seed + 2))
+
+let prop_differential_node_subsets =
+  QCheck.Test.make ~name:"bucketed = list oracle on node-subset views"
+    ~count:25
+    QCheck.(triple (int_range 2 300) (int_range 2 5) (int_range 0 100000))
+    (fun (n, keep, seed) ->
+      let g = Gen.power_law_union ~n ~arboricity:2 ~seed in
+      (* hide every [keep]-th node: its edges to kept nodes become rank-1 *)
+      let mask = Array.init n (fun v -> (v + seed) mod keep <> 0) in
+      differential_ok (Semi_graph.of_node_subset g mask) ~seed:(seed + 3))
+
+let test_differential_edge_cases () =
+  List.iter
+    (fun (name, sg) -> check name true (differential_ok sg ~seed:5))
+    [
+      ("single node", Semi_graph.of_graph (Gen.path 1));
+      ("no edges", Semi_graph.of_graph (Graph.empty 7));
+      (* only rank-1 edges: every kept node has underlying degree 0 *)
+      ( "rank-1 only",
+        Semi_graph.of_node_subset (Gen.path 9) (Array.init 9 (fun v -> v mod 2 = 0)) );
+      ("star", Semi_graph.of_graph (Gen.star 40));
+      ("complete", Semi_graph.of_graph (Gen.complete 9));
+    ]
+
+(* One KW call may allocate O(phases · (n + 2m)) minor words; it
+   allocates O(n + 2m) (the neighbor lists read once into CSR rows, and
+   the per-call slabs), a fifth of the bound here. A slide back to a
+   scratch array per recolor costs Δ + 2 words per node per phase,
+   which this caterpillar (Δ = 62, average degree < 2) turns into
+   several times the bound. *)
+let test_kw_allocation_budget () =
+  let g = Gen.caterpillar ~spine:200 ~legs:60 in
+  let n = Graph.n_nodes g and m = Graph.n_edges g in
+  let topo = Tl_engine.Topology.compile (Semi_graph.of_graph g) in
+  let neighbors = Tl_engine.Topology.neighbor_nodes topo in
+  let nodes = all_nodes g in
+  let delta = Graph.max_degree g in
+  let colors = Array.map (fun id -> id - 1) (Ids.permuted ~n ~seed:8) in
+  let w0 = Gc.minor_words () in
+  let _, rounds =
+    Reduce.kw_to_delta_plus_one ~neighbors ~nodes ~colors ~palette:n ~delta
+  in
+  let words = Gc.minor_words () -. w0 in
+  let phases = rounds / (2 * (delta + 1)) in
+  check "proper" true (Props.is_proper_coloring g colors);
+  check "several phases" true (phases >= 3);
+  let budget = 4. *. float_of_int (phases * (n + (2 * m))) in
+  check
+    (Printf.sprintf "minor words %.0f within %.0f" words budget)
+    true (words <= budget)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -322,6 +574,9 @@ let qcheck_tests =
       prop_algos_valid_on_random_trees;
       prop_algos_valid_on_arb_graphs;
       prop_linial_step_keeps_proper;
+      prop_differential_random_trees;
+      prop_differential_power_law;
+      prop_differential_node_subsets;
     ]
 
 let () =
@@ -347,6 +602,7 @@ let () =
         [
           Alcotest.test_case "KW to delta+1" `Quick test_kw_reduction;
           Alcotest.test_case "greedy to deg+1" `Quick test_to_bound_deg_plus_one;
+          Alcotest.test_case "KW allocation budget" `Quick test_kw_allocation_budget;
         ] );
       ( "algos",
         [
@@ -354,6 +610,7 @@ let () =
           Alcotest.test_case "semi-graphs with rank-1 edges" `Quick test_algos_on_semi_graph_with_rank1;
           Alcotest.test_case "line structure" `Quick test_line_structure;
           Alcotest.test_case "truly local rounds" `Quick test_rounds_depend_on_degree_not_n;
+          Alcotest.test_case "list-oracle edge cases" `Quick test_differential_edge_cases;
         ] );
       ("properties", qcheck_tests);
     ]
