@@ -98,108 +98,42 @@ type 'state step_fn =
   neighbors:(int * int * 'state) list ->
   'state
 
-(* The Shard mode's implementation lives in tl_shard (which depends on
-   this library) and registers itself here at load time. *)
-type shard_backend = {
-  sb_run :
+type stop = Halted of int | Stable of int | Rounds of int
+
+(* The Shard and Proc modes live in tl_shard / tl_proc (which depend on
+   this library) and register themselves here at load time. *)
+type backend = {
+  exec :
     'state.
-    shards:int ->
+    count:int ->
     sched:scheduling ->
     equal:('state -> 'state -> bool) ->
     trace:Trace.t option ->
     topo:Topology.t ->
     init:(int -> 'state) ->
     step:'state step_fn ->
-    halted:('state -> bool) ->
-    max_rounds:int ->
-    'state outcome;
-  sb_run_until_stable :
-    'state.
-    shards:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    max_rounds:int ->
-    'state outcome;
-  sb_run_rounds :
-    'state.
-    shards:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    rounds:int ->
+    halted:('state -> bool) option ->
+    stop:stop ->
     'state outcome;
 }
 
-let shard_backend : shard_backend option ref = ref None
+let shard_backend : backend option ref = ref None
+let proc_backend : backend option ref = ref None
 
-let get_shard_backend () =
-  match !shard_backend with
+let get_backend r ~mode ~lib =
+  match !r with
   | Some b -> b
   | None ->
     failwith
-      "Engine: shard mode requested but the tl_shard backend is not linked"
-
-(* The Proc mode's implementation lives in tl_proc (one shard per Unix
-   process, halos over socketpairs) and registers itself here the same
-   way the shard backend does. Same rank-2 field shapes. *)
-type proc_backend = {
-  pb_run :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    halted:('state -> bool) ->
-    max_rounds:int ->
-    'state outcome;
-  pb_run_until_stable :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    max_rounds:int ->
-    'state outcome;
-  pb_run_rounds :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    rounds:int ->
-    'state outcome;
-}
-
-let proc_backend : proc_backend option ref = ref None
-
-let get_proc_backend () =
-  match !proc_backend with
-  | Some b -> b
-  | None ->
-    failwith
-      "Engine: proc mode requested but the tl_proc backend is not linked"
+      (Printf.sprintf
+         "Engine: %s mode requested but the %s backend is not linked" mode lib)
 
 let now = Unix.gettimeofday
 
 (* ---------- trace plumbing ---------- *)
 
-let begin_trace ?trace ~label ~mode ~sched ~compile_s ~compile_cached topo =
+let begin_trace ?trace ~label ~mode ~layout ~sched ~compile_s ~compile_cached
+    topo =
   let t =
     match trace with
     | Some t -> Some t
@@ -208,15 +142,15 @@ let begin_trace ?trace ~label ~mode ~sched ~compile_s ~compile_cached topo =
         Some (Trace.create ~label ())
       else None
   in
-  Option.iter
-    (fun t ->
-      Trace.set_meta t ~mode:(mode_to_string mode)
-        ~scheduling:(sched_to_string sched)
-        ~n_base:(Topology.n_base topo)
-        ~n_present:(Topology.n_present topo);
-      Trace.set_compile_s t compile_s;
-      Trace.set_compile_cached t compile_cached)
-    t;
+  (match t with
+  | None -> ()
+  | Some t ->
+    Trace.set_meta t ~mode ~scheduling:(sched_to_string sched)
+      ~n_base:(Topology.n_base topo)
+      ~n_present:(Topology.n_present topo);
+    Trace.set_layout t layout;
+    Trace.set_compile_s t compile_s;
+    Trace.set_compile_cached t compile_cached);
   t
 
 (* Runs [f], then finishes and delivers the trace even if [f] raised
@@ -225,12 +159,12 @@ let with_trace tr f =
   let t0 = now () in
   Fun.protect
     ~finally:(fun () ->
-      Option.iter
-        (fun t ->
-          Trace.finish t ~total_s:(now () -. t0);
-          Option.iter (fun sink -> sink t) !trace_sink;
-          Option.iter (fun sink -> sink t) !metrics_sink)
-        tr)
+      match tr with
+      | None -> ()
+      | Some t ->
+        Trace.finish t ~total_s:(now () -. t0);
+        (match !trace_sink with Some sink -> sink t | None -> ());
+        (match !metrics_sink with Some sink -> sink t | None -> ()))
     f
 
 let record tr ~round ~active ~changed ~unhalted ~t0 =
@@ -239,6 +173,70 @@ let record tr ~round ~active ~changed ~unhalted ~t0 =
       Trace.record t
         { Trace.round; active; changed; unhalted; wall_s = now () -. t0 })
     tr
+
+(* ---------- the round driver ---------- *)
+
+(* The one synchronous round loop behind every non-reference backend; the
+   stop-policy table lives in engine.mli. It keeps the flat hot path's
+   allocation discipline: no closure is built inside the loop, its refs
+   never escape (so they live in registers), and the wall clock is read
+   only when a trace is attached (the stamp is parked in a float array,
+   where stores are unboxed) — an untraced run allocates nothing per
+   round. *)
+let drive ~trace ~stop ~active ~unhalted ~exec =
+  let limit = match stop with Halted m | Stable m | Rounds m -> m in
+  let rounds = ref 0 in
+  let finished = ref false in
+  let interrupted = ref false in
+  let tw = [| 0. |] in
+  while (not !finished) && !rounds < limit do
+    if (match stop with Halted _ -> unhalted () = 0 | _ -> false) then
+      finished := true
+    else begin
+      let a = active () in
+      if a = 0 then begin
+        (* nothing can change again (stationarity): Rounds skips the
+           scheduled round but counts it, Stable has its fixed point, and
+           Halted has stalled with unhalted nodes left *)
+        match stop with Rounds _ -> incr rounds | _ -> finished := true
+      end
+      else begin
+        (match trace with None -> () | Some _ -> tw.(0) <- now ());
+        let round = !rounds + 1 in
+        let changed = exec round in
+        (match trace with
+        | None -> ()
+        | Some t ->
+          Trace.record t
+            {
+              Trace.round;
+              active = a;
+              changed;
+              unhalted = (match stop with Halted _ -> unhalted () | _ -> -1);
+              wall_s = now () -. tw.(0);
+            });
+        match stop with
+        | Stable _ when changed = 0 -> finished := true
+        | _ ->
+          rounds := round;
+          if not (gate_open ~round) then begin
+            interrupted := true;
+            finished := true
+          end
+      end
+    end
+  done;
+  match stop with
+  | Halted _ -> (!rounds, (not !interrupted) && unhalted () > 0)
+  | Stable _ -> (!rounds, not !finished)
+  | Rounds n -> ((if !interrupted then !rounds else n), false)
+
+let exhausted = function
+  | Halted m -> failwith (Printf.sprintf "Engine.run: max_rounds=%d exceeded" m)
+  | Stable m ->
+    failwith
+      (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded" m)
+  | Rounds _ -> invalid_arg "Engine.exhausted: a Rounds schedule never exhausts"
 
 (* ---------- the naive reference stepper (legacy port) ---------- *)
 
@@ -503,98 +501,37 @@ let commit core ~on_change =
     core.n_active <- !k);
   !changed
 
-let engine_run ~par ~sched ~equal ~tr ~topo ~init ~step ~halted ~max_rounds =
+let engine_exec ~par ~sched ~equal ~tr ~topo ~init ~step ~halted ~stop =
   let core = make_core ~topo ~sched ~equal ~init in
-  let halted_f = Array.make (Topology.n_base topo) true in
   let n_unhalted = ref 0 in
-  Array.iter
-    (fun v ->
-      let h = halted core.cur.(v) in
-      halted_f.(v) <- h;
-      if not h then incr n_unhalted)
-    topo.Topology.present_nodes;
-  let rounds = ref 0 in
-  let stalled = ref false in
-  let interrupted = ref false in
-  while
-    !n_unhalted > 0 && !rounds < max_rounds && (not !stalled)
-    && not !interrupted
-  do
-    if core.n_active = 0 then
-      (* No node can ever change again (stationarity), so no node can
-         ever halt: the naive stepper would spin to max_rounds and raise;
-         we raise the same failure without the spin. *)
-      stalled := true
-    else begin
-      let t0 = now () in
-      let active_now = core.n_active in
-      incr rounds;
-      compute core step !rounds par;
-      let changed =
-        commit core ~on_change:(fun v ->
-            let h = halted core.cur.(v) in
-            if h <> halted_f.(v) then begin
-              halted_f.(v) <- h;
-              if h then decr n_unhalted else incr n_unhalted
-            end)
-      in
-      record tr ~round:!rounds ~active:active_now ~changed
-        ~unhalted:!n_unhalted ~t0;
-      if not (gate_open ~round:!rounds) then interrupted := true
-    end
-  done;
-  if (not !interrupted) && !n_unhalted > 0 then
-    failwith (Printf.sprintf "Engine.run: max_rounds=%d exceeded" max_rounds);
-  { states = core.cur; rounds = !rounds }
-
-let engine_run_until_stable ~par ~sched ~equal ~tr ~topo ~init ~step
-    ~max_rounds =
-  let core = make_core ~topo ~sched ~equal ~init in
-  let rounds = ref 0 in
-  let stable = ref false in
-  let interrupted = ref false in
-  while (not !interrupted) && (not !stable) && !rounds < max_rounds do
-    if core.n_active = 0 then stable := true
-    else begin
-      let t0 = now () in
-      let active_now = core.n_active in
-      compute core step (!rounds + 1) par;
-      let changed = commit core ~on_change:ignore in
-      record tr ~round:(!rounds + 1) ~active:active_now ~changed
-        ~unhalted:(-1) ~t0;
-      if changed > 0 then begin
-        incr rounds;
-        if not (gate_open ~round:!rounds) then interrupted := true
-      end
-      else stable := true
-    end
-  done;
-  if (not !interrupted) && not !stable then
-    failwith
-      (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded"
-         max_rounds);
-  { states = core.cur; rounds = !rounds }
-
-let engine_run_rounds ~par ~sched ~equal ~tr ~topo ~init ~step ~rounds:total =
-  let core = make_core ~topo ~sched ~equal ~init in
-  let executed = ref 0 in
-  let r = ref 1 in
-  let interrupted = ref false in
-  while (not !interrupted) && !r <= total do
-    (* an empty active set means the remaining scheduled rounds are
-       no-ops (stationarity); skip the work but keep the round count *)
-    if core.n_active > 0 then begin
-      let t0 = now () in
-      let active_now = core.n_active in
-      compute core step !r par;
-      let changed = commit core ~on_change:ignore in
-      record tr ~round:!r ~active:active_now ~changed ~unhalted:(-1) ~t0;
-      executed := !r;
-      if not (gate_open ~round:!r) then interrupted := true
-    end;
-    incr r
-  done;
-  { states = core.cur; rounds = (if !interrupted then !executed else total) }
+  let on_change =
+    match halted with
+    | None -> ignore
+    | Some halted ->
+      let halted_f = Array.make (Topology.n_base topo) true in
+      Array.iter
+        (fun v ->
+          let h = halted core.cur.(v) in
+          halted_f.(v) <- h;
+          if not h then incr n_unhalted)
+        topo.Topology.present_nodes;
+      fun v ->
+        let h = halted core.cur.(v) in
+        if h <> halted_f.(v) then begin
+          halted_f.(v) <- h;
+          if h then decr n_unhalted else incr n_unhalted
+        end
+  in
+  let rounds, ex =
+    drive ~trace:tr ~stop
+      ~active:(fun () -> core.n_active)
+      ~unhalted:(fun () -> !n_unhalted)
+      ~exec:(fun round ->
+        compute core step round par;
+        commit core ~on_change)
+  in
+  if ex then exhausted stop;
+  { states = core.cur; rounds }
 
 (* ---------- public API ---------- *)
 
@@ -602,56 +539,51 @@ let par_of = function
   | Naive | Seq | Shard _ | Proc _ -> 1
   | Par p -> max 1 p
 
+(* [naive] is the mode's own reference loop, kept out of the shared
+   driver so the differential batteries compare two independent
+   implementations. *)
+let exec_mode ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached
+    ~topo ~init ~step ~halted ~stop ~naive () =
+  let mode = match mode with Some m -> m | None -> !default_mode in
+  let tr =
+    begin_trace ?trace ~label ~mode:(mode_to_string mode) ~layout:"boxed"
+      ~sched ~compile_s ~compile_cached topo
+  in
+  let via b ~count =
+    b.exec ~count ~sched ~equal ~trace:tr ~topo ~init ~step ~halted ~stop
+  in
+  with_trace tr (fun () ->
+      match mode with
+      | Naive -> naive tr
+      | Shard s ->
+        via (get_backend shard_backend ~mode:"shard" ~lib:"tl_shard") ~count:s
+      | Proc p ->
+        via (get_backend proc_backend ~mode:"proc" ~lib:"tl_proc") ~count:p
+      | Seq | Par _ ->
+        engine_exec ~par:(par_of mode) ~sched ~equal ~tr ~topo ~init ~step
+          ~halted ~stop)
+
 let run ?mode ?(sched = Active_set) ?(equal = Stdlib.( = )) ?trace
     ?(label = "engine.run") ?(compile_s = 0.) ?(compile_cached = false) ~topo
     ~init ~step ~halted ~max_rounds () =
-  let mode = match mode with Some m -> m | None -> !default_mode in
-  let tr = begin_trace ?trace ~label ~mode ~sched ~compile_s ~compile_cached topo in
-  with_trace tr (fun () ->
-      match mode with
-      | Naive -> naive_run ~tr ~topo ~init ~step ~halted ~max_rounds
-      | Shard s ->
-        (get_shard_backend ()).sb_run ~shards:s ~sched ~equal ~trace:tr ~topo
-          ~init ~step ~halted ~max_rounds
-      | Proc p ->
-        (get_proc_backend ()).pb_run ~procs:p ~sched ~equal ~trace:tr ~topo
-          ~init ~step ~halted ~max_rounds
-      | Seq | Par _ ->
-        engine_run ~par:(par_of mode) ~sched ~equal ~tr ~topo ~init ~step
-          ~halted ~max_rounds)
+  exec_mode ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
+    ~init ~step ~halted:(Some halted) ~stop:(Halted max_rounds)
+    ~naive:(fun tr -> naive_run ~tr ~topo ~init ~step ~halted ~max_rounds)
+    ()
 
 let run_until_stable ?mode ?(sched = Active_set) ?trace
     ?(label = "engine.run_until_stable") ?(compile_s = 0.)
     ?(compile_cached = false) ~topo ~init ~step ~equal ~max_rounds () =
-  let mode = match mode with Some m -> m | None -> !default_mode in
-  let tr = begin_trace ?trace ~label ~mode ~sched ~compile_s ~compile_cached topo in
-  with_trace tr (fun () ->
-      match mode with
-      | Naive -> naive_run_until_stable ~tr ~topo ~init ~step ~equal ~max_rounds
-      | Shard s ->
-        (get_shard_backend ()).sb_run_until_stable ~shards:s ~sched ~equal
-          ~trace:tr ~topo ~init ~step ~max_rounds
-      | Proc p ->
-        (get_proc_backend ()).pb_run_until_stable ~procs:p ~sched ~equal
-          ~trace:tr ~topo ~init ~step ~max_rounds
-      | Seq | Par _ ->
-        engine_run_until_stable ~par:(par_of mode) ~sched ~equal ~tr ~topo
-          ~init ~step ~max_rounds)
+  exec_mode ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
+    ~init ~step ~halted:None ~stop:(Stable max_rounds)
+    ~naive:(fun tr ->
+      naive_run_until_stable ~tr ~topo ~init ~step ~equal ~max_rounds)
+    ()
 
 let run_rounds ?mode ?(sched = Active_set) ?(equal = Stdlib.( = )) ?trace
     ?(label = "engine.run_rounds") ?(compile_s = 0.) ?(compile_cached = false)
     ~topo ~init ~step ~rounds () =
-  let mode = match mode with Some m -> m | None -> !default_mode in
-  let tr = begin_trace ?trace ~label ~mode ~sched ~compile_s ~compile_cached topo in
-  with_trace tr (fun () ->
-      match mode with
-      | Naive -> naive_run_rounds ~tr ~topo ~init ~step ~rounds
-      | Shard s ->
-        (get_shard_backend ()).sb_run_rounds ~shards:s ~sched ~equal ~trace:tr
-          ~topo ~init ~step ~rounds
-      | Proc p ->
-        (get_proc_backend ()).pb_run_rounds ~procs:p ~sched ~equal ~trace:tr
-          ~topo ~init ~step ~rounds
-      | Seq | Par _ ->
-        engine_run_rounds ~par:(par_of mode) ~sched ~equal ~tr ~topo ~init
-          ~step ~rounds)
+  exec_mode ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
+    ~init ~step ~halted:None ~stop:(Rounds rounds)
+    ~naive:(fun tr -> naive_run_rounds ~tr ~topo ~init ~step ~rounds)
+    ()

@@ -126,14 +126,12 @@ val fault_gate : (round:int -> bool) option ref
     and resume with a fresh run over the repaired topology. Disarmed
     ([None], the default) the gate costs one ref read per round and
     nothing per node — the same discipline as [Tl_obs.Metrics.enable].
-    The shard backend checks the gate in its own drivers; the proc
-    backend checks it between coordinator rounds. *)
+    Every backend but [Naive] checks it in the shared {!drive} (the
+    proc backend on its coordinator, between worker rounds). *)
 
 val gate_open : round:int -> bool
 (** [true] when no gate is armed or the armed gate allows continuing
-    past committed round [round]. Exported for the out-of-library
-    backends (shard, proc), whose drivers must consult the same gate as
-    the in-process steppers. *)
+    past committed round [round]. *)
 
 type 'state outcome = { states : 'state array; rounds : int }
 
@@ -147,104 +145,115 @@ type 'state step_fn =
     [(neighbor, edge, neighbor_state)] over present rank-2 edges in
     ascending incident order. *)
 
-(** {2 Shard backend hook}
+(** {2 Stop policies and the round driver}
 
-    The [Shard] mode is implemented outside this library (in [tl_shard],
-    which depends on [tl_engine]); it plugs in through this record of
-    rank-2-polymorphic entry points. The engine keeps ownership of trace
-    creation and delivery: the backend receives the already-created
-    [trace] (if any) and records its rounds into it. [Tl_shard.Shard]
-    installs itself here at module initialization, and
-    {!Tl_local.Runtime} references it explicitly so every binary built
-    on the runtime links the backend. *)
+    Every non-reference backend (the [Seq]/[Par] stepper, {!Flat},
+    [Tl_shard.Shard] and the [Tl_proc] coordinator) runs its rounds
+    through {!drive}; only [Naive] keeps its own loops, as the
+    independent reference. The driver owns these rules:
 
-type shard_backend = {
-  sb_run :
+    {v
+                    Halted m             Stable m             Rounds n
+    runs while      some node unhalted   not at fixed point   round <= n
+                    and rounds < m       and rounds < m
+    counted rounds  every executed one   every changing one   all n (or up
+                                         (the no-change       to the gated
+                                         detection round is   round when
+                                         traced, not counted) interrupted)
+    active set      stall: exhausted     fixed point: stable  round skipped
+    drains                                                    but counted
+    trace unhalted  recorded             -1                   -1
+    fault gate      after each counted round; closing it stops the run
+                    without a failure
+    exhausted       "Engine.run:         "Engine.run_until_   never
+    failure text    max_rounds=%d        stable: max_rounds=
+                    exceeded"            %d exceeded"
+    v}
+
+    Round [r] is numbered from 1 and is the number passed to [step]. *)
+
+type stop =
+  | Halted of int  (** until every present node halts, within max_rounds *)
+  | Stable of int  (** until a round changes nothing, within max_rounds *)
+  | Rounds of int  (** exactly this many scheduled rounds *)
+
+val drive :
+  trace:Trace.t option ->
+  stop:stop ->
+  active:(unit -> int) ->
+  unhalted:(unit -> int) ->
+  exec:(int -> int) ->
+  int * bool
+(** [drive ~trace ~stop ~active ~unhalted ~exec] runs rounds under
+    [stop]: [active ()] is the size of the next round's active set,
+    [unhalted ()] the current unhalted count (read only under [Halted]),
+    and [exec r] executes and commits round [r], returning how many
+    nodes changed. Returns the counted rounds and whether the policy was
+    exhausted. The driver does not raise on exhaustion: the backend
+    cleans up first (writes back states, stops workers) and then calls
+    {!exhausted}. Records one trace entry per executed round; reads the
+    wall clock only when [trace] is attached and allocates nothing per
+    round. *)
+
+val exhausted : stop -> 'a
+(** Raises the policy's exhausted [Failure] (see the table above) —
+    byte-identical across all modes. [Invalid_argument] for [Rounds],
+    which never exhausts. *)
+
+(** {2 Backend hook}
+
+    The [Shard] and [Proc] modes are implemented outside this library
+    (in [tl_shard] and [tl_proc], which depend on [tl_engine]) and plug
+    in through this record with a single rank-2-polymorphic entry point.
+    [count] is the shard or worker-process count; [halted] is [Some]
+    exactly under [Halted]. The engine keeps ownership of trace creation
+    and delivery: the backend receives the already-created [trace] (if
+    any) and hands it to {!drive}. [Tl_shard.Shard] and
+    [Tl_proc.Coordinator] install themselves at module initialization,
+    and {!Tl_local.Runtime} references both explicitly so every binary
+    built on the runtime links them. *)
+
+type backend = {
+  exec :
     'state.
-    shards:int ->
+    count:int ->
     sched:scheduling ->
     equal:('state -> 'state -> bool) ->
     trace:Trace.t option ->
     topo:Topology.t ->
     init:(int -> 'state) ->
     step:'state step_fn ->
-    halted:('state -> bool) ->
-    max_rounds:int ->
-    'state outcome;
-  sb_run_until_stable :
-    'state.
-    shards:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    max_rounds:int ->
-    'state outcome;
-  sb_run_rounds :
-    'state.
-    shards:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    rounds:int ->
+    halted:('state -> bool) option ->
+    stop:stop ->
     'state outcome;
 }
 
-val shard_backend : shard_backend option ref
+val shard_backend : backend option ref
 (** Set by [Tl_shard.Shard] at load time. [Shard]-mode runs raise
     [Failure] while this is [None]. *)
 
-(** {2 Proc backend hook}
-
-    Same plug-in shape as {!shard_backend}, for the process-parallel
-    backend in [tl_proc]. Field names are prefixed [pb_] and the count
-    argument is [procs] (one worker process per shard). *)
-
-type proc_backend = {
-  pb_run :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    halted:('state -> bool) ->
-    max_rounds:int ->
-    'state outcome;
-  pb_run_until_stable :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    max_rounds:int ->
-    'state outcome;
-  pb_run_rounds :
-    'state.
-    procs:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    rounds:int ->
-    'state outcome;
-}
-
-val proc_backend : proc_backend option ref
+val proc_backend : backend option ref
 (** Set by [Tl_proc.Coordinator] at load time. [Proc]-mode runs raise
     [Failure] while this is [None]. *)
+
+val begin_trace :
+  ?trace:Trace.t ->
+  label:string ->
+  mode:string ->
+  layout:string ->
+  sched:scheduling ->
+  compile_s:float ->
+  compile_cached:bool ->
+  Topology.t ->
+  Trace.t option
+(** The run's trace: the caller's [trace], else a fresh one when a sink
+    is set, else [None]; stamped with [mode] (e.g. ["seq"],
+    ["flat:par:2"]), [layout] (["boxed"] or ["flat"]), scheduling, sizes
+    and compile cost. *)
+
+val with_trace : Trace.t option -> (unit -> 'a) -> 'a
+(** Runs the thunk, then finishes the trace and delivers it to
+    {!trace_sink} and {!metrics_sink} — also when the thunk raises. *)
 
 val run :
   ?mode:mode ->

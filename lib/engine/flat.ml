@@ -1,18 +1,16 @@
 (* Flat execution path: the engine's Seq/Par stepper specialized to
-   int-slab states. Structure (double buffer, active set, dirty flags,
-   dense-rebuild heuristic, chunked parallel compute, sequential commit)
-   mirrors engine.ml line for line — keep the two in sync; the
-   differential battery in test/test_engine.ml holds them together.
+   int-slab states (double buffer, active set, dirty flags, dense-rebuild
+   heuristic, chunked parallel compute, sequential commit), run by the
+   shared Engine.drive round loop. The differential battery in
+   test/test_engine.ml holds flat and boxed runs together.
 
    Allocation discipline for the hot path (the whole point of this
    module): no closures in the round loop (helpers that scan CSR rows
    are top-level recursive functions, fully applied — a local [let rec]
    with free variables allocates a closure per call), no [ref] cells
-   per round (loop-carried counters live in mutable [core] fields), no
-   [Option.iter f] on the trace option (the closure is allocated even
-   for [None]; we [match] instead), and no wall-clock reads unless a
-   trace is attached ([Unix.gettimeofday] boxes a float — the stamp is
-   parked in a preallocated float array, where stores are unboxed).
+   per round (loop-carried counters live in mutable [core] fields). The
+   driver keeps the same discipline: per-run closures only, and no
+   wall-clock reads unless a trace is attached.
 
    Bounds discipline: the step/commit loops use [Array.unsafe_get]/
    [unsafe_set]. Every index is covered by a compiled-topology
@@ -49,8 +47,6 @@ let read o ~node ~slot = o.slab.((node * o.slots) + slot)
 let column o ~slot =
   Array.init (Array.length o.slab / o.slots) (fun v ->
       o.slab.((v * o.slots) + slot))
-
-let now = Unix.gettimeofday
 
 (* ---------- core ---------- *)
 
@@ -235,156 +231,46 @@ let commit core =
     core.spare <- old;
     core.n_active <- core.fk
 
-(* ---------- trace plumbing (flat flavour of Engine.begin_trace) ---------- *)
+(* ---------- entry points ---------- *)
 
 let mode_string par =
   if par <= 1 then "flat:seq" else "flat:par:" ^ string_of_int par
 
-let begin_trace ?trace ~label ~par ~sched topo =
-  let t =
-    match trace with
-    | Some t -> Some t
-    | None ->
-      if !Engine.trace_sink <> None || !Engine.metrics_sink <> None then
-        Some (Trace.create ~label ())
-      else None
+let exec ~par ~sched ?trace ?label ~topo ~stop kernel =
+  let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
+  let tr =
+    Engine.begin_trace ?trace ~label ~mode:(mode_string par) ~layout:"flat"
+      ~sched ~compile_s:0. ~compile_cached:false topo
   in
-  (match t with
-  | None -> ()
-  | Some t ->
-    Trace.set_meta t ~mode:(mode_string par)
-      ~scheduling:(Engine.sched_to_string sched)
-      ~n_base:(Topology.n_base topo)
-      ~n_present:(Topology.n_present topo);
-    Trace.set_layout t "flat");
-  t
-
-let with_trace tr f =
-  let t0 = now () in
-  Fun.protect
-    ~finally:(fun () ->
-      match tr with
-      | None -> ()
-      | Some t ->
-        Trace.finish t ~total_s:(now () -. t0);
-        (match !Engine.trace_sink with Some sink -> sink t | None -> ());
-        (match !Engine.metrics_sink with Some sink -> sink t | None -> ()))
-    f
-
-(* ---------- entry points ---------- *)
-
-(* Failure messages are byte-identical to engine.ml on purpose: failure
-   parity is part of the flat-vs-boxed differential contract. *)
-
-let run_halted core tr max_rounds =
-  let rounds = ref 0 in
-  let stalled = ref false in
-  let tw = [| 0. |] in
-  while core.n_unhalted > 0 && !rounds < max_rounds && not !stalled do
-    if core.n_active = 0 then stalled := true
-    else begin
-      (match tr with None -> () | Some _ -> tw.(0) <- now ());
-      let active_now = core.n_active in
-      incr rounds;
-      compute core !rounds;
-      commit core;
-      match tr with
-      | None -> ()
-      | Some t ->
-        Trace.record t
-          {
-            Trace.round = !rounds;
-            active = active_now;
-            changed = core.n_changed;
-            unhalted = core.n_unhalted;
-            wall_s = now () -. tw.(0);
-          }
-    end
-  done;
-  if core.n_unhalted > 0 then
-    failwith (Printf.sprintf "Engine.run: max_rounds=%d exceeded" max_rounds);
-  { slab = core.ctx.cur; slots = core.ctx.slots; rounds = !rounds }
-
-let run_stable core tr max_rounds =
-  let rounds = ref 0 in
-  let stable = ref false in
-  let tw = [| 0. |] in
-  while (not !stable) && !rounds < max_rounds do
-    if core.n_active = 0 then stable := true
-    else begin
-      (match tr with None -> () | Some _ -> tw.(0) <- now ());
-      let active_now = core.n_active in
-      compute core (!rounds + 1);
-      commit core;
-      (match tr with
-      | None -> ()
-      | Some t ->
-        Trace.record t
-          {
-            Trace.round = !rounds + 1;
-            active = active_now;
-            changed = core.n_changed;
-            unhalted = -1;
-            wall_s = now () -. tw.(0);
-          });
-      if core.n_changed > 0 then incr rounds else stable := true
-    end
-  done;
-  if not !stable then
-    failwith
-      (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded"
-         max_rounds);
-  { slab = core.ctx.cur; slots = core.ctx.slots; rounds = !rounds }
-
-let run_fixed core tr total =
-  let tw = [| 0. |] in
-  for r = 1 to total do
-    if core.n_active > 0 then begin
-      (match tr with None -> () | Some _ -> tw.(0) <- now ());
-      let active_now = core.n_active in
-      compute core r;
-      commit core;
-      match tr with
-      | None -> ()
-      | Some t ->
-        Trace.record t
-          {
-            Trace.round = r;
-            active = active_now;
-            changed = core.n_changed;
-            unhalted = -1;
-            wall_s = now () -. tw.(0);
-          }
-    end
-  done;
-  { slab = core.ctx.cur; slots = core.ctx.slots; rounds = total }
+  Engine.with_trace tr (fun () ->
+      let use_halted = match stop with Engine.Halted _ -> true | _ -> false in
+      let core = make_core ~topo ~sched ~par ~use_halted kernel in
+      let rounds, exhausted =
+        Engine.drive ~trace:tr ~stop
+          ~active:(fun () -> core.n_active)
+          ~unhalted:(fun () -> core.n_unhalted)
+          ~exec:(fun round ->
+            compute core round;
+            commit core;
+            core.n_changed)
+      in
+      if exhausted then Engine.exhausted stop;
+      { slab = core.ctx.cur; slots = core.ctx.slots; rounds })
 
 let run ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo ~kernel
     ~max_rounds () =
   if kernel.halted = None then
     invalid_arg
       (Printf.sprintf "Flat.run: kernel %S has no halted predicate" kernel.name);
-  let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
-  let tr = begin_trace ?trace ~label ~par ~sched topo in
-  with_trace tr (fun () ->
-      let core = make_core ~topo ~sched ~par ~use_halted:true kernel in
-      run_halted core tr max_rounds)
+  exec ~par ~sched ?trace ?label ~topo ~stop:(Engine.Halted max_rounds) kernel
 
 let run_until_stable ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label
     ~topo ~kernel ~max_rounds () =
-  let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
-  let tr = begin_trace ?trace ~label ~par ~sched topo in
-  with_trace tr (fun () ->
-      let core = make_core ~topo ~sched ~par ~use_halted:false kernel in
-      run_stable core tr max_rounds)
+  exec ~par ~sched ?trace ?label ~topo ~stop:(Engine.Stable max_rounds) kernel
 
 let run_rounds ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo
     ~kernel ~rounds () =
-  let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
-  let tr = begin_trace ?trace ~label ~par ~sched topo in
-  with_trace tr (fun () ->
-      let core = make_core ~topo ~sched ~par ~use_halted:false kernel in
-      run_fixed core tr rounds)
+  exec ~par ~sched ?trace ?label ~topo ~stop:(Engine.Rounds rounds) kernel
 
 (* ---------- ported kernels ---------- *)
 
@@ -393,15 +279,12 @@ let run_rounds ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo
    this — see the Gc.minor_words budget test). The [||] / [&&] right
    operands are tail positions, so hub rows cannot overflow the stack. *)
 
-let rec row_any_reached cur adj j hi =
+(* some neighbor in row [j .. hi) holds state 1 (flood: reached; MIS:
+   joined) *)
+let rec row_any_one cur adj j hi =
   j < hi
   && (Array.unsafe_get cur (Array.unsafe_get adj j) = 1
-     || row_any_reached cur adj (j + 1) hi)
-
-let rec row_any_in cur adj j hi =
-  j < hi
-  && (Array.unsafe_get cur (Array.unsafe_get adj j) = 1
-     || row_any_in cur adj (j + 1) hi)
+     || row_any_one cur adj (j + 1) hi)
 
 (* [ids] is caller-supplied, not topology-derived, so it keeps its
    bounds check (it is only consulted for undecided neighbors). *)
@@ -424,7 +307,7 @@ module Kernels = struct
           Array.unsafe_set ctx.nxt v
             (if
                Array.unsafe_get cur v = 1
-               || row_any_reached cur ctx.adj
+               || row_any_one cur ctx.adj
                     (Array.unsafe_get ctx.off v)
                     (Array.unsafe_get ctx.off (v + 1))
              then 1
@@ -446,7 +329,7 @@ module Kernels = struct
           and hi = Array.unsafe_get ctx.off (v + 1) in
           Array.unsafe_set ctx.nxt v
             (if s <> 0 then s
-             else if row_any_in cur ctx.adj lo hi then 2
+             else if row_any_one cur ctx.adj lo hi then 2
              else if row_local_max cur ctx.adj ids ids.(v) lo hi then 1
              else 0));
       halted = Some (fun ctx ~node -> ctx.cur.(node) <> 0);

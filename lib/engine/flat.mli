@@ -27,10 +27,10 @@
     the same states, the same round count, and the same per-round
     [active]/[changed]/[unhalted] trace records as the boxed engine
     running an equivalent kernel — for any [par] and any
-    {!Engine.par_grain}. On [max_rounds] exhaustion (or an active-set
-    stall) the raised [Failure] messages are {e byte-identical} to the
-    engine's ("Engine.run: ..."), deliberately: failure parity is part
-    of the differential contract. Parallel rounds fan out over the
+    {!Engine.par_grain}. Rounds run through the boxed engine's own
+    {!Engine.drive}, so the stop rules, the {!Engine.fault_gate} check
+    and the [max_rounds] [Failure] text ("Engine.run: ...") are the
+    engine's by construction. Parallel rounds fan out over the
     persistent domain {!Team} in fixed contiguous chunks. *)
 
 type ctx = {

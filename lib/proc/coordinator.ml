@@ -3,10 +3,10 @@
    Forks one worker process per shard, ships each its Plan sub-CSR once
    via the prologue frame, then drives rounds from the stats totals the
    collective tree delivers: decision down (step / stop), local step +
-   halo exchange in the workers, stats allreduce up. The decision loops
-   replicate shard.ml's sb_* drivers (themselves mirrors of the Seq
-   stepper) so labelings, round counts, trace records and failure
-   messages are bit-identical for any (procs, shards).
+   halo exchange in the workers, stats allreduce up. The decisions come
+   from the shared Engine.drive round loop, so labelings, round counts,
+   trace records and failure messages are bit-identical to the other
+   backends for any (procs, shards).
 
    Worker lifecycle is owned here: a Fun.protect finally reaps every
    child on every exit path — orderly completion, max_rounds failure,
@@ -27,13 +27,6 @@ let now = Unix.gettimeofday
 
 let m_halo_words = lazy (Metrics.counter "proc_halo_words_total")
 let m_runs = lazy (Metrics.counter "proc_runs_total")
-
-let record tr ~round ~active ~changed ~unhalted ~t0 =
-  Option.iter
-    (fun t ->
-      Trace.record t
-        { Trace.round; active; changed; unhalted; wall_s = now () -. t0 })
-    tr
 
 (* ---------- cluster plumbing ---------- *)
 
@@ -139,7 +132,7 @@ let spawn_workers ~size ~direct ~pairs ~body =
     pairs;
   pids
 
-let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
+let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~body ~drive =
   if Team.spawns () > 0 then
     Wire.fail
       "proc backend cannot fork: this process already spawned domains \
@@ -477,7 +470,7 @@ let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
                    {
                      rank;
                      size;
-                     entry = Worker.entry_code entry;
+                     entry = Worker.entry_code policy;
                      sched = Worker.sched_code sched;
                      shape = Collective.code_of_shape shape;
                      slots;
@@ -494,83 +487,28 @@ let with_cluster ~procs ~topo ~entry ~sched ~slots ~body ~drive =
   | v -> v
   | exception Worker_failure msg -> failwith msg
 
-(* ---------- decision loops (sb_run / sb_run_until_stable /
-   sb_run_rounds, driven from stats totals) ---------- *)
+(* ---------- the decision loop, driven from stats totals ---------- *)
 
-let drive_halted ~tr ~max_rounds ops =
+(* Workers are told to stop without shipping states before an exhausted
+   run's failure propagates. *)
+let drive ~trace ~stop ops =
   let active = ref ops.stats0.s_active in
   let unhalted = ref ops.stats0.s_unhalted in
-  let rounds = ref 0 in
-  let stalled = ref false in
-  let interrupted = ref false in
-  while
-    !unhalted > 0 && !rounds < max_rounds && (not !stalled)
-    && not !interrupted
-  do
-    if !active = 0 then stalled := true
-    else begin
-      let t0 = now () in
-      incr rounds;
-      let s = ops.step ~round:!rounds in
-      record tr ~round:!rounds ~active:!active ~changed:s.s_changed
-        ~unhalted:s.s_unhalted ~t0;
-      active := s.s_active;
-      unhalted := s.s_unhalted;
-      if not (Engine.gate_open ~round:!rounds) then interrupted := true
-    end
-  done;
-  if (not !interrupted) && !unhalted > 0 then begin
+  let rounds, exhausted =
+    Engine.drive ~trace ~stop
+      ~active:(fun () -> !active)
+      ~unhalted:(fun () -> !unhalted)
+      ~exec:(fun round ->
+        let s = ops.step ~round in
+        active := s.s_active;
+        unhalted := s.s_unhalted;
+        s.s_changed)
+  in
+  if exhausted then begin
     ignore (ops.stop ~ship:false);
-    failwith (Printf.sprintf "Engine.run: max_rounds=%d exceeded" max_rounds)
+    Engine.exhausted stop
   end;
-  (ops.stop ~ship:true, !rounds)
-
-let drive_stable ~tr ~max_rounds ops =
-  let active = ref ops.stats0.s_active in
-  let rounds = ref 0 in
-  let stable = ref false in
-  let interrupted = ref false in
-  while (not !interrupted) && (not !stable) && !rounds < max_rounds do
-    if !active = 0 then stable := true
-    else begin
-      let t0 = now () in
-      let s = ops.step ~round:(!rounds + 1) in
-      record tr ~round:(!rounds + 1) ~active:!active ~changed:s.s_changed
-        ~unhalted:(-1) ~t0;
-      if s.s_changed > 0 then begin
-        incr rounds;
-        if not (Engine.gate_open ~round:!rounds) then interrupted := true
-      end
-      else stable := true;
-      active := s.s_active
-    end
-  done;
-  if (not !interrupted) && not !stable then begin
-    ignore (ops.stop ~ship:false);
-    failwith
-      (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded"
-         max_rounds)
-  end;
-  (ops.stop ~ship:true, !rounds)
-
-let drive_fixed ~tr ~total ops =
-  let active = ref ops.stats0.s_active in
-  let executed = ref 0 in
-  let r = ref 1 in
-  let interrupted = ref false in
-  while (not !interrupted) && !r <= total do
-    if !active > 0 then begin
-      let t0 = now () in
-      let s = ops.step ~round:!r in
-      record tr ~round:!r ~active:!active ~changed:s.s_changed ~unhalted:(-1)
-        ~t0;
-      active := s.s_active;
-      executed := !r;
-      if not (Engine.gate_open ~round:!r) then interrupted := true
-    end;
-    incr r
-  done;
-  (ops.stop ~ship:true, if !interrupted then !executed else total)
+  (ops.stop ~ship:true, rounds)
 
 (* ---------- boxed entry points (the Engine.Proc hook) ---------- *)
 
@@ -606,67 +544,27 @@ let assemble_boxed (type a) ~topo ~(init : int -> a) ~plan images :
     images;
   states
 
-let pb_run :
+let exec :
     type a.
-    procs:int ->
+    count:int ->
     sched:Engine.scheduling ->
     equal:(a -> a -> bool) ->
     trace:Trace.t option ->
     topo:Topology.t ->
     init:(int -> a) ->
     step:a Engine.step_fn ->
-    halted:(a -> bool) ->
-    max_rounds:int ->
+    halted:(a -> bool) option ->
+    stop:Engine.stop ->
     a Engine.outcome =
- fun ~procs ~sched ~equal ~trace:tr ~topo ~init ~step ~halted ~max_rounds ->
-  with_cluster ~procs ~topo ~entry:Worker.Run ~sched ~slots:0
-    ~body:(fun env ->
-      Worker.run_boxed env ~init ~step ~equal ~halted:(Some halted))
+ fun ~count:procs ~sched ~equal ~trace ~topo ~init ~step ~halted ~stop ->
+  with_cluster ~procs ~topo ~stop ~sched ~slots:0
+    ~body:(fun env -> Worker.run_boxed env ~init ~step ~equal ~halted)
     ~drive:(fun ops ->
-      let images, rounds = drive_halted ~tr ~max_rounds ops in
+      let images, rounds = drive ~trace ~stop ops in
       let states = assemble_boxed ~topo ~init ~plan:ops.plan images in
       { Engine.states; rounds })
 
-let pb_run_until_stable :
-    type a.
-    procs:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    max_rounds:int ->
-    a Engine.outcome =
- fun ~procs ~sched ~equal ~trace:tr ~topo ~init ~step ~max_rounds ->
-  with_cluster ~procs ~topo ~entry:Worker.Stable ~sched ~slots:0
-    ~body:(fun env -> Worker.run_boxed env ~init ~step ~equal ~halted:None)
-    ~drive:(fun ops ->
-      let images, rounds = drive_stable ~tr ~max_rounds ops in
-      let states = assemble_boxed ~topo ~init ~plan:ops.plan images in
-      { Engine.states; rounds })
-
-let pb_run_rounds :
-    type a.
-    procs:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    rounds:int ->
-    a Engine.outcome =
- fun ~procs ~sched ~equal ~trace:tr ~topo ~init ~step ~rounds:total ->
-  with_cluster ~procs ~topo ~entry:Worker.Rounds ~sched ~slots:0
-    ~body:(fun env -> Worker.run_boxed env ~init ~step ~equal ~halted:None)
-    ~drive:(fun ops ->
-      let images, rounds = drive_fixed ~tr ~total ops in
-      let states = assemble_boxed ~topo ~init ~plan:ops.plan images in
-      { Engine.states; rounds })
-
-let () =
-  Engine.proc_backend := Some { Engine.pb_run; pb_run_until_stable; pb_run_rounds }
+let () = Engine.proc_backend := Some { Engine.exec }
 
 let register () = ()
 
@@ -713,10 +611,11 @@ let run_flat ?procs ?(sched = Engine.Active_set) ~topo ~kernel_for
     invalid_arg
       (Printf.sprintf "Proc.run_flat: kernel %s has no halted predicate"
          kernel.Flat.name);
-  with_cluster ~procs ~topo ~entry:Worker.Run ~sched ~slots:kernel.Flat.slots
+  let stop = Engine.Halted max_rounds in
+  with_cluster ~procs ~topo ~stop ~sched ~slots:kernel.Flat.slots
     ~body:(fun env -> Worker.run_flat env ~kernel_for)
     ~drive:(fun ops ->
-      let images, rounds = drive_halted ~tr:None ~max_rounds ops in
+      let images, rounds = drive ~trace:None ~stop ops in
       assemble_flat ~topo ~kernel ~plan:ops.plan images rounds)
 
 let run_flat_until_stable ?procs ?(sched = Engine.Active_set) ~topo
@@ -725,11 +624,11 @@ let run_flat_until_stable ?procs ?(sched = Engine.Active_set) ~topo
     match procs with Some p -> p | None -> max 1 !Engine.default_procs
   in
   let kernel : Flat.kernel = flat_global ~topo ~kernel_for in
-  with_cluster ~procs ~topo ~entry:Worker.Stable ~sched
-    ~slots:kernel.Flat.slots
+  let stop = Engine.Stable max_rounds in
+  with_cluster ~procs ~topo ~stop ~sched ~slots:kernel.Flat.slots
     ~body:(fun env -> Worker.run_flat env ~kernel_for)
     ~drive:(fun ops ->
-      let images, rounds = drive_stable ~tr:None ~max_rounds ops in
+      let images, rounds = drive ~trace:None ~stop ops in
       assemble_flat ~topo ~kernel ~plan:ops.plan images rounds)
 
 (* Shard-local builders for the stock flat kernels: the worker calls

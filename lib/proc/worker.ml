@@ -24,14 +24,16 @@ module Engine = Tl_engine.Engine
 module Flat = Tl_engine.Flat
 module Plan = Tl_shard.Plan
 
-type entry_kind = Run | Stable | Rounds
+(* The prologue's entry code names the coordinator's stop policy; a
+   worker only needs to know whether it must track halting. *)
+let entry_code = function
+  | Engine.Halted _ -> 1
+  | Engine.Stable _ -> 2
+  | Engine.Rounds _ -> 3
 
-let entry_code = function Run -> 1 | Stable -> 2 | Rounds -> 3
-
-let entry_of_code = function
-  | 1 -> Run
-  | 2 -> Stable
-  | 3 -> Rounds
+let halting_of_code = function
+  | 1 -> true
+  | 2 | 3 -> false
   | c -> Wire.fail "unknown entry code %d" c
 
 let sched_code = function Engine.Active_set -> 0 | Engine.Full_scan -> 1
@@ -44,7 +46,7 @@ let sched_of_code = function
 type env = {
   rank : int;
   size : int;
-  entry : entry_kind;
+  halting : bool;  (* the run stops on Engine.Halted *)
   sched : Engine.scheduling;
   slots : int;
   sh : Plan.shard;
@@ -468,7 +470,7 @@ let run_flat env ~(kernel_for : l2g:int array -> Flat.kernel) =
   and out_src = Array.make (max 1 routes) 0 in
   let n_out = ref 0 in
   let halo_words = ref 0 and exchange_rounds = ref 0 in
-  let halt = if env.entry = Run then k.Flat.halted else None in
+  let halt = if env.halting then k.Flat.halted else None in
   let halted_f = Array.make (max 1 n_owned) true in
   let unhalted = ref 0 in
   (match halt with
@@ -697,7 +699,7 @@ let serve ~rank ~coord ~chans ~(body : env -> unit) =
           {
             rank;
             size = p.size;
-            entry = entry_of_code p.entry;
+            halting = halting_of_code p.entry;
             sched = sched_of_code p.sched;
             slots = p.slots;
             sh;

@@ -15,13 +15,6 @@ let m_exchange_s = lazy (Metrics.histogram "shard_exchange_seconds")
 let m_halo_words = lazy (Metrics.counter "shard_halo_words_total")
 let m_runs = lazy (Metrics.counter "shard_runs_total")
 
-let record tr ~round ~active ~changed ~unhalted ~t0 =
-  Option.iter
-    (fun t ->
-      Trace.record t
-        { Trace.round; active; changed; unhalted; wall_s = now () -. t0 })
-    tr
-
 (* Per-shard mutable run state. Everything the hot loop touches is local
    to the shard and indexed by local ids, so a shard's working set is
    O(n_owned + halo) — cache-resident where the monolithic stepper's
@@ -343,139 +336,42 @@ let prepare ~shards ~topo ~init =
   if p_eff > 1 then Pool.prewarm pool;
   (plan, plan_hit, states, ctxs, pool, p_eff)
 
-(* ---------- the three backend entry points ----------
+(* ---------- the backend entry point ---------- *)
 
-   Control flow, trace records and failure messages deliberately mirror
-   the engine's Seq stepper line by line — the differential suite checks
-   all of it bit-for-bit. *)
-
-let sb_run :
+let exec :
     type a.
-    shards:int ->
+    count:int ->
     sched:Engine.scheduling ->
     equal:(a -> a -> bool) ->
     trace:Trace.t option ->
     topo:Topology.t ->
     init:(int -> a) ->
     step:a Engine.step_fn ->
-    halted:(a -> bool) ->
-    max_rounds:int ->
+    halted:(a -> bool) option ->
+    stop:Engine.stop ->
     a Engine.outcome =
- fun ~shards ~sched ~equal ~trace:tr ~topo ~init ~step ~halted ~max_rounds ->
+ fun ~count:shards ~sched ~equal ~trace ~topo ~init ~step ~halted ~stop ->
   let plan, plan_hit, states, ctxs, pool, p_eff =
     prepare ~shards ~topo ~init
   in
-  let halted_f = Array.make topo.Topology.n_base true in
   let n_unhalted = ref 0 in
-  Array.iter
-    (fun v ->
-      let h = halted states.(v) in
-      halted_f.(v) <- h;
-      if not h then incr n_unhalted)
-    topo.Topology.present_nodes;
-  let rounds = ref 0 in
-  let stalled = ref false in
-  let exch_acc = ref 0. in
-  Fun.protect
-    ~finally:(fun () ->
-      emit_spans plan ctxs plan_hit;
-      emit_metrics plan ctxs ~exch_s:!exch_acc)
-    (fun () ->
-      let interrupted = ref false in
-      while
-        !n_unhalted > 0 && !rounds < max_rounds && (not !stalled)
-        && not !interrupted
-      do
-        let active_now = total_active ctxs in
-        if active_now = 0 then stalled := true
-        else begin
-          let t0 = now () in
-          incr rounds;
-          let changed =
-            exec_round ctxs ~pool ~p_eff ~step ~round:!rounds ~sched ~equal
-              ~exch_acc
-              ~on_change:(fun v s ->
-                let h = halted s in
-                if h <> halted_f.(v) then begin
-                  halted_f.(v) <- h;
-                  if h then decr n_unhalted else incr n_unhalted
-                end)
-          in
-          record tr ~round:!rounds ~active:active_now ~changed
-            ~unhalted:!n_unhalted ~t0;
-          if not (Engine.gate_open ~round:!rounds) then interrupted := true
+  let on_change =
+    match halted with
+    | None -> fun _ _ -> ()
+    | Some halted ->
+      let halted_f = Array.make topo.Topology.n_base true in
+      Array.iter
+        (fun v ->
+          let h = halted states.(v) in
+          halted_f.(v) <- h;
+          if not h then incr n_unhalted)
+        topo.Topology.present_nodes;
+      fun v s ->
+        let h = halted s in
+        if h <> halted_f.(v) then begin
+          halted_f.(v) <- h;
+          if h then decr n_unhalted else incr n_unhalted
         end
-      done;
-      if (not !interrupted) && !n_unhalted > 0 then
-        failwith
-          (Printf.sprintf "Engine.run: max_rounds=%d exceeded" max_rounds);
-      writeback ctxs states;
-      { Engine.states; rounds = !rounds })
-
-let sb_run_until_stable :
-    type a.
-    shards:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    max_rounds:int ->
-    a Engine.outcome =
- fun ~shards ~sched ~equal ~trace:tr ~topo ~init ~step ~max_rounds ->
-  let plan, plan_hit, states, ctxs, pool, p_eff =
-    prepare ~shards ~topo ~init
-  in
-  let rounds = ref 0 in
-  let stable = ref false in
-  let exch_acc = ref 0. in
-  Fun.protect
-    ~finally:(fun () ->
-      emit_spans plan ctxs plan_hit;
-      emit_metrics plan ctxs ~exch_s:!exch_acc)
-    (fun () ->
-      let interrupted = ref false in
-      while (not !interrupted) && (not !stable) && !rounds < max_rounds do
-        let active_now = total_active ctxs in
-        if active_now = 0 then stable := true
-        else begin
-          let t0 = now () in
-          let changed =
-            exec_round ctxs ~pool ~p_eff ~step ~round:(!rounds + 1) ~sched
-              ~equal ~exch_acc
-              ~on_change:(fun _ _ -> ())
-          in
-          record tr ~round:(!rounds + 1) ~active:active_now ~changed
-            ~unhalted:(-1) ~t0;
-          if changed > 0 then begin
-            incr rounds;
-            if not (Engine.gate_open ~round:!rounds) then interrupted := true
-          end
-          else stable := true
-        end
-      done;
-      if (not !interrupted) && not !stable then
-        failwith
-          (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded"
-             max_rounds);
-      writeback ctxs states;
-      { Engine.states; rounds = !rounds })
-
-let sb_run_rounds :
-    type a.
-    shards:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    rounds:int ->
-    a Engine.outcome =
- fun ~shards ~sched ~equal ~trace:tr ~topo ~init ~step ~rounds:total ->
-  let plan, plan_hit, states, ctxs, pool, p_eff =
-    prepare ~shards ~topo ~init
   in
   let exch_acc = ref 0. in
   Fun.protect
@@ -483,30 +379,19 @@ let sb_run_rounds :
       emit_spans plan ctxs plan_hit;
       emit_metrics plan ctxs ~exch_s:!exch_acc)
     (fun () ->
-      let executed = ref 0 in
-      let r = ref 1 in
-      let interrupted = ref false in
-      while (not !interrupted) && !r <= total do
-        let active_now = total_active ctxs in
-        if active_now > 0 then begin
-          let t0 = now () in
-          let changed =
-            exec_round ctxs ~pool ~p_eff ~step ~round:!r ~sched ~equal
-              ~exch_acc
-              ~on_change:(fun _ _ -> ())
-          in
-          record tr ~round:!r ~active:active_now ~changed ~unhalted:(-1) ~t0;
-          executed := !r;
-          if not (Engine.gate_open ~round:!r) then interrupted := true
-        end;
-        incr r
-      done;
+      let rounds, exhausted =
+        Engine.drive ~trace ~stop
+          ~active:(fun () -> total_active ctxs)
+          ~unhalted:(fun () -> !n_unhalted)
+          ~exec:(fun round ->
+            exec_round ctxs ~pool ~p_eff ~step ~round ~sched ~equal ~exch_acc
+              ~on_change)
+      in
       writeback ctxs states;
-      { Engine.states; rounds = (if !interrupted then !executed else total) })
+      if exhausted then Engine.exhausted stop;
+      { Engine.states; rounds })
 
-let () =
-  Engine.shard_backend :=
-    Some { Engine.sb_run; sb_run_until_stable; sb_run_rounds }
+let () = Engine.shard_backend := Some { Engine.exec }
 
 let register () = ()
 

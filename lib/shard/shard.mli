@@ -68,10 +68,9 @@ val fault_drop_hook : (round:int -> src:int -> dst:int -> bool) option ref
     next changes — the repair layer's job to heal. Disarmed ([None],
     the default) the exchange runs the original unchecked drain loop;
     the hook costs one ref match per round. [halo_words] counts only
-    delivered messages. The shard drivers also consult
-    {!Tl_engine.Engine.gate_open} per committed round, so an armed
-    fault gate interrupts shard runs at round boundaries exactly like
-    the in-process steppers. *)
+    delivered messages. Shard runs go through the shared
+    {!Tl_engine.Engine.drive}, so an armed fault gate interrupts them at
+    round boundaries exactly like the in-process steppers. *)
 
 val run :
   ?shards:int ->

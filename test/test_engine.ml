@@ -778,26 +778,79 @@ let test_flat_failure_parity () =
   | _ -> Alcotest.fail "expected Invalid_argument for halted-less kernel");
   ()
 
+let test_flat_fault_gate_parity () =
+  (* an armed Engine.fault_gate interrupts flat runs at the same round
+     boundary as boxed Seq under every stop policy: same rounds, states
+     and trace records, and no max_rounds failure *)
+  let n = 20 in
+  let topo = Topology.compile (Semi_graph.of_graph (Gen.path n)) in
+  let kernel = Flat.Kernels.flood () in
+  let saved = !Engine.fault_gate in
+  Engine.fault_gate := Some (fun ~round -> round < 3);
+  Fun.protect
+    ~finally:(fun () -> Engine.fault_gate := saved)
+    (fun () ->
+      let init v = v = 0 in
+      List.iter
+        (fun (policy, boxed, flat) ->
+          let boxed_tr = Trace.create () and flat_tr = Trace.create () in
+          let b = boxed boxed_tr and o = flat flat_tr in
+          check_int (policy ^ ": gate stops boxed at 3") 3 b.Engine.rounds;
+          check_int (policy ^ ": flat rounds") b.Engine.rounds o.Flat.rounds;
+          check (policy ^ ": flat states") true
+            (Flat.column o ~slot:0 = Array.map Bool.to_int b.Engine.states);
+          check (policy ^ ": flat trace records") true
+            (record_sig flat_tr = record_sig boxed_tr))
+        [
+          ( "run",
+            (fun trace ->
+              Engine.run ~mode:Engine.Seq ~trace ~topo ~init ~step:flood_step
+                ~halted:Fun.id ~max_rounds:(n + 1) ()),
+            fun trace -> Flat.run ~trace ~topo ~kernel ~max_rounds:(n + 1) ()
+          );
+          ( "run_until_stable",
+            (fun trace ->
+              Engine.run_until_stable ~mode:Engine.Seq ~trace ~topo ~init
+                ~step:flood_step ~equal:Bool.equal ~max_rounds:(n + 1) ()),
+            fun trace ->
+              Flat.run_until_stable ~trace ~topo ~kernel ~max_rounds:(n + 1) ()
+          );
+          ( "run_rounds",
+            (fun trace ->
+              Engine.run_rounds ~mode:Engine.Seq ~trace ~topo ~init
+                ~step:flood_step ~rounds:10 ()),
+            fun trace -> Flat.run_rounds ~trace ~topo ~kernel ~rounds:10 () );
+        ])
+
 let test_flat_zero_alloc_per_step () =
   (* the flat hot path must allocate nothing on the minor heap per step:
      run flood down a long path (many rounds, tiny frontiers — the shape
      that amplifies any per-round or per-step allocation) and bound the
      whole run's minor-heap delta by a per-run constant. A 2-word leak
-     per round would show up as ~40k words here. *)
+     per round would show up as ~40k words here. Every stop policy is
+     measured: they share one round driver, but each has its own arm. *)
   let n = 20_000 in
   let topo = Topology.compile (Semi_graph.of_graph (Gen.path n)) in
   let kernel = Flat.Kernels.flood () in
-  ignore (Flat.run_until_stable ~topo ~kernel ~max_rounds:(n + 1) ());
-  let w0 = Gc.minor_words () in
-  let o = Flat.run_until_stable ~topo ~kernel ~max_rounds:(n + 1) () in
-  let w1 = Gc.minor_words () in
-  check_int "flood covered the path" (n - 1) o.Flat.rounds;
-  check "flood reached every node" true
-    (Array.for_all (fun s -> s = 1) (Flat.column o ~slot:0));
-  let delta = w1 -. w0 in
-  check
-    (Printf.sprintf "per-run minor words bounded (got %.0f)" delta)
-    true (delta < 2048.)
+  List.iter
+    (fun (arm, run) ->
+      ignore (run ());
+      let w0 = Gc.minor_words () in
+      let o = run () in
+      let w1 = Gc.minor_words () in
+      check_int (arm ^ ": flood covered the path") (n - 1) o.Flat.rounds;
+      check (arm ^ ": flood reached every node") true
+        (Array.for_all (fun s -> s = 1) (Flat.column o ~slot:0));
+      let delta = w1 -. w0 in
+      check
+        (Printf.sprintf "%s: per-run minor words bounded (got %.0f)" arm delta)
+        true (delta < 2048.))
+    [
+      ( "run_until_stable",
+        fun () -> Flat.run_until_stable ~topo ~kernel ~max_rounds:(n + 1) () );
+      ("run", fun () -> Flat.run ~topo ~kernel ~max_rounds:(n + 1) ());
+      ("run_rounds", fun () -> Flat.run_rounds ~topo ~kernel ~rounds:(n - 1) ());
+    ]
 
 (* ---------- compile cache ---------- *)
 
@@ -957,6 +1010,8 @@ let () =
         @ [
             Alcotest.test_case "failure parity with the boxed engine" `Quick
               test_flat_failure_parity;
+            Alcotest.test_case "fault gate parity with the boxed engine"
+              `Quick test_flat_fault_gate_parity;
             Alcotest.test_case "zero minor-heap words per step" `Quick
               test_flat_zero_alloc_per_step;
           ] );
