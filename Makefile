@@ -33,6 +33,11 @@ bench-full:
 # Fast sanity pass used by CI: one analytic experiment plus the engine
 # stepping comparison on a small instance, regression-gated against the
 # committed baseline (loose tolerance; only catastrophic slowdowns fail).
+# The experiments write their smoke-size rows into the committed
+# BENCH_engine.json / BENCH_serve.json; those rows move to the
+# (gitignored) bench-smoke-engine.json / bench-smoke-serve.json and the
+# committed files are restored from their baseline copies before each
+# gate, so a passing run leaves the tree clean.
 bench-smoke:
 	dune exec bench/main.exe -- E11
 	cp BENCH_engine.json bench-baseline.json
@@ -43,10 +48,14 @@ bench-smoke:
 	TL_FLAT_BENCH_N=20000 dune exec bench/main.exe -- B11
 	TL_PROC_BENCH_N=20000 dune exec bench/main.exe -- B12
 	TL_FAULT_BENCH_N=20000 dune exec bench/main.exe -- B13
-	dune exec bench/regress.exe -- --tolerance 5.0 bench-baseline.json BENCH_engine.json
+	mv BENCH_engine.json bench-smoke-engine.json
+	cp bench-baseline.json BENCH_engine.json
+	dune exec bench/regress.exe -- --tolerance 5.0 bench-baseline.json bench-smoke-engine.json
 	cp BENCH_serve.json serve-baseline.json
 	TL_SERVE_BENCH_N=2000 TL_SERVE_BENCH_R=20 dune exec bench/main.exe -- B9
-	dune exec bench/regress.exe -- --tolerance 5.0 serve-baseline.json BENCH_serve.json
+	mv BENCH_serve.json bench-smoke-serve.json
+	cp serve-baseline.json BENCH_serve.json
+	dune exec bench/regress.exe -- --tolerance 5.0 serve-baseline.json bench-smoke-serve.json
 	dune exec examples/quickstart.exe
 
 # End-to-end smoke of the serving layer: the example client spawns the

@@ -20,26 +20,11 @@ module Topology = Tl_engine.Topology
 module Trace = Tl_engine.Trace
 module Team = Tl_engine.Team
 module Plan = Tl_shard.Plan
-module Span = Tl_obs.Span
-module Metrics = Tl_obs.Metrics
+module Local = Tl_shard.Local
 
 let now = Unix.gettimeofday
 
-let m_halo_words = lazy (Metrics.counter "proc_halo_words_total")
-let m_runs = lazy (Metrics.counter "proc_runs_total")
-
 (* ---------- cluster plumbing ---------- *)
-
-type stats = { s_active : int; s_changed : int; s_unhalted : int }
-
-type ops = {
-  plan : Plan.t;
-  size : int;
-  stats0 : stats;
-  step : round:int -> stats;
-  stop : ship:bool -> bytes option array;
-      (* per-rank owned-state images (ascending) when [ship] *)
-}
 
 let wait_status_string = function
   | Unix.WEXITED c -> Printf.sprintf "exited with status %d" c
@@ -132,7 +117,11 @@ let spawn_workers ~size ~direct ~pairs ~body =
     pairs;
   pids
 
-let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~body ~drive =
+(* One run on a fresh cluster: fork, ship the prologues, drive the
+   rounds from the stats totals, then collect every worker's epilogue
+   image into [blank ()] with [read], in ascending shard order. *)
+let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
+    ~read =
   if Team.spawns () > 0 then
     Wire.fail
       "proc backend cannot fork: this process already spawned domains \
@@ -206,53 +195,6 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~body ~drive =
           reaped.(rank) <- true
         end)
       pids
-  in
-  let emit_spans () =
-    if Span.active () then begin
-      let np = topo.Topology.n_present in
-      Span.add_counter "proc:procs" size;
-      Span.add_counter "proc:shape"
-        (match shape with Collective.Binomial -> 0 | Collective.Nary f -> f);
-      Span.add_counter "proc:cut_edges" (Plan.cut_edges_total plan);
-      Span.add_counter "proc:imbalance" (Plan.imbalance_permille plan);
-      Span.add_counter
-        (if plan_hit then "proc:plan_hit" else "proc:plan_miss")
-        1;
-      Span.add_counter "proc:halo_words"
-        (Array.fold_left ( + ) 0 epi_halo);
-      Array.iteri
-        (fun rank sh ->
-          if have_epi.(rank) then
-            Span.with_span (Printf.sprintf "proc:%d" rank) (fun () ->
-                Span.add_counter "proc:owned" sh.Plan.n_owned;
-                Span.add_counter "proc:halo"
-                  (sh.Plan.n_local - sh.Plan.n_owned);
-                Span.add_counter "proc:cut_edges" sh.Plan.cut_edges;
-                Span.add_counter "proc:halo_words" epi_halo.(rank);
-                Span.add_counter "proc:imbalance"
-                  (if np = 0 then 1000
-                   else sh.Plan.n_owned * size * 1000 / np);
-                Span.add_counter "proc:exchange_rounds" epi_exch.(rank)))
-        shards
-    end
-  in
-  let emit_metrics () =
-    if Metrics.enabled () then begin
-      let halo = Array.fold_left ( + ) 0 epi_halo in
-      Metrics.incr (Lazy.force m_halo_words) halo;
-      Metrics.incr (Lazy.force m_runs) 1;
-      Metrics.Recorder.record
-        {
-          Metrics.Recorder.ts = now ();
-          kind = "exchange";
-          key = Printf.sprintf "procs:%d" size;
-          detail =
-            Printf.sprintf "halo_words=%d cut_edges=%d" halo
-              (Plan.cut_edges_total plan);
-          outcome = "ok";
-          latency_s = now () -. t_start;
-        }
-    end
   in
   let worker_died rank =
     let st = waitpid_retry pids.(rank) in
@@ -328,24 +270,24 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~body ~drive =
      channel so a crash anywhere (error frame or EOF) surfaces instead
      of hanging the run. *)
   let recv_timeout = timeout_s () in
+  let deadline () = Option.map (fun t -> now () +. t) recv_timeout in
+  (* the select timeout left before [deadline], failing once it passed *)
+  let time_left deadline ~what =
+    match deadline with
+    | None -> -1.
+    | Some d ->
+      let left = d -. now () in
+      if left <= 0. then
+        Wire.fail "timeout after %.0f ms awaiting %s (TL_PROC_TIMEOUT_MS)"
+          (Option.get recv_timeout *. 1000.)
+          what
+      else left
+  in
   let await ~accept ~what =
-    let deadline =
-      match recv_timeout with None -> None | Some t -> Some (now () +. t)
-    in
+    let deadline = deadline () in
     let result = ref None in
     while !result = None do
-      let tmo =
-        match deadline with
-        | None -> -1.
-        | Some d ->
-          let left = d -. now () in
-          if left <= 0. then
-            Wire.fail
-              "timeout after %.0f ms awaiting %s (TL_PROC_TIMEOUT_MS)"
-              (Option.get recv_timeout *. 1000.)
-              what
-          else left
-      in
+      let tmo = time_left deadline ~what in
       let ready = select_read ~timeout:tmo (Array.to_list cfd) in
       List.iter
         (fun fd ->
@@ -361,17 +303,16 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~body ~drive =
     done;
     Option.get !result
   in
+  (* the root's totals: [active]/[unhalted] are kept, [changed] returned *)
+  let active = ref 0 and unhalted = ref 0 in
   let await_stats ~round =
     await ~what:(Printf.sprintf "stats (round %d)" round)
       ~accept:(fun rank f ->
         match f with
         | Wire.Stats s when rank = 0 && s.round = round ->
-          Some
-            {
-              s_active = s.active;
-              s_changed = s.changed;
-              s_unhalted = s.unhalted;
-            }
+          active := s.active;
+          unhalted := s.unhalted;
+          Some s.changed
         | _ -> None)
   in
   let send_decision ~action ~round =
@@ -397,9 +338,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~body ~drive =
       ~round:0;
     let states = Array.make size None in
     let n_got = ref 0 in
-    let deadline =
-      match recv_timeout with None -> None | Some t -> Some (now () +. t)
-    in
+    let deadline = deadline () in
     while !n_got < size do
       let pend =
         Array.to_list
@@ -409,17 +348,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~body ~drive =
                   if have_epi.(rank) then None else Some cfd.(rank))
                 (Seq.init size Fun.id)))
       in
-      let tmo =
-        match deadline with
-        | None -> -1.
-        | Some d ->
-          let left = d -. now () in
-          if left <= 0. then
-            Wire.fail
-              "timeout after %.0f ms awaiting epilogue (TL_PROC_TIMEOUT_MS)"
-              (Option.get recv_timeout *. 1000.)
-          else left
-      in
+      let tmo = time_left deadline ~what:"epilogue" in
       let ready = select_read ~timeout:tmo pend in
       List.iter
         (fun fd ->
@@ -457,8 +386,12 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~body ~drive =
     Fun.protect
       ~finally:(fun () ->
         cleanup ();
-        emit_spans ();
-        emit_metrics ())
+        Local.report plan ~plan_hit ~prefix:"proc" ~count_key:"procs"
+          ~shape:(Collective.code_of_shape shape)
+          ~latency_s:(now () -. t_start)
+          (fun rank ->
+            if have_epi.(rank) then Some (epi_halo.(rank), epi_exch.(rank))
+            else None))
       (fun () ->
         (* prologues: identity, run configuration, halo-neighbor sets,
            tree shape and the shard image — once per worker *)
@@ -481,68 +414,36 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~body ~drive =
             in
             Transport.send_frame cfd.(rank) img (Bytes.length img))
           shards;
-        let stats0 = await_stats ~round:0 in
-        drive { plan; size; stats0; step; stop })
+        ignore (await_stats ~round:0);
+        let rounds, exhausted =
+          Engine.drive ~trace ~stop:policy
+            ~active:(fun () -> !active)
+            ~unhalted:(fun () -> !unhalted)
+            ~exec:(fun round -> step ~round)
+        in
+        (* workers stop without shipping states before an exhausted
+           run's failure propagates *)
+        if exhausted then begin
+          ignore (stop ~ship:false);
+          Engine.exhausted policy
+        end;
+        let out = blank () in
+        Array.iteri
+          (fun rank img ->
+            match img with
+            | None -> Wire.fail "worker %d shipped no states" rank
+            | Some b -> read out shards.(rank) b)
+          (stop ~ship:true);
+        (out, rounds))
   with
   | v -> v
   | exception Worker_failure msg -> failwith msg
 
-(* ---------- the decision loop, driven from stats totals ---------- *)
+let proc_count = function
+  | Some p -> p
+  | None -> max 1 !Engine.default_procs
 
-(* Workers are told to stop without shipping states before an exhausted
-   run's failure propagates. *)
-let drive ~trace ~stop ops =
-  let active = ref ops.stats0.s_active in
-  let unhalted = ref ops.stats0.s_unhalted in
-  let rounds, exhausted =
-    Engine.drive ~trace ~stop
-      ~active:(fun () -> !active)
-      ~unhalted:(fun () -> !unhalted)
-      ~exec:(fun round ->
-        let s = ops.step ~round in
-        active := s.s_active;
-        unhalted := s.s_unhalted;
-        s.s_changed)
-  in
-  if exhausted then begin
-    ignore (ops.stop ~ship:false);
-    Engine.exhausted stop
-  end;
-  (ops.stop ~ship:true, rounds)
-
-(* ---------- boxed entry points (the Engine.Proc hook) ---------- *)
-
-let apply_boxed_states (type a) (states : a array) sh b =
-  let n_owned = sh.Plan.n_owned and l2g = sh.Plan.l2g in
-  let blen = Bytes.length b in
-  let pos = ref 0 in
-  for l = 0 to n_owned - 1 do
-    if !pos >= blen then Wire.fail "truncated epilogue states";
-    match Bytes.get b !pos with
-    | '\000' ->
-      if !pos + 9 > blen then Wire.fail "truncated epilogue states";
-      states.(l2g.(l)) <- (Obj.magic (Wire.get_i64 b (!pos + 1)) : a);
-      pos := !pos + 9
-    | '\001' ->
-      if !pos + 5 > blen then Wire.fail "truncated epilogue states";
-      let ml = Wire.get_u32 b (!pos + 1) in
-      if !pos + 5 + ml > blen then Wire.fail "truncated epilogue states";
-      states.(l2g.(l)) <- Marshal.from_bytes (Bytes.sub b (!pos + 5) ml) 0;
-      pos := !pos + 5 + ml
-    | c -> Wire.fail "bad epilogue state tag %d" (Char.code c)
-  done;
-  if !pos <> blen then Wire.fail "trailing epilogue state bytes"
-
-let assemble_boxed (type a) ~topo ~(init : int -> a) ~plan images :
-    a array =
-  let states = Array.init topo.Topology.n_base init in
-  Array.iteri
-    (fun rank img ->
-      match img with
-      | None -> Wire.fail "worker %d shipped no states" rank
-      | Some b -> apply_boxed_states states plan.Plan.shards.(rank) b)
-    images;
-  states
+(* ---------- the Engine.Proc hook (boxed states) ---------- *)
 
 let exec :
     type a.
@@ -557,12 +458,14 @@ let exec :
     stop:Engine.stop ->
     a Engine.outcome =
  fun ~count:procs ~sched ~equal ~trace ~topo ~init ~step ~halted ~stop ->
-  with_cluster ~procs ~topo ~stop ~sched ~slots:0
-    ~body:(fun env -> Worker.run_boxed env ~init ~step ~equal ~halted)
-    ~drive:(fun ops ->
-      let images, rounds = drive ~trace ~stop ops in
-      let states = assemble_boxed ~topo ~init ~plan:ops.plan images in
-      { Engine.states; rounds })
+  let states, rounds =
+    with_cluster ~procs ~topo ~stop ~sched ~slots:0 ~trace
+      ~body:(fun env ->
+        Worker.run env (Worker.boxed env ~init ~step ~equal ~halted))
+      ~blank:(fun () -> Array.init topo.Topology.n_base init)
+      ~read:Codec.read_boxed
+  in
+  { Engine.states; rounds }
 
 let () = Engine.proc_backend := Some { Engine.exec }
 
@@ -570,66 +473,44 @@ let register () = ()
 
 (* ---------- flat entry points (the B12 fast path) ---------- *)
 
-let apply_flat_states slab ~slots sh b =
-  let n_owned = sh.Plan.n_owned and l2g = sh.Plan.l2g in
-  if Bytes.length b <> n_owned * slots * 8 then
-    Wire.fail "flat epilogue states: %d bytes for %d words" (Bytes.length b)
-      (n_owned * slots);
-  for l = 0 to n_owned - 1 do
-    let gbase = l2g.(l) * slots in
-    for k = 0 to slots - 1 do
-      slab.(gbase + k) <- Wire.get_i64 b (((l * slots) + k) * 8)
-    done
-  done
-
-let assemble_flat ~topo ~(kernel : Flat.kernel) ~plan images =
-  let slots = kernel.Flat.slots in
-  let init = kernel.Flat.init in
-  let n = topo.Topology.n_base in
-  let slab =
-    Array.init (n * slots) (fun i ->
-        init ~node:(i / slots) ~slot:(i mod slots))
+(* The coordinator's identity-l2g call of [kernel_for] recovers the
+   global kernel: its slots, halting predicate and initial slab. Traces
+   are stamped like a boxed Proc run, with the flat layout. *)
+let exec_flat ~procs ~sched ~topo ~kernel_for ~stop =
+  let procs = proc_count procs in
+  let kernel : Flat.kernel =
+    kernel_for ~l2g:(Array.init topo.Topology.n_base Fun.id)
   in
-  Array.iteri
-    (fun rank img ->
-      match img with
-      | None -> Wire.fail "worker %d shipped no states" rank
-      | Some b -> apply_flat_states slab ~slots plan.Plan.shards.(rank) b)
-    images;
-  fun rounds -> { Flat.slab; slots; rounds }
-
-let flat_global ~topo ~kernel_for =
-  kernel_for ~l2g:(Array.init topo.Topology.n_base Fun.id)
+  (match (stop, kernel.Flat.halted) with
+  | Engine.Halted _, None ->
+    invalid_arg
+      (Printf.sprintf "Proc.run_flat: kernel %s has no halted predicate"
+         kernel.Flat.name)
+  | _ -> ());
+  let slots = kernel.Flat.slots in
+  let trace =
+    Engine.begin_trace ~label:("flat." ^ kernel.Flat.name)
+      ~mode:(Engine.mode_to_string (Engine.Proc procs))
+      ~layout:"flat" ~sched ~compile_s:0. ~compile_cached:false topo
+  in
+  Engine.with_trace trace (fun () ->
+      let slab, rounds =
+        with_cluster ~procs ~topo ~stop ~sched ~slots ~trace
+          ~body:(fun env -> Worker.run env (Worker.flat env ~kernel_for))
+          ~blank:(fun () ->
+            Array.init (topo.Topology.n_base * slots) (fun i ->
+                kernel.Flat.init ~node:(i / slots) ~slot:(i mod slots)))
+          ~read:(Codec.read_flat ~slots)
+      in
+      { Flat.slab; slots; rounds })
 
 let run_flat ?procs ?(sched = Engine.Active_set) ~topo ~kernel_for
     ~max_rounds () =
-  let procs =
-    match procs with Some p -> p | None -> max 1 !Engine.default_procs
-  in
-  let kernel = flat_global ~topo ~kernel_for in
-  if kernel.Flat.halted = None then
-    invalid_arg
-      (Printf.sprintf "Proc.run_flat: kernel %s has no halted predicate"
-         kernel.Flat.name);
-  let stop = Engine.Halted max_rounds in
-  with_cluster ~procs ~topo ~stop ~sched ~slots:kernel.Flat.slots
-    ~body:(fun env -> Worker.run_flat env ~kernel_for)
-    ~drive:(fun ops ->
-      let images, rounds = drive ~trace:None ~stop ops in
-      assemble_flat ~topo ~kernel ~plan:ops.plan images rounds)
+  exec_flat ~procs ~sched ~topo ~kernel_for ~stop:(Engine.Halted max_rounds)
 
 let run_flat_until_stable ?procs ?(sched = Engine.Active_set) ~topo
     ~kernel_for ~max_rounds () =
-  let procs =
-    match procs with Some p -> p | None -> max 1 !Engine.default_procs
-  in
-  let kernel : Flat.kernel = flat_global ~topo ~kernel_for in
-  let stop = Engine.Stable max_rounds in
-  with_cluster ~procs ~topo ~stop ~sched ~slots:kernel.Flat.slots
-    ~body:(fun env -> Worker.run_flat env ~kernel_for)
-    ~drive:(fun ops ->
-      let images, rounds = drive ~trace:None ~stop ops in
-      assemble_flat ~topo ~kernel ~plan:ops.plan images rounds)
+  exec_flat ~procs ~sched ~topo ~kernel_for ~stop:(Engine.Stable max_rounds)
 
 (* Shard-local builders for the stock flat kernels: the worker calls
    [kernel_for ~l2g:shard.l2g] so node-indexed inputs are remapped into
@@ -647,11 +528,8 @@ module Kernels = struct
     Flat.Kernels.mis_local_max ~ids:(Array.map (fun g -> ids.(g)) l2g)
 end
 
-(* ---------- direct boxed API (mirrors Shard.run / Par.run) ---------- *)
-
-let proc_count = function
-  | Some p -> p
-  | None -> max 1 !Engine.default_procs
+(* ---------- direct boxed API (the Proc-mode twins of Shard.run and
+   friends) ---------- *)
 
 let run ?procs ?sched ?equal ?trace ?label ~topo ~init ~step ~halted
     ~max_rounds () =

@@ -22,10 +22,12 @@
     - {b halo} (worker → worker, once per round per out-neighbor):
       [round:u32 src:u16 n:u32 entry...] where each of the [n] entries
       is [slot:u32 word...] — the target's ghost slot and the node's
-      new state as [slots] {e state words}. A state word is [tag:u8]
-      followed by [i64] (tag 0, an immediate OCaml value — the
-      zero-allocation path) or [mlen:u32 marshal_bytes] (tag 1, a boxed
-      state shipped via [Marshal]).
+      new state in {e state words}. A state word is [tag:u8] followed
+      by [i64] (tag 0, an immediate OCaml value — the zero-allocation
+      path) or [mlen:u32 marshal_bytes] (tag 1, a boxed state shipped
+      via [Marshal]). A boxed-layout entry (prologue [slots = 0]) holds
+      one state word; a flat-layout entry holds the node's [slots] int
+      words as tag-0 state words.
     - {b stats} (allreduce up the collective tree): [round:u32 src:u16
       active:i64 changed:i64 unhalted:i64 halo_words:i64] — summed
       component-wise at each tree node; the root's totals drive the
@@ -35,12 +37,17 @@
       3 = stop without states (failure path).
     - {b epilogue} (worker → coordinator, once): [src:u16
       halo_words:i64 exchange_rounds:i64 has_states:u8
-      [slen:u32 word...]] — per-worker counters for span reporting
-      plus, when requested, the [n_owned * slots] dense state words.
+      [slen:u32 states]] — per-worker counters for span reporting plus,
+      when requested, the owned states in ascending local order: one
+      state word per owned node (boxed layout), or the flat slab's raw
+      [n_owned * slots] [i64] words, untagged (flat layout).
     - {b error} (worker → coordinator, at most once): [src:u16
       failure:u8 mlen:u32 message] — a worker-side exception;
       [failure=1] means [Failure msg] (re-raised verbatim for parity
       with in-process backends), otherwise it becomes {!Proc_failure}.
+
+    The state words of both layouts are written and read by the
+    library-private [Codec] module only.
 
     Malformed input (bad magic, unknown version, truncated or oversized
     frames) raises {!Proc_failure} with a [tlp:] message — never a crash

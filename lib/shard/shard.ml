@@ -2,140 +2,14 @@ module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
 module Trace = Tl_engine.Trace
 module Pool = Tl_engine.Pool
-module Span = Tl_obs.Span
 module Metrics = Tl_obs.Metrics
 
 let now = Unix.gettimeofday
 
-(* Registry metrics (lazy so an unused backend never registers). All
-   observations happen on the coordinating domain, guarded by
-   [Metrics.enabled] — a disabled registry costs one Atomic.get per
-   round here. *)
+(* Registry histogram (lazy so an unused backend never registers).
+   Observed on the coordinating domain, guarded by [Metrics.enabled] —
+   a disabled registry costs one Atomic.get per round here. *)
 let m_exchange_s = lazy (Metrics.histogram "shard_exchange_seconds")
-let m_halo_words = lazy (Metrics.counter "shard_halo_words_total")
-let m_runs = lazy (Metrics.counter "shard_runs_total")
-
-(* Per-shard mutable run state. Everything the hot loop touches is local
-   to the shard and indexed by local ids, so a shard's working set is
-   O(n_owned + halo) — cache-resident where the monolithic stepper's
-   global arrays are not. The out_* arrays are the flat preallocated
-   halo buffer: (target shard, target ghost slot, source local) triples
-   appended during commit and drained during the exchange. Capacity is
-   the shard's total route count — each owned node appends its routes at
-   most once per round. *)
-type 'state sctx = {
-  sh : Plan.shard;
-  st : 'state array;  (* n_local: owned states, then ghost copies *)
-  nx : 'state array;  (* n_owned scratch, written by the compute phase *)
-  mutable active : int array;  (* active owned locals, [0 .. n_active) *)
-  mutable n_active : int;
-  mutable pending : int array;  (* next round's active set being built *)
-  mutable n_pending : int;
-  dirty : bool array;  (* membership bitmap for [pending] *)
-  out_dst : int array;
-  out_slot : int array;
-  out_src : int array;
-  mutable n_out : int;
-  mutable halo_words : int;  (* total exchanged (slot, state) messages *)
-  mutable exchange_rounds : int;  (* rounds in which this shard sent *)
-}
-
-let make_ctx sh states =
-  let n_owned = sh.Plan.n_owned and n_local = sh.Plan.n_local in
-  let st = Array.init n_local (fun l -> states.(sh.Plan.l2g.(l))) in
-  let routes = sh.Plan.xoff.(n_owned) in
-  {
-    sh;
-    st;
-    nx = Array.sub st 0 n_owned;
-    active = Array.init n_owned (fun l -> l);
-    n_active = n_owned;
-    pending = Array.make (max 1 n_owned) 0;
-    n_pending = 0;
-    dirty = Array.make (max 1 n_owned) false;
-    out_dst = Array.make (max 1 routes) 0;
-    out_slot = Array.make (max 1 routes) 0;
-    out_src = Array.make (max 1 routes) 0;
-    n_out = 0;
-    halo_words = 0;
-    exchange_rounds = 0;
-  }
-
-(* Local step over the shard's active set. Neighbor triples carry global
-   node/edge ids in the same ascending incident order as the monolithic
-   stepper (the plan preserves CSR row order), so [step] cannot tell the
-   backends apart. Bounds are established by the plan invariants, hence
-   the unsafe accesses in this loop only. *)
-let compute_shard c step round =
-  let sh = c.sh in
-  let st = c.st and nx = c.nx and active = c.active in
-  let off = sh.Plan.off
-  and adj = sh.Plan.adj
-  and eid = sh.Plan.eid
-  and l2g = sh.Plan.l2g in
-  for i = 0 to c.n_active - 1 do
-    let l = Array.unsafe_get active i in
-    let acc = ref [] in
-    let lo = Array.unsafe_get off l in
-    let j = ref (Array.unsafe_get off (l + 1) - 1) in
-    while !j >= lo do
-      let u = Array.unsafe_get adj !j in
-      acc :=
-        ( Array.unsafe_get l2g u,
-          Array.unsafe_get eid !j,
-          Array.unsafe_get st u )
-        :: !acc;
-      decr j
-    done;
-    Array.unsafe_set nx l
-      (step ~round ~node:(Array.unsafe_get l2g l) (Array.unsafe_get st l)
-         ~neighbors:!acc)
-  done
-
-let mark c l =
-  if not (Array.unsafe_get c.dirty l) then begin
-    Array.unsafe_set c.dirty l true;
-    Array.unsafe_set c.pending c.n_pending l;
-    c.n_pending <- c.n_pending + 1
-  end
-
-(* Commit phase for one shard: publish changed states, dirty the owned
-   part of the frontier, and append exchange routes for changed boundary
-   nodes. Runs on the coordinating domain in ascending shard order. *)
-let commit c ~equal ~sched ~on_change =
-  let changed = ref 0 in
-  let sh = c.sh in
-  let st = c.st and nx = c.nx and active = c.active in
-  let off = sh.Plan.off and adj = sh.Plan.adj in
-  let xoff = sh.Plan.xoff
-  and xshard = sh.Plan.xshard
-  and xslot = sh.Plan.xslot in
-  let l2g = sh.Plan.l2g and n_owned = sh.Plan.n_owned in
-  for i = 0 to c.n_active - 1 do
-    let l = Array.unsafe_get active i in
-    let s' = Array.unsafe_get nx l in
-    if not (equal s' (Array.unsafe_get st l)) then begin
-      incr changed;
-      Array.unsafe_set st l s';
-      on_change (Array.unsafe_get l2g l) s';
-      (match sched with
-      | Engine.Full_scan -> ()
-      | Engine.Active_set ->
-        mark c l;
-        for j = Array.unsafe_get off l to Array.unsafe_get off (l + 1) - 1 do
-          let u = Array.unsafe_get adj j in
-          if u < n_owned then mark c u
-        done);
-      for x = Array.unsafe_get xoff l to Array.unsafe_get xoff (l + 1) - 1 do
-        let k = c.n_out in
-        Array.unsafe_set c.out_dst k (Array.unsafe_get xshard x);
-        Array.unsafe_set c.out_slot k (Array.unsafe_get xslot x);
-        Array.unsafe_set c.out_src k l;
-        c.n_out <- k + 1
-      done
-    end
-  done;
-  !changed
 
 (* Fault-injection link hook, owned by Tl_fault.Injector (above this
    library in the DAG). Consulted per halo message only while armed —
@@ -145,196 +19,58 @@ let commit c ~equal ~sched ~on_change =
    Because exchange routes fire only on change, a dropped message is
    {e lost} (the owner re-sends only on its next change) — exactly the
    failure the repair layer exists to heal. Disarmed ([None], default)
-   the exchange runs the original unchecked loop. *)
+   it costs one ref read per round and one branch per message. *)
 let fault_drop_hook : (round:int -> src:int -> dst:int -> bool) option ref =
   ref None
 
 (* Batched boundary exchange, ascending shard order: drain each shard's
-   out buffer into the target shards' ghost slots, growing their pending
-   sets through the halo rows. Ghost slots are only written here —
-   between the barrier and the next compute phase — so the compute phase
-   always reads a consistent frontier. *)
-let deliver ctxs c ~sched b =
-  let ct = Array.unsafe_get ctxs (Array.unsafe_get c.out_dst b) in
-  let slot = Array.unsafe_get c.out_slot b in
-  Array.unsafe_set ct.st slot
-    (Array.unsafe_get c.st (Array.unsafe_get c.out_src b));
-  match sched with
-  | Engine.Full_scan -> ()
-  | Engine.Active_set ->
-    let tsh = ct.sh in
-    let h = slot - tsh.Plan.n_owned in
-    for j = tsh.Plan.halo_off.(h) to tsh.Plan.halo_off.(h + 1) - 1 do
-      mark ct (Array.unsafe_get tsh.Plan.halo_adj j)
-    done
+   routes into the target shards' ghost slots. Ghost slots are only
+   written here — between the barrier and the next compute phase — so
+   the compute phase always reads a consistent frontier. *)
+let exchange locals sts ~round =
+  let drop = !fault_drop_hook in
+  Array.iteri
+    (fun s c ->
+      let st = sts.(s) in
+      Local.drain c (fun ~dst ~slot ~src n ->
+          let delivered = ref 0 in
+          for b = 0 to n - 1 do
+            let d = Array.unsafe_get dst b in
+            match drop with
+            | Some drop when drop ~round ~src:s ~dst:d -> ()
+            | _ ->
+              let g = Array.unsafe_get slot b in
+              Array.unsafe_set sts.(d) g
+                (Array.unsafe_get st (Array.unsafe_get src b));
+              Local.ghost_written locals.(d) g;
+              incr delivered
+          done;
+          !delivered))
+    locals
 
-let exchange ctxs ~sched ~round =
-  match !fault_drop_hook with
-  | None ->
-    for s = 0 to Array.length ctxs - 1 do
-      let c = ctxs.(s) in
-      let n = c.n_out in
-      if n > 0 then begin
-        c.halo_words <- c.halo_words + n;
-        c.exchange_rounds <- c.exchange_rounds + 1;
-        for b = 0 to n - 1 do
-          deliver ctxs c ~sched b
-        done;
-        c.n_out <- 0
-      end
-    done
-  | Some drop ->
-    for s = 0 to Array.length ctxs - 1 do
-      let c = ctxs.(s) in
-      let n = c.n_out in
-      if n > 0 then begin
-        c.exchange_rounds <- c.exchange_rounds + 1;
-        let delivered = ref 0 in
-        for b = 0 to n - 1 do
-          if not (drop ~round ~src:s ~dst:(Array.unsafe_get c.out_dst b))
-          then begin
-            incr delivered;
-            deliver ctxs c ~sched b
-          end
-        done;
-        (* halo_words counts messages actually delivered *)
-        c.halo_words <- c.halo_words + !delivered;
-        c.n_out <- 0
-      end
-    done
-
-(* Swap in the pending set (Active_set only). Mirrors the engine's
-   dense-frontier rebuild: when the set is a constant fraction of the
-   shard, emit it ascending from the bitmap for compute locality —
-   order never affects computed states. *)
-let advance c =
-  let k = c.n_pending in
-  let n_owned = c.sh.Plan.n_owned in
-  let dirty = c.dirty in
-  if k * 8 >= n_owned then begin
-    let idx = ref 0 in
-    for l = 0 to n_owned - 1 do
-      if Array.unsafe_get dirty l then begin
-        Array.unsafe_set dirty l false;
-        Array.unsafe_set c.pending !idx l;
-        incr idx
-      end
-    done
-  end
-  else
-    for i = 0 to k - 1 do
-      Array.unsafe_set dirty (Array.unsafe_get c.pending i) false
-    done;
-  let old = c.active in
-  c.active <- c.pending;
-  c.pending <- old;
-  c.n_active <- k;
-  c.n_pending <- 0
-
-let total_active ctxs =
-  Array.fold_left (fun acc c -> acc + c.n_active) 0 ctxs
+let sum f locals = Array.fold_left (fun acc c -> acc + f c) 0 locals
 
 (* One full round: local step (optionally fanned over the pool),
    sequential commit, batched exchange, barrier, active-set advance.
    [exch_acc] accumulates the run's exchange wall-time for the flight
    recorder; the per-round time also feeds the exchange histogram. *)
-let exec_round ctxs ~pool ~p_eff ~step ~round ~sched ~equal ~on_change
-    ~exch_acc =
+let exec_round locals sts ~pool ~p_eff ~round ~exch_acc =
   if p_eff > 1 then
     ignore
-      (Pool.map pool ~tasks:ctxs ~f:(fun ~worker:_ ~index:_ c ->
-           compute_shard c step round))
-  else
-    Array.iter
-      (fun c -> if c.n_active > 0 then compute_shard c step round)
-      ctxs;
-  let changed = ref 0 in
-  Array.iter
-    (fun c -> changed := !changed + commit c ~equal ~sched ~on_change)
-    ctxs;
+      (Pool.map pool ~tasks:locals ~f:(fun ~worker:_ ~index:_ c ->
+           Local.compute c ~round))
+  else Array.iter (fun c -> Local.compute c ~round) locals;
+  let changed = sum Local.commit locals in
   (if Metrics.enabled () then begin
      let tx = now () in
-     exchange ctxs ~sched ~round;
+     exchange locals sts ~round;
      let dt = now () -. tx in
      exch_acc := !exch_acc +. dt;
      Metrics.observe (Lazy.force m_exchange_s) dt
    end
-   else exchange ctxs ~sched ~round);
-  (match sched with
-  | Engine.Full_scan -> ()
-  | Engine.Active_set -> Array.iter advance ctxs);
-  !changed
-
-let writeback ctxs states =
-  Array.iter
-    (fun c ->
-      let l2g = c.sh.Plan.l2g in
-      for l = 0 to c.sh.Plan.n_owned - 1 do
-        states.(l2g.(l)) <- c.st.(l)
-      done)
-    ctxs
-
-(* Span emission — coordinating domain only, after the round loop (also
-   on failure, mirroring trace delivery). One child span per shard with
-   the partition/traffic counters, plus aggregates on the current span. *)
-let emit_spans plan ctxs plan_hit =
-  if Span.active () then begin
-    let s_count = Array.length ctxs in
-    let np = plan.Plan.topo.Topology.n_present in
-    Span.add_counter "shard:shards" s_count;
-    Span.add_counter "shard:cut_edges" (Plan.cut_edges_total plan);
-    Span.add_counter "shard:imbalance" (Plan.imbalance_permille plan);
-    Span.add_counter
-      (if plan_hit then "shard:plan_hit" else "shard:plan_miss")
-      1;
-    Span.add_counter "shard:halo_words"
-      (Array.fold_left (fun acc c -> acc + c.halo_words) 0 ctxs);
-    Array.iter
-      (fun c ->
-        let sh = c.sh in
-        Span.with_span (Printf.sprintf "shard:%d" sh.Plan.id) (fun () ->
-            Span.add_counter "shard:owned" sh.Plan.n_owned;
-            Span.add_counter "shard:halo" (sh.Plan.n_local - sh.Plan.n_owned);
-            Span.add_counter "shard:cut_edges" sh.Plan.cut_edges;
-            Span.add_counter "shard:halo_words" c.halo_words;
-            Span.add_counter "shard:imbalance"
-              (if np = 0 then 1000
-               else sh.Plan.n_owned * s_count * 1000 / np);
-            Span.add_counter "shard:exchange_rounds" c.exchange_rounds))
-      ctxs
-  end
-
-(* Registry/recorder emission — coordinating domain, same finally as
-   span emission: one halo-words increment and one "exchange" flight
-   event per run, summarizing the run's boundary traffic. *)
-let emit_metrics plan ctxs ~exch_s =
-  if Metrics.enabled () then begin
-    let halo = Array.fold_left (fun acc c -> acc + c.halo_words) 0 ctxs in
-    Metrics.incr (Lazy.force m_halo_words) halo;
-    Metrics.incr (Lazy.force m_runs) 1;
-    Metrics.Recorder.record
-      {
-        Metrics.Recorder.ts = now ();
-        kind = "exchange";
-        key = Printf.sprintf "shards:%d" (Array.length ctxs);
-        detail =
-          Printf.sprintf "halo_words=%d cut_edges=%d" halo
-            (Plan.cut_edges_total plan);
-        outcome = "ok";
-        latency_s = exch_s;
-      }
-  end
-
-let prepare ~shards ~topo ~init =
-  let plan, plan_hit = Plan.build_cached ~topo ~shards in
-  let states = Array.init topo.Topology.n_base (fun v -> init v) in
-  let ctxs = Array.map (fun sh -> make_ctx sh states) plan.Plan.shards in
-  let pool = Pool.create () in
-  let p_eff = min (Pool.workers pool) (Array.length ctxs) in
-  (* the per-round shard maps ride the persistent domain team; park the
-     members now so round 1 does not pay the one-time spawn *)
-  if p_eff > 1 then Pool.prewarm pool;
-  (plan, plan_hit, states, ctxs, pool, p_eff)
+   else exchange locals sts ~round);
+  Array.iter Local.advance locals;
+  changed
 
 (* ---------- the backend entry point ---------- *)
 
@@ -351,43 +87,46 @@ let exec :
     stop:Engine.stop ->
     a Engine.outcome =
  fun ~count:shards ~sched ~equal ~trace ~topo ~init ~step ~halted ~stop ->
-  let plan, plan_hit, states, ctxs, pool, p_eff =
-    prepare ~shards ~topo ~init
+  let plan, plan_hit = Plan.build_cached ~topo ~shards in
+  let states = Array.init topo.Topology.n_base (fun v -> init v) in
+  let sts, locals =
+    Array.split
+      (Array.map
+         (fun sh ->
+           let st, store =
+             Local.boxed sh ~init:(Array.get states) ~step ~equal ~halted
+           in
+           (st, Local.create sh ~sched store))
+         plan.Plan.shards)
   in
-  let n_unhalted = ref 0 in
-  let on_change =
-    match halted with
-    | None -> fun _ _ -> ()
-    | Some halted ->
-      let halted_f = Array.make topo.Topology.n_base true in
-      Array.iter
-        (fun v ->
-          let h = halted states.(v) in
-          halted_f.(v) <- h;
-          if not h then incr n_unhalted)
-        topo.Topology.present_nodes;
-      fun v s ->
-        let h = halted s in
-        if h <> halted_f.(v) then begin
-          halted_f.(v) <- h;
-          if h then decr n_unhalted else incr n_unhalted
-        end
-  in
+  let pool = Pool.create () in
+  let p_eff = min (Pool.workers pool) (Array.length locals) in
+  (* the per-round shard maps ride the persistent domain team; park the
+     members now so round 1 does not pay the one-time spawn *)
+  if p_eff > 1 then Pool.prewarm pool;
   let exch_acc = ref 0. in
   Fun.protect
     ~finally:(fun () ->
-      emit_spans plan ctxs plan_hit;
-      emit_metrics plan ctxs ~exch_s:!exch_acc)
+      Local.report plan ~plan_hit ~prefix:"shard" ~count_key:"shards"
+        ~latency_s:!exch_acc (fun s ->
+          let c = locals.(s) in
+          Some (Local.halo_words c, Local.exchange_rounds c)))
     (fun () ->
       let rounds, exhausted =
         Engine.drive ~trace ~stop
-          ~active:(fun () -> total_active ctxs)
-          ~unhalted:(fun () -> !n_unhalted)
+          ~active:(fun () -> sum Local.n_active locals)
+          ~unhalted:(fun () -> sum Local.unhalted locals)
           ~exec:(fun round ->
-            exec_round ctxs ~pool ~p_eff ~step ~round ~sched ~equal ~exch_acc
-              ~on_change)
+            exec_round locals sts ~pool ~p_eff ~round ~exch_acc)
       in
-      writeback ctxs states;
+      (* write the owned states back, ascending shard order *)
+      Array.iteri
+        (fun s st ->
+          let sh = plan.Plan.shards.(s) in
+          for l = 0 to sh.Plan.n_owned - 1 do
+            states.(sh.Plan.l2g.(l)) <- st.(l)
+          done)
+        sts;
       if exhausted then Engine.exhausted stop;
       { Engine.states; rounds })
 

@@ -23,6 +23,11 @@
       sets advance and the round counter tick; the next round observes a
       globally consistent frontier, exactly like the monolithic stepper.
 
+    The per-shard round body (frontier, route buffer, halo-row marking,
+    halted count, traffic counters, boxed step loop) is {!Local}, which
+    the process backend's workers run too; this module adds only the
+    in-memory delivery between shards and the {!fault_drop_hook}.
+
     {2 Determinism}
 
     For any shard count and any pool width, labelings, round counts,
@@ -66,8 +71,8 @@ val fault_drop_hook : (round:int -> src:int -> dst:int -> bool) option ref
     (stale ghost value kept, pending set not grown). Exchange routes
     fire only on change, so a dropped message is lost until the owner
     next changes — the repair layer's job to heal. Disarmed ([None],
-    the default) the exchange runs the original unchecked drain loop;
-    the hook costs one ref match per round. [halo_words] counts only
+    the default) the hook costs one ref read per round and one branch
+    per halo message. [halo_words] counts only
     delivered messages. Shard runs go through the shared
     {!Tl_engine.Engine.drive}, so an armed fault gate interrupts them at
     round boundaries exactly like the in-process steppers. *)

@@ -366,12 +366,21 @@ let proc_matches_seq f =
       && r = seq_r)
     proc_counts
 
+(* A boxed (non-immediate) state: (reached, max id seen). Its halo
+   entries and epilogue words take the tagged Marshal path of the wire
+   codec, which immediate bool/int states never exercise. *)
+let reach_max_step ids ~round:_ ~node:_ (r, m) ~neighbors =
+  List.fold_left
+    (fun (r, m) (u, _, (ru, _)) -> (r || ru, max m ids.(u)))
+    (r, m) neighbors
+
 let prop_flood_differential =
   QCheck.Test.make ~name:"flood: proc == seq (states + records)" ~count:20
     QCheck.(triple (int_range 2 150) (int_range 0 100_000) (int_range 0 3))
     (fun (n, seed, pick) ->
       let g = family ~n ~seed ~pick in
       let topo = Topology.compile (Semi_graph.of_graph g) in
+      let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 7) in
       List.for_all
         (fun sched ->
           proc_matches_seq (fun ~mode ~trace ->
@@ -379,7 +388,13 @@ let prop_flood_differential =
                 ~init:(fun v -> v = 0)
                 ~step:flood_step ~equal:Bool.equal
                 ~max_rounds:(Graph.n_nodes g + 1)
-                ()))
+                ())
+          && proc_matches_seq (fun ~mode ~trace ->
+                 Engine.run_until_stable ~mode ~sched ~trace ~topo
+                   ~init:(fun v -> (v = 0, ids.(v)))
+                   ~step:(reach_max_step ids) ~equal:( = )
+                   ~max_rounds:(Graph.n_nodes g + 1)
+                   ()))
         [ Engine.Active_set; Engine.Full_scan ])
 
 let prop_mis_differential =
@@ -599,54 +614,161 @@ let test_direct_api () =
 
 (* ---------- flat kernels over the wire ---------- *)
 
+(* A 2-slot kernel defined here, so the multi-slot halo entry runs:
+   slot 0 is "reached", slot 1 the hop distance from [source] (-1 while
+   unreached). Shard-local like [Proc.Kernels]: [l2g] remaps the
+   source. *)
+let hops_kernel ?(source = 0) () ~l2g =
+  let step (ctx : Flat.ctx) ~scratch:_ ~round:_ ~node =
+    let cur = ctx.Flat.cur and nxt = ctx.Flat.nxt and b = node * 2 in
+    let best = ref (if cur.(b) = 1 then cur.(b + 1) else -1) in
+    if cur.(b) = 0 then
+      for j = ctx.Flat.off.(node) to ctx.Flat.off.(node + 1) - 1 do
+        let u = ctx.Flat.adj.(j) in
+        if cur.(u * 2) = 1 && (!best < 0 || cur.((u * 2) + 1) + 1 < !best)
+        then best := cur.((u * 2) + 1) + 1
+      done;
+    nxt.(b) <- (if !best >= 0 then 1 else 0);
+    nxt.(b + 1) <- !best
+  in
+  {
+    Flat.name = "hops";
+    slots = 2;
+    scratch_words = 0;
+    init =
+      (fun ~node ~slot ->
+        match (l2g.(node) = source, slot) with
+        | true, 0 -> 1
+        | true, _ -> 0
+        | false, 0 -> 0
+        | false, _ -> -1);
+    step;
+    halted = Some (fun ctx ~node -> ctx.Flat.cur.(node * 2) = 1);
+  }
+
 let test_flat_proc_parity () =
   let n = 400 in
-  let g = Gen.random_tree ~n ~seed:13 in
-  let topo = Topology.compile (Semi_graph.of_graph g) in
-  let seq_flood =
-    Flat.run ~topo ~kernel:(Flat.Kernels.flood ()) ~max_rounds:(n + 1) ()
+  let identity = Array.init n Fun.id in
+  let same what (o : Flat.outcome) (want : Flat.outcome) =
+    check what true
+      (o.Flat.slab = want.Flat.slab && o.Flat.rounds = want.Flat.rounds)
+  in
+  List.iter
+    (fun (gname, g) ->
+      let topo = Topology.compile (Semi_graph.of_graph g) in
+      let ids = Ids.permuted ~n ~seed:14 in
+      List.iter
+        (fun sched ->
+          let tag p kernel =
+            Printf.sprintf "%s %s %s proc:%d = flat seq" gname
+              (Engine.sched_to_string sched) kernel p
+          in
+          let seq_flood =
+            Flat.run ~sched ~topo ~kernel:(Flat.Kernels.flood ())
+              ~max_rounds:(n + 1) ()
+          in
+          let seq_mis =
+            Flat.run_until_stable ~sched ~topo
+              ~kernel:(Flat.Kernels.mis_local_max ~ids)
+              ~max_rounds:(n + 1) ()
+          in
+          let seq_hops =
+            Flat.run_until_stable ~sched ~topo
+              ~kernel:(hops_kernel () ~l2g:identity)
+              ~max_rounds:(n + 1) ()
+          in
+          List.iter
+            (fun p ->
+              same (tag p "flood")
+                (Proc.run_flat ~procs:p ~sched ~topo
+                   ~kernel_for:(Proc.Kernels.flood ()) ~max_rounds:(n + 1) ())
+                seq_flood;
+              same (tag p "MIS")
+                (Proc.run_flat_until_stable ~procs:p ~sched ~topo
+                   ~kernel_for:(Proc.Kernels.mis_local_max ~ids)
+                   ~max_rounds:(n + 1) ())
+                seq_mis;
+              same (tag p "2-slot hops")
+                (Proc.run_flat_until_stable ~procs:p ~sched ~topo
+                   ~kernel_for:(hops_kernel ()) ~max_rounds:(n + 1) ())
+                seq_hops)
+            proc_counts;
+          if sched = Engine.Active_set then begin
+            (* and the flat path agrees with the boxed proc path, column
+               for column *)
+            let boxed =
+              Engine.run_until_stable ~mode:(Engine.Proc 2) ~topo
+                ~init:(fun _ -> 0)
+                ~step:(mis_step ids)
+                ~equal:Int.equal ~max_rounds:(n + 1) ()
+            in
+            check (gname ^ " flat column = boxed proc states") true
+              (Array.to_list (Flat.column seq_mis ~slot:0)
+              = Array.to_list boxed.Engine.states)
+          end)
+        [ Engine.Active_set; Engine.Full_scan ])
+    [ ("random tree", Gen.random_tree ~n ~seed:13); ("path", Gen.path n) ]
+
+(* Proc-flat runs deliver one engine trace each, stamped proc:N / flat,
+   whose per-round records are Flat.run's. *)
+let test_flat_proc_traces () =
+  let n = 400 in
+  let topo =
+    Topology.compile (Semi_graph.of_graph (Gen.random_tree ~n ~seed:17))
+  in
+  let want kernel_run =
+    let trace = Trace.create () in
+    ignore (kernel_run trace);
+    List.map record_key (Trace.records trace)
+  in
+  let flood_records =
+    want (fun trace ->
+        Flat.run ~trace ~topo ~kernel:(Flat.Kernels.flood ())
+          ~max_rounds:(n + 1) ())
+  in
+  let stable_records =
+    want (fun trace ->
+        Flat.run_until_stable ~trace ~topo ~kernel:(Flat.Kernels.flood ())
+          ~max_rounds:(n + 1) ())
+  in
+  let delivered f =
+    let got = ref [] in
+    let saved = !Engine.trace_sink in
+    Engine.trace_sink := Some (fun t -> got := t :: !got);
+    Fun.protect ~finally:(fun () -> Engine.trace_sink := saved) f;
+    !got
   in
   List.iter
     (fun p ->
-      let o =
-        Proc.run_flat ~procs:p ~topo ~kernel_for:(Proc.Kernels.flood ())
-          ~max_rounds:(n + 1) ()
-      in
-      check
-        (Printf.sprintf "flat flood proc:%d = flat seq" p)
-        true
-        (o.Flat.slab = seq_flood.Flat.slab
-        && o.Flat.rounds = seq_flood.Flat.rounds))
-    proc_counts;
-  let ids = Ids.permuted ~n ~seed:14 in
-  let seq_mis =
-    Flat.run_until_stable ~topo
-      ~kernel:(Flat.Kernels.mis_local_max ~ids)
-      ~max_rounds:(n + 1) ()
-  in
-  List.iter
-    (fun p ->
-      let o =
-        Proc.run_flat_until_stable ~procs:p ~topo
-          ~kernel_for:(Proc.Kernels.mis_local_max ~ids)
-          ~max_rounds:(n + 1) ()
-      in
-      check
-        (Printf.sprintf "flat MIS proc:%d = flat seq" p)
-        true
-        (o.Flat.slab = seq_mis.Flat.slab && o.Flat.rounds = seq_mis.Flat.rounds))
-    proc_counts;
-  (* and the flat path agrees with the boxed proc path, column for
-     column *)
-  let boxed =
-    Engine.run_until_stable ~mode:(Engine.Proc 2) ~topo
-      ~init:(fun _ -> 0)
-      ~step:(mis_step ids)
-      ~equal:Int.equal ~max_rounds:(n + 1) ()
-  in
-  check "flat column = boxed proc states" true
-    (Array.to_list (Flat.column seq_mis ~slot:0)
-    = Array.to_list boxed.Engine.states)
+      List.iter
+        (fun (what, records, run) ->
+          match delivered run with
+          | [ t ] ->
+            check (Printf.sprintf "%s proc:%d trace mode" what p) true
+              (Trace.mode t = Printf.sprintf "proc:%d" p
+              && Trace.layout t = "flat");
+            check (Printf.sprintf "%s proc:%d records = Flat" what p) true
+              (List.map record_key (Trace.records t) = records)
+          | ts ->
+            Alcotest.failf "%s proc:%d: %d traces delivered, want 1" what p
+              (List.length ts))
+        [
+          ( "run_flat",
+            flood_records,
+            fun () ->
+              ignore
+                (Proc.run_flat ~procs:p ~topo
+                   ~kernel_for:(Proc.Kernels.flood ()) ~max_rounds:(n + 1) ())
+            );
+          ( "run_flat_until_stable",
+            stable_records,
+            fun () ->
+              ignore
+                (Proc.run_flat_until_stable ~procs:p ~topo
+                   ~kernel_for:(Proc.Kernels.flood ()) ~max_rounds:(n + 1) ())
+          );
+        ])
+    proc_counts
 
 (* ---------- spans: the per-worker observability contract ---------- *)
 
@@ -769,6 +891,8 @@ let () =
               test_fanout_invariance;
             Alcotest.test_case "flat kernels over the wire" `Quick
               test_flat_proc_parity;
+            Alcotest.test_case "flat runs deliver their traces" `Quick
+              test_flat_proc_traces;
           ] );
       ( "failure",
         [
