@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: build test bench bench-full bench-smoke serve-smoke metrics-smoke proc-smoke chaos-smoke clean
+.PHONY: build test bench bench-full bench-smoke examples-smoke serve-smoke metrics-smoke proc-smoke chaos-smoke clean
 
 build:
 	dune build
@@ -56,7 +56,18 @@ bench-smoke:
 	mv BENCH_serve.json bench-smoke-serve.json
 	cp serve-baseline.json BENCH_serve.json
 	dune exec bench/regress.exe -- --tolerance 5.0 serve-baseline.json bench-smoke-serve.json
-	dune exec examples/quickstart.exe
+
+# Every standalone example README lists; each asserts its own output is
+# valid and exits non-zero otherwise (about 1 s together). The daemon,
+# proc, chaos and metrics examples keep their own targets below.
+EXAMPLES = quickstart sharded_mis planar_edge_coloring tree_matching \
+  decomposition_tour custom_problem
+
+examples-smoke:
+	dune build $(EXAMPLES:%=examples/%.exe)
+	for e in $(EXAMPLES); do \
+	  dune exec --no-build examples/$$e.exe || exit 1; \
+	done
 
 # End-to-end smoke of the serving layer: the example client spawns the
 # real daemon over pipes (cold request, warm cache-hit repeat, stats,

@@ -50,9 +50,9 @@ let delta_arg =
 
 (* ---------- engine selection and tracing ---------- *)
 
-(* Kept as a (validated) string until [solve] runs: "shard" without a
-   count resolves against Engine.default_shards, which --shards sets
-   after argument parsing. *)
+(* Kept as a (validated) string until the command runs: "shard" or
+   "proc" without a count resolves against --shards, through
+   [with_knobs]. *)
 let engine_arg =
   let doc =
     "Execution engine: naive (the legacy full-scan reference stepper), \
@@ -61,8 +61,9 @@ let engine_arg =
      OCaml domains), shard / shard:S (sharded halo-exchange backend; \
      the shard count comes from $(b,--shards) unless given inline), or \
      proc / proc:S (one worker process per shard, halos over the tlp \
-     binary wire protocol; run proc work before any par/shard run — \
-     OCaml forbids forking after domains exist). All modes are \
+     binary wire protocol; a bare proc also takes its count from \
+     $(b,--shards); run proc work before any par/shard run — OCaml \
+     forbids forking after domains exist). All modes are \
      deterministic and bit-identical."
   in
   let mode =
@@ -344,8 +345,6 @@ let report name (r : _ Pipeline.report) =
 
 let solve problem method_ family n seed a delta k engine shards pool trace
     profile report_fmt =
-  Engine.default_shards := shards;
-  let engine = Engine.mode_of_string engine in
   setup_engine engine trace;
   Tl_engine.Pool.default_workers := pool;
   setup_profile profile report_fmt;
@@ -400,15 +399,18 @@ let solve problem method_ family n seed a delta k engine shards pool trace
 (* Cross-argument validation the per-argument convs cannot express
    (shard count vs instance size, shard backend availability, pool
    bounds) — shared with the serving daemon's admission check so the
-   CLI and the daemon reject exactly the same knob combinations. *)
-let solve_checked problem method_ family n seed a delta k engine shards pool
-    trace profile report_fmt =
+   CLI and the daemon reject exactly the same knob combinations, and run
+   exactly the mode it resolves (a bare shard / proc takes --shards). *)
+let with_knobs ~engine ~shards ~pool ~n run =
   match Tl_serve.Protocol.resolve_knobs ~engine ~shards ~pool ~n with
   | Error msg -> `Error (false, msg)
-  | Ok _mode ->
-    `Ok
-      (solve problem method_ family n seed a delta k engine shards pool trace
-         profile report_fmt)
+  | Ok mode -> `Ok (run mode)
+
+let solve_checked problem method_ family n seed a delta k engine shards pool
+    trace profile report_fmt =
+  with_knobs ~engine ~shards ~pool ~n (fun mode ->
+      solve problem method_ family n seed a delta k mode shards pool trace
+        profile report_fmt)
 
 let solve_cmd =
   let doc = "Solve a problem with the paper's transformation." in
@@ -486,12 +488,10 @@ let chaos_problem_arg =
   let doc = "Chaos workload: flood or mis." in
   Arg.(value & opt string "flood" & info [ "problem" ] ~docv:"P" ~doc)
 
-let chaos problem family n seed a delta engine shards pool faults trace
-    profile report_fmt =
+let chaos problem family n seed a delta engine pool faults trace profile
+    report_fmt =
   let module Chaos = Tl_fault.Chaos in
   let module Injector = Tl_fault.Injector in
-  Engine.default_shards := shards;
-  let engine = Engine.mode_of_string engine in
   setup_engine engine trace;
   Tl_engine.Pool.default_workers := pool;
   setup_profile profile report_fmt;
@@ -540,11 +540,18 @@ let chaos_cmd =
     "Run a workload under a deterministic fault schedule and repair the \
      damage incrementally."
   in
+  let chaos_checked problem family n seed a delta engine shards pool faults
+      trace profile report_fmt =
+    with_knobs ~engine ~shards ~pool ~n (fun mode ->
+        chaos problem family n seed a delta mode pool faults trace profile
+          report_fmt)
+  in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const chaos $ chaos_problem_arg $ family_arg $ n_arg $ seed_arg $ a_arg
-      $ delta_arg $ engine_arg $ shards_arg $ pool_arg $ faults_arg
-      $ trace_arg $ profile_arg $ report_fmt_arg)
+      ret
+        (const chaos_checked $ chaos_problem_arg $ family_arg $ n_arg
+       $ seed_arg $ a_arg $ delta_arg $ engine_arg $ shards_arg $ pool_arg
+       $ faults_arg $ trace_arg $ profile_arg $ report_fmt_arg))
 
 (* ---------- predict ---------- *)
 

@@ -1,7 +1,7 @@
 module Semi_graph = Tl_graph.Semi_graph
 
 type mode = Naive | Seq | Par of int | Shard of int | Proc of int
-type scheduling = Active_set | Full_scan
+type scheduling = Stepper.scheduling = Active_set | Full_scan
 
 let default_shards = ref 4
 let default_procs = ref 4
@@ -194,35 +194,35 @@ let drive ~trace ~stop ~active ~unhalted ~exec =
       finished := true
     else begin
       let a = active () in
-      if a = 0 then begin
-        (* nothing can change again (stationarity): Rounds skips the
-           scheduled round but counts it, Stable has its fixed point, and
-           Halted has stalled with unhalted nodes left *)
-        match stop with Rounds _ -> incr rounds | _ -> finished := true
-      end
-      else begin
-        (match trace with None -> () | Some _ -> tw.(0) <- now ());
-        let round = !rounds + 1 in
-        let changed = exec round in
-        (match trace with
-        | None -> ()
-        | Some t ->
-          Trace.record t
-            {
-              Trace.round;
-              active = a;
-              changed;
-              unhalted = (match stop with Halted _ -> unhalted () | _ -> -1);
-              wall_s = now () -. tw.(0);
-            });
-        match stop with
-        | Stable _ when changed = 0 -> finished := true
-        | _ ->
-          rounds := round;
-          if not (gate_open ~round) then begin
-            interrupted := true;
-            finished := true
-          end
+      (if a = 0 then
+         (* nothing can change again (stationarity): Rounds skips the
+            scheduled round but counts it, Stable has its fixed point, and
+            Halted has stalled with unhalted nodes left *)
+         match stop with Rounds _ -> () | _ -> finished := true
+       else begin
+         (match trace with None -> () | Some _ -> tw.(0) <- now ());
+         let round = !rounds + 1 in
+         let changed = exec round in
+         (match trace with
+         | None -> ()
+         | Some t ->
+           Trace.record t
+             {
+               Trace.round;
+               active = a;
+               changed;
+               unhalted = (match stop with Halted _ -> unhalted () | _ -> -1);
+               wall_s = now () -. tw.(0);
+             });
+         match stop with Stable _ when changed = 0 -> finished := true | _ -> ()
+       end);
+      (* every counted round, skipped ones included, passes the gate *)
+      if not !finished then begin
+        incr rounds;
+        if not (gate_open ~round:!rounds) then begin
+          interrupted := true;
+          finished := true
+        end
       end
     end
   done;
@@ -349,189 +349,20 @@ let naive_run_rounds ~tr ~topo ~init ~step ~rounds:total =
 
 (* ---------- the engine stepper (Seq / Par) ---------- *)
 
-type 'state core = {
-  topo : Topology.t;
-  cur : 'state array;  (* published states; committed in place *)
-  scratch : 'state array;  (* round buffer: next state per active node *)
-  mutable active : int array;  (* active node ids, [0 .. n_active) *)
-  mutable n_active : int;
-  mutable spare : int array;  (* swap partner of [active] *)
-  dirty : bool array;  (* membership in the next active set *)
-  equal : 'state -> 'state -> bool;
-  sched : scheduling;
-}
-
-let make_core ~topo ~sched ~equal ~init =
-  let n = Topology.n_base topo in
-  let cur = Array.init n (fun v -> init v) in
-  let np = Topology.n_present topo in
-  let active = Array.sub topo.Topology.present_nodes 0 np in
-  {
-    topo;
-    cur;
-    scratch = Array.copy cur;
-    active;
-    n_active = np;
-    spare = Array.make (max 1 np) 0;
-    dirty = Array.make n false;
-    equal;
-    sched;
-  }
-
-let compute_range core step round lo hi =
-  let cur = core.cur in
-  let active = core.active and scratch = core.scratch in
-  let off = core.topo.Topology.off
-  and adj = core.topo.Topology.adj
-  and eid = core.topo.Topology.eid in
-  for i = lo to hi - 1 do
-    let v = active.(i) in
-    (* Neighbor triples in ascending incident order — identical contents
-       and order to the legacy gather, built from the CSR rows. Iterative
-       reverse build: hub nodes would overflow the stack under naive
-       recursion. *)
-    let acc = ref [] in
-    for j = off.(v + 1) - 1 downto off.(v) do
-      let u = adj.(j) in
-      acc := (u, eid.(j), cur.(u)) :: !acc
-    done;
-    scratch.(v) <- step ~round ~node:v cur.(v) ~neighbors:!acc
-  done
-
-(* Below this many active nodes *per chunk* a round computes inline even
-   in Par mode (i.e. the team is woken only when count > grain * p):
-   waking the team costs a barrier handshake plus scheduler latency,
-   which dwarfs the step work unless every worker gets a sizable chunk
-   (active-set runs spend most rounds on small frontiers). Chunking is
-   unaffected — inline vs. team never changes which state a node
-   computes, only which domain computes it — so the
-   bit-identical-to-Seq guarantee is preserved for every grain value.
-   Exposed for tests, which pin it to 0 to force the team on. *)
-let par_grain = ref 2048
-
-(* Compute phase. In Par mode the active array is cut into [p] fixed
-   contiguous chunks, one worker each: every active node is written by
-   exactly one domain, all reads go to [cur] which no one writes during
-   the phase, and the team barrier orders the writes before the commit
-   below — so the result is bit-identical to Seq for any [p]. Workers
-   are parked team members (spawned once per process), not per-round
-   Domain.spawn. *)
-let compute core step round par =
-  let count = core.n_active in
-  let p = max 1 (min par (min count Team.max_workers)) in
-  if p = 1 || count <= !par_grain * p then compute_range core step round 0 count
-  else begin
-    let chunk = (count + p - 1) / p in
-    Team.run ~workers:p (fun w ->
-        let lo = w * chunk and hi = min count ((w + 1) * chunk) in
-        if lo < hi then compute_range core step round lo hi)
-  end
-
-(* Commit phase (always sequential, O(active + changed * deg)): publish
-   changed states into [cur], invoke [on_change], and under Active_set
-   rebuild the active set as {changed} ∪ N({changed}) via the dirty
-   flags. Unchanged nodes keep their state without any copying — this is
-   the buffer swap replacing the legacy copy + blit. *)
-let commit core ~on_change =
-  let changed = ref 0 in
-  let cur = core.cur and scratch = core.scratch in
-  let active = core.active and equal = core.equal in
-  (match core.sched with
-  | Full_scan ->
-    for i = 0 to core.n_active - 1 do
-      let v = active.(i) in
-      let s' = scratch.(v) in
-      if not (equal s' cur.(v)) then begin
-        incr changed;
-        cur.(v) <- s';
-        on_change v
-      end
-    done
-  | Active_set ->
-    let next = core.spare in
-    let k = ref 0 in
-    let dirty = core.dirty in
-    let off = core.topo.Topology.off and adj = core.topo.Topology.adj in
-    for i = 0 to core.n_active - 1 do
-      let v = active.(i) in
-      let s' = scratch.(v) in
-      if not (equal s' cur.(v)) then begin
-        incr changed;
-        cur.(v) <- s';
-        on_change v;
-        if not dirty.(v) then begin
-          dirty.(v) <- true;
-          next.(!k) <- v;
-          incr k
-        end;
-        for j = off.(v) to off.(v + 1) - 1 do
-          let u = adj.(j) in
-          if not dirty.(u) then begin
-            dirty.(u) <- true;
-            next.(!k) <- u;
-            incr k
-          end
-        done
-      end
-    done;
-    (* The collect loop above emits the frontier in a jumbled order; for a
-       dense next set that order wrecks cache locality in the following
-       compute phase, so rebuild it ascending from the dirty bitmap (the
-       O(n) scan is negligible when the set is a constant fraction of n).
-       Sparse frontiers keep the unordered list — a full scan per round
-       would erase the active-set savings. Node order never affects the
-       computed states, only memory-access locality. *)
-    if !k * 8 >= core.topo.Topology.n_present then begin
-      let idx = ref 0 in
-      for v = 0 to Array.length dirty - 1 do
-        if dirty.(v) then begin
-          dirty.(v) <- false;
-          next.(!idx) <- v;
-          incr idx
-        end
-      done
-    end
-    else
-      for i = 0 to !k - 1 do
-        dirty.(next.(i)) <- false
-      done;
-    let old = core.active in
-    core.active <- next;
-    core.spare <- old;
-    core.n_active <- !k);
-  !changed
+let par_grain = Stepper.par_grain
 
 let engine_exec ~par ~sched ~equal ~tr ~topo ~init ~step ~halted ~stop =
-  let core = make_core ~topo ~sched ~equal ~init in
-  let n_unhalted = ref 0 in
-  let on_change =
-    match halted with
-    | None -> ignore
-    | Some halted ->
-      let halted_f = Array.make (Topology.n_base topo) true in
-      Array.iter
-        (fun v ->
-          let h = halted core.cur.(v) in
-          halted_f.(v) <- h;
-          if not h then incr n_unhalted)
-        topo.Topology.present_nodes;
-      fun v ->
-        let h = halted core.cur.(v) in
-        if h <> halted_f.(v) then begin
-          halted_f.(v) <- h;
-          if h then decr n_unhalted else incr n_unhalted
-        end
-  in
+  let csr = Stepper.of_topology topo in
+  let states, store = Stepper.boxed csr ~init ~step ~equal ~halted in
+  let core = Stepper.create ~sched csr store in
   let rounds, ex =
     drive ~trace:tr ~stop
-      ~active:(fun () -> core.n_active)
-      ~unhalted:(fun () -> !n_unhalted)
-      ~exec:(fun round ->
-        compute core step round par;
-        commit core ~on_change)
+      ~active:(fun () -> Stepper.n_active core)
+      ~unhalted:(fun () -> Stepper.unhalted core)
+      ~exec:(fun round -> Stepper.round core ~par ~round)
   in
   if ex then exhausted stop;
-  { states = core.cur; rounds }
+  { states; rounds }
 
 (* ---------- public API ---------- *)
 

@@ -21,7 +21,9 @@
       the current buffer only and every active node is written by
       exactly one domain, so results are bit-identical to [Seq]
       regardless of [p], the {!par_grain} inline threshold, or thread
-      interleaving.
+      interleaving. [Seq]/[Par] rounds are the shared {!Stepper} body
+      over a boxed store — the body {!Flat} runs over int slabs and the
+      [Shard]/[Proc] backends run per shard.
     - [Shard s] — the sharded halo-exchange backend ({!Tl_shard.Shard}):
       the snapshot is partitioned into [s] contiguous shards with ghost
       (halo) copies of remote neighbors, and each round runs as
@@ -60,7 +62,7 @@
 
 type mode = Naive | Seq | Par of int | Shard of int | Proc of int
 
-type scheduling =
+type scheduling = Stepper.scheduling =
   | Active_set  (** re-step only nodes with a changed 1-hop neighborhood *)
   | Full_scan  (** re-step every present node every round *)
 
@@ -163,8 +165,8 @@ type 'state step_fn =
     active set      stall: exhausted     fixed point: stable  round skipped
     drains                                                    but counted
     trace unhalted  recorded             -1                   -1
-    fault gate      after each counted round; closing it stops the run
-                    without a failure
+    fault gate      after each counted round, skipped ones included;
+                    closing it stops the run without a failure
     exhausted       "Engine.run:         "Engine.run_until_   never
     failure text    max_rounds=%d        stable: max_rounds=
                     exceeded"            %d exceeded"

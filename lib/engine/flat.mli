@@ -14,17 +14,18 @@
     {e nothing} on the minor heap — no neighbor lists, no closures, no
     boxed floats (round timing is only taken when a trace is attached).
 
-    The boxed path stays untouched as the bit-exact reference: the
+    The boxed store stays the bit-exact reference: the
     differential battery in [test/test_engine.ml] checks labelings,
     round counts, traces and failure behaviour of every flat kernel
     against its boxed twin, and [bench] B11 measures the gap.
 
     {2 Determinism and parity}
 
-    Scheduling, change detection (word comparison over a node's slots),
-    frontier maintenance and the parallel chunking are structurally
-    identical to {!Engine}'s [Seq]/[Par] stepper, so a flat run produces
-    the same states, the same round count, and the same per-round
+    Flat and boxed runs share one round body ({!Stepper}): scheduling,
+    frontier maintenance, the commit and the parallel chunking are the
+    same code, and only the {!store} differs (change detection is a
+    word comparison over a node's slots). So a flat run produces the
+    same states, the same round count, and the same per-round
     [active]/[changed]/[unhalted] trace records as the boxed engine
     running an equivalent kernel — for any [par] and any
     {!Engine.par_grain}. Rounds run through the boxed engine's own
@@ -68,12 +69,6 @@ type kernel = {
 }
 
 type outcome = { slab : int array; slots : int; rounds : int }
-
-val words_differ : int array -> int array -> int -> int -> int -> bool
-(** [words_differ cur nxt base i slots]: do the two slabs disagree
-    anywhere in [base+i .. base+slots)? The commit primitive — exposed
-    for out-of-process executors that replay the flat commit
-    discipline over a shard-local slab. *)
 
 val read : outcome -> node:int -> slot:int -> int
 (** [slab.(node * slots + slot)]. *)
@@ -128,6 +123,16 @@ val run_rounds :
 (** Flat counterpart of {!Engine.run_rounds}: exactly [rounds] rounds of
     a fixed schedule (use [~sched:Full_scan] for round-number-driven
     kernels). *)
+
+val store :
+  Stepper.csr -> workers:int -> halting:bool -> kernel -> ctx * Stepper.store
+(** The flat store of the shared round body, over the whole topology or
+    a shard's sub-CSR (then [kernel] indexes local ids; ghosts get
+    [init] of their local id too): a slab of [n_local] nodes, a step
+    slab of the [n_owned] that step, one scratch slab per worker, a
+    node changes when any of its words does, and [halted] is the
+    kernel's exactly when [halting]. Returns the [ctx] — whose [cur]
+    holds the published states — with the store over it. *)
 
 (** Ported kernels, bit-compatible with the boxed machines used across
     tests and benchmarks. *)

@@ -14,10 +14,12 @@
     copies; converged regions cost zero). The optional [mode] selects the
     stepper — [Naive] (the original full-scan reference), [Seq] (default,
     via {!Tl_engine.Engine.default_mode}), [Par p] (OCaml 5 domains,
-    deterministic chunking) or [Shard s] (the sharded halo-exchange
-    backend {!Tl_shard.Shard}, which the runtime force-links so it is
-    available in every binary built on it) — all bit-identical under the
-    engine's stationarity contract (see {!Tl_engine.Engine}).
+    deterministic chunking), [Shard s] (the sharded halo-exchange
+    backend {!Tl_shard.Shard}) or [Proc p] (one worker process per
+    shard, [Tl_proc.Coordinator]); the runtime force-links both backends
+    so they are available in every binary built on it. All are
+    bit-identical under the engine's stationarity contract (see
+    {!Tl_engine.Engine}).
 
     Determinism: given the semi-graph, the ID assignment and a
     deterministic [step], runs are bit-for-bit reproducible across all
@@ -94,8 +96,8 @@ val run_with :
   unit ->
   'state outcome
 (** {!run} with explicit engine controls: stepper [mode] ([Naive] /
-    [Seq] / [Par p]), [sched]uling, active-set [equal] and a [trace]
-    collector. *)
+    [Seq] / [Par p] / [Shard s] / [Proc p]), [sched]uling, active-set
+    [equal] and a [trace] collector. *)
 
 val run_until_stable_with :
   ?mode:Tl_engine.Engine.mode ->

@@ -16,13 +16,15 @@
      in-process exchange order)  →  advance  →  stats allreduce up the
      tree (active/changed/unhalted/halo_words summed component-wise).
 
-   What differs per layout is the store: boxed states (Local.boxed) or a
-   flat int slab, each with its state words from Codec. *)
+   What differs per layout is the store — boxed states (Stepper.boxed)
+   or a flat int slab (Flat.store), the whole-graph steppers' own —
+   each with its state words from Codec. *)
 
 module Engine = Tl_engine.Engine
 module Flat = Tl_engine.Flat
 module Plan = Tl_shard.Plan
 module Local = Tl_shard.Local
+module Stepper = Tl_engine.Stepper
 
 (* The prologue's entry code names the coordinator's stop policy; a
    worker only needs to know whether it must track halting. *)
@@ -50,6 +52,7 @@ type env = {
   sched : Engine.scheduling;
   slots : int;
   sh : Plan.shard;
+  csr : Stepper.csr;  (* Local.csr sh *)
   coord : Unix.file_descr;
   parent_fd : Unix.file_descr option;  (* None at the tree root *)
   child_fds : Unix.file_descr array;  (* ascending child rank *)
@@ -159,7 +162,7 @@ let open_halo env ~expect_src ~round buf =
 (* What one round body needs of a layout: the shard-local store, plus
    the state words of its halo entries and epilogue image (Codec). *)
 type store = {
-  local : Local.store;
+  local : Stepper.store;
   put : Transport.Buf.t -> int -> int -> int;
       (* [put buf pos l]: append owned local [l]'s words at [pos], return
          the end *)
@@ -172,7 +175,9 @@ type store = {
 let halo_where env = Printf.sprintf "worker %d: halo" env.rank
 
 let boxed env ~init ~step ~equal ~halted =
-  let st, local = Local.boxed env.sh ~init ~step ~equal ~halted in
+  let st, local =
+    Stepper.boxed ~l2g:env.sh.Plan.l2g env.csr ~init ~step ~equal ~halted
+  in
   {
     local;
     put = (fun buf pos l -> Codec.put_boxed buf pos (Array.unsafe_get st l));
@@ -180,61 +185,24 @@ let boxed env ~init ~step ~equal ~halted =
     image = (fun () -> Codec.boxed_image st env.sh.Plan.n_owned);
   }
 
-(* The flat int-slab store: flat.ml's kernels over the shard's sub-CSR.
-   The kernel builder receives the shard's l2g so node-indexed inputs
-   (source ids, priority arrays) can be remapped into local space; the
-   kernel then runs against a ctx whose CSR is the shard's sub-CSR —
-   valid because adj entries are local indices into the local slab. *)
+(* The flat int-slab store over the shard's sub-CSR. The kernel builder
+   receives the shard's l2g so node-indexed inputs (source ids, priority
+   arrays) can be remapped into local space; the kernel then runs
+   against a ctx whose CSR is the shard's sub-CSR — valid because adj
+   entries are local indices into the local slab. *)
 let flat env ~(kernel_for : l2g:int array -> Flat.kernel) =
-  let sh = env.sh in
-  let n_owned = sh.Plan.n_owned in
-  let k = kernel_for ~l2g:sh.Plan.l2g in
+  let k = kernel_for ~l2g:env.sh.Plan.l2g in
   let slots = k.Flat.slots in
   if slots <> env.slots then
     Wire.fail "worker %d: kernel slots %d disagree with prologue %d" env.rank
       slots env.slots;
-  let init = k.Flat.init in
-  let cur =
-    Array.init (sh.Plan.n_local * slots) (fun i ->
-        init ~node:(i / slots) ~slot:(i mod slots))
-  in
-  let nxt = Array.sub cur 0 (n_owned * slots) in
-  let ctx =
-    {
-      Flat.n_base = sh.Plan.n_local;
-      n_present = n_owned;
-      off = sh.Plan.off;
-      adj = sh.Plan.adj;
-      eid = sh.Plan.eid;
-      slots;
-      cur;
-      nxt;
-    }
-  in
-  let scratch = Array.make (max 1 k.Flat.scratch_words) 0 in
-  let step = k.Flat.step in
-  let compute ~round active n =
-    for i = 0 to n - 1 do
-      step ctx ~scratch ~round ~node:(Array.unsafe_get active i)
-    done
-  in
-  let publish l =
-    let base = l * slots in
-    Flat.words_differ cur nxt base 0 slots
-    && begin
-         Array.blit nxt base cur base slots;
-         true
-       end
-  in
-  let halted =
-    if env.halting then Option.map (fun h l -> h ctx ~node:l) k.Flat.halted
-    else None
-  in
+  let ctx, local = Flat.store env.csr ~workers:1 ~halting:env.halting k in
+  let cur = ctx.Flat.cur in
   {
-    local = { Local.step = compute; publish; halted };
+    local;
     put = Codec.put_flat cur ~slots;
     get = Codec.get_flat ~where:(halo_where env) cur ~slots;
-    image = (fun () -> Codec.flat_image cur (n_owned * slots));
+    image = (fun () -> Codec.flat_image cur (env.sh.Plan.n_owned * slots));
   }
 
 (* ---------- the round loop ---------- *)
@@ -242,7 +210,8 @@ let flat env ~(kernel_for : l2g:int array -> Flat.kernel) =
 let run env store =
   let sh = env.sh in
   let n_owned = sh.Plan.n_owned and n_local = sh.Plan.n_local in
-  let loc = Local.create sh ~sched:env.sched store.local in
+  let loc = Local.create sh env.csr ~sched:env.sched store.local in
+  let core = Local.stepper loc in
   (* halo out: one reusable frame buffer per out-peer; [peer_of] maps a
      route's target rank to its buffer *)
   let n_outp = Array.length env.out_fds in
@@ -302,8 +271,8 @@ let run env store =
       env.in_fds
   in
   let stats ~round ~changed =
-    send_stats env ~round ~active:(Local.n_active loc) ~changed
-      ~unhalted:(Local.unhalted loc) ~halo_words:(Local.halo_words loc)
+    send_stats env ~round ~active:(Stepper.n_active core) ~changed
+      ~unhalted:(Stepper.unhalted core) ~halo_words:(Local.halo_words loc)
   in
   (* initial stats: the pre-round totals the coordinator's decision loop
      starts from *)
@@ -311,10 +280,10 @@ let run env store =
   let rec loop () =
     let action, round = recv_decision env in
     if action = Wire.a_step then begin
-      Local.compute loc ~round;
-      let changed = Local.commit loc in
+      Stepper.compute core ~par:1 ~round;
+      let changed = Stepper.commit core in
       exchange round;
-      Local.advance loc;
+      Stepper.advance core;
       stats ~round ~changed;
       loop ()
     end
@@ -363,6 +332,7 @@ let serve ~rank ~coord ~chans ~(body : env -> unit) =
             sched = sched_of_code p.sched;
             slots = p.slots;
             sh;
+            csr = Local.csr sh;
             coord;
             parent_fd = (if parent < 0 then None else Some (fd_of parent));
             child_fds =

@@ -1,51 +1,36 @@
 (** One shard's side of a synchronous LOCAL round (Definition 5): the
     round body shared by the in-process {!Shard} backend and the process
-    backend's workers.
+    backend's workers. It is {!Tl_engine.Stepper}'s body over the
+    shard's sub-CSR ({!csr}), whose commit also appends one route per
+    (target shard, ghost slot) of every changed boundary node. Between
+    commit and advance the backend's exchange {!drain}s the route
+    buffer — into other shards' arrays, or into halo frames on a
+    socket — and calls {!ghost_written} for every ghost it overwrites,
+    which grows the frontier through the plan's halo rows.
 
-    A round over one shard is
-    {e compute → commit → exchange → advance}:
-
-    + {!compute} steps the active owned nodes into the store's scratch,
-      reading only published states (owned nodes and ghosts);
-    + {!commit} publishes the changed nodes in active order, keeps the
-      halted count, grows the next frontier (the node and its owned
-      neighbors) and appends one route per (target shard, ghost slot)
-      of every changed boundary node;
-    + the backend's exchange {!drain}s the route buffer — into other
-      shards' arrays, or into halo frames on a socket — and calls
-      {!ghost_written} for every ghost it overwrites, which grows the
-      frontier through the plan's halo rows;
-    + {!advance} makes the next frontier current, rebuilding it
-      ascending from its bitmap when it is dense.
-
-    Under [Full_scan] every owned node stays active and no frontier is
-    kept. Node states live behind a {!store}, so the same body runs
-    boxed states ({!boxed}) and the process backend's flat int slabs. *)
-
-type store = {
-  step : round:int -> int array -> int -> unit;
-      (** [step ~round active n] computes the next state of the owned
-          locals [active.(0) .. active.(n-1)] into the store's scratch. *)
-  publish : int -> bool;
-      (** [publish l]: if owned local [l]'s computed state differs from
-          its published one, publish it and return [true]. *)
-  halted : (int -> bool) option;
-      (** The halting predicate on owned local [l]'s published state —
-          [Some] exactly when the run stops on halting. *)
-}
+    The store is the whole-graph steppers' own: boxed states
+    ({!Tl_engine.Stepper.boxed} with the shard's [l2g]) or flat int
+    slabs ({!Tl_engine.Flat.store}). *)
 
 type t
 
-val create : Plan.shard -> sched:Tl_engine.Engine.scheduling -> store -> t
-(** Every owned node starts active. Evaluates [store.halted] once per
-    owned node, ascending. *)
+val csr : Plan.shard -> Tl_engine.Stepper.csr
+(** The shard's sub-CSR: owned locals step, ghosts follow. *)
 
-val compute : t -> round:int -> unit
-(** Step the active set. Touches only this shard's store, so distinct
-    shards may compute concurrently. *)
+val create :
+  Plan.shard ->
+  Tl_engine.Stepper.csr ->
+  sched:Tl_engine.Engine.scheduling ->
+  Tl_engine.Stepper.store ->
+  t
+(** [create sh (csr sh) ~sched store]: every owned node starts active.
+    Evaluates [store.halted] once per owned node, ascending. *)
 
-val commit : t -> int
-(** Publish the computed states; returns how many changed. *)
+val stepper : t -> Tl_engine.Stepper.t
+(** The shard's round body. A round is [Stepper.compute ~par:1] — it
+    touches only this shard's store, so distinct shards may compute
+    concurrently — then [Stepper.commit], the exchange, and
+    [Stepper.advance]. *)
 
 val drain :
   t -> (dst:int array -> slot:int array -> src:int array -> int -> int) -> unit
@@ -59,16 +44,6 @@ val drain :
 val ghost_written : t -> int -> unit
 (** [ghost_written t slot]: ghost [slot] of this shard got a new state
     — under [Active_set], its owned neighbors step next round. *)
-
-val advance : t -> unit
-(** Swap in the next frontier (no-op under [Full_scan]). *)
-
-val n_active : t -> int
-(** Owned nodes the next round steps. *)
-
-val unhalted : t -> int
-(** Owned nodes whose published state is not halted (0 when the store
-    has no halting predicate). *)
 
 val halo_words : t -> int
 (** Messages delivered by {!drain} so far. *)
@@ -97,17 +72,3 @@ val report :
     exchange_rounds counters. An enabled registry gets
     [shard_halo_words_total] and [shard_runs_total] increments and one
     "exchange" recorder event keyed ["shards:<count>"]. *)
-
-val boxed :
-  Plan.shard ->
-  init:(int -> 'state) ->
-  step:'state Tl_engine.Engine.step_fn ->
-  equal:('state -> 'state -> bool) ->
-  halted:('state -> bool) option ->
-  'state array * store
-(** The boxed store. States live in an array of [n_local] slots, owned
-    nodes then ghosts, each initialized by [init] of its global id. A
-    step sees global node and edge ids and its neighbors in the
-    compiled topology's incident order, so [step] cannot tell a shard
-    from the whole graph. Returns the array — backends write ghosts
-    into it and read owned states back — with the store over it. *)

@@ -2,6 +2,7 @@ module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
 module Trace = Tl_engine.Trace
 module Pool = Tl_engine.Pool
+module Stepper = Tl_engine.Stepper
 module Metrics = Tl_obs.Metrics
 
 let now = Unix.gettimeofday
@@ -48,19 +49,19 @@ let exchange locals sts ~round =
           !delivered))
     locals
 
-let sum f locals = Array.fold_left (fun acc c -> acc + f c) 0 locals
+let sum f xs = Array.fold_left (fun acc x -> acc + f x) 0 xs
 
 (* One full round: local step (optionally fanned over the pool),
    sequential commit, batched exchange, barrier, active-set advance.
    [exch_acc] accumulates the run's exchange wall-time for the flight
    recorder; the per-round time also feeds the exchange histogram. *)
-let exec_round locals sts ~pool ~p_eff ~round ~exch_acc =
+let exec_round locals cores sts ~pool ~p_eff ~round ~exch_acc =
   if p_eff > 1 then
     ignore
-      (Pool.map pool ~tasks:locals ~f:(fun ~worker:_ ~index:_ c ->
-           Local.compute c ~round))
-  else Array.iter (fun c -> Local.compute c ~round) locals;
-  let changed = sum Local.commit locals in
+      (Pool.map pool ~tasks:cores ~f:(fun ~worker:_ ~index:_ c ->
+           Stepper.compute c ~par:1 ~round))
+  else Array.iter (fun c -> Stepper.compute c ~par:1 ~round) cores;
+  let changed = sum Stepper.commit cores in
   (if Metrics.enabled () then begin
      let tx = now () in
      exchange locals sts ~round;
@@ -69,7 +70,7 @@ let exec_round locals sts ~pool ~p_eff ~round ~exch_acc =
      Metrics.observe (Lazy.force m_exchange_s) dt
    end
    else exchange locals sts ~round);
-  Array.iter Local.advance locals;
+  Array.iter Stepper.advance cores;
   changed
 
 (* ---------- the backend entry point ---------- *)
@@ -93,12 +94,15 @@ let exec :
     Array.split
       (Array.map
          (fun sh ->
+           let csr = Local.csr sh in
            let st, store =
-             Local.boxed sh ~init:(Array.get states) ~step ~equal ~halted
+             Stepper.boxed ~l2g:sh.Plan.l2g csr ~init:(Array.get states) ~step
+               ~equal ~halted
            in
-           (st, Local.create sh ~sched store))
+           (st, Local.create sh csr ~sched store))
          plan.Plan.shards)
   in
+  let cores = Array.map Local.stepper locals in
   let pool = Pool.create () in
   let p_eff = min (Pool.workers pool) (Array.length locals) in
   (* the per-round shard maps ride the persistent domain team; park the
@@ -114,10 +118,10 @@ let exec :
     (fun () ->
       let rounds, exhausted =
         Engine.drive ~trace ~stop
-          ~active:(fun () -> sum Local.n_active locals)
-          ~unhalted:(fun () -> sum Local.unhalted locals)
+          ~active:(fun () -> sum Stepper.n_active cores)
+          ~unhalted:(fun () -> sum Stepper.unhalted cores)
           ~exec:(fun round ->
-            exec_round locals sts ~pool ~p_eff ~round ~exch_acc)
+            exec_round locals cores sts ~pool ~p_eff ~round ~exch_acc)
       in
       (* write the owned states back, ascending shard order *)
       Array.iteri

@@ -184,6 +184,39 @@ let test_knob_validation_usage_errors () =
   check_int "seq ignores the shard knob" 0 code;
   check "solved" true (contains ~needle:"valid:       true" stdout)
 
+(* A bare --engine proc resolves against --shards exactly as the daemon's
+   admission check does, and the command runs that mode: every engine
+   run of the solve is traced as proc:2, and chaos reports proc:2. *)
+let test_bare_proc_takes_shards () =
+  let trace = Filename.temp_file "tl_trace" ".json" in
+  let code, _, _ =
+    run_cmd
+      (Printf.sprintf
+         "%s solve --problem mis --family random-tree --n 200 --engine proc \
+          --shards 2 --trace %s"
+         cli trace)
+  in
+  check_int "solve exit 0" 0 code;
+  let modes =
+    match Json.parse_file trace with
+    | Json.Arr ts ->
+      List.map (fun t -> Option.bind (Json.member "mode" t) Json.to_str) ts
+    | _ -> []
+  in
+  Sys.remove trace;
+  check "some engine run traced" true (modes <> []);
+  check "every trace runs proc:2" true
+    (List.for_all (fun m -> m = Some "proc:2") modes);
+  let code, stdout, _ =
+    run_cmd
+      (Printf.sprintf
+         "%s chaos --problem flood --family random-tree --n 200 --engine proc \
+          --shards 2"
+         cli)
+  in
+  check_int "chaos exit 0" 0 code;
+  check "chaos runs proc:2" true (contains ~needle:"engine:      proc:2" stdout)
+
 (* ---------- regress.exe ---------- *)
 
 let write_file path s =
@@ -287,6 +320,8 @@ let () =
             test_profile_unwritable_dir_is_usage_error;
           Alcotest.test_case "--trace bad dir -> warning only" `Quick
             test_trace_unwritable_warns_not_fails;
+          Alcotest.test_case "bare --engine proc takes --shards" `Quick
+            test_bare_proc_takes_shards;
           Alcotest.test_case "--profile + --trace flush together" `Quick
             test_profile_and_trace_flush_together;
           Alcotest.test_case "failed trace flush spares profile" `Quick

@@ -85,6 +85,13 @@ let prop_topology_on_subsets =
 
 (* ---------- differential: all modes bit-identical ---------- *)
 
+(* Every stepper differential runs on the full view and on the masked
+   view above, where the steppers step only the present nodes. *)
+let views g =
+  let keep = Array.init (Graph.n_nodes g) (fun v -> v mod 3 <> 2) in
+  List.map Topology.compile
+    [ Semi_graph.of_graph g; Semi_graph.of_node_subset g keep ]
+
 let outcomes_equal (a : 'a Engine.outcome) (b : 'a Engine.outcome) =
   a.Engine.rounds = b.Engine.rounds && a.Engine.states = b.Engine.states
 
@@ -97,18 +104,20 @@ let prop_flood_differential =
     QCheck.(triple (int_range 2 150) (int_range 0 100000) (int_range 0 3))
     (fun (n, seed, pick) ->
       let g = family ~n ~seed ~pick in
-      let topo = Topology.compile (Semi_graph.of_graph g) in
-      let run_in ?sched mode =
-        Engine.run_until_stable ~mode ?sched ~topo
-          ~init:(fun v -> v = 0)
-          ~step:flood_step ~equal:Bool.equal
-          ~max_rounds:(Graph.n_nodes g + 1)
-          ()
-      in
-      all_modes_agree (fun m -> run_in m)
-      && outcomes_equal
-           (run_in ~sched:Engine.Full_scan Engine.Seq)
-           (run_in Engine.Naive))
+      List.for_all
+        (fun topo ->
+          let run_in ?sched mode =
+            Engine.run_until_stable ~mode ?sched ~topo
+              ~init:(fun v -> v = 0)
+              ~step:flood_step ~equal:Bool.equal
+              ~max_rounds:(Graph.n_nodes g + 1)
+              ()
+          in
+          all_modes_agree (fun m -> run_in m)
+          && outcomes_equal
+               (run_in ~sched:Engine.Full_scan Engine.Seq)
+               (run_in Engine.Naive))
+        (views g))
 
 let prop_mis_differential =
   QCheck.Test.make ~name:"MIS machine: modes bit-identical" ~count:50
@@ -117,13 +126,15 @@ let prop_mis_differential =
       let g = family ~n ~seed ~pick in
       let n = Graph.n_nodes g in
       let ids = Ids.permuted ~n ~seed:(seed + 3) in
-      let topo = Topology.compile (Semi_graph.of_graph g) in
-      all_modes_agree (fun mode ->
-          Engine.run ~mode ~topo
-            ~init:(fun _ -> 0)
-            ~step:(mis_step ids)
-            ~halted:(fun s -> s <> 0)
-            ~max_rounds:(n + 1) ()))
+      List.for_all
+        (fun topo ->
+          all_modes_agree (fun mode ->
+              Engine.run ~mode ~topo
+                ~init:(fun _ -> 0)
+                ~step:(mis_step ids)
+                ~halted:(fun s -> s <> 0)
+                ~max_rounds:(n + 1) ()))
+        (views g))
 
 let prop_peel_differential =
   QCheck.Test.make ~name:"leaf peeling: modes bit-identical" ~count:50
@@ -634,32 +645,34 @@ let prop_flat_flood_differential =
     QCheck.(triple (int_range 2 150) (int_range 0 100000) (int_range 0 3))
     (fun (n, seed, pick) ->
       let g = family ~n ~seed ~pick in
-      let topo = Topology.compile (Semi_graph.of_graph g) in
       let mr = Graph.n_nodes g + 1 in
       List.for_all
-        (fun sched ->
-          let boxed_tr = Trace.create () in
-          let boxed =
-            Engine.run_until_stable ~mode:Engine.Seq ~sched ~trace:boxed_tr
-              ~topo
-              ~init:(fun v -> v = 0)
-              ~step:flood_step ~equal:Bool.equal ~max_rounds:mr ()
-          in
-          let boxed_ints = Array.map Bool.to_int boxed.Engine.states in
+        (fun topo ->
           List.for_all
-            (fun (par, grain) ->
-              with_par_grain grain (fun () ->
-                  let tr = Trace.create () in
-                  let o =
-                    Flat.run_until_stable ~par ~sched ~trace:tr ~topo
-                      ~kernel:(Flat.Kernels.flood ()) ~max_rounds:mr ()
-                  in
-                  o.Flat.rounds = boxed.Engine.rounds
-                  && Flat.column o ~slot:0 = boxed_ints
-                  && record_sig tr = record_sig boxed_tr
-                  && Trace.layout tr = "flat"))
-            flat_variants)
-        [ Engine.Active_set; Engine.Full_scan ])
+            (fun sched ->
+              let boxed_tr = Trace.create () in
+              let boxed =
+                Engine.run_until_stable ~mode:Engine.Seq ~sched
+                  ~trace:boxed_tr ~topo
+                  ~init:(fun v -> v = 0)
+                  ~step:flood_step ~equal:Bool.equal ~max_rounds:mr ()
+              in
+              let boxed_ints = Array.map Bool.to_int boxed.Engine.states in
+              List.for_all
+                (fun (par, grain) ->
+                  with_par_grain grain (fun () ->
+                      let tr = Trace.create () in
+                      let o =
+                        Flat.run_until_stable ~par ~sched ~trace:tr ~topo
+                          ~kernel:(Flat.Kernels.flood ()) ~max_rounds:mr ()
+                      in
+                      o.Flat.rounds = boxed.Engine.rounds
+                      && Flat.column o ~slot:0 = boxed_ints
+                      && record_sig tr = record_sig boxed_tr
+                      && Trace.layout tr = "flat"))
+                flat_variants)
+            [ Engine.Active_set; Engine.Full_scan ])
+        (views g))
 
 let prop_flat_mis_differential =
   QCheck.Test.make ~name:"flat MIS == boxed MIS (run with halting)" ~count:40
@@ -668,28 +681,30 @@ let prop_flat_mis_differential =
       let g = family ~n ~seed ~pick in
       let n = Graph.n_nodes g in
       let ids = Ids.permuted ~n ~seed:(seed + 3) in
-      let topo = Topology.compile (Semi_graph.of_graph g) in
-      let boxed_tr = Trace.create () in
-      let boxed =
-        Engine.run ~mode:Engine.Seq ~trace:boxed_tr ~topo
-          ~init:(fun _ -> 0)
-          ~step:(mis_step ids)
-          ~halted:(fun s -> s <> 0)
-          ~max_rounds:(n + 1) ()
-      in
       List.for_all
-        (fun (par, grain) ->
-          with_par_grain grain (fun () ->
-              let tr = Trace.create () in
-              let o =
-                Flat.run ~par ~trace:tr ~topo
-                  ~kernel:(Flat.Kernels.mis_local_max ~ids)
-                  ~max_rounds:(n + 1) ()
-              in
-              o.Flat.rounds = boxed.Engine.rounds
-              && Flat.column o ~slot:0 = boxed.Engine.states
-              && record_sig tr = record_sig boxed_tr))
-        flat_variants)
+        (fun topo ->
+          let boxed_tr = Trace.create () in
+          let boxed =
+            Engine.run ~mode:Engine.Seq ~trace:boxed_tr ~topo
+              ~init:(fun _ -> 0)
+              ~step:(mis_step ids)
+              ~halted:(fun s -> s <> 0)
+              ~max_rounds:(n + 1) ()
+          in
+          List.for_all
+            (fun (par, grain) ->
+              with_par_grain grain (fun () ->
+                  let tr = Trace.create () in
+                  let o =
+                    Flat.run ~par ~trace:tr ~topo
+                      ~kernel:(Flat.Kernels.mis_local_max ~ids)
+                      ~max_rounds:(n + 1) ()
+                  in
+                  o.Flat.rounds = boxed.Engine.rounds
+                  && Flat.column o ~slot:0 = boxed.Engine.states
+                  && record_sig tr = record_sig boxed_tr))
+            flat_variants)
+        (views g))
 
 let prop_flat_run_rounds_differential =
   QCheck.Test.make ~name:"flat run_rounds == boxed run_rounds" ~count:30
@@ -822,34 +837,82 @@ let test_flat_fault_gate_parity () =
             fun trace -> Flat.run_rounds ~trace ~topo ~kernel ~rounds:10 () );
         ])
 
+let test_rounds_gate_on_drained_rounds () =
+  (* under Rounds, a round whose active set has drained is skipped but
+     counted, and the gate must see it like any counted round: flood on
+     a 6-path drains after round 6, the gate closes after round 8, and
+     every stepper must stop where the naive reference does *)
+  let topo = Topology.compile (Semi_graph.of_graph (Gen.path 6)) in
+  let saved = !Engine.fault_gate in
+  Engine.fault_gate := Some (fun ~round -> round < 8);
+  Fun.protect
+    ~finally:(fun () -> Engine.fault_gate := saved)
+    (fun () ->
+      let run mode =
+        Engine.run_rounds ~mode ~topo
+          ~init:(fun v -> v = 0)
+          ~step:flood_step ~rounds:20 ()
+      in
+      let naive = run Engine.Naive in
+      check_int "naive stops at the gate" 8 naive.Engine.rounds;
+      List.iter
+        (fun mode ->
+          let o = run mode and m = Engine.mode_to_string mode in
+          check_int (m ^ ": rounds") naive.Engine.rounds o.Engine.rounds;
+          check (m ^ ": states") true (o.Engine.states = naive.Engine.states))
+        [ Engine.Seq; Engine.Par 2; Engine.Shard 2 ];
+      let o =
+        Flat.run_rounds ~topo ~kernel:(Flat.Kernels.flood ()) ~rounds:20 ()
+      in
+      check_int "flat: rounds" naive.Engine.rounds o.Flat.rounds;
+      check "flat: states" true
+        (Flat.column o ~slot:0 = Array.map Bool.to_int naive.Engine.states))
+
 let test_flat_zero_alloc_per_step () =
   (* the flat hot path must allocate nothing on the minor heap per step:
      run flood down a long path (many rounds, tiny frontiers — the shape
      that amplifies any per-round or per-step allocation) and bound the
      whole run's minor-heap delta by a per-run constant. A 2-word leak
      per round would show up as ~40k words here. Every stop policy is
-     measured: they share one round driver, but each has its own arm. *)
+     measured: they share one round driver, but each has its own arm.
+     The masked path hides the far half of the same path, so the
+     stepper runs over present nodes that are not the whole id range. *)
   let n = 20_000 in
-  let topo = Topology.compile (Semi_graph.of_graph (Gen.path n)) in
+  let g = Gen.path n in
   let kernel = Flat.Kernels.flood () in
   List.iter
-    (fun (arm, run) ->
-      ignore (run ());
-      let w0 = Gc.minor_words () in
-      let o = run () in
-      let w1 = Gc.minor_words () in
-      check_int (arm ^ ": flood covered the path") (n - 1) o.Flat.rounds;
-      check (arm ^ ": flood reached every node") true
-        (Array.for_all (fun s -> s = 1) (Flat.column o ~slot:0));
-      let delta = w1 -. w0 in
-      check
-        (Printf.sprintf "%s: per-run minor words bounded (got %.0f)" arm delta)
-        true (delta < 2048.))
+    (fun (input, sg, reach) ->
+      let topo = Topology.compile sg in
+      List.iter
+        (fun (arm, run) ->
+          let arm = input ^ " " ^ arm in
+          ignore (run ());
+          let w0 = Gc.minor_words () in
+          let o = run () in
+          let w1 = Gc.minor_words () in
+          check_int (arm ^ ": flood covered the path") (reach - 1) o.Flat.rounds;
+          check (arm ^ ": flood reached every node") true
+            (Array.for_all
+               (fun v -> Flat.read o ~node:v ~slot:0 = Bool.to_int (v < reach))
+               (Array.init n Fun.id));
+          let delta = w1 -. w0 in
+          check
+            (Printf.sprintf "%s: per-run minor words bounded (got %.0f)" arm
+               delta)
+            true (delta < 2048.))
+        [
+          ( "run_until_stable",
+            fun () ->
+              Flat.run_until_stable ~topo ~kernel ~max_rounds:(n + 1) () );
+          ("run", fun () -> Flat.run ~topo ~kernel ~max_rounds:(n + 1) ());
+          ( "run_rounds",
+            fun () -> Flat.run_rounds ~topo ~kernel ~rounds:(reach - 1) () );
+        ])
     [
-      ( "run_until_stable",
-        fun () -> Flat.run_until_stable ~topo ~kernel ~max_rounds:(n + 1) () );
-      ("run", fun () -> Flat.run ~topo ~kernel ~max_rounds:(n + 1) ());
-      ("run_rounds", fun () -> Flat.run_rounds ~topo ~kernel ~rounds:(n - 1) ());
+      ("path", Semi_graph.of_graph g, n);
+      ( "masked path",
+        Semi_graph.of_node_subset g (Array.init n (fun v -> v < n / 2)),
+        n / 2 );
     ]
 
 (* ---------- compile cache ---------- *)
@@ -1012,6 +1075,8 @@ let () =
               test_flat_failure_parity;
             Alcotest.test_case "fault gate parity with the boxed engine"
               `Quick test_flat_fault_gate_parity;
+            Alcotest.test_case "rounds gate on drained rounds" `Quick
+              test_rounds_gate_on_drained_rounds;
             Alcotest.test_case "zero minor-heap words per step" `Quick
               test_flat_zero_alloc_per_step;
           ] );

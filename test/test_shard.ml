@@ -148,16 +148,21 @@ let prop_flood_differential =
     QCheck.(triple (int_range 2 150) (int_range 0 100000) (int_range 0 3))
     (fun (n, seed, pick) ->
       let g = family ~n ~seed ~pick in
-      let topo = Topology.compile (Semi_graph.of_graph g) in
+      (* the full view, and the masked view of prop_plan_on_subsets *)
+      let keep = Array.init (Graph.n_nodes g) (fun v -> v mod 3 <> 2) in
       List.for_all
-        (fun sched ->
-          shard_matches_seq (fun ~mode ~trace ->
-              Engine.run_until_stable ~mode ~sched ~trace ~topo
-                ~init:(fun v -> v = 0)
-                ~step:flood_step ~equal:Bool.equal
-                ~max_rounds:(Graph.n_nodes g + 1)
-                ()))
-        [ Engine.Active_set; Engine.Full_scan ])
+        (fun sg ->
+          let topo = Topology.compile sg in
+          List.for_all
+            (fun sched ->
+              shard_matches_seq (fun ~mode ~trace ->
+                  Engine.run_until_stable ~mode ~sched ~trace ~topo
+                    ~init:(fun v -> v = 0)
+                    ~step:flood_step ~equal:Bool.equal
+                    ~max_rounds:(Graph.n_nodes g + 1)
+                    ()))
+            [ Engine.Active_set; Engine.Full_scan ])
+        [ Semi_graph.of_graph g; Semi_graph.of_node_subset g keep ])
 
 let prop_mis_differential =
   QCheck.Test.make ~name:"MIS machine: shard x pool == seq" ~count:40
