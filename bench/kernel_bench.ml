@@ -286,6 +286,7 @@ module Graph = Tl_graph.Graph
 module Json = Tl_obs.Json
 module Theorem1 = Tl_core.Theorem1
 module Theorem2 = Tl_core.Theorem2
+module Span = Tl_obs.Span
 
 let pool_sizes () =
   match Option.bind (Sys.getenv_opt "TL_POOL_BENCH_N") int_of_string_opt with
@@ -426,6 +427,17 @@ let run_pool () =
     }
   in
   let labels g l = List.init (Graph.n_half_edges g) (Labeling.get l) in
+  (* the span tree of the last seq run of each kernel and size, for the
+     base algorithm's split; a span root costs a few records per run *)
+  let seq_spans = ref [] in
+  let spanned name n w run =
+    if w > 1 then run ()
+    else begin
+      let r, root = Span.run name run in
+      seq_spans := (name, (n, root)) :: List.remove_assoc name !seq_spans;
+      r
+    end
+  in
   let kernels =
     List.concat
       (List.mapi
@@ -433,31 +445,32 @@ let run_pool () =
            let reps = if n >= 500_000 then 1 else 2 in
            let ids = Ids.permuted ~n ~seed:79 in
            let tree = Gen.random_tree ~n ~seed:71 in
+           let t1 = Printf.sprintf "t1-mis-pool.%d" i in
            let t1_rows =
              bench_pool_widths ~reps
                ~run:(fun w ->
-                 let r =
-                   Theorem1.run ~workers:w ~spec:mis_spec ~tree ~ids
-                     ~f:Tl_core.Complexity.f_linear ()
-                 in
-                 (r.Theorem1.labeling, Tl_local.Round_cost.total r.Theorem1.cost))
+                 spanned t1 n w (fun () ->
+                     let r =
+                       Theorem1.run ~workers:w ~spec:mis_spec ~tree ~ids
+                         ~f:Tl_core.Complexity.f_linear ()
+                     in
+                     (r.Theorem1.labeling, Tl_local.Round_cost.total r.Theorem1.cost)))
                ~labels:(labels tree)
            in
            let graph = Gen.forest_union ~n ~arboricity:2 ~seed:73 in
+           let t2 = Printf.sprintf "t2-matching-pool.%d" i in
            let t2_rows =
              bench_pool_widths ~reps
                ~run:(fun w ->
-                 let r =
-                   Theorem2.run ~workers:w ~spec:matching_spec ~graph ~a:2 ~ids
-                     ~f:Tl_core.Complexity.f_linear ()
-                 in
-                 (r.Theorem2.labeling, Tl_local.Round_cost.total r.Theorem2.cost))
+                 spanned t2 n w (fun () ->
+                     let r =
+                       Theorem2.run ~workers:w ~spec:matching_spec ~graph ~a:2
+                         ~ids ~f:Tl_core.Complexity.f_linear ()
+                     in
+                     (r.Theorem2.labeling, Tl_local.Round_cost.total r.Theorem2.cost)))
                ~labels:(labels graph)
            in
-           [
-             (Printf.sprintf "t1-mis-pool.%d" i, n, t1_rows);
-             (Printf.sprintf "t2-matching-pool.%d" i, n, t2_rows);
-           ])
+           [ (t1, n, t1_rows); (t2, n, t2_rows) ])
          sizes)
   in
   let rows =
@@ -482,6 +495,23 @@ let run_pool () =
   Util.table
     ~header:[ "kernel"; "n"; "mode"; "rounds"; "wall s"; "vs seq"; "identical" ]
     rows;
+  (* base algorithm A's steps, from the child spans of "base" *)
+  let steps = [ "line-csr"; "linial"; "kw"; "to-bound"; "class-sweep" ] in
+  let split_rows =
+    List.rev_map
+      (fun (name, (n, root)) ->
+        let base = List.find (fun c -> Span.name c = "base") (Span.children root) in
+        let step_s step =
+          match List.find_opt (fun c -> Span.name c = step) (Span.children base) with
+          | Some c -> Printf.sprintf "%.4f" (Span.elapsed_s c)
+          | None -> "-"
+        in
+        [ name; Util.i n; Printf.sprintf "%.4f" (Span.elapsed_s base) ]
+        @ List.map step_s steps)
+      !seq_spans
+  in
+  Printf.printf "\nbase algorithm A, one seq run per kernel and size (s):\n";
+  Util.table ~header:([ "kernel"; "n"; "base" ] @ steps) split_rows;
   let hits, misses = Topology.cache_stats () in
   Printf.printf "\ntopology compile cache over this process: %d hit(s), %d miss(es)\n"
     hits misses;

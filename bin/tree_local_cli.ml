@@ -64,7 +64,9 @@ let engine_arg =
      binary wire protocol; a bare proc also takes its count from \
      $(b,--shards); run proc work before any par/shard run — OCaml \
      forbids forking after domains exist). All modes are \
-     deterministic and bit-identical."
+     deterministic and bit-identical. $(b,solve) makes no engine run \
+     (its pipelines are direct loops), so there the mode is only \
+     validated and recorded; $(b,chaos) runs on it."
   in
   let mode =
     let parse s =
@@ -123,7 +125,8 @@ let trace_arg =
   let doc =
     "Profile every engine-backed execution: write the per-round traces \
      as a JSON array to $(docv) and print a metrics summary alongside \
-     the round ledger."
+     the round ledger. $(b,solve) makes no engine run and writes an \
+     empty array; $(b,chaos) traces its runs."
   in
   Arg.(
     value

@@ -5,8 +5,11 @@
 
    The shard backend (lib/shard) partitions a compiled topology into S
    contiguous shards with ghost (halo) vertices; every LOCAL round is
-   local step -> batched boundary exchange -> barrier. The CLI exposes
-   the same knob as `solve ... --engine shard --shards S`.
+   local step -> batched boundary exchange -> barrier. The pipeline's
+   phases are direct loops that make no engine run, so steps 1-3 check
+   that the [~engine] knob leaves the result alone, and step 4 runs the
+   backend itself. The CLI exposes the backend as
+   `chaos ... --engine shard --shards S`.
 *)
 
 module Gen = Tl_graph.Gen

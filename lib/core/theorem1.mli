@@ -67,13 +67,13 @@ val run :
     proof invariant is checked once after the phase instead of after
     every component.
 
-    [engine] scopes {!Tl_engine.Engine.default_mode} to the run: every
-    engine-backed step inside (the base algorithm's color reductions,
-    any runtime simulation) executes on that backend — e.g.
-    [~engine:(Shard 8)] runs the whole theorem end-to-end on the
-    sharded halo-exchange backend. Results are bit-identical across
-    backends (the engine's determinism guarantee), so the knob only
-    selects the execution substrate.
+    [engine] scopes {!Tl_engine.Engine.default_mode} to the run, but no
+    pipeline phase runs on the simulator any more: the decomposition,
+    base algorithm A (Linial, the color reductions, the class sweep)
+    and the gather-solve are direct loops. So the knob reaches only a
+    [spec] callback that calls the engine itself; the labeling, the
+    ledger and the run time of the built-in pipelines do not depend on
+    it.
 
     Phases charged to the ledger: ["decompose"], ["base:A(T_C)"],
     ["gather-solve(T_R)"]. Span counters under ["gather-solve"]:

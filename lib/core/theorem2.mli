@@ -64,9 +64,9 @@ val run :
     worker count.
 
     [engine] scopes {!Tl_engine.Engine.default_mode} to the run, exactly
-    like {!Tl_core.Theorem1.run}: [~engine:(Shard 8)] executes every
-    engine-backed step on the sharded halo-exchange backend with
-    bit-identical results.
+    like {!Tl_core.Theorem1.run}, and likewise reaches no pipeline phase:
+    the decomposition, base algorithm A on the line graph and the star
+    solves are direct loops.
 
     Phases charged: ["decompose"], ["forest-3-coloring"], ["base:A(G[E2])"],
     ["gather-solve(stars)"] (2 rounds per [F_{i,j}] slot, [6a] slots).

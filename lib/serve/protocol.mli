@@ -34,7 +34,8 @@
       "digest": "f01dab1ecafe4242",      // FNV-1a over the solution
       "rounds": 93,                      // accounted LOCAL rounds (ledger total)
       "valid": true,
-      "engine_rounds": 181,              // measured engine executions
+      "engine_rounds": 0,                // measured engine executions; only
+                                         // flood and method "chaos" run any
       "cache_hit": false,                // served from the instance cache
       "ledger": { "decompose": 6, ... },
       "span": { "tl_obs_report": 1, ... } }          // when requested
@@ -115,7 +116,11 @@ type solved = {
   total_rounds : int;  (** accounted LOCAL rounds, the ledger total *)
   ledger : (string * int) list;
   valid : bool;
-  engine_rounds : int;  (** measured executions over all engine runs *)
+  engine_rounds : int;
+      (** measured executions over all engine runs. Only [flood] and the
+          [chaos] method run the simulator; the [mis], [coloring],
+          [matching] and [edge-coloring] pipelines are direct loops and
+          report 0. *)
   cache_hit : bool;  (** instance served from the serve-layer cache *)
   span : Tl_obs.Json.t option;
 }

@@ -2,44 +2,53 @@ module Graph = Tl_graph.Graph
 module Semi_graph = Tl_graph.Semi_graph
 module Topology = Tl_engine.Topology
 module Labeling = Tl_problems.Labeling
+module Span = Tl_obs.Span
 
-(* [proper_coloring] plus the snapshot it compiled, which the class sweep
-   of [mis] and [maximal_matching] reads; a second [compile_cached] lookup
-   would count one more cache hit per base run. *)
-let coloring_and_topo sg ~ids =
-  let base = Semi_graph.base sg in
-  let n = Graph.n_nodes base in
-  if Array.length ids <> n then invalid_arg "Algos.proper_coloring: bad ids";
-  let nodes = Semi_graph.nodes sg in
-  (* One compiled snapshot serves the whole reduction chain: Linial runs
-     on the engine, and the greedy reductions scan its CSR rows. *)
-  let topo, cache_hit = Topology.compile_cached_stat sg in
-  Tl_obs.Span.add_counter
-    (if cache_hit then "topo:cache_hit" else "topo:cache_miss")
-    1;
-  let max_degree = Topology.max_degree topo in
-  let colors = Array.make n (-1) in
-  List.iter (fun v -> colors.(v) <- ids.(v)) nodes;
-  let palette0 = 1 + List.fold_left (fun acc v -> max acc ids.(v)) 0 nodes in
+(* Base algorithm A's color reduction over CSR rows indexed by node id:
+   Linial, KW to Δ+1, then down to deg+1, each a direct loop in its own
+   span. [colors] holds the distinct initial ids of [nodes]; returns the
+   palette and the rounds. Vertex and edge problems share it: the rows
+   are a compiled topology's or the line CSR's. *)
+let reduce_rows ~off ~adj ~nodes ~colors =
+  let palette0 = 1 + Array.fold_left (fun acc v -> max acc colors.(v)) 0 nodes in
+  let max_degree =
+    Array.fold_left (fun acc v -> max acc (off.(v + 1) - off.(v))) 0 nodes
+  in
   if max_degree = 0 then begin
-    List.iter (fun v -> colors.(v) <- 0) nodes;
-    (colors, 1, 0, topo)
+    Array.iter (fun v -> colors.(v) <- 0) nodes;
+    (1, 0)
   end
   else begin
     let palette1, linial_rounds =
-      Linial.reduce_topo ~topo ~nodes ~colors ~palette:palette0 ~max_degree
+      Span.with_span "linial" (fun () ->
+          Linial.reduce_csr ~off ~adj ~nodes ~colors ~palette:palette0 ~max_degree)
     in
-    let off = topo.off and adj = topo.adj and present = topo.present_nodes in
     let palette2, kw_rounds =
-      Reduce.kw_to_delta_plus_one_csr ~off ~adj ~nodes:present ~colors
-        ~palette:palette1 ~delta:max_degree
+      Span.with_span "kw" (fun () ->
+          Reduce.kw_to_delta_plus_one_csr ~off ~adj ~nodes ~colors
+            ~palette:palette1 ~delta:max_degree)
     in
-    let bound v = Topology.degree topo v + 1 in
+    let bound v = off.(v + 1) - off.(v) + 1 in
     let reduce_rounds =
-      Reduce.to_bound_csr ~off ~adj ~nodes:present ~colors ~palette:palette2 ~bound
+      Span.with_span "to-bound" (fun () ->
+          Reduce.to_bound_csr ~off ~adj ~nodes ~colors ~palette:palette2 ~bound)
     in
-    (colors, max_degree + 1, linial_rounds + kw_rounds + reduce_rounds, topo)
+    (max_degree + 1, linial_rounds + kw_rounds + reduce_rounds)
   end
+
+(* [proper_coloring] plus the snapshot it compiled, which the class sweep
+   of [mis] reads; a second [compile_cached] lookup would count one more
+   cache hit per base run. *)
+let coloring_and_topo sg ~ids =
+  let n = Graph.n_nodes (Semi_graph.base sg) in
+  if Array.length ids <> n then invalid_arg "Algos.proper_coloring: bad ids";
+  let topo, cache_hit = Topology.compile_cached_stat sg in
+  Span.add_counter (if cache_hit then "topo:cache_hit" else "topo:cache_miss") 1;
+  let nodes = topo.present_nodes in
+  let colors = Array.make n (-1) in
+  Array.iter (fun v -> colors.(v) <- ids.(v)) nodes;
+  let palette, rounds = reduce_rows ~off:topo.off ~adj:topo.adj ~nodes ~colors in
+  (colors, palette, rounds, topo)
 
 let proper_coloring sg ~ids =
   let colors, palette, rounds, _topo = coloring_and_topo sg ~ids in
@@ -82,25 +91,29 @@ let deg_plus_one_coloring sg ~ids labeling =
    nodes are counting-sorted by color once, so one pass over the sorted
    order runs the classes in round order; inside a class the order cannot
    matter, since same-colored nodes are never adjacent. *)
-let mis_of_coloring (topo : Topology.t) colors palette =
-  let in_mis = Array.make topo.n_base false in
-  let nodes = topo.present_nodes in
-  let start = Array.make (palette + 1) 0 in
-  let order = Array.make (Array.length nodes) 0 in
-  Class_sort.sort ~classes:palette ~class_of:(fun v -> colors.(v)) nodes ~start ~order;
-  for i = 0 to start.(palette) - 1 do
-    let v = order.(i) in
-    let j = ref topo.off.(v) and stop = topo.off.(v + 1) in
-    while !j < stop && not in_mis.(topo.adj.(!j)) do
-      incr j
-    done;
-    if !j = stop then in_mis.(v) <- true
-  done;
-  (in_mis, palette)
+let mis_of_coloring ~off ~adj ~nodes colors palette =
+  Span.with_span "class-sweep" (fun () ->
+      let in_mis = Array.make (Array.length colors) false in
+      let start = Array.make (palette + 1) 0 in
+      let order = Array.make (Array.length nodes) 0 in
+      Class_sort.sort ~classes:palette ~class_of:(fun v -> colors.(v)) nodes ~start
+        ~order;
+      for i = 0 to start.(palette) - 1 do
+        let v = order.(i) in
+        let j = ref off.(v) and stop = off.(v + 1) in
+        while !j < stop && not in_mis.(adj.(!j)) do
+          incr j
+        done;
+        if !j = stop then in_mis.(v) <- true
+      done;
+      (in_mis, palette))
 
 let mis sg ~ids labeling =
   let colors, palette, color_rounds, topo = coloring_and_topo sg ~ids in
-  let in_mis, class_rounds = mis_of_coloring topo colors palette in
+  let in_mis, class_rounds =
+    mis_of_coloring ~off:topo.off ~adj:topo.adj ~nodes:topo.present_nodes colors
+      palette
+  in
   (* one round to learn which neighbors joined, then label *)
   Array.iter
     (fun v ->
@@ -119,9 +132,9 @@ let mis sg ~ids labeling =
     topo.present_nodes;
   color_rounds + class_rounds + 1
 
-(* Numbering as documented in algos.mli. Two edges of a simple graph
-   share at most one endpoint, so no pair is discovered twice. *)
-let line_structure sg =
+(* Line nodes as documented in algos.mli: [lnode_of] maps a base edge to
+   its line node ([-1] unless it is present with rank 2), [edge_of] back. *)
+let number_line_nodes sg =
   let base = Semi_graph.base sg in
   let m = Graph.n_edges base in
   let lnode_of = Array.make m (-1) in
@@ -137,25 +150,33 @@ let line_structure sg =
   done;
   let edge_of = Array.make !count 0 in
   Array.iteri (fun e l -> if l >= 0 then edge_of.(l) <- e) lnode_of;
-  (* the line nodes at one base node, reused across nodes *)
+  (lnode_of, edge_of)
+
+(* [collect_at lnode_of base buf v] writes the line nodes at base node [v]
+   into [buf], in incident order, and returns their count. *)
+let collect_at lnode_of base buf v =
+  let k = ref 0 in
+  Array.iter
+    (fun e ->
+      if lnode_of.(e) >= 0 then begin
+        buf.(!k) <- lnode_of.(e);
+        incr k
+      end)
+    (Graph.incident base v);
+  !k
+
+(* Two edges of a simple graph share at most one endpoint, so no pair is
+   discovered twice. *)
+let line_structure sg =
+  let base = Semi_graph.base sg in
+  let lnode_of, edge_of = number_line_nodes sg in
   let inc_l = Array.make (Graph.max_degree base) 0 in
-  let collect v =
-    let k = ref 0 in
-    Array.iter
-      (fun e ->
-        if lnode_of.(e) >= 0 then begin
-          inc_l.(!k) <- lnode_of.(e);
-          incr k
-        end)
-      (Graph.incident base v);
-    !k
-  in
   (* pass 1 counts the pairs; pass 2 writes them back to front, so that
      line edges number in reverse discovery order *)
   let m_line = ref 0 in
   for v = 0 to Graph.n_nodes base - 1 do
     if Semi_graph.node_present sg v then begin
-      let k = collect v in
+      let k = collect_at lnode_of base inc_l v in
       m_line := !m_line + (k * (k - 1) / 2)
     end
   done;
@@ -163,7 +184,7 @@ let line_structure sg =
   let next = ref !m_line in
   for v = 0 to Graph.n_nodes base - 1 do
     if Semi_graph.node_present sg v then begin
-      let k = collect v in
+      let k = collect_at lnode_of base inc_l v in
       for i = 0 to k - 1 do
         for j = i + 1 to k - 1 do
           decr next;
@@ -172,7 +193,51 @@ let line_structure sg =
       done
     end
   done;
-  (Graph.of_edge_array ~n:!count ledges, edge_of)
+  (Graph.of_edge_array ~n:(Array.length edge_of) ledges, edge_of)
+
+type line_csr = { edge_of : int array; off : int array; adj : int array }
+
+(* The line graph's rows straight from the incidence arrays: line node
+   [{a, b}] has [at.(a) + at.(b) - 2] neighbors, where [at.(v)] counts
+   the line nodes at [v]; each present base node then appends, to the
+   row of every line node at it, the other line nodes at it, through one
+   write cursor per line node. *)
+let line_csr sg =
+  let base = Semi_graph.base sg in
+  let lnode_of, edge_of = number_line_nodes sg in
+  let count = Array.length edge_of in
+  let at = Array.make (Graph.n_nodes base) 0 in
+  Array.iter
+    (fun e ->
+      let a, b = Graph.edge_endpoints base e in
+      at.(a) <- at.(a) + 1;
+      at.(b) <- at.(b) + 1)
+    edge_of;
+  let off = Array.make (count + 1) 0 in
+  for l = 0 to count - 1 do
+    let a, b = Graph.edge_endpoints base edge_of.(l) in
+    off.(l + 1) <- off.(l) + at.(a) + at.(b) - 2
+  done;
+  let adj = Array.make off.(count) 0 in
+  let cursor = Array.sub off 0 count in
+  let inc_l = Array.make (Graph.max_degree base) 0 in
+  for v = 0 to Graph.n_nodes base - 1 do
+    if at.(v) >= 2 then begin
+      let k = collect_at lnode_of base inc_l v in
+      for i = 0 to k - 1 do
+        let l = inc_l.(i) in
+        let c = ref cursor.(l) in
+        for j = 0 to k - 1 do
+          if j <> i then begin
+            adj.(!c) <- inc_l.(j);
+            incr c
+          end
+        done;
+        cursor.(l) <- !c
+      done
+    end
+  done;
+  { edge_of; off; adj }
 
 (* Unique positive ids for line-graph nodes derived from endpoint ids. *)
 let line_ids sg edge_of ids =
@@ -188,17 +253,19 @@ let line_ids sg edge_of ids =
 (* (deg+1)-coloring of the line graph; every line-graph round costs 2 base
    rounds, plus 1 base round for edges to learn their line-neighborhood. *)
 let line_coloring sg ~ids =
-  let lg, edge_of = line_structure sg in
-  let lids = line_ids sg edge_of ids in
-  let colors, palette, lrounds, ltopo =
-    coloring_and_topo (Semi_graph.of_graph lg) ~ids:lids
-  in
-  (edge_of, colors, palette, 1 + (2 * lrounds), ltopo)
+  let l = Span.with_span "line-csr" (fun () -> line_csr sg) in
+  let colors = line_ids sg l.edge_of ids in
+  let nodes = Array.init (Array.length l.edge_of) Fun.id in
+  let palette, lrounds = reduce_rows ~off:l.off ~adj:l.adj ~nodes ~colors in
+  (l, nodes, colors, palette, 1 + (2 * lrounds))
 
 let maximal_matching sg ~ids labeling =
   let base = Semi_graph.base sg in
-  let edge_of, colors, palette, setup_rounds, ltopo = line_coloring sg ~ids in
-  let in_mis, class_rounds = mis_of_coloring ltopo colors palette in
+  let l, nodes, colors, palette, setup_rounds = line_coloring sg ~ids in
+  let edge_of = l.edge_of in
+  let in_mis, class_rounds =
+    mis_of_coloring ~off:l.off ~adj:l.adj ~nodes colors palette
+  in
   (* matched: per node, whether one of its present rank-2 edges is matched *)
   let matched = Array.make (Graph.n_nodes base) false in
   Array.iteri
@@ -230,7 +297,7 @@ let maximal_matching sg ~ids labeling =
 
 let edge_coloring sg ~ids labeling =
   let base = Semi_graph.base sg in
-  let edge_of, colors, _palette, rounds, _ltopo = line_coloring sg ~ids in
+  let { edge_of; _ }, _nodes, colors, _palette, rounds = line_coloring sg ~ids in
   (* underlying degree of every node: its count of rank-2 edges *)
   let udeg = Array.make (Graph.n_nodes base) 0 in
   Array.iter

@@ -9,15 +9,25 @@
     one-class-per-round greedy reduction ([O(Δ² log² Δ)] rounds), with the
     edge problems simulated on the line graph at a 2× round overhead.
 
-    The simulation runs every per-class schedule bucketed: the nodes are
-    counting-sorted by color once, and each round visits only its own
-    class, reading adjacency from the CSR of the compiled topology (see
-    {!Reduce} for the reductions). The order of the nodes within one
-    round cannot change the outcome: the nodes that act in the same
-    round share a color, and a proper coloring never puts two of them
-    next to each other, so none of them reads what another writes that
-    round. Labelings and round counts are therefore those of the plain
+    The simulation is plain int-array work with no engine run. Vertex
+    and edge problems share one chain over CSR rows indexed by node id:
+    {!Linial.reduce_csr}, {!Reduce.kw_to_delta_plus_one_csr},
+    {!Reduce.to_bound_csr} and the class sweep. The rows are those of
+    the view's compiled topology for vertex problems, and the
+    {!line_csr} for edge problems. Every per-class schedule runs
+    bucketed: the nodes are counting-sorted by color once, and each
+    round visits only its own class (see {!Reduce}). The order of the
+    nodes within one round cannot change the outcome: the nodes that act
+    in the same round share a color, and a proper coloring never puts
+    two of them next to each other, so none of them reads what another
+    writes that round. No step depends on the order within a row
+    either. Labelings and round counts are therefore those of the plain
     one-class-per-round schedule.
+
+    When a {!Tl_obs.Span} is ambient, each step opens a child span:
+    [line-csr] (edge problems only), [linial], [kw], [to-bound] and
+    [class-sweep] (MIS and matching). They carry no rounds; the caller
+    charges the returned total.
 
     The paper's Theorems 12/15 are black-box in [A]; these executable
     algorithms exercise the transformation end-to-end, while the
@@ -58,10 +68,31 @@ val edge_coloring :
 
 (** {1 Line-graph simulation} *)
 
+type line_csr = {
+  edge_of : int array;  (** base edge id of each line node *)
+  off : int array;  (** row offsets, one more than the line nodes *)
+  adj : int array;  (** line neighbors of each line node, by row *)
+}
+(** The line graph of a view's underlying graph as CSR rows: one line
+    node per present rank-2 edge, numbered by ascending edge id (as
+    {!line_structure}); two line nodes are adjacent iff their edges share
+    a present endpoint. The row of line node [{a, b}] lists the other
+    line nodes at [a], then those at [b]: [deg a + deg b - 2] entries in
+    the underlying graph, never the line node itself. *)
+
+val line_csr : Semi_graph.t -> line_csr
+(** Write the line CSR straight from the base graph's incidence arrays:
+    count each row, then fill the rows through one write cursor per line
+    node. No line [Graph.t], semi-graph or topology is built.
+    [O(n + m + Σ deg²)]. The edge problems run base algorithm A on
+    it. *)
+
 val line_structure : Semi_graph.t -> Tl_graph.Graph.t * int array
 (** [(lg, edge_of)] where [lg] has one node per present rank-2 edge
     (adjacent iff the edges share a present endpoint) and [edge_of]
     maps [lg]-nodes back to base edge ids. Line nodes follow ascending
     edge id; line edges are numbered in reverse of their discovery order
     (present nodes ascending, pairs of incident edges in incident
-    order). *)
+    order). No pipeline calls it: it is the reference that the
+    benchmark's replay and the tests check {!line_csr} and the edge
+    problems against. *)

@@ -9,12 +9,15 @@ let smallest_prime_geq x =
   let rec go p = if is_prime p then p else go (p + 1) in
   go (max 2 x)
 
-(* Pick the cheapest usable parameters for one reduction step: the degree
-   bound d >= 2 and the smallest prime q > Δ(d-1) such that q^d can encode
-   the current palette. Larger d means lower-degree... no: polynomials have
-   degree < d and d digits; growing d lets a smaller q encode the palette,
-   at the price of more agreement points — the scan below finds the
-   smallest resulting palette q². *)
+(* Pick the cheapest usable parameters for one reduction step: a digit
+   count d >= 2 and the smallest prime q > Δ(d-1). A color becomes the
+   polynomial over F_q whose d coefficients are its base-q digits, so q^d
+   must cover the palette; two distinct such polynomials (degree < d)
+   agree in at most d-1 points, so Δ neighbors rule out at most
+   Δ(d-1) < q evaluation points. Growing d lets a smaller q cover the
+   palette but raises the floor Δ(d-1) under q; the scan keeps the d with
+   the smallest q, and so the smallest new palette q² (the smallest such
+   d on ties). *)
 let choose_parameters ~max_degree ~palette =
   let power_geq q d target =
     (* q^d >= target, overflow-safe for the sizes at hand *)
@@ -86,7 +89,7 @@ let step ~neighbors ~nodes ~colors ~palette ~max_degree =
 
 (* The (q, d) parameters of every reduction round are a function of the
    (globally known) initial palette alone, so the whole reduction is a
-   fixed a-priori schedule — exactly what the engine's [run_rounds] wants. *)
+   fixed a-priori schedule that every node computes locally. *)
 let schedule ~palette ~max_degree =
   let rec go pal acc =
     let q, d = choose_parameters ~max_degree ~palette:pal in
@@ -94,46 +97,113 @@ let schedule ~palette ~max_degree =
   in
   Array.of_list (go palette [])
 
-let reduce_topo ~topo ~nodes ~colors ~palette ~max_degree =
+(* One call evaluates x-major. Per round, each node's base-q digits are
+   written once into [digit], indexed by position in [nodes] (not by node
+   id, which would cost an n_base × d slab for a small view of a big
+   graph). Then for x = 0, 1, ... the nodes' p(x) go into [value],
+   indexed by node id, and each pending node whose row holds no equal
+   value settles on color x·q + p(x). Nodes settle at the smallest good
+   x, as in {!step}; the digits are read from the colors before any node
+   of the round settles, so the round stays synchronous.
+
+   x = 0 reads every row, and p(0) is the lowest digit. Few nodes stay
+   pending after it, so from x = 1 on a level evaluates only the values
+   the pending nodes read: it marks them [unset] in [value] and then
+   evaluates the marked ones in position order. *)
+let unset = -1
+
+let reduce_csr ~off ~adj ~nodes ~colors ~palette ~max_degree =
   let sched = schedule ~palette ~max_degree in
   let n_rounds = Array.length sched in
   if n_rounds = 0 then (palette, 0)
   else begin
-    let step ~round ~node:_ c ~neighbors =
-      let q, d = sched.(round - 1) in
-      let own = digits c q d in
-      let neigh = List.map (fun (_, _, cu) -> digits cu q d) neighbors in
-      let rec find_x x =
-        if x >= q then
-          invalid_arg "Linial.step: no evaluation point (coloring not proper?)"
-        else
-          let mine = eval_poly own q x in
-          if List.exists (fun cf -> eval_poly cf q x = mine) neigh then
-            find_x (x + 1)
-          else (x, mine)
-      in
-      let x, value = find_x 0 in
-      (x * q) + value
-    in
-    (* Round-number-driven schedule: must re-step every node each round.
-       Bypasses Runtime (the topology is caller-compiled), so bridge the
-       trace into the ambient span here. *)
-    let trace =
-      if Tl_obs.Span.active () then
-        Some (Tl_engine.Trace.create ~label:"linial.color" ())
-      else None
-    in
-    let o =
-      Tl_engine.Engine.run_rounds ?trace ~sched:Tl_engine.Engine.Full_scan
-        ~topo
-        ~init:(fun v -> colors.(v))
-        ~step ~rounds:n_rounds ()
-    in
-    Option.iter Tl_obs.Span.add_trace trace;
-    List.iter (fun v -> colors.(v) <- o.Tl_engine.Engine.states.(v)) nodes;
+    let k = Array.length nodes in
+    let d_max = Array.fold_left (fun acc (_, d) -> max acc d) 0 sched in
+    let digit = Array.make (k * d_max) 0 in
+    let value = Array.make (Array.length colors) unset in
+    let pending = Array.make k 0 in
+    let power = Array.make d_max 0 in
+    Array.iter
+      (fun (q, d) ->
+        for i = 0 to k - 1 do
+          let c = ref colors.(nodes.(i)) in
+          for j = i * d to (i * d) + d - 1 do
+            let rest = !c / q in
+            digit.(j) <- !c - (rest * q);
+            c := rest
+          done;
+          pending.(i) <- i
+        done;
+        (* below 2^28, the d <= 64 products of two residues sum below
+           max_int, so one [mod] per evaluation suffices *)
+        let one_mod = q < 1 lsl 28 in
+        let eval i =
+          let acc = ref 0 in
+          if one_mod then begin
+            for j = 0 to d - 1 do
+              acc := !acc + (digit.((i * d) + j) * power.(j))
+            done;
+            !acc mod q
+          end
+          else begin
+            for j = 0 to d - 1 do
+              acc := (!acc + (digit.((i * d) + j) * power.(j))) mod q
+            done;
+            !acc
+          end
+        in
+        let n_pending = ref k and x = ref 0 in
+        while !n_pending > 0 do
+          if !x >= q then
+            (* cannot happen: at most Δ(d-1) < q bad points *)
+            invalid_arg "Linial.step: no evaluation point (coloring not proper?)";
+          if !x = 0 then
+            for i = 0 to k - 1 do
+              value.(nodes.(i)) <- digit.(i * d)
+            done
+          else begin
+            let pw = ref 1 in
+            for j = 0 to d - 1 do
+              power.(j) <- !pw;
+              pw := !pw * !x mod q
+            done;
+            for p = 0 to !n_pending - 1 do
+              let v = nodes.(pending.(p)) in
+              value.(v) <- unset;
+              for j = off.(v) to off.(v + 1) - 1 do
+                value.(adj.(j)) <- unset
+              done
+            done;
+            for i = 0 to k - 1 do
+              if value.(nodes.(i)) = unset then value.(nodes.(i)) <- eval i
+            done
+          end;
+          let kept = ref 0 in
+          for p = 0 to !n_pending - 1 do
+            let i = pending.(p) in
+            let v = nodes.(i) in
+            let mine = value.(v) in
+            let j = ref off.(v) and stop = off.(v + 1) in
+            while !j < stop && value.(adj.(!j)) <> mine do
+              incr j
+            done;
+            if !j = stop then colors.(v) <- (!x * q) + mine
+            else begin
+              pending.(!kept) <- i;
+              incr kept
+            end
+          done;
+          n_pending := !kept;
+          incr x
+        done)
+      sched;
     let q_last, _ = sched.(n_rounds - 1) in
     (q_last * q_last, n_rounds)
   end
+
+let reduce_topo ~topo ~nodes ~colors ~palette ~max_degree =
+  reduce_csr ~off:topo.Tl_engine.Topology.off ~adj:topo.adj
+    ~nodes:(Array.of_list nodes) ~colors ~palette ~max_degree
 
 let reduce ~neighbors ~nodes ~colors ~palette ~max_degree =
   let rounds = ref 0 in

@@ -42,6 +42,26 @@ val schedule : palette:int -> max_degree:int -> (int * int) array
     every node can compute locally. Empty when the first step would not
     shrink the palette. *)
 
+val reduce_csr :
+  off:int array ->
+  adj:int array ->
+  nodes:int array ->
+  colors:int array ->
+  palette:int ->
+  max_degree:int ->
+  int * int
+(** {!reduce} over CSR rows indexed by node id: node [v]'s neighbors are
+    [adj.(off.(v)) .. adj.(off.(v + 1) - 1)], as in
+    {!Reduce.kw_to_delta_plus_one_csr}. A direct loop that runs the
+    {!schedule} evaluated x-major: per round, each node's digits are
+    written once, then every node's polynomial is evaluated at
+    [x = 0, 1, ...] in turn, and a node settles at the first [x] no
+    neighbor shares. Bit-identical colors and round counts to {!reduce};
+    every neighbor in a row of a node of [nodes] must be in [nodes]. It
+    allocates one word per node id of [colors], [O(d)] words per node of
+    [nodes] and a few words per round. Raises [Invalid_argument] with
+    {!step}'s message if the coloring is not proper. *)
+
 val reduce_topo :
   topo:Tl_engine.Topology.t ->
   nodes:int list ->
@@ -49,8 +69,6 @@ val reduce_topo :
   palette:int ->
   max_degree:int ->
   int * int
-(** {!reduce} executed on the engine over a compiled topology snapshot
-    ({!Tl_engine.Engine.run_rounds}, full-scan scheduling since the
-    schedule is round-number-driven). Bit-identical results and round
-    counts to {!reduce} on the same communication graph; [nodes] must be
-    the present nodes of [topo]. *)
+(** {!reduce_csr} over a compiled topology's rows; [nodes] must be the
+    present nodes of [topo]. No engine run: the schedule is a direct
+    loop. *)

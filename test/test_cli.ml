@@ -92,6 +92,10 @@ let test_trace_unwritable_warns_not_fails () =
   check_int "still exit 0" 0 code;
   check "warns on stderr" true (contains ~needle:"cannot write" stderr)
 
+(* A command that runs the simulator: [solve] makes no engine run, while
+   [chaos] goes through the same engine, profile and knob setup. *)
+let chaos_args = "chaos --problem flood --family random-tree --n 60 --seed 7"
+
 (* --profile and --trace together flush through one unified at_exit: both
    files must come out complete, with the profile lines printed before
    the trace lines (the order the two separate at_exit callbacks used to
@@ -102,7 +106,7 @@ let test_profile_and_trace_flush_together () =
   let code, stdout, _ =
     run_cmd
       (Printf.sprintf "%s %s --engine seq --profile %s --trace %s" cli
-         solve_args prof trace)
+         chaos_args prof trace)
   in
   check_int "exit 0" 0 code;
   let prof_j = Json.parse_file prof in
@@ -126,6 +130,20 @@ let test_profile_and_trace_flush_together () =
   check "profile line printed" true (p >= 0);
   check "trace line printed" true (t >= 0);
   check "profile flushes before trace" true (p < t)
+
+(* Base algorithm A is a direct loop, so a solve delivers no engine
+   trace: the --trace file is an empty array. *)
+let test_solve_traces_no_engine_run () =
+  let trace = Filename.temp_file "tl_trace" ".json" in
+  let code, stdout, _ =
+    run_cmd (Printf.sprintf "%s %s --trace %s" cli solve_args trace)
+  in
+  check_int "exit 0" 0 code;
+  let trace_j = Json.parse_file trace in
+  Sys.remove trace;
+  check "empty trace array" true (trace_j = Json.Arr []);
+  check "no engine run reported" true
+    (contains ~needle:"trace:       0 engine run(s)" stdout)
 
 (* One flusher failing must not truncate the other: with an unwritable
    trace path and a writable profile path, the trace warning appears on
@@ -186,17 +204,17 @@ let test_knob_validation_usage_errors () =
 
 (* A bare --engine proc resolves against --shards exactly as the daemon's
    admission check does, and the command runs that mode: every engine
-   run of the solve is traced as proc:2, and chaos reports proc:2. *)
+   run of a chaos flood is traced as proc:2, and chaos reports proc:2. *)
 let test_bare_proc_takes_shards () =
   let trace = Filename.temp_file "tl_trace" ".json" in
   let code, _, _ =
     run_cmd
       (Printf.sprintf
-         "%s solve --problem mis --family random-tree --n 200 --engine proc \
+         "%s chaos --problem flood --family random-tree --n 200 --engine proc \
           --shards 2 --trace %s"
          cli trace)
   in
-  check_int "solve exit 0" 0 code;
+  check_int "traced chaos exit 0" 0 code;
   let modes =
     match Json.parse_file trace with
     | Json.Arr ts ->
@@ -322,6 +340,8 @@ let () =
             test_trace_unwritable_warns_not_fails;
           Alcotest.test_case "bare --engine proc takes --shards" `Quick
             test_bare_proc_takes_shards;
+          Alcotest.test_case "solve traces no engine run" `Quick
+            test_solve_traces_no_engine_run;
           Alcotest.test_case "--profile + --trace flush together" `Quick
             test_profile_and_trace_flush_together;
           Alcotest.test_case "failed trace flush spares profile" `Quick

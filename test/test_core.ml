@@ -347,6 +347,43 @@ let test_direct_baselines () =
   check "edge coloring" true
     (Pipeline.edge_coloring_direct ~graph ~ids).Pipeline.valid
 
+(* No pipeline phase runs on the simulator: base algorithm A, the
+   decompositions and the solvers are direct loops, so with a trace sink
+   installed every Pipeline entry point delivers no engine trace. *)
+let test_pipelines_make_no_engine_run () =
+  let tree = Gen.random_tree ~n:300 ~seed:74 in
+  let graph = Gen.power_law_union ~n:300 ~arboricity:2 ~seed:75 in
+  let ids = Ids.permuted ~n:300 ~seed:76 in
+  let runs = ref 0 in
+  let saved = !Tl_engine.Engine.trace_sink in
+  Tl_engine.Engine.trace_sink := Some (fun _ -> incr runs);
+  Fun.protect
+    ~finally:(fun () -> Tl_engine.Engine.trace_sink := saved)
+    (fun () ->
+      let traces name solve =
+        runs := 0;
+        check (name ^ " valid") true (solve ());
+        Alcotest.(check int) (name ^ ": engine traces") 0 !runs
+      in
+      traces "mis_on_tree" (fun () -> (Pipeline.mis_on_tree ~tree ~ids ()).valid);
+      traces "coloring_on_tree" (fun () ->
+          (Pipeline.coloring_on_tree ~tree ~ids ()).valid);
+      traces "delta_coloring_on_tree" (fun () ->
+          (Pipeline.delta_coloring_on_tree ~tree ~ids ()).valid);
+      traces "sinkless_orientation_on_tree" (fun () ->
+          (Pipeline.sinkless_orientation_on_tree ~tree ~ids ()).valid);
+      traces "matching_on_graph" (fun () ->
+          (Pipeline.matching_on_graph ~graph ~a:2 ~ids ()).valid);
+      traces "edge_coloring_on_graph" (fun () ->
+          (Pipeline.edge_coloring_on_graph ~graph ~a:2 ~ids ()).valid);
+      traces "two_delta_edge_coloring_on_graph" (fun () ->
+          (Pipeline.two_delta_edge_coloring_on_graph ~graph ~a:2 ~ids ()).valid);
+      traces "mis_direct" (fun () -> (Pipeline.mis_direct ~graph ~ids).valid);
+      traces "coloring_direct" (fun () -> (Pipeline.coloring_direct ~graph ~ids).valid);
+      traces "matching_direct" (fun () -> (Pipeline.matching_direct ~graph ~ids).valid);
+      traces "edge_coloring_direct" (fun () ->
+          (Pipeline.edge_coloring_direct ~graph ~ids).valid))
+
 (* ---------- qcheck properties ---------- *)
 
 let prop_theorem1_random_trees =
@@ -673,6 +710,8 @@ let () =
         [
           Alcotest.test_case "transform beats direct" `Quick test_transform_beats_direct_on_high_degree_tree;
           Alcotest.test_case "direct baselines valid" `Quick test_direct_baselines;
+          Alcotest.test_case "pipelines make no engine run" `Quick
+            test_pipelines_make_no_engine_run;
         ] );
       ( "invariants",
         [

@@ -170,6 +170,71 @@ let test_primes () =
   check_int "geq 13" 13 (Linial.smallest_prime_geq 13);
   check_int "geq 90" 97 (Linial.smallest_prime_geq 90)
 
+(* Words allocated by [f ()]: minor plus major minus promoted, so a
+   large array (allocated straight in the major heap) counts once. Read
+   from [Gc.counters], which includes the current domain's allocations
+   since the last GC slice; [Gc.quick_stat]'s totals can lag behind
+   them. *)
+let allocated_words f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  (r, words () -. w0)
+
+(* Linial on a 16-node view of a 50,000-node tree allocates one word per
+   base node (the p(x) slab indexed by node id) plus O(d) per present
+   node: the budget is 2·n_base + 32·|nodes|. A digit slab indexed by
+   node id instead of position costs n_base · d words (d = 5 here), over
+   twice the budget. *)
+let test_linial_allocation_budget () =
+  let n = 50_000 in
+  let g = Gen.random_tree ~n ~seed:19 in
+  (* the first 16 nodes reached from node 0: a connected view *)
+  let mask = Array.make n false in
+  let queue = Queue.create () in
+  let kept = ref 0 in
+  Queue.push 0 queue;
+  mask.(0) <- true;
+  incr kept;
+  while !kept < 16 && not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    Array.iter
+      (fun u ->
+        if !kept < 16 && not mask.(u) then begin
+          mask.(u) <- true;
+          incr kept;
+          Queue.push u queue
+        end)
+      (Graph.neighbors g v)
+  done;
+  let sg = Semi_graph.of_node_subset g mask in
+  let topo = Tl_engine.Topology.compile sg in
+  let nodes = Semi_graph.nodes sg in
+  let max_degree = Tl_engine.Topology.max_degree topo in
+  let ids = Ids.permuted ~n ~seed:20 in
+  let colors = Array.make n (-1) in
+  List.iter (fun v -> colors.(v) <- ids.(v) - 1) nodes;
+  let reference = Array.copy colors in
+  let expected =
+    Linial.reduce
+      ~neighbors:(Tl_engine.Topology.neighbor_nodes topo)
+      ~nodes ~colors:reference ~palette:n ~max_degree
+  in
+  let got, words =
+    allocated_words (fun () ->
+        Linial.reduce_topo ~topo ~nodes ~colors ~palette:n ~max_degree)
+  in
+  check_int "16 nodes" 16 (List.length nodes);
+  check "some Linial round" true (snd got > 0);
+  check "same result as Linial.reduce" true (got = expected && colors = reference);
+  let budget = float_of_int ((2 * n) + (32 * List.length nodes)) in
+  check
+    (Printf.sprintf "words %.0f within %.0f" words budget)
+    true (words <= budget)
+
 (* ---------- Reduce ---------- *)
 
 let test_kw_reduction () =
@@ -453,6 +518,150 @@ module Oracle = struct
     (edge_of, in_mis, 1 + (2 * lrounds) + (2 * palette) + 1)
 end
 
+(* ---------- the line CSR against the line Graph.t ---------- *)
+
+(* [Algos.line_csr] numbers the line nodes as [Algos.line_structure] and
+   gives each one the row of the compiled line view as a multiset, so a
+   row that keeps its own line node, or one neighbor twice, fails. *)
+let line_csr_ok sg =
+  let lg, edge_of = Algos.line_structure sg in
+  let topo = Tl_engine.Topology.compile (Semi_graph.of_graph lg) in
+  let l = Algos.line_csr sg in
+  let row off adj v =
+    List.sort compare (List.init (off.(v + 1) - off.(v)) (fun i -> adj.(off.(v) + i)))
+  in
+  let count = Graph.n_nodes lg in
+  l.Algos.edge_of = edge_of
+  && Array.length l.Algos.off = count + 1
+  && List.for_all
+       (fun v ->
+         row l.Algos.off l.Algos.adj v
+         = row topo.Tl_engine.Topology.off topo.Tl_engine.Topology.adj v)
+       (List.init count Fun.id)
+
+(* Base views for the line CSR: whole graphs, node subsets (rank-1
+   edges), edge subsets and hidden edges, and views with no rank-2 edge
+   at all. *)
+let line_view ~kind ~n ~seed =
+  let forest () = Gen.forest_union ~n ~arboricity:2 ~seed in
+  let power () = Gen.power_law_union ~n ~arboricity:2 ~seed in
+  match kind mod 7 with
+  | 0 -> Semi_graph.of_graph (Gen.random_tree ~n ~seed)
+  | 1 -> Semi_graph.of_graph (forest ())
+  | 2 -> Semi_graph.of_graph (power ())
+  | 3 ->
+    let g = power () in
+    Semi_graph.of_node_subset g (Array.init (Graph.n_nodes g) (fun v -> (v + seed) mod 3 <> 0))
+  | 4 ->
+    let g = forest () in
+    Semi_graph.of_edge_subset g (Array.init (Graph.n_edges g) (fun e -> (e + seed) mod 4 <> 0))
+  | 5 ->
+    let sg = Semi_graph.of_graph (power ()) in
+    for e = 0 to Graph.n_edges (Semi_graph.base sg) - 1 do
+      if (e + seed) mod 3 = 1 then Semi_graph.hide_edge sg e
+    done;
+    sg
+  | _ ->
+    (* every other node of a path: only rank-1 edges *)
+    Semi_graph.of_node_subset (Gen.path n) (Array.init n (fun v -> v mod 2 = 0))
+
+let prop_line_csr_matches_line_graph =
+  QCheck.Test.make ~name:"line CSR = compiled line_structure view" ~count:70
+    QCheck.(triple (int_range 1 200) (int_range 0 6) (int_range 0 100000))
+    (fun (n, kind, seed) -> line_csr_ok (line_view ~kind ~n:(max 2 n) ~seed))
+
+let test_line_csr_edge_cases () =
+  List.iter
+    (fun (name, sg) -> check name true (line_csr_ok sg))
+    [
+      ("single node", Semi_graph.of_graph (Gen.path 1));
+      ("no edges", Semi_graph.of_graph (Graph.empty 5));
+      ("one edge", Semi_graph.of_graph (Gen.path 2));
+      ( "rank-1 only",
+        Semi_graph.of_node_subset (Gen.path 9) (Array.init 9 (fun v -> v mod 2 = 0)) );
+      ( "all edges hidden",
+        Semi_graph.of_edge_subset (Gen.star 6) (Array.make 5 false) );
+      ("star", Semi_graph.of_graph (Gen.star 12));
+      ("complete", Semi_graph.of_graph (Gen.complete 7));
+    ]
+
+(* The edge problems over the reference line Graph.t: the line graph of
+   [Algos.line_structure], [Algos.proper_coloring] on its compiled view,
+   the list oracle's class sweep, then Algos' labeling rules. *)
+module Line_oracle = struct
+  let coloring sg ~ids =
+    let lg, edge_of = Algos.line_structure sg in
+    let lsg = Semi_graph.of_graph lg in
+    let colors, palette, lrounds =
+      Algos.proper_coloring lsg ~ids:(Oracle.line_ids sg edge_of ids)
+    in
+    (lsg, edge_of, colors, palette, 1 + (2 * lrounds))
+
+  let dangling sg f =
+    let base = Semi_graph.base sg in
+    List.iter
+      (fun e ->
+        if Semi_graph.rank sg e = 1 then begin
+          let u, v = Graph.edge_endpoints base e in
+          let w = if Semi_graph.node_present sg u then u else v in
+          f (Graph.half_edge base ~edge:e ~node:w)
+        end)
+      (Semi_graph.edges sg)
+
+  let maximal_matching sg ~ids =
+    let base = Semi_graph.base sg in
+    let lsg, edge_of, colors, palette, setup = coloring sg ~ids in
+    let in_mis = Oracle.mis_of_coloring lsg colors palette in
+    let matched = Array.make (Graph.n_nodes base) false in
+    Array.iteri
+      (fun i e ->
+        if in_mis.(i) then begin
+          let u, v = Graph.edge_endpoints base e in
+          matched.(u) <- true;
+          matched.(v) <- true
+        end)
+      edge_of;
+    let l = Labeling.create base in
+    Array.iteri
+      (fun i e ->
+        let u, v = Graph.edge_endpoints base e in
+        let label w =
+          if in_mis.(i) then Tl_problems.Matching.M
+          else if matched.(w) then Tl_problems.Matching.P
+          else Tl_problems.Matching.O
+        in
+        Labeling.set l (Graph.half_edge base ~edge:e ~node:u) (label u);
+        Labeling.set l (Graph.half_edge base ~edge:e ~node:v) (label v))
+      edge_of;
+    dangling sg (fun h -> Labeling.set l h Tl_problems.Matching.D);
+    (l, setup + (2 * palette) + 1)
+
+  let edge_coloring sg ~ids =
+    let base = Semi_graph.base sg in
+    let _, edge_of, colors, _, rounds = coloring sg ~ids in
+    let udeg = Array.make (Graph.n_nodes base) 0 in
+    Array.iter
+      (fun e ->
+        let u, v = Graph.edge_endpoints base e in
+        udeg.(u) <- udeg.(u) + 1;
+        udeg.(v) <- udeg.(v) + 1)
+      edge_of;
+    let l = Labeling.create base in
+    Array.iteri
+      (fun i e ->
+        let u, v = Graph.edge_endpoints base e in
+        let b = colors.(i) + 1 in
+        let a1 = min udeg.(u) b in
+        let a2 = max 1 (b + 1 - a1) in
+        Labeling.set l (Graph.half_edge base ~edge:e ~node:u)
+          (Tl_problems.Edge_coloring.Pair (a1, b));
+        Labeling.set l (Graph.half_edge base ~edge:e ~node:v)
+          (Tl_problems.Edge_coloring.Pair (a2, b)))
+      edge_of;
+    dangling sg (fun h -> Labeling.set l h Tl_problems.Edge_coloring.D);
+    (l, rounds + 1)
+end
+
 let labels l g = List.init (Graph.n_half_edges g) (Labeling.get l)
 
 (* One differential run on a semi-graph: KW from distinct-id colors and
@@ -526,6 +735,26 @@ let prop_differential_node_subsets =
       let mask = Array.init n (fun v -> (v + seed) mod keep <> 0) in
       differential_ok (Semi_graph.of_node_subset g mask) ~seed:(seed + 3))
 
+(* [Algos.maximal_matching] and [Algos.edge_coloring] over the line CSR
+   give the labeling and the rounds of {!Line_oracle}. *)
+let line_oracle_ok sg ~seed =
+  let g = Semi_graph.base sg in
+  let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed in
+  let lm = Labeling.create g in
+  let mrounds = Algos.maximal_matching sg ~ids lm in
+  let lm', mrounds' = Line_oracle.maximal_matching sg ~ids in
+  let le = Labeling.create g in
+  let erounds = Algos.edge_coloring sg ~ids le in
+  let le', erounds' = Line_oracle.edge_coloring sg ~ids in
+  mrounds = mrounds' && labels lm g = labels lm' g
+  && erounds = erounds' && labels le g = labels le' g
+
+let prop_edge_problems_match_line_oracle =
+  QCheck.Test.make ~name:"edge problems = line_structure oracle" ~count:40
+    QCheck.(triple (int_range 1 200) (int_range 0 6) (int_range 0 100000))
+    (fun (n, kind, seed) ->
+      line_oracle_ok (line_view ~kind ~n:(max 2 n) ~seed) ~seed:(seed + 4))
+
 let test_differential_edge_cases () =
   List.iter
     (fun (name, sg) -> check name true (differential_ok sg ~seed:5))
@@ -577,6 +806,8 @@ let qcheck_tests =
       prop_differential_random_trees;
       prop_differential_power_law;
       prop_differential_node_subsets;
+      prop_line_csr_matches_line_graph;
+      prop_edge_problems_match_line_oracle;
     ]
 
 let () =
@@ -597,6 +828,7 @@ let () =
           Alcotest.test_case "single step" `Quick test_linial_step_properness;
           Alcotest.test_case "full reduction" `Quick test_linial_reduce;
           Alcotest.test_case "primes" `Quick test_primes;
+          Alcotest.test_case "allocation budget" `Quick test_linial_allocation_budget;
         ] );
       ( "reduce",
         [
@@ -609,6 +841,7 @@ let () =
           Alcotest.test_case "all problems, all families" `Quick test_algos_on_families;
           Alcotest.test_case "semi-graphs with rank-1 edges" `Quick test_algos_on_semi_graph_with_rank1;
           Alcotest.test_case "line structure" `Quick test_line_structure;
+          Alcotest.test_case "line CSR edge cases" `Quick test_line_csr_edge_cases;
           Alcotest.test_case "truly local rounds" `Quick test_rounds_depend_on_degree_not_n;
           Alcotest.test_case "list-oracle edge cases" `Quick test_differential_edge_cases;
         ] );
