@@ -104,8 +104,16 @@ let half_edge_node g h =
 let half_edge_edge h = h / 2
 let opposite_half_edge h = h lxor 1
 
+(* Written back to front from [inc]/[adj]: side 0 of an edge is its
+   smaller endpoint, so [v]'s side is 0 exactly when [v] is below its
+   neighbor. *)
 let half_edges_of g v =
-  Array.to_list (Array.map (fun e -> half_edge g ~edge:e ~node:v) g.inc.(v))
+  let inc = g.inc.(v) and adj = g.adj.(v) in
+  let hs = ref [] in
+  for i = Array.length inc - 1 downto 0 do
+    hs := ((2 * inc.(i)) + if v < adj.(i) then 0 else 1) :: !hs
+  done;
+  !hs
 
 let fold_edges f g acc =
   let acc = ref acc in

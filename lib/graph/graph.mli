@@ -75,7 +75,8 @@ val opposite_half_edge : int -> int
 (** The half-edge on the other side of the same edge ([h lxor 1]). *)
 
 val half_edges_of : t -> int -> int list
-(** All half-edge ids at a node (one per incident edge). *)
+(** All half-edge ids at a node (one per incident edge), in {!incident}
+    order. *)
 
 (** {1 Iteration} *)
 

@@ -4,15 +4,14 @@ type label = int
 
 let pp_label = Format.pp_print_int
 
-let all_same_positive labels =
-  match labels with
-  | [] -> Some 1
-  | c :: rest -> if c >= 1 && List.for_all (( = ) c) rest then Some c else None
+let rec all_equal c = function [] -> true | c' :: rest -> c = c' && all_equal c rest
 
+(* One positive color on every half-edge, within the palette for the
+   node's degree; an isolated node takes color 1. *)
 let node_ok_bounded bound labels =
-  match all_same_positive labels with
-  | None -> List.length labels = 0
-  | Some c -> c <= bound (List.length labels)
+  match labels with
+  | [] -> 1 <= bound 0
+  | c :: rest -> c >= 1 && all_equal c rest && c <= bound (List.length labels)
 
 let edge_ok = function
   | [] | [ _ ] -> true

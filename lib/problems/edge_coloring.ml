@@ -6,18 +6,20 @@ let pp_label ppf = function
   | Pair (a, b) -> Format.fprintf ppf "(%d,%d)" a b
   | D -> Format.pp_print_string ppf "D"
 
+let rec color_unused b = function
+  | [] -> true
+  | Pair (_, b') :: rest -> b <> b' && color_unused b rest
+  | D :: rest -> color_unused b rest
+
+(* Every pair's degree part lies in [1, p], with [p] the number of pairs
+   at the node, and no two pairs share a color. *)
+let rec pairs_ok p = function
+  | [] -> true
+  | Pair (a, b) :: rest -> a >= 1 && a <= p && color_unused b rest && pairs_ok p rest
+  | D :: rest -> pairs_ok p rest
+
 let node_ok labels =
-  let pairs =
-    List.filter_map (function Pair (a, b) -> Some (a, b) | D -> None) labels
-  in
-  let p = List.length pairs in
-  let degree_parts_ok = List.for_all (fun (a, _) -> a >= 1 && a <= p) pairs in
-  let colors = List.map snd pairs in
-  let rec distinct = function
-    | [] -> true
-    | b :: rest -> (not (List.mem b rest)) && distinct rest
-  in
-  degree_parts_ok && distinct colors
+  pairs_ok (Nec.count (function Pair _ -> true | D -> false) labels) labels
 
 let edge_ok_base = function
   | [] -> true

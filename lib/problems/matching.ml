@@ -7,9 +7,9 @@ let pp_label ppf l =
     (match l with M -> "M" | P -> "P" | O -> "O" | D -> "D")
 
 let node_ok labels =
-  match Nec.count (( = ) M) labels with
+  match Nec.count (function M -> true | P | O | D -> false) labels with
   | 1 -> true (* exactly one M; the rest are necessarily in {P, O, D} *)
-  | 0 -> List.for_all (fun l -> l = O || l = D) labels
+  | 0 -> List.for_all (function O | D -> true | M | P -> false) labels
   | _ -> false
 
 let edge_ok = function
@@ -59,10 +59,21 @@ let encode g in_matching =
     g;
   labeling
 
-let has_m labeling v =
-  List.exists (( = ) M) (Labeling.labels_at_node labeling v)
-
+(* Whether a node has an M half-edge is read from the labeling once per
+   call and kept in [matched]: during the call only the call itself
+   writes at the nodes it touches (the stars of one class are
+   node-disjoint), and it writes M exactly where it records [true]. A hub
+   of degree d is then read once instead of once per star edge. *)
 let solve_node_list g labeling ~edges =
+  let matched = Hashtbl.create 16 in
+  let has_m v =
+    match Hashtbl.find_opt matched v with
+    | Some b -> b
+    | None ->
+      let b = List.exists (( = ) M) (Labeling.labels_at_node labeling v) in
+      Hashtbl.replace matched v b;
+      b
+  in
   List.iter
     (fun e ->
       let u, v = Graph.edge_endpoints g e in
@@ -70,10 +81,12 @@ let solve_node_list g labeling ~edges =
       let hv = Graph.half_edge g ~edge:e ~node:v in
       if Labeling.is_labeled labeling hu || Labeling.is_labeled labeling hv then
         invalid_arg "Matching.solve_node_list: edge already labeled";
-      match (has_m labeling u, has_m labeling v) with
+      match (has_m u, has_m v) with
       | false, false ->
         Labeling.set labeling hu M;
-        Labeling.set labeling hv M
+        Labeling.set labeling hv M;
+        Hashtbl.replace matched u true;
+        Hashtbl.replace matched v true
       | false, true ->
         Labeling.set labeling hu O;
         Labeling.set labeling hv P

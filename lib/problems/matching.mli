@@ -24,7 +24,10 @@ val solve_node_list :
     process of Lemma 17. Processes [edges] (which must be rank-2 and have
     both half-edges unlabeled) in the given order; for edge [{v1, v2}]
     writes [M,M] if neither endpoint currently carries an [M], [P] on an
-    endpoint that does and [O]/[P] accordingly otherwise. *)
+    endpoint that does and [O]/[P] accordingly otherwise. Whether a node
+    carries an [M] is read from the labeling once per call and then
+    tracked by the call, so nothing else may write at these nodes during
+    the call (concurrent calls on node-disjoint stars may run). *)
 
 val solve_sequential : Tl_graph.Graph.t -> label Labeling.t
 (** Greedy maximal matching from scratch (edges in ascending id order). *)

@@ -7,11 +7,15 @@ let pp_label ppf = function
   | P -> Format.pp_print_string ppf "P"
   | O -> Format.pp_print_string ppf "O"
 
-let node_ok labels =
-  let ms = Nec.count (( = ) M) labels in
-  let ps = Nec.count (( = ) P) labels in
-  if ms = List.length labels then true (* in MIS (vacuous for isolated nodes) *)
-  else ms = 0 && ps = 1 (* out of MIS: one pointer, rest O *)
+(* In MIS: every label M (vacuous for isolated nodes). Out of MIS: no M,
+   one pointer P, the rest O. *)
+let rec node_ok_from ms ps deg = function
+  | [] -> ms = deg || (ms = 0 && ps = 1)
+  | M :: rest -> node_ok_from (ms + 1) ps (deg + 1) rest
+  | P :: rest -> node_ok_from ms (ps + 1) (deg + 1) rest
+  | O :: rest -> node_ok_from ms ps (deg + 1) rest
+
+let node_ok labels = node_ok_from 0 0 0 labels
 
 let edge_ok = function
   | [] -> true

@@ -24,9 +24,11 @@ type 'l t = {
   pp_label : Format.formatter -> 'l -> unit;
   node_ok : 'l list -> bool;
       (** Whether a multiset is in [N_Π{^ deg}]. Receives all labels on the
-          node's present half-edges. *)
+          node's present half-edges, in the order of
+          {!Tl_graph.Graph.incident}. *)
   edge_ok : 'l list -> bool;
-      (** Whether a multiset is in [E_Π{^ rank}]. *)
+      (** Whether a multiset is in [E_Π{^ rank}]. Receives the labels of
+          the edge's present endpoints, smaller endpoint first. *)
 }
 
 (** {1 Validation} *)
@@ -42,7 +44,19 @@ val validate_semi :
     half-edge must be labeled, every present node's configuration must be
     in [N_Π] and every present edge's (rank-sized) configuration in
     [E_Π]. Labels on absent half-edges are ignored. Returns all
-    violations ([[]] means valid). *)
+    violations ([[]] means valid).
+
+    A node is checked only once all its present half-edges are labeled,
+    and an edge once all its present endpoints' half-edges are; a rank-0
+    edge is checked on [[]]. Violations come in a fixed order: missing
+    half-edges by descending id, then node violations by ascending node
+    id, then edge violations by ascending edge id. A configuration is
+    rendered in the order its predicate receives it ([node_ok]: incident
+    order; [edge_ok]: smaller endpoint first).
+
+    Cost: one pass over the base edges and one over the base nodes,
+    reading labels straight from the incidence arrays, and one list cell
+    per label handed to a predicate. *)
 
 val validate : 'l t -> Tl_graph.Graph.t -> 'l Labeling.t -> violation list
 (** {!validate_semi} on the whole graph. *)
@@ -65,3 +79,5 @@ val multiset_equal : ('l -> 'l -> bool) -> 'l list -> 'l list -> bool
 (** Equality of multisets under a label equality. *)
 
 val count : ('l -> bool) -> 'l list -> int
+(** Number of labels satisfying the predicate; allocates nothing, so
+    predicates built on it stay allocation-free. *)

@@ -7,7 +7,7 @@ let pp_label ppf l =
   Format.pp_print_string ppf (match l with In -> "In" | Out -> "Out")
 
 let node_ok labels =
-  List.length labels < 3 || List.exists (( = ) Out) labels
+  List.length labels < 3 || List.exists (function Out -> true | In -> false) labels
 
 let edge_ok = function
   | [] | [ In ] | [ Out ] -> true

@@ -656,6 +656,52 @@ let test_pooled_forest_with_invariants () =
   check "pooled stars ledger identical" true
     (Round_cost.phases seq2.Theorem2.cost = Round_cost.phases par2.Theorem2.cost)
 
+(* The star solver before it kept has-M per node for a call: it
+   rebuilt both endpoints' label lists for every edge. Kept as the
+   oracle of the cached solver. *)
+let rescanning_matching_solver g labeling ~edges =
+  let module Matching = Tl_problems.Matching in
+  let has_m v = List.exists (( = ) Matching.M) (Labeling.labels_at_node labeling v) in
+  List.iter
+    (fun e ->
+      let u, v = Graph.edge_endpoints g e in
+      let hu = Graph.half_edge g ~edge:e ~node:u in
+      let hv = Graph.half_edge g ~edge:e ~node:v in
+      let lu, lv =
+        match (has_m u, has_m v) with
+        | false, false -> (Matching.M, Matching.M)
+        | false, true -> (Matching.O, Matching.P)
+        | true, false -> (Matching.P, Matching.O)
+        | true, true -> (Matching.P, Matching.P)
+      in
+      Labeling.set labeling hu lu;
+      Labeling.set labeling hv lv)
+    edges
+
+let prop_cached_star_solver_matches_rescan =
+  QCheck.Test.make
+    ~name:"cached matching star solver = rescanning one (Theorem 15)" ~count:15
+    QCheck.(triple (int_range 10 300) (int_range 1 3) (int_range 0 100000))
+    (fun (n, a, seed) ->
+      let graph = Gen.power_law_union ~n ~arboricity:a ~seed in
+      let ids = Ids.permuted ~n ~seed:(seed + 1) in
+      let run workers solve_node_list =
+        (Theorem2.run ~workers
+           ~spec:{ matching_spec with Theorem2.solve_node_list }
+           ~graph ~a ~ids ~f:Complexity.f_linear ())
+          .Theorem2.labeling
+      in
+      let oracle = run 1 rescanning_matching_solver in
+      (* one call over every edge: has-M changes within the call *)
+      let whole = Labeling.create graph in
+      let whole_oracle = Labeling.create graph in
+      let edges = List.init (Graph.n_edges graph) Fun.id in
+      Tl_problems.Matching.solve_node_list graph whole ~edges;
+      rescanning_matching_solver graph whole_oracle ~edges;
+      labels_equal graph oracle (run 1 Tl_problems.Matching.solve_node_list)
+      && labels_equal graph oracle (run 3 Tl_problems.Matching.solve_node_list)
+      && labels_equal graph whole_oracle whole)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -669,6 +715,7 @@ let qcheck_tests =
       prop_gather_charge_is_flooding_cost;
       prop_pooled_theorem1_bit_identical;
       prop_pooled_theorem2_bit_identical;
+      prop_cached_star_solver_matches_rescan;
     ]
 
 let () =

@@ -408,6 +408,24 @@ let prop_diameter_vs_eccentricity =
       let g = Gen.random_tree ~n ~seed in
       Props.diameter g = Tree.tree_diameter g)
 
+(* [half_edges_of] writes its list straight from the incidence arrays;
+   it must equal the per-edge [half_edge] lookup, side bit included. *)
+let prop_half_edges_of_matches_lookup =
+  QCheck.Test.make ~name:"half_edges_of = half_edge over incident" ~count:80
+    QCheck.(triple (int_range 1 120) (int_range 0 3) (int_range 0 100000))
+    (fun (n, a, seed) ->
+      let g =
+        if a = 0 then Gen.random_tree ~n ~seed
+        else Gen.power_law_union ~n ~arboricity:a ~seed
+      in
+      List.for_all
+        (fun v ->
+          Graph.half_edges_of g v
+          = List.map
+              (fun e -> Graph.half_edge g ~edge:e ~node:v)
+              (Array.to_list (Graph.incident g v)))
+        (List.init n Fun.id))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -419,6 +437,7 @@ let qcheck_tests =
       prop_semi_masks_consistent;
       prop_degeneracy_bounds_nash_williams;
       prop_diameter_vs_eccentricity;
+      prop_half_edges_of_matches_lookup;
     ]
 
 let () =

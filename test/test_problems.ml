@@ -450,6 +450,228 @@ let test_specific_corruptions_caught () =
   check "palette violation caught" false
     (Nec.is_valid Edge_coloring.problem g l)
 
+(* ---------- the one-pass validator against the list-based one ----------
+
+   The list-based validator that [Nec.validate_semi] replaced, kept as
+   its oracle: per node and per edge it builds the half-edge and label
+   lists and compares their lengths with [sdeg] / [rank]. The one-pass
+   validator must return the same violations in the same order, with
+   the same rendered configurations. *)
+
+let render_config pp_label labels =
+  Format.asprintf "{%a}"
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+       pp_label)
+    labels
+
+let oracle_validate_semi (problem : _ Nec.t) sg labeling =
+  let g = Semi_graph.base sg in
+  let violations = ref [] in
+  for h = Graph.n_half_edges g - 1 downto 0 do
+    if Semi_graph.half_edge_present sg h && not (Labeling.is_labeled labeling h)
+    then violations := Nec.Missing_half_edge h :: !violations
+  done;
+  List.iter
+    (fun v ->
+      let labels =
+        List.filter_map (Labeling.get labeling) (Semi_graph.half_edges_of sg v)
+      in
+      if List.length labels = Semi_graph.sdeg sg v && not (problem.node_ok labels)
+      then
+        violations :=
+          Nec.Node_violation (v, render_config problem.pp_label labels)
+          :: !violations)
+    (Semi_graph.nodes sg);
+  List.iter
+    (fun e ->
+      let u, w = Graph.edge_endpoints g e in
+      let labels =
+        List.filter_map
+          (fun node ->
+            if Semi_graph.node_present sg node then
+              Labeling.get labeling (Graph.half_edge g ~edge:e ~node)
+            else None)
+          [ u; w ]
+      in
+      if List.length labels = Semi_graph.rank sg e && not (problem.edge_ok labels)
+      then
+        violations :=
+          Nec.Edge_violation (e, render_config problem.pp_label labels)
+          :: !violations)
+    (Semi_graph.edges sg);
+  List.rev !violations
+
+(* A view of [g]: the whole graph, a node subset (rank-1 edges) or an
+   edge subset, then [hide_node] / [hide_edge] masks on top, sometimes
+   hiding both endpoints of a present edge (rank 0). *)
+let random_view g rng =
+  let n = Graph.n_nodes g and m = Graph.n_edges g in
+  let coin p = Gen.Prng.float rng < p in
+  let sg =
+    match Gen.Prng.int rng 3 with
+    | 0 -> Semi_graph.of_graph g
+    | 1 -> Semi_graph.of_node_subset g (Array.init n (fun _ -> coin 0.6))
+    | _ -> Semi_graph.of_edge_subset g (Array.init m (fun _ -> coin 0.7))
+  in
+  for v = 0 to n - 1 do
+    if coin 0.1 then Semi_graph.hide_node sg v
+  done;
+  for e = 0 to m - 1 do
+    if coin 0.1 then Semi_graph.hide_edge sg e
+  done;
+  (if m > 0 && coin 0.5 then
+     let e = Gen.Prng.int rng m in
+     if Semi_graph.edge_present sg e then begin
+       let u, w = Graph.edge_endpoints g e in
+       Semi_graph.hide_node sg u;
+       Semi_graph.hide_node sg w
+     end);
+  sg
+
+(* Each half-edge keeps its label from a valid [solution], takes a
+   random label of [alphabet] or stays unlabeled; the mix varies per
+   case, from a valid labeling with gaps to pure noise. *)
+let random_labeling g rng ~alphabet ~solution =
+  let l = Labeling.create g in
+  let gap = if Gen.Prng.int rng 3 = 0 then 0. else Gen.Prng.float rng *. 0.2 in
+  let keep = Gen.Prng.float rng in
+  let k = List.length alphabet in
+  for h = 0 to Graph.n_half_edges g - 1 do
+    let r = Gen.Prng.float rng in
+    if r < gap then ()
+    else if r < gap +. keep then
+      Option.iter (Labeling.set l h) (Labeling.get solution h)
+    else Labeling.set l h (List.nth alphabet (Gen.Prng.int rng k))
+  done;
+  l
+
+(* Every problem here accepts the empty configuration of a rank-0 edge;
+   this variant rejects it, so a validator that skipped rank-0 edges
+   would be caught. *)
+let mis_rejecting_rank0 =
+  {
+    Mis.problem with
+    Nec.name = "mis-rejecting-rank-0";
+    edge_ok = (function [] -> false | labels -> Mis.problem.Nec.edge_ok labels);
+  }
+
+let agrees_with_oracle problem sg labeling =
+  Nec.validate_semi problem sg labeling = oracle_validate_semi problem sg labeling
+
+let prop_validator_matches_oracle =
+  QCheck.Test.make ~name:"one-pass validator = list-based oracle" ~count:300
+    QCheck.(triple (int_range 1 60) (int_range 0 3) (int_range 0 100000))
+    (fun (n, a, seed) ->
+      let g =
+        if a = 0 then Gen.random_tree ~n ~seed
+        else Gen.power_law_union ~n ~arboricity:a ~seed
+      in
+      let rng = Gen.Prng.create (seed + 31) in
+      let sg = random_view g rng in
+      let delta = Gen.Prng.int rng 4 in
+      let on problem alphabet solution =
+        agrees_with_oracle problem sg
+          (random_labeling g rng ~alphabet ~solution)
+      in
+      let colors = [ 0; 1; 2; 3; 4; 5 ] in
+      let pairs =
+        Edge_coloring.D
+        :: List.concat_map
+             (fun a -> List.map (fun b -> Edge_coloring.Pair (a, b)) [ 0; 1; 2; 3; 4 ])
+             [ 0; 1; 2; 3 ]
+      in
+      let mis = Mis.solve_sequential g in
+      let coloring = Coloring.solve_sequential g in
+      let edge_coloring = Edge_coloring.solve_sequential g in
+      on Mis.problem [ Mis.M; Mis.P; Mis.O ] mis
+      && on mis_rejecting_rank0 [ Mis.M; Mis.P; Mis.O ] mis
+      && on Matching.problem
+           [ Matching.M; Matching.P; Matching.O; Matching.D ]
+           (Matching.solve_sequential g)
+      && on Coloring.problem_deg_plus_one colors coloring
+      && on (Coloring.problem_delta_plus_one ~delta) colors coloring
+      && on Edge_coloring.problem pairs edge_coloring
+      && on (Edge_coloring.problem_two_delta ~delta:(delta + 1)) pairs edge_coloring
+      && on Orientation.problem
+           [ Orientation.In; Orientation.Out ]
+           (Orientation.solve_sequential g))
+
+(* Words allocated by [f ()], read from [Gc.counters] as in the Linial
+   allocation budget of test_symmetry: minor plus major minus promoted. *)
+let allocated_words f =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  (r, words () -. w0)
+
+(* Validating a valid MIS labeling allocates one list cell per label,
+   at a node and at an edge: about 6 words per half-edge. The list-based
+   validator with list-building predicates reads 44 here. *)
+let test_validate_allocation_budget () =
+  let g = Gen.random_tree ~n:50_000 ~seed:41 in
+  let labeling = Mis.solve_sequential g in
+  let violations, words =
+    allocated_words (fun () -> Nec.validate Mis.problem g labeling)
+  in
+  check "valid" true (violations = []);
+  let per_half_edge = words /. float_of_int (Graph.n_half_edges g) in
+  check
+    (Printf.sprintf "%.1f words per half-edge within 12" per_half_edge)
+    true (per_half_edge <= 12.)
+
+(* The predicates the validator calls once per node and per edge
+   allocate nothing: 1,000 rounds over accepted and rejected
+   configurations of every problem stay within the measurement's own
+   few words. *)
+let test_predicates_allocation_free () =
+  let rounds (p : _ Nec.t) nodes edges =
+    let accepted = ref 0 in
+    for _ = 1 to 1000 do
+      accepted := !accepted + Nec.count p.node_ok nodes + Nec.count p.edge_ok edges
+    done;
+    !accepted
+  in
+  let within name (accepted, words) =
+    check (Printf.sprintf "%s accepts some" name) true (accepted > 0);
+    check (Printf.sprintf "%s: %.0f words within 100" name words) true (words <= 100.)
+  in
+  let pair a b = Edge_coloring.Pair (a, b) in
+  let ec_nodes = [ [ pair 1 3; pair 2 1; Edge_coloring.D ]; [ pair 1 2; pair 2 2 ] ] in
+  let ec_edges = [ [ pair 2 3; pair 2 3 ]; [ pair 1 3; pair 1 3 ]; [ Edge_coloring.D ] ] in
+  let colors_nodes = [ [ 2; 2; 2 ]; [ 1; 2 ]; [] ] and colors_edges = [ [ 1; 2 ]; [ 3; 3 ] ] in
+  within "mis"
+    (allocated_words (fun () ->
+         rounds Mis.problem
+           [ [ Mis.M; Mis.M ]; [ Mis.O; Mis.P; Mis.O ]; [ Mis.P; Mis.P ]; [] ]
+           [ [ Mis.M; Mis.P ]; [ Mis.P; Mis.O ]; [ Mis.O ]; [] ]));
+  within "matching"
+    (allocated_words (fun () ->
+         rounds Matching.problem
+           [ [ Matching.M; Matching.P; Matching.D ]; [ Matching.O; Matching.D ];
+             [ Matching.P; Matching.O ] ]
+           [ [ Matching.M; Matching.M ]; [ Matching.O; Matching.O ]; [ Matching.D ] ]));
+  within "deg+1 coloring"
+    (allocated_words (fun () ->
+         rounds Coloring.problem_deg_plus_one colors_nodes colors_edges));
+  within "delta+1 coloring"
+    (allocated_words (fun () ->
+         rounds (Coloring.problem_delta_plus_one ~delta:3) colors_nodes colors_edges));
+  within "edge coloring"
+    (allocated_words (fun () -> rounds Edge_coloring.problem ec_nodes ec_edges));
+  within "2delta-1 edge coloring"
+    (allocated_words (fun () ->
+         rounds (Edge_coloring.problem_two_delta ~delta:2) ec_nodes ec_edges));
+  within "orientation"
+    (allocated_words (fun () ->
+         rounds Orientation.problem
+           [ [ Orientation.In; Orientation.Out; Orientation.In ];
+             [ Orientation.In; Orientation.In; Orientation.In ] ]
+           [ [ Orientation.In; Orientation.Out ]; [ Orientation.Out; Orientation.Out ] ]))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -463,6 +685,7 @@ let qcheck_tests =
       prop_matching_validator_sound;
       prop_coloring_validator_sound;
       prop_edge_coloring_validator_sound;
+      prop_validator_matches_oracle;
     ]
 
 let () =
@@ -476,6 +699,9 @@ let () =
           Alcotest.test_case "edge violations" `Quick test_validate_node_violation;
           Alcotest.test_case "semi-graph scope" `Quick test_validate_semi_ignores_absent;
           Alcotest.test_case "multiset equality" `Quick test_multiset_equal;
+          Alcotest.test_case "allocation budget" `Quick test_validate_allocation_budget;
+          Alcotest.test_case "allocation-free predicates" `Quick
+            test_predicates_allocation_free;
         ] );
       ( "mis",
         [
