@@ -11,7 +11,6 @@
 
 open Cmdliner
 
-module Gen = Tl_graph.Gen
 module Graph = Tl_graph.Graph
 module Props = Tl_graph.Props
 module Ids = Tl_local.Ids
@@ -25,12 +24,15 @@ module Report = Tl_obs.Report
 
 (* ---------- shared arguments ---------- *)
 
+(* The family names are the daemon's (Protocol.family_names), so an unknown
+   name is a usage error here and a bad_request there. *)
 let family_arg =
-  let doc =
-    "Instance family: random-tree, balanced-tree, path, star, caterpillar, \
-     power-law, forest-union, planar, grid."
-  in
-  Arg.(value & opt string "random-tree" & info [ "family" ] ~docv:"FAMILY" ~doc)
+  let names = Tl_serve.Protocol.family_names in
+  let doc = Printf.sprintf "Instance family: %s." (String.concat ", " names) in
+  Arg.(
+    value
+    & opt (enum (List.map (fun name -> (name, name)) names)) "random-tree"
+    & info [ "family" ] ~docv:"FAMILY" ~doc)
 
 let n_arg =
   Arg.(value & opt int 1000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
@@ -262,20 +264,7 @@ let print_trace_summary () =
       ts
 
 let build_instance family n seed a delta =
-  match family with
-  | "random-tree" -> Gen.random_tree ~n ~seed
-  | "balanced-tree" -> Gen.balanced_regular_tree ~delta ~n
-  | "path" -> Gen.path n
-  | "star" -> Gen.star n
-  | "caterpillar" -> Gen.caterpillar ~spine:(max 1 (n / 4)) ~legs:3
-  | "power-law" -> Gen.power_law_tree ~n ~seed
-  | "forest-union" -> Gen.forest_union ~n ~arboricity:a ~seed
-  | "planar" ->
-    Gen.triangulated_grid (max 2 (int_of_float (Float.sqrt (float_of_int n))))
-  | "grid" ->
-    let side = max 1 (int_of_float (Float.sqrt (float_of_int n))) in
-    Gen.grid side side
-  | other -> failwith (Printf.sprintf "unknown family %s" other)
+  Tl_serve.Protocol.build_graph (Tl_serve.Protocol.Family { family; n; seed; a; delta })
 
 (* ---------- generate ---------- *)
 

@@ -56,16 +56,23 @@ val run :
     far is valid — is asserted after the base phase and after every
     component completion ({!Tl_problems.Nec.validate_partial}).
 
-    [workers] (default {!Tl_engine.Pool.default_workers}, i.e. the CLI's
-    [--pool N]) fans the phase-3 gather-solve over that many OCaml 5
-    domains via {!Tl_engine.Pool}: each worker owns its own BFS scratch
-    and writes only the half-edges of its own (node-disjoint) components,
-    and the eccentricity maximum is committed in component order — the
-    labeling and the ledger are bit-identical to the sequential run for
-    any worker count. Under pooling with [~check_invariants:true], the
-    component ownership is asserted disjoint before fan-out and the
-    proof invariant is checked once after the phase instead of after
-    every component.
+    [T_C] is a fresh view per run, so the topology snapshot base
+    algorithm A caches for it is dropped after phase 2
+    ({!Tl_engine.Topology.forget}); the run leaves no snapshot behind.
+    Phase 3 builds no semi-graph for [T_R] and compiles nothing:
+    {!Tl_decompose.Rake_compress.raked_components} finds the components,
+    their highest nodes and those nodes' eccentricities in one BFS over
+    the tree's rows, sequentially, and the charge is twice the largest
+    eccentricity. [workers] (default {!Tl_engine.Pool.default_workers},
+    i.e. the CLI's [--pool N]) fans out only the [solve_edge_list] calls,
+    over that many OCaml 5 domains via {!Tl_engine.Pool}; each call
+    writes only the half-edges of its own (node-disjoint) component, so
+    the labeling and the ledger are bit-identical to the sequential run
+    for any worker count, and a failing call re-raises in component
+    order. Under pooling with [~check_invariants:true], the component
+    ownership is asserted disjoint before fan-out and the proof
+    invariant is checked once after the phase instead of after every
+    component.
 
     [engine] scopes {!Tl_engine.Engine.default_mode} to the run, but no
     pipeline phase runs on the simulator any more: the decomposition,

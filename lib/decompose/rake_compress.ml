@@ -4,11 +4,14 @@ module Semi_graph = Tl_graph.Semi_graph
 
 type mark = Compressed of int | Raked of int
 
+(* A node's layer is kept as its index in the total order of layers:
+   [2 (i - 1)] for [C_i], [2 (i - 1) + 1] for [R_i]; [mark] rebuilds the
+   constructor on demand. *)
 type t = {
   tree : Graph.t;
   k : int;
   ids : int array;
-  marks : mark array;
+  layers : int array;
   iterations : int;
 }
 
@@ -28,60 +31,81 @@ let run tree ~k ~ids =
   Tl_obs.Span.with_span "rake-compress"
     ~attrs:[ ("k", string_of_int k); ("n", string_of_int n) ]
   @@ fun () ->
-  let marks = Array.make n (Raked 0) in
-  let alive = Array.make n true in
+  (* [layers.(v)] is -1 while [v] is alive, and [deg.(v)] counts its alive
+     neighbors. [alive.(0 .. !n_alive - 1)] holds the alive nodes, in no
+     particular order. *)
+  let layers = Array.make n (-1) in
   let deg = Array.init n (Graph.degree tree) in
-  let remaining = ref n in
+  let alive = Array.init n Fun.id in
+  let n_alive = ref n in
+  (* One step: every alive node passing [select] gets [layer], all of
+     them decided against the state before the step, then removed
+     together. The scan partitions [alive] in place, each node read
+     once: a selected node is swapped behind the unread ones, so the
+     step's nodes end up in [alive.(!n_alive .. last)]. Marking a node
+     during the scan cannot change a later decision: a compress
+     candidate only asks that each alive neighbor have degree at most
+     [k], which a marked neighbor has, and a rake candidate reads its
+     own degree only. *)
+  let step layer select =
+    let last = !n_alive - 1 in
+    let lo = ref 0 and hi = ref last in
+    while !lo <= !hi do
+      let v = alive.(!lo) in
+      if select v then begin
+        layers.(v) <- layer;
+        alive.(!lo) <- alive.(!hi);
+        alive.(!hi) <- v;
+        decr hi
+      end
+      else incr lo
+    done;
+    n_alive := !lo;
+    for j = !lo to last do
+      let nbrs = Graph.neighbors tree alive.(j) in
+      for i = 0 to Array.length nbrs - 1 do
+        let u = nbrs.(i) in
+        if layers.(u) < 0 then deg.(u) <- deg.(u) - 1
+      done
+    done
+  in
+  let compressible v =
+    deg.(v) <= k
+    &&
+    let nbrs = Graph.neighbors tree v in
+    let low = ref true and i = ref 0 in
+    while !low && !i < Array.length nbrs do
+      let u = nbrs.(!i) in
+      if layers.(u) < 0 && deg.(u) > k then low := false;
+      incr i
+    done;
+    !low
+  in
+  let rakeable v = deg.(v) <= 1 in
   let iteration = ref 0 in
   let bound = lemma9_bound ~k ~n in
-  let remove v =
-    alive.(v) <- false;
-    Array.iter (fun u -> if alive.(u) then deg.(u) <- deg.(u) - 1) (Graph.neighbors tree v);
-    decr remaining
-  in
-  while !remaining > 0 do
+  while !n_alive > 0 do
     incr iteration;
     if !iteration > bound then
       failwith "Rake_compress.run: Lemma 9 bound exceeded (input not a tree?)";
     let i = !iteration in
-    (* Compress step: decided against the state at the start of the
-       iteration, then applied simultaneously. *)
-    let compress =
-      List.filter
-        (fun v ->
-          alive.(v)
-          && deg.(v) <= k
-          && Array.for_all
-               (fun u -> (not alive.(u)) || deg.(u) <= k)
-               (Graph.neighbors tree v))
-        (List.init n Fun.id)
-    in
-    List.iter
-      (fun v ->
-        marks.(v) <- Compressed i;
-        remove v)
-      compress;
-    (* Rake step on the remaining nodes. *)
-    let rake = List.filter (fun v -> alive.(v) && deg.(v) <= 1) (List.init n Fun.id) in
-    List.iter
-      (fun v ->
-        marks.(v) <- Raked i;
-        remove v)
-      rake
+    (* Compress, then rake on the nodes the compress step left. *)
+    step (2 * (i - 1)) compressible;
+    step ((2 * (i - 1)) + 1) rakeable
   done;
   Tl_obs.Span.add_counter "iterations" !iteration;
-  { tree; k; ids; marks; iterations = !iteration }
+  { tree; k; ids; layers; iterations = !iteration }
 
-let mark t v = t.marks.(v)
+let mark t v =
+  let l = t.layers.(v) in
+  if l land 1 = 0 then Compressed ((l / 2) + 1) else Raked ((l / 2) + 1)
+
 let iterations t = t.iterations
-
-let layer_index t v =
-  match t.marks.(v) with
-  | Compressed i -> 2 * (i - 1)
-  | Raked i -> (2 * (i - 1)) + 1
+let layer_index t v = t.layers.(v)
+let is_raked t v = t.layers.(v) land 1 = 1
 
 let is_higher t u v =
-  let lu = layer_index t u and lv = layer_index t v in
+  let lu = t.layers.(u) and lv = t.layers.(v) in
   if lu <> lv then lu > lv else t.ids.(u) > t.ids.(v)
 
 let higher_endpoint t e =
@@ -94,28 +118,94 @@ let lower_endpoint t e =
 
 let decomposition_rounds t = 3 * t.iterations
 
-let compressed_nodes t =
+let nodes_where t raked =
   let acc = ref [] in
   for v = Graph.n_nodes t.tree - 1 downto 0 do
-    match t.marks.(v) with Compressed _ -> acc := v :: !acc | Raked _ -> ()
+    if is_raked t v = raked then acc := v :: !acc
   done;
   !acc
 
-let raked_nodes t =
-  let acc = ref [] in
-  for v = Graph.n_nodes t.tree - 1 downto 0 do
-    match t.marks.(v) with Raked _ -> acc := v :: !acc | Compressed _ -> ()
+let compressed_nodes t = nodes_where t false
+let raked_nodes t = nodes_where t true
+
+let node_mask t raked = Array.init (Graph.n_nodes t.tree) (fun v -> is_raked t v = raked)
+let t_c t = Semi_graph.of_node_subset t.tree (node_mask t false)
+let t_r t = Semi_graph.of_node_subset t.tree (node_mask t true)
+
+type raked_components = {
+  members : int list array;
+  highest : int array;
+  eccentricity : int array;
+}
+
+let raked_components t =
+  let tree = t.tree in
+  let n = Graph.n_nodes tree in
+  (* [comp.(v)]: the component of raked node [v] once reached;
+     [dist.(v)]: its distance from its component's highest node. Both
+     stay -1 on compressed nodes. *)
+  let comp = Array.make n (-1) in
+  let dist = Array.make n (-1) in
+  let queue = Array.make n 0 in
+  let count = ref 0 and highest = ref [] and eccentricity = ref [] in
+  for s = 0 to n - 1 do
+    if is_raked t s && comp.(s) < 0 then begin
+      let c = !count in
+      incr count;
+      (* Sweep 1 from the smallest node: the members and the highest. *)
+      comp.(s) <- c;
+      queue.(0) <- s;
+      let head = ref 0 and tail = ref 1 and top = ref s in
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        if is_higher t v !top then top := v;
+        let nbrs = Graph.neighbors tree v in
+        for i = 0 to Array.length nbrs - 1 do
+          let u = nbrs.(i) in
+          if comp.(u) < 0 && is_raked t u then begin
+            comp.(u) <- c;
+            queue.(!tail) <- u;
+            incr tail
+          end
+        done
+      done;
+      (* Sweep 2 from the highest node: its eccentricity. *)
+      let h = !top in
+      dist.(h) <- 0;
+      queue.(0) <- h;
+      head := 0;
+      tail := 1;
+      let far = ref 0 in
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        let du = dist.(v) + 1 in
+        let nbrs = Graph.neighbors tree v in
+        for i = 0 to Array.length nbrs - 1 do
+          let u = nbrs.(i) in
+          if dist.(u) < 0 && is_raked t u then begin
+            dist.(u) <- du;
+            if du > !far then far := du;
+            queue.(!tail) <- u;
+            incr tail
+          end
+        done
+      done;
+      highest := h :: !highest;
+      eccentricity := !far :: !eccentricity
+    end
   done;
-  !acc
-
-let node_mask t pred =
-  Array.init (Graph.n_nodes t.tree) (fun v ->
-      match t.marks.(v) with
-      | Compressed _ -> pred `C
-      | Raked _ -> pred `R)
-
-let t_c t = Semi_graph.of_node_subset t.tree (node_mask t (fun m -> m = `C))
-let t_r t = Semi_graph.of_node_subset t.tree (node_mask t (fun m -> m = `R))
+  let members = Array.make !count [] in
+  for v = n - 1 downto 0 do
+    let c = comp.(v) in
+    if c >= 0 then members.(c) <- v :: members.(c)
+  done;
+  {
+    members;
+    highest = Array.of_list (List.rev !highest);
+    eccentricity = Array.of_list (List.rev !eccentricity);
+  }
 
 let check_lemma9 t =
   t.iterations <= lemma9_bound ~k:t.k ~n:(Graph.n_nodes t.tree)
@@ -127,13 +217,11 @@ let compress_part_max_degree t =
   let deg = Array.make n 0 in
   Graph.iter_edges
     (fun e _ ->
-      let lo = lower_endpoint t e in
-      match t.marks.(lo) with
-      | Compressed _ ->
+      if not (is_raked t (lower_endpoint t e)) then begin
         let u, v = Graph.edge_endpoints t.tree e in
         deg.(u) <- deg.(u) + 1;
         deg.(v) <- deg.(v) + 1
-      | Raked _ -> ())
+      end)
     t.tree;
   Array.fold_left max 0 deg
 

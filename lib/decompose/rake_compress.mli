@@ -19,7 +19,14 @@ val run : Tl_graph.Graph.t -> k:int -> ids:int array -> t
 (** Raises [Invalid_argument] if the graph is not a forest (the process
     and all certificates apply per component, so forests are accepted)
     or [k < 2]; raises [Failure] if the iteration bound of Lemma 9 is
-    exceeded (impossible on forests — a built-in certificate). *)
+    exceeded (impossible on forests — a built-in certificate).
+
+    Each node's layer is one int, and the alive nodes sit in a
+    compacted array, so a compress step scans the alive nodes and their
+    adjacency rows and a rake step the alive nodes only: an iteration
+    costs the sum of degrees over the nodes alive at its start, plus the
+    rows of the nodes it removes. Beyond the forest check (two int
+    arrays), a run allocates three int arrays of length [n]. *)
 
 (** {1 Layers and order} *)
 
@@ -28,6 +35,8 @@ type mark = Compressed of int | Raked of int
     [R_i] (iterations are 1-based). *)
 
 val mark : t -> int -> mark
+(** Built from the node's {!layer_index} on each call. *)
+
 val iterations : t -> int
 
 val layer_index : t -> int -> int
@@ -56,6 +65,23 @@ val t_c : t -> Tl_graph.Semi_graph.t
 
 val t_r : t -> Tl_graph.Semi_graph.t
 (** The semi-graph [T_R]: raked nodes plus all incident edges. *)
+
+type raked_components = {
+  members : int list array;
+      (** each component's nodes in ascending order; components are
+          ordered by their smallest node *)
+  highest : int array;  (** each component's highest node ({!is_higher}) *)
+  eccentricity : int array;
+      (** the eccentricity of [highest] within its component *)
+}
+
+val raked_components : t -> raked_components
+(** The connected components of [T_R]'s underlying graph (raked nodes,
+    edges with both endpoints raked), found by a BFS over the tree's
+    adjacency rows restricted to raked nodes, with a second BFS per
+    component from its highest node — the node that gathers the
+    component in Algorithm 2. No semi-graph is built or compiled; the
+    sweeps share three int arrays of length [n]. *)
 
 (** {1 Certificates (Lemmas 9-11)} *)
 

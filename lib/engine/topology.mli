@@ -49,6 +49,12 @@ val cache_stats : unit -> int * int
     process-wide reset — the counters are never cleared by
     {!clear_cache}). *)
 
+val forget : Tl_graph.Semi_graph.t -> unit
+(** Drop the cached snapshot of this view, if any (counters are kept).
+    For a caller that built the view for one run: its stamp is never
+    looked up again, so the snapshot would only pin memory and take a
+    slot from views that are reused (Theorem 12's [T_C]). *)
+
 val clear_cache : unit -> unit
 (** Drop every cached snapshot (counters are kept). *)
 

@@ -16,24 +16,30 @@ let bfs_distances g src =
   done;
   dist
 
+(* BFS on an int-array queue: each component's nodes occupy the queue
+   from index 0 while it is explored. *)
 let components g =
   let n = Graph.n_nodes g in
   let comp = Array.make n (-1) in
+  let queue = Array.make n 0 in
   let count = ref 0 in
-  let queue = Queue.create () in
   for s = 0 to n - 1 do
     if comp.(s) < 0 then begin
-      comp.(s) <- !count;
-      Queue.push s queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        Array.iter
-          (fun u ->
-            if comp.(u) < 0 then begin
-              comp.(u) <- !count;
-              Queue.push u queue
-            end)
-          (Graph.neighbors g v)
+      let c = !count in
+      comp.(s) <- c;
+      queue.(0) <- s;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let nbrs = Graph.neighbors g queue.(!head) in
+        incr head;
+        for i = 0 to Array.length nbrs - 1 do
+          let u = nbrs.(i) in
+          if comp.(u) < 0 then begin
+            comp.(u) <- c;
+            queue.(!tail) <- u;
+            incr tail
+          end
+        done
       done;
       incr count
     end

@@ -51,26 +51,31 @@ let encode g colors =
   done;
   labeling
 
+(* The half-edge in slot [i] of [v]'s incidence row, as in [Mis]. *)
+let half_at inc adj v i = (2 * inc.(i)) + if v < adj.(i) then 0 else 1
+
 let solve_edge_list g labeling ~nodes =
   List.iter
     (fun v ->
-      let hs = Graph.half_edges_of g v in
-      List.iter
-        (fun h ->
-          if Labeling.is_labeled labeling h then
-            invalid_arg "Coloring.solve_edge_list: node already partially labeled")
-        hs;
-      let deg = Graph.degree g v in
+      let inc = Graph.incident g v and adj = Graph.neighbors g v in
+      let deg = Array.length inc in
+      for i = 0 to deg - 1 do
+        if Labeling.is_labeled labeling (half_at inc adj v i) then
+          invalid_arg "Coloring.solve_edge_list: node already partially labeled"
+      done;
       let forbidden = Array.make (deg + 2) false in
-      List.iter
-        (fun h ->
-          match Labeling.get labeling (Graph.opposite_half_edge h) with
-          | Some c when c <= deg + 1 -> forbidden.(c) <- true
-          | Some _ | None -> ())
-        hs;
-      let rec first c = if forbidden.(c) then first (c + 1) else c in
-      let color = first 1 in
-      List.iter (fun h -> Labeling.set labeling h color) hs)
+      for i = 0 to deg - 1 do
+        match Labeling.get labeling (half_at inc adj v i lxor 1) with
+        | Some c when c <= deg + 1 -> forbidden.(c) <- true
+        | Some _ | None -> ()
+      done;
+      let color = ref 1 in
+      while forbidden.(!color) do
+        incr color
+      done;
+      for i = 0 to deg - 1 do
+        Labeling.set labeling (half_at inc adj v i) !color
+      done)
     nodes
 
 let solve_sequential g =

@@ -75,15 +75,41 @@ let encode g colors =
     g;
   labeling
 
-let colored_count labeling v =
-  Nec.count (function Pair _ -> true | D -> false) (Labeling.labels_at_node labeling v)
+(* What one [solve_node_list] call knows of a node: how many non-[D]
+   labels it carries, the colors they use, and [mex], a color such that
+   every color below it is used there. Read from the labeling once per
+   call and updated as the call writes, so a hub's labels are scanned
+   once rather than once per edge. *)
+type endpoint = { mutable colored : int; used : (int, unit) Hashtbl.t; mutable mex : int }
 
-let colors_at labeling v =
-  List.filter_map
-    (function Pair (_, b) -> Some b | D -> None)
-    (Labeling.labels_at_node labeling v)
+let advance s =
+  while Hashtbl.mem s.used s.mex do
+    s.mex <- s.mex + 1
+  done
 
 let solve_node_list g labeling ~edges =
+  let known = Hashtbl.create 16 in
+  let endpoint v =
+    match Hashtbl.find_opt known v with
+    | Some s -> s
+    | None ->
+      let s = { colored = 0; used = Hashtbl.create 8; mex = 1 } in
+      List.iter
+        (function
+          | Pair (_, b) ->
+            s.colored <- s.colored + 1;
+            Hashtbl.replace s.used b ()
+          | D -> ())
+        (Labeling.labels_at_node labeling v);
+      advance s;
+      Hashtbl.add known v s;
+      s
+  in
+  let take s color =
+    s.colored <- s.colored + 1;
+    Hashtbl.replace s.used color ();
+    advance s
+  in
   List.iter
     (fun e ->
       let u, v = Graph.edge_endpoints g e in
@@ -91,14 +117,19 @@ let solve_node_list g labeling ~edges =
       let hv = Graph.half_edge g ~edge:e ~node:v in
       if Labeling.is_labeled labeling hu || Labeling.is_labeled labeling hv then
         invalid_arg "Edge_coloring.solve_node_list: edge already labeled";
-      let cu = colored_count labeling u in
-      let cv = colored_count labeling v in
-      let forbidden = colors_at labeling u @ colors_at labeling v in
-      let rec first c = if List.mem c forbidden then first (c + 1) else c in
-      let color = first 1 in
+      let su = endpoint u and sv = endpoint v in
+      let cu = su.colored and cv = sv.colored in
+      (* the smallest color free at both ends is at least either mex *)
+      let color = ref (max su.mex sv.mex) in
+      while Hashtbl.mem su.used !color || Hashtbl.mem sv.used !color do
+        incr color
+      done;
+      let color = !color in
       assert (color <= cu + cv + 1);
       Labeling.set labeling hu (Pair (cu + 1, color));
-      Labeling.set labeling hv (Pair (cv + 1, color)))
+      Labeling.set labeling hv (Pair (cv + 1, color));
+      take su color;
+      take sv color)
     edges
 
 let solve_sequential g =

@@ -32,7 +32,11 @@ val solve_node_list :
     process of Lemma 16. For each edge [{v1, v2}] (rank-2, both half-edges
     unlabeled) in order: let [c_i] be the number of non-[D] labels
     currently at [v_i]; choose the smallest color [c <= c_1 + c_2 + 1]
-    absent from both endpoints and write [(c_1 + 1, c)], [(c_2 + 1, c)]. *)
+    absent from both endpoints and write [(c_1 + 1, c)], [(c_2 + 1, c)].
+    Each endpoint's labels are read once per call, into a count and a
+    color set that the call then updates as it writes, so a star's hub
+    costs its degree once rather than once per edge. Concurrent calls
+    must touch disjoint nodes (Theorem 15's stars of one class do). *)
 
 val solve_sequential : Tl_graph.Graph.t -> label Labeling.t
 (** Greedy (edge-degree + 1)-edge coloring from scratch. *)

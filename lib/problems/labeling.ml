@@ -11,6 +11,12 @@ let set t h l =
   | Some _ -> invalid_arg (Printf.sprintf "Labeling.set: half-edge %d already labeled" h)
   | None -> t.labels.(h) <- Some l
 
+let set_some t h o =
+  match (t.labels.(h), o) with
+  | Some _, _ -> invalid_arg (Printf.sprintf "Labeling.set: half-edge %d already labeled" h)
+  | None, None -> invalid_arg "Labeling.set_some: no label"
+  | None, Some _ -> t.labels.(h) <- o
+
 let set_exn_free t h l = t.labels.(h) <- Some l
 let is_labeled t h = Option.is_some t.labels.(h)
 

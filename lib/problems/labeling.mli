@@ -18,6 +18,14 @@ val set : 'l t -> int -> 'l -> unit
 (** Raises [Invalid_argument] if the half-edge is already labeled
     (phases must never overwrite each other). *)
 
+val set_some : 'l t -> int -> 'l option -> unit
+(** [set_some t h (Some l)] is [set t h l] without allocating: the
+    labeling stores the caller's block. A solver writing a few constant
+    labels shares one preallocated [Some] per label, so its writes
+    allocate nothing and leave no young block for the minor GC to
+    promote. Raises [Invalid_argument] on [None], as [set] does on a
+    labeled half-edge. *)
+
 val set_exn_free : 'l t -> int -> 'l -> unit
 (** Unchecked assignment, for tests that need to build arbitrary
     (including invalid) labelings. *)

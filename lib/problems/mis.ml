@@ -64,33 +64,38 @@ let encode g in_mis =
   done;
   labeling
 
-let label_all_halfedges g labeling v l =
-  List.iter (fun h -> Labeling.set labeling h l) (Graph.half_edges_of g v)
+(* The half-edge in slot [i] of [v]'s incidence row: [2e + side], side 0
+   being the smaller endpoint. *)
+let half_at inc adj v i = (2 * inc.(i)) + if v < adj.(i) then 0 else 1
+
+(* The first slot from [i] on whose opposite half-edge reads M, or the
+   degree. *)
+let rec first_m labeling inc adj v i =
+  if i = Array.length inc then i
+  else
+    match Labeling.get labeling (half_at inc adj v i lxor 1) with
+    | Some M -> i
+    | Some (P | O) | None -> first_m labeling inc adj v (i + 1)
+
+(* One shared block per label for [Labeling.set_some]. *)
+let some_m = Some M
+let some_p = Some P
+let some_o = Some O
 
 let solve_edge_list g labeling ~nodes =
   List.iter
     (fun v ->
-      List.iter
-        (fun h ->
-          if Labeling.is_labeled labeling h then
-            invalid_arg "Mis.solve_edge_list: node already partially labeled")
-        (Graph.half_edges_of g v);
-      let opposite_m h =
-        Labeling.get labeling (Graph.opposite_half_edge h) = Some M
-      in
-      let hs = Graph.half_edges_of g v in
-      if not (List.exists opposite_m hs) then label_all_halfedges g labeling v M
-      else begin
-        let pointed = ref false in
-        List.iter
-          (fun h ->
-            if opposite_m h && not !pointed then begin
-              pointed := true;
-              Labeling.set labeling h P
-            end
-            else Labeling.set labeling h O)
-          hs
-      end)
+      let inc = Graph.incident g v and adj = Graph.neighbors g v in
+      let d = Array.length inc in
+      for i = 0 to d - 1 do
+        if Labeling.is_labeled labeling (half_at inc adj v i) then
+          invalid_arg "Mis.solve_edge_list: node already partially labeled"
+      done;
+      let p = first_m labeling inc adj v 0 in
+      for i = 0 to d - 1 do
+        Labeling.set_some labeling (half_at inc adj v i)
+          (if p = d then some_m else if i = p then some_p else some_o)
+      done)
     nodes
 
 let solve_sequential g =

@@ -34,6 +34,43 @@ let spec_key = function
 
 let spec_n = function Family { n; _ } | Edges { n; _ } -> n
 
+module Gen = Tl_graph.Gen
+
+let square_side n = max 1 (int_of_float (Float.sqrt (float_of_int n)))
+
+let families =
+  [
+    ("random-tree", fun ~n ~seed ~a:_ ~delta:_ -> Gen.random_tree ~n ~seed);
+    ( "balanced-tree",
+      fun ~n ~seed:_ ~a:_ ~delta -> Gen.balanced_regular_tree ~delta ~n );
+    ("path", fun ~n ~seed:_ ~a:_ ~delta:_ -> Gen.path n);
+    ("star", fun ~n ~seed:_ ~a:_ ~delta:_ -> Gen.star n);
+    ( "caterpillar",
+      fun ~n ~seed:_ ~a:_ ~delta:_ -> Gen.caterpillar ~spine:(max 1 (n / 4)) ~legs:3 );
+    ("power-law", fun ~n ~seed ~a:_ ~delta:_ -> Gen.power_law_tree ~n ~seed);
+    ( "forest-union",
+      fun ~n ~seed ~a ~delta:_ -> Gen.forest_union ~n ~arboricity:a ~seed );
+    ( "planar",
+      fun ~n ~seed:_ ~a:_ ~delta:_ -> Gen.triangulated_grid (max 2 (square_side n)) );
+    ( "grid",
+      fun ~n ~seed:_ ~a:_ ~delta:_ ->
+        let side = square_side n in
+        Gen.grid side side );
+  ]
+
+let family_names = List.map fst families
+
+let unknown_family family =
+  Printf.sprintf "unknown family %S (known: %s)" family
+    (String.concat ", " family_names)
+
+let build_graph = function
+  | Edges { n; edges; _ } -> Graph.of_edges ~n edges
+  | Family { family; n; seed; a; delta } -> (
+    match List.assoc_opt family families with
+    | Some build -> build ~n ~seed ~a ~delta
+    | None -> invalid_arg (unknown_family family))
+
 type request = {
   id : string;
   problem : string;
@@ -92,15 +129,18 @@ let spec_of_json j =
       in
       go [] items)
   | None ->
-    Ok
-      (Family
-         {
-           family = str_of "family" ~default:"random-tree" j;
-           n = int_of "n" ~default:1000 j;
-           seed = int_of "seed" ~default:1 j;
-           a = int_of "a" ~default:1 j;
-           delta = int_of "delta" ~default:8 j;
-         })
+    let family = str_of "family" ~default:"random-tree" j in
+    if not (List.mem_assoc family families) then Error (unknown_family family)
+    else
+      Ok
+        (Family
+           {
+             family;
+             n = int_of "n" ~default:1000 j;
+             seed = int_of "seed" ~default:1 j;
+             a = int_of "a" ~default:1 j;
+             delta = int_of "delta" ~default:8 j;
+           })
 
 let incoming_of_json j =
   match j with

@@ -68,6 +68,19 @@ val spec_key : graph_spec -> string
 
 val spec_n : graph_spec -> int
 
+val family_names : string list
+(** The instance families a [Family] spec may name. One table holds
+    them with their generators, behind the CLI's [--family] choices and
+    the daemon's request decoding, so both accept the same names and
+    build the same graph for a spec. [n] is approximate for
+    [caterpillar], [planar] and [grid]; [seed] is ignored by the
+    deterministic families, [a] by all but [forest-union], [delta] by
+    all but [balanced-tree]. *)
+
+val build_graph : graph_spec -> Tl_graph.Graph.t
+(** The graph a spec names. Raises [Invalid_argument] for a [Family]
+    not in {!family_names} (decoded requests never carry one). *)
+
 type request = {
   id : string;
   problem : string;

@@ -3,7 +3,6 @@ module Span = Tl_obs.Span
 module Report = Tl_obs.Report
 module Metrics = Tl_obs.Metrics
 module Graph = Tl_graph.Graph
-module Gen = Tl_graph.Gen
 module Props = Tl_graph.Props
 module Semi_graph = Tl_graph.Semi_graph
 module Ids = Tl_local.Ids
@@ -120,28 +119,10 @@ let stats t =
 
 (* ---------- instances ---------- *)
 
-(* Same family dispatch as the CLI's build_instance, so a daemon request
-   and a one-shot CLI run over the same spec see the same graph. *)
-let build_graph = function
-  | P.Edges { n; edges; _ } -> Graph.of_edges ~n edges
-  | P.Family { family; n; seed; a; delta } -> (
-    match family with
-    | "random-tree" -> Gen.random_tree ~n ~seed
-    | "balanced-tree" -> Gen.balanced_regular_tree ~delta ~n
-    | "path" -> Gen.path n
-    | "star" -> Gen.star n
-    | "caterpillar" -> Gen.caterpillar ~spine:(max 1 (n / 4)) ~legs:3
-    | "power-law" -> Gen.power_law_tree ~n ~seed
-    | "forest-union" -> Gen.forest_union ~n ~arboricity:a ~seed
-    | "planar" ->
-      Gen.triangulated_grid (max 2 (int_of_float (Float.sqrt (float_of_int n))))
-    | "grid" ->
-      let side = max 1 (int_of_float (Float.sqrt (float_of_int n))) in
-      Gen.grid side side
-    | other -> failwith (Printf.sprintf "unknown family %s" other))
-
+(* The family table lives in Protocol, shared with the CLI, so a daemon
+   request and a one-shot CLI run over the same spec see the same graph. *)
 let build_instance spec =
-  let graph = build_graph spec in
+  let graph = P.build_graph spec in
   let seed =
     match spec with P.Family { seed; _ } | P.Edges { seed; _ } -> seed
   in

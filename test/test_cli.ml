@@ -170,6 +170,17 @@ let test_bad_engine_is_usage_error () =
   check_int "cmdliner usage error" 124 code;
   check "names the bad value" true (contains ~needle:"warp" stderr)
 
+(* The family names come from the daemon's table: an unknown one is a
+   usage error naming the value, on every subcommand taking --family. *)
+let test_unknown_family_is_usage_error () =
+  List.iter
+    (fun cmd ->
+      let code, _, stderr = run_cmd (Printf.sprintf "%s %s --family nosuch" cli cmd) in
+      check_int (cmd ^ " exits 124") 124 code;
+      check (cmd ^ " names the bad value") true (contains ~needle:"nosuch" stderr);
+      check (cmd ^ " lists the families") true (contains ~needle:"balanced-tree" stderr))
+    [ "solve --problem edge-coloring --n 50"; "generate --n 50"; "decompose --n 50" ]
+
 (* Cross-argument knob validation: rejected before any work starts, with
    a usage error naming the offending value — never an uncaught
    exception from deep inside a run. *)
@@ -350,6 +361,8 @@ let () =
             test_bad_engine_is_usage_error;
           Alcotest.test_case "knob cross-validation -> usage errors" `Quick
             test_knob_validation_usage_errors;
+          Alcotest.test_case "--family unknown -> usage error" `Quick
+            test_unknown_family_is_usage_error;
         ] );
       ( "regress",
         [

@@ -702,6 +702,231 @@ let prop_cached_star_solver_matches_rescan =
       && labels_equal graph oracle (run 3 Tl_problems.Matching.solve_node_list)
       && labels_equal graph whole_oracle whole)
 
+(* ---------- row-loop Π× solvers against the list-based ones ---------- *)
+
+(* The Π× solvers of Theorem 12 as they were before they became loops
+   over the incidence rows: they walk [Graph.half_edges_of] lists. Kept
+   as the oracles of the row-loop solvers. *)
+let list_mis_solver g labeling ~nodes =
+  let module Mis = Tl_problems.Mis in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun h ->
+          if Labeling.is_labeled labeling h then
+            invalid_arg "Mis.solve_edge_list: node already partially labeled")
+        (Graph.half_edges_of g v);
+      let opposite_m h = Labeling.get labeling (Graph.opposite_half_edge h) = Some Mis.M in
+      let hs = Graph.half_edges_of g v in
+      if not (List.exists opposite_m hs) then
+        List.iter (fun h -> Labeling.set labeling h Mis.M) hs
+      else begin
+        let pointed = ref false in
+        List.iter
+          (fun h ->
+            if opposite_m h && not !pointed then begin
+              pointed := true;
+              Labeling.set labeling h Mis.P
+            end
+            else Labeling.set labeling h Mis.O)
+          hs
+      end)
+    nodes
+
+let list_coloring_solver g labeling ~nodes =
+  List.iter
+    (fun v ->
+      let hs = Graph.half_edges_of g v in
+      List.iter
+        (fun h ->
+          if Labeling.is_labeled labeling h then
+            invalid_arg "Coloring.solve_edge_list: node already partially labeled")
+        hs;
+      let deg = Graph.degree g v in
+      let forbidden = Array.make (deg + 2) false in
+      List.iter
+        (fun h ->
+          match Labeling.get labeling (Graph.opposite_half_edge h) with
+          | Some c when c <= deg + 1 -> forbidden.(c) <- true
+          | Some _ | None -> ())
+        hs;
+      let rec first c = if forbidden.(c) then first (c + 1) else c in
+      let color = first 1 in
+      List.iter (fun h -> Labeling.set labeling h color) hs)
+    nodes
+
+let coloring_spec =
+  {
+    Theorem1.problem = Tl_problems.Coloring.problem_deg_plus_one;
+    base_algorithm = Tl_symmetry.Algos.deg_plus_one_coloring;
+    solve_edge_list = Tl_problems.Coloring.solve_edge_list;
+  }
+
+(* Trees and forests with many T_R components: random, power-law and
+   balanced trees, and random forests. *)
+let tree_of_shape ~shape ~n ~seed =
+  match shape with
+  | 0 -> Gen.random_tree ~n ~seed
+  | 1 -> Gen.power_law_tree ~n ~seed
+  | 2 -> Gen.balanced_regular_tree ~delta:(3 + (seed mod 6)) ~n
+  | _ -> Gen.random_forest ~n ~trees:(1 + (seed mod min 9 n)) ~seed
+
+(* Under Theorem 12 (sequential, a 3-worker pool, and with the proof
+   invariant checked) the row-loop solvers give the list solvers'
+   labeling and ledger; so does one call over every node in descending
+   order, where each node reads the labels of the nodes before it. *)
+let same_as_list_solver (spec : _ Theorem1.spec) oracle (shape, n, k, seed) =
+  let tree = tree_of_shape ~shape ~n ~seed in
+  let n = Graph.n_nodes tree in
+  let ids = Ids.permuted ~n ~seed:(seed + 1) in
+  let run ?check_invariants workers solve_edge_list =
+    Theorem1.run ?check_invariants ~workers ~k
+      ~spec:{ spec with Theorem1.solve_edge_list }
+      ~tree ~ids ~f:Complexity.f_linear ()
+  in
+  let reference = run 1 oracle in
+  let same (r : _ Theorem1.result) =
+    labels_equal tree reference.Theorem1.labeling r.Theorem1.labeling
+    && Round_cost.phases reference.Theorem1.cost = Round_cost.phases r.Theorem1.cost
+  in
+  let nodes = List.init n (fun i -> n - 1 - i) in
+  let whole = Labeling.create tree and whole_oracle = Labeling.create tree in
+  spec.Theorem1.solve_edge_list tree whole ~nodes;
+  oracle tree whole_oracle ~nodes;
+  same (run 1 spec.Theorem1.solve_edge_list)
+  && same (run 3 spec.Theorem1.solve_edge_list)
+  && same (run ~check_invariants:true 1 spec.Theorem1.solve_edge_list)
+  && same (run ~check_invariants:true 3 spec.Theorem1.solve_edge_list)
+  && labels_equal tree whole_oracle whole
+
+let solver_gen =
+  QCheck.(quad (int_range 0 3) (int_range 2 300) (int_range 2 8) (int_range 0 100000))
+
+let prop_mis_solver_matches_list =
+  QCheck.Test.make ~name:"row-loop MIS solver = list solver (Theorem 12)" ~count:40
+    solver_gen
+    (same_as_list_solver mis_spec list_mis_solver)
+
+let prop_coloring_solver_matches_list =
+  QCheck.Test.make ~name:"row-loop coloring solver = list solver (Theorem 12)"
+    ~count:40 solver_gen
+    (same_as_list_solver coloring_spec list_coloring_solver)
+
+(* A node pointing at its first M neighbor in incidence order, and the
+   partially-labeled refusal, match the list solvers exactly. *)
+let test_row_solvers_edge_cases () =
+  let star = Gen.star 6 in
+  let mis_case solver =
+    let l = Labeling.create star in
+    solver star l ~nodes:[ 3; 1; 4; 5 ];
+    solver star l ~nodes:[ 0; 2 ];
+    List.init (Graph.n_half_edges star) (Labeling.get l)
+  in
+  check "star center points like the list solver" true
+    (mis_case Tl_problems.Mis.solve_edge_list = mis_case list_mis_solver);
+  let refusal solver =
+    let l = Labeling.create star in
+    Labeling.set l (Graph.half_edge star ~edge:0 ~node:0) 1;
+    match solver star l ~nodes:[ 0 ] with
+    | () -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  check "coloring refusal" true
+    (refusal Tl_problems.Coloring.solve_edge_list = refusal list_coloring_solver
+    && refusal list_coloring_solver <> None);
+  let mis_refusal solver =
+    let l = Labeling.create star in
+    Labeling.set l (Graph.half_edge star ~edge:2 ~node:0) Tl_problems.Mis.O;
+    match solver star l ~nodes:[ 1; 0 ] with
+    | () -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  check "mis refusal" true
+    (mis_refusal Tl_problems.Mis.solve_edge_list = mis_refusal list_mis_solver
+    && mis_refusal list_mis_solver <> None)
+
+(* T_C is a fresh view per run, so Theorem 12 keeps no snapshot of it
+   in the topology cache: a full cache loses at most the one slot the
+   base algorithm's compile evicts, and a view compiled before the run
+   survives the next insert. *)
+let test_theorem1_keeps_no_snapshot () =
+  let module Topology = Tl_engine.Topology in
+  Topology.clear_cache ();
+  Topology.set_cache_limit 2;
+  Fun.protect
+    ~finally:(fun () -> Topology.set_cache_limit 64)
+    (fun () ->
+      let view n = Semi_graph.of_graph (Gen.path n) in
+      let a = view 3 and b = view 4 and c = view 5 in
+      ignore (Topology.compile_cached a);
+      ignore (Topology.compile_cached b);
+      let tree = Gen.random_tree ~n:200 ~seed:71 in
+      let ids = Ids.permuted ~n:200 ~seed:72 in
+      ignore (Theorem1.run ~spec:mis_spec ~tree ~ids ~f:Complexity.f_linear ());
+      ignore (Topology.compile_cached c);
+      check "a view cached before the run survives" true
+        (snd (Topology.compile_cached_stat b)))
+
+(* The edge-coloring star solver before it kept each endpoint's colored
+   count and color set for a call: it rebuilt both endpoints' label
+   lists for every edge. Kept as the oracle of the cached solver. *)
+let rescanning_edge_coloring_solver g labeling ~edges =
+  let module Ec = Tl_problems.Edge_coloring in
+  let colored_count v =
+    Nec.count (function Ec.Pair _ -> true | Ec.D -> false) (Labeling.labels_at_node labeling v)
+  in
+  let colors_at v =
+    List.filter_map
+      (function Ec.Pair (_, b) -> Some b | Ec.D -> None)
+      (Labeling.labels_at_node labeling v)
+  in
+  List.iter
+    (fun e ->
+      let u, v = Graph.edge_endpoints g e in
+      let hu = Graph.half_edge g ~edge:e ~node:u in
+      let hv = Graph.half_edge g ~edge:e ~node:v in
+      if Labeling.is_labeled labeling hu || Labeling.is_labeled labeling hv then
+        invalid_arg "Edge_coloring.solve_node_list: edge already labeled";
+      let cu = colored_count u and cv = colored_count v in
+      let forbidden = colors_at u @ colors_at v in
+      let rec first c = if List.mem c forbidden then first (c + 1) else c in
+      let color = first 1 in
+      Labeling.set labeling hu (Ec.Pair (cu + 1, color));
+      Labeling.set labeling hv (Ec.Pair (cv + 1, color)))
+    edges
+
+let edge_coloring_spec =
+  {
+    Theorem2.problem = Tl_problems.Edge_coloring.problem;
+    base_algorithm = Tl_symmetry.Algos.edge_coloring;
+    solve_node_list = Tl_problems.Edge_coloring.solve_node_list;
+  }
+
+let prop_cached_edge_coloring_matches_rescan =
+  QCheck.Test.make
+    ~name:"cached edge-coloring star solver = rescanning one (Theorem 15)" ~count:15
+    QCheck.(triple (int_range 10 300) (int_range 1 3) (int_range 0 100000))
+    (fun (n, a, seed) ->
+      let graph = Gen.power_law_union ~n ~arboricity:a ~seed in
+      let ids = Ids.permuted ~n ~seed:(seed + 1) in
+      let run workers solve_node_list =
+        (Theorem2.run ~workers
+           ~spec:{ edge_coloring_spec with Theorem2.solve_node_list }
+           ~graph ~a ~ids ~f:Complexity.f_linear ())
+          .Theorem2.labeling
+      in
+      let oracle = run 1 rescanning_edge_coloring_solver in
+      (* one call over every edge: counts and colors change within the
+         call, and hubs meet many edges *)
+      let whole = Labeling.create graph in
+      let whole_oracle = Labeling.create graph in
+      let edges = List.init (Graph.n_edges graph) Fun.id in
+      Tl_problems.Edge_coloring.solve_node_list graph whole ~edges;
+      rescanning_edge_coloring_solver graph whole_oracle ~edges;
+      labels_equal graph oracle (run 1 Tl_problems.Edge_coloring.solve_node_list)
+      && labels_equal graph oracle (run 3 Tl_problems.Edge_coloring.solve_node_list)
+      && labels_equal graph whole_oracle whole)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -716,6 +941,9 @@ let qcheck_tests =
       prop_pooled_theorem1_bit_identical;
       prop_pooled_theorem2_bit_identical;
       prop_cached_star_solver_matches_rescan;
+      prop_mis_solver_matches_list;
+      prop_coloring_solver_matches_list;
+      prop_cached_edge_coloring_matches_rescan;
     ]
 
 let () =
@@ -738,6 +966,10 @@ let () =
           Alcotest.test_case "explicit k sweep" `Quick test_theorem1_explicit_k;
           Alcotest.test_case "id robustness" `Quick test_theorem1_id_robustness;
           Alcotest.test_case "cost ledger" `Quick test_theorem1_ledger;
+          Alcotest.test_case "row-loop solvers: edge cases" `Quick
+            test_row_solvers_edge_cases;
+          Alcotest.test_case "keeps no T_C snapshot" `Quick
+            test_theorem1_keeps_no_snapshot;
         ] );
       ( "theorem2",
         [

@@ -121,7 +121,22 @@ let test_rc_rejects () =
      with Invalid_argument _ -> true);
   check "non-forest" true
     (try RC.run (Gen.cycle 5) ~k:3 ~ids:(Ids.identity 5) |> ignore; false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  List.iter
+    (fun k ->
+      check (Printf.sprintf "k = %d rejected" k) true
+        (raises (fun () -> RC.run (Gen.random_tree ~n:30 ~seed:k) ~k ~ids:(Ids.identity 30))))
+    [ -3; 0 ];
+  List.iter
+    (fun n ->
+      check (Printf.sprintf "cycle of %d rejected" n) true
+        (raises (fun () -> RC.run (Gen.cycle n) ~k:3 ~ids:(Ids.identity n))))
+    [ 3; 4; 17 ];
+  (* a tree plus one cycle elsewhere is no forest either *)
+  let g = Graph.of_edges ~n:8 [ (0, 1); (1, 2); (3, 4); (4, 5); (5, 6); (6, 3) ] in
+  check "forest with a cycle rejected" true
+    (raises (fun () -> RC.run g ~k:4 ~ids:(Ids.identity 8)))
 
 let test_rc_on_forest () =
   let f = Gen.random_forest ~n:200 ~trees:6 ~seed:20 in
@@ -129,6 +144,133 @@ let test_rc_on_forest () =
   check "lemma 9 on forest" true (RC.check_lemma9 rc);
   check "lemma 10 on forest" true (RC.check_lemma10 rc);
   check "lemma 11 on forest" true (RC.check_lemma11 rc)
+
+(* ---------- the list-based process and T_R components as oracles ---------- *)
+
+(* Algorithm 1 as the library ran it before its flat rewrite: every step
+   filters [List.init n] against the state at the start of the step and
+   then removes the chosen nodes one by one. Returns the marks and the
+   iteration count. *)
+let list_rake_compress tree ~k =
+  let n = Graph.n_nodes tree in
+  let marks = Array.make n (RC.Raked 0) in
+  let alive = Array.make n true in
+  let deg = Array.init n (Graph.degree tree) in
+  let remaining = ref n in
+  let iteration = ref 0 in
+  let remove v =
+    alive.(v) <- false;
+    Array.iter (fun u -> if alive.(u) then deg.(u) <- deg.(u) - 1) (Graph.neighbors tree v);
+    decr remaining
+  in
+  while !remaining > 0 do
+    incr iteration;
+    let i = !iteration in
+    let compress =
+      List.filter
+        (fun v ->
+          alive.(v)
+          && deg.(v) <= k
+          && Array.for_all
+               (fun u -> (not alive.(u)) || deg.(u) <= k)
+               (Graph.neighbors tree v))
+        (List.init n Fun.id)
+    in
+    List.iter
+      (fun v ->
+        marks.(v) <- RC.Compressed i;
+        remove v)
+      compress;
+    let rake = List.filter (fun v -> alive.(v) && deg.(v) <= 1) (List.init n Fun.id) in
+    List.iter
+      (fun v ->
+        marks.(v) <- RC.Raked i;
+        remove v)
+      rake
+  done;
+  (marks, !iteration)
+
+(* The forests the flat process is checked on; [n] is approximate for
+   balanced trees and caterpillars. Isolated nodes are appended after a
+   random forest. *)
+let oracle_forest ~shape ~n ~seed =
+  match shape with
+  | 0 -> Gen.random_tree ~n ~seed
+  | 1 -> Gen.balanced_regular_tree ~delta:(2 + (seed mod 9)) ~n
+  | 2 -> Gen.path n
+  | 3 -> Gen.star n
+  | 4 -> Gen.caterpillar ~spine:(max 1 (n / 4)) ~legs:(1 + (seed mod 5))
+  | 5 -> Gen.power_law_tree ~n ~seed
+  | _ ->
+    let f = Gen.random_forest ~n ~trees:(1 + (seed mod min 7 n)) ~seed in
+    let isolated = 1 + (seed mod 5) in
+    Graph.of_edges ~n:(Graph.n_nodes f + isolated) (Graph.edge_list f)
+
+let forest_gen =
+  QCheck.(quad (int_range 0 6) (int_range 1 400) (int_range 2 16) (int_range 0 100000))
+
+let prop_rc_list_oracle =
+  QCheck.Test.make ~name:"flat rake-compress = list-based oracle" ~count:300 forest_gen
+    (fun (shape, n, k, seed) ->
+      let tree = oracle_forest ~shape ~n ~seed in
+      let n = Graph.n_nodes tree in
+      let rc = RC.run tree ~k ~ids:(Ids.permuted ~n ~seed:(seed + 1)) in
+      let marks, iterations = list_rake_compress tree ~k in
+      RC.iterations rc = iterations
+      && List.for_all (fun v -> RC.mark rc v = marks.(v)) (List.init n Fun.id))
+
+let prop_rc_components_oracle =
+  QCheck.Test.make ~name:"T_R components, highest, eccentricity = list oracle"
+    ~count:300 forest_gen (fun (shape, n, k, seed) ->
+      let tree = oracle_forest ~shape ~n ~seed in
+      let n = Graph.n_nodes tree in
+      let rc = RC.run tree ~k ~ids:(Ids.permuted ~n ~seed:(seed + 1)) in
+      let t_r = RC.t_r rc in
+      let members = Semi_graph.underlying_components t_r in
+      let c = RC.raked_components rc in
+      c.RC.members = members
+      && Array.length c.RC.highest = Array.length members
+      && Array.length c.RC.eccentricity = Array.length members
+      && List.for_all
+           (fun i ->
+             match members.(i) with
+             | [] -> false
+             | first :: _ as component ->
+               let highest =
+                 List.fold_left
+                   (fun acc v -> if RC.is_higher rc v acc then v else acc)
+                   first component
+               in
+               c.RC.highest.(i) = highest
+               && c.RC.eccentricity.(i)
+                  = Semi_graph.underlying_eccentricity t_r highest)
+           (List.init (Array.length members) Fun.id))
+
+(* Words allocated by [f ()]: [Gc.minor_words] is exact on OCaml 5.1,
+   while [Gc.counters]' minor count lags until the next minor
+   collection; large arrays go straight to the major heap. *)
+let allocated_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  (r, words () -. w0)
+
+(* On the paper's balanced Δ = 8 tree (n = 5·10⁴, k = g(n), 6
+   iterations), the flat process allocates its three int arrays and the
+   forest check's two, 5 words per node; filtering [List.init n] at
+   every step with boxed marks cost 71. *)
+let test_rc_allocation_budget () =
+  let n = 50_000 in
+  let tree = Gen.balanced_regular_tree ~delta:8 ~n in
+  let ids = Ids.permuted ~n ~seed:2 in
+  let k = Tl_core.Complexity.choose_k ~f:Tl_core.Complexity.f_linear ~n in
+  let rc, words = allocated_words (fun () -> RC.run tree ~k ~ids) in
+  check_int "6 iterations" 6 (RC.iterations rc);
+  let per_node = words /. float_of_int n in
+  check (Printf.sprintf "%.1f words per node within 12" per_node) true (per_node <= 12.)
 
 (* ---------- Arboricity decomposition ---------- *)
 
@@ -285,7 +427,13 @@ let prop_ad_certificates =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_rc_certificates; prop_rc_halfedge_partition; prop_ad_certificates ]
+    [
+      prop_rc_certificates;
+      prop_rc_halfedge_partition;
+      prop_ad_certificates;
+      prop_rc_list_oracle;
+      prop_rc_components_oracle;
+    ]
 
 let () =
   Alcotest.run "tl_decompose"
@@ -303,6 +451,7 @@ let () =
           Alcotest.test_case "T_C / T_R structure" `Quick test_rc_tc_tr_structure;
           Alcotest.test_case "input validation" `Quick test_rc_rejects;
           Alcotest.test_case "forests accepted" `Quick test_rc_on_forest;
+          Alcotest.test_case "allocation budget" `Quick test_rc_allocation_budget;
         ] );
       ( "arb_decompose",
         [

@@ -1052,6 +1052,31 @@ let test_topology_cache_limit () =
     (not (snd (Topology.compile_cached_stat sgs.(2))));
   Topology.set_cache_limit 64
 
+(* [forget] drops one view's snapshot and its FIFO slot: the other
+   entries stay, and the freed slot takes a new view without evicting
+   them. *)
+let test_topology_cache_forget () =
+  Topology.clear_cache ();
+  Topology.set_cache_limit 2;
+  Fun.protect
+    ~finally:(fun () -> Topology.set_cache_limit 64)
+    (fun () ->
+      let sgs = Array.init 3 (fun i -> Semi_graph.of_graph (Gen.path (i + 2))) in
+      let h0, m0 = Topology.cache_stats () in
+      ignore (Topology.compile_cached_stat sgs.(0));
+      ignore (Topology.compile_cached_stat sgs.(1));
+      Topology.forget sgs.(0);
+      Topology.forget sgs.(2);
+      ignore (Topology.compile_cached_stat sgs.(2));
+      check "the other view kept its slot" true (snd (Topology.compile_cached_stat sgs.(1)));
+      check "the new view took the freed slot" true
+        (snd (Topology.compile_cached_stat sgs.(2)));
+      check "the forgotten view misses" true
+        (not (snd (Topology.compile_cached_stat sgs.(0))));
+      let h1, m1 = Topology.cache_stats () in
+      check_int "hits counted" 2 (h1 - h0);
+      check_int "misses counted" 4 (m1 - m0))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -1066,6 +1091,7 @@ let () =
               test_topology_cache_limit;
             Alcotest.test_case "cache eviction: generation bumps x FIFO"
               `Quick test_topology_cache_eviction_generation;
+            Alcotest.test_case "compile cache forget" `Quick test_topology_cache_forget;
           ] );
       ( "pool",
         [

@@ -672,6 +672,27 @@ let test_predicates_allocation_free () =
              [ Orientation.In; Orientation.In; Orientation.In ] ]
            [ [ Orientation.In; Orientation.Out ]; [ Orientation.Out; Orientation.Out ] ]))
 
+(* The MIS Π× solver walks incidence rows and writes shared [Some]
+   blocks, so labeling a whole tree allocates nothing per node. Counted
+   with [Gc.minor_words], which is exact on OCaml 5.1 (the solver makes
+   no major allocation); the list solver read 33 words per node. *)
+let test_mis_solver_allocation_free () =
+  let n = 20_000 in
+  let g = Gen.random_tree ~n ~seed:43 in
+  let labeling = Labeling.create g in
+  let nodes = List.init n Fun.id in
+  let w0 = Gc.minor_words () in
+  Mis.solve_edge_list g labeling ~nodes;
+  let words = Gc.minor_words () -. w0 in
+  check "valid" true (Nec.is_valid Mis.problem g labeling);
+  check (Printf.sprintf "%.0f words within 64" words) true (words <= 64.);
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+  let h = Graph.half_edge g ~edge:0 ~node:(fst (Graph.edge_endpoints g 0)) in
+  check "set_some refuses a labeled half-edge" true
+    (raises (fun () -> Labeling.set_some labeling h (Some Mis.M)));
+  check "set_some refuses None" true
+    (raises (fun () -> Labeling.set_some (Labeling.create g) h None))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -702,6 +723,8 @@ let () =
           Alcotest.test_case "allocation budget" `Quick test_validate_allocation_budget;
           Alcotest.test_case "allocation-free predicates" `Quick
             test_predicates_allocation_free;
+          Alcotest.test_case "allocation-free MIS solver" `Quick
+            test_mis_solver_allocation_free;
         ] );
       ( "mis",
         [

@@ -465,6 +465,40 @@ let test_cycle_errors_and_controls () =
   check "shutdown acks" true ((List.nth resps 5).P.outcome = P.Pong);
   check "shutdown latched" true (Server.shutdown_requested server)
 
+(* An unknown family is refused while the request is decoded, from the
+   family table the CLI shares: a bad_request naming it, never a failed
+   job. *)
+let test_unknown_family_is_bad_request () =
+  let server = Server.create () in
+  let line family =
+    Printf.sprintf
+      "{\"v\":1,\"id\":\"f\",\"problem\":\"mis\",\"span\":false,\
+       \"graph\":{\"family\":\"%s\",\"n\":40}}"
+      family
+  in
+  let resps =
+    List.map parse_resp (Server.handle_lines server [ line "nosuch"; line "path" ])
+  in
+  (match (List.nth resps 0).P.outcome with
+  | P.Error (P.Bad_request, msg) ->
+    check "names the unknown family" true
+      (String.starts_with ~prefix:"unknown family \"nosuch\"" msg)
+  | _ -> Alcotest.fail "unknown family must be bad_request");
+  check "answer carries the request id" true ((List.nth resps 0).P.rid = "f");
+  (match (List.nth resps 1).P.outcome with
+  | P.Solved _ -> ()
+  | _ -> Alcotest.fail "a known family is served");
+  check "decoding refuses it" true
+    (match P.incoming_of_json (Json.parse (line "nosuch")) with
+    | Error _ -> true
+    | Ok _ -> false);
+  check "build_graph refuses it" true
+    (match
+       P.build_graph (P.Family { family = "nosuch"; n = 4; seed = 1; a = 1; delta = 3 })
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let test_span_report_on_request () =
   let server = Server.create () in
   let run id =
@@ -826,6 +860,8 @@ let () =
             test_instance_cache_eviction;
           Alcotest.test_case "flood validity is checked" `Quick
             test_flood_valid_is_checked;
+          Alcotest.test_case "unknown family -> bad_request" `Quick
+            test_unknown_family_is_bad_request;
         ] );
       ( "daemon",
         [
