@@ -109,7 +109,7 @@ chaos-smoke:
 	dune exec --no-build examples/chaos_smoke.exe
 
 # Process-backend smoke: proc:{1,2,4} digest-identical to seq (flood
-# and the full Theorem 12 MIS pipeline), worker crash containment
+# and the Cole-Vishkin 3-coloring state machine), worker crash containment
 # (Failure surfaces verbatim, no zombies), and the fork-after-domain
 # guard. Runs in its own process because OCaml 5 forbids fork once a
 # domain has spawned.

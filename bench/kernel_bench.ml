@@ -182,16 +182,10 @@ let run_engine () =
   let topo = Topology.compile sg in
   let ids = Ids.permuted ~n ~seed:(seed + 8) in
   (* CV 3-coloring: the repo's log*-round workhorse, executed as a state
-     machine through Runtime (hence through the engine default mode). *)
+     machine through Runtime in the given mode. *)
   let parent = Tl_graph.Tree.parents_forest tree in
   let nodes = List.init n Fun.id in
-  let cv3 mode =
-    let saved = !Engine.default_mode in
-    Engine.default_mode := mode;
-    Fun.protect
-      ~finally:(fun () -> Engine.default_mode := saved)
-      (fun () -> CV.color3_runtime ~sg ~nodes ~parent ~ids)
-  in
+  let cv3 mode = CV.color3_runtime ~mode ~sg ~nodes ~parent ~ids () in
   (* Flooding to a fixed point: diameter-many rounds with a shrinking
      frontier — the active-set scheduler's best case. *)
   let flood mode =
@@ -524,9 +518,9 @@ let run_pool () =
 
    Times the sequential stepper against the tl_shard halo-exchange
    backend (shard counts 2/4/8) on three kernels: flooding to a fixed
-   point (active-set), the full Theorem 12 MIS pipeline, and a
-   fixed-round full-scan max-id sweep — the memory-bound shape where
-   the compact per-shard arrays pay off. The pool width is pinned to 1
+   point (active-set), a fixed-round full-scan max-id sweep, and an
+   always-changing sum on a mostly-hidden path — the shape where the
+   compact per-shard arrays pay off. The pool width is pinned to 1
    so the comparison isolates the cache-blocking effect of sharding
    from domain parallelism (the qcheck battery already proves
    shard x pool bit-identical). Results merge into BENCH_engine.json
@@ -623,13 +617,6 @@ let run_shard () =
        "B8: sharded halo-exchange backend — seq vs shard:{2,4,8} (n in {%s}, \
         pool=1)"
        (String.concat ", " (List.map string_of_int sizes)));
-  let mis_spec =
-    {
-      Theorem1.problem = Tl_problems.Mis.problem;
-      base_algorithm = Tl_symmetry.Algos.mis;
-      solve_edge_list = Tl_problems.Mis.solve_edge_list;
-    }
-  in
   let kernels =
     List.concat
       (List.mapi
@@ -650,16 +637,6 @@ let run_shard () =
                  ~equal:Bool.equal ~max_rounds:(n + 1) ()
              in
              (o.Engine.states, o.Engine.rounds)
-           in
-           (* The whole Theorem 12 MIS pipeline through the engine knob. *)
-           let t1mis mode =
-             let r =
-               Theorem1.run ~workers:1 ~engine:mode ~spec:mis_spec ~tree ~ids
-                 ~f:Tl_core.Complexity.f_linear ()
-             in
-             ( List.init (Graph.n_half_edges tree)
-                 (Labeling.get r.Theorem1.labeling),
-               Tl_local.Round_cost.total r.Theorem1.cost )
            in
            (* Fixed-round full-scan max-id sweep: every round touches
               every node and gathers every neighbor — the memory-bound
@@ -705,8 +682,6 @@ let run_shard () =
            [
              (Printf.sprintf "shard-flood.%d" i, n,
               run_shard_kernel ~reps flood);
-             (Printf.sprintf "shard-t1mis.%d" i, n,
-              run_shard_kernel ~reps t1mis);
              (Printf.sprintf "shard-maxprop.%d" i, n,
               run_shard_kernel ~reps maxprop);
              (Printf.sprintf "shard-sparse-sum.%d" i, n,

@@ -54,7 +54,7 @@ let delta_arg =
 
 (* Kept as a (validated) string until the command runs: "shard" or
    "proc" without a count resolves against --shards, through
-   [with_knobs]. *)
+   [with_knobs]; the parse here checks only the syntax. *)
 let engine_arg =
   let doc =
     "Execution engine: naive (the legacy full-scan reference stepper), \
@@ -66,13 +66,11 @@ let engine_arg =
      binary wire protocol; a bare proc also takes its count from \
      $(b,--shards); run proc work before any par/shard run — OCaml \
      forbids forking after domains exist). All modes are \
-     deterministic and bit-identical. $(b,solve) makes no engine run \
-     (its pipelines are direct loops), so there the mode is only \
-     validated and recorded; $(b,chaos) runs on it."
+     deterministic and bit-identical."
   in
   let mode =
     let parse s =
-      match Engine.mode_of_string s with
+      match Engine.mode_of_string ~count:1 s with
       | _ -> Ok s
       | exception Invalid_argument _ ->
         Error
@@ -125,10 +123,9 @@ let pool_arg =
 
 let trace_arg =
   let doc =
-    "Profile every engine-backed execution: write the per-round traces \
-     as a JSON array to $(docv) and print a metrics summary alongside \
-     the round ledger. $(b,solve) makes no engine run and writes an \
-     empty array; $(b,chaos) traces its runs."
+    "Profile every engine run: write the per-round traces as a JSON \
+     array to $(docv) and print a metrics summary alongside the round \
+     ledger."
   in
   Arg.(
     value
@@ -165,8 +162,7 @@ let at_exit_flush name f =
           !exit_flushers)
   end
 
-let setup_engine mode trace_file =
-  Engine.default_mode := mode;
+let setup_trace trace_file =
   match trace_file with
   | None -> ()
   | Some file ->
@@ -312,7 +308,6 @@ let report_raw name problem g labeling cost =
   List.iter
     (fun (phase, rounds) -> Printf.printf "  %-24s %6d\n" phase rounds)
     (Round_cost.phases cost);
-  print_trace_summary ();
   let valid = Tl_problems.Nec.is_valid problem g labeling in
   Printf.printf "valid:       %b\n" valid;
   if not valid then exit 1
@@ -324,7 +319,6 @@ let report name (r : _ Pipeline.report) =
     (fun (phase, rounds) -> Printf.printf "  %-24s %6d\n" phase rounds)
     (Round_cost.phases r.Pipeline.cost);
   if r.Pipeline.k > 0 then Printf.printf "k:           %d\n" r.Pipeline.k;
-  print_trace_summary ();
   Printf.printf "valid:       %b\n" r.Pipeline.valid;
   if not r.Pipeline.valid then begin
     List.iteri
@@ -335,9 +329,7 @@ let report name (r : _ Pipeline.report) =
     exit 1
   end
 
-let solve problem method_ family n seed a delta k engine shards pool trace
-    profile report_fmt =
-  setup_engine engine trace;
+let solve problem method_ family n seed a delta k pool profile report_fmt =
   Tl_engine.Pool.default_workers := pool;
   setup_profile profile report_fmt;
   Span.set_attr "problem" problem;
@@ -345,8 +337,6 @@ let solve problem method_ family n seed a delta k engine shards pool trace
   Span.set_attr "family" family;
   Span.set_attr "n" (string_of_int n);
   Span.set_attr "seed" (string_of_int seed);
-  Span.set_attr "engine" (Engine.mode_to_string engine);
-  Span.set_attr "shards" (string_of_int shards);
   Span.set_attr "pool" (string_of_int pool);
   let g = Span.with_span "instance" (fun () -> build_instance family n seed a delta) in
   let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 1) in
@@ -398,11 +388,13 @@ let with_knobs ~engine ~shards ~pool ~n run =
   | Error msg -> `Error (false, msg)
   | Ok mode -> `Ok (run mode)
 
-let solve_checked problem method_ family n seed a delta k engine shards pool
-    trace profile report_fmt =
-  with_knobs ~engine ~shards ~pool ~n (fun mode ->
-      solve problem method_ family n seed a delta k mode shards pool trace
-        profile report_fmt)
+(* solve makes no engine run (its pipelines are direct loops), so it
+   takes no engine knobs: only the instance size and the pool width are
+   checked, by the same rules. *)
+let solve_checked problem method_ family n seed a delta k pool profile
+    report_fmt =
+  with_knobs ~engine:"seq" ~shards:1 ~pool ~n (fun _seq ->
+      solve problem method_ family n seed a delta k pool profile report_fmt)
 
 let solve_cmd =
   let doc = "Solve a problem with the paper's transformation." in
@@ -410,8 +402,8 @@ let solve_cmd =
     Term.(
       ret
         (const solve_checked $ problem_arg $ method_arg $ family_arg $ n_arg
-       $ seed_arg $ a_arg $ delta_arg $ k_arg $ engine_arg $ shards_arg
-       $ pool_arg $ trace_arg $ profile_arg $ report_fmt_arg))
+       $ seed_arg $ a_arg $ delta_arg $ k_arg $ pool_arg $ profile_arg
+       $ report_fmt_arg))
 
 (* ---------- decompose ---------- *)
 
@@ -484,7 +476,7 @@ let chaos problem family n seed a delta engine pool faults trace profile
     report_fmt =
   let module Chaos = Tl_fault.Chaos in
   let module Injector = Tl_fault.Injector in
-  setup_engine engine trace;
+  setup_trace trace;
   Tl_engine.Pool.default_workers := pool;
   setup_profile profile report_fmt;
   let schedule =

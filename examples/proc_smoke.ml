@@ -10,21 +10,10 @@
    crash. *)
 
 module Gen = Tl_graph.Gen
-module Graph = Tl_graph.Graph
 module Ids = Tl_local.Ids
-module Labeling = Tl_problems.Labeling
-module Round_cost = Tl_local.Round_cost
 module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
-module Theorem1 = Tl_core.Theorem1
-module Proc = Tl_proc.Coordinator
-
-let mis_spec =
-  {
-    Theorem1.problem = Tl_problems.Mis.problem;
-    base_algorithm = Tl_symmetry.Algos.mis;
-    solve_edge_list = Tl_problems.Mis.solve_edge_list;
-  }
+module CV = Tl_symmetry.Cole_vishkin
 
 let pass name ok =
   Printf.printf "%-46s %s\n%!" name (if ok then "ok" else "FAIL");
@@ -36,6 +25,8 @@ let () =
   let ids = Ids.permuted ~n ~seed:7 in
   let sg = Tl_graph.Semi_graph.of_graph tree in
   let topo = Topology.compile sg in
+  let parent = Tl_graph.Tree.parents_forest tree in
+  let nodes = List.init n Fun.id in
   Printf.printf "instance: random tree, n = %d\n%!" n;
 
   (* 1. flood fixpoint, proc:{1,2,4} — all runs before any domain work *)
@@ -53,11 +44,9 @@ let () =
   let p2 = flood (Engine.Proc 2) in
   let p4 = flood (Engine.Proc 4) in
 
-  (* 2. Theorem 12 MIS through the full pipeline under proc:4 *)
-  let proc_mis =
-    Theorem1.run ~engine:(Engine.Proc 4) ~spec:mis_spec ~tree ~ids
-      ~f:Tl_core.Complexity.f_linear ()
-  in
+  (* 2. the Cole-Vishkin 3-coloring state machine under proc:4 *)
+  let cv3 mode = CV.color3_runtime ~mode ~sg ~nodes ~parent ~ids () in
+  let proc_cv3 = cv3 (Engine.Proc 4) in
 
   (* 3. crash containment: a step function that throws on a mid-run
      round must surface as Failure with no worker left behind *)
@@ -88,18 +77,9 @@ let () =
   pass "flood digest proc:2 = seq" (p2 = s1);
   pass "flood digest proc:4 = seq" (p4 = s1);
 
-  let seq_mis =
-    Theorem1.run ~engine:Engine.Seq ~spec:mis_spec ~tree ~ids
-      ~f:Tl_core.Complexity.f_linear ()
-  in
-  let labels r =
-    List.init (Graph.n_half_edges tree) (Labeling.get r.Theorem1.labeling)
-  in
-  pass "Theorem 12 MIS labeling proc:4 = seq"
-    (labels proc_mis = labels seq_mis);
-  pass "Theorem 12 MIS ledger proc:4 = seq"
-    (Round_cost.phases proc_mis.Theorem1.cost
-    = Round_cost.phases seq_mis.Theorem1.cost);
+  let seq_cv3 = cv3 Engine.Seq in
+  pass "CV 3-coloring colors proc:4 = seq" (fst proc_cv3 = fst seq_cv3);
+  pass "CV 3-coloring rounds proc:4 = seq" (snd proc_cv3 = snd seq_cv3);
 
   (* 5. the fork-after-domain guard refuses cleanly (domains may or may
      not have spawned above depending on core count — only assert when

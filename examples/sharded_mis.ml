@@ -1,73 +1,64 @@
-(* Sharded execution: the same Theorem 12 MIS pipeline, bit-identical
-   under the sequential stepper and the sharded halo-exchange backend.
+(* Sharded execution: an engine workload, bit-identical under the
+   sequential stepper and the sharded halo-exchange backend.
 
    Run with:  dune exec examples/sharded_mis.exe
 
    The shard backend (lib/shard) partitions a compiled topology into S
    contiguous shards with ghost (halo) vertices; every LOCAL round is
-   local step -> batched boundary exchange -> barrier. The pipeline's
-   phases are direct loops that make no engine run, so steps 1-3 check
-   that the [~engine] knob leaves the result alone, and step 4 runs the
-   backend itself. The CLI exposes the backend as
+   local step -> batched boundary exchange -> barrier. The paper's
+   pipelines (Theorem 12 MIS among them) are direct loops that make no
+   engine run, so the backend is shown on engine workloads: steps 1-3
+   run the Cole-Vishkin 3-coloring state machine under each mode, and
+   step 4 floods the tree through [Engine.run_until_stable]. The mode
+   is an argument of each run. The CLI exposes the backend as
    `chaos ... --engine shard --shards S`.
 *)
 
 module Gen = Tl_graph.Gen
 module Graph = Tl_graph.Graph
 module Ids = Tl_local.Ids
-module Labeling = Tl_problems.Labeling
-module Round_cost = Tl_local.Round_cost
 module Engine = Tl_engine.Engine
-module Theorem1 = Tl_core.Theorem1
-module Shard = Tl_shard.Shard
-
-let mis_spec =
-  {
-    Theorem1.problem = Tl_problems.Mis.problem;
-    base_algorithm = Tl_symmetry.Algos.mis;
-    solve_edge_list = Tl_problems.Mis.solve_edge_list;
-  }
+module CV = Tl_symmetry.Cole_vishkin
 
 let () =
   let n = 20_000 in
   let tree = Gen.random_tree ~n ~seed:42 in
   let ids = Ids.permuted ~n ~seed:7 in
   Printf.printf "instance: random tree, n = %d\n" n;
-
-  (* 1. the reference: Theorem 12 MIS under the sequential stepper *)
-  let seq =
-    Theorem1.run ~engine:Engine.Seq ~spec:mis_spec ~tree ~ids
-      ~f:Tl_core.Complexity.f_linear ()
-  in
-
-  (* 2. the same pipeline on the sharded backend, S = 4 *)
-  let sharded =
-    Theorem1.run ~engine:(Engine.Shard 4) ~spec:mis_spec ~tree ~ids
-      ~f:Tl_core.Complexity.f_linear ()
-  in
-
-  (* 3. parity: labelings and round ledgers must be bit-identical *)
-  let labels r =
-    List.init (Graph.n_half_edges tree) (Labeling.get r.Theorem1.labeling)
-  in
-  let same_labels = labels seq = labels sharded in
-  let same_ledger =
-    Round_cost.phases seq.Theorem1.cost
-    = Round_cost.phases sharded.Theorem1.cost
-  in
-  Printf.printf "labelings identical:     %b\n" same_labels;
-  Printf.printf "round ledgers identical: %b\n" same_ledger;
-  List.iter
-    (fun (phase, rounds) -> Printf.printf "  %-22s %5d rounds\n" phase rounds)
-    (Round_cost.phases sharded.Theorem1.cost);
-  assert (same_labels && same_ledger);
-
-  (* 4. the backend is also callable directly, composing with the pool *)
   let sg = Tl_graph.Semi_graph.of_graph tree in
+  let parent = Tl_graph.Tree.parents_forest tree in
+  let nodes = List.init n Fun.id in
+
+  (* 1. the reference: Cole-Vishkin 3-coloring under the sequential
+     stepper *)
+  let seq_colors, seq_rounds =
+    CV.color3_runtime ~mode:Engine.Seq ~sg ~nodes ~parent ~ids ()
+  in
+
+  (* 2. the same state machine on the sharded backend, S = 4 *)
+  let colors, rounds =
+    CV.color3_runtime ~mode:(Engine.Shard 4) ~sg ~nodes ~parent ~ids ()
+  in
+
+  (* 3. parity: colors and rounds must be bit-identical, and proper *)
+  let proper =
+    List.for_all
+      (fun e ->
+        let u, v = Graph.edge_endpoints tree e in
+        colors.(u) <> colors.(v))
+      (List.init (Graph.n_edges tree) Fun.id)
+  in
+  Printf.printf "3-coloring: %d rounds (seq) = %d rounds (shard:4)\n"
+    seq_rounds rounds;
+  Printf.printf "colors identical:        %b\n" (colors = seq_colors);
+  Printf.printf "proper 3-coloring:       %b\n" proper;
+  assert (colors = seq_colors && rounds = seq_rounds && proper);
+
+  (* 4. any engine run takes the backend as its mode *)
   let topo = Tl_engine.Topology.compile sg in
   let flood shards =
     let o =
-      Shard.run_until_stable ~shards ~pool:1 ~topo
+      Engine.run_until_stable ~mode:(Engine.Shard shards) ~topo
         ~init:(fun v -> v = 0)
         ~step:(fun ~round:_ ~node:_ s ~neighbors ->
           s || List.exists (fun (_, _, su) -> su) neighbors)

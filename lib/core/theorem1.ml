@@ -43,21 +43,7 @@ let assert_disjoint_owners tree components =
         component)
     components
 
-(* Scoped engine-mode override: the theorem phases drive many engine
-   runs (base algorithm, color reductions) through call chains that do
-   not thread a mode, so the backend knob retargets the process default
-   for the duration of the run and restores it even on raise. *)
-let with_engine engine f =
-  match engine with
-  | None -> f ()
-  | Some m ->
-    let saved = !Tl_engine.Engine.default_mode in
-    Tl_engine.Engine.default_mode := m;
-    Fun.protect
-      ~finally:(fun () -> Tl_engine.Engine.default_mode := saved)
-      f
-
-let run_inner ?(check_invariants = false) ?workers ?k ~spec ~tree ~ids ~f () =
+let run ?(check_invariants = false) ?workers ?k ~spec ~tree ~ids ~f () =
   let n = Graph.n_nodes tree in
   let pool = Pool.create ?workers () in
   let k =
@@ -83,17 +69,10 @@ let run_inner ?(check_invariants = false) ?workers ?k ~spec ~tree ~ids ~f () =
         rc)
   in
   let labeling = Labeling.create tree in
-  (* Phase 2: the base algorithm A on T_C (Algorithm 2, line 1). T_C is
-     a fresh view, so a snapshot the base algorithm caches for it can
-     never be hit again: drop it rather than let it pin memory and evict
-     snapshots of views that are reused (a daemon's instances). *)
-  let t_c = Rake_compress.t_c rc in
+  (* Phase 2: the base algorithm A on T_C (Algorithm 2, line 1). *)
   Span.with_span "base" (fun () ->
-      Fun.protect
-        ~finally:(fun () -> Tl_engine.Topology.forget t_c)
-        (fun () ->
-          Round_cost.charge cost "base:A(T_C)"
-            (spec.base_algorithm t_c ~ids labeling)));
+      Round_cost.charge cost "base:A(T_C)"
+        (spec.base_algorithm (Rake_compress.t_c rc) ~ids labeling));
   assert_partial labeling "base:A(T_C)";
   (* Phase 3: gather-and-solve Π× on each component of T_R (line 2). All
      components are processed in parallel; the LOCAL cost is the largest
@@ -137,7 +116,3 @@ let run_inner ?(check_invariants = false) ?workers ?k ~spec ~tree ~ids ~f () =
            (fun acc ecc -> max acc (2 * ecc))
            0 raked.Rake_compress.eccentricity));
   { labeling; cost; rc; k }
-
-let run ?check_invariants ?workers ?engine ?k ~spec ~tree ~ids ~f () =
-  with_engine engine (fun () ->
-      run_inner ?check_invariants ?workers ?k ~spec ~tree ~ids ~f ())

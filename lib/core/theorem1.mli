@@ -39,7 +39,6 @@ type 'l result = {
 val run :
   ?check_invariants:bool ->
   ?workers:int ->
-  ?engine:Tl_engine.Engine.mode ->
   ?k:int ->
   spec:'l spec ->
   tree:Tl_graph.Graph.t ->
@@ -56,10 +55,10 @@ val run :
     far is valid — is asserted after the base phase and after every
     component completion ({!Tl_problems.Nec.validate_partial}).
 
-    [T_C] is a fresh view per run, so the topology snapshot base
-    algorithm A caches for it is dropped after phase 2
-    ({!Tl_engine.Topology.forget}); the run leaves no snapshot behind.
-    Phase 3 builds no semi-graph for [T_R] and compiles nothing:
+    Every phase is a direct loop; the run makes no engine run. [T_C] is
+    a fresh view per run, and base algorithm A compiles it outside
+    {!Tl_engine.Topology}'s snapshot cache, so the run leaves no
+    snapshot behind. Phase 3 builds no semi-graph for [T_R] and compiles nothing:
     {!Tl_decompose.Rake_compress.raked_components} finds the components,
     their highest nodes and those nodes' eccentricities in one BFS over
     the tree's rows, sequentially, and the charge is twice the largest
@@ -73,14 +72,6 @@ val run :
     ownership is asserted disjoint before fan-out and the proof
     invariant is checked once after the phase instead of after every
     component.
-
-    [engine] scopes {!Tl_engine.Engine.default_mode} to the run, but no
-    pipeline phase runs on the simulator any more: the decomposition,
-    base algorithm A (Linial, the color reductions, the class sweep)
-    and the gather-solve are direct loops. So the knob reaches only a
-    [spec] callback that calls the engine itself; the labeling, the
-    ledger and the run time of the built-in pipelines do not depend on
-    it.
 
     Phases charged to the ledger: ["decompose"], ["base:A(T_C)"],
     ["gather-solve(T_R)"]. Span counters under ["gather-solve"]:

@@ -46,18 +46,7 @@ let assert_disjoint_stars graph stars =
         edges)
     stars
 
-(* Same scoped engine-mode override as Theorem1.with_engine. *)
-let with_engine engine f =
-  match engine with
-  | None -> f ()
-  | Some m ->
-    let saved = !Tl_engine.Engine.default_mode in
-    Tl_engine.Engine.default_mode := m;
-    Fun.protect
-      ~finally:(fun () -> Tl_engine.Engine.default_mode := saved)
-      f
-
-let run_inner ?(check_invariants = false) ?workers ?(rho = 2) ?k ~spec ~graph
+let run ?(check_invariants = false) ?workers ?(rho = 2) ?k ~spec ~graph
     ~a ~ids ~f () =
   if a < 1 then invalid_arg "Theorem2.run: a < 1";
   let pool = Pool.create ?workers () in
@@ -134,7 +123,3 @@ let run_inner ?(check_invariants = false) ?workers ?(rho = 2) ?k ~spec ~graph
         done
       done);
   { labeling; cost; decomposition = d; k; rho }
-
-let run ?check_invariants ?workers ?engine ?rho ?k ~spec ~graph ~a ~ids ~f () =
-  with_engine engine (fun () ->
-      run_inner ?check_invariants ?workers ?rho ?k ~spec ~graph ~a ~ids ~f ())

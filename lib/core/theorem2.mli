@@ -39,7 +39,6 @@ type 'l result = {
 val run :
   ?check_invariants:bool ->
   ?workers:int ->
-  ?engine:Tl_engine.Engine.mode ->
   ?rho:int ->
   ?k:int ->
   spec:'l spec ->
@@ -63,9 +62,8 @@ val run :
     ordered, and results are bit-identical to the sequential run for any
     worker count.
 
-    [engine] scopes {!Tl_engine.Engine.default_mode} to the run, exactly
-    like {!Tl_core.Theorem1.run}, and likewise reaches no pipeline phase:
-    the decomposition, base algorithm A on the line graph and the star
+    Like {!Tl_core.Theorem1.run}, the run makes no engine run: the
+    decomposition, base algorithm A on the line graph and the star
     solves are direct loops.
 
     Phases charged: ["decompose"], ["forest-3-coloring"], ["base:A(G[E2])"],

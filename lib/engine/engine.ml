@@ -3,9 +3,6 @@ module Semi_graph = Tl_graph.Semi_graph
 type mode = Naive | Seq | Par of int | Shard of int | Proc of int
 type scheduling = Stepper.scheduling = Active_set | Full_scan
 
-let default_shards = ref 4
-let default_procs = ref 4
-
 let mode_to_string = function
   | Naive -> "naive"
   | Seq -> "seq"
@@ -37,7 +34,10 @@ let count_suffix s prefix =
   end
   else None
 
-let mode_of_string s =
+let mode_of_string ~count s =
+  if count < 1 then
+    invalid_arg
+      (Printf.sprintf "Engine.mode_of_string: count %d must be >= 1" count);
   if String.trim s <> s then
     invalid_arg
       (Printf.sprintf
@@ -47,8 +47,8 @@ let mode_of_string s =
   match s with
   | "naive" -> Naive
   | "seq" -> Seq
-  | "shard" -> Shard (max 1 !default_shards)
-  | "proc" -> Proc (max 1 !default_procs)
+  | "shard" -> Shard count
+  | "proc" -> Proc count
   | _ -> (
     match count_suffix s "par:" with
     | Some p -> Par p
@@ -69,7 +69,6 @@ let sched_to_string = function
   | Active_set -> "active-set"
   | Full_scan -> "full-scan"
 
-let default_mode = ref Seq
 let trace_sink : (Trace.t -> unit) option ref = ref None
 
 (* Second per-run delivery hook, owned by Tl_obs.Metrics (which sits
@@ -373,9 +372,8 @@ let par_of = function
 (* [naive] is the mode's own reference loop, kept out of the shared
    driver so the differential batteries compare two independent
    implementations. *)
-let exec_mode ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached
+let exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached
     ~topo ~init ~step ~halted ~stop ~naive () =
-  let mode = match mode with Some m -> m | None -> !default_mode in
   let tr =
     begin_trace ?trace ~label ~mode:(mode_to_string mode) ~layout:"boxed"
       ~sched ~compile_s ~compile_cached topo
@@ -394,27 +392,27 @@ let exec_mode ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached
         engine_exec ~par:(par_of mode) ~sched ~equal ~tr ~topo ~init ~step
           ~halted ~stop)
 
-let run ?mode ?(sched = Active_set) ?(equal = Stdlib.( = )) ?trace
+let run ?(mode = Seq) ?(sched = Active_set) ?(equal = Stdlib.( = )) ?trace
     ?(label = "engine.run") ?(compile_s = 0.) ?(compile_cached = false) ~topo
     ~init ~step ~halted ~max_rounds () =
-  exec_mode ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
+  exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
     ~init ~step ~halted:(Some halted) ~stop:(Halted max_rounds)
     ~naive:(fun tr -> naive_run ~tr ~topo ~init ~step ~halted ~max_rounds)
     ()
 
-let run_until_stable ?mode ?(sched = Active_set) ?trace
+let run_until_stable ?(mode = Seq) ?(sched = Active_set) ?trace
     ?(label = "engine.run_until_stable") ?(compile_s = 0.)
     ?(compile_cached = false) ~topo ~init ~step ~equal ~max_rounds () =
-  exec_mode ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
+  exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
     ~init ~step ~halted:None ~stop:(Stable max_rounds)
     ~naive:(fun tr ->
       naive_run_until_stable ~tr ~topo ~init ~step ~equal ~max_rounds)
     ()
 
-let run_rounds ?mode ?(sched = Active_set) ?(equal = Stdlib.( = )) ?trace
-    ?(label = "engine.run_rounds") ?(compile_s = 0.) ?(compile_cached = false)
-    ~topo ~init ~step ~rounds () =
-  exec_mode ?mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
+let run_rounds ?(mode = Seq) ?(sched = Active_set) ?(equal = Stdlib.( = ))
+    ?trace ?(label = "engine.run_rounds") ?(compile_s = 0.)
+    ?(compile_cached = false) ~topo ~init ~step ~rounds () =
+  exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
     ~init ~step ~halted:None ~stop:(Rounds rounds)
     ~naive:(fun tr -> naive_run_rounds ~tr ~topo ~init ~step ~rounds)
     ()

@@ -41,6 +41,13 @@
       linked raises [Failure]. Bit-identical to [Seq] under the same
       stationarity contract.
 
+    The stepper is an argument of every run ([?mode], default [Seq]),
+    never process state: the caller that owns a run — the CLI's
+    [chaos] command, the daemon per request, a bench kernel — passes
+    its mode down to the run it starts. The paper's pipelines
+    ([Tl_core.Theorem1]/[Theorem2]) make no engine run at all; their
+    phases are direct loops.
+
     {2 Determinism guarantee}
 
     For a fixed topology, [init], [step] and ID assignment, all modes and
@@ -69,15 +76,16 @@ type scheduling = Stepper.scheduling =
 val mode_to_string : mode -> string
 val sched_to_string : scheduling -> string
 
-val mode_of_string : string -> mode
+val mode_of_string : count:int -> string -> mode
 (** Parses ["naive"], ["seq"], ["par:N"], ["shard:N"], ["proc:N"]
-    (N >= 1), ["shard"] (shard count taken from {!default_shards} at
-    parse time) and ["proc"] (process count from {!default_procs}).
-    Raises [Invalid_argument] with a message naming the offending input
-    otherwise — including ["par:0"]/["shard:0"]/["proc:0"] (count must
-    be >= 1), non-digit or out-of-range counts, and strings with
-    surrounding whitespace (callers splitting config lines forget to
-    trim; a silent accept here would mask that). *)
+    (N >= 1), and a bare ["shard"] or ["proc"], which takes [count] as
+    its shard or process count (the daemon and the CLI pass their
+    [shards] knob). Raises [Invalid_argument] with a message naming the
+    offending input when [count < 1], and otherwise for
+    ["par:0"]/["shard:0"]/["proc:0"] (count must be >= 1), non-digit or
+    out-of-range counts, and strings with surrounding whitespace
+    (callers splitting config lines forget to trim; a silent accept here
+    would mask that). *)
 
 val par_grain : int ref
 (** Minimum active-set size {e per chunk} for a [Par] round to fan out
@@ -88,19 +96,6 @@ val par_grain : int ref
     function of the active count, so the grain never changes results —
     only which domain computes them. Default [2048]; tests pin it to
     [0] to force the team on. *)
-
-val default_mode : mode ref
-(** Mode used when a run does not specify one. [Seq] initially; the CLI's
-    [--engine] flag retargets every engine-backed execution in the
-    process by setting this. *)
-
-val default_shards : int ref
-(** Shard count used when a mode string says just ["shard"] — the CLI's
-    [--shards N] flag sets this once at startup. Defaults to [4]. *)
-
-val default_procs : int ref
-(** Worker-process count used when a mode string says just ["proc"].
-    Defaults to [4]. *)
 
 val trace_sink : (Trace.t -> unit) option ref
 (** When set, every engine run reports its trace here (creating an
@@ -274,10 +269,11 @@ val run :
   'state outcome
 (** Engine counterpart of {!Tl_local.Runtime.run}: rounds execute while
     some present node is unhalted, every executed round is counted, the
-    halting check happens before the first round. [equal] (default
-    structural equality) is used only for change detection — it never
-    affects results under the stationarity contract, only which nodes
-    are re-stepped and the [changed] trace counts. *)
+    halting check happens before the first round. [mode] defaults to
+    [Seq]. [equal] (default structural equality) is used only for change
+    detection — it never affects results under the stationarity
+    contract, only which nodes are re-stepped and the [changed] trace
+    counts. *)
 
 val run_until_stable :
   ?mode:mode ->

@@ -119,17 +119,6 @@ let compile_cached_stat sg =
 
 let compile_cached sg = fst (compile_cached_stat sg)
 
-let forget sg =
-  let key = (Semi_graph.stamp sg, Semi_graph.generation sg) in
-  Mutex.protect cache_mutex (fun () ->
-      if Hashtbl.mem cache key then begin
-        Hashtbl.remove cache key;
-        let rest = Queue.create () in
-        Queue.iter (fun k -> if k <> key then Queue.push k rest) cache_order;
-        Queue.clear cache_order;
-        Queue.transfer rest cache_order
-      end)
-
 let n_base t = t.n_base
 let n_present t = t.n_present
 let present t v = t.present.(v)

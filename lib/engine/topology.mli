@@ -30,10 +30,10 @@ val compile : Tl_graph.Semi_graph.t -> t
 
 val compile_cached : Tl_graph.Semi_graph.t -> t
 (** {!compile} memoized on the view's identity
-    [(Semi_graph.stamp, Semi_graph.generation)]: repeated runtime phases
-    over the same view ([T_C], [G[E_2]], the [G[F_{i,j}]] families, the
-    color-reduction loops) reuse one CSR snapshot instead of recompiling
-    per phase. Any {!Tl_graph.Semi_graph.hide_node} /
+    [(Semi_graph.stamp, Semi_graph.generation)]: repeated engine runs
+    over the same view (the daemon's warm [flood] requests,
+    {!Tl_local.Runtime} runs) reuse one CSR snapshot instead of
+    recompiling per run. Any {!Tl_graph.Semi_graph.hide_node} /
     [hide_edge] bumps the generation and thereby invalidates the cached
     snapshot. The cache is bounded (FIFO, default 64 snapshots — a
     snapshot pins its semi-graph) and safe to call from multiple
@@ -48,12 +48,6 @@ val cache_stats : unit -> int * int
 (** [(hits, misses)] of {!compile_cached} since start (or the last
     process-wide reset — the counters are never cleared by
     {!clear_cache}). *)
-
-val forget : Tl_graph.Semi_graph.t -> unit
-(** Drop the cached snapshot of this view, if any (counters are kept).
-    For a caller that built the view for one run: its stamp is never
-    looked up again, so the snapshot would only pin memory and take a
-    slot from views that are reused (Theorem 12's [T_C]). *)
 
 val clear_cache : unit -> unit
 (** Drop every cached snapshot (counters are kept). *)

@@ -90,9 +90,8 @@ let m_repairs = lazy (Metrics.counter "fault_repairs_total")
 let m_relabeled = lazy (Metrics.counter "fault_relabeled_total")
 let m_repair_hist = lazy (Metrics.histogram "fault_repair_seconds")
 
-let run ?mode ?(sched = Engine.Active_set) ?max_rounds ~graph ~problem
-    ~schedule () =
-  let mode = match mode with Some m -> m | None -> !Engine.default_mode in
+let run ?(mode = Engine.Seq) ?(sched = Engine.Active_set) ?max_rounds ~graph
+    ~problem ~schedule () =
   let n = Graph.n_nodes graph in
   let max_rounds =
     match max_rounds with Some m -> m | None -> (4 * n) + 64

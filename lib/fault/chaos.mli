@@ -75,7 +75,8 @@ val run :
   unit ->
   report
 (** Arm the schedule, drive the epoch loop, disarm (also on raise).
-    [max_rounds] bounds each single epoch (default [4 * n + 64]).
+    Every epoch runs in [mode] (default [Seq]). [max_rounds] bounds each
+    single epoch (default [4 * n + 64]).
     Raises [Invalid_argument] if an injector is already armed or the
     schedule names out-of-range ids, [Failure] if a fault-time repair
     fails to clear the staleness it targets. The final [valid] flag is

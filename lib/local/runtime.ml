@@ -43,8 +43,7 @@ let with_engine_span ?trace ~label f =
     in
     Fun.protect ~finally:(fun () -> Span.add_trace tr) (fun () -> f (Some tr))
 
-let run_with ?mode ?sched ?equal ?trace ~sg ~init ~step ~halted ~max_rounds ()
-    =
+let run ?mode ?sched ?equal ?trace ~sg ~init ~step ~halted ~max_rounds () =
   let topo, compile_s, compile_cached = compile sg in
   let o =
     with_engine_span ?trace ~label:"runtime.run" (fun trace ->
@@ -53,8 +52,8 @@ let run_with ?mode ?sched ?equal ?trace ~sg ~init ~step ~halted ~max_rounds ()
   in
   { states = o.Engine.states; rounds = o.Engine.rounds }
 
-let run_until_stable_with ?mode ?sched ?trace ~sg ~init ~step ~equal
-    ~max_rounds () =
+let run_until_stable ?mode ?sched ?trace ~sg ~init ~step ~equal ~max_rounds ()
+    =
   let topo, compile_s, compile_cached = compile sg in
   let o =
     with_engine_span ?trace ~label:"runtime.stable" (fun trace ->
@@ -62,12 +61,6 @@ let run_until_stable_with ?mode ?sched ?trace ~sg ~init ~step ~equal
           ~compile_s ~compile_cached ~topo ~init ~step ~equal ~max_rounds ())
   in
   { states = o.Engine.states; rounds = o.Engine.rounds }
-
-let run ~sg ~init ~step ~halted ~max_rounds =
-  run_with ~sg ~init ~step ~halted ~max_rounds ()
-
-let run_until_stable ~sg ~init ~step ~equal ~max_rounds =
-  run_until_stable_with ~sg ~init ~step ~equal ~max_rounds ()
 
 let charge_trace cost trace =
   let m = Tl_engine.Trace.metrics trace in

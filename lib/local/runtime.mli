@@ -12,14 +12,13 @@
     compiled once into a CSR {!Tl_engine.Topology} snapshot and stepped
     with the double-buffered active-set scheduler (no per-round full
     copies; converged regions cost zero). The optional [mode] selects the
-    stepper — [Naive] (the original full-scan reference), [Seq] (default,
-    via {!Tl_engine.Engine.default_mode}), [Par p] (OCaml 5 domains,
-    deterministic chunking), [Shard s] (the sharded halo-exchange
-    backend {!Tl_shard.Shard}) or [Proc p] (one worker process per
-    shard, [Tl_proc.Coordinator]); the runtime force-links both backends
-    so they are available in every binary built on it. All are
-    bit-identical under the engine's stationarity contract (see
-    {!Tl_engine.Engine}).
+    stepper — [Naive] (the original full-scan reference), [Seq] (the
+    default), [Par p] (OCaml 5 domains, deterministic chunking),
+    [Shard s] (the sharded halo-exchange backend {!Tl_shard.Shard}) or
+    [Proc p] (one worker process per shard, [Tl_proc.Coordinator]); the
+    runtime force-links both backends so they are available in every
+    binary built on it. All are bit-identical under the engine's
+    stationarity contract (see {!Tl_engine.Engine}).
 
     Determinism: given the semi-graph, the ID assignment and a
     deterministic [step], runs are bit-for-bit reproducible across all
@@ -38,47 +37,6 @@ type 'state outcome = {
 }
 
 val run :
-  sg:Tl_graph.Semi_graph.t ->
-  init:(int -> 'state) ->
-  step:
-    (round:int ->
-    node:int ->
-    'state ->
-    neighbors:(int * int * 'state) list ->
-    'state) ->
-  halted:('state -> bool) ->
-  max_rounds:int ->
-  'state outcome
-(** [run ~sg ~init ~step ~halted ~max_rounds] initializes every present
-    node with [init node] and then executes synchronous rounds: in round
-    [r] (starting from 1) each present node [v] receives
-    [step ~round:r ~node:v state ~neighbors] where [neighbors] lists
-    [(neighbor, edge, neighbor_state)] over present rank-2 edges. The run
-    stops as soon as every present node's state satisfies [halted] —
-    checked {e before} the first round, so an already-halted configuration
-    costs 0 rounds — or when [max_rounds] is reached, whichever comes
-    first. Raises [Failure] if [max_rounds] is exceeded with non-halted
-    nodes, as a guard against non-terminating algorithms. The stepper is
-    selected by {!Tl_engine.Engine.default_mode}; active-set change
-    detection uses structural equality. *)
-
-val run_until_stable :
-  sg:Tl_graph.Semi_graph.t ->
-  init:(int -> 'state) ->
-  step:
-    (round:int ->
-    node:int ->
-    'state ->
-    neighbors:(int * int * 'state) list ->
-    'state) ->
-  equal:('state -> 'state -> bool) ->
-  max_rounds:int ->
-  'state outcome
-(** Like {!run}, but stops when a global fixed point is reached (no state
-    changed during a round). The fixed-point detection round itself is not
-    charged. *)
-
-val run_with :
   ?mode:Tl_engine.Engine.mode ->
   ?sched:Tl_engine.Engine.scheduling ->
   ?equal:('state -> 'state -> bool) ->
@@ -95,11 +53,21 @@ val run_with :
   max_rounds:int ->
   unit ->
   'state outcome
-(** {!run} with explicit engine controls: stepper [mode] ([Naive] /
-    [Seq] / [Par p] / [Shard s] / [Proc p]), [sched]uling, active-set
-    [equal] and a [trace] collector. *)
+(** [run ~sg ~init ~step ~halted ~max_rounds ()] initializes every
+    present node with [init node] and then executes synchronous rounds:
+    in round [r] (starting from 1) each present node [v] receives
+    [step ~round:r ~node:v state ~neighbors] where [neighbors] lists
+    [(neighbor, edge, neighbor_state)] over present rank-2 edges. The run
+    stops as soon as every present node's state satisfies [halted] —
+    checked {e before} the first round, so an already-halted configuration
+    costs 0 rounds — or when [max_rounds] is reached, whichever comes
+    first. Raises [Failure] if [max_rounds] is exceeded with non-halted
+    nodes, as a guard against non-terminating algorithms. The engine
+    controls are the stepper [mode] (default [Seq]), the [sched]uling
+    (default active-set), the active-set change test [equal] (default
+    structural equality) and a [trace] collector. *)
 
-val run_until_stable_with :
+val run_until_stable :
   ?mode:Tl_engine.Engine.mode ->
   ?sched:Tl_engine.Engine.scheduling ->
   ?trace:Tl_engine.Trace.t ->
@@ -115,7 +83,9 @@ val run_until_stable_with :
   max_rounds:int ->
   unit ->
   'state outcome
-(** {!run_until_stable} with explicit engine controls. *)
+(** Like {!run}, but stops when a global fixed point is reached (no state
+    changed during a round). The fixed-point detection round itself is not
+    charged. *)
 
 val charge_trace : Round_cost.t -> Tl_engine.Trace.t -> unit
 (** Merge an engine trace into a round ledger: charges the measured

@@ -439,10 +439,6 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
   | v -> v
   | exception Worker_failure msg -> failwith msg
 
-let proc_count = function
-  | Some p -> p
-  | None -> max 1 !Engine.default_procs
-
 (* ---------- the Engine.Proc hook (boxed states) ---------- *)
 
 let exec :
@@ -477,7 +473,6 @@ let register () = ()
    global kernel: its slots, halting predicate and initial slab. Traces
    are stamped like a boxed Proc run, with the flat layout. *)
 let exec_flat ~procs ~sched ~topo ~kernel_for ~stop =
-  let procs = proc_count procs in
   let kernel : Flat.kernel =
     kernel_for ~l2g:(Array.init topo.Topology.n_base Fun.id)
   in
@@ -504,11 +499,11 @@ let exec_flat ~procs ~sched ~topo ~kernel_for ~stop =
       in
       { Flat.slab; slots; rounds })
 
-let run_flat ?procs ?(sched = Engine.Active_set) ~topo ~kernel_for
+let run_flat ~procs ?(sched = Engine.Active_set) ~topo ~kernel_for
     ~max_rounds () =
   exec_flat ~procs ~sched ~topo ~kernel_for ~stop:(Engine.Halted max_rounds)
 
-let run_flat_until_stable ?procs ?(sched = Engine.Active_set) ~topo
+let run_flat_until_stable ~procs ?(sched = Engine.Active_set) ~topo
     ~kernel_for ~max_rounds () =
   exec_flat ~procs ~sched ~topo ~kernel_for ~stop:(Engine.Stable max_rounds)
 
@@ -527,21 +522,3 @@ module Kernels = struct
   let mis_local_max ~ids ~l2g =
     Flat.Kernels.mis_local_max ~ids:(Array.map (fun g -> ids.(g)) l2g)
 end
-
-(* ---------- direct boxed API (the Proc-mode twins of Shard.run and
-   friends) ---------- *)
-
-let run ?procs ?sched ?equal ?trace ?label ~topo ~init ~step ~halted
-    ~max_rounds () =
-  Engine.run ~mode:(Engine.Proc (proc_count procs)) ?sched ?equal ?trace
-    ?label ~topo ~init ~step ~halted ~max_rounds ()
-
-let run_until_stable ?procs ?sched ?trace ?label ~topo ~init ~step ~equal
-    ~max_rounds () =
-  Engine.run_until_stable ~mode:(Engine.Proc (proc_count procs)) ?sched
-    ?trace ?label ~topo ~init ~step ~equal ~max_rounds ()
-
-let run_rounds ?procs ?sched ?equal ?trace ?label ~topo ~init ~step ~rounds
-    () =
-  Engine.run_rounds ~mode:(Engine.Proc (proc_count procs)) ?sched ?equal
-    ?trace ?label ~topo ~init ~step ~rounds ()

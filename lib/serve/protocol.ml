@@ -420,27 +420,16 @@ let resolve_knobs ~engine ~shards ~pool ~n =
     Stdlib.Error
       (Printf.sprintf "invalid pool size %d (expected 1 <= N <= 64)" pool)
   else
-    (* "shard"/"proc" without an inline count resolve against the
-       request's shards knob; scope both refs so the caller's globals
-       are untouched *)
-    let saved = !Engine.default_shards in
-    let saved_p = !Engine.default_procs in
-    Engine.default_shards := shards;
-    Engine.default_procs := shards;
+    (* "shard"/"proc" without an inline count take the shards knob *)
     let mode =
-      Fun.protect
-        ~finally:(fun () ->
-          Engine.default_shards := saved;
-          Engine.default_procs := saved_p)
-        (fun () ->
-          match Engine.mode_of_string engine with
-          | m -> Ok m
-          | exception Invalid_argument _ ->
-            Stdlib.Error
-              (Printf.sprintf
-                 "invalid engine %S (expected naive, seq, par:N, shard, \
-                  shard:S, proc or proc:S)"
-                 engine))
+      match Engine.mode_of_string ~count:shards engine with
+      | m -> Ok m
+      | exception Invalid_argument _ ->
+        Stdlib.Error
+          (Printf.sprintf
+             "invalid engine %S (expected naive, seq, par:N, shard, \
+              shard:S, proc or proc:S)"
+             engine)
     in
     match mode with
     | Stdlib.Error _ as e -> e

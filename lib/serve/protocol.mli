@@ -176,8 +176,8 @@ val resolve_knobs :
   engine:string -> shards:int -> pool:int -> n:int ->
   (Tl_engine.Engine.mode, string) result
 (** Validate an (engine, shards, pool) combination against an instance
-    of [n] nodes and resolve the engine string to a mode (["shard"]
-    picks up [shards]). Errors — friendly, one-line — cover: unknown
+    of [n] nodes and resolve the engine string to a mode (a bare
+    ["shard"] or ["proc"] takes [shards] as its count). Errors — friendly, one-line — cover: unknown
     engine strings, [shards < 1], [shards > n], [pool] outside [1, 64],
     [n < 1], and shard mode requested while no shard backend is linked
     ({!Tl_engine.Engine.shard_backend} is [None]). Shared by the daemon

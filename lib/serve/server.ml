@@ -195,19 +195,13 @@ let validate t (r : P.request) =
 
 (* ---------- execution ---------- *)
 
-let with_knobs ~mode ~shards ~pool f =
-  let sm = !Engine.default_mode
-  and ss = !Engine.default_shards
-  and sp = !Pool.default_workers in
-  Engine.default_mode := mode;
-  Engine.default_shards := shards;
+(* The pool width is process state ([Pool.default_workers]): scope it
+   to the request. The engine mode is passed down to the runs that take
+   one instead. *)
+let with_pool ~pool f =
+  let saved = !Pool.default_workers in
   Pool.default_workers := pool;
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.default_mode := sm;
-      Engine.default_shards := ss;
-      Pool.default_workers := sp)
-    f
+  Fun.protect ~finally:(fun () -> Pool.default_workers := saved) f
 
 (* Collect every engine trace of [f] (chaining to any outer sink) to
    report the measured engine rounds per request. *)
@@ -257,13 +251,13 @@ let of_raw ~graph ~problem labeling cost =
    hit Topology.compile_cached (and Plan.build_cached in shard mode).
    The verdict is Repair's O(n + m) checker: exactly node 0's component
    is flooded. *)
-let flood inst =
+let flood ~mode inst =
   let sg = Lazy.force inst.sg in
   let topo = Topology.compile_cached sg in
   let n = Graph.n_nodes inst.graph in
   let tr = Trace.create ~label:"serve:flood" () in
   let o =
-    Engine.run_until_stable ~trace:tr ~topo
+    Engine.run_until_stable ~mode ~trace:tr ~topo
       ~init:(fun v -> v = 0)
       ~step:(fun ~round:_ ~node:_ s ~neighbors ->
         s || List.exists (fun (_, _, su) -> su) neighbors)
@@ -283,7 +277,7 @@ let flood inst =
 (* A chaos run builds its own presence-masked views over the instance
    graph (crashes shrink them in place), so it must never touch the
    cached [inst.sg] — warm non-chaos requests keep their snapshot. *)
-let chaos (r : P.request) inst =
+let chaos (r : P.request) ~mode inst =
   let schedule =
     match parse_faults r.faults with
     | Ok s -> s
@@ -294,7 +288,7 @@ let chaos (r : P.request) inst =
     | "flood" -> Tl_fault.Chaos.Flood { source = 0 }
     | _ -> Tl_fault.Chaos.Mis { ids = inst.ids }
   in
-  let rep = Tl_fault.Chaos.run ~graph:inst.graph ~problem ~schedule () in
+  let rep = Tl_fault.Chaos.run ~mode ~graph:inst.graph ~problem ~schedule () in
   Span.add_counter "fault:crashes" rep.Tl_fault.Chaos.crashes;
   Span.add_counter "fault:recoveries" rep.Tl_fault.Chaos.recoveries;
   Span.add_counter "fault:drops" rep.Tl_fault.Chaos.drops;
@@ -311,13 +305,13 @@ let chaos (r : P.request) inst =
     p_valid = rep.Tl_fault.Chaos.valid;
   }
 
-let dispatch (r : P.request) inst =
+let dispatch (r : P.request) ~mode inst =
   let g = inst.graph and ids = inst.ids in
   let a = match r.spec with P.Family { a; _ } -> a | P.Edges _ -> 1 in
   let k = r.k in
   match (r.problem, r.method_) with
-  | ("flood" | "mis"), "chaos" -> chaos r inst
-  | "flood", _ -> flood inst
+  | ("flood" | "mis"), "chaos" -> chaos r ~mode inst
+  | "flood", _ -> flood ~mode inst
   | "mis", "transform" ->
     must_tree "mis" g;
     of_report ~graph:g (Pipeline.mis_on_tree ?k ~tree:g ~ids ())
@@ -387,8 +381,8 @@ let exec t (r : P.request) ~mode =
         Span.set_attr "spec" (P.spec_key r.spec);
         Span.add_counter "serve:cache_hit" (if cache_hit then 1 else 0);
         Span.add_counter "serve:cache_miss" (if cache_hit then 0 else 1);
-        with_knobs ~mode ~shards:r.shards ~pool:r.pool (fun () ->
-            with_trace_collector (fun () -> dispatch r inst)))
+        with_pool ~pool:r.pool (fun () ->
+            with_trace_collector (fun () -> dispatch r ~mode inst)))
   in
   let engine_rounds =
     List.fold_left (fun acc tr -> acc + (Trace.metrics tr).Trace.rounds) 0

@@ -36,9 +36,11 @@
     + emits every response in arrival order of its request.
 
     Results are bit-identical to direct one-shot runs for every
-    (engine, shards, pool) knob: execution scopes the engine defaults to
-    the request and runs the very same pipelines, and cache reuse only
-    skips instance construction, never changes inputs. *)
+    (engine, shards, pool) knob: execution passes the request's
+    resolved engine mode to the runs that take one ([flood], [chaos]),
+    scopes the pool width to the request, and runs the very same
+    pipelines; cache reuse only skips instance construction, never
+    changes inputs. *)
 
 type config = {
   depth : int;  (** job-queue depth (backpressure threshold) *)

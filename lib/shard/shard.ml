@@ -137,35 +137,3 @@ let exec :
 let () = Engine.shard_backend := Some { Engine.exec }
 
 let register () = ()
-
-(* ---------- direct API ---------- *)
-
-let with_pool_workers pool f =
-  match pool with
-  | None -> f ()
-  | Some w ->
-    let old = !Pool.default_workers in
-    Pool.default_workers := w;
-    Fun.protect ~finally:(fun () -> Pool.default_workers := old) f
-
-let shard_count = function
-  | Some s -> s
-  | None -> max 1 !Engine.default_shards
-
-let run ?shards ?pool ?sched ?equal ?trace ?label ~topo ~init ~step ~halted
-    ~max_rounds () =
-  with_pool_workers pool (fun () ->
-      Engine.run ~mode:(Engine.Shard (shard_count shards)) ?sched ?equal
-        ?trace ?label ~topo ~init ~step ~halted ~max_rounds ())
-
-let run_until_stable ?shards ?pool ?sched ?trace ?label ~topo ~init ~step
-    ~equal ~max_rounds () =
-  with_pool_workers pool (fun () ->
-      Engine.run_until_stable ~mode:(Engine.Shard (shard_count shards)) ?sched
-        ?trace ?label ~topo ~init ~step ~equal ~max_rounds ())
-
-let run_rounds ?shards ?pool ?sched ?equal ?trace ?label ~topo ~init ~step
-    ~rounds () =
-  with_pool_workers pool (fun () ->
-      Engine.run_rounds ~mode:(Engine.Shard (shard_count shards)) ?sched
-        ?equal ?trace ?label ~topo ~init ~step ~rounds ())

@@ -55,7 +55,9 @@
     Linking [tl_shard] installs the backend into
     {!Tl_engine.Engine.shard_backend} (see {!register});
     {!Tl_local.Runtime} force-links it, so every runtime-based binary
-    can run [--engine shard]. *)
+    can run [Shard] mode. A run in that mode is
+    [Engine.run ~mode:(Shard s)] (or [run_until_stable]/[run_rounds]);
+    the shards fan over the ambient {!Tl_engine.Pool.default_workers}. *)
 
 val register : unit -> unit
 (** No-op whose call forces this module's initialization, which installs
@@ -76,50 +78,3 @@ val fault_drop_hook : (round:int -> src:int -> dst:int -> bool) option ref
     delivered messages. Shard runs go through the shared
     {!Tl_engine.Engine.drive}, so an armed fault gate interrupts them at
     round boundaries exactly like the in-process steppers. *)
-
-val run :
-  ?shards:int ->
-  ?pool:int ->
-  ?sched:Tl_engine.Engine.scheduling ->
-  ?equal:('state -> 'state -> bool) ->
-  ?trace:Tl_engine.Trace.t ->
-  ?label:string ->
-  topo:Tl_engine.Topology.t ->
-  init:(int -> 'state) ->
-  step:'state Tl_engine.Engine.step_fn ->
-  halted:('state -> bool) ->
-  max_rounds:int ->
-  unit ->
-  'state Tl_engine.Engine.outcome
-(** [Engine.run ~mode:(Shard shards)] with the pool width scoped to
-    [pool] for the duration of the call. [shards] defaults to
-    {!Tl_engine.Engine.default_shards}; [pool] defaults to the ambient
-    {!Tl_engine.Pool.default_workers}. *)
-
-val run_until_stable :
-  ?shards:int ->
-  ?pool:int ->
-  ?sched:Tl_engine.Engine.scheduling ->
-  ?trace:Tl_engine.Trace.t ->
-  ?label:string ->
-  topo:Tl_engine.Topology.t ->
-  init:(int -> 'state) ->
-  step:'state Tl_engine.Engine.step_fn ->
-  equal:('state -> 'state -> bool) ->
-  max_rounds:int ->
-  unit ->
-  'state Tl_engine.Engine.outcome
-
-val run_rounds :
-  ?shards:int ->
-  ?pool:int ->
-  ?sched:Tl_engine.Engine.scheduling ->
-  ?equal:('state -> 'state -> bool) ->
-  ?trace:Tl_engine.Trace.t ->
-  ?label:string ->
-  topo:Tl_engine.Topology.t ->
-  init:(int -> 'state) ->
-  step:'state Tl_engine.Engine.step_fn ->
-  rounds:int ->
-  unit ->
-  'state Tl_engine.Engine.outcome

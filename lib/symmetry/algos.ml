@@ -37,13 +37,14 @@ let reduce_rows ~off ~adj ~nodes ~colors =
   end
 
 (* [proper_coloring] plus the snapshot it compiled, which the class sweep
-   of [mis] reads; a second [compile_cached] lookup would count one more
-   cache hit per base run. *)
+   of [mis] reads. Every view A runs on is built for that one run (T_C,
+   or a direct run's whole-graph view), so the snapshot bypasses
+   Topology's cache: it could never be hit there, and would only pin the
+   graph and evict a snapshot that can. *)
 let coloring_and_topo sg ~ids =
   let n = Graph.n_nodes (Semi_graph.base sg) in
   if Array.length ids <> n then invalid_arg "Algos.proper_coloring: bad ids";
-  let topo, cache_hit = Topology.compile_cached_stat sg in
-  Span.add_counter (if cache_hit then "topo:cache_hit" else "topo:cache_miss") 1;
+  let topo = Topology.compile sg in
   let nodes = topo.present_nodes in
   let colors = Array.make n (-1) in
   Array.iter (fun v -> colors.(v) <- ids.(v)) nodes;

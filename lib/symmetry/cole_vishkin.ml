@@ -33,7 +33,7 @@ let schedule_length ~max_id = cv_iterations ~max_id + 6
 
 type runtime_state = { color : int; my_parent : int; steps : int }
 
-let color3_runtime ~sg ~nodes ~parent ~ids =
+let color3_runtime ?mode ~sg ~nodes ~parent ~ids () =
   let in_forest = Hashtbl.create (List.length nodes) in
   List.iter (fun v -> Hashtbl.add in_forest v ()) nodes;
   let max_id = List.fold_left (fun acc v -> max acc ids.(v)) 1 nodes in
@@ -93,7 +93,7 @@ let color3_runtime ~sg ~nodes ~parent ~ids =
     a.color = b.color && a.my_parent = b.my_parent && a.steps = b.steps
   in
   let outcome =
-    Tl_local.Runtime.run_with ~sg ~equal:state_equal
+    Tl_local.Runtime.run ?mode ~sg ~equal:state_equal
       ~init:(fun v ->
         if Hashtbl.mem in_forest v then
           { color = ids.(v); my_parent = parent.(v); steps = 0 }

@@ -26,10 +26,12 @@ val schedule_length : max_id:int -> int
     model requires) plus the six shift-down/recolor rounds. *)
 
 val color3_runtime :
+  ?mode:Tl_engine.Engine.mode ->
   sg:Tl_graph.Semi_graph.t ->
   nodes:int list ->
   parent:int array ->
   ids:int array ->
+  unit ->
   int array * int
 (** The same 3-coloring executed as a message-passing state machine on
     {!Tl_local.Runtime} — every node reads its neighbors' published
@@ -38,5 +40,7 @@ val color3_runtime :
     termination cannot be detected locally). Parents must be rank-2
     neighbors in [sg]. Returns [(colors, rounds)] with
     [rounds = schedule_length]; colors are a proper 3-coloring of the
-    forest. Used by the test-suite as a differential check against
-    {!color3}. *)
+    forest. [mode] picks the engine stepper (default [Seq]); every mode
+    gives the same colors and rounds. Used by the test-suite as a
+    differential check against {!color3}, and by the engine benches as
+    their Cole-Vishkin kernel. *)

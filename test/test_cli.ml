@@ -29,6 +29,11 @@ let run_cmd cmd_line =
 
 let solve_args = "solve --problem mis --family random-tree --n 60 --seed 7"
 
+(* A command that runs the simulator: [solve] makes no engine run and
+   takes no engine knobs, while [chaos] takes --engine/--shards/--trace
+   and goes through the same profile and knob setup. *)
+let chaos_args = "chaos --problem flood --family random-tree --n 60 --seed 7"
+
 let contains ~needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -87,14 +92,10 @@ let test_trace_unwritable_warns_not_fails () =
   let code, _, stderr =
     run_cmd
       (Printf.sprintf "%s %s --engine seq --trace /nonexistent-dir-xyz/t.json"
-         cli solve_args)
+         cli chaos_args)
   in
   check_int "still exit 0" 0 code;
   check "warns on stderr" true (contains ~needle:"cannot write" stderr)
-
-(* A command that runs the simulator: [solve] makes no engine run, while
-   [chaos] goes through the same engine, profile and knob setup. *)
-let chaos_args = "chaos --problem flood --family random-tree --n 60 --seed 7"
 
 (* --profile and --trace together flush through one unified at_exit: both
    files must come out complete, with the profile lines printed before
@@ -131,19 +132,43 @@ let test_profile_and_trace_flush_together () =
   check "trace line printed" true (t >= 0);
   check "profile flushes before trace" true (p < t)
 
-(* Base algorithm A is a direct loop, so a solve delivers no engine
-   trace: the --trace file is an empty array. *)
+(* Every phase of a solve is a direct loop, so its span report holds no
+   [engine:<label>] span (the child a traced engine run attaches), and
+   nothing prints an engine summary. *)
 let test_solve_traces_no_engine_run () =
-  let trace = Filename.temp_file "tl_trace" ".json" in
+  let prof = Filename.temp_file "tl_profile" ".json" in
   let code, stdout, _ =
-    run_cmd (Printf.sprintf "%s %s --trace %s" cli solve_args trace)
+    run_cmd (Printf.sprintf "%s %s --profile %s" cli solve_args prof)
   in
   check_int "exit 0" 0 code;
-  let trace_j = Json.parse_file trace in
-  Sys.remove trace;
-  check "empty trace array" true (trace_j = Json.Arr []);
-  check "no engine run reported" true
-    (contains ~needle:"trace:       0 engine run(s)" stdout)
+  let prof_j = Json.parse_file prof in
+  Sys.remove prof;
+  let rec span_names j =
+    let here =
+      Option.to_list (Option.bind (Json.member "name" j) Json.to_str)
+    in
+    let kids =
+      Option.bind (Json.member "children" j) Json.to_list
+      |> Option.value ~default:[]
+    in
+    here @ List.concat_map span_names kids
+  in
+  let names = span_names (Option.get (Json.member "span" prof_j)) in
+  check "spans present" true (List.mem "base" names);
+  check "no engine span" true
+    (not
+       (List.exists
+          (fun s -> String.length s >= 7 && String.sub s 0 7 = "engine:")
+          names));
+  check "no engine summary" true (not (contains ~needle:"engine:" stdout))
+
+(* solve takes no engine knobs: each one is a usage error. *)
+let test_solve_rejects_engine_knobs () =
+  List.iter
+    (fun knob ->
+      let code, _, _ = run_cmd (Printf.sprintf "%s %s %s" cli solve_args knob) in
+      check_int (knob ^ " exits 124") 124 code)
+    [ "--engine seq"; "--shards 2"; "--trace t.json" ]
 
 (* One flusher failing must not truncate the other: with an unwritable
    trace path and a writable profile path, the trace warning appears on
@@ -154,7 +179,7 @@ let test_failed_trace_flush_spares_profile () =
     run_cmd
       (Printf.sprintf
          "%s %s --engine seq --profile %s --trace /nonexistent-dir-xyz/t.json"
-         cli solve_args prof)
+         cli chaos_args prof)
   in
   check_int "still exit 0" 0 code;
   check "trace warns on stderr" true (contains ~needle:"cannot write" stderr);
@@ -165,7 +190,7 @@ let test_failed_trace_flush_spares_profile () =
 
 let test_bad_engine_is_usage_error () =
   let code, _, stderr =
-    run_cmd (Printf.sprintf "%s %s --engine warp" cli solve_args)
+    run_cmd (Printf.sprintf "%s %s --engine warp" cli chaos_args)
   in
   check_int "cmdliner usage error" 124 code;
   check "names the bad value" true (contains ~needle:"warp" stderr)
@@ -186,7 +211,7 @@ let test_unknown_family_is_usage_error () =
    exception from deep inside a run. *)
 let test_knob_validation_usage_errors () =
   let usage args needle =
-    let code, _, stderr = run_cmd (Printf.sprintf "%s solve %s" cli args) in
+    let code, _, stderr = run_cmd (Printf.sprintf "%s chaos %s" cli args) in
     check_int (args ^ " exits 124") 124 code;
     check (args ^ " explains itself") true (contains ~needle stderr)
   in
@@ -207,7 +232,7 @@ let test_knob_validation_usage_errors () =
   (* the same over-sharding is fine when the engine is not sharded *)
   let code, stdout, _ =
     run_cmd
-      (Printf.sprintf "%s solve --engine seq --shards 50 --n 20 --family path"
+      (Printf.sprintf "%s chaos --engine seq --shards 50 --n 20 --family path"
          cli)
   in
   check_int "seq ignores the shard knob" 0 code;
@@ -353,6 +378,8 @@ let () =
             test_bare_proc_takes_shards;
           Alcotest.test_case "solve traces no engine run" `Quick
             test_solve_traces_no_engine_run;
+          Alcotest.test_case "solve rejects the engine knobs" `Quick
+            test_solve_rejects_engine_knobs;
           Alcotest.test_case "--profile + --trace flush together" `Quick
             test_profile_and_trace_flush_together;
           Alcotest.test_case "failed trace flush spares profile" `Quick

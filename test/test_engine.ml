@@ -161,13 +161,7 @@ let prop_cv_differential =
       let ids = Ids.permuted ~n ~seed:(seed + 1) in
       let sg = Semi_graph.of_graph g in
       let nodes = List.init n Fun.id in
-      let run_in mode =
-        let saved = !Engine.default_mode in
-        Engine.default_mode := mode;
-        Fun.protect
-          ~finally:(fun () -> Engine.default_mode := saved)
-          (fun () -> CV.color3_runtime ~sg ~nodes ~parent ~ids)
-      in
+      let run_in mode = CV.color3_runtime ~mode ~sg ~nodes ~parent ~ids () in
       let reference = run_in Engine.Naive in
       List.for_all (fun m -> run_in m = reference) modes)
 
@@ -215,10 +209,10 @@ let test_runtime_matches_naive () =
       let default =
         Runtime.run ~sg ~init ~step:flood_step
           ~halted:(fun s -> s)
-          ~max_rounds:(n + 1)
+          ~max_rounds:(n + 1) ()
       in
       let naive =
-        Runtime.run_with ~mode:Engine.Naive ~sg ~init ~step:flood_step
+        Runtime.run ~mode:Engine.Naive ~sg ~init ~step:flood_step
           ~halted:(fun s -> s)
           ~max_rounds:(n + 1) ()
       in
@@ -228,10 +222,10 @@ let test_runtime_matches_naive () =
         default.Runtime.rounds;
       let default_s =
         Runtime.run_until_stable ~sg ~init ~step:flood_step ~equal:Bool.equal
-          ~max_rounds:(n + 1)
+          ~max_rounds:(n + 1) ()
       in
       let naive_s =
-        Runtime.run_until_stable_with ~mode:Engine.Naive ~sg ~init
+        Runtime.run_until_stable ~mode:Engine.Naive ~sg ~init
           ~step:flood_step ~equal:Bool.equal
           ~max_rounds:(n + 1) ()
       in
@@ -364,7 +358,7 @@ let test_trace_metrics () =
   let sg = Semi_graph.of_graph g in
   let trace = Trace.create ~label:"test-flood" () in
   let o =
-    Runtime.run_with ~trace ~sg
+    Runtime.run ~trace ~sg
       ~init:(fun v -> v = 0)
       ~step:flood_step
       ~halted:(fun s -> s)
@@ -406,7 +400,7 @@ let test_trace_sink () =
            ~init:(fun v -> v = 0)
            ~step:flood_step
            ~halted:(fun s -> s)
-           ~max_rounds:20));
+           ~max_rounds:20 ()));
   check_int "sink received exactly one trace" 1 (List.length !got);
   check "sink trace measured rounds" true
     ((Trace.metrics (List.hd !got)).Trace.rounds > 0)
@@ -475,12 +469,12 @@ let test_mode_strings () =
       check
         ("round-trip " ^ Engine.mode_to_string m)
         true
-        (Engine.mode_of_string (Engine.mode_to_string m) = m))
+        (Engine.mode_of_string ~count:4 (Engine.mode_to_string m) = m))
     [ Engine.Naive; Engine.Seq; Engine.Par 2; Engine.Par 16 ];
   List.iter
     (fun s ->
       check ("rejects " ^ s) true
-        (match Engine.mode_of_string s with
+        (match Engine.mode_of_string ~count:4 s with
         | exception Invalid_argument _ -> true
         | _ -> false))
     [
@@ -496,9 +490,17 @@ let test_mode_strings () =
       "par:2 ";
       "par:99999999999999999999" (* out of int range *);
     ];
+  (* the count a bare shard/proc would take must itself be >= 1 *)
+  List.iter
+    (fun count ->
+      check (Printf.sprintf "rejects count %d" count) true
+        (match Engine.mode_of_string ~count "seq" with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ 0; -1 ];
   (* rejection messages name the offending input — callers surface them
      verbatim as usage errors *)
-  (match Engine.mode_of_string "par:0" with
+  (match Engine.mode_of_string ~count:4 "par:0" with
   | exception Invalid_argument msg ->
     check "par:0 message names the input" true
       (let rec find i =
@@ -1013,7 +1015,7 @@ let test_topology_cache_eviction_generation () =
          ~init:(fun v -> v = 0)
          ~step:flood_step
          ~halted:(fun s -> s)
-         ~max_rounds:20)
+         ~max_rounds:20 ())
   in
   let (), root =
     Tl_obs.Span.run "cache-counters" (fun () ->
@@ -1052,31 +1054,6 @@ let test_topology_cache_limit () =
     (not (snd (Topology.compile_cached_stat sgs.(2))));
   Topology.set_cache_limit 64
 
-(* [forget] drops one view's snapshot and its FIFO slot: the other
-   entries stay, and the freed slot takes a new view without evicting
-   them. *)
-let test_topology_cache_forget () =
-  Topology.clear_cache ();
-  Topology.set_cache_limit 2;
-  Fun.protect
-    ~finally:(fun () -> Topology.set_cache_limit 64)
-    (fun () ->
-      let sgs = Array.init 3 (fun i -> Semi_graph.of_graph (Gen.path (i + 2))) in
-      let h0, m0 = Topology.cache_stats () in
-      ignore (Topology.compile_cached_stat sgs.(0));
-      ignore (Topology.compile_cached_stat sgs.(1));
-      Topology.forget sgs.(0);
-      Topology.forget sgs.(2);
-      ignore (Topology.compile_cached_stat sgs.(2));
-      check "the other view kept its slot" true (snd (Topology.compile_cached_stat sgs.(1)));
-      check "the new view took the freed slot" true
-        (snd (Topology.compile_cached_stat sgs.(2)));
-      check "the forgotten view misses" true
-        (not (snd (Topology.compile_cached_stat sgs.(0))));
-      let h1, m1 = Topology.cache_stats () in
-      check_int "hits counted" 2 (h1 - h0);
-      check_int "misses counted" 4 (m1 - m0))
-
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -1091,7 +1068,6 @@ let () =
               test_topology_cache_limit;
             Alcotest.test_case "cache eviction: generation bumps x FIFO"
               `Quick test_topology_cache_eviction_generation;
-            Alcotest.test_case "compile cache forget" `Quick test_topology_cache_forget;
           ] );
       ( "pool",
         [

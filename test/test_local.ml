@@ -26,7 +26,7 @@ let test_flooding_rounds () =
       ~init:(fun v -> v = 0)
       ~step:flood_step
       ~halted:(fun s -> s)
-      ~max_rounds:10
+      ~max_rounds:10 ()
   in
   check_int "star floods in one round" 1 outcome.Runtime.rounds
 
@@ -37,7 +37,7 @@ let test_flooding_completes () =
   let outcome =
     Runtime.run_until_stable ~sg
       ~init:(fun v -> v = 0)
-      ~step:flood_step ~equal:( = ) ~max_rounds:100
+      ~step:flood_step ~equal:( = ) ~max_rounds:100 ()
   in
   check "all flooded" true (Array.for_all Fun.id outcome.Runtime.states);
   (* path of 10 nodes: 9 rounds to reach the far end *)
@@ -52,7 +52,7 @@ let test_halted_early_exit () =
       ~init:(fun _ -> 1)
       ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
       ~halted:(fun s -> s = 1)
-      ~max_rounds:10
+      ~max_rounds:10 ()
   in
   check_int "zero rounds" 0 outcome.Runtime.rounds
 
@@ -65,7 +65,7 @@ let test_max_rounds_guard () =
          ~init:(fun _ -> 0)
          ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s + 1)
          ~halted:(fun _ -> false)
-         ~max_rounds:5
+         ~max_rounds:5 ()
        |> ignore;
        false
      with Failure _ -> true)
@@ -77,7 +77,7 @@ let test_runtime_respects_semi_graph () =
   let outcome =
     Runtime.run_until_stable ~sg
       ~init:(fun v -> v = 0)
-      ~step:flood_step ~equal:( = ) ~max_rounds:50
+      ~step:flood_step ~equal:( = ) ~max_rounds:50 ()
   in
   check "reached 1" true outcome.Runtime.states.(1);
   check "did not cross the gap" false outcome.Runtime.states.(3)
@@ -94,7 +94,7 @@ let test_swap_is_synchronous () =
         | [ (_, _, (s, _)) ] -> (s, round)
         | _ -> assert false)
       ~halted:(fun (_, r) -> r >= 2)
-      ~max_rounds:10
+      ~max_rounds:10 ()
   in
   (* after 2 swaps states are back *)
   check_int "node 0 state" 0 (fst outcome.Runtime.states.(0));

@@ -2,7 +2,7 @@
    (round-trips, chunked reassembly, malformed-input rejection, the
    zero-allocation scalar path), collective-tree geometry, and
    proc:{1,2,4} bit-identical to the sequential stepper — labelings,
-   per-round trace records, round ledgers and failure behavior — plus
+   per-round trace records, round counts and failure behavior — plus
    worker-crash containment and zombie-free cleanup.
 
    Ordering matters on OCaml 5: fork is forbidden once a domain has
@@ -22,10 +22,7 @@ module Wire = Tl_proc.Wire
 module Collective = Tl_proc.Collective
 module Proc = Tl_proc.Coordinator
 module Ids = Tl_local.Ids
-module Round_cost = Tl_local.Round_cost
 module Span = Tl_obs.Span
-module Theorem1 = Tl_core.Theorem1
-module Complexity = Tl_core.Complexity
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -565,7 +562,7 @@ let test_empty_present_set () =
         o.Engine.rounds)
     proc_counts
 
-(* ---------- mode strings and direct API ---------- *)
+(* ---------- mode strings ---------- *)
 
 let test_mode_strings () =
   List.iter
@@ -573,44 +570,23 @@ let test_mode_strings () =
       check
         ("round-trip " ^ Engine.mode_to_string m)
         true
-        (Engine.mode_of_string (Engine.mode_to_string m) = m))
+        (Engine.mode_of_string ~count:4 (Engine.mode_to_string m) = m))
     [ Engine.Proc 1; Engine.Proc 2; Engine.Proc 16 ];
-  let saved = !Engine.default_procs in
-  Engine.default_procs := 6;
-  check "bare \"proc\" reads default_procs" true
-    (Engine.mode_of_string "proc" = Engine.Proc 6);
-  Engine.default_procs := saved;
+  check "bare \"proc\" takes the count argument" true
+    (Engine.mode_of_string ~count:6 "proc" = Engine.Proc 6);
+  check "an inline count wins over the argument" true
+    (Engine.mode_of_string ~count:6 "proc:3" = Engine.Proc 3);
+  check "bare \"proc\" rejects a count below 1" true
+    (match Engine.mode_of_string ~count:0 "proc" with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   List.iter
     (fun s ->
       check ("rejects " ^ s) true
-        (match Engine.mode_of_string s with
+        (match Engine.mode_of_string ~count:4 s with
         | exception Invalid_argument _ -> true
         | _ -> false))
     [ "proc:0"; "proc:x"; "proc:" ]
-
-let test_direct_api () =
-  let g = Gen.random_tree ~n:300 ~seed:7 in
-  let topo = Topology.compile (Semi_graph.of_graph g) in
-  let seq =
-    Engine.run_until_stable ~mode:Engine.Seq ~topo
-      ~init:(fun v -> v = 0)
-      ~step:flood_step ~equal:Bool.equal ~max_rounds:301 ()
-  in
-  let o =
-    Proc.run_until_stable ~procs:3 ~topo
-      ~init:(fun v -> v = 0)
-      ~step:flood_step ~equal:Bool.equal ~max_rounds:301 ()
-  in
-  check "Proc.run_until_stable" true
-    (o.Engine.states = seq.Engine.states && o.Engine.rounds = seq.Engine.rounds);
-  let o2 =
-    Proc.run ~procs:2 ~topo
-      ~init:(fun v -> v = 0)
-      ~step:flood_step
-      ~halted:(fun s -> s)
-      ~max_rounds:301 ()
-  in
-  check "Proc.run" true (o2.Engine.states = seq.Engine.states)
 
 (* ---------- flat kernels over the wire ---------- *)
 
@@ -815,41 +791,6 @@ let test_proc_spans () =
     (List.assoc "proc:halo_words" root_counters
     >= List.assoc "proc:cut_edges" root_counters / 2)
 
-(* ---------- theorem-level: labeling and ledger end to end ---------- *)
-
-module Labeling = Tl_problems.Labeling
-
-let mis_spec =
-  {
-    Theorem1.problem = Tl_problems.Mis.problem;
-    base_algorithm = Tl_symmetry.Algos.mis;
-    solve_edge_list = Tl_problems.Mis.solve_edge_list;
-  }
-
-let test_theorem1_proc_bit_identical () =
-  let tree = Gen.random_tree ~n:150 ~seed:23 in
-  let ids = Ids.permuted ~n:150 ~seed:24 in
-  let labels r =
-    List.init (Graph.n_half_edges tree) (Labeling.get r.Theorem1.labeling)
-  in
-  let seq = Theorem1.run ~spec:mis_spec ~tree ~ids ~f:Complexity.f_linear () in
-  List.iter
-    (fun p ->
-      let r =
-        Theorem1.run ~engine:(Engine.Proc p) ~spec:mis_spec ~tree ~ids
-          ~f:Complexity.f_linear ()
-      in
-      check
-        (Printf.sprintf "Theorem 12 MIS labeling proc:%d" p)
-        true
-        (labels r = labels seq);
-      check
-        (Printf.sprintf "Theorem 12 MIS ledger proc:%d" p)
-        true
-        (Round_cost.phases r.Theorem1.cost
-        = Round_cost.phases seq.Theorem1.cost))
-    [ 2; 4 ]
-
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -908,14 +849,7 @@ let () =
       ( "api",
         [
           Alcotest.test_case "mode strings" `Quick test_mode_strings;
-          Alcotest.test_case "direct Proc.run wrappers" `Quick
-            test_direct_api;
         ] );
       ( "obs",
         [ Alcotest.test_case "per-worker spans" `Quick test_proc_spans ] );
-      ( "theorems",
-        [
-          Alcotest.test_case "Theorem 12 MIS proc == seq" `Quick
-            test_theorem1_proc_bit_identical;
-        ] );
     ]

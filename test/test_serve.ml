@@ -173,11 +173,9 @@ let test_resolve_knobs () =
   check "seq" true (ok "seq" 4 1 10 = Engine.Seq);
   check "par:2" true (ok "par:2" 4 1 10 = Engine.Par 2);
   check "inline shard count wins" true (ok "shard:3" 4 1 10 = Engine.Shard 3);
-  (* bare "shard" resolves against the request's shards knob, and the
-     global default is untouched afterwards *)
-  let saved = !Engine.default_shards in
+  (* a bare "shard" or "proc" takes the request's shards knob *)
   check "bare shard uses the knob" true (ok "shard" 7 1 10 = Engine.Shard 7);
-  check_int "default_shards untouched" saved !Engine.default_shards;
+  check "bare proc uses the knob" true (ok "proc" 3 1 10 = Engine.Proc 3);
   check "shard count over n" true
     (Tl_serve.Protocol.resolve_knobs ~engine:"shard" ~shards:11 ~pool:1 ~n:10
     |> Result.is_error);
@@ -205,8 +203,9 @@ let test_resolve_knobs () =
 (* ---------- differential battery ---------- *)
 
 (* The reference side rebuilds the instance and runs the pipelines
-   directly — no serve code beyond the shared digest — under globally
-   set knobs, exactly like a one-shot CLI run. *)
+   directly — no serve code beyond the shared digest — with the mode
+   passed to the engine run and the pool width set process-wide,
+   exactly like a one-shot CLI run. *)
 
 let build_ref_graph = function
   | P.Edges { n; edges; _ } -> Graph.of_edges ~n edges
@@ -218,19 +217,10 @@ let build_ref_graph = function
     | "forest-union" -> Gen.forest_union ~n ~arboricity:a ~seed
     | other -> failwith ("unexpected test family " ^ other))
 
-let with_ref_knobs ~mode ~shards ~pool f =
-  let sm = !Engine.default_mode
-  and ss = !Engine.default_shards
-  and sp = !Pool.default_workers in
-  Engine.default_mode := mode;
-  Engine.default_shards := shards;
+let with_ref_pool ~pool f =
+  let saved = !Pool.default_workers in
   Pool.default_workers := pool;
-  Fun.protect
-    ~finally:(fun () ->
-      Engine.default_mode := sm;
-      Engine.default_shards := ss;
-      Pool.default_workers := sp)
-    f
+  Fun.protect ~finally:(fun () -> Pool.default_workers := saved) f
 
 let reference (r : P.request) ~mode =
   let g = build_ref_graph r.P.spec in
@@ -239,7 +229,7 @@ let reference (r : P.request) ~mode =
   in
   let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 1) in
   let a = match r.P.spec with P.Family { a; _ } -> a | P.Edges _ -> 1 in
-  with_ref_knobs ~mode ~shards:r.P.shards ~pool:r.P.pool (fun () ->
+  with_ref_pool ~pool:r.P.pool (fun () ->
       match (r.P.problem, r.P.method_) with
       | "flood", _ ->
         let topo = Topology.compile (Semi_graph.of_graph g) in

@@ -104,7 +104,7 @@ let test_cv_runtime_differential () =
       let ids = Ids.permuted ~n ~seed:21 in
       let sg = Semi_graph.of_graph g in
       let colors, rounds =
-        CV.color3_runtime ~sg ~nodes:(all_nodes g) ~parent ~ids
+        CV.color3_runtime ~sg ~nodes:(all_nodes g) ~parent ~ids ()
       in
       check "runtime CV proper" true
         (proper_forest_coloring g parent colors (all_nodes g));
@@ -130,7 +130,7 @@ let prop_cv_runtime_proper =
       let parent = Tree.parents_forest g in
       let ids = Ids.permuted ~n ~seed:(seed + 1) in
       let sg = Semi_graph.of_graph g in
-      let colors, _ = CV.color3_runtime ~sg ~nodes:(all_nodes g) ~parent ~ids in
+      let colors, _ = CV.color3_runtime ~sg ~nodes:(all_nodes g) ~parent ~ids () in
       proper_forest_coloring g parent colors (all_nodes g))
 
 (* ---------- Linial ---------- *)
@@ -171,14 +171,13 @@ let test_primes () =
   check_int "geq 90" 97 (Linial.smallest_prime_geq 90)
 
 (* Words allocated by [f ()]: minor plus major minus promoted, so a
-   large array (allocated straight in the major heap) counts once. Read
-   from [Gc.counters], which includes the current domain's allocations
-   since the last GC slice; [Gc.quick_stat]'s totals can lag behind
-   them. *)
+   large array (allocated straight in the major heap) counts once. The
+   minor count is [Gc.minor_words], which is exact on OCaml 5.1, while
+   [Gc.counters]' minor count lags until the next minor collection. *)
 let allocated_words f =
   let words () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
   let w0 = words () in
   let r = f () in
