@@ -8,11 +8,11 @@ build:
 test:
 	dune runtest
 
-# Full experiment regeneration (slow: every table E1-E14, A, B, B6-B10).
+# Full experiment regeneration (slow: every table E1-E14, A, B, B6-B13).
 bench:
 	dune exec bench/main.exe
 
-EXPERIMENTS = E1-E3 E4-E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 A B B6 B7 B8 B9 B10 B11 B12 B13
+EXPERIMENTS = E1-E3 E4-E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 A B B6 B7 B9 B10 B11 B12 B13
 
 # Regenerate every committed bench artifact (BENCH_*.json, bench_csv/ +
 # MANIFEST.csv, bench_output.txt), one process per experiment.  The
@@ -43,7 +43,6 @@ bench-smoke:
 	cp BENCH_engine.json bench-baseline.json
 	TL_ENGINE_BENCH_N=2000 TL_ENGINE_BENCH_KERNELS=cv3 dune exec bench/main.exe -- B6
 	TL_POOL_BENCH_N=2000 dune exec bench/main.exe -- B7
-	TL_SHARD_BENCH_N=2000 dune exec bench/main.exe -- B8
 	TL_METRICS_BENCH_N=20000 dune exec bench/main.exe -- B10
 	TL_FLAT_BENCH_N=20000 dune exec bench/main.exe -- B11
 	TL_PROC_BENCH_N=20000 dune exec bench/main.exe -- B12
@@ -60,8 +59,8 @@ bench-smoke:
 # Every standalone example README lists; each asserts its own output is
 # valid and exits non-zero otherwise (about 1 s together). The daemon,
 # proc, chaos and metrics examples keep their own targets below.
-EXAMPLES = quickstart sharded_mis planar_edge_coloring tree_matching \
-  decomposition_tour custom_problem
+EXAMPLES = quickstart planar_edge_coloring tree_matching decomposition_tour \
+  custom_problem
 
 examples-smoke:
 	dune build $(EXAMPLES:%=examples/%.exe)
@@ -102,8 +101,9 @@ metrics-smoke:
 # scenario asserts final validity on the surviving graph and replay
 # determinism (identical event log, repair counts and digest); the
 # cross-mode scenarios also assert digest equality across backends.
-# Runs in its own process: the proc-kill scenario forks, so it must
-# precede any domain spawn (OCaml 5 forbids fork after one).
+# Runs in its own process: the worker-kill and link-drop scenarios run
+# on proc, which forks, so they precede any domain spawn (OCaml 5
+# forbids fork after one).
 chaos-smoke:
 	dune build examples/chaos_smoke.exe
 	dune exec --no-build examples/chaos_smoke.exe

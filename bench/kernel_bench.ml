@@ -81,7 +81,7 @@ type mode_result = {
 }
 
 let mode_domains = function
-  | Engine.Naive | Engine.Seq | Engine.Shard _ | Engine.Proc _ -> 1
+  | Engine.Naive | Engine.Seq | Engine.Proc _ -> 1
   | Engine.Par p -> p
 
 (* Run [f], capturing total step executions through the trace sink. *)
@@ -514,229 +514,12 @@ let run_pool () =
   Printf.printf "merged %d pool kernels into BENCH_engine.json\n"
     (List.length kernels)
 
-(* ---------- B8: sharded halo-exchange backend (merges into BENCH_engine.json) ----------
-
-   Times the sequential stepper against the tl_shard halo-exchange
-   backend (shard counts 2/4/8) on three kernels: flooding to a fixed
-   point (active-set), a fixed-round full-scan max-id sweep, and an
-   always-changing sum on a mostly-hidden path — the shape where the
-   compact per-shard arrays pay off. The pool width is pinned to 1
-   so the comparison isolates the cache-blocking effect of sharding
-   from domain parallelism (the qcheck battery already proves
-   shard x pool bit-identical). Results merge into BENCH_engine.json
-   (same schema as B6/B7, so bench/regress.exe gates all three). Sizes
-   are overridable via TL_SHARD_BENCH_N (CI smoke runs one small size;
-   its kernel index 0 still aligns with the committed baseline's first
-   size). *)
-
-module Pool = Tl_engine.Pool
-module Shard_plan = Tl_shard.Plan
-
-let shard_sizes () =
-  match Option.bind (Sys.getenv_opt "TL_SHARD_BENCH_N") int_of_string_opt with
-  | Some n when n > 0 -> [ n ]
-  | _ -> [ 250_000; 1_000_000 ]
-
-let shard_modes = [ Engine.Seq; Engine.Shard 2; Engine.Shard 4; Engine.Shard 8 ]
-
-(* Best-of-[reps] with the pool width pinned to 1 and both the
-   shard-plan and topology compile caches cleared before every run, so
-   each mode pays its own (re)build cold. The pre-rep compaction keeps
-   the measurement honest: plan + per-shard context building allocates
-   many large arrays, which crawl through a fragmented major heap left
-   behind by whatever ran before (earlier kernels, earlier
-   experiments) — untimed defragmentation removes that noise. *)
-let bench_shard_mode ~reps ~mode f =
-  let saved = !Pool.default_workers in
-  Pool.default_workers := 1;
-  Fun.protect
-    ~finally:(fun () -> Pool.default_workers := saved)
-    (fun () ->
-      let best = ref infinity and result = ref None and steps = ref 0 in
-      for _ = 1 to reps do
-        Shard_plan.clear_cache ();
-        Topology.clear_cache ();
-        Gc.compact ();
-        let r, dt, st = timed_with_steps (fun () -> f mode) in
-        if dt < !best then best := dt;
-        steps := st;
-        result := Some r
-      done;
-      (Option.get !result, !best, !steps))
-
-let run_shard_kernel ~reps f =
-  let seq_r, seq_t, seq_steps = bench_shard_mode ~reps ~mode:Engine.Seq f in
-  { mode = "seq"; domains = 1; wall_s = seq_t; rounds = snd seq_r;
-    steps = seq_steps; ok = true }
-  :: List.filter_map
-       (fun mode ->
-         if mode = Engine.Seq then None
-         else begin
-           let r, t, st = bench_shard_mode ~reps ~mode f in
-           Some
-             {
-               mode = Engine.mode_to_string mode;
-               domains = 1;
-               wall_s = t;
-               rounds = snd r;
-               steps = st;
-               ok = r = seq_r;
-             }
-         end)
-       shard_modes
-
-let shard_kernel_json ~name ~n results =
-  let seq_t = (List.find (fun r -> r.mode = "seq") results).wall_s in
-  Json.Obj
-    [
-      ("kernel", Json.Str name);
-      ("n", Json.Num (float_of_int n));
-      ("deterministic", Json.Bool (List.for_all (fun r -> r.ok) results));
-      ( "modes",
-        Json.Arr
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("mode", Json.Str r.mode);
-                   ("domains", Json.Num (float_of_int r.domains));
-                   ("wall_s", Json.Num r.wall_s);
-                   ("rounds", Json.Num (float_of_int r.rounds));
-                   ("steps", Json.Num (float_of_int r.steps));
-                   ( "speedup_vs_seq",
-                     Json.Num
-                       (if r.wall_s > 0. then seq_t /. r.wall_s else 0.) );
-                 ])
-             results) );
-    ]
-
-let run_shard () =
-  let sizes = shard_sizes () in
-  Util.heading
-    (Printf.sprintf
-       "B8: sharded halo-exchange backend — seq vs shard:{2,4,8} (n in {%s}, \
-        pool=1)"
-       (String.concat ", " (List.map string_of_int sizes)));
-  let kernels =
-    List.concat
-      (List.mapi
-         (fun i n ->
-           let reps = if n >= 500_000 then 1 else 2 in
-           let seed = 71 in
-           let tree = Gen.random_tree ~n ~seed in
-           let sg = Semi_graph.of_graph tree in
-           let topo = Topology.compile sg in
-           let ids = Ids.permuted ~n ~seed:79 in
-           (* Flooding to a fixed point: shrinking frontier, Active_set. *)
-           let flood mode =
-             let o =
-               Engine.run_until_stable ~mode ~topo
-                 ~init:(fun v -> v = 0)
-                 ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-                   s || List.exists (fun (_, _, su) -> su) neighbors)
-                 ~equal:Bool.equal ~max_rounds:(n + 1) ()
-             in
-             (o.Engine.states, o.Engine.rounds)
-           in
-           (* Fixed-round full-scan max-id sweep: every round touches
-              every node and gathers every neighbor — the memory-bound
-              reference where working-set size dominates. *)
-           let maxprop mode =
-             let o =
-               Engine.run_rounds ~mode ~sched:Engine.Full_scan
-                 ~equal:Int.equal ~topo
-                 ~init:(fun v -> ids.(v))
-                 ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-                   List.fold_left
-                     (fun m (_, _, su) -> if su > m then su else m)
-                     s neighbors)
-                 ~rounds:24 ()
-             in
-             (o.Engine.states, o.Engine.rounds)
-           in
-           (* Mostly-hidden snapshot, the shape of a late rake-compress
-              layer: a path with all but ~1% of the base nodes hidden,
-              stepped under Active_set with an always-changing sum rule
-              so every round's frontier is dense. The monolithic
-              stepper's dense-frontier rebuild scans its O(n_base)
-              dirty array every round; the shards scan their compact
-              O(n_owned) bitmaps — the working-set gap this backend
-              exists to close. *)
-           let n_visible = max 64 (n / 100) in
-           let sparse_sg = Semi_graph.of_graph (Gen.path n) in
-           for v = n_visible to n - 1 do
-             Semi_graph.hide_node sparse_sg v
-           done;
-           let sparse_topo = Topology.compile sparse_sg in
-           let sparse_sum mode =
-             let o =
-               Engine.run_rounds ~mode ~equal:Int.equal ~topo:sparse_topo
-                 ~init:(fun v -> ids.(v))
-                 ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-                   List.fold_left (fun acc (_, _, su) -> acc + su) (s + 1)
-                     neighbors)
-                 ~rounds:96 ()
-             in
-             (o.Engine.states, o.Engine.rounds)
-           in
-           [
-             (Printf.sprintf "shard-flood.%d" i, n,
-              run_shard_kernel ~reps flood);
-             (Printf.sprintf "shard-maxprop.%d" i, n,
-              run_shard_kernel ~reps maxprop);
-             (Printf.sprintf "shard-sparse-sum.%d" i, n,
-              run_shard_kernel ~reps sparse_sum);
-           ])
-         sizes)
-  in
-  let rows =
-    List.concat_map
-      (fun (name, n, results) ->
-        let seq_t = (List.find (fun r -> r.mode = "seq") results).wall_s in
-        List.map
-          (fun r ->
-            [
-              name;
-              Util.i n;
-              r.mode;
-              Util.i r.rounds;
-              Printf.sprintf "%.4f" r.wall_s;
-              Printf.sprintf "%.2fx"
-                (if r.wall_s > 0. then seq_t /. r.wall_s else 0.);
-              Util.pass_fail r.ok;
-            ])
-          results)
-      kernels
-  in
-  Util.table
-    ~header:[ "kernel"; "n"; "mode"; "rounds"; "wall s"; "vs seq"; "identical" ]
-    rows;
-  let best =
-    List.fold_left
-      (fun acc (_, _, results) ->
-        let seq_t = (List.find (fun r -> r.mode = "seq") results).wall_s in
-        List.fold_left
-          (fun acc r ->
-            if r.mode = "seq" || r.wall_s <= 0. then acc
-            else max acc (seq_t /. r.wall_s))
-          acc results)
-      0. kernels
-  in
-  Printf.printf "\nbest shard speedup over seq: %.2fx — >= 1.5x on some kernel: %s\n"
-    best
-    (Util.pass_fail (best >= 1.5));
-  merge_into_engine_json ~file:"BENCH_engine.json"
-    (List.map (fun (name, n, results) -> shard_kernel_json ~name ~n results)
-       kernels);
-  Printf.printf "merged %d shard kernels into BENCH_engine.json\n"
-    (List.length kernels)
-
 (* ---------- B10: tl_metrics overhead (merges into BENCH_engine.json) ----------
 
    Measures what the live metrics registry costs on the hottest loop we
    have: the flood kernel under the active-set engine, once with the
    registry disabled (the one-shot CLI default — engine/pool hooks
-   uninstalled, every shard-layer guard a single relaxed Atomic read)
+   uninstalled, every metrics guard a single relaxed Atomic read)
    and once with Tl_obs.Metrics.enable () installed, which also turns on
    per-run trace collection feeding the engine_* counters and the
    engine_run_seconds histogram. Both best-of-reps wall clocks merge
@@ -1104,19 +887,15 @@ let run_flat () =
 
    Times the sequential stepper against the tl_proc backend — one shard
    per forked Unix process, halos over socketpairs in the tlp binary
-   wire format — on flood and the greedy-MIS machine, with the in-process
-   shard:4 backend (pool=1) as the cache-blocking control: the delta
-   between shard:4 and proc:4 is what the processes add (isolation, the
-   wire, per-worker minor heaps) minus what they cost (fork, frame
-   traffic, coordinator barriers). The proc-flat rows run the flat
-   int-slab executor inside each worker — the configuration the backend
-   exists for. A "proc-alloc" pseudo-row records the scalar codec's
+   wire format — on flood and the greedy-MIS machine. The proc-flat rows
+   run the flat int-slab executor inside each worker — the configuration
+   the backend exists for. A "proc-alloc" pseudo-row records the scalar codec's
    minor words per put+get pair (wall_s = words/op, exactly 0 in steady
    state), so regress.exe gates allocation creep on the wire hot path
    through its absolute floor.
 
    CRITICAL ordering: every proc measurement runs before any mode that
-   can spawn a domain (shard, par, pool) — OCaml 5 forbids fork once a
+   can spawn a domain (par, pool) — OCaml 5 forbids fork once a
    domain has ever been spawned. For the same reason B12 skips itself
    with a note when domains already exist in this process (a full-suite
    `bench/main.exe` run after B6/B7): run it standalone, one process per
@@ -1126,6 +905,32 @@ let run_flat () =
 module Proc = Tl_proc.Coordinator
 module Proc_wire = Tl_proc.Wire
 module Team = Tl_engine.Team
+module Shard_plan = Tl_shard.Plan
+
+let modes_kernel_json ~name ~n results =
+  let seq_t = (List.find (fun r -> r.mode = "seq") results).wall_s in
+  Json.Obj
+    [
+      ("kernel", Json.Str name);
+      ("n", Json.Num (float_of_int n));
+      ("deterministic", Json.Bool (List.for_all (fun r -> r.ok) results));
+      ( "modes",
+        Json.Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("mode", Json.Str r.mode);
+                   ("domains", Json.Num (float_of_int r.domains));
+                   ("wall_s", Json.Num r.wall_s);
+                   ("rounds", Json.Num (float_of_int r.rounds));
+                   ("steps", Json.Num (float_of_int r.steps));
+                   ( "speedup_vs_seq",
+                     Json.Num
+                       (if r.wall_s > 0. then seq_t /. r.wall_s else 0.) );
+                 ])
+             results) );
+    ]
 
 let proc_bench_n () =
   match Option.bind (Sys.getenv_opt "TL_PROC_BENCH_N") int_of_string_opt with
@@ -1134,7 +939,10 @@ let proc_bench_n () =
 
 (* Best-of-[reps] with the shard-plan and topology caches cleared before
    every run (each mode pays its plan build cold, fork and prologue
-   shipping included) and an untimed pre-rep compaction, as in B8. *)
+   shipping included) and an untimed pre-rep compaction: plan and
+   per-shard context building allocate many large arrays, which crawl
+   through a fragmented major heap left behind by whatever ran before —
+   untimed defragmentation removes that noise. *)
 let bench_proc_arm ~reps f =
   let best = ref infinity and result = ref None in
   for _ = 1 to reps do
@@ -1169,8 +977,8 @@ let run_proc () =
   let seed = 71 in
   Util.heading
     (Printf.sprintf
-       "B12: process-parallel shard backend — seq vs shard:4 vs proc:{2,4} \
-        over the tlp wire (n=%d)"
+       "B12: process-parallel shard backend — seq vs proc:{2,4} over the tlp \
+        wire (n=%d)"
        n);
   if Team.spawns () > 0 then
     Printf.printf
@@ -1239,25 +1047,12 @@ let run_proc () =
     in
     let flood_proc = proc_arms flood flat_flood in
     let mis_proc = proc_arms mis flat_mis in
-    (* 2. the in-process references (seq, then shard:4 — the latter may
-       spawn the domain team even at pool width 1) *)
+    (* 2. the in-process reference *)
     let flood_seq = bench_proc_arm ~reps (fun () -> flood Engine.Seq) in
     let mis_seq = bench_proc_arm ~reps (fun () -> mis Engine.Seq) in
-    let shard_arm kernel =
-      let saved = !Pool.default_workers in
-      Pool.default_workers := 1;
-      Fun.protect
-        ~finally:(fun () -> Pool.default_workers := saved)
-        (fun () -> bench_proc_arm ~reps (fun () -> kernel (Engine.Shard 4)))
-    in
-    let flood_shard = shard_arm flood in
-    let mis_shard = shard_arm mis in
-    let rows_of (seq_r, seq_t) shard arms =
+    let rows_of (seq_r, seq_t) arms =
       { mode = "seq"; domains = 1; wall_s = seq_t; rounds = snd seq_r;
         steps = 0; ok = true }
-      :: (let r, t = shard in
-          { mode = "shard:4"; domains = 1; wall_s = t; rounds = snd r;
-            steps = 0; ok = r = seq_r })
       :: List.map
            (fun (mode, (r, t)) ->
              { mode; domains = 4; wall_s = t; rounds = snd r; steps = 0;
@@ -1266,8 +1061,8 @@ let run_proc () =
     in
     let kernels =
       [
-        ("proc-flood.0", n, rows_of flood_seq flood_shard flood_proc);
-        ("proc-mis.0", n, rows_of mis_seq mis_shard mis_proc);
+        ("proc-flood.0", n, rows_of flood_seq flood_proc);
+        ("proc-mis.0", n, rows_of mis_seq mis_proc);
       ]
     in
     let rows =
@@ -1316,7 +1111,7 @@ let run_proc () =
       (Util.pass_fail (words_per_op < 0.01));
     merge_into_engine_json ~file:"BENCH_engine.json"
       (List.map
-         (fun (name, n, results) -> shard_kernel_json ~name ~n results)
+         (fun (name, n, results) -> modes_kernel_json ~name ~n results)
          kernels
       @ [
           Json.Obj

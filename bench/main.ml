@@ -26,7 +26,6 @@ let experiments =
     ("B", "kernel wall-clock microbenchmarks", Kernel_bench.run);
     ("B6", "engine: naive vs active-set vs parallel stepping", Kernel_bench.run_engine);
     ("B7", "component-solve pool: sequential vs pooled Theorem 12/15", Kernel_bench.run_pool);
-    ("B8", "sharded halo-exchange backend: seq vs shard:{2,4,8}", Kernel_bench.run_shard);
     ("B9", "serving daemon: closed-loop latency, cold vs warm cache", Serve_bench.run);
     ("B10", "tl_metrics overhead: flood with registry off vs on", Kernel_bench.run_metrics);
     ("B11", "flat state slabs + domain team: boxed seq vs flat", Kernel_bench.run_flat);
@@ -34,7 +33,7 @@ let experiments =
        spawn: it self-skips in a full-suite single-process run (after
        B6/B7 spawned the team) and is meant to run standalone, one
        process per experiment, as `make bench-full` and CI do. *)
-    ("B12", "process backend: seq vs shard:4 vs proc:{2,4} over the tlp wire", Kernel_bench.run_proc);
+    ("B12", "process backend: seq vs proc:{2,4} over the tlp wire", Kernel_bench.run_proc);
     ("B13", "tl_fault: incremental repair vs full recompute, gate overhead", Fault_bench.run);
   ]
 
@@ -48,7 +47,7 @@ let initial_gc = Gc.get ()
 
 (* Dispatch one experiment, tagging its CSV tables for the manifest.
    Restoring the GC parameters and compacting between experiments is
-   measurement hygiene: the big-n experiments (B7/B8 at n = 1e6) grow
+   measurement hygiene: the big-n experiments (B7/B12 at n = 1e6) grow
    and fragment the major heap, and a later experiment's large-array
    allocations crawl through the fragmented free lists — wall-clock
    noise that has nothing to do with the code under test. *)

@@ -14,7 +14,6 @@ open Cmdliner
 module Graph = Tl_graph.Graph
 module Props = Tl_graph.Props
 module Ids = Tl_local.Ids
-module Pipeline = Tl_core.Pipeline
 module Complexity = Tl_core.Complexity
 module Round_cost = Tl_local.Round_cost
 module Engine = Tl_engine.Engine
@@ -52,57 +51,33 @@ let delta_arg =
 
 (* ---------- engine selection and tracing ---------- *)
 
-(* Kept as a (validated) string until the command runs: "shard" or
-   "proc" without a count resolves against --shards, through
-   [with_knobs]; the parse here checks only the syntax. *)
+(* Kept as a (validated) string until the command runs: [with_knobs]
+   checks it against the instance size through the daemon's rules; the
+   parse here checks only the syntax. *)
 let engine_arg =
   let doc =
     "Execution engine: naive (the legacy full-scan reference stepper), \
      seq (compiled topology + active-set scheduler, the default), \
      par:N (the same stepper with the per-round compute spread over N \
-     OCaml domains), shard / shard:S (sharded halo-exchange backend; \
-     the shard count comes from $(b,--shards) unless given inline), or \
-     proc / proc:S (one worker process per shard, halos over the tlp \
-     binary wire protocol; a bare proc also takes its count from \
-     $(b,--shards); run proc work before any par/shard run — OCaml \
-     forbids forking after domains exist). All modes are \
-     deterministic and bit-identical."
+     OCaml domains) or proc:N (N worker processes, one per shard of \
+     the compiled topology, halos over the tlp binary wire protocol; \
+     the only mode where link-drop and worker-kill faults fire; run \
+     proc work before any par run — OCaml forbids forking after \
+     domains exist). All modes are deterministic and bit-identical."
   in
   let mode =
     let parse s =
-      match Engine.mode_of_string ~count:1 s with
+      match Engine.mode_of_string s with
       | _ -> Ok s
       | exception Invalid_argument _ ->
         Error
           (`Msg
             (Printf.sprintf
-               "invalid engine %S (expected naive, seq, par:N, shard, \
-                shard:S, proc or proc:S)"
-               s))
+               "invalid engine %S (expected naive, seq, par:N or proc:N)" s))
     in
     Arg.conv (parse, Format.pp_print_string)
   in
   Arg.(value & opt mode "seq" & info [ "engine" ] ~docv:"MODE" ~doc)
-
-let shards_arg =
-  let doc =
-    "Shard count for $(b,--engine) shard: partition the compiled \
-     topology into $(docv) contiguous shards with ghost (halo) \
-     vertices, each round running as local step / batched boundary \
-     exchange / barrier. Results are bit-identical for any shard count; \
-     composes with $(b,--pool) (shards fan over the domain pool)."
-  in
-  let shards =
-    let parse s =
-      match int_of_string_opt s with
-      | Some c when c >= 1 -> Ok c
-      | _ ->
-        Error
-          (`Msg (Printf.sprintf "invalid shard count %S (expected S >= 1)" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt shards 4 & info [ "shards" ] ~docv:"S" ~doc)
 
 let pool_arg =
   let doc =
@@ -302,98 +277,61 @@ let k_arg =
     value & opt (some int) None
     & info [ "k"; "param-k" ] ~docv:"K" ~doc:"Decomposition parameter (default g(n)).")
 
-let report_raw name problem g labeling cost =
-  Printf.printf "problem:     %s\n" name;
-  Printf.printf "rounds:      %d\n" (Round_cost.total cost);
+let report title (s : Tl_serve.Protocol.solution) =
+  Printf.printf "problem:     %s\n" title;
+  Printf.printf "rounds:      %d\n" s.rounds;
   List.iter
     (fun (phase, rounds) -> Printf.printf "  %-24s %6d\n" phase rounds)
-    (Round_cost.phases cost);
-  let valid = Tl_problems.Nec.is_valid problem g labeling in
-  Printf.printf "valid:       %b\n" valid;
-  if not valid then exit 1
-
-let report name (r : _ Pipeline.report) =
-  Printf.printf "problem:     %s\n" name;
-  Printf.printf "rounds:      %d\n" r.Pipeline.total_rounds;
-  List.iter
-    (fun (phase, rounds) -> Printf.printf "  %-24s %6d\n" phase rounds)
-    (Round_cost.phases r.Pipeline.cost);
-  if r.Pipeline.k > 0 then Printf.printf "k:           %d\n" r.Pipeline.k;
-  Printf.printf "valid:       %b\n" r.Pipeline.valid;
-  if not r.Pipeline.valid then begin
-    List.iteri
-      (fun i v ->
-        if i < 5 then
-          Format.printf "  violation: %a@." Tl_problems.Nec.pp_violation v)
-      r.Pipeline.violations;
+    s.ledger;
+  if s.k > 0 then Printf.printf "k:           %d\n" s.k;
+  Printf.printf "valid:       %b\n" s.valid;
+  if not s.valid then begin
+    List.iter (Printf.printf "  violation: %s\n") s.violations;
     exit 1
   end
 
+(* The (problem, method) pairs and their tree requirements are the
+   daemon's (Protocol.find_workload): a pair it rejects as a
+   bad_request, or a tree-only method on a non-tree, is a usage error
+   here. *)
 let solve problem method_ family n seed a delta k pool profile report_fmt =
-  Tl_engine.Pool.default_workers := pool;
-  setup_profile profile report_fmt;
-  Span.set_attr "problem" problem;
-  Span.set_attr "method" method_;
-  Span.set_attr "family" family;
-  Span.set_attr "n" (string_of_int n);
-  Span.set_attr "seed" (string_of_int seed);
-  Span.set_attr "pool" (string_of_int pool);
-  let g = Span.with_span "instance" (fun () -> build_instance family n seed a delta) in
-  let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 1) in
-  let must_tree name =
-    if not (Props.is_tree g) then
-      failwith (name ^ " via Theorem 12 needs a tree instance")
-  in
-  match (problem, method_) with
-  | "mis", "transform" ->
-    must_tree "mis";
-    report "MIS (Theorem 12)" (Pipeline.mis_on_tree ?k ~tree:g ~ids ())
-  | "coloring", "transform" ->
-    must_tree "coloring";
-    report "(deg+1)-coloring (Theorem 12)"
-      (Pipeline.coloring_on_tree ?k ~tree:g ~ids ())
-  | "matching", "transform" ->
-    report "maximal matching (Theorem 15)"
-      (Pipeline.matching_on_graph ?k ~graph:g ~a ~ids ())
-  | "edge-coloring", "transform" ->
-    report "(edge-degree+1)-edge coloring (Theorem 15)"
-      (Pipeline.edge_coloring_on_graph ?k ~graph:g ~a ~ids ())
-  | "mis", "direct" -> report "MIS (direct)" (Pipeline.mis_direct ~graph:g ~ids)
-  | "coloring", "direct" ->
-    report "(deg+1)-coloring (direct)" (Pipeline.coloring_direct ~graph:g ~ids)
-  | "matching", "direct" ->
-    report "maximal matching (direct)" (Pipeline.matching_direct ~graph:g ~ids)
-  | "edge-coloring", "direct" ->
-    report "(edge-degree+1)-edge coloring (direct)"
-      (Pipeline.edge_coloring_direct ~graph:g ~ids)
-  | "matching", "baseline" ->
-    must_tree "baseline matching";
-    let labeling, cost = Tl_core.Baseline.matching_on_tree ~tree:g ~ids in
-    report_raw "maximal matching (BE13-style baseline)"
-      Tl_problems.Matching.problem g labeling cost
-  | "edge-coloring", "baseline" ->
-    must_tree "baseline edge-coloring";
-    let labeling, cost = Tl_core.Baseline.edge_coloring_on_tree ~tree:g ~ids in
-    report_raw "(edge-degree+1)-edge coloring (BE13-style baseline)"
-      Tl_problems.Edge_coloring.problem g labeling cost
-  | p, m -> failwith (Printf.sprintf "unknown problem/method %s/%s" p m)
+  let module P = Tl_serve.Protocol in
+  match P.find_workload ~problem ~method_ with
+  | Error msg -> `Error (false, msg)
+  | Ok (P.Flood | P.Chaos) ->
+    `Error (false, problem ^ " is an engine workload: run it with chaos")
+  | Ok (P.Solve p) -> (
+    Tl_engine.Pool.default_workers := pool;
+    setup_profile profile report_fmt;
+    Span.set_attr "problem" problem;
+    Span.set_attr "method" method_;
+    Span.set_attr "family" family;
+    Span.set_attr "n" (string_of_int n);
+    Span.set_attr "seed" (string_of_int seed);
+    Span.set_attr "pool" (string_of_int pool);
+    let graph =
+      Span.with_span "instance" (fun () -> build_instance family n seed a delta)
+    in
+    let ids = Ids.permuted ~n:(Graph.n_nodes graph) ~seed:(seed + 1) in
+    match p.P.solve ~graph ~ids ~a ~k with
+    | Error msg -> `Error (false, msg)
+    | Ok s -> `Ok (report p.P.title s))
 
 (* Cross-argument validation the per-argument convs cannot express
-   (shard count vs instance size, shard backend availability, pool
+   (proc count vs instance size, proc backend availability, pool
    bounds) — shared with the serving daemon's admission check so the
-   CLI and the daemon reject exactly the same knob combinations, and run
-   exactly the mode it resolves (a bare shard / proc takes --shards). *)
-let with_knobs ~engine ~shards ~pool ~n run =
-  match Tl_serve.Protocol.resolve_knobs ~engine ~shards ~pool ~n with
+   CLI and the daemon reject exactly the same knob combinations. *)
+let with_knobs ~engine ~pool ~n run =
+  match Tl_serve.Protocol.resolve_knobs ~engine ~pool ~n with
   | Error msg -> `Error (false, msg)
-  | Ok mode -> `Ok (run mode)
+  | Ok mode -> run mode
 
 (* solve makes no engine run (its pipelines are direct loops), so it
    takes no engine knobs: only the instance size and the pool width are
    checked, by the same rules. *)
 let solve_checked problem method_ family n seed a delta k pool profile
     report_fmt =
-  with_knobs ~engine:"seq" ~shards:1 ~pool ~n (fun _seq ->
+  with_knobs ~engine:"seq" ~pool ~n (fun _seq ->
       solve problem method_ family n seed a delta k pool profile report_fmt)
 
 let solve_cmd =
@@ -524,18 +462,19 @@ let chaos_cmd =
     "Run a workload under a deterministic fault schedule and repair the \
      damage incrementally."
   in
-  let chaos_checked problem family n seed a delta engine shards pool faults
-      trace profile report_fmt =
-    with_knobs ~engine ~shards ~pool ~n (fun mode ->
-        chaos problem family n seed a delta mode pool faults trace profile
-          report_fmt)
+  let chaos_checked problem family n seed a delta engine pool faults trace
+      profile report_fmt =
+    with_knobs ~engine ~pool ~n (fun mode ->
+        `Ok
+          (chaos problem family n seed a delta mode pool faults trace profile
+             report_fmt))
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       ret
         (const chaos_checked $ chaos_problem_arg $ family_arg $ n_arg
-       $ seed_arg $ a_arg $ delta_arg $ engine_arg $ shards_arg $ pool_arg
-       $ faults_arg $ trace_arg $ profile_arg $ report_fmt_arg))
+       $ seed_arg $ a_arg $ delta_arg $ engine_arg $ pool_arg $ faults_arg
+       $ trace_arg $ profile_arg $ report_fmt_arg))
 
 (* ---------- predict ---------- *)
 
@@ -629,7 +568,7 @@ let retries_arg =
    outcome. The connection is closed after the response, so the daemon
    (one connection at a time) is immediately free for the next client. *)
 let client socket cmd format problem method_ family n seed a delta k engine
-    shards pool span retries faults =
+    pool span retries faults =
   let module P = Tl_serve.Protocol in
   let module Json = Tl_obs.Json in
   let module Metrics = Tl_obs.Metrics in
@@ -651,7 +590,7 @@ let client socket cmd format problem method_ family n seed a delta k engine
     | None ->
       let spec = P.Family { family; n; seed; a; delta } in
       P.request_to_json
-        (P.request ~id:"cli" ~problem ~method_ ~spec ?k ~engine ~shards ~pool
+        (P.request ~id:"cli" ~problem ~method_ ~spec ?k ~engine ~pool
            ~want_span:span ?faults ())
   in
   let rec connect_with attempt =
@@ -734,8 +673,7 @@ let client_cmd =
     Term.(
       const client $ socket_arg $ cmd_arg $ format_arg $ problem_arg
       $ method_arg $ family_arg $ n_arg $ seed_arg $ a_arg $ delta_arg $ k_arg
-      $ engine_arg $ shards_arg $ pool_arg $ span_arg $ retries_arg
-      $ faults_arg)
+      $ engine_arg $ pool_arg $ span_arg $ retries_arg $ faults_arg)
 
 (* ---------- main ---------- *)
 

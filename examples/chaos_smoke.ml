@@ -12,9 +12,9 @@
 
    Run with:  dune exec examples/chaos_smoke.exe
 
-   IMPORTANT ordering: the proc scenario runs first — OCaml 5 forbids
-   fork once a domain has ever been spawned, and the shard/par
-   scenarios below spawn the domain team. *)
+   IMPORTANT ordering: the proc scenarios (worker kill, link drops) run
+   first — OCaml 5 forbids fork once a domain has ever been spawned,
+   and the par scenario below may spawn the domain team. *)
 
 module Gen = Tl_graph.Gen
 module Ids = Tl_local.Ids
@@ -60,18 +60,29 @@ let () =
   pass "proc kill: replay deterministic" (same p p2);
   pass "proc kill: digest matches seq" (p.digest = s.digest);
 
-  (* -- crash-stop: seeded random crashes, seq vs shard:4; the rounds
+  (* -- link drops: halo traffic suppressed on the process wire,
+     healed at the end -- *)
+  let drop_spec = "seed=17;drop@3:0-1,1-2;drop@5:0-3" in
+  let d = chaos ~mode:(Engine.Proc 4) ~graph:tree ~problem:flood drop_spec in
+  let d2 = chaos ~mode:(Engine.Proc 4) ~graph:tree ~problem:flood drop_spec in
+  let d_clean = chaos ~mode:(Engine.Proc 4) ~graph:tree ~problem:flood "seed=17" in
+  pass "link-drop: valid after final heal" d.valid;
+  pass "link-drop: halo traffic suppressed" (d.drops >= 1);
+  pass "link-drop: replay deterministic" (same d d2);
+  pass "link-drop: digest matches undropped run" (d.digest = d_clean.digest);
+
+  (* -- crash-stop: seeded random crashes, seq vs par:2; the rounds
      sit past convergence (the chaos clock fast-forwards), so the
      crashes orphan reached subtrees and force actual repairs -- *)
   let crash_spec = "seed=11;crash_random@10000:50;crash_random@10005:50" in
   let a = chaos ~mode:Engine.Seq ~graph:tree ~problem:flood crash_spec in
   let a2 = chaos ~mode:Engine.Seq ~graph:tree ~problem:flood crash_spec in
-  let a_sh = chaos ~mode:(Engine.Shard 4) ~graph:tree ~problem:flood crash_spec in
-  pass "crash-stop: valid on surviving graph" (a.valid && a_sh.valid);
+  let a_par = chaos ~mode:(Engine.Par 2) ~graph:tree ~problem:flood crash_spec in
+  pass "crash-stop: valid on surviving graph" (a.valid && a_par.valid);
   pass "crash-stop: 100 crashes applied, repairs ran"
     (a.crashes = 100 && a.repairs >= 1);
   pass "crash-stop: replay deterministic" (same a a2);
-  pass "crash-stop: digest matches across seq/shard:4" (same a a_sh);
+  pass "crash-stop: digest matches across seq/par:2" (same a a_par);
 
   (* -- crash-recover churn on MIS: nodes leave and rejoin -- *)
   let churn_spec = "seed=13;churn@3-40:rate=0.0005,kind=crash-recover,ttl=6" in
@@ -81,15 +92,5 @@ let () =
   pass "crash-recover: churn crashed and recovered nodes"
     (c.crashes >= 1 && c.recoveries >= 1);
   pass "crash-recover: replay deterministic" (same c c2);
-
-  (* -- link drops: suppressed halo traffic, healed at the end -- *)
-  let drop_spec = "seed=17;drop@3:0-1,1-2;drop@5:0-3" in
-  let d = chaos ~mode:(Engine.Shard 4) ~graph:tree ~problem:flood drop_spec in
-  let d2 = chaos ~mode:(Engine.Shard 4) ~graph:tree ~problem:flood drop_spec in
-  let d_clean = chaos ~mode:(Engine.Shard 4) ~graph:tree ~problem:flood "seed=17" in
-  pass "link-drop: valid after final heal" d.valid;
-  pass "link-drop: halo traffic suppressed" (d.drops >= 1);
-  pass "link-drop: replay deterministic" (same d d2);
-  pass "link-drop: digest matches undropped run" (d.digest = d_clean.digest);
 
   Printf.printf "chaos smoke: all scenarios PASS\n"

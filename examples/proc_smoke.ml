@@ -4,7 +4,7 @@
 
    Run with:  dune exec examples/proc_smoke.exe
 
-   IMPORTANT ordering: every proc-mode run happens before any par/shard
+   IMPORTANT ordering: every proc-mode run happens before any par
    run in this program — OCaml 5 forbids fork once a domain has ever
    been spawned, and the coordinator refuses (Proc_failure) rather than
    crash. *)

@@ -30,9 +30,12 @@ let daemon_path () =
 
 let spec = P.Family { family = "random-tree"; n = 2000; seed = 42; a = 1; delta = 8 }
 
-(* pooled requests: pool:4 parks a 4-wide domain team in the daemon; the
-   two metrics scrapes bracketing them assert the team spawns once and
-   is reused for every later job (no per-request domain churn) *)
+(* The flood runs on the process backend (proc:4), which forks its
+   workers — so it goes before any pooled request parks domains in the
+   daemon (OCaml forbids fork after a domain spawn). Pooled requests:
+   pool:4 parks a 4-wide domain team in the daemon; the two metrics
+   scrapes bracketing them assert the team spawns once and is reused for
+   every later job (no per-request domain churn). *)
 let requests =
   [
     P.request_to_json
@@ -40,22 +43,25 @@ let requests =
     P.request_to_json
       (P.request ~id:"warm" ~problem:"mis" ~spec ~want_span:false ());
     P.request_to_json
-      (P.request ~id:"sharded" ~problem:"flood" ~spec ~engine:"shard:4"
-         ~shards:4 ~pool:4 ~want_span:false ());
-    P.control_to_json ~id:"m1" P.Metrics;
-    (* fresh seeds: cache misses, so these really run pooled shard solves *)
+      (P.request ~id:"proc" ~problem:"flood" ~spec ~engine:"proc:4"
+         ~want_span:false ());
     P.request_to_json
-      (P.request ~id:"pool-a" ~problem:"flood"
+      (P.request ~id:"pooled" ~problem:"coloring" ~spec ~pool:4
+         ~want_span:false ());
+    P.control_to_json ~id:"m1" P.Metrics;
+    (* fresh seeds: cache misses, so these really run pooled solves *)
+    P.request_to_json
+      (P.request ~id:"pool-a" ~problem:"coloring"
          ~spec:
            (P.Family
               { family = "random-tree"; n = 2500; seed = 7; a = 1; delta = 8 })
-         ~engine:"shard:4" ~shards:4 ~pool:4 ~want_span:false ());
+         ~pool:4 ~want_span:false ());
     P.request_to_json
       (P.request ~id:"pool-b" ~problem:"mis"
          ~spec:
            (P.Family
               { family = "random-tree"; n = 2500; seed = 9; a = 1; delta = 8 })
-         ~engine:"shard:2" ~shards:2 ~pool:4 ~want_span:false ());
+         ~engine:"par:2" ~pool:4 ~want_span:false ());
     P.control_to_json ~id:"m2" P.Metrics;
     P.control_to_json ~id:"st" P.Stats;
     P.control_to_json ~id:"bye" P.Shutdown;

@@ -1,13 +1,12 @@
 module Semi_graph = Tl_graph.Semi_graph
 
-type mode = Naive | Seq | Par of int | Shard of int | Proc of int
+type mode = Naive | Seq | Par of int | Proc of int
 type scheduling = Stepper.scheduling = Active_set | Full_scan
 
 let mode_to_string = function
   | Naive -> "naive"
   | Seq -> "seq"
   | Par p -> "par:" ^ string_of_int p
-  | Shard s -> "shard:" ^ string_of_int s
   | Proc p -> "proc:" ^ string_of_int p
 
 let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
@@ -34,10 +33,7 @@ let count_suffix s prefix =
   end
   else None
 
-let mode_of_string ~count s =
-  if count < 1 then
-    invalid_arg
-      (Printf.sprintf "Engine.mode_of_string: count %d must be >= 1" count);
+let mode_of_string s =
   if String.trim s <> s then
     invalid_arg
       (Printf.sprintf
@@ -47,23 +43,18 @@ let mode_of_string ~count s =
   match s with
   | "naive" -> Naive
   | "seq" -> Seq
-  | "shard" -> Shard count
-  | "proc" -> Proc count
   | _ -> (
     match count_suffix s "par:" with
     | Some p -> Par p
     | None -> (
-      match count_suffix s "shard:" with
-      | Some c -> Shard c
-      | None -> (
-        match count_suffix s "proc:" with
-        | Some c -> Proc c
-        | None ->
-          invalid_arg
-            (Printf.sprintf
-               "Engine.mode_of_string: %S — expected naive | seq | par:<n> | \
-                shard[:<n>] | proc[:<n>]"
-               s))))
+      match count_suffix s "proc:" with
+      | Some c -> Proc c
+      | None ->
+        invalid_arg
+          (Printf.sprintf
+             "Engine.mode_of_string: %S — expected naive | seq | par:<n> | \
+              proc:<n>"
+             s)))
 
 let sched_to_string = function
   | Active_set -> "active-set"
@@ -99,8 +90,8 @@ type 'state step_fn =
 
 type stop = Halted of int | Stable of int | Rounds of int
 
-(* The Shard and Proc modes live in tl_shard / tl_proc (which depend on
-   this library) and register themselves here at load time. *)
+(* The Proc mode lives in tl_proc (which depends on this library) and
+   registers itself here at load time. *)
 type backend = {
   exec :
     'state.
@@ -116,16 +107,8 @@ type backend = {
     'state outcome;
 }
 
-let shard_backend : backend option ref = ref None
 let proc_backend : backend option ref = ref None
 
-let get_backend r ~mode ~lib =
-  match !r with
-  | Some b -> b
-  | None ->
-    failwith
-      (Printf.sprintf
-         "Engine: %s mode requested but the %s backend is not linked" mode lib)
 
 let now = Unix.gettimeofday
 
@@ -365,9 +348,7 @@ let engine_exec ~par ~sched ~equal ~tr ~topo ~init ~step ~halted ~stop =
 
 (* ---------- public API ---------- *)
 
-let par_of = function
-  | Naive | Seq | Shard _ | Proc _ -> 1
-  | Par p -> max 1 p
+let par_of = function Par p -> max 1 p | Naive | Seq | Proc _ -> 1
 
 (* [naive] is the mode's own reference loop, kept out of the shared
    driver so the differential batteries compare two independent
@@ -378,16 +359,17 @@ let exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached
     begin_trace ?trace ~label ~mode:(mode_to_string mode) ~layout:"boxed"
       ~sched ~compile_s ~compile_cached topo
   in
-  let via b ~count =
-    b.exec ~count ~sched ~equal ~trace:tr ~topo ~init ~step ~halted ~stop
-  in
   with_trace tr (fun () ->
       match mode with
       | Naive -> naive tr
-      | Shard s ->
-        via (get_backend shard_backend ~mode:"shard" ~lib:"tl_shard") ~count:s
-      | Proc p ->
-        via (get_backend proc_backend ~mode:"proc" ~lib:"tl_proc") ~count:p
+      | Proc p -> (
+        match !proc_backend with
+        | Some b ->
+          b.exec ~count:p ~sched ~equal ~trace:tr ~topo ~init ~step ~halted
+            ~stop
+        | None ->
+          failwith
+            "Engine: proc mode requested but the tl_proc backend is not linked")
       | Seq | Par _ ->
         engine_exec ~par:(par_of mode) ~sched ~equal ~tr ~topo ~init ~step
           ~halted ~stop)

@@ -23,23 +23,16 @@
       regardless of [p], the {!par_grain} inline threshold, or thread
       interleaving. [Seq]/[Par] rounds are the shared {!Stepper} body
       over a boxed store — the body {!Flat} runs over int slabs and the
-      [Shard]/[Proc] backends run per shard.
-    - [Shard s] — the sharded halo-exchange backend ({!Tl_shard.Shard}):
-      the snapshot is partitioned into [s] contiguous shards with ghost
-      (halo) copies of remote neighbors, and each round runs as
-      {e local step → batched boundary exchange → barrier}. The
-      implementation lives in the [tl_shard] library and registers
-      itself through {!shard_backend}; running in [Shard] mode without
-      that library linked raises [Failure]. Bit-identical to [Seq] under
-      the same stationarity contract.
+      [Proc] backend runs per shard.
     - [Proc p] — the process-parallel distributed backend
-      ([Tl_proc.Coordinator]): the same shard [Plan] geometry, but one
-      Unix process per shard, halos exchanged over socketpairs in a
-      length-prefixed binary wire format and termination decided by a
-      [changed]-count allreduce over a collective tree. Registers
-      through {!proc_backend}; running in [Proc] mode without [tl_proc]
-      linked raises [Failure]. Bit-identical to [Seq] under the same
-      stationarity contract.
+      ([Tl_proc.Coordinator]): the snapshot is partitioned by
+      [Tl_shard.Plan] into [p] contiguous shards with ghost (halo)
+      copies of remote neighbors, one Unix process per shard, halos
+      exchanged over socketpairs in a length-prefixed binary wire format
+      and termination decided by a [changed]-count allreduce over a
+      collective tree. Registers through {!proc_backend}; running in
+      [Proc] mode without [tl_proc] linked raises [Failure].
+      Bit-identical to [Seq] under the same stationarity contract.
 
     The stepper is an argument of every run ([?mode], default [Seq]),
     never process state: the caller that owns a run — the CLI's
@@ -67,7 +60,7 @@
     machine can then never halt — the naive stepper would spin to
     [max_rounds] and raise the same way). *)
 
-type mode = Naive | Seq | Par of int | Shard of int | Proc of int
+type mode = Naive | Seq | Par of int | Proc of int
 
 type scheduling = Stepper.scheduling =
   | Active_set  (** re-step only nodes with a changed 1-hop neighborhood *)
@@ -76,13 +69,11 @@ type scheduling = Stepper.scheduling =
 val mode_to_string : mode -> string
 val sched_to_string : scheduling -> string
 
-val mode_of_string : count:int -> string -> mode
-(** Parses ["naive"], ["seq"], ["par:N"], ["shard:N"], ["proc:N"]
-    (N >= 1), and a bare ["shard"] or ["proc"], which takes [count] as
-    its shard or process count (the daemon and the CLI pass their
-    [shards] knob). Raises [Invalid_argument] with a message naming the
-    offending input when [count < 1], and otherwise for
-    ["par:0"]/["shard:0"]/["proc:0"] (count must be >= 1), non-digit or
+val mode_of_string : string -> mode
+(** Parses ["naive"], ["seq"], ["par:N"] and ["proc:N"] (N >= 1).
+    Raises [Invalid_argument] with a message naming the offending input
+    for anything else: a bare ["par"] or ["proc"] (the count is part of
+    the mode), ["par:0"]/["proc:0"] (count must be >= 1), non-digit or
     out-of-range counts, and strings with surrounding whitespace
     (callers splitting config lines forget to trim; a silent accept here
     would mask that). *)
@@ -144,8 +135,8 @@ type 'state step_fn =
 
 (** {2 Stop policies and the round driver}
 
-    Every non-reference backend (the [Seq]/[Par] stepper, {!Flat},
-    [Tl_shard.Shard] and the [Tl_proc] coordinator) runs its rounds
+    Every non-reference backend (the [Seq]/[Par] stepper, {!Flat} and
+    the [Tl_proc] coordinator) runs its rounds
     through {!drive}; only [Naive] keeps its own loops, as the
     independent reference. The driver owns these rules:
 
@@ -199,16 +190,15 @@ val exhausted : stop -> 'a
 
 (** {2 Backend hook}
 
-    The [Shard] and [Proc] modes are implemented outside this library
-    (in [tl_shard] and [tl_proc], which depend on [tl_engine]) and plug
-    in through this record with a single rank-2-polymorphic entry point.
-    [count] is the shard or worker-process count; [halted] is [Some]
-    exactly under [Halted]. The engine keeps ownership of trace creation
-    and delivery: the backend receives the already-created [trace] (if
-    any) and hands it to {!drive}. [Tl_shard.Shard] and
-    [Tl_proc.Coordinator] install themselves at module initialization,
-    and {!Tl_local.Runtime} references both explicitly so every binary
-    built on the runtime links them. *)
+    The [Proc] mode is implemented outside this library (in [tl_proc],
+    which depends on [tl_engine]) and plugs in through this record with
+    a single rank-2-polymorphic entry point. [count] is the worker
+    process count; [halted] is [Some] exactly under [Halted]. The engine
+    keeps ownership of trace creation and delivery: the backend receives
+    the already-created [trace] (if any) and hands it to {!drive}.
+    [Tl_proc.Coordinator] installs itself at module initialization, and
+    {!Tl_local.Runtime} references it explicitly so every binary built
+    on the runtime links it. *)
 
 type backend = {
   exec :
@@ -224,10 +214,6 @@ type backend = {
     stop:stop ->
     'state outcome;
 }
-
-val shard_backend : backend option ref
-(** Set by [Tl_shard.Shard] at load time. [Shard]-mode runs raise
-    [Failure] while this is [None]. *)
 
 val proc_backend : backend option ref
 (** Set by [Tl_proc.Coordinator] at load time. [Proc]-mode runs raise

@@ -1,7 +1,7 @@
 (** The synchronous LOCAL round body (Definition 5), written once for
     every stepper but the [Naive] reference: {!Engine}'s [Seq]/[Par]
-    stepper, {!Flat}, and the shard-local body [Tl_shard.Local] behind
-    the [Shard] backend and the process backend's workers.
+    stepper, {!Flat}, and the shard-local body [Tl_shard.Local] the
+    process backend's workers run.
 
     A round is {e compute → commit → advance}:
 
@@ -106,5 +106,5 @@ val boxed :
     initialized by [init] of its global id ([l2g], the identity when
     absent). A step sees global node and edge ids and its neighbors in
     the CSR's incident order, so a step function cannot tell a shard
-    from the whole graph. Returns the array — a shard backend writes
+    from the whole graph. Returns the array — a proc worker writes
     ghosts into it — with the store over it. *)

@@ -23,16 +23,18 @@
     after the final epoch converges — with one last repair pass if link
     drops left stale ghosts behind.
 
-    Proc-backend kills surface as [Tl_proc.Wire.Proc_failure]; the
-    orchestrator catches them, counts a retry, and re-runs the epoch
-    from its starting labels — the injector has already consumed the
-    kill, so the retry completes. The socketpair topology cannot be
-    rebuilt per-worker, so recovery granularity is the epoch, not the
-    round.
+    Link drops and worker kills fire only under [Proc] mode, the one
+    backend with a real wire. Kills surface as
+    [Tl_proc.Wire.Proc_failure]; the orchestrator catches them, counts a
+    retry, and re-runs the epoch from its starting labels — the injector
+    has already consumed the kill, so the retry completes. The
+    socketpair topology cannot be rebuilt per-worker, so recovery
+    granularity is the epoch, not the round.
 
     Everything is deterministic: same (graph, problem, schedule, mode) —
-    identical applied log, repair counts and final labeling digest,
-    across all engine modes. *)
+    identical applied log, repair counts and final labeling digest; a
+    schedule without drops or kills lands on the same digest in every
+    engine mode. *)
 
 module Graph = Tl_graph.Graph
 

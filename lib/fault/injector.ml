@@ -1,5 +1,4 @@
 module Engine = Tl_engine.Engine
-module Shard = Tl_shard.Shard
 module Coordinator = Tl_proc.Coordinator
 
 type applied =
@@ -15,9 +14,9 @@ let applied_to_string = function
     Printf.sprintf "drop:%d-%d(%d msgs)" src dst msgs
   | Killed r -> Printf.sprintf "kill:%d" r
 
-(* Drop entries aggregate in place while one round's exchange drains —
-   the cell is created on the first suppressed message of a
-   (round, src, dst) triple and its count bumped on the rest. *)
+(* Drop entries aggregate in place as a run's fired cuts arrive — the
+   cell is created on the first count of a (round, src, dst) link and
+   bumped by the rest. *)
 type drop_cell = { d_round : int; d_src : int; d_dst : int; mutable d_msgs : int }
 
 type cell =
@@ -31,8 +30,8 @@ type t = {
   (* crash / recover events, round-sorted (stable); consumed by cursor *)
   topo : (int * Schedule.event) array;
   mutable cursor : int;
-  (* (round, src, dst) -> pending link cut; removed once logged *)
-  drops : (int * int * int, unit) Hashtbl.t;
+  (* link cuts as (round, a, b), a < b, in schedule order *)
+  links : (int * int * int) list;
   fired_drops : (int * int * int, drop_cell) Hashtbl.t;
   (* round -> ranks still to kill at that round *)
   kills : (int, int list) Hashtbl.t;
@@ -90,20 +89,20 @@ let gate t ~round =
   | None -> true
   | Some r -> t.base + round < r
 
-let drop_hook t ~round ~src ~dst =
-  let abs = t.base + round in
-  let key = (abs, min src dst, max src dst) in
-  if Hashtbl.mem t.drops key then begin
-    (match Hashtbl.find_opt t.fired_drops key with
-    | Some cell -> cell.d_msgs <- cell.d_msgs + 1
-    | None ->
-      let _, a, b = key in
-      let cell = { d_round = abs; d_src = a; d_dst = b; d_msgs = 1 } in
-      Hashtbl.replace t.fired_drops key cell;
-      t.log_rev <- C_drop cell :: t.log_rev);
-    true
-  end
-  else false
+let cuts t () =
+  List.filter_map
+    (fun (r, a, b) -> if r > t.base then Some (r - t.base, a, b) else None)
+    t.links
+
+let dropped t ~round ~src ~dst ~msgs =
+  let key = (t.base + round, min src dst, max src dst) in
+  match Hashtbl.find_opt t.fired_drops key with
+  | Some cell -> cell.d_msgs <- cell.d_msgs + msgs
+  | None ->
+    let r, a, b = key in
+    let cell = { d_round = r; d_src = a; d_dst = b; d_msgs = msgs } in
+    Hashtbl.replace t.fired_drops key cell;
+    t.log_rev <- C_drop cell :: t.log_rev
 
 let kill_hook t ~round =
   let abs = t.base + round in
@@ -119,8 +118,7 @@ let disarm t =
     t.active <- false;
     armed := None;
     Engine.fault_gate := None;
-    Shard.fault_drop_hook := None;
-    Coordinator.fault_kill_hook := None
+    Coordinator.fault_hooks := None
   end
 
 let arm sched ~n =
@@ -138,12 +136,11 @@ let arm sched ~n =
            | Schedule.Drop _ | Schedule.Kill _ -> false)
          events)
   in
-  let drops = Hashtbl.create 16 in
-  let kills = Hashtbl.create 16 in
+  let links = ref [] and kills = Hashtbl.create 16 in
   List.iter
     (fun (r, e) ->
       match e with
-      | Schedule.Drop (a, b) -> Hashtbl.replace drops (r, min a b, max a b) ()
+      | Schedule.Drop (a, b) -> links := (r, min a b, max a b) :: !links
       | Schedule.Kill k ->
         let cur = try Hashtbl.find kills r with Not_found -> [] in
         Hashtbl.replace kills r (cur @ [ k ])
@@ -154,7 +151,7 @@ let arm sched ~n =
       base = 0;
       topo;
       cursor = 0;
-      drops;
+      links = List.rev !links;
       fired_drops = Hashtbl.create 16;
       kills;
       log_rev = [];
@@ -163,8 +160,13 @@ let arm sched ~n =
   in
   armed := Some t;
   Engine.fault_gate := Some (fun ~round -> gate t ~round);
-  Shard.fault_drop_hook := Some (fun ~round ~src ~dst -> drop_hook t ~round ~src ~dst);
-  Coordinator.fault_kill_hook := Some (fun ~round -> kill_hook t ~round);
+  Coordinator.fault_hooks :=
+    Some
+      {
+        Coordinator.cuts = cuts t;
+        dropped = dropped t;
+        kills = kill_hook t;
+      };
   t
 
 let with_armed sched ~n f =

@@ -1,27 +1,29 @@
 (** Hook installation: arms a {!Schedule} against the execution stack's
     fault seams.
 
-    Arming instantiates the schedule and installs three hooks:
+    Arming instantiates the schedule and installs two hooks:
 
     - {!Tl_engine.Engine.fault_gate} — interrupts any engine-backed run
       at the round boundary {e before} the next pending crash / recover
       event takes effect, so topology surgery happens between rounds,
       never inside one;
-    - {!Tl_shard.Shard.fault_drop_hook} — suppresses halo deliveries
-      matching a [Drop] event's (src, dst) shard pair in its round;
-    - [Tl_proc.Coordinator.fault_kill_hook] — SIGKILLs the ranks of a
-      [Kill] event before that round's decision broadcast.
+    - [Tl_proc.Coordinator.fault_hooks] — hands a proc run its [Drop]
+      link cuts between worker ranks, takes back the cuts that fired,
+      and SIGKILLs the ranks of a [Kill] event before that round's
+      decision broadcast; the in-process modes never fire either.
 
     Rounds in the schedule are {e absolute} chaos-run rounds; engine
     runs report relative rounds, so the driver (typically {!Chaos})
     tells the injector each run's base offset with {!set_base}. Only one
     injector may be armed per process at a time ([arm] raises
     [Invalid_argument] otherwise); {!with_armed} is the exception-safe
-    wrapper. Disarming restores all three hooks to [None] — the
+    wrapper. Disarming restores both hooks to [None] — the
     zero-overhead state. Every fault that actually fires is recorded in
     the injector's {e applied log}, in firing order; the log is a
     deterministic function of (schedule, instance, workload), which is
-    what the differential chaos tests assert. *)
+    what the differential chaos tests assert. A proc run's drops are
+    logged when its epilogues arrive; a run killed before them logs
+    none. *)
 
 type t
 
@@ -29,7 +31,8 @@ type applied =
   | Crashed of int
   | Recovered of int
   | Dropped of { src : int; dst : int; msgs : int }
-      (** one (round, src, dst) link cut; [msgs] halo messages lost *)
+      (** one (round, src, dst) link cut, [src < dst]; [msgs] halo
+          messages lost in both directions *)
   | Killed of int
 
 val applied_to_string : applied -> string
@@ -40,7 +43,7 @@ val arm : Schedule.t -> n:int -> t
     armed, or on out-of-range node ids (see {!Schedule.instantiate}). *)
 
 val disarm : t -> unit
-(** Restore all hooks to [None]. Idempotent. *)
+(** Restore both hooks to [None]. Idempotent. *)
 
 val with_armed : Schedule.t -> n:int -> (t -> 'a) -> 'a
 (** [arm], run, always [disarm] (even on raise). *)

@@ -115,7 +115,7 @@ let pair_of_string s =
     | _ -> Error (Printf.sprintf "invalid pair %S (expected a-b)" s))
   | _ -> Error (Printf.sprintf "invalid pair %S (expected a-b)" s)
 
-(* unlike shard pairs, a window is ordered: "4-2" is an error the
+(* unlike rank pairs, a window is ordered: "4-2" is an error the
    validator must see, not a pair to normalize *)
 let window_of_string s =
   match String.index_opt s '-' with

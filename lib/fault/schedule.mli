@@ -1,6 +1,6 @@
 (** Deterministic fault schedules: seeded, reproducible plans of
     crash-stop, crash-recover, halo link-drop and worker-kill events,
-    keyed on (round, node / shard pair / rank).
+    keyed on (round, node / rank pair / rank).
 
     A schedule is a {e plan}, not a log: it may name nodes explicitly
     ([crash@8:5,17]), draw them from a seeded PRNG ([crash_random@8:50]),
@@ -34,18 +34,18 @@
     kill@3:1;churn@4-16:rate=0.001,kind=crash-recover,ttl=4
     v}
 
-    [crash]/[recover] name {e node} ids; [drop] names undirected
-    {e shard} pairs ([a-b] drops every halo message between shards [a]
-    and [b] in that round, both directions); [kill] names worker
-    {e ranks} of the proc backend. Rounds are absolute 1-based rounds of
-    the whole chaos run: an event at round [r] takes effect {e after}
-    round [r] commits. *)
+    [crash]/[recover] name {e node} ids; [drop] names undirected pairs
+    of proc worker {e ranks} ([a-b] drops every halo message between
+    workers [a] and [b] in that round, both directions); [kill] names
+    worker {e ranks} too — both act on the proc backend's wire only.
+    Rounds are absolute 1-based rounds of the whole chaos run: an event
+    at round [r] takes effect {e after} round [r] commits. *)
 
 type item =
   | Crash_nodes of int list
   | Crash_random of int  (** crash this many distinct alive nodes, seeded *)
   | Recover_nodes of int list
-  | Drop_links of (int * int) list  (** undirected shard pairs *)
+  | Drop_links of (int * int) list  (** undirected worker-rank pairs *)
   | Kill_ranks of int list
 
 type clause = { round : int; item : item }
@@ -85,7 +85,7 @@ val of_arg : string -> (t, string) result
 type event =
   | Crash of int  (** node leaves the surviving graph *)
   | Recover of int  (** node rejoins with a fresh initial state *)
-  | Drop of int * int  (** one round of (src shard, dst shard) halo loss *)
+  | Drop of int * int  (** one round of halo loss between two worker ranks *)
   | Kill of int  (** SIGKILL worker rank (proc backend) *)
 
 val pp_event : Format.formatter -> event -> unit

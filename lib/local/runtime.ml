@@ -6,15 +6,10 @@ module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
 module Span = Tl_obs.Span
 
-(* Force-link the sharded halo-exchange backend: Tl_shard registers
-   itself into Engine.shard_backend at module initialization, but the
-   linker drops unreferenced archive modules, so the runtime references
-   it explicitly — every binary built on the runtime can run
-   [Shard] mode. *)
-let () = Tl_shard.Shard.register ()
-
-(* Same force-link for the process backend: Tl_proc registers itself
-   into Engine.proc_backend at module initialization. *)
+(* Force-link the process backend: Tl_proc registers itself into
+   Engine.proc_backend at module initialization, but the linker drops
+   unreferenced archive modules, so the runtime references it
+   explicitly — every binary built on the runtime can run [Proc] mode. *)
 let () = Tl_proc.Coordinator.register ()
 
 type 'state outcome = { states : 'state array; rounds : int }

@@ -13,10 +13,9 @@
     with the double-buffered active-set scheduler (no per-round full
     copies; converged regions cost zero). The optional [mode] selects the
     stepper — [Naive] (the original full-scan reference), [Seq] (the
-    default), [Par p] (OCaml 5 domains, deterministic chunking),
-    [Shard s] (the sharded halo-exchange backend {!Tl_shard.Shard}) or
+    default), [Par p] (OCaml 5 domains, deterministic chunking) or
     [Proc p] (one worker process per shard, [Tl_proc.Coordinator]); the
-    runtime force-links both backends so they are available in every
+    runtime force-links the process backend so it is available in every
     binary built on it. All are bit-identical under the engine's
     stationarity contract (see {!Tl_engine.Engine}).
 

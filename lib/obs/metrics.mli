@@ -47,7 +47,7 @@
     hooks the engine exposes for exactly this purpose
     ({!Tl_engine.Engine.metrics_sink}, {!Tl_engine.Pool.tap},
     {!Tl_engine.Team.tap}) and flips
-    the global {!enabled} flag that guards the shard backend's direct
+    the global {!enabled} flag that guards the proc backend's direct
     instrumentation. Nothing is instrumented until some layer (the
     serving daemon, a bench) opts in — a one-shot CLI run pays zero. *)
 
@@ -149,7 +149,7 @@ val reset : unit -> unit
 
 val enabled : unit -> bool
 (** Cheap (one [Atomic.get]) — the guard for instrumentation sites that
-    do extra work (wall-clocking shard exchanges, recording events). *)
+    do extra work (counting halo words, recording events). *)
 
 val enable : unit -> unit
 (** Flip {!enabled} on and install the engine-side hooks:
@@ -177,7 +177,7 @@ module Recorder : sig
     ts : float;  (** [Unix.gettimeofday] at completion *)
     kind : string;  (** ["request"] or ["exchange"] *)
     key : string;  (** spec_key digest / run label *)
-    detail : string;  (** knobs: problem, engine, shards, pool... *)
+    detail : string;  (** knobs: problem, engine, pool... *)
     outcome : string;  (** ["ok"] or ["error:<kind>"] *)
     latency_s : float;
   }

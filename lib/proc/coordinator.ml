@@ -5,8 +5,8 @@
    collective tree delivers: decision down (step / stop), local step +
    halo exchange in the workers, stats allreduce up. The decisions come
    from the shared Engine.drive round loop, so labelings, round counts,
-   trace records and failure messages are bit-identical to the other
-   backends for any (procs, shards).
+   trace records and failure messages are bit-identical to the
+   in-process steppers for any proc count.
 
    Worker lifecycle is owned here: a Fun.protect finally reaps every
    child on every exit path — orderly completion, max_rounds failure,
@@ -62,13 +62,36 @@ let timeout_s () =
     | Some ms when ms > 0. && Float.is_finite ms -> Some (ms /. 1000.)
     | _ -> None)
 
-(* Fault-injection worker-kill hook, owned by Tl_fault.Injector.
-   Consulted at the top of every [step ~round] while armed: the listed
-   ranks are SIGKILLed before the round's decision is broadcast, so the
-   round can never complete and the crash surfaces through the normal
-   worker-death path ([Proc_failure "... killed by signal 9 ..."]).
-   Disarmed ([None], the default) a step pays one ref match. *)
-let fault_kill_hook : (round:int -> int list) option ref = ref None
+(* Fault-injection hooks, owned by Tl_fault.Injector (above this library
+   in the DAG); rounds are relative to the run. [cuts] are the run's
+   link cuts (round, a, b): no halo entry between ranks a and b in that
+   round. [dropped] gets the cuts that fired. [kills] names the ranks to
+   SIGKILL before a round's decision broadcast. *)
+type fault_hooks = {
+  cuts : unit -> (int * int * int) list;
+  dropped : round:int -> src:int -> dst:int -> msgs:int -> unit;
+  kills : round:int -> int list;
+}
+
+let fault_hooks : fault_hooks option ref = ref None
+
+(* [rank]'s (round, peer) half of the link cuts, in the run's rounds *)
+let rank_cuts links ~rank ~limit =
+  List.filter_map
+    (fun (round, a, b) ->
+      if round < 1 || round > limit then None
+      else if a = rank then Some (round, b)
+      else if b = rank then Some (round, a)
+      else None)
+    links
+
+(* every rank's fired cuts, by round, then rank, then firing order *)
+let report_drops h drops =
+  Array.to_list drops
+  |> List.mapi (fun src -> List.map (fun (r, dst, msgs) -> (r, src, dst, msgs)))
+  |> List.concat
+  |> List.stable_sort (fun (r1, _, _, _) (r2, _, _, _) -> compare r1 r2)
+  |> List.iter (fun (round, src, dst, msgs) -> h.dropped ~round ~src ~dst ~msgs)
 
 (* Fork the workers. Every socketpair is created before the first fork,
    so each child inherits the full set and closes what is not its own:
@@ -126,7 +149,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
     Wire.fail
       "proc backend cannot fork: this process already spawned domains \
        (OCaml 5 forbids fork after domain creation); run proc-mode work \
-       before any par/shard runs";
+       before any par runs";
   let shape = Collective.shape_of_env () in
   let plan, plan_hit = Plan.build_cached ~topo ~shards:(max 1 procs) in
   let shards = plan.Plan.shards in
@@ -179,7 +202,11 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
   let closed = ref false in
   let epi_halo = Array.make size 0 in
   let epi_exch = Array.make size 0 in
+  let epi_drops = Array.make size [] in
   let have_epi = Array.make size false in
+  let hooks = !fault_hooks in
+  let links = match hooks with Some h -> h.cuts () | None -> [] in
+  let limit = match policy with Engine.Halted m | Stable m | Rounds m -> m in
   let t_start = now () in
   let cleanup () =
     if not !closed then begin
@@ -320,15 +347,15 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
     Transport.send_frame cfd.(0) img (Bytes.length img)
   in
   let step ~round =
-    (match !fault_kill_hook with
+    (match hooks with
     | None -> ()
-    | Some kills ->
+    | Some h ->
       List.iter
         (fun rank ->
           if rank >= 0 && rank < size && not reaped.(rank) then
             try Unix.kill pids.(rank) Sys.sigkill
             with Unix.Unix_error _ -> ())
-        (kills ~round));
+        (h.kills ~round));
     send_decision ~action:Wire.a_step ~round;
     await_stats ~round
   in
@@ -360,6 +387,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
               incr n_got;
               epi_halo.(rank) <- e.halo_words;
               epi_exch.(rank) <- e.exchange_rounds;
+              epi_drops.(rank) <- e.drops;
               states.(rank) <- e.states
             | _ ->
               Wire.fail "unexpected frame from worker %d while awaiting \
@@ -367,6 +395,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
           end)
         ready
     done;
+    Option.iter (fun h -> report_drops h epi_drops) hooks;
     (* orderly reap: every worker exits right after its epilogue *)
     Array.iteri
       (fun rank pid ->
@@ -386,15 +415,14 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
     Fun.protect
       ~finally:(fun () ->
         cleanup ();
-        Local.report plan ~plan_hit ~prefix:"proc" ~count_key:"procs"
-          ~shape:(Collective.code_of_shape shape)
+        Local.report plan ~plan_hit ~shape:(Collective.code_of_shape shape)
           ~latency_s:(now () -. t_start)
           (fun rank ->
             if have_epi.(rank) then Some (epi_halo.(rank), epi_exch.(rank))
             else None))
       (fun () ->
         (* prologues: identity, run configuration, halo-neighbor sets,
-           tree shape and the shard image — once per worker *)
+           tree shape, link cuts and the shard image — once per worker *)
         Array.iteri
           (fun rank sh ->
             let img =
@@ -409,6 +437,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
                      slots;
                      in_peers = in_peers.(rank);
                      out_peers = out_peers.(rank);
+                     cuts = rank_cuts links ~rank ~limit;
                      shard = Plan.encode_shard sh;
                    })
             in

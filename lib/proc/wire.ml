@@ -3,7 +3,7 @@
 exception Proc_failure of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Proc_failure ("tlp: " ^ s))) fmt
-let version = 1
+let version = 2
 
 (* 1 GiB: far above any legal frame (the prologue of a 1e6-node shard is
    ~16 MB), small enough that a corrupted length prefix fails loudly
@@ -107,6 +107,7 @@ type frame =
       slots : int;
       in_peers : int array;
       out_peers : int array;
+      cuts : (int * int) list;
       shard : bytes;
     }
   | Halo of { round : int; src : int; n : int; payload : bytes }
@@ -123,6 +124,7 @@ type frame =
       src : int;
       halo_words : int;
       exchange_rounds : int;
+      drops : (int * int * int) list;
       states : bytes option;
     }
   | Error_frame of { src : int; failure : bool; message : string }
@@ -165,6 +167,8 @@ let encode fr =
       Array.iter (buf_u16 body) p.in_peers;
       buf_u16 body (Array.length p.out_peers);
       Array.iter (buf_u16 body) p.out_peers;
+      buf_u32 body (List.length p.cuts);
+      List.iter (fun (r, peer) -> buf_u32 body r; buf_u16 body peer) p.cuts;
       buf_u32 body (Bytes.length p.shard);
       Buffer.add_bytes body p.shard;
       k_prologue
@@ -190,6 +194,10 @@ let encode fr =
       buf_u16 body e.src;
       buf_i64 body e.halo_words;
       buf_i64 body e.exchange_rounds;
+      buf_u32 body (List.length e.drops);
+      List.iter
+        (fun (r, dst, m) -> buf_u32 body r; buf_u16 body dst; buf_i64 body m)
+        e.drops;
       (match e.states with
       | None -> Buffer.add_char body '\000'
       | Some st ->
@@ -268,8 +276,15 @@ let decode_payload b ~pos ~len =
       let in_peers = Array.init n_in (fun _ -> r_u16 r) in
       let n_out = r_u16 r in
       let out_peers = Array.init n_out (fun _ -> r_u16 r) in
+      let cuts =
+        List.init (r_u32 r) (fun _ ->
+            let round = r_u32 r in
+            (round, r_u16 r))
+      in
       let shard = r_bytes r (r_u32 r) in
-      Prologue { rank; size; entry; sched; shape; slots; in_peers; out_peers; shard }
+      Prologue
+        { rank; size; entry; sched; shape; slots; in_peers; out_peers; cuts;
+          shard }
     end
     else if kind = k_halo then begin
       let round = r_u32 r in
@@ -298,13 +313,19 @@ let decode_payload b ~pos ~len =
       let src = r_u16 r in
       let halo_words = r_i64 r in
       let exchange_rounds = r_i64 r in
+      let drops =
+        List.init (r_u32 r) (fun _ ->
+            let round = r_u32 r in
+            let dst = r_u16 r in
+            (round, dst, r_i64 r))
+      in
       let states =
         match r_u8 r with
         | 0 -> None
         | 1 -> Some (r_bytes r (r_u32 r))
         | k -> fail "bad epilogue states flag %d" k
       in
-      Epilogue { src; halo_words; exchange_rounds; states }
+      Epilogue { src; halo_words; exchange_rounds; drops; states }
     end
     else if kind = k_error then begin
       let src = r_u16 r in

@@ -5,7 +5,7 @@
 
     {v
       frame    := len:u32le payload
-      payload  := magic:"TLP" version:u8(=1) kind:u8 body
+      payload  := magic:"TLP" version:u8(=2) kind:u8 body
     v}
 
     [len] counts the payload bytes (magic included), so a reader can
@@ -15,9 +15,11 @@
 
     - {b prologue} (coordinator → worker, once): [rank:u16 size:u16
       entry:u8 sched:u8 shape:u16 slots:u16 n_in:u16 in_peer:u16...
-      n_out:u16 out_peer:u16... shard_len:u32 shard_bytes] — the
-      worker's identity, run configuration, halo-neighbor sets, the
-      collective-tree shape code, and its {!Tl_shard.Plan.shard} image
+      n_out:u16 out_peer:u16... n_cuts:u32 (round:u32 peer:u16)...
+      shard_len:u32 shard_bytes] — the worker's identity, run
+      configuration, halo-neighbor sets, the collective-tree shape code,
+      its link cuts (no halo entry to [peer] in relative round [round])
+      and its {!Tl_shard.Plan.shard} image
       ({!Tl_shard.Plan.encode_shard}).
     - {b halo} (worker → worker, once per round per out-neighbor):
       [round:u32 src:u16 n:u32 entry...] where each of the [n] entries
@@ -36,8 +38,10 @@
       with action 1 = step that round, 2 = stop and ship states,
       3 = stop without states (failure path).
     - {b epilogue} (worker → coordinator, once): [src:u16
-      halo_words:i64 exchange_rounds:i64 has_states:u8
-      [slen:u32 states]] — per-worker counters for span reporting plus,
+      halo_words:i64 exchange_rounds:i64 n_drops:u32
+      (round:u32 dst:u16 msgs:i64)... has_states:u8 [slen:u32 states]]
+      — per-worker counters for span reporting, the cuts that fired
+      ([msgs] entries to [dst] skipped, in first-firing order) plus,
       when requested, the owned states in ascending local order: one
       state word per owned node (boxed layout), or the flat slab's raw
       [n_owned * slots] [i64] words, untagged (flat layout).
@@ -128,6 +132,7 @@ type frame =
       slots : int;
       in_peers : int array;
       out_peers : int array;
+      cuts : (int * int) list;  (** (relative round, peer rank) *)
       shard : bytes;
     }
   | Halo of { round : int; src : int; n : int; payload : bytes }
@@ -144,6 +149,7 @@ type frame =
       src : int;
       halo_words : int;
       exchange_rounds : int;
+      drops : (int * int * int) list;  (** (relative round, dst, msgs) *)
       states : bytes option;
     }
   | Error_frame of { src : int; failure : bool; message : string }

@@ -7,14 +7,13 @@
    deployment would need is the one actually exercised.
 
    Per round (decision "step r" from the collective tree), [run] drives
-   the shard-local round body of Tl_shard.Local — the one the in-process
-   Shard backend runs:
+   the shard-local round body of Tl_shard.Local:
 
-     compute + commit  →  halo exchange (the route buffer drained into
-     one frame per out-neighbor, pumped bidirectionally under select;
-     received frames applied in ascending source rank, exactly the
-     in-process exchange order)  →  advance  →  stats allreduce up the
-     tree (active/changed/unhalted/halo_words summed component-wise).
+     compute + commit  →  halo exchange (the route buffer, minus the
+     routes to a cut peer, drained into one frame per out-neighbor,
+     pumped bidirectionally under select; received frames applied in
+     ascending source rank)  →  advance  →  stats allreduce up the tree
+     (active/changed/unhalted/halo_words summed component-wise).
 
    What differs per layout is the store — boxed states (Stepper.boxed)
    or a flat int slab (Flat.store), the whole-graph steppers' own —
@@ -51,6 +50,7 @@ type env = {
   halting : bool;  (* the run stops on Engine.Halted *)
   sched : Engine.scheduling;
   slots : int;
+  cuts : (int * int) list;  (* (relative round, peer rank) *)
   sh : Plan.shard;
   csr : Stepper.csr;  (* Local.csr sh *)
   coord : Unix.file_descr;
@@ -112,10 +112,11 @@ let recv_decision env =
     (action, round)
   | _ -> Wire.fail "worker %d: expected decision" env.rank
 
-let send_epilogue env ~halo_words ~exchange_rounds ~states =
+let send_epilogue env ~halo_words ~exchange_rounds ~drops ~states =
   let img =
     Wire.encode
-      (Wire.Epilogue { src = env.rank; halo_words; exchange_rounds; states })
+      (Wire.Epilogue
+         { src = env.rank; halo_words; exchange_rounds; drops; states })
   in
   Transport.send_frame env.coord img (Bytes.length img)
 
@@ -210,7 +211,7 @@ let flat env ~(kernel_for : l2g:int array -> Flat.kernel) =
 let run env store =
   let sh = env.sh in
   let n_owned = sh.Plan.n_owned and n_local = sh.Plan.n_local in
-  let loc = Local.create sh env.csr ~sched:env.sched store.local in
+  let loc = Local.create sh env.csr ~sched:env.sched ~cuts:env.cuts store.local in
   let core = Local.stepper loc in
   (* halo out: one reusable frame buffer per out-peer; [peer_of] maps a
      route's target rank to its buffer *)
@@ -229,15 +230,14 @@ let run env store =
       Wire.put_u32 buf.Transport.Buf.b pos slot.(b);
       opos.(p) <- store.put buf (pos + 4) src.(b);
       ocnt.(p) <- ocnt.(p) + 1
-    done;
-    n
+    done
   in
   let exchange round =
     for p = 0 to n_outp - 1 do
       opos.(p) <- begin_halo obufs.(p);
       ocnt.(p) <- 0
     done;
-    Local.drain loc append;
+    Local.drain loc ~round append;
     let outs =
       Array.init n_outp (fun p ->
           finish_halo obufs.(p) ~round ~src:env.rank ~n:ocnt.(p) opos.(p);
@@ -250,7 +250,7 @@ let run env store =
         env.in_fds
     in
     Transport.exchange ~outs ~ins;
-    (* apply in ascending source rank — the in-process exchange order *)
+    (* apply in ascending source rank *)
     Array.iteri
       (fun i (src, _) ->
         let buf = env.ibufs.(i) in
@@ -292,6 +292,7 @@ let run env store =
   let ship = loop () in
   send_epilogue env ~halo_words:(Local.halo_words loc)
     ~exchange_rounds:(Local.exchange_rounds loc)
+    ~drops:(Local.dropped loc)
     ~states:(if ship then Some (store.image ()) else None)
 
 (* ---------- process entry ---------- *)
@@ -331,6 +332,7 @@ let serve ~rank ~coord ~chans ~(body : env -> unit) =
             halting = halting_of_code p.entry;
             sched = sched_of_code p.sched;
             slots = p.slots;
+            cuts = p.cuts;
             sh;
             csr = Local.csr sh;
             coord;

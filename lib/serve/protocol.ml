@@ -1,7 +1,12 @@
 module Json = Tl_obs.Json
 module Graph = Tl_graph.Graph
+module Props = Tl_graph.Props
 module Labeling = Tl_problems.Labeling
+module Nec = Tl_problems.Nec
+module Round_cost = Tl_local.Round_cost
 module Engine = Tl_engine.Engine
+module Pipeline = Tl_core.Pipeline
+module Baseline = Tl_core.Baseline
 
 let version = 1
 
@@ -78,7 +83,6 @@ type request = {
   spec : graph_spec;
   k : int option;
   engine : string;
-  shards : int;
   pool : int;
   want_span : bool;
   faults : string option;
@@ -88,9 +92,9 @@ let default_spec =
   Family { family = "random-tree"; n = 1000; seed = 1; a = 1; delta = 8 }
 
 let request ?(id = "") ?(problem = "mis") ?(method_ = "transform")
-    ?(spec = default_spec) ?k ?(engine = "seq") ?(shards = 4) ?(pool = 1)
-    ?(want_span = true) ?faults () =
-  { id; problem; method_; spec; k; engine; shards; pool; want_span; faults }
+    ?(spec = default_spec) ?k ?(engine = "seq") ?(pool = 1) ?(want_span = true)
+    ?faults () =
+  { id; problem; method_; spec; k; engine; pool; want_span; faults }
 
 type control = Ping | Stats | Shutdown | Metrics | Tail
 
@@ -175,7 +179,6 @@ let incoming_of_json j =
                  spec;
                  k = Option.bind (Json.member "k" j) Json.to_int;
                  engine = str_of "engine" ~default:"seq" j;
-                 shards = int_of "shards" ~default:4 j;
                  pool = int_of "pool" ~default:1 j;
                  want_span = bool_of "span" ~default:true j;
                  faults = Option.bind (Json.member "faults" j) Json.to_str;
@@ -215,7 +218,6 @@ let request_to_json r =
        ("method", Json.Str r.method_);
        ("graph", spec_to_json r.spec);
        ("engine", Json.Str r.engine);
-       ("shards", Json.Num (float_of_int r.shards));
        ("pool", Json.Num (float_of_int r.pool));
      ]
     @ (match r.k with
@@ -408,49 +410,140 @@ let digest_labeling ~graph l =
   done;
   Printf.sprintf "%016Lx" !h
 
+(* ---------- workloads ---------- *)
+
+type solution = {
+  digest : string;
+  rounds : int;
+  ledger : (string * int) list;
+  k : int;
+  valid : bool;
+  violations : string list;
+}
+
+let of_report ~graph (r : _ Pipeline.report) =
+  {
+    digest = digest_labeling ~graph r.Pipeline.labeling;
+    rounds = r.Pipeline.total_rounds;
+    ledger = Round_cost.phases r.Pipeline.cost;
+    k = r.Pipeline.k;
+    valid = r.Pipeline.valid;
+    violations =
+      List.filteri (fun i _ -> i < 5) r.Pipeline.violations
+      |> List.map (Format.asprintf "%a" Nec.pp_violation);
+  }
+
+let of_raw ~graph ~problem (labeling, cost) =
+  {
+    digest = digest_labeling ~graph labeling;
+    rounds = Round_cost.total cost;
+    ledger = Round_cost.phases cost;
+    k = 0;
+    valid = Nec.is_valid problem graph labeling;
+    violations = [];
+  }
+
+type pipeline = {
+  title : string;
+  solve :
+    graph:Graph.t -> ids:int array -> a:int -> k:int option ->
+    (solution, string) result;
+}
+
+type workload = Solve of pipeline | Flood | Chaos
+
+let pipeline ?tree_only title run =
+  let solve ~graph ~ids ~a ~k =
+    match tree_only with
+    | Some msg when not (Props.is_tree graph) -> Stdlib.Error msg
+    | _ -> Ok (run ~graph ~ids ~a ~k)
+  in
+  Solve { title; solve }
+
+let theorem12 name = name ^ " via Theorem 12 needs a tree instance"
+let baseline name = "the baseline " ^ name ^ " needs a tree instance"
+
+let workloads =
+  [
+    ( ("mis", "transform"),
+      pipeline ~tree_only:(theorem12 "mis") "MIS (Theorem 12)"
+        (fun ~graph ~ids ~a:_ ~k ->
+          of_report ~graph (Pipeline.mis_on_tree ?k ~tree:graph ~ids ())) );
+    ( ("coloring", "transform"),
+      pipeline ~tree_only:(theorem12 "coloring") "(deg+1)-coloring (Theorem 12)"
+        (fun ~graph ~ids ~a:_ ~k ->
+          of_report ~graph
+            (Pipeline.coloring_on_tree ?k ~tree:graph ~ids ())) );
+    ( ("matching", "transform"),
+      pipeline "maximal matching (Theorem 15)" (fun ~graph ~ids ~a ~k ->
+          of_report ~graph (Pipeline.matching_on_graph ?k ~graph ~a ~ids ())) );
+    ( ("edge-coloring", "transform"),
+      pipeline "(edge-degree+1)-edge coloring (Theorem 15)"
+        (fun ~graph ~ids ~a ~k ->
+          of_report ~graph
+            (Pipeline.edge_coloring_on_graph ?k ~graph ~a ~ids ())) );
+    ( ("mis", "direct"),
+      pipeline "MIS (direct)" (fun ~graph ~ids ~a:_ ~k:_ ->
+          of_report ~graph (Pipeline.mis_direct ~graph ~ids)) );
+    ( ("coloring", "direct"),
+      pipeline "(deg+1)-coloring (direct)" (fun ~graph ~ids ~a:_ ~k:_ ->
+          of_report ~graph (Pipeline.coloring_direct ~graph ~ids)) );
+    ( ("matching", "direct"),
+      pipeline "maximal matching (direct)" (fun ~graph ~ids ~a:_ ~k:_ ->
+          of_report ~graph (Pipeline.matching_direct ~graph ~ids)) );
+    ( ("edge-coloring", "direct"),
+      pipeline "(edge-degree+1)-edge coloring (direct)"
+        (fun ~graph ~ids ~a:_ ~k:_ ->
+          of_report ~graph (Pipeline.edge_coloring_direct ~graph ~ids)) );
+    ( ("matching", "baseline"),
+      pipeline ~tree_only:(baseline "matching")
+        "maximal matching (BE13-style baseline)" (fun ~graph ~ids ~a:_ ~k:_ ->
+          of_raw ~graph ~problem:Tl_problems.Matching.problem
+            (Baseline.matching_on_tree ~tree:graph ~ids)) );
+    ( ("edge-coloring", "baseline"),
+      pipeline ~tree_only:(baseline "edge-coloring")
+        "(edge-degree+1)-edge coloring (BE13-style baseline)"
+        (fun ~graph ~ids ~a:_ ~k:_ ->
+          of_raw ~graph ~problem:Tl_problems.Edge_coloring.problem
+            (Baseline.edge_coloring_on_tree ~tree:graph ~ids)) );
+    (("flood", "transform"), Flood);
+    (("flood", "direct"), Flood);
+    (("flood", "baseline"), Flood);
+    (("flood", "chaos"), Chaos);
+    (("mis", "chaos"), Chaos);
+  ]
+
+let find_workload ~problem ~method_ =
+  match List.assoc_opt (problem, method_) workloads with
+  | Some w -> Ok w
+  | None ->
+    if List.exists (fun ((p, _), _) -> p = problem) workloads then
+      Stdlib.Error
+        (Printf.sprintf "problem %S has no method %S" problem method_)
+    else Stdlib.Error (Printf.sprintf "unknown problem %S" problem)
+
 (* ---------- knob validation ---------- *)
 
-let resolve_knobs ~engine ~shards ~pool ~n =
+let resolve_knobs ~engine ~pool ~n =
   if n < 1 then
     Stdlib.Error (Printf.sprintf "instance size %d is not positive" n)
-  else if shards < 1 then
-    Stdlib.Error
-      (Printf.sprintf "invalid shard count %d (expected S >= 1)" shards)
   else if pool < 1 || pool > 64 then
     Stdlib.Error
       (Printf.sprintf "invalid pool size %d (expected 1 <= N <= 64)" pool)
   else
-    (* "shard"/"proc" without an inline count take the shards knob *)
-    let mode =
-      match Engine.mode_of_string ~count:shards engine with
-      | m -> Ok m
-      | exception Invalid_argument _ ->
-        Stdlib.Error
-          (Printf.sprintf
-             "invalid engine %S (expected naive, seq, par:N, shard, \
-              shard:S, proc or proc:S)"
-             engine)
-    in
-    match mode with
-    | Stdlib.Error _ as e -> e
-    | Ok (Engine.Shard s) when s > n ->
+    match Engine.mode_of_string engine with
+    | exception Invalid_argument _ ->
       Stdlib.Error
         (Printf.sprintf
-           "shard count %d exceeds the instance size n = %d (each shard \
-            needs at least one node)"
-           s n)
-    | Ok (Engine.Shard _) when !Engine.shard_backend = None ->
-      Stdlib.Error
-        "engine shard requested but no shard backend is linked (build \
-         against tl_shard)"
-    | Ok (Engine.Proc p) when p > n ->
+           "invalid engine %S (expected naive, seq, par:N or proc:N)" engine)
+    | Engine.Proc p when p > n ->
       Stdlib.Error
         (Printf.sprintf
            "proc count %d exceeds the instance size n = %d (each worker \
             needs at least one node)"
            p n)
-    | Ok (Engine.Proc _) when !Engine.proc_backend = None ->
+    | Engine.Proc _ when !Engine.proc_backend = None ->
       Stdlib.Error
         "engine proc requested but no process backend is linked (build \
          against tl_proc)"
-    | Ok m -> Ok m
+    | m -> Ok m

@@ -17,12 +17,12 @@
     {v
     { "v": 1, "id": "r1",
       "problem": "mis",                  // mis|coloring|matching|edge-coloring|flood
-      "method": "transform",             // transform|direct|baseline (flood ignores it)
+      "method": "transform",             // transform|direct|baseline|chaos
       "graph": { "family": "random-tree", "n": 1000, "seed": 7,
                  "a": 1, "delta": 8 },
       // or: "graph": { "n": 4, "edges": [[0,1],[1,2],[2,3]], "seed": 1 }
-      "engine": "seq",                   // naive|seq|par:N|shard|shard:S
-      "shards": 4, "pool": 1,
+      "engine": "seq",                   // naive|seq|par:N|proc:N
+      "pool": 1,
       "k": null,                         // decomposition parameter override
       "span": true }                     // include the span report in the response
     v}
@@ -81,6 +81,36 @@ val build_graph : graph_spec -> Tl_graph.Graph.t
 (** The graph a spec names. Raises [Invalid_argument] for a [Family]
     not in {!family_names} (decoded requests never carry one). *)
 
+(** {1 Workloads} *)
+
+type solution = {
+  digest : string;
+  rounds : int;  (** accounted LOCAL rounds, the ledger total *)
+  ledger : (string * int) list;
+  k : int;  (** the decomposition parameter, [0] when none *)
+  valid : bool;
+  violations : string list;  (** the first few, rendered *)
+}
+
+type pipeline = private {
+  title : string;  (** e.g. ["MIS (Theorem 12)"] *)
+  solve :
+    graph:Tl_graph.Graph.t -> ids:int array -> a:int -> k:int option ->
+    (solution, string) result;
+      (** [Error] when the method needs a tree and [graph] is not one *)
+}
+
+type workload = Solve of pipeline | Flood | Chaos
+
+val find_workload :
+  problem:string -> method_:string -> (workload, string) result
+(** The one (problem, method) table behind the daemon's validation and
+    dispatch and the CLI's [solve]: [transform] (Theorem 12 on
+    [mis]/[coloring], tree only; Theorem 15 on [matching]/
+    [edge-coloring]), [direct], the tree-only [baseline]s, [flood]
+    under any of those, and [chaos] for [flood]/[mis]. An unknown pair
+    is an ["unknown problem ..."] or ["... has no method ..."] error. *)
+
 type request = {
   id : string;
   problem : string;
@@ -88,7 +118,6 @@ type request = {
   spec : graph_spec;
   k : int option;
   engine : string;
-  shards : int;
   pool : int;
   want_span : bool;
   faults : string option;
@@ -103,11 +132,10 @@ val default_spec : graph_spec
     — the CLI's defaults. *)
 
 val request : ?id:string -> ?problem:string -> ?method_:string ->
-  ?spec:graph_spec -> ?k:int -> ?engine:string -> ?shards:int ->
-  ?pool:int -> ?want_span:bool -> ?faults:string -> unit -> request
+  ?spec:graph_spec -> ?k:int -> ?engine:string -> ?pool:int ->
+  ?want_span:bool -> ?faults:string -> unit -> request
 (** Request with the same defaults as the CLI's [solve]
-    ([mis]/[transform]/[seq], shards 4, pool 1, span included, no
-    faults). *)
+    ([mis]/[transform]/[seq], pool 1, span included, no faults). *)
 
 type control = Ping | Stats | Shutdown | Metrics | Tail
 
@@ -173,12 +201,13 @@ val digest_labeling : graph:Tl_graph.Graph.t -> 'l Tl_problems.Labeling.t -> str
 (** {1 Knob validation} *)
 
 val resolve_knobs :
-  engine:string -> shards:int -> pool:int -> n:int ->
+  engine:string -> pool:int -> n:int ->
   (Tl_engine.Engine.mode, string) result
-(** Validate an (engine, shards, pool) combination against an instance
-    of [n] nodes and resolve the engine string to a mode (a bare
-    ["shard"] or ["proc"] takes [shards] as its count). Errors — friendly, one-line — cover: unknown
-    engine strings, [shards < 1], [shards > n], [pool] outside [1, 64],
-    [n < 1], and shard mode requested while no shard backend is linked
-    ({!Tl_engine.Engine.shard_backend} is [None]). Shared by the daemon
+(** Validate an (engine, pool) combination against an instance of [n]
+    nodes and resolve the engine string to a mode. Errors — friendly,
+    one-line — cover: engine strings {!Tl_engine.Engine.mode_of_string}
+    rejects (a bare ["proc"] among them: the message names [proc:N]),
+    a proc count above [n], [pool] outside [1, 64], [n < 1], and proc
+    mode requested while no process backend is linked
+    ({!Tl_engine.Engine.proc_backend} is [None]). Shared by the daemon
     (per-request admission) and the CLI (argument cross-validation). *)

@@ -3,7 +3,6 @@ module Span = Tl_obs.Span
 module Report = Tl_obs.Report
 module Metrics = Tl_obs.Metrics
 module Graph = Tl_graph.Graph
-module Props = Tl_graph.Props
 module Semi_graph = Tl_graph.Semi_graph
 module Ids = Tl_local.Ids
 module Round_cost = Tl_local.Round_cost
@@ -12,7 +11,6 @@ module Topology = Tl_engine.Topology
 module Trace = Tl_engine.Trace
 module Pool = Tl_engine.Pool
 module Plan = Tl_shard.Plan
-module Pipeline = Tl_core.Pipeline
 module P = Protocol
 
 type config = { depth : int; cache_slots : int; max_n : int }
@@ -73,7 +71,7 @@ let create ?(config = default_config) () =
   if config.cache_slots < 0 then invalid_arg "Server.create: cache_slots < 0";
   if config.max_n < 1 then invalid_arg "Server.create: max_n < 1";
   (* every daemon turns the registry (and the engine bridge) on: the
-     metrics control must see live engine/shard/pool counters too *)
+     metrics control must see live engine/proc/pool counters too *)
   Metrics.enable ();
   {
     cfg = config;
@@ -152,15 +150,6 @@ let instance t spec =
 
 (* ---------- validation ---------- *)
 
-let known_problems =
-  [
-    ("flood", [ "transform"; "direct"; "baseline"; "chaos" ]);
-    ("mis", [ "transform"; "direct"; "chaos" ]);
-    ("coloring", [ "transform"; "direct" ]);
-    ("matching", [ "transform"; "direct"; "baseline" ]);
-    ("edge-coloring", [ "transform"; "direct"; "baseline" ]);
-  ]
-
 (* The daemon accepts the inline fault-spec forms only (compact grammar
    or inline JSON) — never a client-named file path. *)
 let parse_faults = function
@@ -174,24 +163,22 @@ let parse_faults = function
 
 let validate t (r : P.request) =
   let n = P.spec_n r.spec in
-  match List.assoc_opt r.problem known_problems with
-  | None -> Error (Printf.sprintf "unknown problem %S" r.problem)
-  | Some methods when not (List.mem r.method_ methods) ->
-    Error
-      (Printf.sprintf "problem %S has no method %S" r.problem r.method_)
-  | Some _ -> (
+  match P.find_workload ~problem:r.problem ~method_:r.method_ with
+  | Error msg -> Error msg
+  | Ok workload -> (
     if n > t.cfg.max_n then
       Error
         (Printf.sprintf "instance size %d exceeds the admission limit %d" n
            t.cfg.max_n)
     else
       match
-        if r.method_ = "chaos" then Result.map ignore (parse_faults r.faults)
+        if workload = P.Chaos then Result.map ignore (parse_faults r.faults)
         else Ok ()
       with
       | Error msg -> Error msg
       | Ok () ->
-        P.resolve_knobs ~engine:r.engine ~shards:r.shards ~pool:r.pool ~n)
+        Result.map (fun mode -> (workload, mode))
+          (P.resolve_knobs ~engine:r.engine ~pool:r.pool ~n))
 
 (* ---------- execution ---------- *)
 
@@ -219,36 +206,9 @@ let with_trace_collector f =
       let result = f () in
       (result, List.rev !traces))
 
-let must_tree name g =
-  if not (Props.is_tree g) then
-    failwith (name ^ " via Theorem 12 needs a tree instance")
-
-type partial = {
-  p_digest : string;
-  p_rounds : int;
-  p_ledger : (string * int) list;
-  p_valid : bool;
-}
-
-let of_report ~graph (r : _ Pipeline.report) =
-  {
-    p_digest = P.digest_labeling ~graph r.Pipeline.labeling;
-    p_rounds = r.Pipeline.total_rounds;
-    p_ledger = Round_cost.phases r.Pipeline.cost;
-    p_valid = r.Pipeline.valid;
-  }
-
-let of_raw ~graph ~problem labeling cost =
-  {
-    p_digest = P.digest_labeling ~graph labeling;
-    p_rounds = Round_cost.total cost;
-    p_ledger = Round_cost.phases cost;
-    p_valid = Tl_problems.Nec.is_valid problem graph labeling;
-  }
-
 (* Flooding to a fixed point from node 0 — the repo's engine-kernel
    workhorse, served straight off the cached semi-graph: warm requests
-   hit Topology.compile_cached (and Plan.build_cached in shard mode).
+   hit Topology.compile_cached (and Plan.build_cached in proc mode).
    The verdict is Repair's O(n + m) checker: exactly node 0's component
    is flooded. *)
 let flood ~mode inst =
@@ -268,10 +228,12 @@ let flood ~mode inst =
   Round_cost.charge cost "flood" o.Engine.rounds;
   let labels = Array.map (fun b -> if b then 1 else 0) o.Engine.states in
   {
-    p_digest = P.digest_array Fun.id labels;
-    p_rounds = o.Engine.rounds;
-    p_ledger = Round_cost.phases cost;
-    p_valid = Tl_fault.Repair.check_flood ~sg ~source:0 ~labels;
+    P.digest = P.digest_array Fun.id labels;
+    rounds = o.Engine.rounds;
+    ledger = Round_cost.phases cost;
+    k = 0;
+    valid = Tl_fault.Repair.check_flood ~sg ~source:0 ~labels;
+    violations = [];
   }
 
 (* A chaos run builds its own presence-masked views over the instance
@@ -295,49 +257,27 @@ let chaos (r : P.request) ~mode inst =
   Span.add_counter "fault:repairs" rep.Tl_fault.Chaos.repairs;
   Span.add_counter "fault:relabeled" rep.Tl_fault.Chaos.relabeled;
   {
-    p_digest = Printf.sprintf "%016Lx" rep.Tl_fault.Chaos.digest;
-    p_rounds = rep.Tl_fault.Chaos.rounds;
-    p_ledger =
+    P.digest = Printf.sprintf "%016Lx" rep.Tl_fault.Chaos.digest;
+    rounds = rep.Tl_fault.Chaos.rounds;
+    ledger =
       [
         ("chaos", rep.Tl_fault.Chaos.rounds);
         ("repair", rep.Tl_fault.Chaos.repairs);
       ];
-    p_valid = rep.Tl_fault.Chaos.valid;
+    k = 0;
+    valid = rep.Tl_fault.Chaos.valid;
+    violations = [];
   }
 
-let dispatch (r : P.request) ~mode inst =
-  let g = inst.graph and ids = inst.ids in
-  let a = match r.spec with P.Family { a; _ } -> a | P.Edges _ -> 1 in
-  let k = r.k in
-  match (r.problem, r.method_) with
-  | ("flood" | "mis"), "chaos" -> chaos r ~mode inst
-  | "flood", _ -> flood ~mode inst
-  | "mis", "transform" ->
-    must_tree "mis" g;
-    of_report ~graph:g (Pipeline.mis_on_tree ?k ~tree:g ~ids ())
-  | "coloring", "transform" ->
-    must_tree "coloring" g;
-    of_report ~graph:g (Pipeline.coloring_on_tree ?k ~tree:g ~ids ())
-  | "matching", "transform" ->
-    of_report ~graph:g (Pipeline.matching_on_graph ?k ~graph:g ~a ~ids ())
-  | "edge-coloring", "transform" ->
-    of_report ~graph:g (Pipeline.edge_coloring_on_graph ?k ~graph:g ~a ~ids ())
-  | "mis", "direct" -> of_report ~graph:g (Pipeline.mis_direct ~graph:g ~ids)
-  | "coloring", "direct" ->
-    of_report ~graph:g (Pipeline.coloring_direct ~graph:g ~ids)
-  | "matching", "direct" ->
-    of_report ~graph:g (Pipeline.matching_direct ~graph:g ~ids)
-  | "edge-coloring", "direct" ->
-    of_report ~graph:g (Pipeline.edge_coloring_direct ~graph:g ~ids)
-  | "matching", "baseline" ->
-    must_tree "baseline matching" g;
-    let labeling, cost = Tl_core.Baseline.matching_on_tree ~tree:g ~ids in
-    of_raw ~graph:g ~problem:Tl_problems.Matching.problem labeling cost
-  | "edge-coloring", "baseline" ->
-    must_tree "baseline edge-coloring" g;
-    let labeling, cost = Tl_core.Baseline.edge_coloring_on_tree ~tree:g ~ids in
-    of_raw ~graph:g ~problem:Tl_problems.Edge_coloring.problem labeling cost
-  | p, m -> failwith (Printf.sprintf "unknown problem/method %s/%s" p m)
+let dispatch (r : P.request) ~workload ~mode inst =
+  match workload with
+  | P.Flood -> flood ~mode inst
+  | P.Chaos -> chaos r ~mode inst
+  | P.Solve p -> (
+    let a = match r.spec with P.Family { a; _ } -> a | P.Edges _ -> 1 in
+    match p.P.solve ~graph:inst.graph ~ids:inst.ids ~a ~k:r.k with
+    | Ok s -> s
+    | Error msg -> failwith msg)
 
 let error_message = function
   | Failure msg -> msg
@@ -351,19 +291,12 @@ exception Inadmissible of string
 (* Execute one validated request under its knobs, inside a per-request
    span whose report (phases, round charges, engine child spans) goes
    back to the client on demand. *)
-let exec t (r : P.request) ~mode =
+let exec t (r : P.request) ~workload ~mode =
   let inst, cache_hit = instance t r.spec in
   (* grid/planar/caterpillar build close to — not exactly — the spec's
-     n, so the shard bound admitted against the declared n must be
+     n, so the proc bound admitted against the declared n must be
      re-checked against the graph that was actually built *)
   (match mode with
-  | Engine.Shard s when s > Graph.n_nodes inst.graph ->
-    raise
-      (Inadmissible
-         (Printf.sprintf
-            "shard count %d exceeds the built instance size %d (the spec's \
-             n = %d is approximate for this family)"
-            s (Graph.n_nodes inst.graph) (P.spec_n r.spec)))
   | Engine.Proc p when p > Graph.n_nodes inst.graph ->
     raise
       (Inadmissible
@@ -372,7 +305,7 @@ let exec t (r : P.request) ~mode =
              n = %d is approximate for this family)"
             p (Graph.n_nodes inst.graph) (P.spec_n r.spec)))
   | _ -> ());
-  let (partial, traces), span =
+  let (solution, traces), span =
     Span.run "serve:request" (fun () ->
         Span.set_attr "problem" r.problem;
         Span.set_attr "method" r.method_;
@@ -382,25 +315,24 @@ let exec t (r : P.request) ~mode =
         Span.add_counter "serve:cache_hit" (if cache_hit then 1 else 0);
         Span.add_counter "serve:cache_miss" (if cache_hit then 0 else 1);
         with_pool ~pool:r.pool (fun () ->
-            with_trace_collector (fun () -> dispatch r ~mode inst)))
+            with_trace_collector (fun () -> dispatch r ~workload ~mode inst)))
   in
   let engine_rounds =
     List.fold_left (fun acc tr -> acc + (Trace.metrics tr).Trace.rounds) 0
       traces
   in
   {
-    P.digest = partial.p_digest;
-    total_rounds = partial.p_rounds;
-    ledger = partial.p_ledger;
-    valid = partial.p_valid;
+    P.digest = solution.P.digest;
+    total_rounds = solution.P.rounds;
+    ledger = solution.P.ledger;
+    valid = solution.P.valid;
     engine_rounds;
     cache_hit;
     span = (if r.want_span then Some (Report.to_json span) else None);
   }
 
 let knobs_of (r : P.request) =
-  Printf.sprintf "%s/%s engine=%s shards=%d pool=%d" r.problem r.method_
-    r.engine r.shards r.pool
+  Printf.sprintf "%s/%s engine=%s pool=%d" r.problem r.method_ r.engine r.pool
 
 let record_request (r : P.request) ~outcome ~latency_s =
   Metrics.Recorder.record
@@ -431,8 +363,8 @@ let exec_admitted t (r : P.request) =
   let t0 = now () in
   match validate t r with
   | Error msg -> fail r ~t0 ~kind:P.Bad_request msg
-  | Ok mode -> (
-    match exec t r ~mode with
+  | Ok (workload, mode) -> (
+    match exec t r ~workload ~mode with
     | solved ->
       let dt = now () -. t0 in
       Metrics.incr m_served 1;
@@ -507,7 +439,7 @@ let handle_lines t lines =
             Metrics.incr m_errors 1;
             slots.(i) <-
               Some { P.rid = r.id; outcome = P.Error (P.Bad_request, msg) }
-          | Ok _mode ->
+          | Ok _ ->
             if not (Jobq.admit t.queue (i, r)) then begin
               Metrics.incr m_rejected 1;
               slots.(i) <-
@@ -611,9 +543,13 @@ let run_fd t fd_in fd_out =
     in
     let lines = List.filter (fun l -> String.trim l <> "") lines in
     if lines <> [] then
-      List.iter
-        (fun resp -> Tl_proc.Transport.write_string fd_out resp)
-        (handle_lines t lines)
+      try
+        List.iter
+          (fun resp -> Tl_proc.Transport.write_string fd_out resp)
+          (handle_lines t lines)
+      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        (* the client hung up: nobody is left to answer *)
+        eof := true
   done
 
 let serve_stdio t = run_fd t Unix.stdin Unix.stdout

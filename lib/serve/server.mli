@@ -12,7 +12,8 @@
     automatically when a request fails). The
     daemon is {e single-threaded by design}: requests are admitted and
     executed on one domain, and parallelism lives below, in the engine's
-    domain pool and shard backend — exactly the knobs a request names.
+    domain pool and process backend — exactly the knobs a request
+    names.
 
     {2 Cycle semantics}
 
@@ -35,8 +36,12 @@
       loop after the cycle);
     + emits every response in arrival order of its request.
 
-    Results are bit-identical to direct one-shot runs for every
-    (engine, shards, pool) knob: execution passes the request's
+    Requests are validated and dispatched through
+    {!Protocol.find_workload}, the (problem, method) table the CLI's
+    [solve] runs too: an unknown pair is a [bad_request], a Theorem 12
+    method on a non-tree instance a [failed] answer. Results are
+    bit-identical to direct one-shot runs for every (engine, pool)
+    knob: execution passes the request's
     resolved engine mode to the runs that take one ([flood], [chaos]),
     scopes the pool width to the request, and runs the very same
     pipelines; cache reuse only skips instance construction, never
@@ -80,9 +85,11 @@ val handle_lines : t -> string list -> string list
 
 val run_fd : t -> Unix.file_descr -> Unix.file_descr -> unit
 (** Serve one connection: read ndjson requests from the first
-    descriptor, write responses to the second, until EOF or a shutdown
-    request. A final unterminated line at EOF is processed as a line.
-    Neither descriptor is closed. *)
+    descriptor, write responses to the second, until EOF, a shutdown
+    request, or a response write failing with [EPIPE]/[ECONNRESET] (the
+    client hung up; the rest of that cycle's responses are dropped). A
+    final unterminated line at EOF is processed as a line. Neither
+    descriptor is closed. *)
 
 val serve_stdio : t -> unit
 (** [run_fd] over stdin/stdout — the pipe-friendly daemon mode. *)

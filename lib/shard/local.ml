@@ -1,10 +1,10 @@
 (* One shard's round body; see local.mli. Everything the hot loops touch
    is indexed by local ids, so a shard's working set is O(n_owned +
    halo). The frontier, commit and halted count are Stepper's; this
-   module adds the route buffer and the halo rows. Bounds are
-   established by the plan invariants (sub-CSR rows index adj, routes
-   fit the buffer because each owned node appends its routes at most
-   once per round), hence the unsafe accesses. *)
+   module adds the route buffer, the halo rows and the link cuts.
+   Bounds are established by the plan invariants (sub-CSR rows index
+   adj, routes fit the buffer because each owned node appends its
+   routes at most once per round), hence the unsafe accesses. *)
 
 module Stepper = Tl_engine.Stepper
 module Span = Tl_obs.Span
@@ -22,6 +22,8 @@ type t = {
   sh : Plan.shard;
   core : Stepper.t;
   out : routes;
+  cuts : (int * int) list;  (* (round, peer) *)
+  mutable dropped_rev : (int * int * int ref) list;  (* newest first *)
   mutable halo_words : int;
   mutable exchange_rounds : int;
 }
@@ -36,7 +38,7 @@ let csr sh =
     nodes = Array.init sh.Plan.n_owned Fun.id;
   }
 
-let create sh csr ~sched store =
+let create sh csr ~sched ~cuts store =
   let routes = max 1 sh.Plan.xoff.(sh.Plan.n_owned) in
   let out =
     {
@@ -62,6 +64,8 @@ let create sh csr ~sched store =
     sh;
     core = Stepper.create ~sched ~on_change:append csr store;
     out;
+    cuts;
+    dropped_rev = [];
     halo_words = 0;
     exchange_rounds = 0;
   }
@@ -70,12 +74,38 @@ let stepper t = t.core
 let halo_words t = t.halo_words
 let exchange_rounds t = t.exchange_rounds
 
-let drain t deliver =
+let dropped t = List.rev_map (fun (r, p, msgs) -> (r, p, !msgs)) t.dropped_rev
+
+(* Skip the buffered routes to a peer in [cut], counting them per
+   (round, peer); the survivors keep their append order. *)
+let skip_cut t ~round cut =
+  let out = t.out in
+  let kept = ref 0 in
+  for b = 0 to out.n - 1 do
+    let d = out.dst.(b) in
+    if List.mem d cut then
+      match List.find_opt (fun (r, p, _) -> r = round && p = d) t.dropped_rev with
+      | Some (_, _, msgs) -> incr msgs
+      | None -> t.dropped_rev <- (round, d, ref 1) :: t.dropped_rev
+    else begin
+      out.dst.(!kept) <- d;
+      out.slot.(!kept) <- out.slot.(b);
+      out.src.(!kept) <- out.src.(b);
+      incr kept
+    end
+  done;
+  out.n <- !kept
+
+let drain t ~round deliver =
   let out = t.out in
   if out.n > 0 then begin
-    let delivered = deliver ~dst:out.dst ~slot:out.slot ~src:out.src out.n in
-    t.halo_words <- t.halo_words + delivered;
     t.exchange_rounds <- t.exchange_rounds + 1;
+    let cut =
+      List.filter_map (fun (r, p) -> if r = round then Some p else None) t.cuts
+    in
+    if cut <> [] then skip_cut t ~round cut;
+    if out.n > 0 then deliver ~dst:out.dst ~slot:out.slot ~src:out.src out.n;
+    t.halo_words <- t.halo_words + out.n;
     out.n <- 0
   end
 
@@ -88,17 +118,17 @@ let ghost_written t slot =
 
 (* ---------- the run report ---------- *)
 
-let report plan ~plan_hit ~prefix ~count_key ?shape ~latency_s traffic =
+let report plan ~plan_hit ~shape ~latency_s traffic =
   let size = Array.length plan.Plan.shards in
   let halo = ref 0 in
   for s = 0 to size - 1 do
     Option.iter (fun (hw, _) -> halo := !halo + hw) (traffic s)
   done;
-  let key k = prefix ^ ":" ^ k in
+  let key k = "proc:" ^ k in
   if Span.active () then begin
     let np = plan.Plan.topo.Tl_engine.Topology.n_present in
-    Span.add_counter (key count_key) size;
-    Option.iter (Span.add_counter (key "shape")) shape;
+    Span.add_counter (key "procs") size;
+    Span.add_counter (key "shape") shape;
     Span.add_counter (key "cut_edges") (Plan.cut_edges_total plan);
     Span.add_counter (key "imbalance") (Plan.imbalance_permille plan);
     Span.add_counter (key (if plan_hit then "plan_hit" else "plan_miss")) 1;
@@ -120,13 +150,13 @@ let report plan ~plan_hit ~prefix ~count_key ?shape ~latency_s traffic =
       plan.Plan.shards
   end;
   if Metrics.enabled () then begin
-    Metrics.incr (Metrics.counter (prefix ^ "_halo_words_total")) !halo;
-    Metrics.incr (Metrics.counter (prefix ^ "_runs_total")) 1;
+    Metrics.incr (Metrics.counter "proc_halo_words_total") !halo;
+    Metrics.incr (Metrics.counter "proc_runs_total") 1;
     Metrics.Recorder.record
       {
         Metrics.Recorder.ts = Unix.gettimeofday ();
         kind = "exchange";
-        key = Printf.sprintf "%s:%d" count_key size;
+        key = Printf.sprintf "procs:%d" size;
         detail =
           Printf.sprintf "halo_words=%d cut_edges=%d" !halo
             (Plan.cut_edges_total plan);

@@ -240,7 +240,6 @@ let build_cached ~topo ~shards =
     else Hashtbl.replace cache key p;
     (p, false)
 
-let n_shards t = Array.length t.shards
 
 let cut_edges_total t =
   Array.fold_left (fun acc sh -> acc + sh.cut_edges) 0 t.shards

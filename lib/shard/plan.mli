@@ -2,9 +2,10 @@
     contiguous shards with ghost (halo) vertices and precomputed
     exchange routes.
 
-    A plan is the static half of the sharded execution backend
-    ({!Shard}): it is built once per (topology, shard count) pair and
-    shared by every run over that snapshot. Partitioning slices the
+    A plan is the static half of the process backend ([Tl_proc]), whose
+    workers each run one shard's {!Local} round body: it is built once
+    per (topology, shard count) pair and shared by every run over that
+    snapshot. Partitioning slices the
     topology's [present_nodes] array into [S] fixed contiguous chunks —
     the same deterministic discipline as {!Tl_engine.Pool}'s chunking —
     so shard membership is a pure function of [(n_present, S, index)],
@@ -90,7 +91,6 @@ val cache_stats : unit -> int * int
     deltas (the serving layer's per-request cache report) subtract
     snapshots. *)
 
-val n_shards : t -> int
 val cut_edges_total : t -> int
 
 val encode_shard : shard -> bytes

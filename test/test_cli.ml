@@ -30,8 +30,8 @@ let run_cmd cmd_line =
 let solve_args = "solve --problem mis --family random-tree --n 60 --seed 7"
 
 (* A command that runs the simulator: [solve] makes no engine run and
-   takes no engine knobs, while [chaos] takes --engine/--shards/--trace
-   and goes through the same profile and knob setup. *)
+   takes no engine knobs, while [chaos] takes --engine/--trace and goes
+   through the same profile and knob setup. *)
 let chaos_args = "chaos --problem flood --family random-tree --n 60 --seed 7"
 
 let contains ~needle hay =
@@ -170,6 +170,27 @@ let test_solve_rejects_engine_knobs () =
       check_int (knob ^ " exits 124") 124 code)
     [ "--engine seq"; "--shards 2"; "--trace t.json" ]
 
+(* solve's (problem, method) pairs and tree requirements are the
+   daemon's table: an unknown pair, or a tree-only method on a non-tree,
+   is a usage error — never an uncaught exception. *)
+let test_solve_unknown_pairs () =
+  List.iter
+    (fun (args, needle) ->
+      let code, _, stderr =
+        run_cmd (Printf.sprintf "%s solve --n 60 %s" cli args)
+      in
+      check_int (args ^ " exits 124") 124 code;
+      check (args ^ " explains itself") true (contains ~needle stderr);
+      check (args ^ " raises nothing") false
+        (contains ~needle:"uncaught exception" stderr))
+    [
+      ("--problem nosuch", "unknown problem");
+      ("--method nosuch", "has no method");
+      ("--problem mis --method baseline", "has no method");
+      ("--problem mis --family grid", "needs a tree instance");
+      ("--problem flood", "engine workload");
+    ]
+
 (* One flusher failing must not truncate the other: with an unwritable
    trace path and a writable profile path, the trace warning appears on
    stderr and the profile still lands complete. *)
@@ -215,39 +236,33 @@ let test_knob_validation_usage_errors () =
     check_int (args ^ " exits 124") 124 code;
     check (args ^ " explains itself") true (contains ~needle stderr)
   in
-  usage "--shards 0" "invalid shard count";
   usage "--pool 0" "invalid pool size";
   usage "--pool 100" "invalid pool size 100";
   (* mode-string edge cases: zero counts, junk counts and surrounding
      whitespace must all die as usage errors naming the input, not be
      clamped or half-parsed *)
   usage "--engine par:0" "invalid engine";
-  usage "--engine shard:0" "invalid engine";
+  usage "--engine proc:0" "invalid engine";
   usage "--engine par:+2" "invalid engine";
   usage "--engine ' seq'" "invalid engine";
   usage "--engine 'par: 2'" "invalid engine";
-  usage "--engine shard --shards 50 --n 20"
-    "shard count 50 exceeds the instance size n = 20";
-  usage "--engine shard:50 --n 20" "shard count 50 exceeds";
-  (* the same over-sharding is fine when the engine is not sharded *)
-  let code, stdout, _ =
-    run_cmd
-      (Printf.sprintf "%s chaos --engine seq --shards 50 --n 20 --family path"
-         cli)
-  in
-  check_int "seq ignores the shard knob" 0 code;
-  check "solved" true (contains ~needle:"valid:       true" stdout)
+  usage "--engine shard" "invalid engine";
+  usage "--engine shard:4" "invalid engine";
+  usage "--shards 2" "--shards";
+  usage "--engine proc:50 --n 20"
+    "proc count 50 exceeds the instance size n = 20"
 
-(* A bare --engine proc resolves against --shards exactly as the daemon's
-   admission check does, and the command runs that mode: every engine
-   run of a chaos flood is traced as proc:2, and chaos reports proc:2. *)
-let test_bare_proc_takes_shards () =
+(* The proc count is part of the mode: --engine proc:2 runs proc:2 —
+   every engine run of a chaos flood is traced as proc:2 and chaos
+   reports it — while a bare --engine proc is a usage error naming
+   proc:N, as the daemon's admission check answers it. *)
+let test_bare_proc_is_usage_error () =
   let trace = Filename.temp_file "tl_trace" ".json" in
   let code, _, _ =
     run_cmd
       (Printf.sprintf
-         "%s chaos --problem flood --family random-tree --n 200 --engine proc \
-          --shards 2 --trace %s"
+         "%s chaos --problem flood --family random-tree --n 200 --engine \
+          proc:2 --trace %s"
          cli trace)
   in
   check_int "traced chaos exit 0" 0 code;
@@ -264,12 +279,17 @@ let test_bare_proc_takes_shards () =
   let code, stdout, _ =
     run_cmd
       (Printf.sprintf
-         "%s chaos --problem flood --family random-tree --n 200 --engine proc \
-          --shards 2"
+         "%s chaos --problem flood --family random-tree --n 200 --engine \
+          proc:2"
          cli)
   in
   check_int "chaos exit 0" 0 code;
-  check "chaos runs proc:2" true (contains ~needle:"engine:      proc:2" stdout)
+  check "chaos runs proc:2" true (contains ~needle:"engine:      proc:2" stdout);
+  let code, _, stderr =
+    run_cmd (Printf.sprintf "%s %s --engine proc" cli chaos_args)
+  in
+  check_int "bare proc exits 124" 124 code;
+  check "bare proc names proc:N" true (contains ~needle:"proc:N" stderr)
 
 (* ---------- regress.exe ---------- *)
 
@@ -374,12 +394,14 @@ let () =
             test_profile_unwritable_dir_is_usage_error;
           Alcotest.test_case "--trace bad dir -> warning only" `Quick
             test_trace_unwritable_warns_not_fails;
-          Alcotest.test_case "bare --engine proc takes --shards" `Quick
-            test_bare_proc_takes_shards;
+          Alcotest.test_case "bare --engine proc -> usage error" `Quick
+            test_bare_proc_is_usage_error;
           Alcotest.test_case "solve traces no engine run" `Quick
             test_solve_traces_no_engine_run;
           Alcotest.test_case "solve rejects the engine knobs" `Quick
             test_solve_rejects_engine_knobs;
+          Alcotest.test_case "solve: unknown pairs -> usage errors" `Quick
+            test_solve_unknown_pairs;
           Alcotest.test_case "--profile + --trace flush together" `Quick
             test_profile_and_trace_flush_together;
           Alcotest.test_case "failed trace flush spares profile" `Quick

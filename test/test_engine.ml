@@ -469,12 +469,12 @@ let test_mode_strings () =
       check
         ("round-trip " ^ Engine.mode_to_string m)
         true
-        (Engine.mode_of_string ~count:4 (Engine.mode_to_string m) = m))
+        (Engine.mode_of_string (Engine.mode_to_string m) = m))
     [ Engine.Naive; Engine.Seq; Engine.Par 2; Engine.Par 16 ];
   List.iter
     (fun s ->
       check ("rejects " ^ s) true
-        (match Engine.mode_of_string ~count:4 s with
+        (match Engine.mode_of_string s with
         | exception Invalid_argument _ -> true
         | _ -> false))
     [
@@ -482,7 +482,8 @@ let test_mode_strings () =
       "par:x";
       "threads";
       "";
-      "shard:0";
+      "par";
+      "shard:4";
       "par:+2" (* int_of_string would take it; digits-only must not *);
       " seq";
       "seq ";
@@ -490,17 +491,9 @@ let test_mode_strings () =
       "par:2 ";
       "par:99999999999999999999" (* out of int range *);
     ];
-  (* the count a bare shard/proc would take must itself be >= 1 *)
-  List.iter
-    (fun count ->
-      check (Printf.sprintf "rejects count %d" count) true
-        (match Engine.mode_of_string ~count "seq" with
-        | exception Invalid_argument _ -> true
-        | _ -> false))
-    [ 0; -1 ];
   (* rejection messages name the offending input — callers surface them
      verbatim as usage errors *)
-  (match Engine.mode_of_string ~count:4 "par:0" with
+  (match Engine.mode_of_string "par:0" with
   | exception Invalid_argument msg ->
     check "par:0 message names the input" true
       (let rec find i =
@@ -890,7 +883,7 @@ let test_rounds_gate_on_drained_rounds () =
           let o = run mode and m = Engine.mode_to_string mode in
           check_int (m ^ ": rounds") naive.Engine.rounds o.Engine.rounds;
           check (m ^ ": states") true (o.Engine.states = naive.Engine.states))
-        [ Engine.Seq; Engine.Par 2; Engine.Shard 2 ];
+        [ Engine.Seq; Engine.Par 2 ];
       let o =
         Flat.run_rounds ~topo ~kernel:(Flat.Kernels.flood ()) ~rounds:20 ()
       in

@@ -6,8 +6,8 @@
    worker-kill).
 
    Ordering matters on OCaml 5: fork is forbidden once a domain has
-   spawned, so the proc-backend scenarios (worker kills, receive
-   timeouts) run in the FIRST suite, before any shard / par chaos run
+   spawned, so the proc-backend scenarios (worker kills, link drops,
+   receive timeouts) run in the FIRST suite, before any par chaos run
    can spin up the domain team. *)
 
 module Graph = Tl_graph.Graph
@@ -71,6 +71,90 @@ let test_proc_kill_chaos () =
   (* replay: identical applied log and digest *)
   let again = flood_chaos ~mode:(Engine.Proc 3) ~n:400 ~seed:5 spec in
   check "proc replay deterministic" true (same_report proc again)
+
+(* Link drops fire only on the process wire. The reports pinned below
+   were recorded from the in-process shard:4 backend that carried the
+   drops before proc did — same plan geometry, same cut links — and
+   proc:4 must reproduce them exactly: every log entry in order, the
+   round counts, the repairs and the digest. *)
+let link_drop_spec = "seed=13;drop@2:0-1,1-2;drop@3:2-3;crash@8:5"
+
+let check_pinned name (r : Chaos.report) ~drops ~log ~rounds ~horizon
+    ~repairs ~relabeled ~digest =
+  check_int (name ^ ": drops") drops r.Chaos.drops;
+  check (name ^ ": log") true (r.Chaos.log = log);
+  check_int (name ^ ": rounds") rounds r.Chaos.rounds;
+  check_int (name ^ ": horizon") horizon r.Chaos.horizon;
+  check_int (name ^ ": repairs") repairs r.Chaos.repairs;
+  check_int (name ^ ": relabeled") relabeled r.Chaos.relabeled;
+  check (name ^ ": digest") true (r.Chaos.digest = digest);
+  check (name ^ ": valid") true r.Chaos.valid
+
+let test_proc_drop_flood () =
+  let run () = flood_chaos ~mode:(Engine.Proc 4) ~n:600 ~seed:2 link_drop_spec in
+  let r = run () in
+  check_pinned "flood" r ~drops:1
+    ~log:
+      [
+        (3, Injector.Dropped { src = 2; dst = 3; msgs = 1 });
+        (8, Injector.Crashed 5);
+      ]
+    ~rounds:55 ~horizon:55 ~repairs:0 ~relabeled:0 ~digest:0xa12954af74bf26d9L;
+  check "replay identical" true (same_report r (run ()));
+  let seq = flood_chaos ~mode:Engine.Seq ~n:600 ~seed:2 link_drop_spec in
+  check "digest = seq" true (r.Chaos.digest = seq.Chaos.digest)
+
+(* chaos_smoke's drop scenario: the cut at round 3 freezes the flood
+   front, the run stalls at a fixed point, and the final heal rewrites
+   the unreached labels *)
+let test_proc_drop_smoke () =
+  let g = Gen.random_tree ~n:20_000 ~seed:42 in
+  let run mode =
+    Chaos.run ~mode ~graph:g
+      ~problem:(Chaos.Flood { source = 0 })
+      ~schedule:(sched_of "seed=17;drop@3:0-1,1-2;drop@5:0-3")
+      ()
+  in
+  let r = run (Engine.Proc 4) in
+  check_pinned "smoke flood" r ~drops:1
+    ~log:[ (3, Injector.Dropped { src = 0; dst = 1; msgs = 2 }) ]
+    ~rounds:4 ~horizon:4 ~repairs:1 ~relabeled:19991
+    ~digest:0x3a8535e7f8982ca5L;
+  check "replay identical" true (same_report r (run (Engine.Proc 4)));
+  check "digest = seq" true (r.Chaos.digest = (run Engine.Seq).Chaos.digest)
+
+(* MIS under the same drops stalls: a dropped "in" leaves a neighbor
+   undecided with no active neighbor, so the run's active set drains
+   with unhalted nodes and it fails before the crash round — as the
+   shard:4 run did. Its first epoch, driven directly under an armed
+   injector, pins the drops that fired. *)
+let test_proc_drop_mis () =
+  let fails () =
+    match mis_chaos ~mode:(Engine.Proc 4) ~n:600 ~seed:2 link_drop_spec with
+    | _ -> None
+    | exception Failure m -> Some m
+  in
+  let expected = Some "Engine.run: max_rounds=2464 exceeded" in
+  check "stalls like shard:4" true (fails () = expected);
+  check "replay stalls alike" true (fails () = expected);
+  let g = tree ~n:600 ~seed:2 in
+  let ids = Ids.permuted ~n:600 ~seed:3 in
+  Injector.with_armed (sched_of link_drop_spec) ~n:600 (fun inj ->
+      let topo = Topology.compile_cached (Semi_graph.of_graph g) in
+      (match
+         Engine.run ~mode:(Engine.Proc 4) ~topo ~init:Repair.mis_init
+           ~step:(Repair.mis_step ~ids) ~halted:Repair.mis_halted
+           ~max_rounds:2464 ()
+       with
+      | _ -> Alcotest.fail "the first MIS epoch must stall"
+      | exception Failure _ -> ());
+      check "mis drops pinned" true
+        (Injector.log inj
+        = [
+            (2, Injector.Dropped { src = 0; dst = 1; msgs = 78 });
+            (2, Injector.Dropped { src = 1; dst = 2; msgs = 52 });
+            (3, Injector.Dropped { src = 2; dst = 3; msgs = 12 });
+          ]))
 
 let test_proc_timeout () =
   let g = tree ~n:60 ~seed:3 in
@@ -309,7 +393,7 @@ let scenario_specs =
     ( "crash-recover",
       "seed=13;crash_random@3:8;recover@20:2;crash@6:2;churn@4-14:rate=0.002,kind=crash-recover,ttl=3"
     );
-    ("link-drop", "seed=13;drop@2:0-1,1-2;drop@3:2-3;crash@8:5");
+    ("link-drop", link_drop_spec);
   ]
 
 let test_chaos_replay_identical () =
@@ -323,7 +407,7 @@ let test_chaos_replay_identical () =
       check (name ^ " mis replay") true (same_report c d))
     scenario_specs
 
-(* shard / par modes spawn the domain team — keep after the proc suite *)
+(* par modes spawn the domain team — keep after the proc suite *)
 let test_chaos_cross_mode () =
   List.iter
     (fun (name, spec) ->
@@ -338,15 +422,6 @@ let test_chaos_cross_mode () =
             true
             (r.Chaos.digest = seq.Chaos.digest && r.Chaos.valid))
         [ Engine.Naive; Engine.Par 2 ])
-    scenario_specs;
-  (* drops only exist on the halo wire: the shard run must still land on
-     the seq digest after the final heal *)
-  List.iter
-    (fun (name, spec) ->
-      let seq = flood_chaos ~mode:Engine.Seq ~n:600 ~seed:2 spec in
-      let sh = flood_chaos ~mode:(Engine.Shard 4) ~n:600 ~seed:2 spec in
-      check (name ^ " shard digest = seq") true
-        (sh.Chaos.digest = seq.Chaos.digest && sh.Chaos.valid))
     scenario_specs
 
 let test_chaos_empty_schedule_matches_plain () =
@@ -457,6 +532,12 @@ let () =
         [
           Alcotest.test_case "worker kill: retried epoch, seq digest" `Quick
             test_proc_kill_chaos;
+          Alcotest.test_case "link drops: flood, pinned report" `Quick
+            test_proc_drop_flood;
+          Alcotest.test_case "link drops: MIS stall, pinned drops" `Quick
+            test_proc_drop_mis;
+          Alcotest.test_case "link drops: 20k flood, pinned report" `Quick
+            test_proc_drop_smoke;
           Alcotest.test_case "TL_PROC_TIMEOUT_MS deadline" `Quick
             test_proc_timeout;
         ] );

@@ -7,8 +7,8 @@
 
    Ordering matters on OCaml 5: fork is forbidden once a domain has
    spawned, so every comparison here is against Engine.Seq / Flat with
-   par:1 — never Shard or Par modes, which may spin up the domain
-   team and would poison every later proc run in this process. *)
+   par:1 — never Par modes, which may spin up the domain team and
+   would poison every later proc run in this process. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
@@ -117,6 +117,7 @@ let mk_frame (pick, a, b, s) =
         slots = u16 ((a * 3) + 1);
         in_peers = peers;
         out_peers = Array.map (fun p -> u16 (p + 1)) peers;
+        cuts = List.mapi (fun i p -> (u32 (a + i), p)) (Array.to_list peers);
         shard = by;
       }
   | 1 -> Wire.Halo { round = u32 a; src = u16 b; n = u32 (a + b); payload = by }
@@ -137,6 +138,8 @@ let mk_frame (pick, a, b, s) =
         src = u16 a;
         halo_words = b;
         exchange_rounds = a;
+        drops =
+          List.mapi (fun i p -> (u32 (b + i), p, a - (i * b))) (Array.to_list peers);
         states = (if b mod 2 = 0 then None else Some by);
       }
   | _ -> Wire.Error_frame { src = u16 a; failure = a mod 2 = 0; message = s }
@@ -148,6 +151,30 @@ let prop_frame_roundtrip =
       quad (int_range 0 5) (int_range 0 1_000_000) (int_range 0 1_000_000)
         string)
     (fun spec -> Wire.decode (Wire.encode (mk_frame spec)) = mk_frame spec)
+
+(* Every frame kind but halo (whose entries run to the end of the
+   payload) is self-delimiting: cutting its payload short anywhere, with
+   the length prefix patched to match, must raise [Proc_failure], never
+   decode a shorter frame. *)
+let prop_frame_truncation =
+  QCheck.Test.make ~name:"every truncated payload rejected" ~count:100
+    QCheck.(
+      pair
+        (quad (int_range 0 5) (int_range 0 1_000_000) (int_range 0 1_000_000)
+           string)
+        (int_range 1 1_000))
+    (fun (spec, cut) ->
+      match mk_frame spec with
+      | Wire.Halo _ -> true
+      | f ->
+        let img = Wire.encode f in
+        let body = Bytes.length img - Wire.frame_overhead in
+        let keep = Bytes.length img - 1 - (cut mod max 1 body) in
+        let short = Bytes.sub img 0 keep in
+        Wire.put_u32 short 0 (keep - 4);
+        (match Wire.decode short with
+        | exception Wire.Proc_failure _ -> true
+        | _ -> false))
 
 let test_extreme_stats_roundtrip () =
   let f =
@@ -570,23 +597,25 @@ let test_mode_strings () =
       check
         ("round-trip " ^ Engine.mode_to_string m)
         true
-        (Engine.mode_of_string ~count:4 (Engine.mode_to_string m) = m))
+        (Engine.mode_of_string (Engine.mode_to_string m) = m))
     [ Engine.Proc 1; Engine.Proc 2; Engine.Proc 16 ];
-  check "bare \"proc\" takes the count argument" true
-    (Engine.mode_of_string ~count:6 "proc" = Engine.Proc 6);
-  check "an inline count wins over the argument" true
-    (Engine.mode_of_string ~count:6 "proc:3" = Engine.Proc 3);
-  check "bare \"proc\" rejects a count below 1" true
-    (match Engine.mode_of_string ~count:0 "proc" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
+  (* the count is part of the mode: a bare "proc" names proc:<n> back *)
+  (match Engine.mode_of_string "proc" with
+  | exception Invalid_argument msg ->
+    check "bare \"proc\" rejected, naming proc:<n>" true
+      (let rec find i =
+         i + 8 <= String.length msg
+         && (String.sub msg i 8 = "proc:<n>" || find (i + 1))
+       in
+       find 0)
+  | _ -> Alcotest.fail "a bare \"proc\" must be rejected");
   List.iter
     (fun s ->
       check ("rejects " ^ s) true
-        (match Engine.mode_of_string ~count:4 s with
+        (match Engine.mode_of_string s with
         | exception Invalid_argument _ -> true
         | _ -> false))
-    [ "proc:0"; "proc:x"; "proc:" ]
+    [ "proc:0"; "proc:x"; "proc:"; "shard"; "shard:2" ]
 
 (* ---------- flat kernels over the wire ---------- *)
 
@@ -807,7 +836,8 @@ let () =
           Alcotest.test_case "malformed input rejected" `Quick
             test_wire_rejection;
         ]
-        @ qsuite [ prop_frame_roundtrip; prop_reassembly ] );
+        @ qsuite [ prop_frame_roundtrip; prop_frame_truncation; prop_reassembly ]
+      );
       ( "collective",
         [
           Alcotest.test_case "tree geometry" `Quick test_collective_geometry;

@@ -2,8 +2,8 @@
    validation, the admission/batching/drain cycle with backpressure, and
    the differential battery — a daemon-served request is bit-identical
    (digest, rounds, ledger) to a direct one-shot run for every
-   (engine, shards, pool) knob. The tail runs the real daemon binary as
-   a subprocess over pipes. *)
+   (engine, pool) knob. The tail runs the real daemon binary as a
+   subprocess over pipes. *)
 
 module Json = Tl_obs.Json
 module Graph = Tl_graph.Graph
@@ -25,6 +25,11 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 let qsuite = List.map (QCheck_alcotest.to_alcotest ~verbose:false)
+
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 (* ---------- jobq ---------- *)
 
@@ -61,7 +66,7 @@ let test_request_roundtrip () =
     (fun spec ->
       let r =
         P.request ~id:"x1" ~problem:"matching" ~method_:"direct" ~spec ~k:6
-          ~engine:"shard:3" ~shards:3 ~pool:4 ~want_span:false ()
+          ~engine:"proc:3" ~pool:4 ~want_span:false ()
       in
       match P.incoming_of_json (P.request_to_json r) with
       | Ok (P.Request r') -> check "request round-trips" true (r = r')
@@ -73,7 +78,6 @@ let test_request_roundtrip () =
     check "default problem" true (r.P.problem = "mis");
     check "default method" true (r.P.method_ = "transform");
     check "default engine" true (r.P.engine = "seq");
-    check_int "default shards" 4 r.P.shards;
     check_int "default pool" 1 r.P.pool;
     check "default spec" true (r.P.spec = P.default_spec)
   | _ -> Alcotest.fail "bare request rejected");
@@ -160,45 +164,52 @@ let test_spec_key_edges () =
 (* ---------- knob validation ---------- *)
 
 let test_resolve_knobs () =
-  let ok engine shards pool n =
-    match P.resolve_knobs ~engine ~shards ~pool ~n with
+  let ok engine pool n =
+    match P.resolve_knobs ~engine ~pool ~n with
     | Ok m -> m
     | Error msg -> Alcotest.fail ("unexpected rejection: " ^ msg)
   in
-  let err engine shards pool n =
-    match P.resolve_knobs ~engine ~shards ~pool ~n with
+  let err engine pool n =
+    match P.resolve_knobs ~engine ~pool ~n with
     | Error msg -> msg
     | Ok _ -> Alcotest.fail "expected a rejection"
   in
-  check "seq" true (ok "seq" 4 1 10 = Engine.Seq);
-  check "par:2" true (ok "par:2" 4 1 10 = Engine.Par 2);
-  check "inline shard count wins" true (ok "shard:3" 4 1 10 = Engine.Shard 3);
-  (* a bare "shard" or "proc" takes the request's shards knob *)
-  check "bare shard uses the knob" true (ok "shard" 7 1 10 = Engine.Shard 7);
-  check "bare proc uses the knob" true (ok "proc" 3 1 10 = Engine.Proc 3);
-  check "shard count over n" true
-    (Tl_serve.Protocol.resolve_knobs ~engine:"shard" ~shards:11 ~pool:1 ~n:10
-    |> Result.is_error);
-  let m = err "shard:50" 4 1 20 in
-  check "friendly shards>n message" true
-    (String.length m > 0 && m.[0] = 's' (* "shard count ..." *));
-  ignore (err "warp" 4 1 10);
-  ignore (err "seq" 0 1 10);
-  ignore (err "seq" 4 0 10);
-  ignore (err "seq" 4 65 10);
-  ignore (err "seq" 4 1 0);
+  check "seq" true (ok "seq" 1 10 = Engine.Seq);
+  check "par:2" true (ok "par:2" 1 10 = Engine.Par 2);
+  check "proc:3" true (ok "proc:3" 1 10 = Engine.Proc 3);
+  (* the count is part of the mode string *)
+  check "bare proc names proc:N" true (contains_sub (err "proc" 1 10) "proc:N");
+  ignore (err "shard:2" 1 10);
+  (* ... and the daemon answers both with bad_request *)
+  List.iter
+    (fun engine ->
+      match
+        Server.handle_request (Server.create ())
+          (P.request ~problem:"flood" ~engine ~want_span:false ())
+      with
+      | { P.outcome = P.Error (P.Bad_request, _); _ } -> ()
+      | _ -> Alcotest.failf "engine %S must be a bad_request" engine)
+    [ "proc"; "shard:4" ];
+  check "proc count over n" true
+    (P.resolve_knobs ~engine:"proc:11" ~pool:1 ~n:10 |> Result.is_error);
+  let m = err "proc:50" 1 20 in
+  check "friendly procs>n message" true (contains_sub m "proc count 50");
+  ignore (err "warp" 1 10);
+  ignore (err "seq" 0 10);
+  ignore (err "seq" 65 10);
+  ignore (err "seq" 1 0);
   (* unlinked backend: the only untestable-from-a-binary path, since the
-     runtime force-links tl_shard — simulate by pulling the hook out *)
-  let saved_backend = !Engine.shard_backend in
-  Engine.shard_backend := None;
+     runtime force-links tl_proc — simulate by pulling the hook out *)
+  let saved_backend = !Engine.proc_backend in
+  Engine.proc_backend := None;
   Fun.protect
-    ~finally:(fun () -> Engine.shard_backend := saved_backend)
+    ~finally:(fun () -> Engine.proc_backend := saved_backend)
     (fun () ->
-      let m = err "shard:2" 2 1 10 in
+      let m = err "proc:2" 1 10 in
       check "unlinked backend is a friendly error" true
-        (m = "engine shard requested but no shard backend is linked (build \
-              against tl_shard)");
-      check "seq unaffected" true (ok "seq" 4 1 10 = Engine.Seq))
+        (m = "engine proc requested but no process backend is linked (build \
+              against tl_proc)");
+      check "seq unaffected" true (ok "seq" 1 10 = Engine.Seq))
 
 (* ---------- differential battery ---------- *)
 
@@ -292,16 +303,14 @@ let combo_gen =
     in
     let a = if family = "forest-union" then 2 else 1 in
     let spec = P.Family { family; n; seed; a; delta = 3 } in
-    let engine, shards =
-      match eng with 0 -> ("seq", 4) | 1 -> ("shard", 2) | _ -> ("shard:3", 3)
-    in
+    let engine = match eng with 0 -> "seq" | 1 -> "naive" | _ -> "par:3" in
     return
-      (P.request ~id:"q" ~problem ~method_ ~spec ~engine ~shards ~pool
+      (P.request ~id:"q" ~problem ~method_ ~spec ~engine ~pool
          ~want_span:false ()))
 
 let combo_print (r : P.request) =
-  Printf.sprintf "%s/%s %s engine=%s shards=%d pool=%d" r.P.problem r.P.method_
-    (P.spec_key r.P.spec) r.P.engine r.P.shards r.P.pool
+  Printf.sprintf "%s/%s %s engine=%s pool=%d" r.P.problem r.P.method_
+    (P.spec_key r.P.spec) r.P.engine r.P.pool
 
 let prop_serve_differential =
   QCheck.Test.make ~count:40
@@ -315,8 +324,8 @@ let prop_serve_differential =
       | P.Solved s, P.Solved s2 ->
         let mode =
           match
-            P.resolve_knobs ~engine:r.P.engine ~shards:r.P.shards
-              ~pool:r.P.pool ~n:(P.spec_n r.P.spec)
+            P.resolve_knobs ~engine:r.P.engine ~pool:r.P.pool
+              ~n:(P.spec_n r.P.spec)
           with
           | Ok m -> m
           | Error msg -> QCheck.Test.fail_report msg
@@ -520,35 +529,32 @@ let test_span_report_on_request () =
     check "serve:cache_hit counter in the span" true
       (List.assoc_opt "serve:cache_hit" counters = Some (Json.Num 1.))
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-(* grid builds floor(sqrt n)^2 nodes, so a shard count can clear
+(* grid builds floor(sqrt n)^2 nodes, so a proc count can clear
    admission against the declared n yet exceed the built graph — that
-   must still be a structured bad_request, not a generic failure. *)
+   must still be a structured bad_request, not a generic failure. The
+   in-bounds run forks its workers, so the cycle group runs before the
+   differential battery can spawn a domain. *)
 let test_shard_vs_built_n () =
   let server = Server.create () in
   let spec = P.Family { family = "grid"; n = 10; seed = 1; a = 1; delta = 3 } in
   (match
      Server.handle_request server
-       (P.request ~id:"g" ~problem:"flood" ~spec ~engine:"shard:10"
-          ~shards:10 ~want_span:false ())
+       (P.request ~id:"g" ~problem:"flood" ~spec ~engine:"proc:10"
+          ~want_span:false ())
    with
   | { P.outcome = P.Error (P.Bad_request, msg); _ } ->
     check "names the built size" true
       (contains_sub msg "built instance size 9")
   | { P.outcome = P.Error (_, msg); _ } ->
     Alcotest.fail ("wrong error kind: " ^ msg)
-  | _ -> Alcotest.fail "oversized shard count must be rejected");
+  | _ -> Alcotest.fail "oversized proc count must be rejected");
   match
     Server.handle_request server
-      (P.request ~id:"g2" ~problem:"flood" ~spec ~engine:"shard:4" ~shards:4
+      (P.request ~id:"g2" ~problem:"flood" ~spec ~engine:"proc:4"
          ~want_span:false ())
   with
   | { P.outcome = P.Solved _; _ } -> ()
-  | _ -> Alcotest.fail "in-bounds shard request failed"
+  | _ -> Alcotest.fail "in-bounds proc request failed"
 
 (* Served flood's [valid] is Repair's checker verdict, not a constant.
    On a disconnected edge list only node 0's component floods; the
@@ -637,6 +643,29 @@ let test_subprocess_roundtrip () =
         (match input_line inc with
         | exception End_of_file -> true
         | _ -> false))
+
+(* A client that hangs up before reading its answer: the response write
+   fails with EPIPE, which must end the serve loop like EOF — exit 0,
+   no uncaught exception. *)
+let test_subprocess_client_hangup () =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let err_f = Filename.temp_file "tl_serve_err" ".txt" in
+  let err_fd = Unix.openfile err_f [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid = Unix.create_process daemon [| daemon |] in_r out_w err_fd in
+  List.iter Unix.close [ in_r; out_w; err_fd ];
+  (* nobody will read the answer *)
+  Unix.close out_r;
+  let ping = "{\"v\":1,\"id\":\"a\",\"cmd\":\"ping\"}\n" in
+  ignore (Unix.write_substring in_w ping 0 (String.length ping));
+  Unix.close in_w;
+  let _, status = Unix.waitpid [] pid in
+  let ic = open_in_bin err_f in
+  let err = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err_f;
+  check "daemon exits 0" true (status = Unix.WEXITED 0);
+  check "no uncaught exception" false (contains_sub err "uncaught exception")
 
 (* Deterministic subprocess backpressure: the whole burst goes down the
    pipe in one write well under PIPE_BUF, so the daemon's greedy read
@@ -833,7 +862,6 @@ let () =
           Alcotest.test_case "edge-list spec keys" `Quick test_spec_key_edges;
           Alcotest.test_case "knob validation" `Quick test_resolve_knobs;
         ] );
-      ("differential", qsuite [ prop_serve_differential ]);
       ( "cycle",
         [
           Alcotest.test_case "batching + arrival order" `Quick
@@ -853,10 +881,13 @@ let () =
           Alcotest.test_case "unknown family -> bad_request" `Quick
             test_unknown_family_is_bad_request;
         ] );
+      ("differential", qsuite [ prop_serve_differential ]);
       ( "daemon",
         [
           Alcotest.test_case "stdio round-trip + shutdown" `Quick
             test_subprocess_roundtrip;
+          Alcotest.test_case "client hang-up ends the loop cleanly" `Quick
+            test_subprocess_client_hangup;
           Alcotest.test_case "burst backpressure" `Quick
             test_subprocess_backpressure;
           Alcotest.test_case "metrics + tail controls" `Quick

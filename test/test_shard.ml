@@ -1,30 +1,25 @@
-(* Differential battery for the sharded halo-exchange backend: plans,
-   shard:{2,4,8} x pool:{1,4} bit-identical to the sequential stepper
-   (labelings, per-round trace records, round ledgers, failure
-   behavior) on random / balanced / path trees and forest unions. *)
+(* The shard layer under the process backend: plan invariants and
+   caches, the shard-local round body ({!Tl_shard.Local}) — its link
+   cuts, and shard:{2,4,8} x pool:{1,4} runs of it in one process
+   bit-identical to seq — and the run report's per-shard spans. The
+   backend itself — proc:N over real sockets bit-identical to seq — is
+   test_proc's battery. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
 module Semi_graph = Tl_graph.Semi_graph
 module Topology = Tl_engine.Topology
 module Engine = Tl_engine.Engine
+module Stepper = Tl_engine.Stepper
 module Trace = Tl_engine.Trace
 module Pool = Tl_engine.Pool
 module Plan = Tl_shard.Plan
-module Shard = Tl_shard.Shard
+module Local = Tl_shard.Local
 module Ids = Tl_local.Ids
 module Span = Tl_obs.Span
 
-(* The battery runs the backend only through [Engine.run ~mode:(Shard s)],
-   which names no symbol of [Shard]: reference it so the linker keeps the
-   module whose initialization installs the backend. *)
-let () = Shard.register ()
-
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let shard_counts = [ 2; 4; 8 ]
-let pool_widths = [ 1; 4 ]
 
 (* The acceptance families: random trees, balanced regular trees, paths
    and forest unions. *)
@@ -111,35 +106,131 @@ let prop_plan_on_subsets =
       let topo = Topology.compile (Semi_graph.of_node_subset g keep) in
       List.for_all (fun s -> plan_invariants topo s) [ 1; 2; 4; 8 ])
 
-(* ---------- engine-level differential: states, rounds, traces ---------- *)
+(* ---------- link cuts in the round body ---------- *)
 
-(* Runs [f] once per backend and compares outcomes AND the per-round
-   trace records: the sharded stepper must reproduce the sequential
-   active/changed/unhalted counts round by round, not just the final
-   labeling (the "round ledger" at engine level). *)
-let record_key r = (r.Trace.round, r.Trace.active, r.Trace.changed, r.Trace.unhalted)
+(* Path 0..7 in two shards: shard 0 owns 0-3 with node 4 as its ghost.
+   Flooding from node 2, node 3 turns in round 1 and routes its state
+   to shard 1 — the only halo message shard 0 ever sends. *)
+let drain_path_shard0 cuts =
+  let topo = Topology.compile (Semi_graph.of_graph (Gen.path 8)) in
+  let sh = (Plan.build ~topo ~shards:2).Plan.shards.(0) in
+  let csr = Local.csr sh in
+  let _, store =
+    Stepper.boxed ~l2g:sh.Plan.l2g csr
+      ~init:(fun v -> v = 2)
+      ~step:flood_step ~equal:Bool.equal ~halted:None
+  in
+  let loc = Local.create sh csr ~sched:Engine.Active_set ~cuts store in
+  let core = Local.stepper loc in
+  let sent = ref [] in
+  for round = 1 to 3 do
+    Stepper.compute core ~par:1 ~round;
+    ignore (Stepper.commit core);
+    Local.drain loc ~round (fun ~dst ~slot:_ ~src:_ n ->
+        sent := (round, Array.to_list (Array.sub dst 0 n)) :: !sent);
+    Stepper.advance core
+  done;
+  (List.rev !sent, Local.halo_words loc, Local.exchange_rounds loc,
+   Local.dropped loc)
 
-let outcome_and_records f mode =
+let test_local_cuts () =
+  let sent, words, ex, dropped = drain_path_shard0 [] in
+  check "uncut: one message to shard 1 in round 1" true (sent = [ (1, [ 1 ]) ]);
+  check_int "uncut: halo words" 1 words;
+  check_int "uncut: exchange rounds" 1 ex;
+  check "uncut: nothing dropped" true (dropped = []);
+  let sent, words, ex, dropped = drain_path_shard0 [ (3, 1); (1, 1) ] in
+  check "cut: the message is skipped" true (sent = []);
+  check_int "cut: no halo words" 0 words;
+  check_int "cut: the round still exchanged" 1 ex;
+  check "cut: counted as (round, peer, msgs)" true (dropped = [ (1, 1, 1) ]);
+  let sent, _, _, dropped = drain_path_shard0 [ (2, 1); (1, 0) ] in
+  check "a cut in a silent round or to another peer drops nothing" true
+    (sent = [ (1, [ 1 ]) ] && dropped = [])
+
+(* ---------- differential: shard-local bodies vs seq ---------- *)
+
+let shard_counts = [ 2; 4; 8 ]
+let pool_widths = [ 1; 4 ]
+
+(* The process backend's round without its wire: every shard of a plan
+   runs its Local body in this process, the computes of distinct shards
+   fanned over a pool of [workers] domains, each drained route copied
+   straight into its target shard's ghost slot, and Engine.drive
+   deciding when to stop and tracing each round — the worker's and the
+   coordinator's split of a round, minus the sockets. A mismatch here
+   is the shard layer's; one only under proc is the wire's. *)
+let run_local ~sched ~topo ~init ~step ~equal ~halted stop ~shards ~workers
+    trace =
+  let parts =
+    Array.map
+      (fun sh ->
+        let csr = Local.csr sh in
+        let st, store =
+          Stepper.boxed ~l2g:sh.Plan.l2g csr ~init ~step ~equal ~halted
+        in
+        (sh, st, Local.create sh csr ~sched ~cuts:[] store))
+      (Plan.build ~topo ~shards).Plan.shards
+  in
+  let pool = Pool.create ~workers () in
+  let total f =
+    Array.fold_left (fun acc (_, _, loc) -> acc + f (Local.stepper loc)) 0 parts
+  in
+  let exec round =
+    ignore
+      (Pool.map pool ~tasks:parts ~f:(fun ~worker:_ ~index:_ (_, _, loc) ->
+           Stepper.compute (Local.stepper loc) ~par:1 ~round));
+    let changed = total Stepper.commit in
+    Array.iter
+      (fun (_, st, loc) ->
+        Local.drain loc ~round (fun ~dst ~slot ~src n ->
+            for b = 0 to n - 1 do
+              let _, st', loc' = parts.(dst.(b)) in
+              st'.(slot.(b)) <- st.(src.(b));
+              Local.ghost_written loc' slot.(b)
+            done))
+      parts;
+    Array.iter (fun (_, _, loc) -> Stepper.advance (Local.stepper loc)) parts;
+    changed
+  in
+  let rounds, exhausted =
+    Engine.drive ~trace:(Some trace) ~stop
+      ~active:(fun () -> total Stepper.n_active)
+      ~unhalted:(fun () -> total Stepper.unhalted)
+      ~exec
+  in
+  if exhausted then Engine.exhausted stop;
+  let states = Array.init topo.Topology.n_base init in
+  Array.iter
+    (fun (sh, st, _) ->
+      for l = 0 to sh.Plan.n_owned - 1 do
+        states.(sh.Plan.l2g.(l)) <- st.(l)
+      done)
+    parts;
+  { Engine.states; rounds }
+
+(* Outcomes AND per-round trace records: the shard-local bodies must
+   reproduce seq's active/changed/unhalted counts round by round, not
+   just the final labeling. *)
+let record_key r =
+  (r.Trace.round, r.Trace.active, r.Trace.changed, r.Trace.unhalted)
+
+let traced run =
   let trace = Trace.create ~label:"diff" () in
-  let o = f ~mode ~trace in
+  let o = run trace in
   (o, List.map record_key (Trace.records trace))
 
-let shard_matches_seq ?(pools = pool_widths) f =
-  let seq_o, seq_r = outcome_and_records f Engine.Seq in
+let local_matches_seq ~seq ~local =
+  let seq_o, seq_r = traced seq in
   List.for_all
-    (fun s ->
+    (fun shards ->
       List.for_all
-        (fun w ->
-          let saved = !Pool.default_workers in
-          Pool.default_workers := w;
-          Fun.protect
-            ~finally:(fun () -> Pool.default_workers := saved)
-            (fun () ->
-              let o, r = outcome_and_records f (Engine.Shard s) in
-              o.Engine.rounds = seq_o.Engine.rounds
-              && o.Engine.states = seq_o.Engine.states
-              && r = seq_r))
-        pools)
+        (fun workers ->
+          let o, r = traced (local ~shards ~workers) in
+          o.Engine.rounds = seq_o.Engine.rounds
+          && o.Engine.states = seq_o.Engine.states
+          && r = seq_r)
+        pool_widths)
     shard_counts
 
 let prop_flood_differential =
@@ -148,6 +239,8 @@ let prop_flood_differential =
     QCheck.(triple (int_range 2 150) (int_range 0 100000) (int_range 0 3))
     (fun (n, seed, pick) ->
       let g = family ~n ~seed ~pick in
+      let max_rounds = Graph.n_nodes g + 1 in
+      let init v = v = 0 in
       (* the full view, and the masked view of prop_plan_on_subsets *)
       let keep = Array.init (Graph.n_nodes g) (fun v -> v mod 3 <> 2) in
       List.for_all
@@ -155,12 +248,13 @@ let prop_flood_differential =
           let topo = Topology.compile sg in
           List.for_all
             (fun sched ->
-              shard_matches_seq (fun ~mode ~trace ->
-                  Engine.run_until_stable ~mode ~sched ~trace ~topo
-                    ~init:(fun v -> v = 0)
-                    ~step:flood_step ~equal:Bool.equal
-                    ~max_rounds:(Graph.n_nodes g + 1)
-                    ()))
+              local_matches_seq
+                ~seq:(fun trace ->
+                  Engine.run_until_stable ~mode:Engine.Seq ~sched ~trace ~topo
+                    ~init ~step:flood_step ~equal:Bool.equal ~max_rounds ())
+                ~local:
+                  (run_local ~sched ~topo ~init ~step:flood_step
+                     ~equal:Bool.equal ~halted:None (Engine.Stable max_rounds)))
             [ Engine.Active_set; Engine.Full_scan ])
         [ Semi_graph.of_graph g; Semi_graph.of_node_subset g keep ])
 
@@ -172,12 +266,14 @@ let prop_mis_differential =
       let n = Graph.n_nodes g in
       let ids = Ids.permuted ~n ~seed:(seed + 3) in
       let topo = Topology.compile (Semi_graph.of_graph g) in
-      shard_matches_seq (fun ~mode ~trace ->
-          Engine.run ~mode ~trace ~topo
-            ~init:(fun _ -> 0)
-            ~step:(mis_step ids)
-            ~halted:(fun s -> s <> 0)
-            ~max_rounds:(n + 1) ()))
+      let init _ = 0 and halted s = s <> 0 in
+      local_matches_seq
+        ~seq:(fun trace ->
+          Engine.run ~mode:Engine.Seq ~trace ~topo ~init ~step:(mis_step ids)
+            ~halted ~max_rounds:(n + 1) ())
+        ~local:
+          (run_local ~sched:Engine.Active_set ~topo ~init ~step:(mis_step ids)
+             ~equal:Int.equal ~halted:(Some halted) (Engine.Halted (n + 1))))
 
 let prop_run_rounds_differential =
   QCheck.Test.make ~name:"run_rounds: shard x pool == seq, exact count"
@@ -188,126 +284,18 @@ let prop_run_rounds_differential =
       let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 5) in
       let topo = Topology.compile (Semi_graph.of_graph g) in
       let r = 3 + (seed mod 5) in
-      let seq, shard_outcomes =
-        ( Engine.run_rounds ~mode:Engine.Seq ~topo
-            ~init:(fun v -> ids.(v))
-            ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-              List.fold_left (fun acc (_, _, su) -> max acc su) s neighbors)
-            ~rounds:r (),
-          List.map
-            (fun s ->
-              Engine.run_rounds ~mode:(Engine.Shard s) ~topo
-                ~init:(fun v -> ids.(v))
-                ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-                  List.fold_left (fun acc (_, _, su) -> max acc su) s neighbors)
-                ~rounds:r ())
-            shard_counts )
+      let init v = ids.(v) in
+      let step ~round:_ ~node:_ s ~neighbors =
+        List.fold_left (fun acc (_, _, su) -> max acc su) s neighbors
       in
-      seq.Engine.rounds = r
-      && List.for_all
-           (fun o ->
-             o.Engine.rounds = r && o.Engine.states = seq.Engine.states)
-           shard_outcomes)
-
-(* ---------- failure parity ---------- *)
-
-let failure_message f =
-  match f () with exception Failure m -> Some m | _ -> None
-
-let test_failure_parity () =
-  let topo = Topology.compile (Semi_graph.of_graph (Gen.path 9)) in
-  let frozen mode () =
-    Engine.run ~mode ~topo
-      ~init:(fun _ -> 0)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
-      ~halted:(fun _ -> false)
-      ~max_rounds:10 ()
-  in
-  let blinker mode () =
-    Engine.run_until_stable ~mode ~topo
-      ~init:(fun _ -> false)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> not s)
-      ~equal:Bool.equal ~max_rounds:7 ()
-  in
-  let m_frozen = failure_message (frozen Engine.Seq) in
-  let m_blinker = failure_message (blinker Engine.Seq) in
-  check "seq frozen raises" true (m_frozen <> None);
-  check "seq blinker raises" true (m_blinker <> None);
-  List.iter
-    (fun s ->
-      Alcotest.(check (option string))
-        (Printf.sprintf "frozen parity shard:%d" s)
-        m_frozen
-        (failure_message (frozen (Engine.Shard s)));
-      Alcotest.(check (option string))
-        (Printf.sprintf "blinker parity shard:%d" s)
-        m_blinker
-        (failure_message (blinker (Engine.Shard s))))
-    shard_counts
-
-let test_unlinked_backend_message () =
-  (* the hook is installed by linking tl_shard; pulling it out must
-     produce the documented failure, and restoring it must recover *)
-  let saved = !Engine.shard_backend in
-  Engine.shard_backend := None;
-  Fun.protect
-    ~finally:(fun () -> Engine.shard_backend := saved)
-    (fun () ->
-      let topo = Topology.compile (Semi_graph.of_graph (Gen.path 3)) in
-      match
-        Engine.run ~mode:(Engine.Shard 2) ~topo
-          ~init:(fun _ -> 0)
-          ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
-          ~halted:(fun _ -> true)
-          ~max_rounds:1 ()
-      with
-      | exception Failure m ->
-        check "unlinked failure message" true
-          (m = "Engine: shard mode requested but the tl_shard backend is \
-                not linked")
-      | _ -> Alcotest.fail "expected Failure without a backend")
-
-let test_empty_present_set () =
-  let g = Gen.path 4 in
-  let topo = Topology.compile (Semi_graph.of_node_subset g (Array.make 4 false)) in
-  List.iter
-    (fun s ->
-      let o =
-        Engine.run ~mode:(Engine.Shard s) ~topo
-          ~init:(fun _ -> 0)
-          ~step:(fun ~round:_ ~node:_ st ~neighbors:_ -> st + 1)
-          ~halted:(fun _ -> false)
-          ~max_rounds:5 ()
+      let seq trace =
+        Engine.run_rounds ~mode:Engine.Seq ~trace ~topo ~init ~step ~rounds:r ()
       in
-      check_int (Printf.sprintf "empty view costs 0 rounds shard:%d" s) 0
-        o.Engine.rounds)
-    shard_counts
-
-(* ---------- mode strings ---------- *)
-
-let test_mode_strings () =
-  List.iter
-    (fun m ->
-      check
-        ("round-trip " ^ Engine.mode_to_string m)
-        true
-        (Engine.mode_of_string ~count:4 (Engine.mode_to_string m) = m))
-    [ Engine.Shard 1; Engine.Shard 2; Engine.Shard 16 ];
-  check "bare \"shard\" takes the count argument" true
-    (Engine.mode_of_string ~count:6 "shard" = Engine.Shard 6);
-  check "an inline count wins over the argument" true
-    (Engine.mode_of_string ~count:6 "shard:3" = Engine.Shard 3);
-  check "bare \"shard\" rejects a count below 1" true
-    (match Engine.mode_of_string ~count:0 "shard" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  List.iter
-    (fun s ->
-      check ("rejects " ^ s) true
-        (match Engine.mode_of_string ~count:4 s with
-        | exception Invalid_argument _ -> true
-        | _ -> false))
-    [ "shard:0"; "shard:x"; "shard:" ]
+      (fst (traced seq)).Engine.rounds = r
+      && local_matches_seq ~seq
+           ~local:
+             (run_local ~sched:Engine.Active_set ~topo ~init ~step
+                ~equal:Int.equal ~halted:None (Engine.Rounds r)))
 
 (* ---------- spans: the per-shard observability contract ---------- *)
 
@@ -317,23 +305,21 @@ let rec find_spans pred s =
 
 let test_shard_spans () =
   let g = Gen.random_tree ~n:500 ~seed:11 in
-  let topo = Topology.compile (Semi_graph.of_graph g) in
-  Plan.clear_cache ();
+  let plan = Plan.build ~topo:(Topology.compile (Semi_graph.of_graph g)) ~shards:4 in
+  (* shard 3's epilogue never arrived: no child span for it *)
+  let traffic s = if s = 3 then None else Some (10 * (s + 1), s + 1) in
   let (), root =
     Span.run "shard-span-test" (fun () ->
-        ignore
-          (Engine.run_until_stable ~mode:(Engine.Shard 4) ~topo
-             ~init:(fun v -> v = 0)
-             ~step:flood_step ~equal:Bool.equal ~max_rounds:501 ()))
+        Local.report plan ~plan_hit:false ~shape:0 ~latency_s:0. traffic)
   in
   let shard_spans =
     find_spans
       (fun s ->
-        String.length (Span.name s) > 6
-        && String.sub (Span.name s) 0 6 = "shard:")
+        String.length (Span.name s) > 5
+        && String.sub (Span.name s) 0 5 = "proc:")
       root
   in
-  check_int "one child span per shard" 4 (List.length shard_spans);
+  check_int "one child span per known shard" 3 (List.length shard_spans);
   List.iter
     (fun s ->
       let c = Span.counters s in
@@ -343,21 +329,18 @@ let test_shard_spans () =
             (Printf.sprintf "%s carries %s" (Span.name s) key)
             true (List.mem_assoc key c))
         [
-          "shard:cut_edges"; "shard:halo_words"; "shard:imbalance";
-          "shard:exchange_rounds"; "shard:owned"; "shard:halo";
+          "proc:cut_edges"; "proc:halo_words"; "proc:imbalance";
+          "proc:exchange_rounds"; "proc:owned"; "proc:halo";
         ])
     shard_spans;
   let root_counters = Span.counters root in
-  check_int "aggregate shard count" 4
-    (List.assoc "shard:shards" root_counters);
+  check_int "aggregate shard count" 4 (List.assoc "proc:procs" root_counters);
   check "plan miss counted" true
-    (List.mem_assoc "shard:plan_miss" root_counters);
-  (* flood floods the whole tree: every cross-boundary edge carried at
-     least one message, so the aggregate halo traffic is positive and at
-     least the directed cut size *)
-  check "halo traffic at least cut size" true
-    (List.assoc "shard:halo_words" root_counters
-    >= List.assoc "shard:cut_edges" root_counters / 2)
+    (List.mem_assoc "proc:plan_miss" root_counters);
+  check_int "known traffic summed" 60
+    (List.assoc "proc:halo_words" root_counters);
+  check_int "cut edges of the whole plan" (Plan.cut_edges_total plan)
+    (List.assoc "proc:cut_edges" root_counters)
 
 let test_plan_cache () =
   Plan.clear_cache ();
@@ -439,6 +422,9 @@ let () =
             Alcotest.test_case "interleaved topo+plan caches" `Quick
               test_cache_interleaved;
           ] );
+      ( "local",
+        [ Alcotest.test_case "link cuts skip and count routes" `Quick
+            test_local_cuts ] );
       ( "differential",
         qsuite
           [
@@ -446,19 +432,6 @@ let () =
             prop_mis_differential;
             prop_run_rounds_differential;
           ] );
-      ( "failure",
-        [
-          Alcotest.test_case "max_rounds and stall parity" `Quick
-            test_failure_parity;
-          Alcotest.test_case "unlinked backend message" `Quick
-            test_unlinked_backend_message;
-          Alcotest.test_case "empty present set" `Quick
-            test_empty_present_set;
-        ] );
-      ( "api",
-        [
-          Alcotest.test_case "mode strings" `Quick test_mode_strings;
-        ] );
       ( "obs",
         [ Alcotest.test_case "per-shard spans" `Quick test_shard_spans ] );
     ]
