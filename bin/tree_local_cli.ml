@@ -394,6 +394,8 @@ let decompose_cmd =
 
 (* ---------- chaos ---------- *)
 
+(* Parsed at the command line, so a malformed schedule is a usage error
+   naming the parser's complaint. *)
 let faults_arg =
   let doc =
     "Fault schedule: a JSON file path, inline JSON, or the compact \
@@ -401,14 +403,31 @@ let faults_arg =
      $(b,seed=7;crash@4:0,9;recover@9:0;churn@2-20:rate=0.001)). \
      Omitted: an empty schedule (armed hooks, no faults)."
   in
+  let schedule =
+    let parse s =
+      Result.map_error
+        (fun msg -> `Msg (Printf.sprintf "bad --faults %S: %s" s msg))
+        (Tl_fault.Schedule.of_arg s)
+    in
+    let print fmt t =
+      Format.pp_print_string fmt
+        (Tl_obs.Json.to_string (Tl_fault.Schedule.to_json t))
+    in
+    Arg.conv (parse, print)
+  in
   Arg.(
     value
-    & opt (some string) None
+    & opt (some schedule) None
     & info [ "faults" ] ~docv:"FILE|SPEC" ~doc)
+
+type chaos_problem = Flood | Mis
 
 let chaos_problem_arg =
   let doc = "Chaos workload: flood or mis." in
-  Arg.(value & opt string "flood" & info [ "problem" ] ~docv:"P" ~doc)
+  Arg.(
+    value
+    & opt (enum [ ("flood", Flood); ("mis", Mis) ]) Flood
+    & info [ "problem" ] ~docv:"P" ~doc)
 
 let chaos problem family n seed a delta engine pool faults trace profile
     report_fmt =
@@ -417,21 +436,13 @@ let chaos problem family n seed a delta engine pool faults trace profile
   setup_trace trace;
   Tl_engine.Pool.default_workers := pool;
   setup_profile profile report_fmt;
-  let schedule =
-    match faults with
-    | None -> Tl_fault.Schedule.empty
-    | Some s -> (
-      match Tl_fault.Schedule.of_arg s with
-      | Ok sc -> sc
-      | Error msg -> failwith (Printf.sprintf "bad --faults: %s" msg))
-  in
+  let schedule = Option.value faults ~default:Tl_fault.Schedule.empty in
   let g = build_instance family n seed a delta in
   let real_n = Graph.n_nodes g in
   let workload =
     match problem with
-    | "flood" -> Chaos.Flood { source = 0 }
-    | "mis" -> Chaos.Mis { ids = Ids.permuted ~n:real_n ~seed:(seed + 1) }
-    | other -> failwith (Printf.sprintf "unknown chaos workload %s" other)
+    | Flood -> Chaos.Flood { source = 0 }
+    | Mis -> Chaos.Mis { ids = Ids.permuted ~n:real_n ~seed:(seed + 1) }
   in
   let r = Chaos.run ~mode:engine ~graph:g ~problem:workload ~schedule () in
   Printf.printf "problem:     %s under faults\n" r.Chaos.problem;
@@ -573,16 +584,11 @@ let client socket cmd format problem method_ family n seed a delta k engine
   let module Json = Tl_obs.Json in
   let module Metrics = Tl_obs.Metrics in
   (* --faults may name a file; the daemon only takes inline forms, so
-     normalize client-side (read + parse here, ship canonical JSON) *)
+     ship the parsed schedule as canonical JSON *)
   let faults =
-    match faults with
-    | None -> None
-    | Some s -> (
-      match Tl_fault.Schedule.of_arg s with
-      | Ok sched -> Some (Json.to_string (Tl_fault.Schedule.to_json sched))
-      | Error msg ->
-        Printf.eprintf "client: bad --faults (%s)\n" msg;
-        exit 1)
+    Option.map
+      (fun sched -> Json.to_string (Tl_fault.Schedule.to_json sched))
+      faults
   in
   let req =
     match cmd with

@@ -64,6 +64,8 @@ let pp_event fmt e = Format.pp_print_string fmt (event_to_string e)
 
 (* ---------- validation ---------- *)
 
+let max_churn_window = 10_000
+
 let check t =
   let bad fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let rec clauses = function
@@ -74,6 +76,9 @@ let check t =
         if c.from_round < 1 then bad "churn window starts before round 1"
         else if c.to_round < c.from_round then
           bad "churn window %d-%d is empty" c.from_round c.to_round
+        else if c.to_round - c.from_round >= max_churn_window then
+          bad "churn window %d-%d spans more than %d rounds" c.from_round
+            c.to_round max_churn_window
         else if not (Float.is_finite c.rate && c.rate >= 0. && c.rate <= 1.)
         then bad "churn rate %g outside [0, 1]" c.rate
         else if c.ttl < 1 then bad "churn ttl %d < 1" c.ttl
@@ -353,7 +358,7 @@ let of_spec s =
           let name = String.sub p 0 i in
           let tail = String.sub p (i + 1) (String.length p - i - 1) in
           match String.index_opt tail ':' with
-          | None -> Error (Printf.sprintf "%s: expected %s@ROUND:ARGS" name p)
+          | None -> Error (Printf.sprintf "%s: expected %s@ROUND:ARGS" name name)
           | Some j -> (
             let rs = String.sub tail 0 j in
             let args = String.sub tail (j + 1) (String.length tail - j - 1) in
@@ -449,15 +454,25 @@ let instantiate t ~n =
     t.clauses;
   Hashtbl.iter (fun r l -> Hashtbl.replace by_round r (List.rev l)) by_round;
   let pending_recover : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-  let max_round =
-    let clause_max =
-      List.fold_left (fun acc c -> max acc c.round) 0 t.clauses
+  (* The rounds that can emit an event, walked in ascending order: the
+     clause rounds, the churn window, and the rounds a churn casualty is
+     due back. A casualty of round r is due at r + ttl, so the due
+     rounds arrive in ascending order and a FIFO holds them. *)
+  let clause_rounds =
+    ref (List.sort_uniq compare (List.map (fun c -> c.round) t.clauses))
+  in
+  let due_rounds = Queue.create () in
+  let next_round cur =
+    let candidates =
+      (match !clause_rounds with r :: _ -> [ r ] | [] -> [])
+      @ (match t.churn with
+        | Some c when cur < c.to_round -> [ max (cur + 1) c.from_round ]
+        | _ -> [])
+      @ Option.to_list (Queue.peek_opt due_rounds)
     in
-    match t.churn with
-    | None -> clause_max
-    | Some c ->
-      max clause_max
-        (c.to_round + match c.kind with Crash_stop -> 0 | Crash_recover -> c.ttl)
+    match candidates with
+    | [] -> None
+    | r :: rest -> Some (List.fold_left min r rest)
   in
   let out = ref [] in
   let emit r e = out := (r, e) :: !out in
@@ -475,7 +490,11 @@ let instantiate t ~n =
       emit r (Recover v)
     end
   in
-  for r = 1 to max_round do
+  let visit r =
+    (match !clause_rounds with
+    | r' :: rest when r' = r -> clause_rounds := rest
+    | _ -> ());
+    if Queue.peek_opt due_rounds = Some r then ignore (Queue.pop due_rounds);
     (* ttl recoveries first: a churn casualty rejoins before new faults *)
     (match Hashtbl.find_opt pending_recover r with
     | Some vs -> List.iter (recover r) (List.sort compare vs)
@@ -512,14 +531,28 @@ let instantiate t ~n =
           crash r v;
           match c.kind with
           | Crash_stop -> ()
-          | Crash_recover ->
+          | Crash_recover when c.ttl <= max_int - r ->
+            (* a recovery past the last representable round never fires *)
             let due = r + c.ttl in
             let cur =
-              try Hashtbl.find pending_recover due with Not_found -> []
+              match Hashtbl.find_opt pending_recover due with
+              | Some l -> l
+              | None ->
+                Queue.push due due_rounds;
+                []
             in
             Hashtbl.replace pending_recover due (v :: cur)
+          | Crash_recover -> ()
         end
       done
     | _ -> ())
-  done;
+  in
+  let rec walk cur =
+    match next_round cur with
+    | None -> ()
+    | Some r ->
+      visit r;
+      walk r
+  in
+  walk 0;
   List.rev !out

@@ -80,6 +80,12 @@ val of_arg : string -> (t, string) result
     contents as JSON; otherwise parse the argument itself (as the
     compact grammar, or as inline JSON when it starts with ['{']). *)
 
+val max_churn_window : int
+(** The longest churn window every parser accepts, in rounds (10,000).
+    Churn draws a coin per node in every round of its window, so the
+    window bounds {!instantiate}'s work; a longer one is rejected with
+    the usual [Error], naming the window and the cap. *)
+
 (** {1 Instantiation} *)
 
 type event =
@@ -95,7 +101,11 @@ val instantiate : t -> n:int -> (int * event) list
 (** Expand the plan against an [n]-node instance into a flat event list,
     sorted by round (stable within a round: ttl-recoveries first, then
     explicit clauses in spec order, then churn crashes by ascending node
-    id). Deterministic: a pure function of [(t, n)]. [Crash_random]
+    id). Deterministic: a pure function of [(t, n)]. It visits only the
+    rounds that can emit an event (the clause rounds, the churn window
+    and the rounds a casualty is due back), so a clause at round 10{^10}
+    costs what one at round 10 does; a recovery due past [max_int]
+    never fires. [Crash_random]
     draws distinct {e alive} nodes (never crashes the same node twice
     without an intervening recovery) by rejection-sampling a splitmix64
     stream seeded from [seed]; churn decides each (round, node) pair

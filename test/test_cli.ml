@@ -27,6 +27,46 @@ let run_cmd cmd_line =
   in
   (code, slurp out_f, slurp err_f)
 
+(* [run_cmd] under a deadline: the command is killed if it has not
+   exited within [seconds], and the result is [None], so that a hang
+   fails the test instead of stalling the suite. *)
+let run_cmd_within ~seconds cmd_line =
+  let out_f = Filename.temp_file "tl_cli_out" ".txt" in
+  let err_f = Filename.temp_file "tl_cli_err" ".txt" in
+  let pid =
+    Unix.create_process "/bin/sh"
+      [|
+        "/bin/sh";
+        "-c";
+        Printf.sprintf "exec %s >%s 2>%s" cmd_line (Filename.quote out_f)
+          (Filename.quote err_f);
+      |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.01;
+      wait ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      None
+    | _, Unix.WEXITED code -> Some code
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> Some (-1)
+  in
+  let code = wait () in
+  let slurp f =
+    let ic = open_in_bin f in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove f;
+    s
+  in
+  let stdout = slurp out_f and stderr = slurp err_f in
+  Option.map (fun code -> (code, stdout, stderr)) code
+
 let solve_args = "solve --problem mis --family random-tree --n 60 --seed 7"
 
 (* A command that runs the simulator: [solve] makes no engine run and
@@ -291,6 +331,32 @@ let test_bare_proc_is_usage_error () =
   check_int "bare proc exits 124" 124 code;
   check "bare proc names proc:N" true (contains ~needle:"proc:N" stderr)
 
+(* [chaos] parses --faults and --problem at the command line: a malformed
+   schedule or an unknown workload is a usage error naming the value,
+   not an uncaught exception (exit 125). *)
+let test_chaos_usage_errors () =
+  let usage args needle =
+    let code, _, stderr = run_cmd (Printf.sprintf "%s chaos --n 40 %s" cli args) in
+    check_int (args ^ " exits 124") 124 code;
+    check (args ^ " names the value") true (contains ~needle stderr)
+  in
+  usage "--faults 'bogus@@'" "bogus@@";
+  usage "--faults 'seed=1;churn@1-20000:rate=0.1'" "more than 10000 rounds";
+  usage "--problem nosuch" "nosuch"
+
+(* A crash clause 10^10 rounds out: instantiating the schedule visits
+   that one round, so the run ends at once; a deadline turns a walk over
+   every round into a failure rather than a hung suite. *)
+let test_chaos_far_round_terminates () =
+  match
+    run_cmd_within ~seconds:60.
+      (Printf.sprintf "%s chaos --n 50 --faults 'seed=1;crash@10000000000:1'" cli)
+  with
+  | None -> Alcotest.fail "chaos with a crash at round 10^10 still running after 60 s"
+  | Some (code, stdout, _) ->
+    check_int "exit 0" 0 code;
+    check "valid" true (contains ~needle:"valid:       true" stdout)
+
 (* ---------- regress.exe ---------- *)
 
 let write_file path s =
@@ -412,6 +478,10 @@ let () =
             test_knob_validation_usage_errors;
           Alcotest.test_case "--family unknown -> usage error" `Quick
             test_unknown_family_is_usage_error;
+          Alcotest.test_case "chaos --faults/--problem -> usage errors" `Quick
+            test_chaos_usage_errors;
+          Alcotest.test_case "chaos: crash at round 10^10 terminates" `Quick
+            test_chaos_far_round_terminates;
         ] );
       ( "regress",
         [

@@ -288,6 +288,48 @@ let test_churn_independent_of_clauses () =
   in
   check "churn pattern unshifted" true (churn_crashes base = churn_crashes extra)
 
+(* Instantiation visits only the rounds that can emit an event, so a
+   clause or a recovery 10^10 rounds out costs nothing per round in
+   between; walking every round would hang these. *)
+let test_instantiate_far_rounds () =
+  let far = 10_000_000_000 in
+  check "far crash" true
+    (Schedule.instantiate (sched_of (Printf.sprintf "seed=1;crash@%d:1" far)) ~n:50
+    = [ (far, Schedule.Crash 1) ]);
+  let t =
+    sched_of (Printf.sprintf "seed=4;churn@2-3:rate=0.3,kind=crash-recover,ttl=%d" far)
+  in
+  let events = Schedule.instantiate t ~n:50 in
+  let crashes = List.filter_map (function r, Schedule.Crash v -> Some (r + far, v) | _ -> None) events in
+  let recovers = List.filter_map (function r, Schedule.Recover v -> Some (r, v) | _ -> None) events in
+  check "some churn casualty" true (crashes <> []);
+  check "each recovers ttl rounds later" true (crashes = recovers);
+  (* a recovery due past max_int never fires, and nothing wraps round *)
+  let t =
+    sched_of
+      (Printf.sprintf "seed=1;crash@%d:2;churn@1-1:rate=1,kind=crash-recover,ttl=%d" max_int
+         max_int)
+  in
+  check "every node crashes once, at round 1" true
+    (Schedule.instantiate t ~n:20 = List.init 20 (fun v -> (1, Schedule.Crash v)))
+
+(* A churn window longer than [max_churn_window] is rejected by every
+   parser with the usual error; the longest allowed one still parses. *)
+let test_churn_window_cap () =
+  let cap = Schedule.max_churn_window in
+  let rejected arg =
+    match Schedule.of_arg arg with
+    | Ok _ -> Alcotest.failf "window %S accepted" arg
+    | Error msg ->
+      check (msg ^ " names the cap") true
+        (String.ends_with ~suffix:(Printf.sprintf "more than %d rounds" cap) msg)
+  in
+  rejected (Printf.sprintf "churn@1-%d:rate=0.1" (cap + 1));
+  rejected (Printf.sprintf "churn@5-%d:rate=0" max_int);
+  rejected (Printf.sprintf "{\"churn\": {\"rounds\": \"3-%d\", \"rate\": 0.5}}" (cap + 3));
+  let t = sched_of (Printf.sprintf "seed=2;churn@1-%d:rate=0" cap) in
+  check "longest window, no casualty" true (Schedule.instantiate t ~n:3 = [])
+
 (* ---------- injector ---------- *)
 
 let test_injector_single_armed () =
@@ -553,6 +595,9 @@ let () =
             test_instantiate_range;
           Alcotest.test_case "churn coins independent of clause edits" `Quick
             test_churn_independent_of_clauses;
+          Alcotest.test_case "instantiate: far rounds cost nothing" `Quick
+            test_instantiate_far_rounds;
+          Alcotest.test_case "churn window capped" `Quick test_churn_window_cap;
         ] );
       ( "injector",
         [

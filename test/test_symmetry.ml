@@ -421,6 +421,66 @@ module Oracle = struct
     done;
     (!pal, !rounds)
 
+  (* The CSR kernel that recolored every node in every phase, kept as the
+     oracle of [Reduce.kw_to_delta_plus_one_csr]. [later_moves] counts
+     the recolors in a phase >= 1 that changed a node's slot: the work a
+     kernel that skipped every later phase would miss. *)
+  let later_moves = ref 0
+
+  let kw_csr ~off ~adj ~nodes ~colors ~palette ~delta =
+    let target = delta + 1 in
+    let block = 2 * target in
+    let n = Array.length colors in
+    let done_in = Array.make n (-1) in
+    let block_of = Array.make n 0 in
+    let used = Array.make target (-1) in
+    let stamp = ref 0 in
+    let rounds = ref 0 in
+    let pal = ref palette in
+    let key = ref 0 in
+    let phase = ref 0 in
+    while !pal > target do
+      let nblocks = (!pal + block - 1) / block in
+      Array.iter
+        (fun v ->
+          let c = colors.(v) in
+          if c < 0 || c >= !pal then
+            invalid_arg "Reduce.kw_to_delta_plus_one: color out of palette";
+          block_of.(v) <- c / block)
+        nodes;
+      (* one round per offset o, each over the nodes whose phase-start
+         color is o mod [block], in [nodes] order *)
+      let order =
+        List.stable_sort
+          (fun a b -> compare (colors.(a) mod block) (colors.(b) mod block))
+          (Array.to_list nodes)
+      in
+      List.iter
+        (fun v ->
+          let mine = !key + block_of.(v) in
+          if done_in.(v) <> mine then begin
+            incr stamp;
+            for j = off.(v) to off.(v + 1) - 1 do
+              let u = adj.(j) in
+              if done_in.(u) = mine then used.(colors.(u) mod target) <- !stamp
+            done;
+            let x = ref 0 in
+            while !x < target && used.(!x) = !stamp do
+              incr x
+            done;
+            if !x >= target then invalid_arg "Reduce.kw: delta below maximum degree";
+            if !phase > 0 && !x <> colors.(v) mod target then incr later_moves;
+            colors.(v) <- (block_of.(v) * target) + !x;
+            done_in.(v) <- mine
+          end)
+        order;
+      rounds := !rounds + block;
+      key := !key + nblocks;
+      pal := nblocks * target;
+      incr phase
+    done;
+    (!pal, !rounds)
+
   let underlying_neighbors sg v = List.map fst (Semi_graph.rank2_neighbors sg v)
 
   let mis_of_coloring sg colors palette =
@@ -794,6 +854,254 @@ let test_kw_allocation_budget () =
     (Printf.sprintf "minor words %.0f within %.0f" words budget)
     true (words <= budget)
 
+(* ---------- KW: the odd-half kernel against the every-node kernels ----------
+
+   [Reduce.kw_to_delta_plus_one_csr] recolors only the odd half of each
+   merged block after phase 0; [Oracle.kw_csr] and the list oracle
+   recolor every node in every phase. Linial's output puts most nodes in
+   block 0, where no later phase moves them, so the colorings here also
+   come from distinct ids and from random proper colorings with large
+   palettes. *)
+
+(* A seeded random proper coloring of the present nodes with [palette]
+   colors: in a random order, each node probes upwards from a random
+   color to the first one no neighbor holds. [palette] must exceed the
+   maximum degree. *)
+let random_proper_coloring (topo : Tl_engine.Topology.t) ~palette ~seed =
+  let rng = Random.State.make [| seed |] in
+  let colors = Array.make topo.n_base (-1) in
+  let order = Array.copy topo.present_nodes in
+  for i = Array.length order - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- t
+  done;
+  Array.iter
+    (fun v ->
+      let taken c =
+        let hit = ref false in
+        for j = topo.off.(v) to topo.off.(v + 1) - 1 do
+          if colors.(topo.adj.(j)) = c then hit := true
+        done;
+        !hit
+      in
+      let c = ref (Random.State.int rng palette) in
+      while taken !c do
+        c := (!c + 1) mod palette
+      done;
+      colors.(v) <- !c)
+    order;
+  colors
+
+(* KW's views: random trees, power-law and forest unions, node-subset
+   views (rows that skip hidden nodes) and caterpillars. *)
+let kw_view ~kind ~n ~seed =
+  match kind mod 5 with
+  | 0 -> Semi_graph.of_graph (Gen.random_tree ~n ~seed)
+  | 1 -> Semi_graph.of_graph (Gen.power_law_union ~n ~arboricity:(1 + (seed mod 3)) ~seed)
+  | 2 -> Semi_graph.of_graph (Gen.forest_union ~n ~arboricity:(1 + (seed mod 3)) ~seed)
+  | 3 ->
+    let g = Gen.power_law_union ~n ~arboricity:2 ~seed in
+    Semi_graph.of_node_subset g (Array.init n (fun v -> (v + seed) mod 3 <> 0))
+  | _ -> Semi_graph.of_graph (Gen.caterpillar ~spine:(1 + (n / 8)) ~legs:(1 + (seed mod 12)))
+
+(* The outcome of one KW call on a copy of [colors]: the result and the
+   colors, or the [Invalid_argument] text. *)
+let kw_outcome kw colors =
+  let colors = Array.copy colors in
+  match kw ~colors with
+  | r -> Ok (r, colors)
+  | exception Invalid_argument m -> Error m
+
+(* The kernel and [Oracle.kw_csr] agree on the outcome; the list oracle
+   (whose error text is its own) succeeds and fails with them, on the
+   same colors. *)
+let kw_agree (topo : Tl_engine.Topology.t) ~colors ~palette ~delta =
+  let off = topo.off and adj = topo.adj and nodes = topo.present_nodes in
+  let got =
+    kw_outcome
+      (fun ~colors -> Reduce.kw_to_delta_plus_one_csr ~off ~adj ~nodes ~colors ~palette ~delta)
+      colors
+  in
+  let want =
+    kw_outcome (fun ~colors -> Oracle.kw_csr ~off ~adj ~nodes ~colors ~palette ~delta) colors
+  in
+  let listed =
+    kw_outcome
+      (fun ~colors ->
+        Oracle.kw_to_delta_plus_one
+          ~neighbors:(Tl_engine.Topology.neighbor_nodes topo)
+          ~nodes:(Array.to_list nodes) ~colors ~palette ~delta)
+      colors
+  in
+  got = want
+  && match (want, listed) with Ok _, Ok _ -> want = listed | Error _, Error _ -> true | _ -> false
+
+(* Every coloring of one view, each with δ = Δ and δ = Δ+3: distinct
+   ids with palettes n and n³, Linial's output, and a random proper
+   coloring with a palette of up to 50·(Δ+1). *)
+let kw_differential_ok sg ~seed ~scale =
+  let topo = Tl_engine.Topology.compile sg in
+  let n = topo.n_base and nodes = topo.present_nodes in
+  let max_degree = Tl_engine.Topology.max_degree topo in
+  let of_ids ids =
+    let colors = Array.make n (-1) in
+    Array.iter (fun v -> colors.(v) <- ids.(v) - 1) nodes;
+    colors
+  in
+  let linial =
+    let colors = of_ids (Ids.permuted ~n ~seed) in
+    if max_degree = 0 then (colors, n)
+    else
+      let palette, _ =
+        Linial.reduce_csr ~off:topo.off ~adj:topo.adj ~nodes ~colors ~palette:n ~max_degree
+      in
+      (colors, palette)
+  in
+  let random_palette = max_degree + 1 + (scale * (max_degree + 1) / 50) in
+  let colorings =
+    [
+      (of_ids (Ids.permuted ~n ~seed), n);
+      (of_ids (Ids.spread ~n ~c:3 ~seed), n * n * n);
+      linial;
+      (random_proper_coloring topo ~palette:random_palette ~seed, random_palette);
+    ]
+  in
+  List.for_all
+    (fun (colors, palette) ->
+      List.for_all
+        (fun delta -> kw_agree topo ~colors ~palette ~delta)
+        [ max_degree; max_degree + 3 ])
+    colorings
+
+let prop_kw_odd_half_matches_oracles =
+  QCheck.Test.make ~name:"KW odd-half kernel = every-node kernels" ~count:150
+    QCheck.(quad (int_range 1 250) (int_range 0 4) (int_range 0 100000) (int_range 0 2450))
+    (fun (n, kind, seed, scale) ->
+      kw_differential_ok (kw_view ~kind ~n:(max 2 n) ~seed) ~seed:(seed + 1) ~scale)
+
+(* With δ below the maximum degree both kernels fail alike, or agree on
+   the colors where greedy still fits. *)
+let prop_kw_small_delta_parity =
+  QCheck.Test.make ~name:"KW below max degree: same outcome" ~count:60
+    QCheck.(triple (int_range 2 200) (int_range 0 4) (int_range 0 100000))
+    (fun (n, kind, seed) ->
+      let topo = Tl_engine.Topology.compile (kw_view ~kind ~n ~seed) in
+      let max_degree = Tl_engine.Topology.max_degree topo in
+      let palette = 2 + (seed mod (20 * (max_degree + 1))) + max_degree in
+      let colors = random_proper_coloring topo ~palette ~seed in
+      List.for_all
+        (fun delta -> kw_agree topo ~colors ~palette ~delta)
+        (List.filter (fun d -> d >= 0) [ max_degree - 1; max_degree / 2; 0 ]))
+
+(* The battery discriminates: some case recolors an odd-half node to a
+   new slot in a phase >= 1, so a kernel that stopped after phase 0
+   would fail it. *)
+let test_kw_later_phases_move_slots () =
+  Oracle.later_moves := 0;
+  let ok =
+    List.for_all
+      (fun kind -> kw_differential_ok (kw_view ~kind ~n:200 ~seed:(kind + 11)) ~seed:3 ~scale:2450)
+      [ 0; 1; 2; 3; 4 ]
+  in
+  check "kernel = oracles" true ok;
+  check
+    (Printf.sprintf "%d later-phase slot moves" !Oracle.later_moves)
+    true (!Oracle.later_moves > 0)
+
+(* Hand-built rows that name ids outside [nodes] (with colors no palette
+   holds): the kernel ignores them, exactly as the oracle does and as if
+   the rows skipped them, and leaves their colors alone. *)
+let test_kw_rows_outside_nodes () =
+  (* present: the 5-cycle 1-3-5-7-9; ids 0, 2, 4, 6, 8, 10 are outside *)
+  let nodes = [| 1; 3; 5; 7; 9 |] in
+  let rows =
+    [| []; [ 0; 3; 9; 2 ]; []; [ 1; 4; 5 ]; []; [ 3; 7; 10 ]; []; [ 6; 5; 9; 8 ]; []; [ 7; 1 ]; [] |]
+  in
+  let csr rows =
+    let off = Array.make (Array.length rows + 1) 0 in
+    Array.iteri (fun v r -> off.(v + 1) <- off.(v) + List.length r) rows;
+    (off, Array.of_list (List.concat (Array.to_list rows)))
+  in
+  let present = Array.map (List.filter (fun u -> u mod 2 = 1)) rows in
+  let colors = [| -7; 40; 99; 12; 1000; 33; -1; 5; 77; 21; 123456 |] in
+  let run rows kw =
+    let off, adj = csr rows in
+    kw_outcome (fun ~colors -> kw ~off ~adj ~nodes ~colors ~palette:41 ~delta:2) colors
+  in
+  let got = run rows Reduce.kw_to_delta_plus_one_csr in
+  check "same as the oracle" true (got = run rows Oracle.kw_csr);
+  check "same as rows without them" true (got = run present Reduce.kw_to_delta_plus_one_csr);
+  match got with
+  | Error m -> Alcotest.fail m
+  | Ok ((palette, rounds), out) ->
+    check_int "palette" 3 palette;
+    check_int "rounds: 4 phases of 6" 24 rounds;
+    check "outside ids untouched" true
+      (List.for_all (fun v -> out.(v) = colors.(v)) [ 0; 2; 4; 6; 8; 10 ]);
+    check "proper on the cycle" true
+      (Array.for_all (fun v -> List.for_all (fun u -> out.(u) <> out.(v)) present.(v)) nodes)
+
+(* Today's [Invalid_argument] texts: a color outside the palette (checked
+   before any recolor), and δ below the maximum degree, whether greedy
+   runs out of slots in phase 0 or only once two blocks merge. *)
+let test_kw_error_parity () =
+  let k4 = Tl_engine.Topology.compile (Semi_graph.of_graph (Gen.complete 4)) in
+  let outcome kw ~colors ~palette ~delta =
+    kw_outcome
+      (fun ~colors ->
+        kw ~off:k4.off ~adj:k4.adj ~nodes:k4.present_nodes ~colors ~palette ~delta)
+      colors
+  in
+  let both name ~colors ~palette ~delta text =
+    let got = outcome Reduce.kw_to_delta_plus_one_csr ~colors ~palette ~delta in
+    check (name ^ ": same as the oracle") true
+      (got = outcome Oracle.kw_csr ~colors ~palette ~delta);
+    check (name ^ ": text") true (got = Error text)
+  in
+  let palette_err = "Reduce.kw_to_delta_plus_one: color out of palette" in
+  let delta_err = "Reduce.kw: delta below maximum degree" in
+  both "negative color" ~colors:[| 0; 1; -1; 3 |] ~palette:20 ~delta:3 palette_err;
+  both "color = palette" ~colors:[| 0; 1; 20; 3 |] ~palette:20 ~delta:3 palette_err;
+  both "palette checked first" ~colors:[| 0; 1; 2; 99 |] ~palette:20 ~delta:1 palette_err;
+  both "phase 0 runs out" ~colors:[| 0; 1; 2; 3 |] ~palette:12 ~delta:2 delta_err;
+  (* blocks {0, 1} and {6, 7} each fit in phase 0; merged, the odd
+     half's second node finds slots 0, 1 and 2 taken *)
+  both "phase 1 runs out" ~colors:[| 0; 1; 6; 7 |] ~palette:12 ~delta:2 delta_err
+
+(* Two slabs indexed by node id, the schedule order, and O(δ) for the
+   class starts and the slot stamps: 2·n + |nodes| + 4(δ+1) + 64 words,
+   counted as minor + major − promoted, since slabs above 256 words skip
+   the minor heap. The view keeps a third of a power-law graph's nodes
+   and the palette is n³, so there are many phases. *)
+let test_kw_csr_allocation_budget () =
+  let n = 20_000 in
+  let g = Gen.power_law_union ~n ~arboricity:2 ~seed:12 in
+  let sg = Semi_graph.of_node_subset g (Array.init n (fun v -> v mod 3 = 0)) in
+  let topo = Tl_engine.Topology.compile sg in
+  let nodes = topo.present_nodes in
+  let delta = Tl_engine.Topology.max_degree topo in
+  let ids = Ids.spread ~n ~c:3 ~seed:13 in
+  let colors = Array.make n (-1) in
+  Array.iter (fun v -> colors.(v) <- ids.(v) - 1) nodes;
+  let expected = Array.copy colors in
+  let want =
+    Oracle.kw_csr ~off:topo.off ~adj:topo.adj ~nodes ~colors:expected ~palette:(n * n * n)
+      ~delta
+  in
+  let got, words =
+    allocated_words (fun () ->
+        Reduce.kw_to_delta_plus_one_csr ~off:topo.off ~adj:topo.adj ~nodes ~colors
+          ~palette:(n * n * n) ~delta)
+  in
+  check "same as the oracle" true (got = want && colors = expected);
+  check "many phases" true (snd got / (2 * (delta + 1)) >= 10);
+  let budget = float_of_int ((2 * n) + Array.length nodes + (4 * (delta + 1)) + 64) in
+  check
+    (Printf.sprintf "words %.0f within %.0f" words budget)
+    true (words <= budget)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -807,6 +1115,8 @@ let qcheck_tests =
       prop_differential_node_subsets;
       prop_line_csr_matches_line_graph;
       prop_edge_problems_match_line_oracle;
+      prop_kw_odd_half_matches_oracles;
+      prop_kw_small_delta_parity;
     ]
 
 let () =
@@ -834,6 +1144,13 @@ let () =
           Alcotest.test_case "KW to delta+1" `Quick test_kw_reduction;
           Alcotest.test_case "greedy to deg+1" `Quick test_to_bound_deg_plus_one;
           Alcotest.test_case "KW allocation budget" `Quick test_kw_allocation_budget;
+          Alcotest.test_case "KW later phases move slots" `Quick
+            test_kw_later_phases_move_slots;
+          Alcotest.test_case "KW rows naming ids outside nodes" `Quick
+            test_kw_rows_outside_nodes;
+          Alcotest.test_case "KW error parity" `Quick test_kw_error_parity;
+          Alcotest.test_case "KW CSR allocation budget" `Quick
+            test_kw_csr_allocation_budget;
         ] );
       ( "algos",
         [
