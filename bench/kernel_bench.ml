@@ -29,7 +29,8 @@ let b3_cv_coloring () =
   let tree = Lazy.force tree and ids = Lazy.force ids in
   let parent = Tl_graph.Tree.parents_forest tree in
   ignore
-    (Tl_symmetry.Cole_vishkin.color3 ~nodes:(List.init n Fun.id) ~parent ~ids)
+    (Tl_symmetry.Cole_vishkin.color3 ~nodes:(Array.init n Fun.id) ~parent ~ids
+       ~color:(Array.make n (-1)))
 
 let b4_base_coloring () =
   let tree = Lazy.force tree and ids = Lazy.force ids in

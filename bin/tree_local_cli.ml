@@ -350,7 +350,7 @@ let decompose which family n seed a delta k =
   let real_n = Graph.n_nodes g in
   let ids = Ids.permuted ~n:real_n ~seed:(seed + 1) in
   match which with
-  | "rake-compress" ->
+  | `Rake_compress ->
     let k = Option.value k ~default:4 in
     let rc = Tl_decompose.Rake_compress.run g ~k ~ids in
     let module RC = Tl_decompose.Rake_compress in
@@ -365,7 +365,7 @@ let decompose which family n seed a delta k =
     Printf.printf "max rake diameter: %d <= %d (Lemma 11: %b)\n"
       (List.fold_left max 0 (RC.rake_component_diameters rc))
       (RC.lemma11_bound rc) (RC.check_lemma11 rc)
-  | "arboricity" ->
+  | `Arboricity ->
     let k = Option.value k ~default:(5 * a) in
     let d = Tl_decompose.Arb_decompose.run g ~a ~k ~ids in
     let module AD = Tl_decompose.Arb_decompose in
@@ -379,11 +379,14 @@ let decompose which family n seed a delta k =
       (AD.max_atypical_per_node d) (AD.b d);
     Printf.printf "forest coloring: %d rounds; stars intact: %b\n"
       (AD.cv_rounds d) (AD.check_stars d)
-  | other -> failwith (Printf.sprintf "unknown decomposition %s" other)
 
 let which_arg =
   let doc = "Decomposition: rake-compress or arboricity." in
-  Arg.(value & opt string "rake-compress" & info [ "kind" ] ~docv:"KIND" ~doc)
+  Arg.(
+    value
+    & opt (enum [ ("rake-compress", `Rake_compress); ("arboricity", `Arboricity) ])
+        `Rake_compress
+    & info [ "kind" ] ~docv:"KIND" ~doc)
 
 let decompose_cmd =
   let doc = "Run a decomposition and print its certificates." in

@@ -32,9 +32,12 @@ let star_schedule tree ~ids =
   let star_j = Array.make m 0 in
   let cv_rounds = ref 0 in
   Span.with_span "forest-coloring" (fun () ->
+  let parent = Array.make n (-1) in
+  let color = Array.make n (-1) in
+  let in_forest = Array.make n false in
   for c = 1 to 2 do
-    let parent = Array.make n (-1) in
-    let in_forest = Array.make n false in
+    Array.fill parent 0 n (-1);
+    Array.fill in_forest 0 n false;
     Graph.iter_edges
       (fun e _ ->
         if f_index.(e) = c then begin
@@ -45,19 +48,14 @@ let star_schedule tree ~ids =
           in_forest.(hi) <- true
         end)
       tree;
-    let nodes = ref [] in
-    for v = n - 1 downto 0 do
-      if in_forest.(v) then nodes := v :: !nodes
-    done;
-    if !nodes <> [] then begin
-      let colors, rounds =
-        Tl_symmetry.Cole_vishkin.color3 ~nodes:!nodes ~parent ~ids
-      in
+    let nodes = Array.of_seq (Seq.filter (fun v -> in_forest.(v)) (Seq.init n Fun.id)) in
+    if nodes <> [||] then begin
+      let rounds = Tl_symmetry.Cole_vishkin.color3 ~nodes ~parent ~ids ~color in
       if rounds > !cv_rounds then cv_rounds := rounds;
       Graph.iter_edges
         (fun e _ ->
           if f_index.(e) = c then
-            star_j.(e) <- colors.(Rake_compress.higher_endpoint rc e) + 1)
+            star_j.(e) <- color.(Rake_compress.higher_endpoint rc e) + 1)
         tree
     end
   done;

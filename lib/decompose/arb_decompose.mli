@@ -24,7 +24,21 @@ type t
 val run : Tl_graph.Graph.t -> a:int -> k:int -> ids:int array -> t
 (** Raises [Invalid_argument] if [a < 1] or [k < 5a]; raises [Failure] if
     the Lemma 13 iteration bound is exceeded (e.g. the graph's arboricity
-    actually exceeds [a]). *)
+    actually exceeds [a]).
+
+    Each node's layer is one int and the alive nodes sit in a compacted
+    array, so an iteration reads the rows of the nodes alive at its
+    start once (the compress decision) and the rows of the nodes it
+    marks twice (their atypical edges, then their neighbors' degrees):
+    it costs the sum of degrees over the nodes alive at its start. The
+    F_i split is one pass over the edges. The forests and all [6a] star
+    families come from stable counting sorts of the [A] atypical edges,
+    built once per run, and each forest's Cole-Vishkin run costs the
+    forest's size per round ({!Tl_symmetry.Cole_vishkin.color3}).
+    Scratch is a few int arrays of length [n] and [A], allocated once
+    per run; with no atypical edge, no forest or star family is built.
+    Spans: ["arb-decompose"] with children ["peel"] (counter
+    [iterations]) and ["cv3-forests"] (counter [cv_rounds]). *)
 
 (** {1 Layers and order} *)
 
@@ -66,7 +80,10 @@ val star_class : t -> int -> int * int
 
 val stars : t -> i:int -> j:int -> (int * int list) list
 (** Star components of [G[F_{i,j}]] as [(center, edges)] pairs — the
-    center is the common higher endpoint. *)
+    center is the common higher endpoint — in ascending center order,
+    each center's edges ascending. Read off the family's slice of the
+    sort {!run} made, so a call costs the family's size. [[]] for a
+    pair outside [1..2a] × [1..3]. *)
 
 (** {1 Certificates (Lemmas 13, 14 and the star property)} *)
 
@@ -88,7 +105,9 @@ val check_forests : t -> bool
 
 val check_stars : t -> bool
 (** Every component of every [G[F_{i,j}]] is a star centered at its
-    highest node. *)
+    highest node: no edge's lower endpoint is a center of its own
+    class. Linear: each class stamps its centers in one array of length
+    [n], so membership is one read per edge. *)
 
 (** {1 Corollary: bounded-out-degree acyclic orientation}
 

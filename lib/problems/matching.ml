@@ -59,43 +59,55 @@ let encode g in_matching =
     g;
   labeling
 
+(* One shared block per label for [Labeling.set_some]. *)
+let some_m = Some M
+let some_p = Some P
+let some_o = Some O
+
 (* Whether a node has an M half-edge is read from the labeling once per
    call and kept in [matched]: during the call only the call itself
    writes at the nodes it touches (the stars of one class are
    node-disjoint), and it writes M exactly where it records [true]. A hub
-   of degree d is then read once instead of once per star edge. *)
+   of degree d is then read once instead of once per star edge. Edges
+   are stored smaller endpoint first, so edge [e]'s half-edges are [2e]
+   at [u] and [2e + 1] at [v]. *)
 let solve_node_list g labeling ~edges =
   let matched = Hashtbl.create 16 in
   let has_m v =
     match Hashtbl.find_opt matched v with
     | Some b -> b
     | None ->
-      let b = List.exists (( = ) M) (Labeling.labels_at_node labeling v) in
-      Hashtbl.replace matched v b;
-      b
+      let inc = Graph.incident g v and adj = Graph.neighbors g v in
+      let b = ref false and i = ref 0 in
+      while (not !b) && !i < Array.length inc do
+        let h = (2 * inc.(!i)) + if v < adj.(!i) then 0 else 1 in
+        (match Labeling.get labeling h with Some M -> b := true | _ -> ());
+        incr i
+      done;
+      Hashtbl.replace matched v !b;
+      !b
   in
   List.iter
     (fun e ->
       let u, v = Graph.edge_endpoints g e in
-      let hu = Graph.half_edge g ~edge:e ~node:u in
-      let hv = Graph.half_edge g ~edge:e ~node:v in
+      let hu = 2 * e and hv = (2 * e) + 1 in
       if Labeling.is_labeled labeling hu || Labeling.is_labeled labeling hv then
         invalid_arg "Matching.solve_node_list: edge already labeled";
       match (has_m u, has_m v) with
       | false, false ->
-        Labeling.set labeling hu M;
-        Labeling.set labeling hv M;
+        Labeling.set_some labeling hu some_m;
+        Labeling.set_some labeling hv some_m;
         Hashtbl.replace matched u true;
         Hashtbl.replace matched v true
       | false, true ->
-        Labeling.set labeling hu O;
-        Labeling.set labeling hv P
+        Labeling.set_some labeling hu some_o;
+        Labeling.set_some labeling hv some_p
       | true, false ->
-        Labeling.set labeling hu P;
-        Labeling.set labeling hv O
+        Labeling.set_some labeling hu some_p;
+        Labeling.set_some labeling hv some_o
       | true, true ->
-        Labeling.set labeling hu P;
-        Labeling.set labeling hv P)
+        Labeling.set_some labeling hu some_p;
+        Labeling.set_some labeling hv some_p)
     edges
 
 let solve_sequential g =

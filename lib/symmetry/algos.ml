@@ -260,6 +260,12 @@ let line_coloring sg ~ids =
   let palette, lrounds = reduce_rows ~off:l.off ~adj:l.adj ~nodes ~colors in
   (l, nodes, colors, palette, 1 + (2 * lrounds))
 
+(* One shared block per matching label for [Labeling.set_some]. *)
+let matching_m = Some Tl_problems.Matching.M
+let matching_p = Some Tl_problems.Matching.P
+let matching_o = Some Tl_problems.Matching.O
+let matching_d = Some Tl_problems.Matching.D
+
 let maximal_matching sg ~ids labeling =
   let base = Semi_graph.base sg in
   let l, nodes, colors, palette, setup_rounds = line_coloring sg ~ids in
@@ -277,23 +283,22 @@ let maximal_matching sg ~ids labeling =
         matched.(v) <- true
       end)
     edge_of;
+  (* edges are stored smaller endpoint first: half-edge 2e sits at u,
+     2e + 1 at v *)
   Array.iteri
     (fun i e ->
       let u, v = Graph.edge_endpoints base e in
-      let hu = Graph.half_edge base ~edge:e ~node:u in
-      let hv = Graph.half_edge base ~edge:e ~node:v in
       if in_mis.(i) then begin
-        Labeling.set labeling hu Tl_problems.Matching.M;
-        Labeling.set labeling hv Tl_problems.Matching.M
+        Labeling.set_some labeling (2 * e) matching_m;
+        Labeling.set_some labeling ((2 * e) + 1) matching_m
       end
       else begin
-        Labeling.set labeling hu
-          (if matched.(u) then Tl_problems.Matching.P else Tl_problems.Matching.O);
-        Labeling.set labeling hv
-          (if matched.(v) then Tl_problems.Matching.P else Tl_problems.Matching.O)
+        Labeling.set_some labeling (2 * e) (if matched.(u) then matching_p else matching_o);
+        Labeling.set_some labeling ((2 * e) + 1)
+          (if matched.(v) then matching_p else matching_o)
       end)
     edge_of;
-  iter_dangling sg (fun h -> Labeling.set labeling h Tl_problems.Matching.D);
+  iter_dangling sg (fun h -> Labeling.set_some labeling h matching_d);
   setup_rounds + (2 * class_rounds) + 1
 
 let edge_coloring sg ~ids labeling =

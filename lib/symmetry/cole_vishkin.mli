@@ -7,13 +7,23 @@
     of synchronous LOCAL rounds the algorithm takes: one per bit-reduction
     iteration, plus the shift-down / recolor rounds of the 6-to-3 phase. *)
 
-val color3 : nodes:int list -> parent:int array -> ids:int array -> int array * int
-(** [color3 ~nodes ~parent ~ids] 3-colors the forest on [nodes] in which
-    [parent.(v)] is the parent of [v] ([-1] at roots; parents must be in
-    [nodes]). [ids] are globally unique positive identifiers indexed by
-    node. Returns [(colors, rounds)] where [colors.(v) ∈ {0,1,2}] for
-    [v ∈ nodes] (and is [-1] elsewhere) and adjacent (parent-child) nodes
-    receive different colors. *)
+val color3 :
+  nodes:int array -> parent:int array -> ids:int array -> color:int array -> int
+(** [color3 ~nodes ~parent ~ids ~color] 3-colors the forest on [nodes]
+    (each node listed once) in which [parent.(v)] is the parent of [v]
+    ([-1] at roots; parents must be in [nodes], else [Invalid_argument]). [ids] are globally unique
+    positive identifiers indexed by node. It writes [color.(v) ∈ {0,1,2}]
+    for every [v ∈ nodes], with adjacent (parent-child) nodes colored
+    differently, and returns the rounds. Slots of [color] outside
+    [nodes] are left as they are, so one caller-owned array serves many
+    forests.
+
+    The kernel renumbers the forest by position in [nodes] and keeps its
+    colors, a [next] buffer, the parent positions and the children (in
+    CSR form) in arrays the size of the forest; a round is one pass over
+    them, and the 6-to-3 recolor takes its used colors as a bitmask.
+    Rounds are synchronous, so the order of [nodes] changes neither the
+    colors nor the rounds. *)
 
 val log_star : int -> int
 (** [log_star x]: number of times [log2] must be applied to reach a value

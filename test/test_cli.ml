@@ -267,6 +267,15 @@ let test_unknown_family_is_usage_error () =
       check (cmd ^ " lists the families") true (contains ~needle:"balanced-tree" stderr))
     [ "solve --problem edge-coloring --n 50"; "generate --n 50"; "decompose --n 50" ]
 
+(* decompose --kind is an enum: an unknown kind is a usage error naming
+   the value, not an uncaught Failure (exit 125). *)
+let test_unknown_decomposition_is_usage_error () =
+  let code, _, stderr = run_cmd (Printf.sprintf "%s decompose --n 50 --kind nosuch" cli) in
+  check_int "exits 124" 124 code;
+  check "names the bad value" true (contains ~needle:"nosuch" stderr);
+  check "lists the kinds" true (contains ~needle:"arboricity" stderr);
+  check "raises nothing" false (contains ~needle:"uncaught exception" stderr)
+
 (* Cross-argument knob validation: rejected before any work starts, with
    a usage error naming the offending value — never an uncaught
    exception from deep inside a run. *)
@@ -478,6 +487,8 @@ let () =
             test_knob_validation_usage_errors;
           Alcotest.test_case "--family unknown -> usage error" `Quick
             test_unknown_family_is_usage_error;
+          Alcotest.test_case "decompose --kind unknown -> usage error" `Quick
+            test_unknown_decomposition_is_usage_error;
           Alcotest.test_case "chaos --faults/--problem -> usage errors" `Quick
             test_chaos_usage_errors;
           Alcotest.test_case "chaos: crash at round 10^10 terminates" `Quick

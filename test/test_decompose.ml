@@ -388,6 +388,209 @@ let test_ad_dense_graph_fails_gracefully () =
     (try AD.run g ~a:1 ~k:5 ~ids:(Ids.identity 30) |> ignore; false
      with Failure _ -> true)
 
+(* ---------- Algorithm 3: list oracle ---------- *)
+
+(* Algorithm 3 as the library ran it before its flat rewrite: every
+   iteration filters [List.init n], each forest scans every edge twice,
+   and each star family scans every edge, hashes by center and sorts.
+   Forests are colored by the library kernel, whose equality with the
+   list Cole-Vishkin test_symmetry checks. *)
+type list_ad = {
+  layer_of : int array;
+  iterations : int;
+  atypical_of : bool array;
+  f_index_of : int array;
+  star_j : int array;
+  cv_rounds : int;
+}
+
+let list_arb_decompose graph ~a ~k ~ids =
+  let n = Graph.n_nodes graph in
+  let b = 2 * a in
+  let m = Graph.n_edges graph in
+  let layer_of = Array.make n 0 in
+  let alive = Array.make n true in
+  let deg = Array.init n (Graph.degree graph) in
+  let atypical_of = Array.make m false in
+  let remaining = ref n in
+  let iteration = ref 0 in
+  let bound =
+    if n <= 1 then 1
+    else
+      let r = 10.0 *. log (float_of_int n) /. log (float_of_int k /. float_of_int a) in
+      int_of_float (Float.ceil (r -. 1e-9)) + 1
+  in
+  while !remaining > 0 do
+    incr iteration;
+    if !iteration > bound then
+      failwith
+        "Arb_decompose.run: Lemma 13 bound exceeded (arboricity larger than a?)";
+    let i = !iteration in
+    let marked =
+      List.filter
+        (fun v ->
+          alive.(v)
+          && deg.(v) <= k
+          &&
+          let high = ref 0 in
+          Array.iter
+            (fun u -> if alive.(u) && deg.(u) > k then incr high)
+            (Graph.neighbors graph v);
+          !high <= b)
+        (List.init n Fun.id)
+    in
+    List.iter
+      (fun u ->
+        let inc = Graph.incident graph u in
+        Array.iteri
+          (fun idx v ->
+            if alive.(v) && deg.(v) > k then atypical_of.(inc.(idx)) <- true)
+          (Graph.neighbors graph u))
+      marked;
+    List.iter
+      (fun v ->
+        layer_of.(v) <- i;
+        alive.(v) <- false;
+        decr remaining)
+      marked;
+    List.iter
+      (fun v ->
+        Array.iter
+          (fun u -> if alive.(u) then deg.(u) <- deg.(u) - 1)
+          (Graph.neighbors graph v))
+      marked
+  done;
+  let is_higher u v =
+    if layer_of.(u) <> layer_of.(v) then layer_of.(u) > layer_of.(v)
+    else ids.(u) > ids.(v)
+  in
+  let higher_of e =
+    let u, v = Graph.edge_endpoints graph e in
+    if is_higher u v then u else v
+  in
+  let lower_of e =
+    let u, v = Graph.edge_endpoints graph e in
+    if is_higher u v then v else u
+  in
+  let f_index_of = Array.make m 0 in
+  let next_color = Array.make n 1 in
+  for e = 0 to m - 1 do
+    if atypical_of.(e) then begin
+      let lo = lower_of e in
+      f_index_of.(e) <- next_color.(lo);
+      next_color.(lo) <- next_color.(lo) + 1;
+      assert (f_index_of.(e) <= b)
+    end
+  done;
+  let star_j = Array.make m 0 in
+  let cv_rounds = ref 0 in
+  for i = 1 to b do
+    let parent = Array.make n (-1) in
+    let in_forest = Array.make n false in
+    for e = 0 to m - 1 do
+      if f_index_of.(e) = i then begin
+        parent.(lower_of e) <- higher_of e;
+        in_forest.(lower_of e) <- true;
+        in_forest.(higher_of e) <- true
+      end
+    done;
+    let nodes = List.filter (fun v -> in_forest.(v)) (List.init n Fun.id) in
+    if nodes <> [] then begin
+      let colors = Array.make n (-1) in
+      let rounds =
+        Tl_symmetry.Cole_vishkin.color3 ~nodes:(Array.of_list nodes) ~parent ~ids
+          ~color:colors
+      in
+      if rounds > !cv_rounds then cv_rounds := rounds;
+      for e = 0 to m - 1 do
+        if f_index_of.(e) = i then star_j.(e) <- colors.(higher_of e) + 1
+      done
+    end
+  done;
+  let r =
+    { layer_of; iterations = !iteration; atypical_of; f_index_of; star_j;
+      cv_rounds = !cv_rounds }
+  in
+  let stars ~i ~j =
+    let by_center = Hashtbl.create 16 in
+    Graph.iter_edges
+      (fun e _ ->
+        if f_index_of.(e) = i && star_j.(e) = j then begin
+          let center = higher_of e in
+          let old = try Hashtbl.find by_center center with Not_found -> [] in
+          Hashtbl.replace by_center center (e :: old)
+        end)
+      graph;
+    Hashtbl.fold (fun center edges acc -> (center, List.rev edges) :: acc) by_center []
+    |> List.sort compare
+  in
+  (r, stars)
+
+(* [check_stars] as the library ran it before its stamp array: a
+   [List.mem] over the class's centers for every star edge. *)
+let list_check_stars d =
+  let ok = ref true in
+  for i = 1 to AD.b d do
+    for j = 1 to 3 do
+      let sts = AD.stars d ~i ~j in
+      let centers = List.map fst sts in
+      List.iter
+        (fun (center, edges) ->
+          List.iter
+            (fun e ->
+              if AD.higher_endpoint d e <> center then ok := false;
+              if List.mem (AD.lower_endpoint d e) centers then ok := false)
+            edges)
+        sts
+    done
+  done;
+  !ok
+
+(* The graphs Algorithm 3 is checked on: power-law unions, forest unions,
+   triangulated grids (planar), grids and trees. [ga] is the generated
+   arboricity, which may exceed the [a] the run claims. *)
+let ad_instance ~family ~n ~ga ~seed =
+  match family with
+  | 0 -> Gen.power_law_union ~n ~arboricity:ga ~seed
+  | 1 -> Gen.forest_union ~n ~arboricity:ga ~seed
+  | 2 -> Gen.triangulated_grid (2 + (n mod 23))
+  | 3 -> Gen.grid (1 + (n mod 19)) (1 + (seed mod 29))
+  | 4 -> Gen.random_tree ~n ~seed
+  | _ -> Gen.power_law_tree ~n ~seed
+
+let prop_ad_list_oracle =
+  QCheck.Test.make ~name:"flat Algorithm 3 = list-based oracle" ~count:300
+    QCheck.(
+      pair
+        (quad (int_range 0 5) (int_range 1 400) (int_range 1 3) (int_range 1 3))
+        (pair bool (int_range 0 100000)))
+    (fun ((family, n, ga, a), (wide, seed)) ->
+      let g = ad_instance ~family ~n ~ga ~seed in
+      let n = Graph.n_nodes g in
+      let k = if wide then 10 * a else 5 * a in
+      let ids = Ids.permuted ~n ~seed:(seed + 1) in
+      match list_arb_decompose g ~a ~k ~ids with
+      | exception Failure msg -> (
+        match AD.run g ~a ~k ~ids with
+        | exception Failure msg' -> msg = msg'
+        | _ -> false)
+      | o, stars ->
+        let d = AD.run g ~a ~k ~ids in
+        let b = AD.b d in
+        let every count f = List.for_all f (List.init count Fun.id) in
+        AD.iterations d = o.iterations
+        && AD.cv_rounds d = o.cv_rounds
+        && every n (fun v -> AD.layer d v = o.layer_of.(v))
+        && every (Graph.n_edges g) (fun e ->
+               AD.atypical d e = o.atypical_of.(e)
+               && AD.f_index d e = o.f_index_of.(e)
+               && AD.star_class d e = (o.f_index_of.(e), o.star_j.(e)))
+        (* out-of-range classes give []; (0, 0) is no class, though the
+           oracle's filter reads it as the typical edges *)
+        && every (b + 2) (fun i ->
+               every 5 (fun j -> (i, j) = (0, 0) || AD.stars d ~i ~j = stars ~i ~j))
+        && AD.check_stars d = list_check_stars d)
+
 (* ---------- qcheck properties ---------- *)
 
 let prop_rc_certificates =
@@ -433,6 +636,7 @@ let qcheck_tests =
       prop_ad_certificates;
       prop_rc_list_oracle;
       prop_rc_components_oracle;
+      prop_ad_list_oracle;
     ]
 
 let () =

@@ -695,6 +695,97 @@ let test_mis_solver_allocation_free () =
   check "set_some refuses None" true
     (raises (fun () -> Labeling.set_some (Labeling.create g) h None))
 
+(* [Matching.solve_node_list] as it read labels before: a node's labels
+   as [Labeling.labels_at_node]'s list, writes through [Labeling.set]. *)
+let list_matching_solve g labeling ~edges =
+  let matched = Hashtbl.create 16 in
+  let has_m v =
+    match Hashtbl.find_opt matched v with
+    | Some b -> b
+    | None ->
+      let b = List.exists (( = ) Matching.M) (Labeling.labels_at_node labeling v) in
+      Hashtbl.replace matched v b;
+      b
+  in
+  List.iter
+    (fun e ->
+      let u, v = Graph.edge_endpoints g e in
+      let hu = Graph.half_edge g ~edge:e ~node:u in
+      let hv = Graph.half_edge g ~edge:e ~node:v in
+      if Labeling.is_labeled labeling hu || Labeling.is_labeled labeling hv then
+        invalid_arg "Matching.solve_node_list: edge already labeled";
+      match (has_m u, has_m v) with
+      | false, false ->
+        Labeling.set labeling hu Matching.M;
+        Labeling.set labeling hv Matching.M;
+        Hashtbl.replace matched u true;
+        Hashtbl.replace matched v true
+      | false, true ->
+        Labeling.set labeling hu Matching.O;
+        Labeling.set labeling hv Matching.P
+      | true, false ->
+        Labeling.set labeling hu Matching.P;
+        Labeling.set labeling hv Matching.O
+      | true, true ->
+        Labeling.set labeling hu Matching.P;
+        Labeling.set labeling hv Matching.P)
+    edges
+
+(* Random partial labelings: [density]% of the edges carry arbitrary
+   labels on both halves, a few on one half only. The solve list is a
+   shuffled share of the unlabeled edges plus, rarely, a labeled one,
+   which both forms must refuse after the same writes. *)
+let prop_matching_node_list_oracle =
+  QCheck.Test.make ~name:"matching solve_node_list = list oracle" ~count:300
+    QCheck.(quad (int_range 0 2) (int_range 2 150) (int_range 0 90) (int_range 0 100000))
+    (fun (family, n, density, seed) ->
+      let g =
+        match family with
+        | 0 -> Gen.random_tree ~n ~seed
+        | 1 -> Gen.forest_union ~n ~arboricity:2 ~seed
+        | _ -> Gen.power_law_union ~n ~arboricity:3 ~seed
+      in
+      let rng = Random.State.make [| seed |] in
+      let label () =
+        match Random.State.int rng 4 with
+        | 0 -> Matching.M
+        | 1 -> Matching.P
+        | 2 -> Matching.O
+        | _ -> Matching.D
+      in
+      let pre = Labeling.create g in
+      let chosen = ref [] in
+      for e = 0 to Graph.n_edges g - 1 do
+        let r = Random.State.int rng 100 in
+        if r < density then begin
+          Labeling.set_exn_free pre (2 * e) (label ());
+          Labeling.set_exn_free pre ((2 * e) + 1) (label ())
+        end
+        else if r < density + 3 then
+          Labeling.set_exn_free pre ((2 * e) + Random.State.int rng 2) (label ());
+        let free = not (Labeling.is_labeled pre (2 * e) || Labeling.is_labeled pre ((2 * e) + 1)) in
+        if (free && Random.State.bool rng) || Random.State.int rng 60 = 0 then
+          chosen := e :: !chosen
+      done;
+      let edges = Array.of_list !chosen in
+      for i = Array.length edges - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = edges.(i) in
+        edges.(i) <- edges.(j);
+        edges.(j) <- x
+      done;
+      let edges = Array.to_list edges in
+      let run solve =
+        let l = Labeling.copy pre in
+        let refused =
+          match solve g l ~edges with
+          | () -> None
+          | exception Invalid_argument msg -> Some msg
+        in
+        (refused, List.init (Graph.n_half_edges g) (Labeling.get l))
+      in
+      run Matching.solve_node_list = run list_matching_solve)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -709,6 +800,7 @@ let qcheck_tests =
       prop_coloring_validator_sound;
       prop_edge_coloring_validator_sound;
       prop_validator_matches_oracle;
+      prop_matching_node_list_oracle;
     ]
 
 let () =

@@ -31,6 +31,75 @@ let test_log_star () =
 
 (* ---------- Cole-Vishkin ---------- *)
 
+(* The list form of Cole-Vishkin that the library ran before its array
+   kernel: whole-array copies every round and children as lists. It is
+   the oracle the kernel must match in colors and rounds. *)
+module List_cv = struct
+  let lowest_diff_bit a b =
+    let x = a lxor b in
+    let rec go i = if x land (1 lsl i) <> 0 then i else go (i + 1) in
+    go 0
+
+  let cv_step cv cp =
+    let i = lowest_diff_bit cv cp in
+    (2 * i) + ((cv lsr i) land 1)
+
+  let color3 ~nodes ~parent ~ids =
+    let n = Array.length parent in
+    let color = Array.make n (-1) in
+    let rounds = ref 0 in
+    List.iter (fun v -> color.(v) <- ids.(v)) nodes;
+    let children = Array.make n [] in
+    List.iter
+      (fun v -> if parent.(v) >= 0 then children.(parent.(v)) <- v :: children.(parent.(v)))
+      nodes;
+    let max_color () = List.fold_left (fun acc v -> max acc color.(v)) 0 nodes in
+    while max_color () >= 6 do
+      incr rounds;
+      let next = Array.copy color in
+      List.iter
+        (fun v ->
+          let cp =
+            if parent.(v) >= 0 then color.(parent.(v))
+            else if color.(v) = 0 then 1
+            else 0
+          in
+          next.(v) <- cv_step color.(v) cp)
+        nodes;
+      List.iter (fun v -> color.(v) <- next.(v)) nodes
+    done;
+    for dropped = 5 downto 3 do
+      incr rounds;
+      let next = Array.copy color in
+      List.iter
+        (fun v ->
+          if parent.(v) >= 0 then next.(v) <- color.(parent.(v))
+          else next.(v) <- (color.(v) + 1) mod 3)
+        nodes;
+      List.iter (fun v -> color.(v) <- next.(v)) nodes;
+      incr rounds;
+      let next = Array.copy color in
+      List.iter
+        (fun v ->
+          if color.(v) = dropped then begin
+            let used = Array.make 6 false in
+            if parent.(v) >= 0 then used.(color.(parent.(v))) <- true;
+            List.iter (fun c -> used.(color.(c)) <- true) children.(v);
+            let rec first c = if used.(c) then first (c + 1) else c in
+            next.(v) <- first 0
+          end)
+        nodes;
+      List.iter (fun v -> color.(v) <- next.(v)) nodes
+    done;
+    (color, !rounds)
+end
+
+(* The array kernel with a fresh color array, in the oracle's shape. *)
+let color3 ~nodes ~parent ~ids =
+  let color = Array.make (Array.length parent) (-1) in
+  let rounds = CV.color3 ~nodes:(Array.of_list nodes) ~parent ~ids ~color in
+  (color, rounds)
+
 let proper_forest_coloring _g parent colors nodes =
   List.for_all
     (fun v ->
@@ -42,7 +111,7 @@ let test_cv_path () =
   let g = Gen.path 100 in
   let parent = Tree.parents_forest g in
   let ids = Ids.identity 100 in
-  let colors, rounds = CV.color3 ~nodes:(all_nodes g) ~parent ~ids in
+  let colors, rounds = color3 ~nodes:(all_nodes g) ~parent ~ids in
   check "proper 3-coloring" true (proper_forest_coloring g parent colors (all_nodes g));
   check "rounds log*-ish" true (rounds <= CV.log_star 100 + 12)
 
@@ -52,7 +121,7 @@ let test_cv_star_and_deep_tree () =
       let n = Graph.n_nodes g in
       let parent = Tree.parents_forest g in
       let ids = Ids.permuted ~n ~seed:17 in
-      let colors, _ = CV.color3 ~nodes:(all_nodes g) ~parent ~ids in
+      let colors, _ = color3 ~nodes:(all_nodes g) ~parent ~ids in
       check "proper" true (proper_forest_coloring g parent colors (all_nodes g)))
     [
       Gen.star 50;
@@ -66,7 +135,7 @@ let test_cv_forest () =
   let g = Gen.random_forest ~n:120 ~trees:6 ~seed:4 in
   let parent = Tree.parents_forest g in
   let ids = Ids.spread ~n:120 ~c:2 ~seed:5 in
-  let colors, _ = CV.color3 ~nodes:(all_nodes g) ~parent ~ids in
+  let colors, _ = color3 ~nodes:(all_nodes g) ~parent ~ids in
   check "proper on forest" true
     (proper_forest_coloring g parent colors (all_nodes g))
 
@@ -78,7 +147,7 @@ let test_cv_subset_of_nodes () =
   parent.(2) <- 3;
   parent.(4) <- 3;
   let ids = Ids.identity 10 in
-  let colors, _ = CV.color3 ~nodes ~parent ~ids in
+  let colors, _ = color3 ~nodes ~parent ~ids in
   check "colored subset" true
     (List.for_all (fun v -> colors.(v) >= 0 && colors.(v) < 3) nodes);
   check "parent differs" true
@@ -90,7 +159,7 @@ let test_cv_large_ids () =
   let g = Gen.path 50 in
   let parent = Tree.parents_forest g in
   let ids = Array.map (fun i -> (i * 1_000_003) + 7) (Ids.identity 50) in
-  let colors, rounds = CV.color3 ~nodes:(all_nodes g) ~parent ~ids in
+  let colors, rounds = color3 ~nodes:(all_nodes g) ~parent ~ids in
   check "proper" true (proper_forest_coloring g parent colors (all_nodes g));
   check "rounds small" true (rounds <= 16)
 
@@ -112,7 +181,7 @@ let test_cv_runtime_differential () =
         rounds;
       (* the array implementation finishes no later than the fixed
          schedule (it detects convergence early) *)
-      let _, array_rounds = CV.color3 ~nodes:(all_nodes g) ~parent ~ids in
+      let _, array_rounds = color3 ~nodes:(all_nodes g) ~parent ~ids in
       check "array version not slower than schedule" true (array_rounds <= rounds))
     [
       Gen.path 60;
@@ -349,8 +418,57 @@ let prop_cv_proper =
       let g = Gen.random_forest ~n ~trees ~seed in
       let parent = Tree.parents_forest g in
       let ids = Ids.permuted ~n ~seed:(seed + 1) in
-      let colors, _ = CV.color3 ~nodes:(all_nodes g) ~parent ~ids in
+      let colors, _ = color3 ~nodes:(all_nodes g) ~parent ~ids in
       proper_forest_coloring g parent colors (all_nodes g))
+
+(* Random rooted forests: a random forest, one random tree (a single
+   root), a deep path or a star. A seeded share [keep]% of the nodes is
+   colored; a kept node whose parent was dropped becomes a root, and the
+   dropped nodes keep parents that neither form may read. Ids are a
+   permutation or spread over 1..n^3. The kernel gets the nodes shuffled:
+   its rounds are synchronous, so order must not matter. *)
+let prop_cv_kernel_matches_list =
+  QCheck.Test.make ~name:"CV array kernel = list oracle (colors, rounds)" ~count:300
+    QCheck.(quad (int_range 0 3) (int_range 1 300) (int_range 1 100) (int_range 0 100000))
+    (fun (shape, n, keep, seed) ->
+      let g =
+        match shape with
+        | 0 -> Gen.random_forest ~n ~trees:(1 + (seed mod min 6 n)) ~seed
+        | 1 -> Gen.random_tree ~n ~seed
+        | 2 -> Gen.path n
+        | _ -> Gen.star n
+      in
+      let n = Graph.n_nodes g in
+      let parent = Tree.parents_forest g in
+      let rng = Random.State.make [| seed |] in
+      let inside = Array.init n (fun _ -> Random.State.int rng 100 < keep) in
+      let nodes = List.filter (fun v -> inside.(v)) (List.init n Fun.id) in
+      List.iter
+        (fun v -> if parent.(v) >= 0 && not inside.(parent.(v)) then parent.(v) <- -1)
+        nodes;
+      let ids =
+        if seed mod 2 = 0 then Ids.spread ~n ~c:3 ~seed else Ids.permuted ~n ~seed
+      in
+      let shuffled = Array.of_list nodes in
+      for i = Array.length shuffled - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = shuffled.(i) in
+        shuffled.(i) <- shuffled.(j);
+        shuffled.(j) <- x
+      done;
+      let color = Array.make n (-1) in
+      let rounds = CV.color3 ~nodes:shuffled ~parent ~ids ~color in
+      (color, rounds) = List_cv.color3 ~nodes ~parent ~ids)
+
+let test_cv_parent_outside_nodes () =
+  let parent = [| 1; -1; -1 |] in
+  check "parent outside nodes refused" true
+    (try
+       ignore
+         (CV.color3 ~nodes:[| 0 |] ~parent ~ids:(Ids.identity 3)
+            ~color:(Array.make 3 (-1)));
+       false
+     with Invalid_argument _ -> true)
 
 let prop_algos_valid_on_random_trees =
   QCheck.Test.make ~name:"base algorithms valid on random trees" ~count:25
@@ -1106,6 +1224,7 @@ let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_cv_proper;
+      prop_cv_kernel_matches_list;
       prop_cv_runtime_proper;
       prop_algos_valid_on_random_trees;
       prop_algos_valid_on_arb_graphs;
@@ -1131,6 +1250,7 @@ let () =
           Alcotest.test_case "node subset" `Quick test_cv_subset_of_nodes;
           Alcotest.test_case "large ids" `Quick test_cv_large_ids;
           Alcotest.test_case "runtime differential" `Quick test_cv_runtime_differential;
+          Alcotest.test_case "parent outside nodes" `Quick test_cv_parent_outside_nodes;
         ] );
       ( "linial",
         [
