@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: build test bench bench-full bench-smoke examples-smoke serve-smoke metrics-smoke proc-smoke chaos-smoke clean
+.PHONY: build test bench bench-full bench-smoke bench-smoke-run bench-smoke-baseline examples-smoke serve-smoke metrics-smoke proc-smoke chaos-smoke clean
 
 build:
 	dune build
@@ -30,31 +30,41 @@ bench-full:
 	done
 	@tail -5 bench_output.txt
 
-# Fast sanity pass used by CI: one analytic experiment plus the engine
-# stepping comparison on a small instance, regression-gated against the
-# committed baseline (loose tolerance; only catastrophic slowdowns fail).
-# The experiments write their smoke-size rows into the committed
-# BENCH_engine.json / BENCH_serve.json; those rows move to the
-# (gitignored) bench-smoke-engine.json / bench-smoke-serve.json and the
-# committed files are restored from their baseline copies before each
-# gate, so a passing run leaves the tree clean.
-bench-smoke:
+# The smoke-size bench runs: B6, B7 and B9 at n = 2,000, B10-B13 at
+# n = 20,000, one process each (B12 forks, which OCaml 5 forbids once a
+# domain exists). They run in the gitignored bench-smoke-out/, so their
+# BENCH_engine.json / BENCH_serve.json hold smoke rows only and the
+# committed full-size files stay untouched.
+SMOKE_BENCH = ../_build/default/bench/main.exe
+
+bench-smoke-run:
+	dune build bench/main.exe bench/regress.exe bin/tree_local_serve.exe
+	rm -rf bench-smoke-out
+	mkdir bench-smoke-out
+	cd bench-smoke-out && \
+	  TL_ENGINE_BENCH_N=2000 TL_ENGINE_BENCH_KERNELS=cv3 $(SMOKE_BENCH) B6 && \
+	  TL_POOL_BENCH_N=2000 $(SMOKE_BENCH) B7 && \
+	  TL_METRICS_BENCH_N=20000 $(SMOKE_BENCH) B10 && \
+	  TL_FLAT_BENCH_N=20000 $(SMOKE_BENCH) B11 && \
+	  TL_PROC_BENCH_N=20000 $(SMOKE_BENCH) B12 && \
+	  TL_FAULT_BENCH_N=20000 $(SMOKE_BENCH) B13 && \
+	  TL_SERVE_BENCH_N=2000 TL_SERVE_BENCH_R=20 $(SMOKE_BENCH) B9
+
+# Rewrite the committed smoke-size baselines the CI gate compares with.
+bench-smoke-baseline: bench-smoke-run
+	mkdir -p bench/smoke
+	cp bench-smoke-out/BENCH_engine.json bench/smoke/BENCH_engine.json
+	cp bench-smoke-out/BENCH_serve.json bench/smoke/BENCH_serve.json
+
+# Fast sanity pass used by CI: one analytic experiment plus the
+# smoke-size runs, each gated by regress.exe against the committed
+# smoke baselines (bench/smoke/, same sizes: regress aligns rows by
+# kernel, n and mode, and fails a size mismatch). The tolerance is
+# loose — only catastrophic slowdowns fail.
+bench-smoke: bench-smoke-run
 	dune exec bench/main.exe -- E11
-	cp BENCH_engine.json bench-baseline.json
-	TL_ENGINE_BENCH_N=2000 TL_ENGINE_BENCH_KERNELS=cv3 dune exec bench/main.exe -- B6
-	TL_POOL_BENCH_N=2000 dune exec bench/main.exe -- B7
-	TL_METRICS_BENCH_N=20000 dune exec bench/main.exe -- B10
-	TL_FLAT_BENCH_N=20000 dune exec bench/main.exe -- B11
-	TL_PROC_BENCH_N=20000 dune exec bench/main.exe -- B12
-	TL_FAULT_BENCH_N=20000 dune exec bench/main.exe -- B13
-	mv BENCH_engine.json bench-smoke-engine.json
-	cp bench-baseline.json BENCH_engine.json
-	dune exec bench/regress.exe -- --tolerance 5.0 bench-baseline.json bench-smoke-engine.json
-	cp BENCH_serve.json serve-baseline.json
-	TL_SERVE_BENCH_N=2000 TL_SERVE_BENCH_R=20 dune exec bench/main.exe -- B9
-	mv BENCH_serve.json bench-smoke-serve.json
-	cp serve-baseline.json BENCH_serve.json
-	dune exec bench/regress.exe -- --tolerance 5.0 serve-baseline.json bench-smoke-serve.json
+	dune exec bench/regress.exe -- --tolerance 5.0 bench/smoke/BENCH_engine.json bench-smoke-out/BENCH_engine.json
+	dune exec bench/regress.exe -- --tolerance 5.0 bench/smoke/BENCH_serve.json bench-smoke-out/BENCH_serve.json
 
 # Every standalone example README lists; each asserts its own output is
 # valid and exits non-zero otherwise (about 1 s together). The daemon,
@@ -108,11 +118,11 @@ chaos-smoke:
 	dune build examples/chaos_smoke.exe
 	dune exec --no-build examples/chaos_smoke.exe
 
-# Process-backend smoke: proc:{1,2,4} digest-identical to seq (flood
-# and the Cole-Vishkin 3-coloring state machine), worker crash containment
-# (Failure surfaces verbatim, no zombies), and the fork-after-domain
-# guard. Runs in its own process because OCaml 5 forbids fork once a
-# domain has spawned.
+# Process-backend smoke: the flood and MIS flat kernels on proc:{1,2,4}
+# through Coordinator.run_kernel, bit-identical to seq; worker crash
+# containment through a raising kernel (Failure surfaces verbatim, no
+# zombies); and the fork-after-domain guard. Runs in its own process
+# because OCaml 5 forbids fork once a domain has spawned.
 proc-smoke:
 	dune build examples/proc_smoke.exe
 	dune exec --no-build examples/proc_smoke.exe

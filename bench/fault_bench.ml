@@ -6,7 +6,8 @@
       rates in {0.1%, 1%, 5%} we converge flood once, crash a seeded
       random node set (the same sampler the chaos schedules use), and
       time (a) Repair.repair_flood over the suspect components against
-      (b) a full Topology.compile + engine re-run on the damaged view.
+      (b) a full Topology.compile + re-run of the chaos kernel on the
+      damaged view (Coordinator.run_kernel in seq mode).
       Both arms see identical surgery; the repaired labeling must be
       bit-identical to the recomputed one on survivors, and both must
       pass the validity checker. One MIS row rides along at the 1%
@@ -28,7 +29,9 @@ module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
 module Semi_graph = Tl_graph.Semi_graph
 module Engine = Tl_engine.Engine
+module Flat = Tl_engine.Flat
 module Topology = Tl_engine.Topology
+module Proc = Tl_proc.Coordinator
 module Json = Tl_obs.Json
 module Schedule = Tl_fault.Schedule
 module Injector = Tl_fault.Injector
@@ -55,15 +58,16 @@ let crash_set ~seed ~n k =
         (function _, Schedule.Crash v -> Some v | _ -> None)
         (Schedule.instantiate s ~n)
 
+(* the chaos kernels, through the kernel entry point in seq mode *)
 let converge_flood ~topo ~n =
-  Engine.run_until_stable ~mode:Engine.Seq ~topo
-    ~init:(Repair.flood_init ~source:0)
-    ~step:Repair.flood_step ~equal:Int.equal ~max_rounds:(n + 1) ()
+  Proc.run_kernel ~mode:Engine.Seq ~topo
+    ~kernel_for:(Proc.Kernels.flood ~source:0 ())
+    ~stop:(Engine.Stable (n + 1)) ()
 
 let converge_mis ~topo ~ids ~n =
-  Engine.run ~mode:Engine.Seq ~topo ~init:Repair.mis_init
-    ~step:(Repair.mis_step ~ids) ~halted:Repair.mis_halted
-    ~max_rounds:(n + 64) ()
+  Proc.run_kernel ~mode:Engine.Seq ~topo
+    ~kernel_for:(Proc.Kernels.mis_local_max ~ids)
+    ~stop:(Engine.Halted (n + 64)) ()
 
 (* Present neighbors of the crashed set — exactly the suspect list the
    chaos orchestrator hands repair_flood after a crash epoch. *)
@@ -130,7 +134,7 @@ let flood_row ~tree ~n ~reps ~baseline ~rate =
   let identical =
     let ok = ref true in
     for v = 0 to n - 1 do
-      if Semi_graph.node_present sg v && labels.(v) <> o.Engine.states.(v)
+      if Semi_graph.node_present sg v && labels.(v) <> o.Flat.slab.(v)
       then ok := false
     done;
     !ok
@@ -142,7 +146,7 @@ let flood_row ~tree ~n ~reps ~baseline ~rate =
     region = stats.Repair.region;
     repair_t;
     recompute_t = !best_r;
-    recompute_rounds = o.Engine.rounds;
+    recompute_rounds = o.Flat.rounds;
     valid = Repair.check_flood ~sg ~source:0 ~labels;
     identical;
   }
@@ -195,7 +199,7 @@ let mis_row ~tree ~n ~reps ~ids ~baseline ~rate =
     region = stats.Repair.region;
     repair_t = !best;
     recompute_t = !best_r;
-    recompute_rounds = o.Engine.rounds;
+    recompute_rounds = o.Flat.rounds;
     valid = Repair.check_mis ~sg ~labels;
     identical;
   }
@@ -210,9 +214,9 @@ let run () =
   let tree = Gen.random_tree ~n ~seed in
   let sg0 = Semi_graph.of_graph tree in
   let topo0 = Topology.compile sg0 in
-  let flood_base = (converge_flood ~topo:topo0 ~n).Engine.states in
+  let flood_base = (converge_flood ~topo:topo0 ~n).Flat.slab in
   let ids = Array.init n (fun i -> (i * 2654435761) land max_int) in
-  let mis_base = (converge_mis ~topo:topo0 ~ids ~n).Engine.states in
+  let mis_base = (converge_mis ~topo:topo0 ~ids ~n).Flat.slab in
   let reps = if n >= 500_000 then 3 else 5 in
   let rates = [ 0.001; 0.01; 0.05 ] in
   let rows =
@@ -248,7 +252,7 @@ let run () =
   (* ---- disarmed vs armed-empty gate overhead, B10-style ---- *)
   let flood () =
     let o = converge_flood ~topo:topo0 ~n in
-    (o.Engine.states, o.Engine.rounds)
+    (o.Flat.slab, o.Flat.rounds)
   in
   let oreps = if n >= 500_000 then 9 else 7 in
   (* one untimed warmup per arm, then interleaved off/on trials so

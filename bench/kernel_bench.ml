@@ -886,14 +886,15 @@ let run_flat () =
 
 (* ---------- B12: process-parallel shard backend (merges into BENCH_engine.json) ----------
 
-   Times the sequential stepper against the tl_proc backend — one shard
-   per forked Unix process, halos over socketpairs in the tlp binary
-   wire format — on flood and the greedy-MIS machine. The proc-flat rows
-   run the flat int-slab executor inside each worker — the configuration
-   the backend exists for. A "proc-alloc" pseudo-row records the scalar codec's
-   minor words per put+get pair (wall_s = words/op, exactly 0 in steady
-   state), so regress.exe gates allocation creep on the wire hot path
-   through its absolute floor.
+   Times the boxed sequential stepper against the tl_proc backend — one
+   shard per forked Unix process, halos over socketpairs in the tlp
+   binary wire format — on flood and the greedy-MIS machine. The
+   proc-flat:4 rows run the flat kernels through
+   Coordinator.run_kernel, the int-slab executor inside each worker (the
+   backend steps flat kernels only). A "proc-alloc" pseudo-row records
+   the scalar codec's minor words per put+get pair (wall_s = words/op,
+   exactly 0 in steady state), so regress.exe gates allocation creep on
+   the wire hot path through its absolute floor.
 
    CRITICAL ordering: every proc measurement runs before any mode that
    can spawn a domain (par, pool) — OCaml 5 forbids fork once a
@@ -943,8 +944,13 @@ let proc_bench_n () =
    shipping included) and an untimed pre-rep compaction: plan and
    per-shard context building allocate many large arrays, which crawl
    through a fragmented major heap left behind by whatever ran before —
-   untimed defragmentation removes that noise. *)
+   untimed defragmentation removes that noise. One untimed run first:
+   the process's first forks and major-heap growth would otherwise land
+   on whichever arm runs first (on a 2-core host at n = 10^6, a first
+   proc-flat:4 flood read 1.34-1.54 s against 1.02-1.21 s for the same
+   arm right after). *)
 let bench_proc_arm ~reps f =
+  ignore (f ());
   let best = ref infinity and result = ref None in
   for _ = 1 to reps do
     Shard_plan.clear_cache ();
@@ -978,8 +984,8 @@ let run_proc () =
   let seed = 71 in
   Util.heading
     (Printf.sprintf
-       "B12: process-parallel shard backend — seq vs proc:{2,4} over the tlp \
-        wire (n=%d)"
+       "B12: process-parallel shard backend — boxed seq vs flat kernels on \
+        proc:4 over the tlp wire (n=%d)"
        n);
   if Team.spawns () > 0 then
     Printf.printf
@@ -1023,31 +1029,24 @@ let run_proc () =
     in
     let flat_flood procs () =
       let o =
-        Proc.run_flat_until_stable ~procs ~topo
-          ~kernel_for:(Proc.Kernels.flood ()) ~max_rounds ()
+        Proc.run_kernel ~mode:(Engine.Proc procs) ~topo
+          ~kernel_for:(Proc.Kernels.flood ())
+          ~stop:(Engine.Stable max_rounds) ()
       in
       (Flat.column o ~slot:0, o.Flat.rounds)
     in
     let flat_mis procs () =
       let o =
-        Proc.run_flat ~procs ~topo
+        Proc.run_kernel ~mode:(Engine.Proc procs) ~topo
           ~kernel_for:(Proc.Kernels.mis_local_max ~ids)
-          ~max_rounds ()
+          ~stop:(Engine.Halted max_rounds) ()
       in
       (Flat.column o ~slot:0, o.Flat.rounds)
     in
-    (* 1. every proc arm, before anything can spawn a domain *)
-    let proc_arms kernel flat =
-      List.map
-        (fun (mode_name, f) -> (mode_name, bench_proc_arm ~reps f))
-        [
-          ("proc:2", fun () -> kernel (Engine.Proc 2));
-          ("proc:4", fun () -> kernel (Engine.Proc 4));
-          ("proc-flat:4", flat 4);
-        ]
-    in
-    let flood_proc = proc_arms flood flat_flood in
-    let mis_proc = proc_arms mis flat_mis in
+    (* 1. the proc arm, before anything can spawn a domain *)
+    let proc_arms flat = [ ("proc-flat:4", bench_proc_arm ~reps (flat 4)) ] in
+    let flood_proc = proc_arms flat_flood in
+    let mis_proc = proc_arms flat_mis in
     (* 2. the in-process reference *)
     let flood_seq = bench_proc_arm ~reps (fun () -> flood Engine.Seq) in
     let mis_seq = bench_proc_arm ~reps (fun () -> mis Engine.Seq) in

@@ -33,7 +33,7 @@ let experiments =
        spawn: it self-skips in a full-suite single-process run (after
        B6/B7 spawned the team) and is meant to run standalone, one
        process per experiment, as `make bench-full` and CI do. *)
-    ("B12", "process backend: seq vs proc:{2,4} over the tlp wire", Kernel_bench.run_proc);
+    ("B12", "process backend: boxed seq vs flat kernels on proc:4", Kernel_bench.run_proc);
     ("B13", "tl_fault: incremental repair vs full recompute, gate overhead", Fault_bench.run);
   ]
 

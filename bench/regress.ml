@@ -3,8 +3,9 @@
    Usage:
      regress.exe [--tolerance FRAC] [--abs-tolerance SECS] OLD.json NEW.json
 
-   Loads two measurement files, aligns their kernels/spans by label and
-   prints a per-label PASS/FAIL delta table. A label passes when its
+   Loads two measurement files, aligns their kernels/spans by label (and
+   bench rows by instance size too) and prints a per-label PASS/FAIL
+   delta table. A label passes when its
    wall-clock in NEW is within the relative tolerance
    (new <= old * (1 + FRAC), default 0.20) OR within the absolute
    tolerance (new <= old + SECS, default 0.005). The absolute fallback is
@@ -14,17 +15,22 @@
    A non-finite metric — JSON null, which the repo's writers emit for
    nan/inf — always FAILs its row: a measurement that produced garbage
    must not pass a gate silently. Exit status: 0 when every aligned label
-   passes, 1 on any regression, 2 on usage/parse errors — so CI can gate
-   on it.
+   passes, 1 on any regression or size mismatch, 2 on usage/parse
+   errors — so CI can gate on it.
 
    Three self-describing input formats are recognized:
-     - BENCH_engine.json   (bench/kernel_bench.ml B6): labels are
-       "<kernel>/<mode>", metric is the mode's "wall_s";
+     - BENCH_engine.json / BENCH_serve.json (bench/ B6-B13): labels are
+       "<kernel>/<mode>", metric is the mode's "wall_s"; each row also
+       carries its instance size n, the kernel's own "n" or else the
+       file's. Rows align by (kernel, n, mode): a row whose kernel and
+       mode match a baseline row measured at another n FAILs as a size
+       mismatch, since timings at different sizes say nothing about a
+       regression;
      - span reports        (tl_obs, CLI --profile): labels are
        slash-joined span paths, metric is "elapsed_s";
      - trace arrays        (CLI --trace): labels are "<label>#<i>",
        metric is "total_s".
-   The two files need not share a format: alignment is purely by label.
+   The two files need not share a format: alignment is by label (and n).
    Labels present in only one file are reported but never fail the run. *)
 
 module Json = Tl_obs.Json
@@ -52,21 +58,34 @@ let str_field name j =
   | Some s -> s
   | None -> die "missing string field %S" name
 
+(* A measured row: its label, the instance size it ran at (bench files
+   only) and its seconds. *)
+type row = { label : string; n : int option; secs : float }
+
+let size_field j = Option.bind (Json.member "n" j) Json.to_int
+
 let rows_of_bench j =
   let kernels =
     match Option.bind (Json.member "kernels" j) Json.to_list with
     | Some l -> l
     | None -> die "bench file has no \"kernels\" array"
   in
+  let file_n = size_field j in
   List.concat_map
     (fun kernel ->
       let name = str_field "kernel" kernel in
+      let n = match size_field kernel with Some n -> Some n | None -> file_n in
       let modes =
         Option.bind (Json.member "modes" kernel) Json.to_list
         |> Option.value ~default:[]
       in
       List.map
-        (fun m -> (name ^ "/" ^ str_field "mode" m, num_field "wall_s" m))
+        (fun m ->
+          {
+            label = name ^ "/" ^ str_field "mode" m;
+            n;
+            secs = num_field "wall_s" m;
+          })
         modes)
     kernels
 
@@ -85,7 +104,9 @@ let rows_of_report j =
         Hashtbl.replace seen path (k + 1);
         Printf.sprintf "%s#%d" path k
     in
-    let acc = (path, num_field "elapsed_s" span) :: acc in
+    let acc =
+      { label = path; n = None; secs = num_field "elapsed_s" span } :: acc
+    in
     let children =
       Option.bind (Json.member "children" span) Json.to_list
       |> Option.value ~default:[]
@@ -99,7 +120,11 @@ let rows_of_report j =
 let rows_of_traces traces =
   List.mapi
     (fun i t ->
-      (Printf.sprintf "%s#%d" (str_field "label" t) i, num_field "total_s" t))
+      {
+        label = Printf.sprintf "%s#%d" (str_field "label" t) i;
+        n = None;
+        secs = num_field "total_s" t;
+      })
     traces
 
 let rows_of_file file =
@@ -150,11 +175,22 @@ let () =
   Printf.printf "  %-44s %10s %10s %8s  %s\n" "label" "old_s" "new_s" "delta"
     "status";
   let regressions = ref 0 and compared = ref 0 in
+  let size = function Some n -> string_of_int n | None -> "-" in
   List.iter
-    (fun (label, old_s) ->
-      match List.assoc_opt label new_rows with
-      | None -> Printf.printf "  %-44s %10.4f %10s %8s  only-in-old\n" label old_s "-" "-"
-      | Some new_s ->
+    (fun { label; n; secs = old_s } ->
+      match
+        List.find_opt (fun r -> r.label = label && r.n = n) new_rows
+      with
+      | None -> (
+        match List.find_opt (fun r -> r.label = label) new_rows with
+        | Some r ->
+          incr regressions;
+          Printf.printf "  %-44s %10.4f %10.4f %8s  FAIL(size n=%s, old n=%s)\n"
+            label old_s r.secs "n/a" (size r.n) (size n)
+        | None ->
+          Printf.printf "  %-44s %10.4f %10s %8s  only-in-old\n" label old_s "-"
+            "-")
+      | Some { secs = new_s; _ } ->
         incr compared;
         let finite = Float.is_finite old_s && Float.is_finite new_s in
         let ok =
@@ -175,9 +211,9 @@ let () =
            else "FAIL(non-finite)"))
     old_rows;
   List.iter
-    (fun (label, new_s) ->
-      if not (List.mem_assoc label old_rows) then
-        Printf.printf "  %-44s %10s %10.4f %8s  only-in-new\n" label "-" new_s
+    (fun { label; secs; _ } ->
+      if not (List.exists (fun r -> r.label = label) old_rows) then
+        Printf.printf "  %-44s %10s %10.4f %8s  only-in-new\n" label "-" secs
           "-")
     new_rows;
   Printf.printf "regress: %s (%d compared, %d regression(s))\n"

@@ -56,24 +56,24 @@ let delta_arg =
    parse here checks only the syntax. *)
 let engine_arg =
   let doc =
-    "Execution engine: naive (the legacy full-scan reference stepper), \
-     seq (compiled topology + active-set scheduler, the default), \
-     par:N (the same stepper with the per-round compute spread over N \
-     OCaml domains) or proc:N (N worker processes, one per shard of \
-     the compiled topology, halos over the tlp binary wire protocol; \
-     the only mode where link-drop and worker-kill faults fire; run \
-     proc work before any par run — OCaml forbids forking after \
-     domains exist). All modes are deterministic and bit-identical."
+    "Execution engine of the flat kernels: seq (compiled topology + \
+     active-set scheduler over int slabs, the default), par:N (the same \
+     stepper with the per-round compute spread over N OCaml domains) or \
+     proc:N (N worker processes, one per shard of the compiled \
+     topology, halos over the tlp binary wire protocol; the only mode \
+     where link-drop and worker-kill faults fire; run proc work before \
+     any par run — OCaml forbids forking after domains exist). All \
+     modes are deterministic and bit-identical."
   in
   let mode =
     let parse s =
       match Engine.mode_of_string s with
-      | _ -> Ok s
-      | exception Invalid_argument _ ->
+      | Engine.Naive | (exception Invalid_argument _) ->
         Error
           (`Msg
             (Printf.sprintf
-               "invalid engine %S (expected naive, seq, par:N or proc:N)" s))
+               "invalid engine %S (expected seq, par:N or proc:N)" s))
+      | _ -> Ok s
     in
     Arg.conv (parse, Format.pp_print_string)
   in
@@ -318,9 +318,9 @@ let solve problem method_ family n seed a delta k pool profile report_fmt =
     | Ok s -> `Ok (report p.P.title s))
 
 (* Cross-argument validation the per-argument convs cannot express
-   (proc count vs instance size, proc backend availability, pool
-   bounds) — shared with the serving daemon's admission check so the
-   CLI and the daemon reject exactly the same knob combinations. *)
+   (proc count vs instance size, pool bounds) — shared with the serving
+   daemon's admission check so the CLI and the daemon reject exactly
+   the same knob combinations. *)
 let with_knobs ~engine ~pool ~n run =
   match Tl_serve.Protocol.resolve_knobs ~engine ~pool ~n with
   | Error msg -> `Error (false, msg)

@@ -1,6 +1,6 @@
-(* Process-backend smoke: digest equality against the sequential
-   reference, plus worker-cleanup checks. Exercised by `make proc-smoke`
-   and CI.
+(* Process-backend smoke: the flood and MIS flat kernels on proc:{1,2,4}
+   through Coordinator.run_kernel, bit-identical to seq, plus worker
+   crash containment. Exercised by `make proc-smoke` and CI.
 
    Run with:  dune exec examples/proc_smoke.exe
 
@@ -12,8 +12,9 @@
 module Gen = Tl_graph.Gen
 module Ids = Tl_local.Ids
 module Engine = Tl_engine.Engine
+module Flat = Tl_engine.Flat
 module Topology = Tl_engine.Topology
-module CV = Tl_symmetry.Cole_vishkin
+module Proc = Tl_proc.Coordinator
 
 let pass name ok =
   Printf.printf "%-46s %s\n%!" name (if ok then "ok" else "FAIL");
@@ -23,41 +24,40 @@ let () =
   let n = 20_000 in
   let tree = Gen.random_tree ~n ~seed:42 in
   let ids = Ids.permuted ~n ~seed:7 in
-  let sg = Tl_graph.Semi_graph.of_graph tree in
-  let topo = Topology.compile sg in
-  let parent = Tl_graph.Tree.parents_forest tree in
-  let nodes = List.init n Fun.id in
+  let topo = Topology.compile (Tl_graph.Semi_graph.of_graph tree) in
   Printf.printf "instance: random tree, n = %d\n%!" n;
-
-  (* 1. flood fixpoint, proc:{1,2,4} — all runs before any domain work *)
-  let flood mode =
-    let o =
-      Engine.run_until_stable ~mode ~topo
-        ~init:(fun v -> v = 0)
-        ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-          s || List.exists (fun (_, _, su) -> su) neighbors)
-        ~equal:Bool.equal ~max_rounds:(n + 1) ()
-    in
-    (o.Engine.states, o.Engine.rounds)
+  let run mode kernel_for stop =
+    let o = Proc.run_kernel ~mode ~topo ~kernel_for ~stop () in
+    (o.Flat.slab, o.Flat.rounds)
   in
-  let p1 = flood (Engine.Proc 1) in
-  let p2 = flood (Engine.Proc 2) in
-  let p4 = flood (Engine.Proc 4) in
+  let flood mode =
+    run mode (Proc.Kernels.flood ()) (Engine.Stable (n + 1))
+  in
+  let mis mode =
+    run mode (Proc.Kernels.mis_local_max ~ids) (Engine.Halted (n + 1))
+  in
 
-  (* 2. the Cole-Vishkin 3-coloring state machine under proc:4 *)
-  let cv3 mode = CV.color3_runtime ~mode ~sg ~nodes ~parent ~ids () in
-  let proc_cv3 = cv3 (Engine.Proc 4) in
+  (* 1. flood and MIS, proc:{1,2,4} — all runs before any domain work *)
+  let procs = [ 1; 2; 4 ] in
+  let floods = List.map (fun p -> (p, flood (Engine.Proc p))) procs in
+  let miss = List.map (fun p -> (p, mis (Engine.Proc p))) procs in
 
-  (* 3. crash containment: a step function that throws on a mid-run
-     round must surface as Failure with no worker left behind *)
+  (* 2. crash containment: a kernel whose step throws on a mid-run round
+     must surface as Failure with no worker left behind *)
+  let boom ~l2g =
+    let k = Proc.Kernels.flood () ~l2g in
+    {
+      k with
+      Flat.step =
+        (fun ctx ~scratch ~round ~node ->
+          if round = 2 && l2g.(node) = n / 2 then failwith "boom";
+          k.Flat.step ctx ~scratch ~round ~node);
+    }
+  in
   let crash_ok =
     match
-      Engine.run_rounds ~mode:(Engine.Proc 4) ~topo
-        ~init:(fun v -> v)
-        ~step:(fun ~round ~node s ~neighbors:_ ->
-          if round = 2 && node = n / 2 then failwith "boom";
-          s + 1)
-        ~rounds:4 ()
+      Proc.run_kernel ~mode:(Engine.Proc 4) ~sched:Engine.Full_scan ~topo
+        ~kernel_for:boom ~stop:(Engine.Rounds 4) ()
     with
     | _ -> false
     | exception Failure msg -> msg = "boom"
@@ -71,17 +71,20 @@ let () =
   in
   pass "no zombie workers after a crashed run" reaped;
 
-  (* 4. now the in-process references (these may spawn domains) *)
-  let s1 = flood Engine.Seq in
-  pass "flood digest proc:1 = seq" (p1 = s1);
-  pass "flood digest proc:2 = seq" (p2 = s1);
-  pass "flood digest proc:4 = seq" (p4 = s1);
+  (* 3. now the in-process references (these may spawn domains) *)
+  let seq_flood = flood Engine.Seq and seq_mis = mis Engine.Seq in
+  List.iter
+    (fun (p, r) ->
+      pass (Printf.sprintf "flood labels and rounds proc:%d = seq" p)
+        (r = seq_flood))
+    floods;
+  List.iter
+    (fun (p, r) ->
+      pass (Printf.sprintf "MIS labels and rounds proc:%d = seq" p)
+        (r = seq_mis))
+    miss;
 
-  let seq_cv3 = cv3 Engine.Seq in
-  pass "CV 3-coloring colors proc:4 = seq" (fst proc_cv3 = fst seq_cv3);
-  pass "CV 3-coloring rounds proc:4 = seq" (snd proc_cv3 = snd seq_cv3);
-
-  (* 5. the fork-after-domain guard refuses cleanly (domains may or may
+  (* 4. the fork-after-domain guard refuses cleanly (domains may or may
      not have spawned above depending on core count — only assert when
      they did) *)
   if Tl_engine.Team.spawns () > 0 then begin

@@ -90,26 +90,6 @@ type 'state step_fn =
 
 type stop = Halted of int | Stable of int | Rounds of int
 
-(* The Proc mode lives in tl_proc (which depends on this library) and
-   registers itself here at load time. *)
-type backend = {
-  exec :
-    'state.
-    count:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    halted:('state -> bool) option ->
-    stop:stop ->
-    'state outcome;
-}
-
-let proc_backend : backend option ref = ref None
-
-
 let now = Unix.gettimeofday
 
 (* ---------- trace plumbing ---------- *)
@@ -348,31 +328,31 @@ let engine_exec ~par ~sched ~equal ~tr ~topo ~init ~step ~halted ~stop =
 
 (* ---------- public API ---------- *)
 
-let par_of = function Par p -> max 1 p | Naive | Seq | Proc _ -> 1
-
 (* [naive] is the mode's own reference loop, kept out of the shared
    driver so the differential batteries compare two independent
-   implementations. *)
+   implementations. [Proc] steps flat kernels only, through
+   [Tl_proc.Coordinator.run_kernel]. *)
 let exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached
     ~topo ~init ~step ~halted ~stop ~naive () =
+  let par =
+    match mode with
+    | Naive | Seq -> 1
+    | Par p -> max 1 p
+    | Proc _ ->
+      invalid_arg
+        (Printf.sprintf
+           "Engine: mode %s runs flat kernels only \
+            (Tl_proc.Coordinator.run_kernel)"
+           (mode_to_string mode))
+  in
   let tr =
     begin_trace ?trace ~label ~mode:(mode_to_string mode) ~layout:"boxed"
       ~sched ~compile_s ~compile_cached topo
   in
   with_trace tr (fun () ->
-      match mode with
-      | Naive -> naive tr
-      | Proc p -> (
-        match !proc_backend with
-        | Some b ->
-          b.exec ~count:p ~sched ~equal ~trace:tr ~topo ~init ~step ~halted
-            ~stop
-        | None ->
-          failwith
-            "Engine: proc mode requested but the tl_proc backend is not linked")
-      | Seq | Par _ ->
-        engine_exec ~par:(par_of mode) ~sched ~equal ~tr ~topo ~init ~step
-          ~halted ~stop)
+      if mode = Naive then naive tr
+      else
+        engine_exec ~par ~sched ~equal ~tr ~topo ~init ~step ~halted ~stop)
 
 let run ?(mode = Seq) ?(sched = Active_set) ?(equal = Stdlib.( = )) ?trace
     ?(label = "engine.run") ?(compile_s = 0.) ?(compile_cached = false) ~topo

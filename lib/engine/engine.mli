@@ -2,7 +2,7 @@
 
     This is the execution backend behind {!Tl_local.Runtime}: the same
     synchronous state-reading semantics (Definition 5), run over a
-    compiled {!Topology} snapshot with three interchangeable steppers:
+    compiled {!Topology} snapshot. A run's {!mode} picks its stepper:
 
     - [Naive] — a faithful port of the original stepper: every present
       node re-steps every round, neighbor lists are gathered through
@@ -21,18 +21,22 @@
       the current buffer only and every active node is written by
       exactly one domain, so results are bit-identical to [Seq]
       regardless of [p], the {!par_grain} inline threshold, or thread
-      interleaving. [Seq]/[Par] rounds are the shared {!Stepper} body
-      over a boxed store — the body {!Flat} runs over int slabs and the
-      [Proc] backend runs per shard.
+      interleaving.
     - [Proc p] — the process-parallel distributed backend
-      ([Tl_proc.Coordinator]): the snapshot is partitioned by
+      ([Tl_proc.Coordinator.run_kernel]): the snapshot is partitioned by
       [Tl_shard.Plan] into [p] contiguous shards with ghost (halo)
       copies of remote neighbors, one Unix process per shard, halos
       exchanged over socketpairs in a length-prefixed binary wire format
       and termination decided by a [changed]-count allreduce over a
-      collective tree. Registers through {!proc_backend}; running in
-      [Proc] mode without [tl_proc] linked raises [Failure].
-      Bit-identical to [Seq] under the same stationarity contract.
+      collective tree. It steps {!Flat} kernels only: the boxed entry
+      points below raise [Invalid_argument] for it.
+
+    [Seq]/[Par] rounds here are the shared {!Stepper} body over a boxed
+    store — the body {!Flat} runs over int slabs and the [Proc] workers
+    run per shard. The int-state machines of the services (served flood,
+    [Tl_fault.Chaos]'s epochs, [Tl_fault.Repair]'s region re-run) are
+    flat kernels; the boxed entry points serve the references, the
+    tests and the benchmarks.
 
     The stepper is an argument of every run ([?mode], default [Seq]),
     never process state: the caller that owns a run — the CLI's
@@ -188,37 +192,6 @@ val exhausted : stop -> 'a
     byte-identical across all modes. [Invalid_argument] for [Rounds],
     which never exhausts. *)
 
-(** {2 Backend hook}
-
-    The [Proc] mode is implemented outside this library (in [tl_proc],
-    which depends on [tl_engine]) and plugs in through this record with
-    a single rank-2-polymorphic entry point. [count] is the worker
-    process count; [halted] is [Some] exactly under [Halted]. The engine
-    keeps ownership of trace creation and delivery: the backend receives
-    the already-created [trace] (if any) and hands it to {!drive}.
-    [Tl_proc.Coordinator] installs itself at module initialization, and
-    {!Tl_local.Runtime} references it explicitly so every binary built
-    on the runtime links it. *)
-
-type backend = {
-  exec :
-    'state.
-    count:int ->
-    sched:scheduling ->
-    equal:('state -> 'state -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> 'state) ->
-    step:'state step_fn ->
-    halted:('state -> bool) option ->
-    stop:stop ->
-    'state outcome;
-}
-
-val proc_backend : backend option ref
-(** Set by [Tl_proc.Coordinator] at load time. [Proc]-mode runs raise
-    [Failure] while this is [None]. *)
-
 val begin_trace :
   ?trace:Trace.t ->
   label:string ->
@@ -256,10 +229,11 @@ val run :
 (** Engine counterpart of {!Tl_local.Runtime.run}: rounds execute while
     some present node is unhalted, every executed round is counted, the
     halting check happens before the first round. [mode] defaults to
-    [Seq]. [equal] (default structural equality) is used only for change
-    detection — it never affects results under the stationarity
-    contract, only which nodes are re-stepped and the [changed] trace
-    counts. *)
+    [Seq]; [Proc _] raises [Invalid_argument] (flat kernels only, through
+    [Tl_proc.Coordinator.run_kernel]). [equal] (default structural
+    equality) is used only for change detection — it never affects
+    results under the stationarity contract, only which nodes are
+    re-stepped and the [changed] trace counts. *)
 
 val run_until_stable :
   ?mode:mode ->

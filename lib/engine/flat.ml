@@ -107,17 +107,26 @@ let store (csr : Stepper.csr) ~workers ~halting (k : kernel) =
 let mode_string par =
   if par <= 1 then "flat:seq" else "flat:par:" ^ string_of_int par
 
-let exec ~par ~sched ?trace ?label ~topo ~stop kernel =
+let validate ~stop (kernel : kernel) =
+  if kernel.slots < 1 then
+    invalid_arg
+      (Printf.sprintf "Flat: kernel %S declares slots=%d (must be >= 1)"
+         kernel.name kernel.slots);
+  match (stop, kernel.halted) with
+  | Engine.Halted _, None ->
+    invalid_arg
+      (Printf.sprintf "Flat: kernel %S has no halted predicate" kernel.name)
+  | _ -> ()
+
+let exec ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo
+    ~(kernel : kernel) ~stop () =
+  validate ~stop kernel;
   let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
   let tr =
     Engine.begin_trace ?trace ~label ~mode:(mode_string par) ~layout:"flat"
       ~sched ~compile_s:0. ~compile_cached:false topo
   in
   Engine.with_trace tr (fun () ->
-      if kernel.slots < 1 then
-        invalid_arg
-          (Printf.sprintf "Flat: kernel %S declares slots=%d (must be >= 1)"
-             kernel.name kernel.slots);
       let csr = Stepper.of_topology topo in
       let ctx, store =
         store csr
@@ -135,20 +144,16 @@ let exec ~par ~sched ?trace ?label ~topo ~stop kernel =
       if exhausted then Engine.exhausted stop;
       { slab = ctx.cur; slots = ctx.slots; rounds })
 
-let run ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo ~kernel
-    ~max_rounds () =
-  if kernel.halted = None then
-    invalid_arg
-      (Printf.sprintf "Flat.run: kernel %S has no halted predicate" kernel.name);
-  exec ~par ~sched ?trace ?label ~topo ~stop:(Engine.Halted max_rounds) kernel
+let run ?par ?sched ?trace ?label ~topo ~kernel ~max_rounds () =
+  exec ?par ?sched ?trace ?label ~topo ~kernel ~stop:(Engine.Halted max_rounds)
+    ()
 
-let run_until_stable ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label
-    ~topo ~kernel ~max_rounds () =
-  exec ~par ~sched ?trace ?label ~topo ~stop:(Engine.Stable max_rounds) kernel
+let run_until_stable ?par ?sched ?trace ?label ~topo ~kernel ~max_rounds () =
+  exec ?par ?sched ?trace ?label ~topo ~kernel ~stop:(Engine.Stable max_rounds)
+    ()
 
-let run_rounds ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo
-    ~kernel ~rounds () =
-  exec ~par ~sched ?trace ?label ~topo ~stop:(Engine.Rounds rounds) kernel
+let run_rounds ?par ?sched ?trace ?label ~topo ~kernel ~rounds () =
+  exec ?par ?sched ?trace ?label ~topo ~kernel ~stop:(Engine.Rounds rounds) ()
 
 (* ---------- ported kernels ---------- *)
 

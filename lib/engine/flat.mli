@@ -14,10 +14,15 @@
     {e nothing} on the minor heap — no neighbor lists, no closures, no
     boxed floats (round timing is only taken when a trace is attached).
 
-    The boxed store stays the bit-exact reference: the
-    differential battery in [test/test_engine.ml] checks labelings,
-    round counts, traces and failure behaviour of every flat kernel
-    against its boxed twin, and [bench] B11 measures the gap.
+    Flat kernels are what the services run: served flood and the chaos
+    epochs step them in every engine mode through
+    [Tl_proc.Coordinator.run_kernel] (which runs {!exec} for [Seq] and
+    [Par], and one worker process per shard for [Proc]), and
+    [Tl_fault.Repair] re-runs its MIS region with {!run}. The boxed
+    engine stays their bit-exact reference: the differential battery in
+    [test/test_engine.ml] checks labelings, round counts, traces and
+    failure behaviour of every flat kernel against its boxed twin, and
+    [bench] B11 measures the gap.
 
     {2 Determinism and parity}
 
@@ -77,6 +82,30 @@ val column : outcome -> slot:int -> int array
 (** One state word per node (length [n_base]) — the flat counterpart of
     the boxed engine's [states] array, for differential comparison. *)
 
+val validate : stop:Engine.stop -> kernel -> unit
+(** Raises [Invalid_argument] for a kernel with [slots < 1], or without
+    [halted] under [Halted] — what every flat run checks first. *)
+
+val exec :
+  ?par:int ->
+  ?sched:Engine.scheduling ->
+  ?trace:Trace.t ->
+  ?label:string ->
+  topo:Topology.t ->
+  kernel:kernel ->
+  stop:Engine.stop ->
+  unit ->
+  outcome
+(** One in-process flat run under the stop policy [stop] (the table in
+    {!Engine}): {!run}, {!run_until_stable} and {!run_rounds} are its
+    three policies. [par] defaults to 1 (pure sequential, the
+    zero-allocation reference path); [par > 1] fans rounds with more
+    than {!Engine.par_grain} active nodes per chunk out to the domain
+    team. The label defaults to ["flat." ^ kernel.name]; traces are
+    stamped [mode = "flat:seq" | "flat:par:N"], [layout = "flat"] and
+    delivered to {!Engine.trace_sink} / {!Engine.metrics_sink} exactly
+    like boxed runs. Raises [Invalid_argument] as {!validate} does. *)
+
 val run :
   ?par:int ->
   ?sched:Engine.scheduling ->
@@ -87,14 +116,8 @@ val run :
   max_rounds:int ->
   unit ->
   outcome
-(** Flat counterpart of {!Engine.run} (requires [kernel.halted]; raises
-    [Invalid_argument] otherwise). [par] defaults to 1 (pure sequential,
-    the zero-allocation reference path); [par > 1] fans rounds with more
-    than {!Engine.par_grain} active nodes per chunk out to the domain
-    team. Traces
-    are stamped [mode = "flat:seq" | "flat:par:N"], [layout = "flat"]
-    and delivered to {!Engine.trace_sink} / {!Engine.metrics_sink}
-    exactly like boxed runs. *)
+(** Flat counterpart of {!Engine.run}: {!exec} under
+    [Halted max_rounds] (requires [kernel.halted]). *)
 
 val run_until_stable :
   ?par:int ->
@@ -147,7 +170,10 @@ module Kernels : sig
   val mis_local_max : ids:int array -> kernel
   (** Greedy MIS by local id maximum, slot 0 in {0 undecided; 1 in;
       2 out}: an undecided node joins when every undecided neighbor has
-      a smaller id, leaves when a neighbor joined. Bit-compatible with
-      the [mis_step] machine in test/test_engine.ml and bench B6.
-      [halted] is "decided". *)
+      a smaller id, leaves when a neighbor joined; a decided node never
+      changes, so a run from a partial labeling (a chaos epoch, a repair
+      region) keeps it as a fixed boundary. Adjacent equal ids block
+      each other, so [ids] must be distinct (as [Tl_local.Ids] makes
+      them). Bit-compatible with the [mis_step] machine in
+      test/test_engine.ml and bench B6. [halted] is "decided". *)
 end

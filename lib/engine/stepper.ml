@@ -185,12 +185,9 @@ let round t ~par ~round =
 
 (* ---------- the boxed store ---------- *)
 
-let[@inline] global l2g l =
-  match l2g with None -> l | Some m -> Array.unsafe_get m l
-
-let boxed ?l2g csr ~init ~step ~equal ~halted =
+let boxed csr ~init ~step ~equal ~halted =
   let off = csr.off and adj = csr.adj and eid = csr.eid in
-  let st = Array.init csr.n_local (fun l -> init (global l2g l)) in
+  let st = Array.init csr.n_local init in
   let nx = Array.sub st 0 csr.n_owned in
   let step ~worker:_ ~round active lo hi =
     for i = lo to hi - 1 do
@@ -201,12 +198,10 @@ let boxed ?l2g csr ~init ~step ~equal ~halted =
       let acc = ref [] in
       for j = Array.unsafe_get off (v + 1) - 1 downto Array.unsafe_get off v do
         let u = Array.unsafe_get adj j in
-        acc :=
-          (global l2g u, Array.unsafe_get eid j, Array.unsafe_get st u) :: !acc
+        acc := (u, Array.unsafe_get eid j, Array.unsafe_get st u) :: !acc
       done;
       Array.unsafe_set nx v
-        (step ~round ~node:(global l2g v) (Array.unsafe_get st v)
-           ~neighbors:!acc)
+        (step ~round ~node:v (Array.unsafe_get st v) ~neighbors:!acc)
     done
   in
   let publish v =

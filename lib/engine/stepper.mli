@@ -1,7 +1,7 @@
 (** The synchronous LOCAL round body (Definition 5), written once for
     every stepper but the [Naive] reference: {!Engine}'s [Seq]/[Par]
     stepper, {!Flat}, and the shard-local body [Tl_shard.Local] the
-    process backend's workers run.
+    process backend's workers run over a flat store.
 
     A round is {e compute → commit → advance}:
 
@@ -14,9 +14,10 @@
       ascending when it is dense.
 
     Under [Full_scan] every stepping node stays active and no frontier
-    is kept. Node states live behind a {!store}; the boxed one is
-    {!boxed}, the int-slab one [Flat.store]. Every bound the loops skip
-    is covered by the {!csr} invariants. *)
+    is kept. Node states live behind a {!store}: the boxed one is
+    {!boxed} (whole-topology runs only), the int-slab one [Flat.store]
+    (whole topologies and shards). Every bound the loops skip is
+    covered by the {!csr} invariants. *)
 
 type scheduling =
   | Active_set  (** re-step only nodes with a changed 1-hop neighborhood *)
@@ -90,7 +91,6 @@ val unhalted : t -> int
     store has no halting predicate). *)
 
 val boxed :
-  ?l2g:int array ->
   csr ->
   init:(int -> 'state) ->
   step:
@@ -102,9 +102,7 @@ val boxed :
   equal:('state -> 'state -> bool) ->
   halted:('state -> bool) option ->
   'state array * store
-(** The boxed store: states in an array of [n_local] slots, each
-    initialized by [init] of its global id ([l2g], the identity when
-    absent). A step sees global node and edge ids and its neighbors in
-    the CSR's incident order, so a step function cannot tell a shard
-    from the whole graph. Returns the array — a proc worker writes
-    ghosts into it — with the store over it. *)
+(** The boxed store of {!Engine}'s [Seq]/[Par] runs, over a whole
+    topology's CSR: states in an array of [n_local] slots, each
+    initialized by [init] of its id; a step sees its neighbors in the
+    CSR's incident order. Returns the array with the store over it. *)

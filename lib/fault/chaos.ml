@@ -1,7 +1,9 @@
 module Graph = Tl_graph.Graph
 module Semi_graph = Tl_graph.Semi_graph
 module Engine = Tl_engine.Engine
+module Flat = Tl_engine.Flat
 module Topology = Tl_engine.Topology
+module Proc = Tl_proc.Coordinator
 module Span = Tl_obs.Span
 module Metrics = Tl_obs.Metrics
 module Json = Tl_obs.Json
@@ -101,11 +103,11 @@ let run ?(mode = Engine.Seq) ?(sched = Engine.Active_set) ?max_rounds ~graph
     | Flood { source } ->
       if source < 0 || source >= n then
         invalid_arg "Chaos.run: flood source out of range";
-      Repair.flood_init ~source
+      fun v -> if v = source then 1 else 0
     | Mis { ids } ->
       if Array.length ids <> n then
         invalid_arg "Chaos.run: ids length mismatch";
-      Repair.mis_init
+      fun _ -> 0
   in
   let inj = Injector.arm schedule ~n in
   Fun.protect ~finally:(fun () -> Injector.disarm inj) @@ fun () ->
@@ -120,16 +122,22 @@ let run ?(mode = Engine.Seq) ?(sched = Engine.Active_set) ?max_rounds ~graph
   let relabeled = ref 0 in
   let repair_region = ref 0 in
   let repair_s = ref 0.0 in
+  (* an epoch's kernel starts from the current labels, which a proc
+     worker reads through its shard's l2g *)
+  let from_labels (k : Flat.kernel) ~l2g =
+    { k with Flat.init = (fun ~node ~slot:_ -> labels.(l2g.(node))) }
+  in
   let run_epoch topo =
     match problem with
     | Flood _ ->
-      Engine.run_until_stable ~mode ~sched ~label:"chaos" ~topo
-        ~init:(fun v -> labels.(v))
-        ~step:Repair.flood_step ~equal:Int.equal ~max_rounds ()
+      Proc.run_kernel ~mode ~sched ~label:"chaos" ~topo
+        ~kernel_for:(fun ~l2g -> from_labels (Flat.Kernels.flood ()) ~l2g)
+        ~stop:(Engine.Stable max_rounds) ()
     | Mis { ids } ->
-      Engine.run ~mode ~sched ~label:"chaos" ~topo
-        ~init:(fun v -> labels.(v))
-        ~step:(Repair.mis_step ~ids) ~halted:Repair.mis_halted ~max_rounds ()
+      Proc.run_kernel ~mode ~sched ~label:"chaos" ~topo
+        ~kernel_for:(fun ~l2g ->
+          from_labels (Proc.Kernels.mis_local_max ~ids ~l2g) ~l2g)
+        ~stop:(Engine.Halted max_rounds) ()
   in
   let run_epoch_retrying topo =
     let rec attempt k =
@@ -216,10 +224,10 @@ let run ?(mode = Engine.Seq) ?(sched = Engine.Active_set) ?max_rounds ~graph
     let topo = Topology.compile_cached !sg in
     let outcome = run_epoch_retrying topo in
     Array.iter
-      (fun v -> labels.(v) <- outcome.Engine.states.(v))
+      (fun v -> labels.(v) <- outcome.Flat.slab.(v))
       topo.Topology.present_nodes;
-    base := !base + outcome.Engine.rounds;
-    rounds := !rounds + outcome.Engine.rounds;
+    base := !base + outcome.Flat.rounds;
+    rounds := !rounds + outcome.Flat.rounds;
     match Injector.next_topo_round inj with
     | None -> finished := true
     | Some r ->

@@ -4,7 +4,9 @@
     A chaos run is an {e epoch loop}. Each epoch compiles the current
     surviving view ({!Tl_engine.Topology.compile_cached} — repeated
     epochs over an unchanged view reuse one snapshot) and runs the
-    workload kernel in the chosen engine mode from the current labels.
+    workload's flat kernel ({!Tl_engine.Flat.Kernels.flood} or
+    [mis_local_max]) from the current labels, in the chosen engine mode,
+    through {!Tl_proc.Coordinator.run_kernel}.
     The armed {!Injector} gate interrupts the run at the round boundary
     before the next crash / recover event; the orchestrator then applies
     the topology surgery ([hide_node] for crashes — a generation bump
@@ -40,7 +42,8 @@ module Graph = Tl_graph.Graph
 
 type problem =
   | Flood of { source : int }
-  | Mis of { ids : int array }  (** per-node comparison keys, length n *)
+  | Mis of { ids : int array }
+      (** distinct per-node comparison keys, length n *)
 
 val problem_name : problem -> string
 
@@ -77,8 +80,9 @@ val run :
   unit ->
   report
 (** Arm the schedule, drive the epoch loop, disarm (also on raise).
-    Every epoch runs in [mode] (default [Seq]). [max_rounds] bounds each
-    single epoch (default [4 * n + 64]).
+    Every epoch runs in [mode] (default [Seq]; [Naive] raises
+    [Invalid_argument], as it has no flat path). [max_rounds] bounds
+    each single epoch (default [4 * n + 64]).
     Raises [Invalid_argument] if an injector is already armed or the
     schedule names out-of-range ids, [Failure] if a fault-time repair
     fails to clear the staleness it targets. The final [valid] flag is

@@ -1,30 +1,7 @@
 module Graph = Tl_graph.Graph
 module Semi_graph = Tl_graph.Semi_graph
-module Engine = Tl_engine.Engine
+module Flat = Tl_engine.Flat
 module Topology = Tl_engine.Topology
-
-(* ---- kernels ---- *)
-
-let flood_init ~source v = if v = source then 1 else 0
-
-let flood_step ~round:_ ~node:_ s ~neighbors =
-  if s = 1 then 1
-  else if List.exists (fun (_, _, ns) -> ns = 1) neighbors then 1
-  else 0
-
-let mis_init _ = 0
-
-let mis_step ~ids ~round:_ ~node s ~neighbors =
-  if s <> 0 then s
-  else if List.exists (fun (_, _, ns) -> ns = 1) neighbors then 2
-  else
-    let my = ids.(node) in
-    let beaten =
-      List.exists (fun (u, _, ns) -> ns = 0 && ids.(u) > my) neighbors
-    in
-    if beaten then 0 else 1
-
-let mis_halted s = s <> 0
 
 (* ---- checkers ---- *)
 
@@ -169,15 +146,22 @@ let repair_mis ~graph ~sg ~ids ~labels =
        (of_node_subset takes the mask verbatim) — the mask above only
        ever adds present nodes, so the view equals region ∩ sg *)
     let topo = Topology.compile view in
+    let kernel =
+      {
+        (Flat.Kernels.mis_local_max ~ids) with
+        Flat.init = (fun ~node ~slot:_ -> labels.(node));
+      }
+    in
     let outcome =
-      Engine.run ~mode:Seq ~topo
-        ~init:(fun v -> labels.(v))
-        ~step:(mis_step ~ids) ~halted:mis_halted
-        ~max_rounds:(!region_size + 2) ()
+      Flat.run ~label:"repair" ~topo ~kernel ~max_rounds:(!region_size + 2) ()
     in
     (* 4. splice the recomputed region back *)
     for v = 0 to n - 1 do
-      if in_region.(v) then labels.(v) <- outcome.states.(v)
+      if in_region.(v) then labels.(v) <- outcome.Flat.slab.(v)
     done;
-    { relabeled = !n_reset; region = !region_size; rounds = outcome.rounds }
+    {
+      relabeled = !n_reset;
+      region = !region_size;
+      rounds = outcome.Flat.rounds;
+    }
   end

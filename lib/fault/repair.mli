@@ -14,7 +14,8 @@
       [O(size of touched components)], not [O(n)].
     - {!repair_mis} scans for violations ([O(n + m)] over the surviving
       view), resets the violated nodes (undecided / unwitnessed-out) to
-      undecided, and re-runs the greedy kernel on the reset region plus
+      undecided, and re-runs the greedy kernel
+      ({!Tl_engine.Flat.Kernels.mis_local_max}) on the reset region plus
       its 1-hop boundary as a fresh {!Tl_graph.Semi_graph.of_node_subset}
       view — the kernel freezes decided nodes, so the surrounding MIS
       acts as a fixed boundary condition and only the damaged region
@@ -26,22 +27,6 @@
 
 module Graph = Tl_graph.Graph
 module Semi_graph = Tl_graph.Semi_graph
-
-(** {1 Kernels}
-
-    The two chaos workloads as engine step functions over [int] states.
-    Flooding: [0] idle, [1] reached — a node catches [1] from any
-    neighbor; the source is seeded [1] by its init. MIS (greedy by ids):
-    [0] undecided, [1] in, [2] out — decided nodes never change, an
-    undecided node joins when its id beats every undecided neighbor and
-    leaves when any neighbor joined. *)
-
-val flood_init : source:int -> int -> int
-val flood_step : int Tl_engine.Engine.step_fn
-
-val mis_init : int -> int
-val mis_step : ids:int array -> int Tl_engine.Engine.step_fn
-val mis_halted : int -> bool
 
 (** {1 Validity checkers} — [O(n + m)] over the surviving view. *)
 
@@ -76,8 +61,10 @@ val repair_flood :
 val repair_mis :
   graph:Graph.t -> sg:Semi_graph.t -> ids:int array -> labels:int array ->
   stats
-(** Violation scan, reset, region re-run (in-process [Seq] engine over
-    an uncached {!Tl_engine.Topology.compile} — repair views are
-    one-shot and must not evict the main run's cached snapshots),
-    splice back into [labels]. Raises [Failure] only if the region
-    re-run exceeds its round budget, which a finite region cannot. *)
+(** Violation scan, reset, region re-run ({!Tl_engine.Flat.run} of the
+    MIS kernel from the current labels, over an uncached
+    {!Tl_engine.Topology.compile} — repair views are one-shot and must
+    not evict the main run's cached snapshots), splice back into
+    [labels]. [ids] must be distinct, as the kernel requires. Raises
+    [Failure] only if the region re-run exceeds its round budget, which
+    a finite region with distinct ids cannot. *)

@@ -454,6 +454,10 @@ let instantiate t ~n =
     t.clauses;
   Hashtbl.iter (fun r l -> Hashtbl.replace by_round r (List.rev l)) by_round;
   let pending_recover : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+  (* a rate-0 window draws no casualty: its coins are never walked *)
+  let churn =
+    match t.churn with Some c when c.rate > 0. -> Some c | _ -> None
+  in
   (* The rounds that can emit an event, walked in ascending order: the
      clause rounds, the churn window, and the rounds a churn casualty is
      due back. A casualty of round r is due at r + ttl, so the due
@@ -465,7 +469,7 @@ let instantiate t ~n =
   let next_round cur =
     let candidates =
       (match !clause_rounds with r :: _ -> [ r ] | [] -> [])
-      @ (match t.churn with
+      @ (match churn with
         | Some c when cur < c.to_round -> [ max (cur + 1) c.from_round ]
         | _ -> [])
       @ Option.to_list (Queue.peek_opt due_rounds)
@@ -524,7 +528,7 @@ let instantiate t ~n =
               end
             done)
         items);
-    (match t.churn with
+    (match churn with
     | Some c when r >= c.from_round && r <= c.to_round ->
       for v = 0 to n - 1 do
         if alive.(v) && u01 (hash3 t.seed r v) < c.rate then begin

@@ -103,9 +103,10 @@ val instantiate : t -> n:int -> (int * event) list
     explicit clauses in spec order, then churn crashes by ascending node
     id). Deterministic: a pure function of [(t, n)]. It visits only the
     rounds that can emit an event (the clause rounds, the churn window
-    and the rounds a casualty is due back), so a clause at round 10{^10}
-    costs what one at round 10 does; a recovery due past [max_int]
-    never fires. [Crash_random]
+    unless its rate is 0, and the rounds a casualty is due back), so a
+    clause at round 10{^10} costs what one at round 10 does and a rate-0
+    window costs nothing; a recovery due past [max_int] never fires.
+    [Crash_random]
     draws distinct {e alive} nodes (never crashes the same node twice
     without an intervening recovery) by rejection-sampling a splitmix64
     stream seeded from [seed]; churn decides each (round, node) pair

@@ -193,18 +193,25 @@ let underlying_distances t src =
     invalid_arg "Semi_graph.underlying_distances: absent node";
   let n = Graph.n_nodes t.base in
   let dist = Array.make n (-1) in
-  let queue = Queue.create () in
+  (* an int queue over the incidence rows: each node enters once *)
+  let queue = Array.make n 0 in
+  let tail = ref 1 in
   dist.(src) <- 0;
-  Queue.push src queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    List.iter
-      (fun (u, _e) ->
-        if dist.(u) < 0 then begin
-          dist.(u) <- dist.(v) + 1;
-          Queue.push u queue
-        end)
-      (rank2_neighbors t v)
+  queue.(0) <- src;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let inc = Graph.incident t.base v and adj = Graph.neighbors t.base v in
+    let d = dist.(v) + 1 in
+    for i = 0 to Array.length inc - 1 do
+      let u = adj.(i) in
+      if dist.(u) < 0 && t.edge_in.(inc.(i)) && t.node_in.(u) then begin
+        dist.(u) <- d;
+        queue.(!tail) <- u;
+        incr tail
+      end
+    done
   done;
   dist
 

@@ -6,12 +6,6 @@ module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
 module Span = Tl_obs.Span
 
-(* Force-link the process backend: Tl_proc registers itself into
-   Engine.proc_backend at module initialization, but the linker drops
-   unreferenced archive modules, so the runtime references it
-   explicitly — every binary built on the runtime can run [Proc] mode. *)
-let () = Tl_proc.Coordinator.register ()
-
 type 'state outcome = { states : 'state array; rounds : int }
 
 (* Compiles through the topology cache: repeated phases over the same

@@ -13,11 +13,12 @@
     with the double-buffered active-set scheduler (no per-round full
     copies; converged regions cost zero). The optional [mode] selects the
     stepper — [Naive] (the original full-scan reference), [Seq] (the
-    default), [Par p] (OCaml 5 domains, deterministic chunking) or
-    [Proc p] (one worker process per shard, [Tl_proc.Coordinator]); the
-    runtime force-links the process backend so it is available in every
-    binary built on it. All are bit-identical under the engine's
-    stationarity contract (see {!Tl_engine.Engine}).
+    default) or [Par p] (OCaml 5 domains, deterministic chunking); all
+    are bit-identical under the engine's stationarity contract (see
+    {!Tl_engine.Engine}). [Proc p] raises [Invalid_argument]: the
+    process backend steps flat kernels only
+    ([Tl_proc.Coordinator.run_kernel]), and this library does not link
+    it.
 
     Determinism: given the semi-graph, the ID assignment and a
     deterministic [step], runs are bit-for-bit reproducible across all

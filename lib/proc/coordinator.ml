@@ -12,12 +12,15 @@
    child on every exit path — orderly completion, max_rounds failure,
    worker crash, coordinator exception — so no run leaves zombies, and
    an abnormal worker exit surfaces as Proc_failure with the wait
-   status. *)
+   status.
+
+   [run_kernel] at the bottom is the one entry point of a flat kernel in
+   every engine mode: seq and par:N step it in process (Flat.exec),
+   proc:N on a fresh cluster of these workers. *)
 
 module Engine = Tl_engine.Engine
 module Flat = Tl_engine.Flat
 module Topology = Tl_engine.Topology
-module Trace = Tl_engine.Trace
 module Team = Tl_engine.Team
 module Plan = Tl_shard.Plan
 module Local = Tl_shard.Local
@@ -142,9 +145,12 @@ let spawn_workers ~size ~direct ~pairs ~body =
 
 (* One run on a fresh cluster: fork, ship the prologues, drive the
    rounds from the stats totals, then collect every worker's epilogue
-   image into [blank ()] with [read], in ascending shard order. *)
-let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
-    ~read =
+   words into a slab initialized from the global [kernel], in ascending
+   shard order. Each worker builds its shard's kernel with
+   [kernel_for]. *)
+let with_cluster ~procs ~topo ~stop:policy ~sched ~trace ~kernel_for
+    ~(kernel : Flat.kernel) =
+  let slots = kernel.Flat.slots in
   if Team.spawns () > 0 then
     Wire.fail
       "proc backend cannot fork: this process already spawned domains \
@@ -194,7 +200,10 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
           ((a, b), Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0) :: !pairs
     done
   done;
-  let pids = spawn_workers ~size ~direct ~pairs:!pairs ~body in
+  let pids =
+    spawn_workers ~size ~direct ~pairs:!pairs ~body:(fun env ->
+        Worker.run env ~kernel_for)
+  in
   let cfd = Array.map fst direct in
   let bufs = Array.init size (fun _ -> Transport.Buf.create 4096) in
   let reaped = Array.make size false in
@@ -456,85 +465,52 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~slots ~trace ~body ~blank
           ignore (stop ~ship:false);
           Engine.exhausted policy
         end;
-        let out = blank () in
+        let slab =
+          Array.init (topo.Topology.n_base * slots) (fun i ->
+              kernel.Flat.init ~node:(i / slots) ~slot:(i mod slots))
+        in
         Array.iteri
           (fun rank img ->
             match img with
             | None -> Wire.fail "worker %d shipped no states" rank
-            | Some b -> read out shards.(rank) b)
+            | Some b -> Codec.read ~slots slab shards.(rank) b)
           (stop ~ship:true);
-        (out, rounds))
+        { Flat.slab; slots; rounds })
   with
   | v -> v
   | exception Worker_failure msg -> failwith msg
 
-(* ---------- the Engine.Proc hook (boxed states) ---------- *)
+(* ---------- the flat-kernel entry point ---------- *)
 
-let exec :
-    type a.
-    count:int ->
-    sched:Engine.scheduling ->
-    equal:(a -> a -> bool) ->
-    trace:Trace.t option ->
-    topo:Topology.t ->
-    init:(int -> a) ->
-    step:a Engine.step_fn ->
-    halted:(a -> bool) option ->
-    stop:Engine.stop ->
-    a Engine.outcome =
- fun ~count:procs ~sched ~equal ~trace ~topo ~init ~step ~halted ~stop ->
-  let states, rounds =
-    with_cluster ~procs ~topo ~stop ~sched ~slots:0 ~trace
-      ~body:(fun env ->
-        Worker.run env (Worker.boxed env ~init ~step ~equal ~halted))
-      ~blank:(fun () -> Array.init topo.Topology.n_base init)
-      ~read:Codec.read_boxed
-  in
-  { Engine.states; rounds }
-
-let () = Engine.proc_backend := Some { Engine.exec }
-
-let register () = ()
-
-(* ---------- flat entry points (the B12 fast path) ---------- *)
-
-(* The coordinator's identity-l2g call of [kernel_for] recovers the
-   global kernel: its slots, halting predicate and initial slab. Traces
-   are stamped like a boxed Proc run, with the flat layout. *)
-let exec_flat ~procs ~sched ~topo ~kernel_for ~stop =
-  let kernel : Flat.kernel =
+(* The identity-l2g call of [kernel_for] is the global kernel: an
+   in-process run steps it, and a proc run takes its slots, halting
+   predicate and initial slab from it. A proc trace is stamped like an
+   in-process one, with mode proc:N and the flat layout. *)
+let run_kernel ~mode ?(sched = Engine.Active_set) ?trace ?label ~topo
+    ~kernel_for ~stop () =
+  let global () : Flat.kernel =
     kernel_for ~l2g:(Array.init topo.Topology.n_base Fun.id)
   in
-  (match (stop, kernel.Flat.halted) with
-  | Engine.Halted _, None ->
+  match mode with
+  | Engine.Naive ->
     invalid_arg
-      (Printf.sprintf "Proc.run_flat: kernel %s has no halted predicate"
-         kernel.Flat.name)
-  | _ -> ());
-  let slots = kernel.Flat.slots in
-  let trace =
-    Engine.begin_trace ~label:("flat." ^ kernel.Flat.name)
-      ~mode:(Engine.mode_to_string (Engine.Proc procs))
-      ~layout:"flat" ~sched ~compile_s:0. ~compile_cached:false topo
-  in
-  Engine.with_trace trace (fun () ->
-      let slab, rounds =
-        with_cluster ~procs ~topo ~stop ~sched ~slots ~trace
-          ~body:(fun env -> Worker.run env (Worker.flat env ~kernel_for))
-          ~blank:(fun () ->
-            Array.init (topo.Topology.n_base * slots) (fun i ->
-                kernel.Flat.init ~node:(i / slots) ~slot:(i mod slots)))
-          ~read:(Codec.read_flat ~slots)
-      in
-      { Flat.slab; slots; rounds })
-
-let run_flat ~procs ?(sched = Engine.Active_set) ~topo ~kernel_for
-    ~max_rounds () =
-  exec_flat ~procs ~sched ~topo ~kernel_for ~stop:(Engine.Halted max_rounds)
-
-let run_flat_until_stable ~procs ?(sched = Engine.Active_set) ~topo
-    ~kernel_for ~max_rounds () =
-  exec_flat ~procs ~sched ~topo ~kernel_for ~stop:(Engine.Stable max_rounds)
+      "Coordinator.run_kernel: naive is the boxed reference of Engine.run*; \
+       a flat kernel runs in seq, par:N or proc:N"
+  | Engine.Seq | Engine.Par _ ->
+    let par = match mode with Engine.Par p -> p | _ -> 1 in
+    Flat.exec ~par ~sched ?trace ?label ~topo ~kernel:(global ()) ~stop ()
+  | Engine.Proc procs ->
+    let kernel = global () in
+    Flat.validate ~stop kernel;
+    let label =
+      match label with Some l -> l | None -> "flat." ^ kernel.Flat.name
+    in
+    let trace =
+      Engine.begin_trace ?trace ~label ~mode:(Engine.mode_to_string mode)
+        ~layout:"flat" ~sched ~compile_s:0. ~compile_cached:false topo
+    in
+    Engine.with_trace trace (fun () ->
+        with_cluster ~procs ~topo ~stop ~sched ~trace ~kernel_for ~kernel)
 
 (* Shard-local builders for the stock flat kernels: the worker calls
    [kernel_for ~l2g:shard.l2g] so node-indexed inputs are remapped into

@@ -20,16 +20,15 @@
       configuration, halo-neighbor sets, the collective-tree shape code,
       its link cuts (no halo entry to [peer] in relative round [round])
       and its {!Tl_shard.Plan.shard} image
-      ({!Tl_shard.Plan.encode_shard}).
+      ({!Tl_shard.Plan.encode_shard}). [slots] is the flat kernel's
+      state words per node; a worker answers [slots = 0] with an error
+      frame ({!Proc_failure} at the coordinator).
     - {b halo} (worker → worker, once per round per out-neighbor):
       [round:u32 src:u16 n:u32 entry...] where each of the [n] entries
       is [slot:u32 word...] — the target's ghost slot and the node's
-      new state in {e state words}. A state word is [tag:u8] followed
-      by [i64] (tag 0, an immediate OCaml value — the zero-allocation
-      path) or [mlen:u32 marshal_bytes] (tag 1, a boxed state shipped
-      via [Marshal]). A boxed-layout entry (prologue [slots = 0]) holds
-      one state word; a flat-layout entry holds the node's [slots] int
-      words as tag-0 state words.
+      [slots] new int words as {e state words}. A state word is
+      [tag:u8] (always 0) followed by an [i64]; any other tag is
+      rejected.
     - {b stats} (allreduce up the collective tree): [round:u32 src:u16
       active:i64 changed:i64 unhalted:i64 halo_words:i64] — summed
       component-wise at each tree node; the root's totals drive the
@@ -42,15 +41,14 @@
       (round:u32 dst:u16 msgs:i64)... has_states:u8 [slen:u32 states]]
       — per-worker counters for span reporting, the cuts that fired
       ([msgs] entries to [dst] skipped, in first-firing order) plus,
-      when requested, the owned states in ascending local order: one
-      state word per owned node (boxed layout), or the flat slab's raw
-      [n_owned * slots] [i64] words, untagged (flat layout).
+      when requested, the owned states in ascending local order: the
+      slab's raw [n_owned * slots] [i64] words, untagged.
     - {b error} (worker → coordinator, at most once): [src:u16
       failure:u8 mlen:u32 message] — a worker-side exception;
       [failure=1] means [Failure msg] (re-raised verbatim for parity
       with in-process backends), otherwise it becomes {!Proc_failure}.
 
-    The state words of both layouts are written and read by the
+    State words and epilogue images are written and read by the
     library-private [Codec] module only.
 
     Malformed input (bad magic, unknown version, truncated or oversized

@@ -1,13 +1,14 @@
 (* The worker side of the process backend: one forked process per shard.
 
-   A worker inherits the run's closures (init/step/equal/halted, or the
-   flat kernel builder) through fork — closures never cross the wire —
-   but its shard sub-CSR arrives as a Plan.encode_shard image inside the
-   prologue frame and is decoded here, so the data path a real multi-host
-   deployment would need is the one actually exercised.
+   A worker inherits the run's flat kernel builder through fork —
+   closures never cross the wire — but its shard sub-CSR arrives as a
+   Plan.encode_shard image inside the prologue frame and is decoded here,
+   so the data path a real multi-host deployment would need is the one
+   actually exercised.
 
    Per round (decision "step r" from the collective tree), [run] drives
-   the shard-local round body of Tl_shard.Local:
+   the shard-local round body of Tl_shard.Local over the kernel's int
+   slab (Flat.store, the whole-graph stepper's own):
 
      compute + commit  →  halo exchange (the route buffer, minus the
      routes to a cut peer, drained into one frame per out-neighbor,
@@ -15,9 +16,7 @@
      ascending source rank)  →  advance  →  stats allreduce up the tree
      (active/changed/unhalted/halo_words summed component-wise).
 
-   What differs per layout is the store — boxed states (Stepper.boxed)
-   or a flat int slab (Flat.store), the whole-graph steppers' own —
-   each with its state words from Codec. *)
+   The slab's words cross the wire as Codec's state words. *)
 
 module Engine = Tl_engine.Engine
 module Flat = Tl_engine.Flat
@@ -158,60 +157,25 @@ let open_halo env ~expect_src ~round buf =
       expect_src;
   (Wire.get_u32 b 11, 15)
 
-(* ---------- state stores ---------- *)
+(* ---------- the round loop ---------- *)
 
-(* What one round body needs of a layout: the shard-local store, plus
-   the state words of its halo entries and epilogue image (Codec). *)
-type store = {
-  local : Stepper.store;
-  put : Transport.Buf.t -> int -> int -> int;
-      (* [put buf pos l]: append owned local [l]'s words at [pos], return
-         the end *)
-  get : Bytes.t -> int -> int -> int -> int;
-      (* [get b pos stop slot]: decode words at [pos] into ghost [slot],
-         return the next position *)
-  image : unit -> bytes;  (* the owned states, for the epilogue *)
-}
-
-let halo_where env = Printf.sprintf "worker %d: halo" env.rank
-
-let boxed env ~init ~step ~equal ~halted =
-  let st, local =
-    Stepper.boxed ~l2g:env.sh.Plan.l2g env.csr ~init ~step ~equal ~halted
-  in
-  {
-    local;
-    put = (fun buf pos l -> Codec.put_boxed buf pos (Array.unsafe_get st l));
-    get = Codec.get_boxed ~where:(halo_where env) st;
-    image = (fun () -> Codec.boxed_image st env.sh.Plan.n_owned);
-  }
-
-(* The flat int-slab store over the shard's sub-CSR. The kernel builder
-   receives the shard's l2g so node-indexed inputs (source ids, priority
-   arrays) can be remapped into local space; the kernel then runs
-   against a ctx whose CSR is the shard's sub-CSR — valid because adj
-   entries are local indices into the local slab. *)
-let flat env ~(kernel_for : l2g:int array -> Flat.kernel) =
-  let k = kernel_for ~l2g:env.sh.Plan.l2g in
+(* The kernel builder receives the shard's l2g so node-indexed inputs
+   (source ids, priority arrays, initial labels) can be remapped into
+   local space; the kernel then runs against a ctx whose CSR is the
+   shard's sub-CSR — valid because adj entries are local indices into
+   the local slab. *)
+let run env ~(kernel_for : l2g:int array -> Flat.kernel) =
+  let sh = env.sh in
+  let n_owned = sh.Plan.n_owned and n_local = sh.Plan.n_local in
+  let k = kernel_for ~l2g:sh.Plan.l2g in
   let slots = k.Flat.slots in
   if slots <> env.slots then
     Wire.fail "worker %d: kernel slots %d disagree with prologue %d" env.rank
       slots env.slots;
-  let ctx, local = Flat.store env.csr ~workers:1 ~halting:env.halting k in
+  let ctx, store = Flat.store env.csr ~workers:1 ~halting:env.halting k in
   let cur = ctx.Flat.cur in
-  {
-    local;
-    put = Codec.put_flat cur ~slots;
-    get = Codec.get_flat ~where:(halo_where env) cur ~slots;
-    image = (fun () -> Codec.flat_image cur (env.sh.Plan.n_owned * slots));
-  }
-
-(* ---------- the round loop ---------- *)
-
-let run env store =
-  let sh = env.sh in
-  let n_owned = sh.Plan.n_owned and n_local = sh.Plan.n_local in
-  let loc = Local.create sh env.csr ~sched:env.sched ~cuts:env.cuts store.local in
+  let where = Printf.sprintf "worker %d: halo" env.rank in
+  let loc = Local.create sh env.csr ~sched:env.sched ~cuts:env.cuts store in
   let core = Local.stepper loc in
   (* halo out: one reusable frame buffer per out-peer; [peer_of] maps a
      route's target rank to its buffer *)
@@ -228,7 +192,7 @@ let run env store =
       buf.Transport.Buf.len <- pos;
       Transport.Buf.ensure buf (pos + 4);
       Wire.put_u32 buf.Transport.Buf.b pos slot.(b);
-      opos.(p) <- store.put buf (pos + 4) src.(b);
+      opos.(p) <- Codec.put cur ~slots buf (pos + 4) src.(b);
       ocnt.(p) <- ocnt.(p) + 1
     done
   in
@@ -263,7 +227,7 @@ let run env store =
           let slot = Wire.get_u32 b !pos in
           if slot < n_owned || slot >= n_local then
             Wire.fail "worker %d: halo slot %d out of range" env.rank slot;
-          pos := store.get b (!pos + 4) blen slot;
+          pos := Codec.get ~where cur ~slots b (!pos + 4) blen slot;
           Local.ghost_written loc slot
         done;
         if !pos <> blen then
@@ -293,7 +257,8 @@ let run env store =
   send_epilogue env ~halo_words:(Local.halo_words loc)
     ~exchange_rounds:(Local.exchange_rounds loc)
     ~drops:(Local.dropped loc)
-    ~states:(if ship then Some (store.image ()) else None)
+    ~states:
+      (if ship then Some (Codec.image cur (n_owned * slots)) else None)
 
 (* ---------- process entry ---------- *)
 
@@ -309,6 +274,9 @@ let serve ~rank ~coord ~chans ~(body : env -> unit) =
       | Wire.Prologue p ->
         if p.rank <> rank then
           Wire.fail "worker %d: prologue addressed to rank %d" rank p.rank;
+        if p.slots < 1 then
+          Wire.fail "worker %d: prologue slots %d (a flat kernel has >= 1)"
+            rank p.slots;
         let sh = Plan.decode_shard p.shard in
         if sh.Plan.id <> rank then
           Wire.fail "worker %d: shard %d in prologue" rank sh.Plan.id;

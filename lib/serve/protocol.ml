@@ -524,6 +524,10 @@ let find_workload ~problem ~method_ =
 
 (* ---------- knob validation ---------- *)
 
+(* served runs step flat kernels, which have no naive mode *)
+let invalid_engine engine =
+  Printf.sprintf "invalid engine %S (expected seq, par:N or proc:N)" engine
+
 let resolve_knobs ~engine ~pool ~n =
   if n < 1 then
     Stdlib.Error (Printf.sprintf "instance size %d is not positive" n)
@@ -532,18 +536,12 @@ let resolve_knobs ~engine ~pool ~n =
       (Printf.sprintf "invalid pool size %d (expected 1 <= N <= 64)" pool)
   else
     match Engine.mode_of_string engine with
-    | exception Invalid_argument _ ->
-      Stdlib.Error
-        (Printf.sprintf
-           "invalid engine %S (expected naive, seq, par:N or proc:N)" engine)
+    | exception Invalid_argument _ -> Stdlib.Error (invalid_engine engine)
+    | Engine.Naive -> Stdlib.Error (invalid_engine engine)
     | Engine.Proc p when p > n ->
       Stdlib.Error
         (Printf.sprintf
            "proc count %d exceeds the instance size n = %d (each worker \
             needs at least one node)"
            p n)
-    | Engine.Proc _ when !Engine.proc_backend = None ->
-      Stdlib.Error
-        "engine proc requested but no process backend is linked (build \
-         against tl_proc)"
     | m -> Ok m

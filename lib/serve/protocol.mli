@@ -207,7 +207,7 @@ val resolve_knobs :
     nodes and resolve the engine string to a mode. Errors — friendly,
     one-line — cover: engine strings {!Tl_engine.Engine.mode_of_string}
     rejects (a bare ["proc"] among them: the message names [proc:N]),
-    a proc count above [n], [pool] outside [1, 64], [n < 1], and proc
-    mode requested while no process backend is linked
-    ({!Tl_engine.Engine.proc_backend} is [None]). Shared by the daemon
-    (per-request admission) and the CLI (argument cross-validation). *)
+    ["naive"] (served runs step flat kernels, which have no naive
+    mode), a proc count above [n], [pool] outside [1, 64] and [n < 1].
+    Shared by the daemon (per-request admission) and the CLI (argument
+    cross-validation). *)

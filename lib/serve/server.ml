@@ -7,10 +7,12 @@ module Semi_graph = Tl_graph.Semi_graph
 module Ids = Tl_local.Ids
 module Round_cost = Tl_local.Round_cost
 module Engine = Tl_engine.Engine
+module Flat = Tl_engine.Flat
 module Topology = Tl_engine.Topology
 module Trace = Tl_engine.Trace
 module Pool = Tl_engine.Pool
 module Plan = Tl_shard.Plan
+module Proc = Tl_proc.Coordinator
 module P = Protocol
 
 type config = { depth : int; cache_slots : int; max_n : int }
@@ -206,30 +208,29 @@ let with_trace_collector f =
       let result = f () in
       (result, List.rev !traces))
 
-(* Flooding to a fixed point from node 0 — the repo's engine-kernel
-   workhorse, served straight off the cached semi-graph: warm requests
-   hit Topology.compile_cached (and Plan.build_cached in proc mode).
-   The verdict is Repair's O(n + m) checker: exactly node 0's component
-   is flooded. *)
+(* Flooding to a fixed point from node 0 — the flat flood kernel,
+   served straight off the cached semi-graph: warm requests hit
+   Topology.compile_cached (and Plan.build_cached in proc mode). The
+   verdict is Repair's O(n + m) checker: exactly node 0's component is
+   flooded. *)
 let flood ~mode inst =
   let sg = Lazy.force inst.sg in
   let topo = Topology.compile_cached sg in
   let n = Graph.n_nodes inst.graph in
   let tr = Trace.create ~label:"serve:flood" () in
   let o =
-    Engine.run_until_stable ~mode ~trace:tr ~topo
-      ~init:(fun v -> v = 0)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-        s || List.exists (fun (_, _, su) -> su) neighbors)
-      ~equal:Bool.equal ~max_rounds:(n + 1) ()
+    Proc.run_kernel ~mode ~trace:tr ~topo
+      ~kernel_for:(Proc.Kernels.flood ())
+      ~stop:(Engine.Stable (n + 1)) ()
   in
   Span.add_trace tr;
   let cost = Round_cost.create () in
-  Round_cost.charge cost "flood" o.Engine.rounds;
-  let labels = Array.map (fun b -> if b then 1 else 0) o.Engine.states in
+  Round_cost.charge cost "flood" o.Flat.rounds;
+  (* one word per node: the slab is the 0/1 labeling *)
+  let labels = o.Flat.slab in
   {
     P.digest = P.digest_array Fun.id labels;
-    rounds = o.Engine.rounds;
+    rounds = o.Flat.rounds;
     ledger = Round_cost.phases cost;
     k = 0;
     valid = Tl_fault.Repair.check_flood ~sg ~source:0 ~labels;

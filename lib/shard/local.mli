@@ -11,9 +11,8 @@
     drops — make {!drain} skip every route to that peer in that round.
     A skipped route is lost, not delayed: routes fire only on change.
 
-    The store is the whole-graph steppers' own: boxed states
-    ({!Tl_engine.Stepper.boxed} with the shard's [l2g]) or flat int
-    slabs ({!Tl_engine.Flat.store}). *)
+    The store is the whole-graph flat stepper's own: the kernel's int
+    slab ({!Tl_engine.Flat.store}) over the shard's sub-CSR. *)
 
 type t
 

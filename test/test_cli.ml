@@ -297,6 +297,8 @@ let test_knob_validation_usage_errors () =
   usage "--engine 'par: 2'" "invalid engine";
   usage "--engine shard" "invalid engine";
   usage "--engine shard:4" "invalid engine";
+  (* chaos steps flat kernels, which have no naive mode *)
+  usage "--engine naive" "invalid engine \"naive\"";
   usage "--shards 2" "--shards";
   usage "--engine proc:50 --n 20"
     "proc count 50 exceeds the instance size n = 20"
@@ -444,6 +446,34 @@ let test_regress_nonfinite_fails () =
   check_int "null metric exits 1" 1 code;
   check "row marked non-finite" true (contains ~needle:"FAIL(non-finite)" stdout)
 
+(* Rows align by (kernel, n, mode): the same kernel and mode measured
+   at another instance size is a size mismatch, which fails the gate
+   instead of comparing timings of different graphs. *)
+let test_regress_size_mismatch () =
+  let at n =
+    Printf.sprintf
+      {|{"bench":"engine","n":100,"seed":1,"cores":1,"kernels":[
+ {"kernel":"flood","n":%d,"deterministic":true,"modes":[
+  {"mode":"seq","domains":1,"wall_s":0.5,"rounds":5}]}]}|}
+      n
+  in
+  let old_f = Filename.temp_file "tl_bench_old" ".json" in
+  let new_f = Filename.temp_file "tl_bench_new" ".json" in
+  write_file old_f (at 100_000);
+  write_file new_f (at 2_000);
+  let code, stdout, _ =
+    run_cmd (Printf.sprintf "%s %s %s" regress old_f new_f)
+  in
+  check_int "size mismatch exits 1" 1 code;
+  check "row marked as a size mismatch" true
+    (contains ~needle:"FAIL(size n=2000, old n=100000)" stdout);
+  (* the kernel's own n wins over the file's: equal sizes compare *)
+  write_file new_f (at 100_000);
+  let code', _, _ = run_cmd (Printf.sprintf "%s %s %s" regress old_f new_f) in
+  Sys.remove old_f;
+  Sys.remove new_f;
+  check_int "same n passes" 0 code'
+
 let test_regress_usage_and_parse_errors () =
   let code, _, _ = run_cmd (Printf.sprintf "%s onlyone.json" regress) in
   check_int "usage error" 2 code;
@@ -504,6 +534,8 @@ let () =
             test_regress_zero_baseline;
           Alcotest.test_case "non-finite metric fails" `Quick
             test_regress_nonfinite_fails;
+          Alcotest.test_case "size mismatch fails" `Quick
+            test_regress_size_mismatch;
           Alcotest.test_case "usage and parse errors exit 2" `Quick
             test_regress_usage_and_parse_errors;
         ] );

@@ -15,6 +15,8 @@ module Gen = Tl_graph.Gen
 module Semi_graph = Tl_graph.Semi_graph
 module Topology = Tl_engine.Topology
 module Engine = Tl_engine.Engine
+module Flat = Tl_engine.Flat
+module Proc = Tl_proc.Coordinator
 module Plan = Tl_shard.Plan
 module Wire = Tl_proc.Wire
 module Ids = Tl_local.Ids
@@ -126,8 +128,8 @@ let test_proc_drop_smoke () =
 (* MIS under the same drops stalls: a dropped "in" leaves a neighbor
    undecided with no active neighbor, so the run's active set drains
    with unhalted nodes and it fails before the crash round — as the
-   shard:4 run did. Its first epoch, driven directly under an armed
-   injector, pins the drops that fired. *)
+   shard:4 run did. Its first epoch, driven directly through the kernel
+   entry point under an armed injector, pins the drops that fired. *)
 let test_proc_drop_mis () =
   let fails () =
     match mis_chaos ~mode:(Engine.Proc 4) ~n:600 ~seed:2 link_drop_spec with
@@ -142,12 +144,14 @@ let test_proc_drop_mis () =
   Injector.with_armed (sched_of link_drop_spec) ~n:600 (fun inj ->
       let topo = Topology.compile_cached (Semi_graph.of_graph g) in
       (match
-         Engine.run ~mode:(Engine.Proc 4) ~topo ~init:Repair.mis_init
-           ~step:(Repair.mis_step ~ids) ~halted:Repair.mis_halted
-           ~max_rounds:2464 ()
+         Proc.run_kernel ~mode:(Engine.Proc 4) ~topo
+           ~kernel_for:(Proc.Kernels.mis_local_max ~ids)
+           ~stop:(Engine.Halted 2464) ()
        with
       | _ -> Alcotest.fail "the first MIS epoch must stall"
-      | exception Failure _ -> ());
+      | exception Failure m ->
+        check_string "the epoch's failure"
+          "Engine.run: max_rounds=2464 exceeded" m);
       check "mis drops pinned" true
         (Injector.log inj
         = [
@@ -160,9 +164,9 @@ let test_proc_timeout () =
   let g = tree ~n:60 ~seed:3 in
   let topo = Topology.compile (Semi_graph.of_graph g) in
   let flood () =
-    Engine.run_until_stable ~mode:(Engine.Proc 2) ~topo
-      ~init:(fun v -> if v = 0 then 1 else 0)
-      ~step:Repair.flood_step ~equal:Int.equal ~max_rounds:200 ()
+    Proc.run_kernel ~mode:(Engine.Proc 2) ~topo
+      ~kernel_for:(Proc.Kernels.flood ())
+      ~stop:(Engine.Stable 200) ()
   in
   (* a microsecond deadline trips before any worker can answer *)
   Unix.putenv "TL_PROC_TIMEOUT_MS" "0.001";
@@ -178,11 +182,11 @@ let test_proc_timeout () =
   (* a generous deadline lets the run complete *)
   Unix.putenv "TL_PROC_TIMEOUT_MS" "60000";
   let o = flood () in
-  check "run completes under a generous timeout" true (o.Engine.rounds > 0);
+  check "run completes under a generous timeout" true (o.Flat.rounds > 0);
   (* malformed values disable the deadline rather than breaking runs *)
   Unix.putenv "TL_PROC_TIMEOUT_MS" "not-a-number";
   let o2 = flood () in
-  check "malformed timeout ignored" true (o2.Engine.rounds = o.Engine.rounds);
+  check "malformed timeout ignored" true (o2.Flat.rounds = o.Flat.rounds);
   Unix.putenv "TL_PROC_TIMEOUT_MS" ""
 
 (* ---------- schedule ---------- *)
@@ -330,6 +334,42 @@ let test_churn_window_cap () =
   let t = sched_of (Printf.sprintf "seed=2;churn@1-%d:rate=0" cap) in
   check "longest window, no casualty" true (Schedule.instantiate t ~n:3 = [])
 
+(* Runs [f] in a forked child: true when it returns within [seconds]. A
+   walk that would not end is killed at the deadline instead of hanging
+   the suite. *)
+let finishes_within ~seconds f =
+  flush_all ();
+  match Unix.fork () with
+  | 0 -> Unix._exit (match f () with () -> 0 | exception _ -> 1)
+  | pid ->
+    let deadline = Unix.gettimeofday () +. seconds in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.01;
+        wait ()
+      | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        false
+      | _, status -> status = Unix.WEXITED 0
+    in
+    wait ()
+
+(* A rate-0 churn window can emit nothing, so instantiation never walks
+   its per-node coins: 10^4 rounds x 10^6 nodes would be 10^10 draws. *)
+let test_rate0_churn_free () =
+  let t = sched_of "seed=1;churn@1-10000:rate=0" in
+  check "rate-0 churn at n = 10^6 instantiates at once" true
+    (finishes_within ~seconds:10. (fun () ->
+         if Schedule.instantiate t ~n:1_000_000 <> [] then failwith "events"));
+  (* beside clauses it leaves their events alone *)
+  check "clauses unaffected" true
+    (Schedule.instantiate
+       (sched_of "seed=1;crash@3:2;churn@1-10000:rate=0;recover@7:2")
+       ~n:10
+    = [ (3, Schedule.Crash 2); (7, Schedule.Recover 2) ])
+
 (* ---------- injector ---------- *)
 
 let test_injector_single_armed () =
@@ -449,22 +489,37 @@ let test_chaos_replay_identical () =
       check (name ^ " mis replay") true (same_report c d))
     scenario_specs
 
-(* par modes spawn the domain team — keep after the proc suite *)
+(* par modes spawn the domain team — keep after the proc suite, and run
+   every proc:2 case here before the first par:2 one. Under proc the
+   link-drop MIS stalls (test_proc_drop_mis); the seq and par epochs
+   carry no wire, so their drops never fire. *)
 let test_chaos_cross_mode () =
+  let seq =
+    List.map
+      (fun (name, spec) ->
+        let r = mis_chaos ~mode:Engine.Seq ~n:600 ~seed:2 spec in
+        check (name ^ " seq valid") true r.Chaos.valid;
+        r)
+      scenario_specs
+  in
   List.iter
-    (fun (name, spec) ->
-      let seq = mis_chaos ~mode:Engine.Seq ~n:600 ~seed:2 spec in
-      check (name ^ " seq valid") true seq.Chaos.valid;
-      List.iter
-        (fun mode ->
-          let r = mis_chaos ~mode ~n:600 ~seed:2 spec in
-          check
-            (Printf.sprintf "%s digest %s = seq" name
-               (Engine.mode_to_string mode))
-            true
-            (r.Chaos.digest = seq.Chaos.digest && r.Chaos.valid))
-        [ Engine.Naive; Engine.Par 2 ])
-    scenario_specs
+    (fun mode ->
+      List.iter2
+        (fun (name, spec) (want : Chaos.report) ->
+          if not (name = "link-drop" && mode = Engine.Proc 2) then begin
+            let r = mis_chaos ~mode ~n:600 ~seed:2 spec in
+            check
+              (Printf.sprintf "%s digest %s = seq" name
+                 (Engine.mode_to_string mode))
+              true
+              (r.Chaos.digest = want.Chaos.digest && r.Chaos.valid)
+          end)
+        scenario_specs seq)
+    [ Engine.Proc 2; Engine.Par 2 ];
+  (* the epochs are flat kernels, which have no naive mode *)
+  match mis_chaos ~mode:Engine.Naive ~n:60 ~seed:2 "seed=1" with
+  | _ -> Alcotest.fail "a naive chaos run must be refused"
+  | exception Invalid_argument _ -> ()
 
 let test_chaos_empty_schedule_matches_plain () =
   (* armed-but-empty chaos must equal the plain engine answer *)
@@ -476,10 +531,14 @@ let test_chaos_empty_schedule_matches_plain () =
       ~schedule:Schedule.empty ()
   in
   let topo = Topology.compile (Semi_graph.of_graph g) in
+  (* the boxed engine's flood machine, the flat kernel's reference *)
   let o =
     Engine.run_until_stable ~topo
-      ~init:(Repair.flood_init ~source:0)
-      ~step:Repair.flood_step ~equal:Int.equal ~max_rounds:(n + 1) ()
+      ~init:(fun v -> if v = 0 then 1 else 0)
+      ~step:(fun ~round:_ ~node:_ s ~neighbors ->
+        if s = 1 || List.exists (fun (_, _, su) -> su = 1) neighbors then 1
+        else 0)
+      ~equal:Int.equal ~max_rounds:(n + 1) ()
   in
   check "labels equal the plain run" true (rep.Chaos.labels = o.Engine.states);
   check_int "no repairs" 0 rep.Chaos.repairs;
@@ -598,6 +657,8 @@ let () =
           Alcotest.test_case "instantiate: far rounds cost nothing" `Quick
             test_instantiate_far_rounds;
           Alcotest.test_case "churn window capped" `Quick test_churn_window_cap;
+          Alcotest.test_case "instantiate: rate-0 churn costs nothing" `Quick
+            test_rate0_churn_free;
         ] );
       ( "injector",
         [

@@ -393,6 +393,64 @@ let prop_semi_masks_consistent =
              r >= 1 && r <= 2)
            (Semi_graph.edges sg))
 
+(* A BFS over rank2_neighbors lists through a boxed Queue: the reference
+   underlying_distances must match. *)
+let list_distances sg src =
+  let dist = Array.make (Graph.n_nodes (Semi_graph.base sg)) (-1) in
+  let queue = Queue.create () in
+  dist.(src) <- 0;
+  Queue.push src queue;
+  while not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    List.iter
+      (fun (u, _e) ->
+        if dist.(u) < 0 then begin
+          dist.(u) <- dist.(v) + 1;
+          Queue.push u queue
+        end)
+      (Semi_graph.rank2_neighbors sg v)
+  done;
+  dist
+
+let prop_distances_match_list_bfs =
+  QCheck.Test.make ~name:"underlying_distances = list BFS on partial views"
+    ~count:120
+    QCheck.(quad (int_range 2 80) (int_range 0 100000) (int_range 0 100000)
+              (int_range 0 2))
+    (fun (n, seed, mask_seed, pick) ->
+      let g =
+        match pick with
+        | 0 -> Gen.random_tree ~n ~seed
+        | 1 -> Gen.forest_union ~n ~arboricity:2 ~seed
+        | _ -> Gen.cycle (max 3 n)
+      in
+      let rng = Gen.Prng.create mask_seed in
+      let keep k = Array.init k (fun _ -> Gen.Prng.int rng 4 <> 0) in
+      let views =
+        [
+          Semi_graph.of_graph g;
+          Semi_graph.of_node_subset g (keep (Graph.n_nodes g));
+          Semi_graph.of_edge_subset g (keep (Graph.n_edges g));
+        ]
+      in
+      List.for_all
+        (fun sg ->
+          List.for_all
+            (fun v ->
+              Semi_graph.underlying_distances sg v = list_distances sg v)
+            (Semi_graph.nodes sg)
+          && (Semi_graph.n_present_nodes sg = Graph.n_nodes g
+             || (let absent =
+                   List.find
+                     (fun v -> not (Semi_graph.node_present sg v))
+                     (List.init (Graph.n_nodes g) Fun.id)
+                 in
+                 match Semi_graph.underlying_distances sg absent with
+                 | _ -> false
+                 | exception Invalid_argument m ->
+                   m = "Semi_graph.underlying_distances: absent node")))
+        views)
+
 let prop_degeneracy_bounds_nash_williams =
   QCheck.Test.make ~name:"nash-williams <= degeneracy" ~count:50
     QCheck.(triple (int_range 5 100) (int_range 1 4) (int_range 0 100000))
@@ -438,6 +496,7 @@ let qcheck_tests =
       prop_degeneracy_bounds_nash_williams;
       prop_diameter_vs_eccentricity;
       prop_half_edges_of_matches_lookup;
+      prop_distances_match_list_bfs;
     ]
 
 let () =

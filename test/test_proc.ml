@@ -1,14 +1,17 @@
 (* Differential battery for the process backend: the tlp wire codec
    (round-trips, chunked reassembly, malformed-input rejection, the
-   zero-allocation scalar path), collective-tree geometry, and
-   proc:{1,2,4} bit-identical to the sequential stepper — labelings,
-   per-round trace records, round counts and failure behavior — plus
-   worker-crash containment and zombie-free cleanup.
+   zero-allocation scalar path), collective-tree geometry, and flat
+   kernels on proc:{1,2,4} through Coordinator.run_kernel bit-identical
+   to its seq mode — labelings, per-round trace records, round counts
+   and failure texts, under both schedulings and every stop policy —
+   plus worker-crash containment, zombie-free cleanup and the refused
+   pairings (a boxed proc run, a naive kernel run, a zero-slot
+   prologue).
 
    Ordering matters on OCaml 5: fork is forbidden once a domain has
-   spawned, so every comparison here is against Engine.Seq / Flat with
-   par:1 — never Par modes, which may spin up the domain team and
-   would poison every later proc run in this process. *)
+   spawned, so every comparison here is against seq — never Par modes,
+   which may spin up the domain team and would poison every later proc
+   run in this process. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
@@ -38,9 +41,6 @@ let family ~n ~seed ~pick =
   | 1 -> Gen.balanced_regular_tree ~delta:(2 + (seed mod 4)) ~n
   | 2 -> Gen.path n
   | _ -> Gen.forest_union ~n ~arboricity:2 ~seed
-
-let flood_step ~round:_ ~node:_ s ~neighbors =
-  s || List.exists (fun (_, _, su) -> su) neighbors
 
 let mis_step ids ~round:_ ~node:v s ~neighbors =
   if s <> 0 then s
@@ -370,33 +370,99 @@ let test_shard_image_rejection () =
   check "trailing garbage rejected" true
     (rejects (Bytes.cat img (Bytes.make 3 'q')))
 
-(* ---------- engine-level differential: states, rounds, traces ---------- *)
+(* ---------- the kernel entry point: proc == seq ---------- *)
+
+(* Every proc run below goes through Coordinator.run_kernel, the one
+   entry point of a flat kernel; its seq mode (Flat.exec) is the
+   reference, and test_engine's flat battery holds that against the
+   boxed engine. *)
+
+let scheds = [ Engine.Active_set; Engine.Full_scan ]
 
 let record_key r =
   (r.Trace.round, r.Trace.active, r.Trace.changed, r.Trace.unhalted)
 
-let outcome_and_records f mode =
+let kernel_run ~mode ?(sched = Engine.Active_set) ?trace ~topo ~kernel_for
+    stop =
+  Proc.run_kernel ~mode ~sched ?trace ~topo ~kernel_for ~stop ()
+
+(* the outcome and the per-round trace records of one run *)
+let traced_run ~mode ~sched ~topo ~kernel_for stop =
   let trace = Trace.create ~label:"diff" () in
-  let o = f ~mode ~trace in
-  (o, List.map record_key (Trace.records trace))
+  let o = kernel_run ~mode ~sched ~trace ~topo ~kernel_for stop in
+  ((o.Flat.slab, o.Flat.rounds), List.map record_key (Trace.records trace))
 
-let proc_matches_seq f =
-  let seq_o, seq_r = outcome_and_records f Engine.Seq in
+let proc_matches_seq ~topo ~kernel_for stop =
   List.for_all
-    (fun p ->
-      let o, r = outcome_and_records f (Engine.Proc p) in
-      o.Engine.rounds = seq_o.Engine.rounds
-      && o.Engine.states = seq_o.Engine.states
-      && r = seq_r)
-    proc_counts
+    (fun sched ->
+      let seq = traced_run ~mode:Engine.Seq ~sched ~topo ~kernel_for stop in
+      List.for_all
+        (fun p ->
+          traced_run ~mode:(Engine.Proc p) ~sched ~topo ~kernel_for stop = seq)
+        proc_counts)
+    scheds
 
-(* A boxed (non-immediate) state: (reached, max id seen). Its halo
-   entries and epilogue words take the tagged Marshal path of the wire
-   codec, which immediate bool/int states never exercise. *)
-let reach_max_step ids ~round:_ ~node:_ (r, m) ~neighbors =
-  List.fold_left
-    (fun (r, m) (u, _, (ru, _)) -> (r || ru, max m ids.(u)))
-    (r, m) neighbors
+(* A 2-slot kernel, so the multi-word halo entry runs: slot 0 is
+   "reached", slot 1 the hop distance from [source] (-1 while
+   unreached). Shard-local like [Proc.Kernels]: [l2g] remaps the
+   source. *)
+let hops_kernel ?(source = 0) () ~l2g =
+  let step (ctx : Flat.ctx) ~scratch:_ ~round:_ ~node =
+    let cur = ctx.Flat.cur and nxt = ctx.Flat.nxt and b = node * 2 in
+    let best = ref (if cur.(b) = 1 then cur.(b + 1) else -1) in
+    if cur.(b) = 0 then
+      for j = ctx.Flat.off.(node) to ctx.Flat.off.(node + 1) - 1 do
+        let u = ctx.Flat.adj.(j) in
+        if cur.(u * 2) = 1 && (!best < 0 || cur.((u * 2) + 1) + 1 < !best)
+        then best := cur.((u * 2) + 1) + 1
+      done;
+    nxt.(b) <- (if !best >= 0 then 1 else 0);
+    nxt.(b + 1) <- !best
+  in
+  {
+    Flat.name = "hops";
+    slots = 2;
+    scratch_words = 0;
+    init =
+      (fun ~node ~slot ->
+        match (l2g.(node) = source, slot) with
+        | true, 0 -> 1
+        | true, _ -> 0
+        | false, 0 -> 0
+        | false, _ -> -1);
+    step;
+    halted = Some (fun ctx ~node -> ctx.Flat.cur.(node * 2) = 1);
+  }
+
+(* max-propagation of the ids, for a fixed number of rounds *)
+let max_kernel ids ~l2g =
+  {
+    Flat.name = "max";
+    slots = 1;
+    scratch_words = 0;
+    init = (fun ~node ~slot:_ -> ids.(l2g.(node)));
+    step =
+      (fun ctx ~scratch:_ ~round:_ ~node ->
+        let best = ref ctx.Flat.cur.(node) in
+        for j = ctx.Flat.off.(node) to ctx.Flat.off.(node + 1) - 1 do
+          best := max !best ctx.Flat.cur.(ctx.Flat.adj.(j))
+        done;
+        ctx.Flat.nxt.(node) <- !best);
+    halted = None;
+  }
+
+(* a one-word kernel from an int step, halted by [halted] *)
+let simple ?halted name f ~l2g:_ =
+  {
+    Flat.name;
+    slots = 1;
+    scratch_words = 0;
+    init = (fun ~node:_ ~slot:_ -> 0);
+    step =
+      (fun ctx ~scratch:_ ~round ~node ->
+        ctx.Flat.nxt.(node) <- f ~round ctx.Flat.cur.(node));
+    halted = Option.map (fun h ctx ~node -> h ctx.Flat.cur.(node)) halted;
+  }
 
 let prop_flood_differential =
   QCheck.Test.make ~name:"flood: proc == seq (states + records)" ~count:20
@@ -404,22 +470,9 @@ let prop_flood_differential =
     (fun (n, seed, pick) ->
       let g = family ~n ~seed ~pick in
       let topo = Topology.compile (Semi_graph.of_graph g) in
-      let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 7) in
-      List.for_all
-        (fun sched ->
-          proc_matches_seq (fun ~mode ~trace ->
-              Engine.run_until_stable ~mode ~sched ~trace ~topo
-                ~init:(fun v -> v = 0)
-                ~step:flood_step ~equal:Bool.equal
-                ~max_rounds:(Graph.n_nodes g + 1)
-                ())
-          && proc_matches_seq (fun ~mode ~trace ->
-                 Engine.run_until_stable ~mode ~sched ~trace ~topo
-                   ~init:(fun v -> (v = 0, ids.(v)))
-                   ~step:(reach_max_step ids) ~equal:( = )
-                   ~max_rounds:(Graph.n_nodes g + 1)
-                   ()))
-        [ Engine.Active_set; Engine.Full_scan ])
+      let stop = Engine.Stable (Graph.n_nodes g + 1) in
+      proc_matches_seq ~topo ~kernel_for:(Proc.Kernels.flood ()) stop
+      && proc_matches_seq ~topo ~kernel_for:(hops_kernel ()) stop)
 
 let prop_mis_differential =
   QCheck.Test.make ~name:"MIS machine: proc == seq" ~count:20
@@ -429,12 +482,9 @@ let prop_mis_differential =
       let n = Graph.n_nodes g in
       let ids = Ids.permuted ~n ~seed:(seed + 3) in
       let topo = Topology.compile (Semi_graph.of_graph g) in
-      proc_matches_seq (fun ~mode ~trace ->
-          Engine.run ~mode ~trace ~topo
-            ~init:(fun _ -> 0)
-            ~step:(mis_step ids)
-            ~halted:(fun s -> s <> 0)
-            ~max_rounds:(n + 1) ()))
+      proc_matches_seq ~topo
+        ~kernel_for:(Proc.Kernels.mis_local_max ~ids)
+        (Engine.Halted (n + 1)))
 
 let prop_run_rounds_differential =
   QCheck.Test.make ~name:"run_rounds: proc == seq, exact count" ~count:15
@@ -444,20 +494,12 @@ let prop_run_rounds_differential =
       let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 5) in
       let topo = Topology.compile (Semi_graph.of_graph g) in
       let r = 3 + (seed mod 5) in
-      let run mode =
-        Engine.run_rounds ~mode ~topo
-          ~init:(fun v -> ids.(v))
-          ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-            List.fold_left (fun acc (_, _, su) -> max acc su) s neighbors)
-          ~rounds:r ()
+      let seq =
+        kernel_run ~mode:Engine.Seq ~topo ~kernel_for:(max_kernel ids)
+          (Engine.Rounds r)
       in
-      let seq = run Engine.Seq in
-      seq.Engine.rounds = r
-      && List.for_all
-           (fun p ->
-             let o = run (Engine.Proc p) in
-             o.Engine.rounds = r && o.Engine.states = seq.Engine.states)
-           proc_counts)
+      seq.Flat.rounds = r
+      && proc_matches_seq ~topo ~kernel_for:(max_kernel ids) (Engine.Rounds r))
 
 (* the tree shape only changes who forwards what: any fanout must leave
    results and ledgers untouched *)
@@ -466,11 +508,10 @@ let test_fanout_invariance () =
   let topo = Topology.compile (Semi_graph.of_graph g) in
   let flood mode =
     let o =
-      Engine.run_until_stable ~mode ~topo
-        ~init:(fun v -> v = 0)
-        ~step:flood_step ~equal:Bool.equal ~max_rounds:401 ()
+      kernel_run ~mode ~topo ~kernel_for:(Proc.Kernels.flood ())
+        (Engine.Stable 401)
     in
-    (o.Engine.states, o.Engine.rounds)
+    (o.Flat.slab, o.Flat.rounds)
   in
   let seq = flood Engine.Seq in
   List.iter
@@ -492,101 +533,210 @@ let failure_message f =
 
 let test_failure_parity () =
   let topo = Topology.compile (Semi_graph.of_graph (Gen.path 9)) in
-  let frozen mode () =
-    Engine.run ~mode ~topo
-      ~init:(fun _ -> 0)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
-      ~halted:(fun _ -> false)
-      ~max_rounds:10 ()
+  (* never halts and never changes: the active set drains (Halted) *)
+  let frozen =
+    simple ~halted:(fun _ -> false) "frozen" (fun ~round:_ s -> s)
   in
-  let blinker mode () =
-    Engine.run_until_stable ~mode ~topo
-      ~init:(fun _ -> false)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> not s)
-      ~equal:Bool.equal ~max_rounds:7 ()
-  in
-  let m_frozen = failure_message (frozen Engine.Seq) in
-  let m_blinker = failure_message (blinker Engine.Seq) in
-  check "seq frozen raises" true (m_frozen <> None);
-  check "seq blinker raises" true (m_blinker <> None);
+  (* flips every round: no fixed point (Stable) *)
+  let blinker = simple "blinker" (fun ~round:_ s -> 1 - s) in
   List.iter
-    (fun p ->
-      Alcotest.(check (option string))
-        (Printf.sprintf "frozen parity proc:%d" p)
-        m_frozen
-        (failure_message (frozen (Engine.Proc p)));
-      Alcotest.(check (option string))
-        (Printf.sprintf "blinker parity proc:%d" p)
-        m_blinker
-        (failure_message (blinker (Engine.Proc p))))
-    proc_counts
+    (fun sched ->
+      let run mode kernel_for stop () =
+        kernel_run ~mode ~sched ~topo ~kernel_for stop
+      in
+      let cases =
+        [
+          ( "frozen",
+            frozen,
+            Engine.Halted 10,
+            "Engine.run: max_rounds=10 exceeded" );
+          ( "blinker",
+            blinker,
+            Engine.Stable 7,
+            "Engine.run_until_stable: max_rounds=7 exceeded" );
+        ]
+      in
+      List.iter
+        (fun (what, kernel_for, stop, text) ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s seq text (%s)" what
+               (Engine.sched_to_string sched))
+            (Some text)
+            (failure_message (run Engine.Seq kernel_for stop));
+          List.iter
+            (fun p ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s parity proc:%d (%s)" what p
+                   (Engine.sched_to_string sched))
+                (Some text)
+                (failure_message (run (Engine.Proc p) kernel_for stop)))
+            proc_counts)
+        cases)
+    scheds
+
+(* a flood kernel whose step raises at one node in round 2 *)
+let boom ~at ~l2g =
+  let k = Proc.Kernels.flood () ~l2g in
+  {
+    k with
+    Flat.step =
+      (fun ctx ~scratch ~round ~node ->
+        if round = 2 && l2g.(node) = at then failwith "boom";
+        k.Flat.step ctx ~scratch ~round ~node);
+  }
+
+let no_zombies () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | _ -> false
 
 let test_worker_crash_containment () =
   let n = 200 in
   let topo =
     Topology.compile (Semi_graph.of_graph (Gen.random_tree ~n ~seed:31))
   in
-  (* a worker-side exception mid-run must surface as the same Failure
-     the sequential stepper would raise... *)
+  List.iter
+    (fun (sched, stop) ->
+      List.iter
+        (fun p ->
+          let what =
+            Printf.sprintf "proc:%d %s" p (Engine.sched_to_string sched)
+          in
+          (* a worker-side exception mid-run must surface as the same
+             Failure the sequential stepper raises... *)
+          Alcotest.(check (option string))
+            (what ^ ": worker exception surfaces verbatim")
+            (Some "boom")
+            (failure_message (fun () ->
+                 kernel_run ~mode:(Engine.Proc p) ~sched ~topo
+                   ~kernel_for:(boom ~at:(n / 2)) stop));
+          (* ...and leave nothing behind: every worker reaped *)
+          check (what ^ ": no zombie workers after a crashed run") true
+            (no_zombies ()))
+        proc_counts)
+    [
+      (Engine.Full_scan, Engine.Rounds 4);
+      (Engine.Full_scan, Engine.Stable (n + 1));
+      (Engine.Full_scan, Engine.Halted (n + 1));
+    ];
   Alcotest.(check (option string))
-    "worker exception surfaces verbatim" (Some "boom")
+    "seq raises the same Failure" (Some "boom")
     (failure_message (fun () ->
-         Engine.run_rounds ~mode:(Engine.Proc 4) ~topo
-           ~init:(fun v -> v)
-           ~step:(fun ~round ~node s ~neighbors:_ ->
-             if round = 2 && node = n / 2 then failwith "boom";
-             s + 1)
-           ~rounds:4 ()));
-  (* ...and leave nothing behind: every worker reaped, no zombies *)
-  check "no zombie workers after a crashed run" true
-    (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
-    | _ -> false);
+         kernel_run ~mode:Engine.Seq ~sched:Engine.Full_scan ~topo
+           ~kernel_for:(boom ~at:(n / 2)) (Engine.Rounds 4)));
   (* a healthy run right after the crash works on the same topology *)
   let o =
-    Engine.run_rounds ~mode:(Engine.Proc 4) ~topo
-      ~init:(fun v -> v)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s + 1)
-      ~rounds:3 ()
+    kernel_run ~mode:(Engine.Proc 4) ~topo
+      ~kernel_for:(simple "count" (fun ~round:_ s -> s + 1))
+      (Engine.Rounds 3)
   in
-  check_int "backend recovers after a crash" 3 o.Engine.rounds
+  check_int "backend recovers after a crash" 3 o.Flat.rounds;
+  check "every node counted three rounds" true
+    (Array.for_all (fun s -> s = 3) o.Flat.slab)
 
-let test_unlinked_backend_message () =
-  let saved = !Engine.proc_backend in
-  Engine.proc_backend := None;
-  Fun.protect
-    ~finally:(fun () -> Engine.proc_backend := saved)
-    (fun () ->
-      let topo = Topology.compile (Semi_graph.of_graph (Gen.path 3)) in
-      match
-        Engine.run ~mode:(Engine.Proc 2) ~topo
-          ~init:(fun _ -> 0)
-          ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
-          ~halted:(fun _ -> true)
-          ~max_rounds:1 ()
-      with
-      | exception Failure m ->
-        check "unlinked failure message" true
-          (m = "Engine: proc mode requested but the tl_proc backend is \
-                not linked")
-      | _ -> Alcotest.fail "expected Failure without a backend")
+(* The process backend steps flat kernels only, and a flat kernel has no
+   naive mode: both pairings are refused before any work starts. *)
+let test_rejected_pairings () =
+  let topo = Topology.compile (Semi_graph.of_graph (Gen.path 3)) in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i =
+      i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
+    in
+    go 0
+  in
+  (match
+     Engine.run ~mode:(Engine.Proc 2) ~topo
+       ~init:(fun _ -> 0)
+       ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
+       ~halted:(fun _ -> true)
+       ~max_rounds:1 ()
+   with
+  | exception Invalid_argument m ->
+    check "boxed proc names run_kernel" true (contains m "run_kernel")
+  | _ -> Alcotest.fail "a boxed proc run must be refused");
+  (match
+     kernel_run ~mode:Engine.Naive ~topo ~kernel_for:(Proc.Kernels.flood ())
+       (Engine.Stable 5)
+   with
+  | exception Invalid_argument m ->
+    check "naive kernel run names the modes" true (contains m "proc:N")
+  | _ -> Alcotest.fail "a naive kernel run must be refused");
+  check "nothing forked" true (no_zombies ())
+
+(* A prologue announcing zero state words per node is refused by the
+   worker with an error frame, which the coordinator raises as
+   Proc_failure. *)
+let test_zero_slot_prologue () =
+  let c, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let plan =
+    Plan.build ~topo:(Topology.compile (Semi_graph.of_graph (Gen.path 4)))
+      ~shards:1
+  in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close c;
+    Tl_proc.Worker.serve ~rank:0 ~coord:w ~chans:[||] ~body:(fun _ ->
+        Unix._exit 3)
+  | pid ->
+    Unix.close w;
+    let img =
+      Wire.encode
+        (Wire.Prologue
+           {
+             rank = 0;
+             size = 1;
+             entry = 1;
+             sched = 0;
+             shape = 0;
+             slots = 0;
+             in_peers = [||];
+             out_peers = [||];
+             cuts = [];
+             shard = Plan.encode_shard plan.Plan.shards.(0);
+           })
+    in
+    Tl_proc.Transport.send_frame c img (Bytes.length img);
+    let reply =
+      Tl_proc.Transport.recv_typed c (Tl_proc.Transport.Buf.create 64)
+    in
+    let _, status = Unix.waitpid [] pid in
+    Unix.close c;
+    (match reply with
+    | Wire.Error_frame { failure = false; message; _ } ->
+      check "the error names the slots" true
+        (String.length message > 0
+        && (let rec has i =
+              i + 5 <= String.length message
+              && (String.sub message i 5 = "slots" || has (i + 1))
+            in
+            has 0))
+    | _ -> Alcotest.fail "expected a non-Failure error frame");
+    check "worker exits non-zero" true (status = Unix.WEXITED 2)
 
 let test_empty_present_set () =
   let g = Gen.path 4 in
   let topo =
     Topology.compile (Semi_graph.of_node_subset g (Array.make 4 false))
   in
+  let count =
+    simple ~halted:(fun _ -> false) "count" (fun ~round:_ s -> s + 1)
+  in
   List.iter
     (fun p ->
-      let o =
-        Engine.run ~mode:(Engine.Proc p) ~topo
-          ~init:(fun _ -> 0)
-          ~step:(fun ~round:_ ~node:_ st ~neighbors:_ -> st + 1)
-          ~halted:(fun _ -> false)
-          ~max_rounds:5 ()
-      in
-      check_int (Printf.sprintf "empty view costs 0 rounds proc:%d" p) 0
-        o.Engine.rounds)
+      List.iter
+        (fun (what, stop, want) ->
+          let o =
+            kernel_run ~mode:(Engine.Proc p) ~topo ~kernel_for:count stop
+          in
+          check_int
+            (Printf.sprintf "empty view: %s proc:%d" what p)
+            want o.Flat.rounds)
+        [
+          ("Halted costs 0 rounds", Engine.Halted 5, 0);
+          ("Stable costs 0 rounds", Engine.Stable 5, 0);
+          ("Rounds counts its rounds", Engine.Rounds 3, 3);
+        ])
     proc_counts
 
 (* ---------- mode strings ---------- *)
@@ -618,38 +768,6 @@ let test_mode_strings () =
     [ "proc:0"; "proc:x"; "proc:"; "shard"; "shard:2" ]
 
 (* ---------- flat kernels over the wire ---------- *)
-
-(* A 2-slot kernel defined here, so the multi-slot halo entry runs:
-   slot 0 is "reached", slot 1 the hop distance from [source] (-1 while
-   unreached). Shard-local like [Proc.Kernels]: [l2g] remaps the
-   source. *)
-let hops_kernel ?(source = 0) () ~l2g =
-  let step (ctx : Flat.ctx) ~scratch:_ ~round:_ ~node =
-    let cur = ctx.Flat.cur and nxt = ctx.Flat.nxt and b = node * 2 in
-    let best = ref (if cur.(b) = 1 then cur.(b + 1) else -1) in
-    if cur.(b) = 0 then
-      for j = ctx.Flat.off.(node) to ctx.Flat.off.(node + 1) - 1 do
-        let u = ctx.Flat.adj.(j) in
-        if cur.(u * 2) = 1 && (!best < 0 || cur.((u * 2) + 1) + 1 < !best)
-        then best := cur.((u * 2) + 1) + 1
-      done;
-    nxt.(b) <- (if !best >= 0 then 1 else 0);
-    nxt.(b + 1) <- !best
-  in
-  {
-    Flat.name = "hops";
-    slots = 2;
-    scratch_words = 0;
-    init =
-      (fun ~node ~slot ->
-        match (l2g.(node) = source, slot) with
-        | true, 0 -> 1
-        | true, _ -> 0
-        | false, 0 -> 0
-        | false, _ -> -1);
-    step;
-    halted = Some (fun ctx ~node -> ctx.Flat.cur.(node * 2) = 1);
-  }
 
 let test_flat_proc_parity () =
   let n = 400 in
@@ -684,57 +802,43 @@ let test_flat_proc_parity () =
           in
           List.iter
             (fun p ->
+              let proc kernel_for stop =
+                kernel_run ~mode:(Engine.Proc p) ~sched ~topo ~kernel_for stop
+              in
               same (tag p "flood")
-                (Proc.run_flat ~procs:p ~sched ~topo
-                   ~kernel_for:(Proc.Kernels.flood ()) ~max_rounds:(n + 1) ())
+                (proc (Proc.Kernels.flood ()) (Engine.Halted (n + 1)))
                 seq_flood;
               same (tag p "MIS")
-                (Proc.run_flat_until_stable ~procs:p ~sched ~topo
-                   ~kernel_for:(Proc.Kernels.mis_local_max ~ids)
-                   ~max_rounds:(n + 1) ())
+                (proc (Proc.Kernels.mis_local_max ~ids) (Engine.Stable (n + 1)))
                 seq_mis;
               same (tag p "2-slot hops")
-                (Proc.run_flat_until_stable ~procs:p ~sched ~topo
-                   ~kernel_for:(hops_kernel ()) ~max_rounds:(n + 1) ())
+                (proc (hops_kernel ()) (Engine.Stable (n + 1)))
                 seq_hops)
             proc_counts;
-          if sched = Engine.Active_set then begin
-            (* and the flat path agrees with the boxed proc path, column
-               for column *)
-            let boxed =
-              Engine.run_until_stable ~mode:(Engine.Proc 2) ~topo
-                ~init:(fun _ -> 0)
-                ~step:(mis_step ids)
-                ~equal:Int.equal ~max_rounds:(n + 1) ()
-            in
-            check (gname ^ " flat column = boxed proc states") true
-              (Array.to_list (Flat.column seq_mis ~slot:0)
-              = Array.to_list boxed.Engine.states)
-          end)
-        [ Engine.Active_set; Engine.Full_scan ])
+          (* and the flat path agrees with the boxed engine, column for
+             column *)
+          let boxed =
+            Engine.run_until_stable ~sched ~topo
+              ~init:(fun _ -> 0)
+              ~step:(mis_step ids) ~equal:Int.equal ~max_rounds:(n + 1) ()
+          in
+          check (gname ^ " flat column = boxed seq states") true
+            (Array.to_list (Flat.column seq_mis ~slot:0)
+            = Array.to_list boxed.Engine.states))
+        scheds)
     [ ("random tree", Gen.random_tree ~n ~seed:13); ("path", Gen.path n) ]
 
-(* Proc-flat runs deliver one engine trace each, stamped proc:N / flat,
-   whose per-round records are Flat.run's. *)
+(* Proc runs deliver one engine trace each, stamped proc:N / flat,
+   whose per-round records are Flat.exec's. *)
 let test_flat_proc_traces () =
   let n = 400 in
   let topo =
     Topology.compile (Semi_graph.of_graph (Gen.random_tree ~n ~seed:17))
   in
-  let want kernel_run =
+  let want stop =
     let trace = Trace.create () in
-    ignore (kernel_run trace);
+    ignore (Flat.exec ~trace ~topo ~kernel:(Flat.Kernels.flood ()) ~stop ());
     List.map record_key (Trace.records trace)
-  in
-  let flood_records =
-    want (fun trace ->
-        Flat.run ~trace ~topo ~kernel:(Flat.Kernels.flood ())
-          ~max_rounds:(n + 1) ())
-  in
-  let stable_records =
-    want (fun trace ->
-        Flat.run_until_stable ~trace ~topo ~kernel:(Flat.Kernels.flood ())
-          ~max_rounds:(n + 1) ())
   in
   let delivered f =
     let got = ref [] in
@@ -746,8 +850,14 @@ let test_flat_proc_traces () =
   List.iter
     (fun p ->
       List.iter
-        (fun (what, records, run) ->
-          match delivered run with
+        (fun (what, stop) ->
+          let records = want stop in
+          match
+            delivered (fun () ->
+                ignore
+                  (kernel_run ~mode:(Engine.Proc p) ~topo
+                     ~kernel_for:(Proc.Kernels.flood ()) stop))
+          with
           | [ t ] ->
             check (Printf.sprintf "%s proc:%d trace mode" what p) true
               (Trace.mode t = Printf.sprintf "proc:%d" p
@@ -758,20 +868,9 @@ let test_flat_proc_traces () =
             Alcotest.failf "%s proc:%d: %d traces delivered, want 1" what p
               (List.length ts))
         [
-          ( "run_flat",
-            flood_records,
-            fun () ->
-              ignore
-                (Proc.run_flat ~procs:p ~topo
-                   ~kernel_for:(Proc.Kernels.flood ()) ~max_rounds:(n + 1) ())
-            );
-          ( "run_flat_until_stable",
-            stable_records,
-            fun () ->
-              ignore
-                (Proc.run_flat_until_stable ~procs:p ~topo
-                   ~kernel_for:(Proc.Kernels.flood ()) ~max_rounds:(n + 1) ())
-          );
+          ("Halted", Engine.Halted (n + 1));
+          ("Stable", Engine.Stable (n + 1));
+          ("Rounds", Engine.Rounds 7);
         ])
     proc_counts
 
@@ -788,9 +887,8 @@ let test_proc_spans () =
   let (), root =
     Span.run "proc-span-test" (fun () ->
         ignore
-          (Engine.run_until_stable ~mode:(Engine.Proc 4) ~topo
-             ~init:(fun v -> v = 0)
-             ~step:flood_step ~equal:Bool.equal ~max_rounds:501 ()))
+          (kernel_run ~mode:(Engine.Proc 4) ~topo
+             ~kernel_for:(Proc.Kernels.flood ()) (Engine.Stable 501)))
   in
   let rank_spans =
     find_spans
@@ -871,8 +969,10 @@ let () =
             test_failure_parity;
           Alcotest.test_case "worker crash containment" `Quick
             test_worker_crash_containment;
-          Alcotest.test_case "unlinked backend message" `Quick
-            test_unlinked_backend_message;
+          Alcotest.test_case "rejected pairings" `Quick
+            test_rejected_pairings;
+          Alcotest.test_case "zero-slot prologue refused" `Quick
+            test_zero_slot_prologue;
           Alcotest.test_case "empty present set" `Quick
             test_empty_present_set;
         ] );

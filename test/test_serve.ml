@@ -189,7 +189,7 @@ let test_resolve_knobs () =
       with
       | { P.outcome = P.Error (P.Bad_request, _); _ } -> ()
       | _ -> Alcotest.failf "engine %S must be a bad_request" engine)
-    [ "proc"; "shard:4" ];
+    [ "proc"; "shard:4"; "naive" ];
   check "proc count over n" true
     (P.resolve_knobs ~engine:"proc:11" ~pool:1 ~n:10 |> Result.is_error);
   let m = err "proc:50" 1 20 in
@@ -198,25 +198,19 @@ let test_resolve_knobs () =
   ignore (err "seq" 0 10);
   ignore (err "seq" 65 10);
   ignore (err "seq" 1 0);
-  (* unlinked backend: the only untestable-from-a-binary path, since the
-     runtime force-links tl_proc — simulate by pulling the hook out *)
-  let saved_backend = !Engine.proc_backend in
-  Engine.proc_backend := None;
-  Fun.protect
-    ~finally:(fun () -> Engine.proc_backend := saved_backend)
-    (fun () ->
-      let m = err "proc:2" 1 10 in
-      check "unlinked backend is a friendly error" true
-        (m = "engine proc requested but no process backend is linked (build \
-              against tl_proc)");
-      check "seq unaffected" true (ok "seq" 1 10 = Engine.Seq))
+  (* served runs step flat kernels, which have no naive mode *)
+  check "naive names the served modes" true
+    (err "naive" 1 10
+    = "invalid engine \"naive\" (expected seq, par:N or proc:N)")
 
 (* ---------- differential battery ---------- *)
 
 (* The reference side rebuilds the instance and runs the pipelines
    directly — no serve code beyond the shared digest — with the mode
    passed to the engine run and the pool width set process-wide,
-   exactly like a one-shot CLI run. *)
+   exactly like a one-shot CLI run. Its flood is the boxed engine's
+   machine, while the daemon serves the flat kernel: an independent
+   differential of the two layouts. *)
 
 let build_ref_graph = function
   | P.Edges { n; edges; _ } -> Graph.of_edges ~n edges
@@ -284,7 +278,7 @@ let combo_gen =
     let* fam = int_range 0 2 in
     let* n = int_range 20 80 in
     let* seed = int_range 1 1000 in
-    let* eng = int_range 0 2 in
+    let* eng = int_range 0 1 in
     let* pool = oneofl [ 1; 4 ] in
     let problem, method_ =
       match pick with
@@ -303,7 +297,7 @@ let combo_gen =
     in
     let a = if family = "forest-union" then 2 else 1 in
     let spec = P.Family { family; n; seed; a; delta = 3 } in
-    let engine = match eng with 0 -> "seq" | 1 -> "naive" | _ -> "par:3" in
+    let engine = match eng with 0 -> "seq" | _ -> "par:3" in
     return
       (P.request ~id:"q" ~problem ~method_ ~spec ~engine ~pool
          ~want_span:false ()))

@@ -1,9 +1,9 @@
 (* The shard layer under the process backend: plan invariants and
-   caches, the shard-local round body ({!Tl_shard.Local}) — its link
-   cuts, and shard:{2,4,8} x pool:{1,4} runs of it in one process
-   bit-identical to seq — and the run report's per-shard spans. The
-   backend itself — proc:N over real sockets bit-identical to seq — is
-   test_proc's battery. *)
+   caches, the shard-local round body ({!Tl_shard.Local}) over flat
+   kernel slabs — its link cuts, and shard:{2,4,8} x pool:{1,4} runs of
+   it in one process bit-identical to the boxed seq engine — and the run
+   report's per-shard spans. The backend itself — proc:N over real
+   sockets bit-identical to seq — is test_proc's battery. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
@@ -11,10 +11,12 @@ module Semi_graph = Tl_graph.Semi_graph
 module Topology = Tl_engine.Topology
 module Engine = Tl_engine.Engine
 module Stepper = Tl_engine.Stepper
+module Flat = Tl_engine.Flat
 module Trace = Tl_engine.Trace
 module Pool = Tl_engine.Pool
 module Plan = Tl_shard.Plan
 module Local = Tl_shard.Local
+module Kernels = Tl_proc.Coordinator.Kernels
 module Ids = Tl_local.Ids
 module Span = Tl_obs.Span
 
@@ -33,6 +35,23 @@ let family ~n ~seed ~pick =
 
 let flood_step ~round:_ ~node:_ s ~neighbors =
   s || List.exists (fun (_, _, su) -> su) neighbors
+
+(* max-propagation of the ids: the flat twin of run_rounds' step *)
+let max_kernel ids ~l2g =
+  {
+    Flat.name = "max";
+    slots = 1;
+    scratch_words = 0;
+    init = (fun ~node ~slot:_ -> ids.(l2g.(node)));
+    step =
+      (fun ctx ~scratch:_ ~round:_ ~node ->
+        let best = ref ctx.Flat.cur.(node) in
+        for j = ctx.Flat.off.(node) to ctx.Flat.off.(node + 1) - 1 do
+          best := max !best ctx.Flat.cur.(ctx.Flat.adj.(j))
+        done;
+        ctx.Flat.nxt.(node) <- !best);
+    halted = None;
+  }
 
 let mis_step ids ~round:_ ~node:v s ~neighbors =
   if s <> 0 then s
@@ -116,9 +135,8 @@ let drain_path_shard0 cuts =
   let sh = (Plan.build ~topo ~shards:2).Plan.shards.(0) in
   let csr = Local.csr sh in
   let _, store =
-    Stepper.boxed ~l2g:sh.Plan.l2g csr
-      ~init:(fun v -> v = 2)
-      ~step:flood_step ~equal:Bool.equal ~halted:None
+    Flat.store csr ~workers:1 ~halting:false
+      (Kernels.flood ~source:2 () ~l2g:sh.Plan.l2g)
   in
   let loc = Local.create sh csr ~sched:Engine.Active_set ~cuts store in
   let core = Local.stepper loc in
@@ -154,22 +172,24 @@ let shard_counts = [ 2; 4; 8 ]
 let pool_widths = [ 1; 4 ]
 
 (* The process backend's round without its wire: every shard of a plan
-   runs its Local body in this process, the computes of distinct shards
-   fanned over a pool of [workers] domains, each drained route copied
-   straight into its target shard's ghost slot, and Engine.drive
+   runs its Local body over its flat kernel's slab (Flat.store, as a
+   proc worker does) in this process, the computes of distinct shards
+   fanned over a pool of [workers] domains, each drained route's words
+   copied straight into its target shard's ghost slot, and Engine.drive
    deciding when to stop and tracing each round — the worker's and the
    coordinator's split of a round, minus the sockets. A mismatch here
-   is the shard layer's; one only under proc is the wire's. *)
-let run_local ~sched ~topo ~init ~step ~equal ~halted stop ~shards ~workers
-    trace =
+   is the shard layer's; one only under proc is the wire's. Returns the
+   final labeling (slot 0 of every node) and the rounds. *)
+let run_local ~sched ~topo ~kernel_for stop ~shards ~workers trace =
+  let halting = match stop with Engine.Halted _ -> true | _ -> false in
   let parts =
     Array.map
       (fun sh ->
         let csr = Local.csr sh in
-        let st, store =
-          Stepper.boxed ~l2g:sh.Plan.l2g csr ~init ~step ~equal ~halted
+        let ctx, store =
+          Flat.store csr ~workers:1 ~halting (kernel_for ~l2g:sh.Plan.l2g)
         in
-        (sh, st, Local.create sh csr ~sched ~cuts:[] store))
+        (sh, ctx, Local.create sh csr ~sched ~cuts:[] store))
       (Plan.build ~topo ~shards).Plan.shards
   in
   let pool = Pool.create ~workers () in
@@ -182,11 +202,13 @@ let run_local ~sched ~topo ~init ~step ~equal ~halted stop ~shards ~workers
            Stepper.compute (Local.stepper loc) ~par:1 ~round));
     let changed = total Stepper.commit in
     Array.iter
-      (fun (_, st, loc) ->
+      (fun (_, (ctx : Flat.ctx), loc) ->
+        let slots = ctx.Flat.slots in
         Local.drain loc ~round (fun ~dst ~slot ~src n ->
             for b = 0 to n - 1 do
-              let _, st', loc' = parts.(dst.(b)) in
-              st'.(slot.(b)) <- st.(src.(b));
+              let _, ctx', loc' = parts.(dst.(b)) in
+              Array.blit ctx.Flat.cur (src.(b) * slots) ctx'.Flat.cur
+                (slot.(b) * slots) slots;
               Local.ghost_written loc' slot.(b)
             done))
       parts;
@@ -200,14 +222,16 @@ let run_local ~sched ~topo ~init ~step ~equal ~halted stop ~shards ~workers
       ~exec
   in
   if exhausted then Engine.exhausted stop;
-  let states = Array.init topo.Topology.n_base init in
+  let n = topo.Topology.n_base in
+  let global = kernel_for ~l2g:(Array.init n Fun.id) in
+  let states = Array.init n (fun v -> global.Flat.init ~node:v ~slot:0) in
   Array.iter
-    (fun (sh, st, _) ->
+    (fun (sh, (ctx : Flat.ctx), _) ->
       for l = 0 to sh.Plan.n_owned - 1 do
-        states.(sh.Plan.l2g.(l)) <- st.(l)
+        states.(sh.Plan.l2g.(l)) <- ctx.Flat.cur.(l * ctx.Flat.slots)
       done)
     parts;
-  { Engine.states; rounds }
+  (states, rounds)
 
 (* Outcomes AND per-round trace records: the shard-local bodies must
    reproduce seq's active/changed/unhalted counts round by round, not
@@ -220,16 +244,15 @@ let traced run =
   let o = run trace in
   (o, List.map record_key (Trace.records trace))
 
-let local_matches_seq ~seq ~local =
+(* [seq] is the boxed engine's run of the kernel's twin, its states
+   read as ints by [word] *)
+let local_matches_seq ~word ~seq ~local =
   let seq_o, seq_r = traced seq in
+  let want = (Array.map word seq_o.Engine.states, seq_o.Engine.rounds) in
   List.for_all
     (fun shards ->
       List.for_all
-        (fun workers ->
-          let o, r = traced (local ~shards ~workers) in
-          o.Engine.rounds = seq_o.Engine.rounds
-          && o.Engine.states = seq_o.Engine.states
-          && r = seq_r)
+        (fun workers -> traced (local ~shards ~workers) = (want, seq_r))
         pool_widths)
     shard_counts
 
@@ -248,13 +271,13 @@ let prop_flood_differential =
           let topo = Topology.compile sg in
           List.for_all
             (fun sched ->
-              local_matches_seq
+              local_matches_seq ~word:Bool.to_int
                 ~seq:(fun trace ->
                   Engine.run_until_stable ~mode:Engine.Seq ~sched ~trace ~topo
                     ~init ~step:flood_step ~equal:Bool.equal ~max_rounds ())
                 ~local:
-                  (run_local ~sched ~topo ~init ~step:flood_step
-                     ~equal:Bool.equal ~halted:None (Engine.Stable max_rounds)))
+                  (run_local ~sched ~topo ~kernel_for:(Kernels.flood ())
+                     (Engine.Stable max_rounds)))
             [ Engine.Active_set; Engine.Full_scan ])
         [ Semi_graph.of_graph g; Semi_graph.of_node_subset g keep ])
 
@@ -267,13 +290,14 @@ let prop_mis_differential =
       let ids = Ids.permuted ~n ~seed:(seed + 3) in
       let topo = Topology.compile (Semi_graph.of_graph g) in
       let init _ = 0 and halted s = s <> 0 in
-      local_matches_seq
+      local_matches_seq ~word:Fun.id
         ~seq:(fun trace ->
           Engine.run ~mode:Engine.Seq ~trace ~topo ~init ~step:(mis_step ids)
             ~halted ~max_rounds:(n + 1) ())
         ~local:
-          (run_local ~sched:Engine.Active_set ~topo ~init ~step:(mis_step ids)
-             ~equal:Int.equal ~halted:(Some halted) (Engine.Halted (n + 1))))
+          (run_local ~sched:Engine.Active_set ~topo
+             ~kernel_for:(Kernels.mis_local_max ~ids)
+             (Engine.Halted (n + 1))))
 
 let prop_run_rounds_differential =
   QCheck.Test.make ~name:"run_rounds: shard x pool == seq, exact count"
@@ -292,10 +316,10 @@ let prop_run_rounds_differential =
         Engine.run_rounds ~mode:Engine.Seq ~trace ~topo ~init ~step ~rounds:r ()
       in
       (fst (traced seq)).Engine.rounds = r
-      && local_matches_seq ~seq
+      && local_matches_seq ~word:Fun.id ~seq
            ~local:
-             (run_local ~sched:Engine.Active_set ~topo ~init ~step
-                ~equal:Int.equal ~halted:None (Engine.Rounds r)))
+             (run_local ~sched:Engine.Active_set ~topo
+                ~kernel_for:(max_kernel ids) (Engine.Rounds r)))
 
 (* ---------- spans: the per-shard observability contract ---------- *)
 
