@@ -491,7 +491,9 @@ let run_pool () =
     ~header:[ "kernel"; "n"; "mode"; "rounds"; "wall s"; "vs seq"; "identical" ]
     rows;
   (* base algorithm A's steps, from the child spans of "base" *)
-  let steps = [ "line-csr"; "linial"; "kw"; "to-bound"; "class-sweep" ] in
+  let steps =
+    [ "compile"; "line-csr"; "linial"; "kw"; "to-bound"; "class-sweep"; "label" ]
+  in
   let split_rows =
     List.rev_map
       (fun (name, (n, root)) ->

@@ -10,7 +10,6 @@ type t = {
   off : int array;
   adj : int array;
   eid : int array;
-  hid : int array;
 }
 
 let compile sg =
@@ -46,7 +45,6 @@ let compile sg =
   let m2 = off.(n) in
   let adj = Array.make m2 0 in
   let eid = Array.make m2 0 in
-  let hid = Array.make m2 0 in
   for v = 0 to n - 1 do
     if present.(v) then begin
       let inc = Graph.incident base v and adjv = Graph.neighbors base v in
@@ -56,14 +54,13 @@ let compile sg =
         if Semi_graph.edge_present sg e && present.(u) then begin
           adj.(!pos) <- u;
           eid.(!pos) <- e;
-          hid.(!pos) <- Graph.half_edge base ~edge:e ~node:v;
           incr pos
         end
       done
     end
   done;
   { sg; n_base = n; n_present = !n_present; present; present_nodes;
-    off; adj; eid; hid }
+    off; adj; eid }
 
 (* ---------- compile cache ----------
 

@@ -5,10 +5,12 @@
     on every call, allocating a fresh list each time — which the legacy
     stepper did once per node per round. A topology compiles that view once
     into CSR (compressed sparse row) arrays over the {e rank-2} adjacency:
-    for each present node, the present rank-2 neighbors, the connecting edge
-    ids and the local half-edge ids, in the same ascending incident order as
-    [rank2_neighbors]. The engine's hot loop then runs over flat [int]
-    arrays with no presence checks.
+    for each present node, the present rank-2 neighbors and the connecting
+    edge ids, in the same ascending incident order as [rank2_neighbors].
+    The engine's hot loop then runs over flat [int] arrays with no
+    presence checks. A slot's half-edge id is not stored: at row node [v]
+    with neighbor [u] over edge [e] it is [2e + (if v < u then 0 else 1)]
+    (see {!Tl_graph.Graph}).
 
     The snapshot is immutable; the exposed arrays must not be mutated. *)
 
@@ -21,7 +23,6 @@ type t = private {
   off : int array;  (** CSR row offsets, length [n_base + 1] *)
   adj : int array;  (** neighbor node id per CSR slot *)
   eid : int array;  (** connecting edge id per CSR slot *)
-  hid : int array;  (** half-edge id {e at the row node} per CSR slot *)
 }
 
 val compile : Tl_graph.Semi_graph.t -> t

@@ -232,6 +232,13 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~trace ~kernel_for
         end)
       pids
   in
+  (* A dead worker's channel reads as EOF, or, when its socket still
+     held unread bytes, as a reset connection: ECONNRESET on a read,
+     EPIPE on a write. Each is the same casualty. *)
+  let hangup = function
+    | End_of_file | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> true
+    | _ -> false
+  in
   let worker_died rank =
     let st = waitpid_retry pids.(rank) in
     reaped.(rank) <- true;
@@ -283,7 +290,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~trace ~kernel_for
                 raise (Worker_failure e.message)
               | Wire.Error_frame _ -> dead.(rank) <- true
               | _ -> () (* late traffic of a doomed run *)
-              | exception End_of_file ->
+              | exception e when hangup e ->
                 dead.(rank) <- true;
                 ignore (worker_died rank)
               | exception Wire.Proc_failure _ -> dead.(rank) <- true)
@@ -298,7 +305,13 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~trace ~kernel_for
       dead.(rank) <- true;
       postmortem (secondary e.src e.message)
     | f -> f
-    | exception End_of_file ->
+    | exception e when hangup e ->
+      dead.(rank) <- true;
+      postmortem (worker_died rank)
+  in
+  let send rank img =
+    try Transport.send_frame cfd.(rank) img (Bytes.length img)
+    with e when hangup e ->
       dead.(rank) <- true;
       postmortem (worker_died rank)
   in
@@ -352,8 +365,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~trace ~kernel_for
         | _ -> None)
   in
   let send_decision ~action ~round =
-    let img = Wire.encode (Wire.Decision { action; round }) in
-    Transport.send_frame cfd.(0) img (Bytes.length img)
+    send 0 (Wire.encode (Wire.Decision { action; round }))
   in
   let step ~round =
     (match hooks with
@@ -450,7 +462,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~trace ~kernel_for
                      shard = Plan.encode_shard sh;
                    })
             in
-            Transport.send_frame cfd.(rank) img (Bytes.length img))
+            send rank img)
           shards;
         ignore (await_stats ~round:0);
         let rounds, exhausted =

@@ -44,7 +44,7 @@ let reduce_rows ~off ~adj ~nodes ~colors =
 let coloring_and_topo sg ~ids =
   let n = Graph.n_nodes (Semi_graph.base sg) in
   if Array.length ids <> n then invalid_arg "Algos.proper_coloring: bad ids";
-  let topo = Topology.compile sg in
+  let topo = Span.with_span "compile" (fun () -> Topology.compile sg) in
   let nodes = topo.present_nodes in
   let colors = Array.make n (-1) in
   Array.iter (fun v -> colors.(v) <- ids.(v)) nodes;
@@ -55,36 +55,42 @@ let proper_coloring sg ~ids =
   let colors, palette, rounds, _topo = coloring_and_topo sg ~ids in
   (colors, palette, rounds)
 
-(* [f h u] for every present edge at the present node [v], in incident
-   order: [h] is [v]'s half-edge, [u] the other endpoint (present or not)
-   — the order of [Semi_graph.half_edges_of], without its list. *)
-let iter_half_edges sg v f =
-  let base = Semi_graph.base sg in
-  let inc = Graph.incident base v and adj = Graph.neighbors base v in
-  for i = 0 to Array.length inc - 1 do
-    let e = inc.(i) in
-    if Semi_graph.edge_present sg e then
-      f (Graph.half_edge base ~edge:e ~node:v) adj.(i)
-  done
-
-(* [f h] for the half-edge at the present endpoint of every rank-1 edge. *)
+(* [f h] for the half-edge at the present endpoint of every rank-1 edge.
+   Edges are stored smaller endpoint first: half-edge 2e sits at u,
+   2e + 1 at v. *)
 let iter_dangling sg f =
   let base = Semi_graph.base sg in
   for e = 0 to Graph.n_edges base - 1 do
     if Semi_graph.edge_present sg e then begin
       let u, v = Graph.edge_endpoints base e in
       match (Semi_graph.node_present sg u, Semi_graph.node_present sg v) with
-      | true, false -> f (Graph.half_edge base ~edge:e ~node:u)
-      | false, true -> f (Graph.half_edge base ~edge:e ~node:v)
+      | true, false -> f (2 * e)
+      | false, true -> f ((2 * e) + 1)
       | _ -> ()
     end
   done
 
+(* The label writes of the vertex problems walk each present node's base
+   incidence row once: a present edge [e] to [u] (present or not) is the
+   node's half-edge [2e + (if v < u then 0 else 1)], the rule of
+   [Graph.half_edges_of]. Each write stores a [Some] block built once per
+   call, so the loop allocates nothing. *)
 let deg_plus_one_coloring sg ~ids labeling =
-  let colors, _palette, rounds, topo = coloring_and_topo sg ~ids in
-  Array.iter
-    (fun v -> iter_half_edges sg v (fun h _ -> Labeling.set labeling h (colors.(v) + 1)))
-    topo.Topology.present_nodes;
+  let colors, palette, rounds, topo = coloring_and_topo sg ~ids in
+  Span.with_span "label" (fun () ->
+      let base = Semi_graph.base sg in
+      let label = Array.init palette (fun c -> Some (c + 1)) in
+      let nodes = topo.Topology.present_nodes in
+      for k = 0 to Array.length nodes - 1 do
+        let v = nodes.(k) in
+        let l = label.(colors.(v)) in
+        let inc = Graph.incident base v and adj = Graph.neighbors base v in
+        for i = 0 to Array.length inc - 1 do
+          let e = inc.(i) in
+          if Semi_graph.edge_present sg e then
+            Labeling.set_some labeling ((2 * e) + if v < adj.(i) then 0 else 1) l
+        done
+      done);
   rounds
 
 (* Greedy MIS over the color classes of a proper coloring: class c joins in
@@ -109,28 +115,40 @@ let mis_of_coloring ~off ~adj ~nodes colors palette =
       done;
       (in_mis, palette))
 
+(* One shared block per MIS label for [Labeling.set_some]. *)
+let mis_m = Some Tl_problems.Mis.M
+let mis_p = Some Tl_problems.Mis.P
+let mis_o = Some Tl_problems.Mis.O
+
 let mis sg ~ids labeling =
   let colors, palette, color_rounds, topo = coloring_and_topo sg ~ids in
+  let nodes = topo.present_nodes in
   let in_mis, class_rounds =
-    mis_of_coloring ~off:topo.off ~adj:topo.adj ~nodes:topo.present_nodes colors
-      palette
+    mis_of_coloring ~off:topo.off ~adj:topo.adj ~nodes colors palette
   in
-  (* one round to learn which neighbors joined, then label *)
-  Array.iter
-    (fun v ->
-      if in_mis.(v) then
-        iter_half_edges sg v (fun h _ -> Labeling.set labeling h Tl_problems.Mis.M)
-      else begin
+  (* one round to learn which neighbors joined, then label, in the row
+     walk of [deg_plus_one_coloring]: [in_mis] is false off the view, so
+     the [P] goes to the first present rank-2 neighbor that joined *)
+  Span.with_span "label" (fun () ->
+      let base = Semi_graph.base sg in
+      for k = 0 to Array.length nodes - 1 do
+        let v = nodes.(k) in
+        let inc = Graph.incident base v and adj = Graph.neighbors base v in
+        let joined = in_mis.(v) in
         let pointed = ref false in
-        iter_half_edges sg v (fun h u ->
-            let opposite_in_mis = Semi_graph.node_present sg u && in_mis.(u) in
-            if opposite_in_mis && not !pointed then begin
+        for i = 0 to Array.length inc - 1 do
+          let e = inc.(i) and u = adj.(i) in
+          if Semi_graph.edge_present sg e then begin
+            let h = (2 * e) + if v < u then 0 else 1 in
+            if joined then Labeling.set_some labeling h mis_m
+            else if (not !pointed) && in_mis.(u) then begin
               pointed := true;
-              Labeling.set labeling h Tl_problems.Mis.P
+              Labeling.set_some labeling h mis_p
             end
-            else Labeling.set labeling h Tl_problems.Mis.O)
-      end)
-    topo.present_nodes;
+            else Labeling.set_some labeling h mis_o
+          end
+        done
+      done);
   color_rounds + class_rounds + 1
 
 (* Line nodes as documented in algos.mli: [lnode_of] maps a base edge to
@@ -273,57 +291,57 @@ let maximal_matching sg ~ids labeling =
   let in_mis, class_rounds =
     mis_of_coloring ~off:l.off ~adj:l.adj ~nodes colors palette
   in
-  (* matched: per node, whether one of its present rank-2 edges is matched *)
-  let matched = Array.make (Graph.n_nodes base) false in
-  Array.iteri
-    (fun i e ->
-      if in_mis.(i) then begin
-        let u, v = Graph.edge_endpoints base e in
-        matched.(u) <- true;
-        matched.(v) <- true
-      end)
-    edge_of;
-  (* edges are stored smaller endpoint first: half-edge 2e sits at u,
-     2e + 1 at v *)
-  Array.iteri
-    (fun i e ->
-      let u, v = Graph.edge_endpoints base e in
-      if in_mis.(i) then begin
-        Labeling.set_some labeling (2 * e) matching_m;
-        Labeling.set_some labeling ((2 * e) + 1) matching_m
-      end
-      else begin
-        Labeling.set_some labeling (2 * e) (if matched.(u) then matching_p else matching_o);
-        Labeling.set_some labeling ((2 * e) + 1)
-          (if matched.(v) then matching_p else matching_o)
-      end)
-    edge_of;
-  iter_dangling sg (fun h -> Labeling.set_some labeling h matching_d);
+  Span.with_span "label" (fun () ->
+      (* matched: per node, whether one of its present rank-2 edges is
+         matched *)
+      let matched = Array.make (Graph.n_nodes base) false in
+      Array.iteri
+        (fun i e ->
+          if in_mis.(i) then begin
+            let u, v = Graph.edge_endpoints base e in
+            matched.(u) <- true;
+            matched.(v) <- true
+          end)
+        edge_of;
+      (* edges are stored smaller endpoint first: half-edge 2e sits at u,
+         2e + 1 at v *)
+      Array.iteri
+        (fun i e ->
+          let u, v = Graph.edge_endpoints base e in
+          if in_mis.(i) then begin
+            Labeling.set_some labeling (2 * e) matching_m;
+            Labeling.set_some labeling ((2 * e) + 1) matching_m
+          end
+          else begin
+            Labeling.set_some labeling (2 * e)
+              (if matched.(u) then matching_p else matching_o);
+            Labeling.set_some labeling ((2 * e) + 1)
+              (if matched.(v) then matching_p else matching_o)
+          end)
+        edge_of;
+      iter_dangling sg (fun h -> Labeling.set_some labeling h matching_d));
   setup_rounds + (2 * class_rounds) + 1
 
 let edge_coloring sg ~ids labeling =
   let base = Semi_graph.base sg in
   let { edge_of; _ }, _nodes, colors, _palette, rounds = line_coloring sg ~ids in
-  (* underlying degree of every node: its count of rank-2 edges *)
-  let udeg = Array.make (Graph.n_nodes base) 0 in
-  Array.iter
-    (fun e ->
-      let u, v = Graph.edge_endpoints base e in
-      udeg.(u) <- udeg.(u) + 1;
-      udeg.(v) <- udeg.(v) + 1)
-    edge_of;
-  Array.iteri
-    (fun i e ->
-      let u, v = Graph.edge_endpoints base e in
-      let b = colors.(i) + 1 in
-      let a1 = min udeg.(u) b in
-      let a2 = max 1 (b + 1 - a1) in
-      Labeling.set labeling
-        (Graph.half_edge base ~edge:e ~node:u)
-        (Tl_problems.Edge_coloring.Pair (a1, b));
-      Labeling.set labeling
-        (Graph.half_edge base ~edge:e ~node:v)
-        (Tl_problems.Edge_coloring.Pair (a2, b)))
-    edge_of;
-  iter_dangling sg (fun h -> Labeling.set labeling h Tl_problems.Edge_coloring.D);
+  Span.with_span "label" (fun () ->
+      (* underlying degree of every node: its count of rank-2 edges *)
+      let udeg = Array.make (Graph.n_nodes base) 0 in
+      Array.iter
+        (fun e ->
+          let u, v = Graph.edge_endpoints base e in
+          udeg.(u) <- udeg.(u) + 1;
+          udeg.(v) <- udeg.(v) + 1)
+        edge_of;
+      Array.iteri
+        (fun i e ->
+          let u, _ = Graph.edge_endpoints base e in
+          let b = colors.(i) + 1 in
+          let a1 = min udeg.(u) b in
+          let a2 = max 1 (b + 1 - a1) in
+          Labeling.set labeling (2 * e) (Tl_problems.Edge_coloring.Pair (a1, b));
+          Labeling.set labeling ((2 * e) + 1) (Tl_problems.Edge_coloring.Pair (a2, b)))
+        edge_of;
+      iter_dangling sg (fun h -> Labeling.set labeling h Tl_problems.Edge_coloring.D));
   rounds + 1

@@ -24,10 +24,21 @@
     either. Labelings and round counts are therefore those of the plain
     one-class-per-round schedule.
 
+    The labels are written straight into the labeling: a vertex problem
+    walks each present node's base incidence row once, taking a present
+    edge [e] to [u] as the node's half-edge [2e + (if v < u then 0 else
+    1)]; an edge problem writes [2e] and [2e + 1]. Every write goes
+    through {!Labeling.set} or {!Labeling.set_some}, so a half-edge that
+    an earlier phase labeled raises [Invalid_argument]. MIS, matching and
+    deg+1 coloring store [Some] blocks built once per call (one per
+    label, or one per color), so their writes allocate nothing.
+
     When a {!Tl_obs.Span} is ambient, each step opens a child span:
-    [line-csr] (edge problems only), [linial], [kw], [to-bound] and
-    [class-sweep] (MIS and matching). They carry no rounds; the caller
-    charges the returned total.
+    [compile] (the view's topology, vertex problems) or [line-csr] (edge
+    problems), then [linial], [kw], [to-bound], [class-sweep] (MIS and
+    matching) and [label] (the label writes, with the matched and
+    underlying-degree arrays of the edge problems). They carry no rounds;
+    the caller charges the returned total.
 
     The paper's Theorems 12/15 are black-box in [A]; these executable
     algorithms exercise the transformation end-to-end, while the

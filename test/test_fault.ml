@@ -74,6 +74,20 @@ let test_proc_kill_chaos () =
   let again = flood_chaos ~mode:(Engine.Proc 3) ~n:400 ~seed:5 spec in
   check "proc replay deterministic" true (same_report proc again)
 
+(* A kill aimed at rank 0, the root of the collective tree, often
+   resets the coordinator's channel instead of closing it: ECONNRESET on
+   its read or EPIPE on its decision write, rather than EOF. That is the
+   same dead worker, so the epoch is retried and the run ends as a seq
+   run of the same schedule does. *)
+let test_proc_kill_rank0 () =
+  let spec = "seed=9;kill@4:0" in
+  let seq = flood_chaos ~mode:Engine.Seq ~n:400 ~seed:5 spec in
+  let proc = flood_chaos ~mode:(Engine.Proc 2) ~n:400 ~seed:5 spec in
+  check "rank-0 kill run valid" true proc.Chaos.valid;
+  check "kill:0 in the log" true (List.mem (4, Injector.Killed 0) proc.Chaos.log);
+  check_int "one retry after the kill" 1 proc.Chaos.retries;
+  check "digest matches seq" true (seq.Chaos.digest = proc.Chaos.digest)
+
 (* Link drops fire only on the process wire. The reports pinned below
    were recorded from the in-process shard:4 backend that carried the
    drops before proc did — same plan geometry, same cut links — and
@@ -633,6 +647,8 @@ let () =
         [
           Alcotest.test_case "worker kill: retried epoch, seq digest" `Quick
             test_proc_kill_chaos;
+          Alcotest.test_case "rank-0 kill: reset channel, retried epoch" `Quick
+            test_proc_kill_rank0;
           Alcotest.test_case "link drops: flood, pinned report" `Quick
             test_proc_drop_flood;
           Alcotest.test_case "link drops: MIS stall, pinned drops" `Quick

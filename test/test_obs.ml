@@ -412,10 +412,12 @@ let test_theorem1_report_phases () =
   check_int "base rounds"
     (Round_cost.get r.Pipeline.cost "base:A(T_C)")
     (Span.rounds_total (find_child root "base"));
-  (* base algorithm A's steps are direct loops, one child span each; the
-     caller charges their rounds to base itself *)
+  (* base algorithm A's steps are direct loops, one child span each,
+     from the compile of T_C to the label writes; the caller charges
+     their rounds to base itself *)
   check "base sub-spans" true
-    (child_names (find_child root "base") = [ "linial"; "kw"; "to-bound"; "class-sweep" ]);
+    (child_names (find_child root "base")
+    = [ "compile"; "linial"; "kw"; "to-bound"; "class-sweep"; "label" ]);
   check_int "gather rounds"
     (Round_cost.get r.Pipeline.cost "gather-solve")
     (Span.rounds_total (find_child root "gather-solve"));
@@ -450,7 +452,8 @@ let test_theorem2_report_phases () =
     (Round_cost.get r.Pipeline.cost "base:A(G[E2])")
     (Span.rounds_total base);
   check "base sub-spans" true
-    (child_names base = [ "line-csr"; "linial"; "kw"; "to-bound"; "class-sweep" ]);
+    (child_names base
+    = [ "line-csr"; "linial"; "kw"; "to-bound"; "class-sweep"; "label" ]);
   (* the decompose span nests the arb-decompose sub-spans *)
   let dec = find_child root "decompose" in
   let sub = List.concat_map Span.children (Span.children dec) in

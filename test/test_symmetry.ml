@@ -945,6 +945,145 @@ let test_differential_edge_cases () =
       ("complete", Semi_graph.of_graph (Gen.complete 9));
     ]
 
+(* ---------- label writes: the per-half-edge loops as oracle ----------
+
+   The vertex problems' labels were written through [iter_half_edges]
+   (a closure per node, a [Graph.half_edge] read and a fresh [Some] per
+   half-edge) and the edge problems' through [Graph.half_edge]. Those
+   loops are kept here over the same colors and class sweep, as the
+   oracle of Algos' row walks; [Line_oracle.edge_coloring] keeps the
+   edge coloring's. *)
+module Label_oracle = struct
+  let iter_half_edges sg v f =
+    let base = Semi_graph.base sg in
+    let inc = Graph.incident base v and adj = Graph.neighbors base v in
+    for i = 0 to Array.length inc - 1 do
+      let e = inc.(i) in
+      if Semi_graph.edge_present sg e then
+        f (Graph.half_edge base ~edge:e ~node:v) adj.(i)
+    done
+
+  let deg_plus_one_coloring sg ~ids labeling =
+    let colors, _palette, rounds = Algos.proper_coloring sg ~ids in
+    List.iter
+      (fun v -> iter_half_edges sg v (fun h _ -> Labeling.set labeling h (colors.(v) + 1)))
+      (Semi_graph.nodes sg);
+    rounds
+
+  let mis sg ~ids labeling =
+    let colors, palette, color_rounds = Algos.proper_coloring sg ~ids in
+    let in_mis = Oracle.mis_of_coloring sg colors palette in
+    List.iter
+      (fun v ->
+        if in_mis.(v) then
+          iter_half_edges sg v (fun h _ -> Labeling.set labeling h Tl_problems.Mis.M)
+        else begin
+          let pointed = ref false in
+          iter_half_edges sg v (fun h u ->
+              let opposite_in_mis = Semi_graph.node_present sg u && in_mis.(u) in
+              if opposite_in_mis && not !pointed then begin
+                pointed := true;
+                Labeling.set labeling h Tl_problems.Mis.P
+              end
+              else Labeling.set labeling h Tl_problems.Mis.O)
+        end)
+      (Semi_graph.nodes sg);
+    color_rounds + palette + 1
+end
+
+(* Views for the label writes: whole trees and power-law graphs,
+   Theorem 12's T_C (its edges to T_R are rank-1), and edge subsets (no
+   rank-1 edge, but hidden edges inside present nodes' rows). *)
+let label_view ~kind ~n ~seed =
+  match kind mod 4 with
+  | 0 -> Semi_graph.of_graph (Gen.random_tree ~n ~seed)
+  | 1 -> Semi_graph.of_graph (Gen.power_law_union ~n ~arboricity:2 ~seed)
+  | 2 ->
+    let tree = Gen.random_tree ~n ~seed in
+    let ids = Ids.permuted ~n ~seed:(seed + 7) in
+    let k = 2 + (seed mod 6) in
+    Tl_decompose.Rake_compress.t_c (Tl_decompose.Rake_compress.run tree ~k ~ids)
+  | _ ->
+    let g = Gen.forest_union ~n ~arboricity:2 ~seed in
+    Semi_graph.of_edge_subset g
+      (Array.init (Graph.n_edges g) (fun e -> (e + seed) mod 3 <> 0))
+
+(* Algos' labels and rounds against the oracle loops', half-edge by
+   half-edge, for MIS, deg+1 coloring and edge coloring. *)
+let labels_match_oracle sg ~seed =
+  let g = Semi_graph.base sg in
+  let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed in
+  let same algo oracle =
+    let l = Labeling.create g and l' = Labeling.create g in
+    let r = algo sg ~ids l and r' = oracle sg ~ids l' in
+    r = r' && labels l g = labels l' g
+  in
+  let le = Labeling.create g in
+  let erounds = Algos.edge_coloring sg ~ids le in
+  let le', erounds' = Line_oracle.edge_coloring sg ~ids in
+  same Algos.mis Label_oracle.mis
+  && same Algos.deg_plus_one_coloring Label_oracle.deg_plus_one_coloring
+  && erounds = erounds' && labels le g = labels le' g
+
+let prop_labels_match_oracle =
+  QCheck.Test.make ~name:"label writes = per-half-edge oracle loops" ~count:60
+    QCheck.(triple (int_range 1 300) (int_range 0 3) (int_range 0 100000))
+    (fun (n, kind, seed) ->
+      labels_match_oracle (label_view ~kind ~n:(max 2 n) ~seed) ~seed:(seed + 5))
+
+(* A half-edge labeled before the base algorithm runs (by an earlier
+   phase) stops the run with the message [Labeling.set] gives, in the
+   row walks as in the oracle loops. *)
+let test_label_overwrite_refused () =
+  let g = Gen.random_tree ~n:60 ~seed:3 in
+  let sg =
+    Tl_decompose.Rake_compress.t_c
+      (Tl_decompose.Rake_compress.run g ~k:3 ~ids:(Ids.permuted ~n:60 ~seed:4))
+  in
+  let ids = Ids.permuted ~n:60 ~seed:5 in
+  let h = List.hd (List.concat_map (Semi_graph.half_edges_of sg) (Semi_graph.nodes sg)) in
+  let message = Printf.sprintf "Labeling.set: half-edge %d already labeled" h in
+  let refused name run label =
+    let l = Labeling.create g in
+    Labeling.set l h label;
+    match run sg ~ids l with
+    | _ -> Alcotest.failf "%s: overwrote half-edge %d" name h
+    | exception Invalid_argument m -> Alcotest.(check string) name message m
+  in
+  refused "mis" Algos.mis Tl_problems.Mis.O;
+  refused "mis oracle" Label_oracle.mis Tl_problems.Mis.O;
+  refused "coloring" Algos.deg_plus_one_coloring 1;
+  refused "coloring oracle" Label_oracle.deg_plus_one_coloring 1;
+  refused "edge coloring" Algos.edge_coloring Tl_problems.Edge_coloring.D
+
+(* Words per node on a 50,000-node random tree. The label writes store
+   shared [Some] blocks and walk the rows without a closure per node, and
+   the compiled topology holds five arrays (presence, present nodes,
+   offsets, neighbors and edge ids): about 7 words per node for the
+   compile and 20 for a whole run. A fresh [Some] per half-edge (4 words
+   per node on a tree) plus a closure per node, or a sixth m-sized CSR
+   array, overruns these budgets. *)
+let test_base_allocation_budget () =
+  let n = 50_000 in
+  let g = Gen.random_tree ~n ~seed:23 in
+  let sg = Semi_graph.of_graph g in
+  let ids = Ids.permuted ~n ~seed:24 in
+  let per_node f = snd (allocated_words f) /. float_of_int n in
+  let compile = per_node (fun () -> Tl_engine.Topology.compile sg) in
+  let l_mis = Labeling.create g and l_col = Labeling.create g in
+  let mis = per_node (fun () -> Algos.mis sg ~ids l_mis) in
+  let coloring = per_node (fun () -> Algos.deg_plus_one_coloring sg ~ids l_col) in
+  check "labels complete" true (Labeling.complete l_mis && Labeling.complete l_col);
+  let measured = [ ("compile", compile, 8.); ("mis", mis, 24.); ("deg+1 coloring", coloring, 24.) ] in
+  let words =
+    String.concat ", "
+      (List.map (fun (name, w, budget) -> Printf.sprintf "%s %.1f of %.0f" name w budget) measured)
+  in
+  List.iter
+    (fun (name, w, budget) ->
+      check (Printf.sprintf "%s within budget (words per node: %s)" name words) true (w <= budget))
+    measured
+
 (* One KW call may allocate O(phases · (n + 2m)) minor words; it
    allocates O(n + 2m) (the neighbor lists read once into CSR rows, and
    the per-call slabs), a fifth of the bound here. A slide back to a
@@ -1234,6 +1373,7 @@ let qcheck_tests =
       prop_differential_node_subsets;
       prop_line_csr_matches_line_graph;
       prop_edge_problems_match_line_oracle;
+      prop_labels_match_oracle;
       prop_kw_odd_half_matches_oracles;
       prop_kw_small_delta_parity;
     ]
@@ -1280,6 +1420,8 @@ let () =
           Alcotest.test_case "line CSR edge cases" `Quick test_line_csr_edge_cases;
           Alcotest.test_case "truly local rounds" `Quick test_rounds_depend_on_degree_not_n;
           Alcotest.test_case "list-oracle edge cases" `Quick test_differential_edge_cases;
+          Alcotest.test_case "label overwrite refused" `Quick test_label_overwrite_refused;
+          Alcotest.test_case "allocation budget" `Quick test_base_allocation_budget;
         ] );
       ("properties", qcheck_tests);
     ]
