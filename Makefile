@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: build test bench bench-full bench-smoke bench-smoke-run bench-smoke-baseline examples-smoke serve-smoke metrics-smoke proc-smoke chaos-smoke clean
+.PHONY: build test bench bench-full bench-gate bench-smoke bench-smoke-run bench-smoke-baseline examples-smoke serve-smoke metrics-smoke proc-smoke chaos-smoke clean
 
 build:
 	dune build
@@ -8,11 +8,11 @@ build:
 test:
 	dune runtest
 
-# Full experiment regeneration (slow: every table E1-E14, A, B, B6-B13).
+# Full experiment regeneration (slow: every table E1-E14, A, B, B7-B13).
 bench:
 	dune exec bench/main.exe
 
-EXPERIMENTS = E1-E3 E4-E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 A B B6 B7 B9 B10 B11 B12 B13
+EXPERIMENTS = E1-E3 E4-E5 E6 E7 E8 E9 E10 E11 E12 E13 E14 A B B7 B9 B10 B11 B12 B13
 
 # Regenerate every committed bench artifact (BENCH_*.json, bench_csv/ +
 # MANIFEST.csv, bench_output.txt), one process per experiment.  The
@@ -30,25 +30,45 @@ bench-full:
 	done
 	@tail -5 bench_output.txt
 
-# The smoke-size bench runs: B6, B7 and B9 at n = 2,000, B10-B13 at
-# n = 20,000, one process each (B12 forks, which OCaml 5 forbids once a
-# domain exists). They run in the gitignored bench-smoke-out/, so their
-# BENCH_engine.json / BENCH_serve.json hold smoke rows only and the
-# committed full-size files stay untouched.
-SMOKE_BENCH = ../_build/default/bench/main.exe
+# The bench executable as seen from a gitignored run directory below the
+# repo root.
+BENCH_EXE = ../_build/default/bench/main.exe
 
+# The committed-size bench runs: B7 and B9-B13 at the sizes whose rows
+# BENCH_engine.json and BENCH_serve.json hold, one process each (B12
+# forks, which OCaml 5 forbids once a domain exists), in the gitignored
+# bench-gate-out/, each file gated by regress.exe at its default
+# tolerance (+20%, or +5 ms under its absolute floor). Takes a few
+# minutes. Perf changes run it and quote its tables.
+GATE_EXPERIMENTS = B7 B9 B10 B11 B12 B13
+
+bench-gate:
+	dune build bench/main.exe bench/regress.exe bin/tree_local_serve.exe
+	rm -rf bench-gate-out
+	mkdir bench-gate-out
+	cd bench-gate-out && for e in $(GATE_EXPERIMENTS); do \
+	  $(BENCH_EXE) $$e || exit 1; \
+	done
+	@status=0; \
+	dune exec --no-build bench/regress.exe -- BENCH_engine.json bench-gate-out/BENCH_engine.json || status=1; \
+	dune exec --no-build bench/regress.exe -- BENCH_serve.json bench-gate-out/BENCH_serve.json || status=1; \
+	exit $$status
+
+# The smoke-size bench runs: B7 and B9 at n = 2,000, B10-B13 at
+# n = 20,000, one process each. They run in the gitignored
+# bench-smoke-out/, so their BENCH_engine.json / BENCH_serve.json hold
+# smoke rows only and the committed full-size files stay untouched.
 bench-smoke-run:
 	dune build bench/main.exe bench/regress.exe bin/tree_local_serve.exe
 	rm -rf bench-smoke-out
 	mkdir bench-smoke-out
 	cd bench-smoke-out && \
-	  TL_ENGINE_BENCH_N=2000 TL_ENGINE_BENCH_KERNELS=cv3 $(SMOKE_BENCH) B6 && \
-	  TL_POOL_BENCH_N=2000 $(SMOKE_BENCH) B7 && \
-	  TL_METRICS_BENCH_N=20000 $(SMOKE_BENCH) B10 && \
-	  TL_FLAT_BENCH_N=20000 $(SMOKE_BENCH) B11 && \
-	  TL_PROC_BENCH_N=20000 $(SMOKE_BENCH) B12 && \
-	  TL_FAULT_BENCH_N=20000 $(SMOKE_BENCH) B13 && \
-	  TL_SERVE_BENCH_N=2000 TL_SERVE_BENCH_R=20 $(SMOKE_BENCH) B9
+	  TL_POOL_BENCH_N=2000 $(BENCH_EXE) B7 && \
+	  TL_METRICS_BENCH_N=20000 $(BENCH_EXE) B10 && \
+	  TL_FLAT_BENCH_N=20000 $(BENCH_EXE) B11 && \
+	  TL_PROC_BENCH_N=20000 $(BENCH_EXE) B12 && \
+	  TL_FAULT_BENCH_N=20000 $(BENCH_EXE) B13 && \
+	  TL_SERVE_BENCH_N=2000 TL_SERVE_BENCH_R=20 $(BENCH_EXE) B9
 
 # Rewrite the committed smoke-size baselines the CI gate compares with.
 bench-smoke-baseline: bench-smoke-run

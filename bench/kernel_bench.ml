@@ -52,25 +52,12 @@ let tests =
       Test.make ~name:"B5 theorem-1 MIS pipeline 10k" (Staged.stage b5_theorem1_mis);
     ]
 
-(* ---------- B6: engine stepping comparison (emits BENCH_engine.json) ----------
-
-   Times the same LOCAL kernels under the three engine steppers — the
-   legacy naive full-scan reference, the compiled-topology active-set
-   scheduler, and the Domain-parallel variant — on a >= 100k-node random
-   tree, asserts the results are bit-identical across modes, and writes
-   the measurements as BENCH_engine.json in the working directory.
-   Instance size is overridable via TL_ENGINE_BENCH_N (CI smoke). *)
+(* ---------- shared by B7 and B10-B12 ---------- *)
 
 module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
 module Trace = Tl_engine.Trace
-module CV = Tl_symmetry.Cole_vishkin
-
-let engine_bench_n () =
-  match Sys.getenv_opt "TL_ENGINE_BENCH_N" with
-  | Some s -> (
-    match int_of_string_opt s with Some n when n > 0 -> n | _ -> 100_000)
-  | None -> 100_000
+module Flat = Tl_engine.Flat
 
 type mode_result = {
   mode : string;
@@ -78,201 +65,16 @@ type mode_result = {
   wall_s : float;
   rounds : int;
   steps : int;
-  ok : bool;  (* bit-identical to the naive reference *)
+  ok : bool;  (* bit-identical to the experiment's reference arm *)
 }
-
-let mode_domains = function
-  | Engine.Naive | Engine.Seq | Engine.Proc _ -> 1
-  | Engine.Par p -> p
-
-(* Run [f], capturing total step executions through the trace sink. *)
-let timed_with_steps f =
-  let traces = ref [] in
-  let saved = !Engine.trace_sink in
-  Engine.trace_sink := Some (fun t -> traces := t :: !traces);
-  Fun.protect
-    ~finally:(fun () -> Engine.trace_sink := saved)
-    (fun () ->
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      let steps =
-        List.fold_left
-          (fun acc t -> acc + (Trace.metrics t).Trace.steps)
-          0 !traces
-      in
-      (r, dt, steps))
-
-(* Best-of-[reps] timing; result and rounds are deterministic across reps. *)
-let bench_mode ~reps ~mode f =
-  let best = ref infinity and result = ref None and steps = ref 0 in
-  for _ = 1 to reps do
-    let r, dt, st = timed_with_steps (fun () -> f mode) in
-    if dt < !best then best := dt;
-    steps := st;
-    result := Some r
-  done;
-  (Option.get !result, !best, !steps)
-
-let engine_modes = [ Engine.Naive; Engine.Seq; Engine.Par 2; Engine.Par 4 ]
-
-let run_kernel ~name ~reps f =
-  let naive_r, naive_t, naive_steps = bench_mode ~reps ~mode:Engine.Naive f in
-  let results =
-    { mode = "naive"; domains = 1; wall_s = naive_t; rounds = snd naive_r;
-      steps = naive_steps; ok = true }
-    :: List.filter_map
-         (fun mode ->
-           if mode = Engine.Naive then None
-           else begin
-             let r, t, st = bench_mode ~reps ~mode f in
-             Some
-               {
-                 mode = Engine.mode_to_string mode;
-                 domains = mode_domains mode;
-                 wall_s = t;
-                 rounds = snd r;
-                 steps = st;
-                 ok = r = naive_r;
-               }
-           end)
-         engine_modes
-  in
-  (name, results)
-
-let emit_engine_json ~file ~n ~seed kernels =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\"bench\":\"engine\",\"family\":\"random-tree\",\"n\":%d,\"seed\":%d,\
-     \"cores\":%d,\"kernels\":[" n seed
-    (Domain.recommended_domain_count ());
-  List.iteri
-    (fun i (name, results) ->
-      if i > 0 then Buffer.add_char b ',';
-      let naive_t =
-        List.find (fun r -> r.mode = "naive") results |> fun r -> r.wall_s
-      in
-      Printf.bprintf b
-        "\n {\"kernel\":\"%s\",\"deterministic\":%b,\"modes\":[" name
-        (List.for_all (fun r -> r.ok) results);
-      List.iteri
-        (fun j r ->
-          if j > 0 then Buffer.add_char b ',';
-          Printf.bprintf b
-            "\n  {\"mode\":\"%s\",\"domains\":%d,\"wall_s\":%.6f,\"rounds\":%d,\
-             \"steps\":%d,\"speedup_vs_naive\":%.3f}"
-            r.mode r.domains r.wall_s r.rounds r.steps
-            (if r.wall_s > 0. then naive_t /. r.wall_s else 0.))
-        results;
-      Buffer.add_string b "]}")
-    kernels;
-  Buffer.add_string b "]}\n";
-  let oc = open_out file in
-  output_string oc (Buffer.contents b);
-  close_out oc
-
-let run_engine () =
-  let n = engine_bench_n () in
-  let seed = 71 in
-  Util.heading
-    (Printf.sprintf
-       "B6: engine stepping — naive vs active-set vs parallel (n=%d)" n)
-  ;
-  let tree = Gen.random_tree ~n ~seed in
-  let sg = Semi_graph.of_graph tree in
-  let topo = Topology.compile sg in
-  let ids = Ids.permuted ~n ~seed:(seed + 8) in
-  (* CV 3-coloring: the repo's log*-round workhorse, executed as a state
-     machine through Runtime in the given mode. *)
-  let parent = Tl_graph.Tree.parents_forest tree in
-  let nodes = List.init n Fun.id in
-  let cv3 mode = CV.color3_runtime ~mode ~sg ~nodes ~parent ~ids () in
-  (* Flooding to a fixed point: diameter-many rounds with a shrinking
-     frontier — the active-set scheduler's best case. *)
-  let flood mode =
-    let o =
-      Engine.run_until_stable ~mode ~topo
-        ~init:(fun v -> v = 0)
-        ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-          s || List.exists (fun (_, _, su) -> su) neighbors)
-        ~equal:Bool.equal ~max_rounds:(n + 1) ()
-    in
-    (o.Engine.states, o.Engine.rounds)
-  in
-  (* Greedy MIS by local id maximum: 0 undecided, 1 in, 2 out; decided
-     regions go quiet while undecided chains keep stepping. *)
-  let mis mode =
-    let step ~round:_ ~node:v s ~neighbors =
-      if s <> 0 then s
-      else if List.exists (fun (_, _, su) -> su = 1) neighbors then 2
-      else if
-        List.for_all (fun (u, _, su) -> su <> 0 || ids.(u) < ids.(v)) neighbors
-      then 1
-      else 0
-    in
-    let o =
-      Engine.run ~mode ~topo
-        ~init:(fun _ -> 0)
-        ~step
-        ~halted:(fun s -> s <> 0)
-        ~max_rounds:(n + 1) ()
-    in
-    (o.Engine.states, o.Engine.rounds)
-  in
-  let kernels =
-    match Sys.getenv_opt "TL_ENGINE_BENCH_KERNELS" with
-    | Some "cv3" -> [ run_kernel ~name:"cv3" ~reps:3 cv3 ]
-    | _ ->
-      [
-        run_kernel ~name:"cv3" ~reps:3 cv3;
-        run_kernel ~name:"flood" ~reps:1 flood;
-        run_kernel ~name:"mis-local-max" ~reps:3 mis;
-      ]
-  in
-  let rows =
-    List.concat_map
-      (fun (name, results) ->
-        let naive_t =
-          (List.find (fun r -> r.mode = "naive") results).wall_s
-        in
-        List.map
-          (fun r ->
-            [
-              name;
-              r.mode;
-              Util.i r.rounds;
-              Util.i r.steps;
-              Printf.sprintf "%.4f" r.wall_s;
-              Printf.sprintf "%.2fx"
-                (if r.wall_s > 0. then naive_t /. r.wall_s else 0.);
-              Util.pass_fail r.ok;
-            ])
-          results)
-      kernels
-  in
-  Util.table
-    ~header:
-      [ "kernel"; "mode"; "rounds"; "steps"; "wall s"; "vs naive"; "identical" ]
-    rows;
-  let active_beats_naive =
-    List.for_all
-      (fun (name, results) ->
-        let t m = (List.find (fun r -> r.mode = m) results).wall_s in
-        name <> "cv3" || t "seq" < t "naive")
-      kernels
-  in
-  Printf.printf "\nactive-set faster than naive on cv3: %s\n"
-    (Util.pass_fail active_beats_naive);
-  emit_engine_json ~file:"BENCH_engine.json" ~n ~seed kernels;
-  Printf.printf "wrote BENCH_engine.json\n"
 
 (* ---------- B7: component-solve pool (merges into BENCH_engine.json) ----------
 
    Times the sequential vs pooled Theorem 12 / Theorem 15 executions —
    the per-component gather-solve and the per-star Π* solving fanned
    over OCaml domains — and merges the measurements into
-   BENCH_engine.json (same schema as B6, so bench/regress.exe gates
-   both). Pool widths beyond the host's core count measure the pool's
+   BENCH_engine.json (the kernels/modes schema bench/regress.exe
+   gates). Pool widths beyond the host's core count measure the pool's
    overhead honestly rather than a speedup. Sizes are overridable via
    TL_POOL_BENCH_N (CI smoke runs one small size; its kernel index 0
    still aligns with the committed baseline's first size). *)
@@ -520,7 +322,7 @@ let run_pool () =
 (* ---------- B10: tl_metrics overhead (merges into BENCH_engine.json) ----------
 
    Measures what the live metrics registry costs on the hottest loop we
-   have: the flood kernel under the active-set engine, once with the
+   have: the flat flood kernel under the active-set engine, once with the
    registry disabled (the one-shot CLI default — engine/pool hooks
    uninstalled, every metrics guard a single relaxed Atomic read)
    and once with Tl_obs.Metrics.enable () installed, which also turns on
@@ -549,15 +351,10 @@ let run_metrics () =
   let tree = Gen.random_tree ~n ~seed in
   let sg = Semi_graph.of_graph tree in
   let topo = Topology.compile sg in
+  let kernel = Flat.Kernels.flood () in
   let flood () =
-    let o =
-      Engine.run_until_stable ~mode:Engine.Seq ~topo
-        ~init:(fun v -> v = 0)
-        ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-          s || List.exists (fun (_, _, su) -> su) neighbors)
-        ~equal:Bool.equal ~max_rounds:(n + 1) ()
-    in
-    (o.Engine.states, o.Engine.rounds)
+    let o = Flat.exec ~topo ~kernel ~stop:(Engine.Stable (n + 1)) () in
+    (o.Flat.slab, o.Flat.rounds)
   in
   let reps = if n >= 500_000 then 5 else 7 in
   (* One untimed warmup per arm, then interleaved off/on trials: each
@@ -641,17 +438,14 @@ let run_metrics () =
 
 (* ---------- B11: flat slabs + domain team (merges into BENCH_engine.json) ----------
 
-   Times flood and greedy MIS on the boxed active-set engine (Seq, the
-   production reference) against the flat slab path — sequential and
-   fanned over the persistent domain team — asserting the flat results
-   bit-identical to the boxed ones. Also measures the flat hot path's
+   Times flood and greedy MIS on the flat slab path, sequential and
+   fanned over the persistent domain team, asserting every par arm
+   bit-identical to flat:seq. Also measures the flat hot path's
    minor-heap allocation per step on an untraced flat:seq run and
    merges it as its own pseudo-kernel row ("flat-alloc", wall_s =
    words/step): bench/regress.exe then gates allocation regressions
    through its existing absolute floor, no new tooling. Size is
    overridable via TL_FLAT_BENCH_N (CI smoke). *)
-
-module Flat = Tl_engine.Flat
 
 let flat_bench_n () =
   match Option.bind (Sys.getenv_opt "TL_FLAT_BENCH_N") int_of_string_opt with
@@ -672,62 +466,51 @@ let flat_steps_of f =
         (fun acc t -> acc + (Trace.metrics t).Trace.steps)
         0 !traces)
 
-(* One kernel's comparison rows: boxed Seq reference plus the flat path
-   at par in {1, 2, 4}. [col_boxed] projects the boxed outcome to the
-   (int column, rounds) pair the flat column is compared against.
-   Trials are interleaved — each rep times the boxed arm then every
-   flat arm back to back, after one untimed warmup apiece — so machine
-   load drift lands on all arms alike (the same bias B10 corrects for;
-   all-of-one-arm-then-the-next made ratios on a busy host a function
-   of run order, not of the code). *)
-let flat_kernel_rows ~reps ~run_boxed ~col_boxed ~run_flat_par =
-  let pars = [| 1; 2; 4 |] in
-  let warm_b = ref (run_boxed ()) in
-  let warm_f = Array.map (fun par -> run_flat_par par) pars in
-  let t_b = ref infinity in
-  let t_f = Array.make (Array.length pars) infinity in
+let flat_pars = [| 1; 2; 4 |]
+
+let flat_mode par =
+  if par <= 1 then "flat:seq" else Printf.sprintf "flat:par:%d" par
+
+(* One kernel's comparison rows: the flat path at par in {1, 2, 4}, each
+   checked against the par = 1 arm. Trials are interleaved — each rep
+   times every arm back to back, after one untimed warmup apiece — so
+   machine load drift lands on all arms alike (the same bias B10
+   corrects for; all-of-one-arm-then-the-next made ratios on a busy host
+   a function of run order, not of the code). *)
+let flat_kernel_rows ~reps ~run_flat_par =
+  let warm = Array.map (fun par -> run_flat_par par) flat_pars in
+  let best = Array.make (Array.length flat_pars) infinity in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
   for _ = 1 to reps do
-    let r, dt = time run_boxed in
-    if dt < !t_b then t_b := dt;
-    warm_b := r;
     Array.iteri
       (fun i par ->
         let r, dt = time (fun () -> run_flat_par par) in
-        if dt < t_f.(i) then t_f.(i) <- dt;
-        warm_f.(i) <- r)
-      pars
+        if dt < best.(i) then best.(i) <- dt;
+        warm.(i) <- r)
+      flat_pars
   done;
-  let steps_b = flat_steps_of run_boxed in
-  let col_b, rounds_b = col_boxed !warm_b in
-  let boxed_row =
-    { mode = "seq"; domains = 1; wall_s = !t_b; rounds = rounds_b;
-      steps = steps_b; ok = true }
-  in
-  let flat_rows =
-    List.mapi
-      (fun i par ->
-        let o_f = warm_f.(i) in
-        let steps_f = flat_steps_of (fun () -> run_flat_par par) in
-        {
-          mode =
-            (if par <= 1 then "flat:seq" else Printf.sprintf "flat:par:%d" par);
-          domains = (if par <= 1 then 1 else par);
-          wall_s = t_f.(i);
-          rounds = o_f.Flat.rounds;
-          steps = steps_f;
-          ok = Flat.column o_f ~slot:0 = col_b && o_f.Flat.rounds = rounds_b;
-        })
-      (Array.to_list pars)
-  in
-  boxed_row :: flat_rows
+  let seq = warm.(0) in
+  List.mapi
+    (fun i par ->
+      let o = warm.(i) in
+      {
+        mode = flat_mode par;
+        domains = max 1 par;
+        wall_s = best.(i);
+        rounds = o.Flat.rounds;
+        steps = flat_steps_of (fun () -> run_flat_par par);
+        ok = o.Flat.slab = seq.Flat.slab && o.Flat.rounds = seq.Flat.rounds;
+      })
+    (Array.to_list flat_pars)
 
-let flat_kernel_json ~name ~n rows =
-  let seq_t = (List.find (fun r -> r.mode = "seq") rows).wall_s in
+(* the kernels/modes JSON of one kernel's rows, each with its speedup
+   over the flat:seq row *)
+let modes_kernel_json ~name ~n rows =
+  let seq_t = (List.find (fun r -> r.mode = "flat:seq") rows).wall_s in
   Json.Obj
     [
       ("kernel", Json.Str name);
@@ -756,8 +539,8 @@ let run_flat () =
   let seed = 71 in
   Util.heading
     (Printf.sprintf
-       "B11: flat state slabs + persistent domain team — boxed seq vs flat \
-        (n=%d)"
+       "B11: flat state slabs + persistent domain team — flat:seq vs \
+        flat:par:N (n=%d)"
        n);
   let tree = Gen.random_tree ~n ~seed in
   let sg = Semi_graph.of_graph tree in
@@ -767,53 +550,25 @@ let run_flat () =
      buy more quiet-window samples for every arm at once *)
   let reps = 5 in
   let max_rounds = n + 1 in
-  (* flood: boxed bool states vs flat slot-0 column *)
-  let boxed_flood () =
-    Engine.run_until_stable ~mode:Engine.Seq ~topo
-      ~init:(fun v -> v = 0)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-        s || List.exists (fun (_, _, su) -> su) neighbors)
-      ~equal:Bool.equal ~max_rounds ()
-  in
   let flood_kernel = Flat.Kernels.flood () in
   let flat_flood par =
-    Flat.run_until_stable ~par ~topo ~kernel:flood_kernel ~max_rounds ()
-  in
-  (* greedy MIS by local id maximum: boxed int states vs flat column *)
-  let boxed_mis () =
-    Engine.run ~mode:Engine.Seq ~topo
-      ~init:(fun _ -> 0)
-      ~step:(fun ~round:_ ~node:v s ~neighbors ->
-        if s <> 0 then s
-        else if List.exists (fun (_, _, su) -> su = 1) neighbors then 2
-        else if
-          List.for_all
-            (fun (u, _, su) -> su <> 0 || ids.(u) < ids.(v))
-            neighbors
-        then 1
-        else 0)
-      ~halted:(fun s -> s <> 0)
-      ~max_rounds ()
+    Flat.exec ~par ~topo ~kernel:flood_kernel ~stop:(Engine.Stable max_rounds)
+      ()
   in
   let mis_kernel = Flat.Kernels.mis_local_max ~ids in
-  let flat_mis par = Flat.run ~par ~topo ~kernel:mis_kernel ~max_rounds () in
+  let flat_mis par =
+    Flat.exec ~par ~topo ~kernel:mis_kernel ~stop:(Engine.Halted max_rounds) ()
+  in
   let kernels =
     [
-      ( "flat-flood",
-        flat_kernel_rows ~reps ~run_boxed:boxed_flood
-          ~col_boxed:(fun o ->
-            (Array.map Bool.to_int o.Engine.states, o.Engine.rounds))
-          ~run_flat_par:flat_flood );
-      ( "flat-mis",
-        flat_kernel_rows ~reps ~run_boxed:boxed_mis
-          ~col_boxed:(fun o -> (o.Engine.states, o.Engine.rounds))
-          ~run_flat_par:flat_mis );
+      ("flat-flood", flat_kernel_rows ~reps ~run_flat_par:flat_flood);
+      ("flat-mis", flat_kernel_rows ~reps ~run_flat_par:flat_mis);
     ]
   in
   let rows =
     List.concat_map
       (fun (name, rows) ->
-        let seq_t = (List.find (fun r -> r.mode = "seq") rows).wall_s in
+        let seq_t = (List.find (fun r -> r.mode = "flat:seq") rows).wall_s in
         List.map
           (fun r ->
             [
@@ -831,19 +586,9 @@ let run_flat () =
   in
   Util.table
     ~header:
-      [ "kernel"; "mode"; "rounds"; "steps"; "wall s"; "vs seq"; "identical" ]
+      [ "kernel"; "mode"; "rounds"; "steps"; "wall s"; "vs flat:seq";
+        "identical" ]
     rows;
-  (* acceptance: the flat path on the 4-wide team beats the boxed
-     sequential engine by >= 1.6x on both kernels *)
-  let speedup_ok =
-    List.for_all
-      (fun (_, rows) ->
-        let t m = (List.find (fun r -> r.mode = m) rows).wall_s in
-        t "flat:par:4" > 0. && t "seq" /. t "flat:par:4" >= 1.6)
-      kernels
-  in
-  Printf.printf "\nflat:par:4 >= 1.6x over boxed seq on both kernels: %s\n"
-    (Util.pass_fail speedup_ok);
   (* allocation per step on the untraced flat:seq hot path: the state
      slabs go straight to the major heap (>= 256 words), so the
      bracketed minor-words delta is the per-round bookkeeping budget —
@@ -860,11 +605,11 @@ let run_flat () =
   let words_per_step =
     if flood_steps > 0 then (w1 -. w0) /. float_of_int flood_steps else 0.
   in
-  Printf.printf "flat:seq minor words/step: %.6f over %d steps (%s)\n"
+  Printf.printf "\nflat:seq minor words/step: %.6f over %d steps (%s)\n"
     words_per_step flood_steps
     (Util.pass_fail (words_per_step < 0.01));
   merge_into_engine_json ~file:"BENCH_engine.json"
-    (List.map (fun (name, rows) -> flat_kernel_json ~name ~n rows) kernels
+    (List.map (fun (name, rows) -> modes_kernel_json ~name ~n rows) kernels
     @ [
         Json.Obj
           [
@@ -888,12 +633,11 @@ let run_flat () =
 
 (* ---------- B12: process-parallel shard backend (merges into BENCH_engine.json) ----------
 
-   Times the boxed sequential stepper against the tl_proc backend — one
+   Times the in-process flat:seq run against the tl_proc backend — one
    shard per forked Unix process, halos over socketpairs in the tlp
-   binary wire format — on flood and the greedy-MIS machine. The
-   proc-flat:4 rows run the flat kernels through
-   Coordinator.run_kernel, the int-slab executor inside each worker (the
-   backend steps flat kernels only). A "proc-alloc" pseudo-row records
+   binary wire format — on the flood and greedy-MIS kernels. Both arms
+   run through Coordinator.run_kernel; the proc-flat:4 rows step the
+   kernels inside the workers. A "proc-alloc" pseudo-row records
    the scalar codec's minor words per put+get pair (wall_s = words/op,
    exactly 0 in steady state), so regress.exe gates allocation creep on
    the wire hot path through its absolute floor.
@@ -902,7 +646,7 @@ let run_flat () =
    can spawn a domain (par, pool) — OCaml 5 forbids fork once a
    domain has ever been spawned. For the same reason B12 skips itself
    with a note when domains already exist in this process (a full-suite
-   `bench/main.exe` run after B6/B7): run it standalone, one process per
+   `bench/main.exe` run after B7): run it standalone, one process per
    experiment, as `make bench-full` and CI do. Size is overridable via
    TL_PROC_BENCH_N (CI smoke). *)
 
@@ -910,31 +654,6 @@ module Proc = Tl_proc.Coordinator
 module Proc_wire = Tl_proc.Wire
 module Team = Tl_engine.Team
 module Shard_plan = Tl_shard.Plan
-
-let modes_kernel_json ~name ~n results =
-  let seq_t = (List.find (fun r -> r.mode = "seq") results).wall_s in
-  Json.Obj
-    [
-      ("kernel", Json.Str name);
-      ("n", Json.Num (float_of_int n));
-      ("deterministic", Json.Bool (List.for_all (fun r -> r.ok) results));
-      ( "modes",
-        Json.Arr
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("mode", Json.Str r.mode);
-                   ("domains", Json.Num (float_of_int r.domains));
-                   ("wall_s", Json.Num r.wall_s);
-                   ("rounds", Json.Num (float_of_int r.rounds));
-                   ("steps", Json.Num (float_of_int r.steps));
-                   ( "speedup_vs_seq",
-                     Json.Num
-                       (if r.wall_s > 0. then seq_t /. r.wall_s else 0.) );
-                 ])
-             results) );
-    ]
 
 let proc_bench_n () =
   match Option.bind (Sys.getenv_opt "TL_PROC_BENCH_N") int_of_string_opt with
@@ -986,7 +705,7 @@ let run_proc () =
   let seed = 71 in
   Util.heading
     (Printf.sprintf
-       "B12: process-parallel shard backend — boxed seq vs flat kernels on \
+       "B12: process-parallel shard backend — flat:seq vs flat kernels on \
         proc:4 over the tlp wire (n=%d)"
        n);
   if Team.spawns () > 0 then
@@ -1001,59 +720,33 @@ let run_proc () =
     let ids = Ids.permuted ~n ~seed:79 in
     let max_rounds = n + 1 in
     let reps = if n >= 500_000 then 1 else 2 in
-    let flood mode =
+    let flat_flood mode () =
       let o =
-        Engine.run_until_stable ~mode ~topo
-          ~init:(fun v -> v = 0)
-          ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-            s || List.exists (fun (_, _, su) -> su) neighbors)
-          ~equal:Bool.equal ~max_rounds ()
-      in
-      (Array.map Bool.to_int o.Engine.states, o.Engine.rounds)
-    in
-    let mis mode =
-      let o =
-        Engine.run ~mode ~topo
-          ~init:(fun _ -> 0)
-          ~step:(fun ~round:_ ~node:v s ~neighbors ->
-            if s <> 0 then s
-            else if List.exists (fun (_, _, su) -> su = 1) neighbors then 2
-            else if
-              List.for_all
-                (fun (u, _, su) -> su <> 0 || ids.(u) < ids.(v))
-                neighbors
-            then 1
-            else 0)
-          ~halted:(fun s -> s <> 0)
-          ~max_rounds ()
-      in
-      (o.Engine.states, o.Engine.rounds)
-    in
-    let flat_flood procs () =
-      let o =
-        Proc.run_kernel ~mode:(Engine.Proc procs) ~topo
+        Proc.run_kernel ~mode ~topo
           ~kernel_for:(Proc.Kernels.flood ())
           ~stop:(Engine.Stable max_rounds) ()
       in
       (Flat.column o ~slot:0, o.Flat.rounds)
     in
-    let flat_mis procs () =
+    let flat_mis mode () =
       let o =
-        Proc.run_kernel ~mode:(Engine.Proc procs) ~topo
+        Proc.run_kernel ~mode ~topo
           ~kernel_for:(Proc.Kernels.mis_local_max ~ids)
           ~stop:(Engine.Halted max_rounds) ()
       in
       (Flat.column o ~slot:0, o.Flat.rounds)
     in
     (* 1. the proc arm, before anything can spawn a domain *)
-    let proc_arms flat = [ ("proc-flat:4", bench_proc_arm ~reps (flat 4)) ] in
+    let proc_arms flat =
+      [ ("proc-flat:4", bench_proc_arm ~reps (flat (Engine.Proc 4))) ]
+    in
     let flood_proc = proc_arms flat_flood in
     let mis_proc = proc_arms flat_mis in
     (* 2. the in-process reference *)
-    let flood_seq = bench_proc_arm ~reps (fun () -> flood Engine.Seq) in
-    let mis_seq = bench_proc_arm ~reps (fun () -> mis Engine.Seq) in
+    let flood_seq = bench_proc_arm ~reps (flat_flood Engine.Seq) in
+    let mis_seq = bench_proc_arm ~reps (flat_mis Engine.Seq) in
     let rows_of (seq_r, seq_t) arms =
-      { mode = "seq"; domains = 1; wall_s = seq_t; rounds = snd seq_r;
+      { mode = "flat:seq"; domains = 1; wall_s = seq_t; rounds = snd seq_r;
         steps = 0; ok = true }
       :: List.map
            (fun (mode, (r, t)) ->
@@ -1070,7 +763,9 @@ let run_proc () =
     let rows =
       List.concat_map
         (fun (name, n, results) ->
-          let seq_t = (List.find (fun r -> r.mode = "seq") results).wall_s in
+          let seq_t =
+            (List.find (fun r -> r.mode = "flat:seq") results).wall_s
+          in
           List.map
             (fun r ->
               [
@@ -1087,28 +782,12 @@ let run_proc () =
         kernels
     in
     Util.table
-      ~header:[ "kernel"; "n"; "mode"; "rounds"; "wall s"; "vs seq"; "identical" ]
+      ~header:
+        [ "kernel"; "n"; "mode"; "rounds"; "wall s"; "vs flat:seq";
+          "identical" ]
       rows;
-    let best =
-      List.fold_left
-        (fun acc (_, _, results) ->
-          let seq_t = (List.find (fun r -> r.mode = "seq") results).wall_s in
-          List.fold_left
-            (fun acc r ->
-              if String.length r.mode >= 4 && String.sub r.mode 0 4 = "proc"
-                 && r.wall_s > 0.
-              then max acc (seq_t /. r.wall_s)
-              else acc)
-            acc results)
-        0. kernels
-    in
-    Printf.printf
-      "\nbest proc arm over seq: %.2fx — proc backend >= 1.0x on flood or \
-       MIS: %s\n"
-      best
-      (Util.pass_fail (best >= 1.0));
     let words_per_op, ops = codec_words_per_op () in
-    Printf.printf "wire codec minor words/op: %.6f over %d ops (%s)\n"
+    Printf.printf "\nwire codec minor words/op: %.6f over %d ops (%s)\n"
       words_per_op ops
       (Util.pass_fail (words_per_op < 0.01));
     merge_into_engine_json ~file:"BENCH_engine.json"

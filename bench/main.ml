@@ -24,16 +24,15 @@ let experiments =
     ("E14", "sinkless orientation in Theta(log n)", Exp_sinkless.run);
     ("A", "ablations: k, rho, b, ID schemes", Exp_ablation.run);
     ("B", "kernel wall-clock microbenchmarks", Kernel_bench.run);
-    ("B6", "engine: naive vs active-set vs parallel stepping", Kernel_bench.run_engine);
     ("B7", "component-solve pool: sequential vs pooled Theorem 12/15", Kernel_bench.run_pool);
     ("B9", "serving daemon: closed-loop latency, cold vs warm cache", Serve_bench.run);
     ("B10", "tl_metrics overhead: flood with registry off vs on", Kernel_bench.run_metrics);
-    ("B11", "flat state slabs + domain team: boxed seq vs flat", Kernel_bench.run_flat);
+    ("B11", "flat state slabs + domain team: flat:seq vs flat:par:N", Kernel_bench.run_flat);
     (* B12 forks worker processes, which OCaml 5 forbids after any domain
        spawn: it self-skips in a full-suite single-process run (after
-       B6/B7 spawned the team) and is meant to run standalone, one
+       B7 spawned the team) and is meant to run standalone, one
        process per experiment, as `make bench-full` and CI do. *)
-    ("B12", "process backend: boxed seq vs flat kernels on proc:4", Kernel_bench.run_proc);
+    ("B12", "process backend: flat:seq vs flat kernels on proc:4", Kernel_bench.run_proc);
     ("B13", "tl_fault: incremental repair vs full recompute, gate overhead", Fault_bench.run);
   ]
 

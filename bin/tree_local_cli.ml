@@ -68,7 +68,7 @@ let engine_arg =
   let mode =
     let parse s =
       match Engine.mode_of_string s with
-      | Engine.Naive | (exception Invalid_argument _) ->
+      | exception Invalid_argument _ ->
         Error
           (`Msg
             (Printf.sprintf
@@ -222,7 +222,12 @@ let print_trace_summary () =
   | [] -> ()
   | ts ->
     let ledger = Round_cost.create () in
-    List.iter (fun t -> Tl_local.Runtime.charge_trace ledger t) ts;
+    List.iter
+      (fun t ->
+        Round_cost.charge ledger
+          ("engine:" ^ Trace.label t)
+          (Trace.metrics t).Trace.rounds)
+      ts;
     Printf.printf "engine:      %d run(s), %d measured rounds\n"
       (List.length ts) (Round_cost.total ledger);
     List.iter

@@ -1,10 +1,7 @@
-module Semi_graph = Tl_graph.Semi_graph
-
-type mode = Naive | Seq | Par of int | Proc of int
+type mode = Seq | Par of int | Proc of int
 type scheduling = Stepper.scheduling = Active_set | Full_scan
 
 let mode_to_string = function
-  | Naive -> "naive"
   | Seq -> "seq"
   | Par p -> "par:" ^ string_of_int p
   | Proc p -> "proc:" ^ string_of_int p
@@ -21,6 +18,11 @@ let count_suffix s prefix =
            "Engine.mode_of_string: %S — expected %s<count> where <count> is a \
             decimal integer"
            s prefix)
+    else if String.length rest > 1 && rest.[0] = '0' then
+      (* a mode prints back to the string it was parsed from *)
+      invalid_arg
+        (Printf.sprintf "Engine.mode_of_string: %S — count has a leading zero"
+           s)
     else
       match int_of_string_opt rest with
       | Some p when p >= 1 -> Some p
@@ -41,7 +43,6 @@ let mode_of_string s =
           \"seq\" or \"par:4\")"
          s);
   match s with
-  | "naive" -> Naive
   | "seq" -> Seq
   | _ -> (
     match count_suffix s "par:" with
@@ -52,8 +53,7 @@ let mode_of_string s =
       | None ->
         invalid_arg
           (Printf.sprintf
-             "Engine.mode_of_string: %S — expected naive | seq | par:<n> | \
-              proc:<n>"
+             "Engine.mode_of_string: %S — expected seq | par:<n> | proc:<n>"
              s)))
 
 let sched_to_string = function
@@ -79,23 +79,13 @@ let fault_gate : (round:int -> bool) option ref = ref None
 let gate_open ~round =
   match !fault_gate with None -> true | Some g -> g ~round
 
-type 'state outcome = { states : 'state array; rounds : int }
-
-type 'state step_fn =
-  round:int ->
-  node:int ->
-  'state ->
-  neighbors:(int * int * 'state) list ->
-  'state
-
 type stop = Halted of int | Stable of int | Rounds of int
 
 let now = Unix.gettimeofday
 
 (* ---------- trace plumbing ---------- *)
 
-let begin_trace ?trace ~label ~mode ~layout ~sched ~compile_s ~compile_cached
-    topo =
+let begin_trace ?trace ~label ~mode ~sched topo =
   let t =
     match trace with
     | Some t -> Some t
@@ -109,10 +99,7 @@ let begin_trace ?trace ~label ~mode ~layout ~sched ~compile_s ~compile_cached
   | Some t ->
     Trace.set_meta t ~mode ~scheduling:(sched_to_string sched)
       ~n_base:(Topology.n_base topo)
-      ~n_present:(Topology.n_present topo);
-    Trace.set_layout t layout;
-    Trace.set_compile_s t compile_s;
-    Trace.set_compile_cached t compile_cached);
+      ~n_present:(Topology.n_present topo));
   t
 
 (* Runs [f], then finishes and delivers the trace even if [f] raised
@@ -129,17 +116,10 @@ let with_trace tr f =
         (match !metrics_sink with Some sink -> sink t | None -> ()))
     f
 
-let record tr ~round ~active ~changed ~unhalted ~t0 =
-  Option.iter
-    (fun t ->
-      Trace.record t
-        { Trace.round; active; changed; unhalted; wall_s = now () -. t0 })
-    tr
-
 (* ---------- the round driver ---------- *)
 
-(* The one synchronous round loop behind every non-reference backend; the
-   stop-policy table lives in engine.mli. It keeps the flat hot path's
+(* The one synchronous round loop behind every backend; the stop-policy
+   table lives in engine.mli. It keeps the flat hot path's
    allocation discipline: no closure is built inside the loop, its refs
    never escape (so they live in registers), and the wall clock is read
    only when a trace is attached (the stamp is parked in a float array,
@@ -200,181 +180,4 @@ let exhausted = function
       (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded" m)
   | Rounds _ -> invalid_arg "Engine.exhausted: a Rounds schedule never exhausts"
 
-(* ---------- the naive reference stepper (legacy port) ---------- *)
-
-(* Exact port of the pre-engine Tl_local.Runtime internals: full scan of
-   every present node per round, neighbor gathering through
-   Semi_graph.rank2_neighbors, and Array.copy + Array.blit state movement.
-   Kept verbatim as the differential-testing reference and the benchmark
-   baseline — do not "optimize". *)
-
-let gather_neighbors sg states v =
-  List.map
-    (fun (u, e) -> (u, e, states.(u)))
-    (Semi_graph.rank2_neighbors sg v)
-
-let naive_run ~tr ~topo ~init ~step ~halted ~max_rounds =
-  let sg = topo.Topology.sg in
-  let n = topo.Topology.n_base in
-  let present = topo.Topology.present in
-  let states = Array.init n (fun v -> init v) in
-  let all_halted () =
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      if present.(v) && not (halted states.(v)) then ok := false
-    done;
-    !ok
-  in
-  let rounds = ref 0 in
-  let interrupted = ref false in
-  while (not !interrupted) && (not (all_halted ())) && !rounds < max_rounds do
-    let t0 = now () in
-    incr rounds;
-    let next = Array.copy states in
-    for v = 0 to n - 1 do
-      if present.(v) then
-        next.(v) <-
-          step ~round:!rounds ~node:v states.(v)
-            ~neighbors:(gather_neighbors sg states v)
-    done;
-    Array.blit next 0 states 0 n;
-    record tr ~round:!rounds ~active:topo.Topology.n_present ~changed:(-1)
-      ~unhalted:(-1) ~t0;
-    if not (gate_open ~round:!rounds) then interrupted := true
-  done;
-  if (not !interrupted) && not (all_halted ()) then
-    failwith (Printf.sprintf "Engine.run: max_rounds=%d exceeded" max_rounds);
-  { states; rounds = !rounds }
-
-let naive_run_until_stable ~tr ~topo ~init ~step ~equal ~max_rounds =
-  let sg = topo.Topology.sg in
-  let n = topo.Topology.n_base in
-  let present = topo.Topology.present in
-  let states = Array.init n (fun v -> init v) in
-  let rounds = ref 0 in
-  let stable = ref false in
-  let interrupted = ref false in
-  while (not !interrupted) && (not !stable) && !rounds < max_rounds do
-    let t0 = now () in
-    let next = Array.copy states in
-    let changed = ref 0 in
-    for v = 0 to n - 1 do
-      if present.(v) then begin
-        let s =
-          step ~round:(!rounds + 1) ~node:v states.(v)
-            ~neighbors:(gather_neighbors sg states v)
-        in
-        if not (equal s states.(v)) then incr changed;
-        next.(v) <- s
-      end
-    done;
-    record tr ~round:(!rounds + 1) ~active:topo.Topology.n_present
-      ~changed:!changed ~unhalted:(-1) ~t0;
-    if !changed > 0 then begin
-      incr rounds;
-      Array.blit next 0 states 0 n;
-      if not (gate_open ~round:!rounds) then interrupted := true
-    end
-    else stable := true
-  done;
-  if (not !interrupted) && not !stable then
-    failwith
-      (Printf.sprintf "Engine.run_until_stable: max_rounds=%d exceeded"
-         max_rounds);
-  { states; rounds = !rounds }
-
-let naive_run_rounds ~tr ~topo ~init ~step ~rounds:total =
-  let sg = topo.Topology.sg in
-  let n = topo.Topology.n_base in
-  let present = topo.Topology.present in
-  let states = Array.init n (fun v -> init v) in
-  let executed = ref 0 in
-  let r = ref 1 in
-  let interrupted = ref false in
-  while (not !interrupted) && !r <= total do
-    let t0 = now () in
-    let next = Array.copy states in
-    for v = 0 to n - 1 do
-      if present.(v) then
-        next.(v) <-
-          step ~round:!r ~node:v states.(v)
-            ~neighbors:(gather_neighbors sg states v)
-    done;
-    Array.blit next 0 states 0 n;
-    record tr ~round:!r ~active:topo.Topology.n_present ~changed:(-1)
-      ~unhalted:(-1) ~t0;
-    executed := !r;
-    if not (gate_open ~round:!r) then interrupted := true;
-    incr r
-  done;
-  { states; rounds = (if !interrupted then !executed else total) }
-
-(* ---------- the engine stepper (Seq / Par) ---------- *)
-
 let par_grain = Stepper.par_grain
-
-let engine_exec ~par ~sched ~equal ~tr ~topo ~init ~step ~halted ~stop =
-  let csr = Stepper.of_topology topo in
-  let states, store = Stepper.boxed csr ~init ~step ~equal ~halted in
-  let core = Stepper.create ~sched csr store in
-  let rounds, ex =
-    drive ~trace:tr ~stop
-      ~active:(fun () -> Stepper.n_active core)
-      ~unhalted:(fun () -> Stepper.unhalted core)
-      ~exec:(fun round -> Stepper.round core ~par ~round)
-  in
-  if ex then exhausted stop;
-  { states; rounds }
-
-(* ---------- public API ---------- *)
-
-(* [naive] is the mode's own reference loop, kept out of the shared
-   driver so the differential batteries compare two independent
-   implementations. [Proc] steps flat kernels only, through
-   [Tl_proc.Coordinator.run_kernel]. *)
-let exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached
-    ~topo ~init ~step ~halted ~stop ~naive () =
-  let par =
-    match mode with
-    | Naive | Seq -> 1
-    | Par p -> max 1 p
-    | Proc _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Engine: mode %s runs flat kernels only \
-            (Tl_proc.Coordinator.run_kernel)"
-           (mode_to_string mode))
-  in
-  let tr =
-    begin_trace ?trace ~label ~mode:(mode_to_string mode) ~layout:"boxed"
-      ~sched ~compile_s ~compile_cached topo
-  in
-  with_trace tr (fun () ->
-      if mode = Naive then naive tr
-      else
-        engine_exec ~par ~sched ~equal ~tr ~topo ~init ~step ~halted ~stop)
-
-let run ?(mode = Seq) ?(sched = Active_set) ?(equal = Stdlib.( = )) ?trace
-    ?(label = "engine.run") ?(compile_s = 0.) ?(compile_cached = false) ~topo
-    ~init ~step ~halted ~max_rounds () =
-  exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
-    ~init ~step ~halted:(Some halted) ~stop:(Halted max_rounds)
-    ~naive:(fun tr -> naive_run ~tr ~topo ~init ~step ~halted ~max_rounds)
-    ()
-
-let run_until_stable ?(mode = Seq) ?(sched = Active_set) ?trace
-    ?(label = "engine.run_until_stable") ?(compile_s = 0.)
-    ?(compile_cached = false) ~topo ~init ~step ~equal ~max_rounds () =
-  exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
-    ~init ~step ~halted:None ~stop:(Stable max_rounds)
-    ~naive:(fun tr ->
-      naive_run_until_stable ~tr ~topo ~init ~step ~equal ~max_rounds)
-    ()
-
-let run_rounds ?(mode = Seq) ?(sched = Active_set) ?(equal = Stdlib.( = ))
-    ?trace ?(label = "engine.run_rounds") ?(compile_s = 0.)
-    ?(compile_cached = false) ~topo ~init ~step ~rounds () =
-  exec_mode ~mode ~sched ~equal ?trace ~label ~compile_s ~compile_cached ~topo
-    ~init ~step ~halted:None ~stop:(Rounds rounds)
-    ~naive:(fun tr -> naive_run_rounds ~tr ~topo ~init ~step ~rounds)
-    ()

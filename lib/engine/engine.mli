@@ -1,19 +1,13 @@
-(** Deterministic high-performance execution engine for the LOCAL model.
+(** Deterministic execution engine for the LOCAL model (Definition 5):
+    synchronous rounds in which every present node reads its rank-2
+    neighbors' published states, run over a compiled {!Topology}
+    snapshot. Node states are int slabs stepped by {!Flat} kernels; a
+    run's {!mode} picks where the rounds execute:
 
-    This is the execution backend behind {!Tl_local.Runtime}: the same
-    synchronous state-reading semantics (Definition 5), run over a
-    compiled {!Topology} snapshot. A run's {!mode} picks its stepper:
-
-    - [Naive] — a faithful port of the original stepper: every present
-      node re-steps every round, neighbor lists are gathered through
-      {!Tl_graph.Semi_graph.rank2_neighbors}, and states are moved with
-      two full array copies per round. Kept as the bit-exact reference
-      for differential tests and as the benchmark baseline.
-    - [Seq] — single-threaded over the CSR snapshot, double-buffered with
-      an O(changed)-cost commit (no full copies) and, under
-      [Active_set] scheduling, a frontier queue: only nodes whose 1-hop
-      neighborhood changed in the previous round are re-stepped, so
-      converged regions cost zero.
+    - [Seq] — single-threaded, double-buffered with an O(changed)-cost
+      commit and, under [Active_set] scheduling, a frontier queue: only
+      nodes whose 1-hop neighborhood changed in the previous round are
+      re-stepped, so converged regions cost zero ({!Flat.exec}).
     - [Par p] — the [Seq] stepper with the per-round compute fanned out
       over [p] workers of the persistent domain {!Team} (spawned once
       per process, parked on a barrier between rounds) in fixed
@@ -28,43 +22,40 @@
       copies of remote neighbors, one Unix process per shard, halos
       exchanged over socketpairs in a length-prefixed binary wire format
       and termination decided by a [changed]-count allreduce over a
-      collective tree. It steps {!Flat} kernels only: the boxed entry
-      points below raise [Invalid_argument] for it.
+      collective tree.
 
-    [Seq]/[Par] rounds here are the shared {!Stepper} body over a boxed
-    store — the body {!Flat} runs over int slabs and the [Proc] workers
-    run per shard. The int-state machines of the services (served flood,
-    [Tl_fault.Chaos]'s epochs, [Tl_fault.Repair]'s region re-run) are
-    flat kernels; the boxed entry points serve the references, the
-    tests and the benchmarks.
-
-    The stepper is an argument of every run ([?mode], default [Seq]),
-    never process state: the caller that owns a run — the CLI's
-    [chaos] command, the daemon per request, a bench kernel — passes
-    its mode down to the run it starts. The paper's pipelines
+    Every mode runs the shared {!Stepper} round body ([Proc] per shard,
+    in its workers) under the one round driver {!drive}. The services
+    (served flood, [Tl_fault.Chaos]'s epochs, [Tl_fault.Repair]'s region
+    re-run) are such runs. The mode is an argument of every run, never
+    process state: the caller that owns a run — the CLI's [chaos]
+    command, the daemon per request, a bench kernel — passes it down to
+    [Tl_proc.Coordinator.run_kernel]. The paper's pipelines
     ([Tl_core.Theorem1]/[Theorem2]) make no engine run at all; their
     phases are direct loops.
 
     {2 Determinism guarantee}
 
-    For a fixed topology, [init], [step] and ID assignment, all modes and
+    For a fixed topology, kernel and ID assignment, all modes and
     schedulings produce bit-identical final states and round counts,
-    {e provided} [step] is stationary: its output depends only on the
-    node's state and its neighbors' states — not on [~round] — whenever
-    those inputs are unchanged from the previous round. (Between rounds
-    with different inputs, [step] may use [~round] freely; schedules that
-    fire on specific round numbers independently of state, like Linial's
-    palette schedule, must use [Full_scan].) Under [Active_set] a node
-    with an unchanged closed neighborhood is not re-stepped; stationarity
-    is exactly the condition making that skip unobservable.
+    {e provided} the kernel's step is stationary: its output depends
+    only on the node's state and its neighbors' states — not on
+    [~round] — whenever those inputs are unchanged from the previous
+    round. (Between rounds with different inputs, a step may use
+    [~round] freely; schedules that fire on specific round numbers
+    independently of state must use [Full_scan].) Under [Active_set] a
+    node with an unchanged closed neighborhood is not re-stepped;
+    stationarity is exactly the condition making that skip
+    unobservable.
 
-    All modes raise [Failure] when [max_rounds] is exhausted, like the
-    legacy runtime; the active-set stepper additionally fails fast when
-    the active set drains while unhalted nodes remain (a stationary
-    machine can then never halt — the naive stepper would spin to
-    [max_rounds] and raise the same way). *)
+    All modes raise [Failure] when [max_rounds] is exhausted; the
+    active-set stepper additionally fails fast, with the same text,
+    when the active set drains while unhalted nodes remain (a
+    stationary machine can then never halt). The test suite's naive
+    full-scan oracle ([test/naive.ml]) holds every mode to these
+    rules. *)
 
-type mode = Naive | Seq | Par of int | Proc of int
+type mode = Seq | Par of int | Proc of int
 
 type scheduling = Stepper.scheduling =
   | Active_set  (** re-step only nodes with a changed 1-hop neighborhood *)
@@ -74,11 +65,13 @@ val mode_to_string : mode -> string
 val sched_to_string : scheduling -> string
 
 val mode_of_string : string -> mode
-(** Parses ["naive"], ["seq"], ["par:N"] and ["proc:N"] (N >= 1).
-    Raises [Invalid_argument] with a message naming the offending input
-    for anything else: a bare ["par"] or ["proc"] (the count is part of
-    the mode), ["par:0"]/["proc:0"] (count must be >= 1), non-digit or
-    out-of-range counts, and strings with surrounding whitespace
+(** Parses ["seq"], ["par:N"] and ["proc:N"] (N >= 1): for every [m],
+    [mode_of_string (mode_to_string m) = m]. Raises [Invalid_argument]
+    with a message naming the offending input for anything else: a bare
+    ["par"] or ["proc"] (the count is part of the mode),
+    ["par:0"]/["proc:0"] (count must be >= 1), non-digit,
+    zero-padded or out-of-range counts, and strings with surrounding
+    whitespace
     (callers splitting config lines forget to trim; a silent accept here
     would mask that). *)
 
@@ -118,31 +111,18 @@ val fault_gate : (round:int -> bool) option ref
     and resume with a fresh run over the repaired topology. Disarmed
     ([None], the default) the gate costs one ref read per round and
     nothing per node — the same discipline as [Tl_obs.Metrics.enable].
-    Every backend but [Naive] checks it in the shared {!drive} (the
-    proc backend on its coordinator, between worker rounds). *)
+    Every backend checks it in the shared {!drive} (the proc backend on
+    its coordinator, between worker rounds). *)
 
 val gate_open : round:int -> bool
 (** [true] when no gate is armed or the armed gate allows continuing
     past committed round [round]. *)
 
-type 'state outcome = { states : 'state array; rounds : int }
-
-type 'state step_fn =
-  round:int ->
-  node:int ->
-  'state ->
-  neighbors:(int * int * 'state) list ->
-  'state
-(** Same contract as the legacy runtime: [neighbors] lists
-    [(neighbor, edge, neighbor_state)] over present rank-2 edges in
-    ascending incident order. *)
-
 (** {2 Stop policies and the round driver}
 
-    Every non-reference backend (the [Seq]/[Par] stepper, {!Flat} and
-    the [Tl_proc] coordinator) runs its rounds
-    through {!drive}; only [Naive] keeps its own loops, as the
-    independent reference. The driver owns these rules:
+    Every backend ({!Flat.exec} for [Seq]/[Par] and the [Tl_proc]
+    coordinator) runs its rounds through {!drive}. The driver owns
+    these rules:
 
     {v
                     Halted m             Stable m             Rounds n
@@ -196,76 +176,13 @@ val begin_trace :
   ?trace:Trace.t ->
   label:string ->
   mode:string ->
-  layout:string ->
   sched:scheduling ->
-  compile_s:float ->
-  compile_cached:bool ->
   Topology.t ->
   Trace.t option
 (** The run's trace: the caller's [trace], else a fresh one when a sink
-    is set, else [None]; stamped with [mode] (e.g. ["seq"],
-    ["flat:par:2"]), [layout] (["boxed"] or ["flat"]), scheduling, sizes
-    and compile cost. *)
+    is set, else [None]; stamped with [mode] (e.g. ["flat:seq"],
+    ["flat:par:2"], ["proc:4"]), scheduling and sizes. *)
 
 val with_trace : Trace.t option -> (unit -> 'a) -> 'a
 (** Runs the thunk, then finishes the trace and delivers it to
     {!trace_sink} and {!metrics_sink} — also when the thunk raises. *)
-
-val run :
-  ?mode:mode ->
-  ?sched:scheduling ->
-  ?equal:('state -> 'state -> bool) ->
-  ?trace:Trace.t ->
-  ?label:string ->
-  ?compile_s:float ->
-  ?compile_cached:bool ->
-  topo:Topology.t ->
-  init:(int -> 'state) ->
-  step:'state step_fn ->
-  halted:('state -> bool) ->
-  max_rounds:int ->
-  unit ->
-  'state outcome
-(** Engine counterpart of {!Tl_local.Runtime.run}: rounds execute while
-    some present node is unhalted, every executed round is counted, the
-    halting check happens before the first round. [mode] defaults to
-    [Seq]; [Proc _] raises [Invalid_argument] (flat kernels only, through
-    [Tl_proc.Coordinator.run_kernel]). [equal] (default structural
-    equality) is used only for change detection — it never affects
-    results under the stationarity contract, only which nodes are
-    re-stepped and the [changed] trace counts. *)
-
-val run_until_stable :
-  ?mode:mode ->
-  ?sched:scheduling ->
-  ?trace:Trace.t ->
-  ?label:string ->
-  ?compile_s:float ->
-  ?compile_cached:bool ->
-  topo:Topology.t ->
-  init:(int -> 'state) ->
-  step:'state step_fn ->
-  equal:('state -> 'state -> bool) ->
-  max_rounds:int ->
-  unit ->
-  'state outcome
-(** Engine counterpart of {!Tl_local.Runtime.run_until_stable}: stops at
-    a global fixed point; the detection round is not charged. *)
-
-val run_rounds :
-  ?mode:mode ->
-  ?sched:scheduling ->
-  ?equal:('state -> 'state -> bool) ->
-  ?trace:Trace.t ->
-  ?label:string ->
-  ?compile_s:float ->
-  ?compile_cached:bool ->
-  topo:Topology.t ->
-  init:(int -> 'state) ->
-  step:'state step_fn ->
-  rounds:int ->
-  unit ->
-  'state outcome
-(** Execute exactly [rounds] synchronous rounds of a fixed a-priori
-    schedule (no halting predicate). Round-number-driven schedules must
-    pass [~sched:Full_scan]. *)

@@ -1,8 +1,7 @@
-(* Flat execution path: int-slab states in the shared round body
-   (Stepper), run by the shared Engine.drive round loop — frontier,
-   commit and chunking are the boxed engine's own, and only the store
-   below differs. The differential battery in test/test_engine.ml holds
-   flat and boxed runs together.
+(* The engine's execution path: int-slab states in the shared round body
+   (Stepper), run by the shared Engine.drive round loop. The
+   differential batteries in test/test_engine.ml hold every flat run to
+   the naive oracle in test/naive.ml.
 
    Allocation discipline for the hot path (the whole point of this
    module): no closures in the round loop (helpers that scan CSR rows
@@ -123,8 +122,7 @@ let exec ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo
   validate ~stop kernel;
   let label = match label with Some l -> l | None -> "flat." ^ kernel.name in
   let tr =
-    Engine.begin_trace ?trace ~label ~mode:(mode_string par) ~layout:"flat"
-      ~sched ~compile_s:0. ~compile_cached:false topo
+    Engine.begin_trace ?trace ~label ~mode:(mode_string par) ~sched topo
   in
   Engine.with_trace tr (fun () ->
       let csr = Stepper.of_topology topo in
@@ -144,18 +142,7 @@ let exec ?(par = 1) ?(sched = Engine.Active_set) ?trace ?label ~topo
       if exhausted then Engine.exhausted stop;
       { slab = ctx.cur; slots = ctx.slots; rounds })
 
-let run ?par ?sched ?trace ?label ~topo ~kernel ~max_rounds () =
-  exec ?par ?sched ?trace ?label ~topo ~kernel ~stop:(Engine.Halted max_rounds)
-    ()
-
-let run_until_stable ?par ?sched ?trace ?label ~topo ~kernel ~max_rounds () =
-  exec ?par ?sched ?trace ?label ~topo ~kernel ~stop:(Engine.Stable max_rounds)
-    ()
-
-let run_rounds ?par ?sched ?trace ?label ~topo ~kernel ~rounds () =
-  exec ?par ?sched ?trace ?label ~topo ~kernel ~stop:(Engine.Rounds rounds) ()
-
-(* ---------- ported kernels ---------- *)
+(* ---------- stock kernels ---------- *)
 
 (* CSR row scans as top-level tail-recursive helpers: fully applied, so
    no closure is allocated per step (the whole zero-alloc claim rides on

@@ -1,4 +1,4 @@
-(* The synchronous round body behind every non-reference stepper; see
+(* The synchronous round body behind every engine mode; see
    stepper.mli. Bounds are established by the csr invariants (the
    frontier holds stepping ids [< n_owned], rows [off.(v) .. off.(v+1))
    index [adj], [adj] entries are [< n_local]), hence the unsafe
@@ -182,35 +182,3 @@ let round t ~par ~round =
   let changed = commit t in
   advance t;
   changed
-
-(* ---------- the boxed store ---------- *)
-
-let boxed csr ~init ~step ~equal ~halted =
-  let off = csr.off and adj = csr.adj and eid = csr.eid in
-  let st = Array.init csr.n_local init in
-  let nx = Array.sub st 0 csr.n_owned in
-  let step ~worker:_ ~round active lo hi =
-    for i = lo to hi - 1 do
-      let v = Array.unsafe_get active i in
-      (* Neighbor triples in ascending incident order, built from the CSR
-         row. Iterative reverse build: hub nodes would overflow the stack
-         under naive recursion. *)
-      let acc = ref [] in
-      for j = Array.unsafe_get off (v + 1) - 1 downto Array.unsafe_get off v do
-        let u = Array.unsafe_get adj j in
-        acc := (u, Array.unsafe_get eid j, Array.unsafe_get st u) :: !acc
-      done;
-      Array.unsafe_set nx v
-        (step ~round ~node:v (Array.unsafe_get st v) ~neighbors:!acc)
-    done
-  in
-  let publish v =
-    let s' = Array.unsafe_get nx v in
-    (not (equal s' (Array.unsafe_get st v)))
-    && begin
-         Array.unsafe_set st v s';
-         true
-       end
-  in
-  let halted = Option.map (fun h v -> h (Array.unsafe_get st v)) halted in
-  (st, { step; publish; halted })

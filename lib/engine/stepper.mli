@@ -1,7 +1,7 @@
 (** The synchronous LOCAL round body (Definition 5), written once for
-    every stepper but the [Naive] reference: {!Engine}'s [Seq]/[Par]
-    stepper, {!Flat}, and the shard-local body [Tl_shard.Local] the
-    process backend's workers run over a flat store.
+    every engine mode: {!Flat.exec} runs it for [Seq]/[Par], and the
+    shard-local body [Tl_shard.Local] the process backend's workers
+    run over the same store.
 
     A round is {e compute → commit → advance}:
 
@@ -14,10 +14,9 @@
       ascending when it is dense.
 
     Under [Full_scan] every stepping node stays active and no frontier
-    is kept. Node states live behind a {!store}: the boxed one is
-    {!boxed} (whole-topology runs only), the int-slab one [Flat.store]
-    (whole topologies and shards). Every bound the loops skip is
-    covered by the {!csr} invariants. *)
+    is kept. Node states live behind a {!store}, the int slabs of
+    [Flat.store] (whole topologies and shards). Every bound the loops
+    skip is covered by the {!csr} invariants. *)
 
 type scheduling =
   | Active_set  (** re-step only nodes with a changed 1-hop neighborhood *)
@@ -89,20 +88,3 @@ val n_active : t -> int
 val unhalted : t -> int
 (** Stepping nodes whose published state is not halted (0 when the
     store has no halting predicate). *)
-
-val boxed :
-  csr ->
-  init:(int -> 'state) ->
-  step:
-    (round:int ->
-    node:int ->
-    'state ->
-    neighbors:(int * int * 'state) list ->
-    'state) ->
-  equal:('state -> 'state -> bool) ->
-  halted:('state -> bool) option ->
-  'state array * store
-(** The boxed store of {!Engine}'s [Seq]/[Par] runs, over a whole
-    topology's CSR: states in an array of [n_local] slots, each
-    initialized by [init] of its id; a step sees its neighbors in the
-    CSR's incident order. Returns the array with the store over it. *)

@@ -2,8 +2,8 @@
 
     A {!Tl_graph.Semi_graph.t} answers {!Tl_graph.Semi_graph.rank2_neighbors}
     by scanning the base incidence arrays and re-checking node/edge presence
-    on every call, allocating a fresh list each time — which the legacy
-    stepper did once per node per round. A topology compiles that view once
+    on every call, allocating a fresh list each time — which a naive
+    stepper does once per node per round. A topology compiles that view once
     into CSR (compressed sparse row) arrays over the {e rank-2} adjacency:
     for each present node, the present rank-2 neighbors and the connecting
     edge ids, in the same ascending incident order as [rank2_neighbors].
@@ -32,18 +32,17 @@ val compile : Tl_graph.Semi_graph.t -> t
 val compile_cached : Tl_graph.Semi_graph.t -> t
 (** {!compile} memoized on the view's identity
     [(Semi_graph.stamp, Semi_graph.generation)]: repeated engine runs
-    over the same view (the daemon's warm [flood] requests,
-    {!Tl_local.Runtime} runs) reuse one CSR snapshot instead of
-    recompiling per run. Any {!Tl_graph.Semi_graph.hide_node} /
+    over the same view (the daemon's warm [flood] requests, the epochs
+    of a chaos run) reuse one CSR snapshot instead of recompiling per
+    run. Any {!Tl_graph.Semi_graph.hide_node} /
     [hide_edge] bumps the generation and thereby invalidates the cached
     snapshot. The cache is bounded (FIFO, default 64 snapshots — a
     snapshot pins its semi-graph) and safe to call from multiple
     domains. *)
 
 val compile_cached_stat : Tl_graph.Semi_graph.t -> t * bool
-(** {!compile_cached} plus whether this call was a cache hit — for
-    callers that surface per-compile hit/miss observability
-    ({!Tl_local.Runtime}'s span counters and trace fields). *)
+(** {!compile_cached} plus whether this call was a cache hit, for
+    callers that surface per-compile hit/miss observability. *)
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of {!compile_cached} since start (or the last

@@ -11,7 +11,6 @@ type metrics = {
   steps : int;
   naive_steps : int;
   max_active : int;
-  compile_s : float;
   total_s : float;
 }
 
@@ -19,11 +18,8 @@ type t = {
   lbl : string;
   mutable mode : string;
   mutable scheduling : string;
-  mutable layout : string;
   mutable n_base : int;
   mutable n_present : int;
-  mutable compile_s : float;
-  mutable compile_cached : bool;
   mutable total_s : float;
   mutable rev_records : round_record list;
 }
@@ -33,11 +29,8 @@ let create ?(label = "engine") () =
     lbl = label;
     mode = "?";
     scheduling = "?";
-    layout = "boxed";
     n_base = 0;
     n_present = 0;
-    compile_s = 0.;
-    compile_cached = false;
     total_s = 0.;
     rev_records = [];
   }
@@ -54,11 +47,6 @@ let set_meta t ~mode ~scheduling ~n_base ~n_present =
   t.n_base <- n_base;
   t.n_present <- n_present
 
-let layout t = t.layout
-let set_layout t l = t.layout <- l
-let set_compile_s t s = t.compile_s <- s
-let set_compile_cached t b = t.compile_cached <- b
-let compile_cached t = t.compile_cached
 let record t r = t.rev_records <- r :: t.rev_records
 let finish t ~total_s = t.total_s <- total_s
 let records t = List.rev t.rev_records
@@ -75,7 +63,6 @@ let metrics t =
     steps;
     naive_steps = rounds * t.n_present;
     max_active;
-    compile_s = t.compile_s;
     total_s = t.total_s;
   }
 
@@ -102,12 +89,9 @@ let buf_json b t =
   let m = metrics t in
   Printf.bprintf b
     "{\"label\":\"%s\",\"mode\":\"%s\",\"scheduling\":\"%s\",\
-     \"layout\":\"%s\",\"n_base\":%d,\
-     \"n_present\":%d,\"compile_s\":%.6f,\"compile_cached\":%b,\
-     \"total_s\":%.6f,"
+     \"n_base\":%d,\"n_present\":%d,\"total_s\":%.6f,"
     (json_escape t.lbl) (json_escape t.mode) (json_escape t.scheduling)
-    (json_escape t.layout) t.n_base t.n_present t.compile_s t.compile_cached
-    t.total_s;
+    t.n_base t.n_present t.total_s;
   Printf.bprintf b
     "\"metrics\":{\"rounds\":%d,\"steps\":%d,\"naive_steps\":%d,\
      \"step_savings\":%.4f,\"max_active\":%d},"

@@ -4,29 +4,27 @@
     A trace is a mutable collector handed to (or created by) an engine
     run. Every executed round appends one {!round_record}; the engine
     stamps the run's metadata (mode, scheduling, instance size) and the
-    compile / total wall-clock when it finishes.
+    total wall-clock when it finishes.
 
     {2 JSON schema}
 
     {!to_json} serializes one run as:
     {v
-    { "label": "runtime.run", "mode": "seq", "scheduling": "active-set",
-      "layout": "boxed",
-      "n_base": 100000, "n_present": 100000,
-      "compile_s": 0.0021, "compile_cached": false, "total_s": 0.1432,
+    { "label": "flat.flood", "mode": "flat:seq",
+      "scheduling": "active-set", "n_base": 100000, "n_present": 100000,
+      "total_s": 0.1432,
       "metrics": { "rounds": 17, "steps": 634211, "naive_steps": 1700000,
                    "step_savings": 0.627, "max_active": 100000 },
       "rounds_detail": [
         { "round": 1, "active": 100000, "changed": 99872,
           "unhalted": 100000, "wall_s": 0.0061 }, ... ] }
     v}
-    [unhalted] is present only for runs with a halting predicate: for
-    {!Engine.run_until_stable} / {!Engine.run_rounds} the field is
-    omitted entirely (in-memory records keep [-1] for untracked).
-    Likewise [changed] is omitted when untracked (the naive stepper does
-    no change detection). [step_savings] is [1 - steps/naive_steps] where
-    [naive_steps] is what a full re-step of every present node each round
-    would have executed. *)
+    [unhalted] is present only for runs that stop on halting
+    ({!Engine.Halted}): under [Stable] / [Rounds] the field is omitted
+    entirely (in-memory records keep [-1] for untracked). Likewise
+    [changed] is omitted when a record carries [-1]. [step_savings] is
+    [1 - steps/naive_steps] where [naive_steps] is what a full re-step of
+    every present node each round would have executed. *)
 
 type round_record = {
   round : int;  (** 1-based round index *)
@@ -41,7 +39,6 @@ type metrics = {
   steps : int;  (** total step calls across all rounds *)
   naive_steps : int;  (** [rounds * n_present]: full-scan equivalent *)
   max_active : int;
-  compile_s : float;
   total_s : float;
 }
 
@@ -58,11 +55,6 @@ val mode : t -> string
 
 val scheduling : t -> string
 
-val layout : t -> string
-(** State representation of the run: ["boxed"] (the default — states are
-    ordinary OCaml values) or ["flat"] (int-slab states, {!Flat}).
-    Serialized as ["layout"]. *)
-
 val n_base : t -> int
 val n_present : t -> int
 
@@ -70,16 +62,6 @@ val n_present : t -> int
 
 val set_meta :
   t -> mode:string -> scheduling:string -> n_base:int -> n_present:int -> unit
-
-val set_layout : t -> string -> unit
-val set_compile_s : t -> float -> unit
-
-val set_compile_cached : t -> bool -> unit
-(** Whether the run's topology came out of the
-    {!Topology.compile_cached} cache ([compile_s] is then the lookup
-    cost, not a compile). Serialized as ["compile_cached"]. *)
-
-val compile_cached : t -> bool
 
 val record : t -> round_record -> unit
 val finish : t -> total_s:float -> unit

@@ -92,12 +92,9 @@ let m_repairs = lazy (Metrics.counter "fault_repairs_total")
 let m_relabeled = lazy (Metrics.counter "fault_relabeled_total")
 let m_repair_hist = lazy (Metrics.histogram "fault_repair_seconds")
 
-let run ?(mode = Engine.Seq) ?(sched = Engine.Active_set) ?max_rounds ~graph
-    ~problem ~schedule () =
+let run ?(mode = Engine.Seq) ~graph ~problem ~schedule () =
   let n = Graph.n_nodes graph in
-  let max_rounds =
-    match max_rounds with Some m -> m | None -> (4 * n) + 64
-  in
+  let max_rounds = (4 * n) + 64 in
   let init0 =
     match problem with
     | Flood { source } ->
@@ -130,11 +127,11 @@ let run ?(mode = Engine.Seq) ?(sched = Engine.Active_set) ?max_rounds ~graph
   let run_epoch topo =
     match problem with
     | Flood _ ->
-      Proc.run_kernel ~mode ~sched ~label:"chaos" ~topo
+      Proc.run_kernel ~mode ~label:"chaos" ~topo
         ~kernel_for:(fun ~l2g -> from_labels (Flat.Kernels.flood ()) ~l2g)
         ~stop:(Engine.Stable max_rounds) ()
     | Mis { ids } ->
-      Proc.run_kernel ~mode ~sched ~label:"chaos" ~topo
+      Proc.run_kernel ~mode ~label:"chaos" ~topo
         ~kernel_for:(fun ~l2g ->
           from_labels (Proc.Kernels.mis_local_max ~ids ~l2g) ~l2g)
         ~stop:(Engine.Halted max_rounds) ()

@@ -72,17 +72,14 @@ type report = {
 
 val run :
   ?mode:Tl_engine.Engine.mode ->
-  ?sched:Tl_engine.Engine.scheduling ->
-  ?max_rounds:int ->
   graph:Graph.t ->
   problem:problem ->
   schedule:Schedule.t ->
   unit ->
   report
 (** Arm the schedule, drive the epoch loop, disarm (also on raise).
-    Every epoch runs in [mode] (default [Seq]; [Naive] raises
-    [Invalid_argument], as it has no flat path). [max_rounds] bounds
-    each single epoch (default [4 * n + 64]).
+    Every epoch runs in [mode] (default [Seq]) under [Active_set]
+    scheduling, within [4 * n + 64] rounds.
     Raises [Invalid_argument] if an injector is already armed or the
     schedule names out-of-range ids, [Failure] if a fault-time repair
     fails to clear the staleness it targets. The final [valid] flag is

@@ -1,5 +1,6 @@
 module Graph = Tl_graph.Graph
 module Semi_graph = Tl_graph.Semi_graph
+module Engine = Tl_engine.Engine
 module Flat = Tl_engine.Flat
 module Topology = Tl_engine.Topology
 
@@ -153,7 +154,9 @@ let repair_mis ~graph ~sg ~ids ~labels =
       }
     in
     let outcome =
-      Flat.run ~label:"repair" ~topo ~kernel ~max_rounds:(!region_size + 2) ()
+      Flat.exec ~label:"repair" ~topo ~kernel
+        ~stop:(Engine.Halted (!region_size + 2))
+        ()
     in
     (* 4. splice the recomputed region back *)
     for v = 0 to n - 1 do

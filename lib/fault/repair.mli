@@ -61,7 +61,7 @@ val repair_flood :
 val repair_mis :
   graph:Graph.t -> sg:Semi_graph.t -> ids:int array -> labels:int array ->
   stats
-(** Violation scan, reset, region re-run ({!Tl_engine.Flat.run} of the
+(** Violation scan, reset, region re-run ({!Tl_engine.Flat.exec} of the
     MIS kernel from the current labels, over an uncached
     {!Tl_engine.Topology.compile} — repair views are one-shot and must
     not evict the main run's cached snapshots), splice back into

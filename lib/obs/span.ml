@@ -124,7 +124,6 @@ let add_trace tr =
         [
           ("mode", Trace.mode tr);
           ("scheduling", Trace.scheduling tr);
-          ("compile_s", Printf.sprintf "%.6f" m.Trace.compile_s);
         ];
     child.counters <-
       List.rev

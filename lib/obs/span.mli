@@ -32,11 +32,10 @@
       span via {!add_rounds}: phase ledgers and span trees always agree.
     - Engine runs attach their {!Tl_engine.Trace} as a {e child} span
       named ["engine:<label>"] carrying the measured rounds/steps as
-      counters and [total_s] as elapsed time (see {!add_trace});
-      {!Tl_local.Runtime} does this automatically whenever a span is
-      ambient. Trace rounds are {e measured executions}, not the paper's
-      accounted LOCAL rounds, so they live in counters and never pollute
-      {!rounds_total}. *)
+      counters and [total_s] as elapsed time (see {!add_trace}); the
+      daemon's served flood attaches its run this way. Trace rounds are
+      {e measured executions}, not the paper's accounted LOCAL rounds,
+      so they live in counters and never pollute {!rounds_total}. *)
 
 type t
 
@@ -88,7 +87,7 @@ val add_rounds : phase:string -> int -> unit
 
 val add_trace : Tl_engine.Trace.t -> unit
 (** Attach a finished engine run as a child span ["engine:<label>"]:
-    attrs [mode], [scheduling], [compile_s]; counters [rounds], [steps],
+    attrs [mode], [scheduling]; counters [rounds], [steps],
     [naive_steps], [max_active], [n_present]; elapsed = the trace's
     [total_s]. *)
 

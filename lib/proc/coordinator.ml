@@ -497,17 +497,13 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~trace ~kernel_for
 (* The identity-l2g call of [kernel_for] is the global kernel: an
    in-process run steps it, and a proc run takes its slots, halting
    predicate and initial slab from it. A proc trace is stamped like an
-   in-process one, with mode proc:N and the flat layout. *)
+   in-process one, with mode proc:N. *)
 let run_kernel ~mode ?(sched = Engine.Active_set) ?trace ?label ~topo
     ~kernel_for ~stop () =
   let global () : Flat.kernel =
     kernel_for ~l2g:(Array.init topo.Topology.n_base Fun.id)
   in
   match mode with
-  | Engine.Naive ->
-    invalid_arg
-      "Coordinator.run_kernel: naive is the boxed reference of Engine.run*; \
-       a flat kernel runs in seq, par:N or proc:N"
   | Engine.Seq | Engine.Par _ ->
     let par = match mode with Engine.Par p -> p | _ -> 1 in
     Flat.exec ~par ~sched ?trace ?label ~topo ~kernel:(global ()) ~stop ()
@@ -519,7 +515,7 @@ let run_kernel ~mode ?(sched = Engine.Active_set) ?trace ?label ~topo
     in
     let trace =
       Engine.begin_trace ?trace ~label ~mode:(Engine.mode_to_string mode)
-        ~layout:"flat" ~sched ~compile_s:0. ~compile_cached:false topo
+        ~sched topo
     in
     Engine.with_trace trace (fun () ->
         with_cluster ~procs ~topo ~stop ~sched ~trace ~kernel_for ~kernel)

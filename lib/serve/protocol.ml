@@ -524,7 +524,6 @@ let find_workload ~problem ~method_ =
 
 (* ---------- knob validation ---------- *)
 
-(* served runs step flat kernels, which have no naive mode *)
 let invalid_engine engine =
   Printf.sprintf "invalid engine %S (expected seq, par:N or proc:N)" engine
 
@@ -537,7 +536,6 @@ let resolve_knobs ~engine ~pool ~n =
   else
     match Engine.mode_of_string engine with
     | exception Invalid_argument _ -> Stdlib.Error (invalid_engine engine)
-    | Engine.Naive -> Stdlib.Error (invalid_engine engine)
     | Engine.Proc p when p > n ->
       Stdlib.Error
         (Printf.sprintf

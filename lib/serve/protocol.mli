@@ -21,7 +21,7 @@
       "graph": { "family": "random-tree", "n": 1000, "seed": 7,
                  "a": 1, "delta": 8 },
       // or: "graph": { "n": 4, "edges": [[0,1],[1,2],[2,3]], "seed": 1 }
-      "engine": "seq",                   // naive|seq|par:N|proc:N
+      "engine": "seq",                   // seq|par:N|proc:N
       "pool": 1,
       "k": null,                         // decomposition parameter override
       "span": true }                     // include the span report in the response
@@ -206,8 +206,8 @@ val resolve_knobs :
 (** Validate an (engine, pool) combination against an instance of [n]
     nodes and resolve the engine string to a mode. Errors — friendly,
     one-line — cover: engine strings {!Tl_engine.Engine.mode_of_string}
-    rejects (a bare ["proc"] among them: the message names [proc:N]),
-    ["naive"] (served runs step flat kernels, which have no naive
-    mode), a proc count above [n], [pool] outside [1, 64] and [n < 1].
+    rejects (a bare ["proc"] and ["naive"] among them: the message
+    names [seq], [par:N] and [proc:N]), a proc count above [n], [pool]
+    outside [1, 64] and [n < 1].
     Shared by the daemon (per-request admission) and the CLI (argument
     cross-validation). *)

@@ -28,29 +28,3 @@ val color3 :
 val log_star : int -> int
 (** [log_star x]: number of times [log2] must be applied to reach a value
     at most 1. *)
-
-val schedule_length : max_id:int -> int
-(** Number of synchronous rounds of the fixed a-priori schedule used by
-    {!color3_runtime}: the worst-case bit-reduction count from the ID
-    space (computable by every node from the known ID bound, as the LOCAL
-    model requires) plus the six shift-down/recolor rounds. *)
-
-val color3_runtime :
-  ?mode:Tl_engine.Engine.mode ->
-  sg:Tl_graph.Semi_graph.t ->
-  nodes:int list ->
-  parent:int array ->
-  ids:int array ->
-  unit ->
-  int array * int
-(** The same 3-coloring executed as a message-passing state machine on
-    {!Tl_local.Runtime} — every node reads its neighbors' published
-    states over the semi-graph's rank-2 edges and follows the fixed
-    schedule (data-independent, as a real LOCAL algorithm must be when
-    termination cannot be detected locally). Parents must be rank-2
-    neighbors in [sg]. Returns [(colors, rounds)] with
-    [rounds = schedule_length]; colors are a proper 3-coloring of the
-    forest. [mode] picks the engine stepper (default [Seq]); every mode
-    gives the same colors and rounds. Used by the test-suite as a
-    differential check against {!color3}, and by the engine benches as
-    their Cole-Vishkin kernel. *)

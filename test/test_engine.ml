@@ -1,6 +1,9 @@
-(* Tests for the execution engine: Topology compilation, differential
-   equivalence of the Naive / Seq / Par steppers across graph families
-   and machines, failure semantics, tracing, and the Runtime wrappers. *)
+(* Tests for the execution engine: Topology compilation and its cache,
+   the pool and the domain team, and every flat kernel against the naive
+   oracle (test/naive.ml) in each in-process mode — flat:seq and
+   flat:par:N at either par_grain, under both schedulings: final
+   states, round counts, the per-round trace records the oracle derives,
+   failure texts and the fault gate. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
@@ -8,17 +11,14 @@ module Tree = Tl_graph.Tree
 module Semi_graph = Tl_graph.Semi_graph
 module Topology = Tl_engine.Topology
 module Engine = Tl_engine.Engine
+module Flat = Tl_engine.Flat
 module Trace = Tl_engine.Trace
-module Runtime = Tl_local.Runtime
 module Round_cost = Tl_local.Round_cost
 module Ids = Tl_local.Ids
-module CV = Tl_symmetry.Cole_vishkin
 module Linial = Tl_symmetry.Linial
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let modes = [ Engine.Naive; Engine.Seq; Engine.Par 2; Engine.Par 4 ]
 
 (* Graph families exercised by the differential properties: random trees,
    forest unions (arboricity 2), stars (one huge hub) and
@@ -30,24 +30,6 @@ let family ~n ~seed ~pick =
   | 1 -> Gen.forest_union ~n ~arboricity:2 ~seed
   | 2 -> Gen.star n
   | _ -> Gen.power_law_tree ~n ~seed
-
-(* ---------- machines ---------- *)
-
-let flood_step ~round:_ ~node:_ s ~neighbors =
-  s || List.exists (fun (_, _, su) -> su) neighbors
-
-(* greedy MIS by local id maximum: 0 undecided / 1 in / 2 out *)
-let mis_step ids ~round:_ ~node:v s ~neighbors =
-  if s <> 0 then s
-  else if List.exists (fun (_, _, su) -> su = 1) neighbors then 2
-  else if List.for_all (fun (u, _, su) -> su <> 0 || ids.(u) < ids.(v)) neighbors
-  then 1
-  else 0
-
-(* leaf peeling: a node peels once at most one neighbor is unpeeled *)
-let peel_step ~round:_ ~node:_ s ~neighbors =
-  s
-  || List.length (List.filter (fun (_, _, su) -> not su) neighbors) <= 1
 
 (* ---------- Topology vs Semi_graph ---------- *)
 
@@ -83,40 +65,148 @@ let prop_topology_on_subsets =
       let keep = Array.init (Graph.n_nodes g) (fun v -> v mod 3 <> 2) in
       topo_agrees (Semi_graph.of_node_subset g keep))
 
-(* ---------- differential: all modes bit-identical ---------- *)
+(* ---------- flat kernels against the naive oracle ---------- *)
 
-(* Every stepper differential runs on the full view and on the masked
-   view above, where the steppers step only the present nodes. *)
+(* Every kernel differential runs on the full view and on the masked
+   view below, where the steppers step only the present nodes. *)
 let views g =
   let keep = Array.init (Graph.n_nodes g) (fun v -> v mod 3 <> 2) in
   List.map Topology.compile
     [ Semi_graph.of_graph g; Semi_graph.of_node_subset g keep ]
 
-let outcomes_equal (a : 'a Engine.outcome) (b : 'a Engine.outcome) =
-  a.Engine.rounds = b.Engine.rounds && a.Engine.states = b.Engine.states
+let with_par_grain g f =
+  let saved = !Engine.par_grain in
+  Engine.par_grain := g;
+  Fun.protect ~finally:(fun () -> Engine.par_grain := saved) f
 
-let all_modes_agree run_in =
-  let reference = run_in Engine.Naive in
-  List.for_all (fun m -> outcomes_equal (run_in m) reference) modes
+(* The in-process modes as (par, par_grain): grain 0 forces even tiny
+   qcheck instances through the team, the default grain exercises the
+   inline path. Results must not depend on either knob. *)
+let flat_variants = [ (1, 2048); (1, 0); (2, 0); (3, 0); (4, 2048) ]
+
+let scheds = [ Engine.Active_set; Engine.Full_scan ]
+
+let record_sig t =
+  List.map
+    (fun r -> (r.Trace.round, r.Trace.active, r.Trace.changed, r.Trace.unhalted))
+    (Trace.records t)
+
+(* A flat run in every in-process mode and scheduling against the
+   oracle's run of the boxed twin: the same rounds and, read as ints
+   through [word], the same states in slot 0. *)
+let modes_agree ~topo ~kernel ~stop ~word (want : _ Naive.outcome) =
+  let col = Array.map word want.Naive.states in
+  List.for_all
+    (fun sched ->
+      List.for_all
+        (fun (par, grain) ->
+          with_par_grain grain (fun () ->
+              let o = Flat.exec ~par ~sched ~topo ~kernel ~stop () in
+              o.Flat.rounds = want.Naive.rounds && Flat.column o ~slot:0 = col))
+        flat_variants)
+    scheds
+
+(* One-word kernels from an int step over the node's own word and its
+   neighbors' words: the flat twins of Naive.peel_step and
+   Naive.max_step. *)
+let rec row_fold f acc cur adj j hi =
+  if j >= hi then acc else row_fold f (f acc cur.(adj.(j))) cur adj (j + 1) hi
+
+let row_kernel name ~init ~step =
+  {
+    Flat.name;
+    slots = 1;
+    scratch_words = 0;
+    init = (fun ~node ~slot:_ -> init node);
+    step =
+      (fun ctx ~scratch:_ ~round:_ ~node ->
+        ctx.Flat.nxt.(node) <-
+          step ctx.Flat.cur.(node)
+            (row_fold
+               (fun acc s -> s :: acc)
+               [] ctx.Flat.cur ctx.Flat.adj ctx.Flat.off.(node)
+               ctx.Flat.off.(node + 1)));
+    halted = None;
+  }
+
+let peel_kernel =
+  row_kernel "peel"
+    ~init:(fun _ -> 0)
+    ~step:(fun s nbrs ->
+      if s = 1 || List.length (List.filter (fun x -> x = 0) nbrs) <= 1 then 1
+      else 0)
+
+let max_kernel ids =
+  row_kernel "max" ~init:(fun v -> ids.(v)) ~step:(List.fold_left max)
+
+(* The oracle's Cole-Vishkin machine as a flat kernel over three words
+   (color, parent, steps), every node in the forest. *)
+let cv_kernel ~parent ~ids =
+  let max_id = Array.fold_left max 1 ids in
+  let t_cv = Naive.cv_iterations ~max_id in
+  let total = Naive.schedule_length ~max_id in
+  let step (ctx : Flat.ctx) ~scratch:_ ~round ~node:v =
+    let cur = ctx.Flat.cur and nxt = ctx.Flat.nxt and b = v * 3 in
+    let lo = ctx.Flat.off.(v) and hi = ctx.Flat.off.(v + 1) in
+    let parent_color =
+      let p = parent.(v) and c = ref (-1) in
+      for j = lo to hi - 1 do
+        if ctx.Flat.adj.(j) = p then c := cur.(p * 3)
+      done;
+      !c
+    in
+    let color = cur.(b) in
+    let color' =
+      if round <= t_cv then
+        Naive.cv_step color
+          (if parent_color >= 0 then parent_color
+           else if color = 0 then 1
+           else 0)
+      else
+        let offset = round - t_cv in
+        let dropped = 5 - ((offset - 1) / 2) in
+        if offset mod 2 = 1 then
+          if parent_color >= 0 then parent_color else (color + 1) mod 3
+        else if color = dropped then begin
+          let used = Array.make 6 false in
+          if parent_color >= 0 then used.(parent_color) <- true;
+          for j = lo to hi - 1 do
+            let u = ctx.Flat.adj.(j) in
+            if cur.((u * 3) + 1) = v then used.(cur.(u * 3)) <- true
+          done;
+          let rec first c = if used.(c) then first (c + 1) else c in
+          first 0
+        end
+        else color
+    in
+    nxt.(b) <- color';
+    nxt.(b + 1) <- cur.(b + 1);
+    nxt.(b + 2) <- cur.(b + 2) + 1
+  in
+  {
+    Flat.name = "cv3";
+    slots = 3;
+    scratch_words = 0;
+    init =
+      (fun ~node ~slot ->
+        match slot with 0 -> ids.(node) | 1 -> parent.(node) | _ -> 0);
+    step;
+    halted = Some (fun ctx ~node -> ctx.Flat.cur.((node * 3) + 2) >= total);
+  }
 
 let prop_flood_differential =
   QCheck.Test.make ~name:"flood: modes and scheds bit-identical" ~count:50
     QCheck.(triple (int_range 2 150) (int_range 0 100000) (int_range 0 3))
     (fun (n, seed, pick) ->
       let g = family ~n ~seed ~pick in
+      let max_rounds = Graph.n_nodes g + 1 in
       List.for_all
         (fun topo ->
-          let run_in ?sched mode =
-            Engine.run_until_stable ~mode ?sched ~topo
-              ~init:(fun v -> v = 0)
-              ~step:flood_step ~equal:Bool.equal
-              ~max_rounds:(Graph.n_nodes g + 1)
-              ()
-          in
-          all_modes_agree (fun m -> run_in m)
-          && outcomes_equal
-               (run_in ~sched:Engine.Full_scan Engine.Seq)
-               (run_in Engine.Naive))
+          modes_agree ~topo ~kernel:(Flat.Kernels.flood ())
+            ~stop:(Engine.Stable max_rounds) ~word:Bool.to_int
+            (Naive.run_until_stable ~topo
+               ~init:(fun v -> v = 0)
+               ~step:Naive.flood_step ~equal:Bool.equal ~max_rounds))
         (views g))
 
 let prop_mis_differential =
@@ -128,12 +218,14 @@ let prop_mis_differential =
       let ids = Ids.permuted ~n ~seed:(seed + 3) in
       List.for_all
         (fun topo ->
-          all_modes_agree (fun mode ->
-              Engine.run ~mode ~topo
-                ~init:(fun _ -> 0)
-                ~step:(mis_step ids)
-                ~halted:(fun s -> s <> 0)
-                ~max_rounds:(n + 1) ()))
+          modes_agree ~topo
+            ~kernel:(Flat.Kernels.mis_local_max ~ids)
+            ~stop:(Engine.Halted (n + 1)) ~word:Fun.id
+            (Naive.run ~topo
+               ~init:(fun _ -> 0)
+               ~step:(Naive.mis_step ids)
+               ~halted:(fun s -> s <> 0)
+               ~max_rounds:(n + 1)))
         (views g))
 
 let prop_peel_differential =
@@ -142,17 +234,19 @@ let prop_peel_differential =
     (fun (n, seed, pick) ->
       let g = family ~n ~seed ~pick in
       let topo = Topology.compile (Semi_graph.of_graph g) in
-      all_modes_agree (fun mode ->
-          Engine.run_until_stable ~mode ~topo
-            ~init:(fun _ -> false)
-            ~step:peel_step ~equal:Bool.equal
-            ~max_rounds:(Graph.n_nodes g + 1)
-            ()))
+      let max_rounds = Graph.n_nodes g + 1 in
+      modes_agree ~topo ~kernel:peel_kernel ~stop:(Engine.Stable max_rounds)
+        ~word:Bool.to_int
+        (Naive.run_until_stable ~topo
+           ~init:(fun _ -> false)
+           ~step:Naive.peel_step ~equal:Bool.equal ~max_rounds))
 
 let prop_cv_differential =
-  (* end to end through Runtime: CV 3-coloring is the repo's main
-     engine-backed state machine *)
-  QCheck.Test.make ~name:"CV 3-coloring: modes bit-identical via Runtime"
+  (* a round-number-driven machine over three words: every node steps
+     every round (its step counter changes), so both schedulings must
+     follow the fixed schedule to the same colors *)
+  QCheck.Test.make
+    ~name:"CV 3-coloring: modes bit-identical to the oracle machine"
     ~count:30
     QCheck.(pair (int_range 2 120) (int_range 0 100000))
     (fun (n, seed) ->
@@ -160,10 +254,12 @@ let prop_cv_differential =
       let parent = Tree.parents_forest g in
       let ids = Ids.permuted ~n ~seed:(seed + 1) in
       let sg = Semi_graph.of_graph g in
-      let nodes = List.init n Fun.id in
-      let run_in mode = CV.color3_runtime ~mode ~sg ~nodes ~parent ~ids () in
-      let reference = run_in Engine.Naive in
-      List.for_all (fun m -> run_in m = reference) modes)
+      let colors, rounds =
+        Naive.cv_color3 ~sg ~nodes:(List.init n Fun.id) ~parent ~ids
+      in
+      modes_agree ~topo:(Topology.compile sg) ~kernel:(cv_kernel ~parent ~ids)
+        ~stop:(Engine.Halted (rounds + 1)) ~word:Fun.id
+        { Naive.states = colors; rounds })
 
 let prop_run_rounds_differential =
   (* max-propagation for a fixed number of rounds; also checks that the
@@ -176,65 +272,282 @@ let prop_run_rounds_differential =
       let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 5) in
       let topo = Topology.compile (Semi_graph.of_graph g) in
       let r = 3 + (seed mod 5) in
-      let run_in mode =
-        Engine.run_rounds ~mode ~topo
-          ~init:(fun v -> ids.(v))
-          ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-            List.fold_left (fun acc (_, _, su) -> max acc su) s neighbors)
-          ~rounds:r ()
+      let want =
+        Naive.run_rounds ~topo ~init:(fun v -> ids.(v)) ~step:Naive.max_step
+          ~rounds:r
       in
-      let reference = run_in Engine.Naive in
-      reference.Engine.rounds = r
-      && List.for_all (fun m -> outcomes_equal (run_in m) reference) modes)
+      want.Naive.rounds = r
+      && modes_agree ~topo ~kernel:(max_kernel ids) ~stop:(Engine.Rounds r)
+           ~word:Fun.id want)
 
-(* ---------- Runtime wrappers (regression vs the naive reference) ---------- *)
+(* ---------- trace records, failures and the gate ---------- *)
 
-let named_families =
-  [
-    ("path", Gen.path 40);
-    ("star", Gen.star 30);
-    ("double-star", Gen.double_star 8 9);
-    ("caterpillar", Gen.caterpillar ~spine:10 ~legs:3);
-    ("random-tree", Gen.random_tree ~n:80 ~seed:11);
-    ("forest-union", Gen.forest_union ~n:60 ~arboricity:2 ~seed:13);
-    ("power-law-tree", Gen.power_law_tree ~n:70 ~seed:17);
-  ]
+(* A flat run in every in-process mode, under [sched], against the
+   oracle: rounds, slot-0 states and the trace records the active-set
+   rule implies. *)
+let traced_agree ~sched ~topo ~kernel ~stop ~word ~records
+    (want : _ Naive.outcome) =
+  let col = Array.map word want.Naive.states in
+  List.for_all
+    (fun (par, grain) ->
+      with_par_grain grain (fun () ->
+          let tr = Trace.create () in
+          let o = Flat.exec ~par ~sched ~trace:tr ~topo ~kernel ~stop () in
+          o.Flat.rounds = want.Naive.rounds
+          && Flat.column o ~slot:0 = col
+          && record_sig tr = records))
+    flat_variants
 
-let test_runtime_matches_naive () =
-  List.iter
-    (fun (name, g) ->
-      let sg = Semi_graph.of_graph g in
+let prop_flat_flood_differential =
+  QCheck.Test.make
+    ~name:"flat flood == boxed flood (states, rounds, traces)" ~count:40
+    QCheck.(triple (int_range 2 150) (int_range 0 100000) (int_range 0 3))
+    (fun (n, seed, pick) ->
+      let g = family ~n ~seed ~pick in
+      let max_rounds = Graph.n_nodes g + 1 in
+      let stop = Engine.Stable max_rounds and init v = v = 0 in
+      List.for_all
+        (fun topo ->
+          let want =
+            Naive.run_until_stable ~topo ~init ~step:Naive.flood_step
+              ~equal:Bool.equal ~max_rounds
+          in
+          List.for_all
+            (fun sched ->
+              traced_agree ~sched ~topo ~kernel:(Flat.Kernels.flood ()) ~stop
+                ~word:Bool.to_int want
+                ~records:
+                  (Naive.records ~sched ~stop ~topo ~init
+                     ~step:Naive.flood_step ~equal:Bool.equal ()))
+            scheds)
+        (views g))
+
+let prop_flat_mis_differential =
+  QCheck.Test.make ~name:"flat MIS == boxed MIS (run with halting)" ~count:40
+    QCheck.(triple (int_range 2 150) (int_range 0 100000) (int_range 0 3))
+    (fun (n, seed, pick) ->
+      let g = family ~n ~seed ~pick in
       let n = Graph.n_nodes g in
-      let init v = v = 0 in
-      let default =
-        Runtime.run ~sg ~init ~step:flood_step
-          ~halted:(fun s -> s)
-          ~max_rounds:(n + 1) ()
+      let ids = Ids.permuted ~n ~seed:(seed + 3) in
+      let stop = Engine.Halted (n + 1) and step = Naive.mis_step ids in
+      let init _ = 0 and halted s = s <> 0 in
+      List.for_all
+        (fun topo ->
+          let want = Naive.run ~topo ~init ~step ~halted ~max_rounds:(n + 1) in
+          List.for_all
+            (fun sched ->
+              traced_agree ~sched ~topo
+                ~kernel:(Flat.Kernels.mis_local_max ~ids)
+                ~stop ~word:Fun.id want
+                ~records:
+                  (Naive.records ~sched ~stop ~topo ~init ~step ~halted
+                     ~equal:Int.equal ()))
+            scheds)
+        (views g))
+
+let prop_flat_run_rounds_differential =
+  QCheck.Test.make ~name:"flat run_rounds == boxed run_rounds" ~count:30
+    QCheck.(triple (int_range 2 120) (int_range 0 100000) (int_range 0 3))
+    (fun (n, seed, pick) ->
+      let g = family ~n ~seed ~pick in
+      let n = Graph.n_nodes g in
+      let ids = Ids.permuted ~n ~seed:(seed + 3) in
+      let topo = Topology.compile (Semi_graph.of_graph g) in
+      let r = 1 + (seed mod 4) in
+      let stop = Engine.Rounds r and step = Naive.mis_step ids in
+      let init _ = 0 in
+      let want = Naive.run_rounds ~topo ~init ~step ~rounds:r in
+      List.for_all
+        (fun sched ->
+          traced_agree ~sched ~topo
+            ~kernel:(Flat.Kernels.mis_local_max ~ids)
+            ~stop ~word:Fun.id want
+            ~records:
+              (Naive.records ~sched ~stop ~topo ~init ~step ~equal:Int.equal
+                 ()))
+        scheds)
+
+let failure_message f =
+  match f () with
+  | exception Failure m -> Some m
+  | _ -> None
+
+(* never halts, never changes: the oracle spins to max_rounds, the
+   active-set stepper stalls — both must raise the same Failure *)
+let frozen_kernel =
+  {
+    Flat.name = "frozen";
+    slots = 1;
+    scratch_words = 0;
+    init = (fun ~node:_ ~slot:_ -> 0);
+    step = (fun ctx ~scratch:_ ~round:_ ~node:v -> ctx.Flat.nxt.(v) <- 0);
+    halted = Some (fun _ ~node:_ -> false);
+  }
+
+(* flips every round: never stabilizes *)
+let blinker_kernel =
+  {
+    Flat.name = "blinker";
+    slots = 1;
+    scratch_words = 0;
+    init = (fun ~node:_ ~slot:_ -> 0);
+    step =
+      (fun ctx ~scratch:_ ~round:_ ~node:v ->
+        ctx.Flat.nxt.(v) <- 1 - ctx.Flat.cur.(v));
+    halted = None;
+  }
+
+let oracle_failures topo =
+  ( failure_message (fun () ->
+        Naive.run ~topo
+          ~init:(fun _ -> 0)
+          ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
+          ~halted:(fun _ -> false)
+          ~max_rounds:10),
+    failure_message (fun () ->
+        Naive.run_until_stable ~topo
+          ~init:(fun _ -> false)
+          ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> not s)
+          ~equal:Bool.equal ~max_rounds:7) )
+
+let test_flat_failure_parity () =
+  let topo = Topology.compile (Semi_graph.of_graph (Gen.path 5)) in
+  let frozen, blinker = oracle_failures topo in
+  Alcotest.(check (option string))
+    "oracle stall text" (Some "Engine.run: max_rounds=10 exceeded") frozen;
+  Alcotest.(check (option string))
+    "oracle blinker text"
+    (Some "Engine.run_until_stable: max_rounds=7 exceeded")
+    blinker;
+  Alcotest.(check (option string))
+    "stall failure parity" frozen
+    (failure_message (fun () ->
+         Flat.exec ~topo ~kernel:frozen_kernel ~stop:(Engine.Halted 10) ()));
+  Alcotest.(check (option string))
+    "max_rounds failure parity" blinker
+    (failure_message (fun () ->
+         Flat.exec ~topo ~kernel:blinker_kernel ~stop:(Engine.Stable 7) ()));
+  (* a kernel without a halting predicate cannot run under Halted, nor a
+     kernel without state words at all *)
+  (match
+     Flat.exec ~topo ~kernel:blinker_kernel ~stop:(Engine.Halted 7) ()
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for halted-less kernel");
+  match
+    Flat.exec ~topo
+      ~kernel:{ blinker_kernel with Flat.slots = 0 }
+      ~stop:(Engine.Stable 7) ()
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for a zero-slot kernel"
+
+let test_flat_fault_gate_parity () =
+  (* an armed Engine.fault_gate interrupts flat runs at the same round
+     boundary as the oracle under every stop policy: same rounds, states
+     and derived trace records, and no max_rounds failure *)
+  let n = 20 in
+  let topo = Topology.compile (Semi_graph.of_graph (Gen.path n)) in
+  let kernel = Flat.Kernels.flood () in
+  let init v = v = 0 and step = Naive.flood_step in
+  let saved = !Engine.fault_gate in
+  Engine.fault_gate := Some (fun ~round -> round < 3);
+  Fun.protect
+    ~finally:(fun () -> Engine.fault_gate := saved)
+    (fun () ->
+      List.iter
+        (fun stop ->
+          let policy =
+            match stop with
+            | Engine.Halted _ -> "Halted"
+            | Engine.Stable _ -> "Stable"
+            | Engine.Rounds _ -> "Rounds"
+          in
+          let want =
+            Naive.exec ~stop ~topo ~init ~step ~halted:Fun.id
+              ~equal:Bool.equal ()
+          in
+          check_int (policy ^ ": gate stops the oracle at 3") 3
+            want.Naive.rounds;
+          List.iter
+            (fun sched ->
+              check
+                (Printf.sprintf "%s %s: flat rounds, states, records" policy
+                   (Engine.sched_to_string sched))
+                true
+                (traced_agree ~sched ~topo ~kernel ~stop ~word:Bool.to_int
+                   want
+                   ~records:
+                     (Naive.records ~sched ~stop ~topo ~init ~step
+                        ~halted:Fun.id ~equal:Bool.equal ())))
+            scheds)
+        [ Engine.Halted (n + 1); Engine.Stable (n + 1); Engine.Rounds 10 ])
+
+let test_rounds_gate_on_drained_rounds () =
+  (* under Rounds, a round whose active set has drained is skipped but
+     counted, and the gate must see it like any counted round: flood on
+     a 6-path drains after round 6, the gate closes after round 8, and
+     every mode must stop where the oracle does *)
+  let topo = Topology.compile (Semi_graph.of_graph (Gen.path 6)) in
+  let saved = !Engine.fault_gate in
+  Engine.fault_gate := Some (fun ~round -> round < 8);
+  Fun.protect
+    ~finally:(fun () -> Engine.fault_gate := saved)
+    (fun () ->
+      let want =
+        Naive.run_rounds ~topo
+          ~init:(fun v -> v = 0)
+          ~step:Naive.flood_step ~rounds:20
       in
-      let naive =
-        Runtime.run ~mode:Engine.Naive ~sg ~init ~step:flood_step
-          ~halted:(fun s -> s)
-          ~max_rounds:(n + 1) ()
-      in
-      check (name ^ ": run states match naive") true
-        (default.Runtime.states = naive.Runtime.states);
-      check_int (name ^ ": run rounds match naive") naive.Runtime.rounds
-        default.Runtime.rounds;
-      let default_s =
-        Runtime.run_until_stable ~sg ~init ~step:flood_step ~equal:Bool.equal
-          ~max_rounds:(n + 1) ()
-      in
-      let naive_s =
-        Runtime.run_until_stable ~mode:Engine.Naive ~sg ~init
-          ~step:flood_step ~equal:Bool.equal
-          ~max_rounds:(n + 1) ()
-      in
-      check (name ^ ": stable states match naive") true
-        (default_s.Runtime.states = naive_s.Runtime.states);
-      check_int
-        (name ^ ": stable rounds match naive")
-        naive_s.Runtime.rounds default_s.Runtime.rounds)
-    named_families
+      check_int "the oracle stops at the gate" 8 want.Naive.rounds;
+      check "every flat mode stops there too" true
+        (modes_agree ~topo ~kernel:(Flat.Kernels.flood ())
+           ~stop:(Engine.Rounds 20) ~word:Bool.to_int want))
+
+let test_flat_zero_alloc_per_step () =
+  (* the flat hot path must allocate nothing on the minor heap per step:
+     run flood down a long path (many rounds, tiny frontiers — the shape
+     that amplifies any per-round or per-step allocation) and bound the
+     whole run's minor-heap delta by a per-run constant. A 2-word leak
+     per round would show up as ~40k words here. Every stop policy is
+     measured: they share one round driver, but each has its own arm.
+     The masked path hides the far half of the same path, so the
+     stepper runs over present nodes that are not the whole id range. *)
+  let n = 20_000 in
+  let g = Gen.path n in
+  let kernel = Flat.Kernels.flood () in
+  List.iter
+    (fun (input, sg, reach) ->
+      let topo = Topology.compile sg in
+      List.iter
+        (fun (arm, stop) ->
+          let arm = input ^ " " ^ arm in
+          let run () = Flat.exec ~topo ~kernel ~stop () in
+          ignore (run ());
+          let w0 = Gc.minor_words () in
+          let o = run () in
+          let w1 = Gc.minor_words () in
+          check_int (arm ^ ": flood covered the path") (reach - 1) o.Flat.rounds;
+          check (arm ^ ": flood reached every node") true
+            (Array.for_all
+               (fun v -> Flat.read o ~node:v ~slot:0 = Bool.to_int (v < reach))
+               (Array.init n Fun.id));
+          let delta = w1 -. w0 in
+          check
+            (Printf.sprintf "%s: per-run minor words bounded (got %.0f)" arm
+               delta)
+            true (delta < 2048.))
+        [
+          ("Stable", Engine.Stable (n + 1));
+          ("Halted", Engine.Halted (n + 1));
+          ("Rounds", Engine.Rounds (reach - 1));
+        ])
+    [
+      ("path", Semi_graph.of_graph g, n);
+      ( "masked path",
+        Semi_graph.of_node_subset g (Array.init n (fun v -> v < n / 2)),
+        n / 2 );
+    ]
 
 (* ---------- Linial's direct loop ---------- *)
 
@@ -290,89 +603,89 @@ let test_linial_topo_equivalence () =
 
 (* ---------- failure semantics ---------- *)
 
-let failure_message f =
-  match f () with
-  | exception Failure m -> Some m
-  | _ -> None
-
 let test_max_rounds_failure_parity () =
+  (* every in-process mode and scheduling raises the oracle's texts *)
   let topo = Topology.compile (Semi_graph.of_graph (Gen.path 5)) in
-  (* never halts, never changes: naive spins to max_rounds, the
-     active-set stepper stalls — both must raise the same Failure *)
-  let frozen mode () =
-    Engine.run ~mode ~topo
-      ~init:(fun _ -> 0)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
-      ~halted:(fun _ -> false)
-      ~max_rounds:10 ()
-  in
-  let m_naive = failure_message (frozen Engine.Naive) in
-  check "naive raises" true (m_naive <> None);
+  let frozen, blinker = oracle_failures topo in
+  check "the oracle raises both" true (frozen <> None && blinker <> None);
   List.iter
-    (fun mode ->
-      Alcotest.(check (option string))
-        ("stall parity: " ^ Engine.mode_to_string mode)
-        m_naive
-        (failure_message (frozen mode)))
-    modes;
-  (* never stabilizes: every mode must exhaust max_rounds identically *)
-  let blinker mode () =
-    Engine.run_until_stable ~mode ~topo
-      ~init:(fun _ -> false)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> not s)
-      ~equal:Bool.equal ~max_rounds:7 ()
-  in
-  let m_naive = failure_message (blinker Engine.Naive) in
-  check "naive blinker raises" true (m_naive <> None);
-  List.iter
-    (fun mode ->
-      Alcotest.(check (option string))
-        ("blinker parity: " ^ Engine.mode_to_string mode)
-        m_naive
-        (failure_message (blinker mode)))
-    modes
+    (fun sched ->
+      List.iter
+        (fun (par, grain) ->
+          with_par_grain grain (fun () ->
+              let what =
+                Printf.sprintf "par %d grain %d %s" par grain
+                  (Engine.sched_to_string sched)
+              in
+              Alcotest.(check (option string))
+                ("stall parity: " ^ what) frozen
+                (failure_message (fun () ->
+                     Flat.exec ~par ~sched ~topo ~kernel:frozen_kernel
+                       ~stop:(Engine.Halted 10) ()));
+              Alcotest.(check (option string))
+                ("blinker parity: " ^ what) blinker
+                (failure_message (fun () ->
+                     Flat.exec ~par ~sched ~topo ~kernel:blinker_kernel
+                       ~stop:(Engine.Stable 7) ()))))
+        flat_variants)
+    scheds
 
 let test_empty_present_set () =
   let g = Gen.path 4 in
-  let sg = Semi_graph.of_node_subset g (Array.make 4 false) in
-  let topo = Topology.compile sg in
+  let topo = Topology.compile (Semi_graph.of_node_subset g (Array.make 4 false)) in
+  let count =
+    {
+      blinker_kernel with
+      Flat.name = "count";
+      step =
+        (fun ctx ~scratch:_ ~round:_ ~node:v ->
+          ctx.Flat.nxt.(v) <- ctx.Flat.cur.(v) + 1);
+      halted = Some (fun _ ~node:_ -> false);
+    }
+  in
   List.iter
-    (fun mode ->
-      let o =
-        Engine.run ~mode ~topo
+    (fun (what, stop, want) ->
+      let oracle =
+        Naive.exec ~stop ~topo
           ~init:(fun _ -> 0)
           ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s + 1)
           ~halted:(fun _ -> false)
-          ~max_rounds:5 ()
+          ~equal:Int.equal ()
       in
-      check_int
-        ("no present nodes costs 0 rounds: " ^ Engine.mode_to_string mode)
-        0 o.Engine.rounds)
-    modes
+      check_int ("oracle: " ^ what) want oracle.Naive.rounds;
+      List.iter
+        (fun (par, _) ->
+          check_int
+            (Printf.sprintf "%s: par %d" what par)
+            want
+            (Flat.exec ~par ~topo ~kernel:count ~stop ()).Flat.rounds)
+        flat_variants)
+    [
+      ("Halted costs 0 rounds", Engine.Halted 5, 0);
+      ("Stable costs 0 rounds", Engine.Stable 5, 0);
+      ("Rounds counts its rounds", Engine.Rounds 3, 3);
+    ]
 
 (* ---------- tracing and the ledger bridge ---------- *)
 
 let test_trace_metrics () =
   let n = 64 in
   let g = Gen.random_tree ~n ~seed:23 in
-  let sg = Semi_graph.of_graph g in
+  let topo = Topology.compile (Semi_graph.of_graph g) in
   let trace = Trace.create ~label:"test-flood" () in
   let o =
-    Runtime.run ~trace ~sg
-      ~init:(fun v -> v = 0)
-      ~step:flood_step
-      ~halted:(fun s -> s)
-      ~max_rounds:(n + 1) ()
+    Flat.exec ~trace ~topo ~kernel:(Flat.Kernels.flood ())
+      ~stop:(Engine.Halted (n + 1)) ()
   in
   let m = Trace.metrics trace in
-  check_int "trace rounds = outcome rounds" o.Runtime.rounds m.Trace.rounds;
-  check_int "naive_steps = rounds * n" (o.Runtime.rounds * n)
-    m.Trace.naive_steps;
+  check_int "trace rounds = outcome rounds" o.Flat.rounds m.Trace.rounds;
+  check_int "naive_steps = rounds * n" (o.Flat.rounds * n) m.Trace.naive_steps;
   check "active-set executed fewer steps" true (m.Trace.steps < m.Trace.naive_steps);
   check_int "steps = sum of per-round active"
     (List.fold_left (fun acc r -> acc + r.Trace.active) 0 (Trace.records trace))
     m.Trace.steps;
   check "max_active bounded by n" true (m.Trace.max_active <= n);
+  check "mode stamped" true (Trace.mode trace = "flat:seq");
   let json = Trace.to_json trace in
   check "json carries the label" true
     (let needle = "\"label\":\"test-flood\"" in
@@ -381,10 +694,11 @@ let test_trace_metrics () =
        && (String.sub json i (String.length needle) = needle || find (i + 1))
      in
      find 0);
-  (* ledger bridge: the measured engine rounds land in a named phase *)
+  (* ledger bridge, as the CLI's trace summary charges it: the measured
+     engine rounds land in a named phase, apart from the paper's *)
   let ledger = Round_cost.create () in
-  Runtime.charge_trace ledger trace;
-  check_int "charge_trace adds engine:<label> phase" m.Trace.rounds
+  Round_cost.charge ledger ("engine:" ^ Trace.label trace) m.Trace.rounds;
+  check_int "engine:<label> phase" o.Flat.rounds
     (Round_cost.get ledger "engine:test-flood")
 
 let test_trace_sink () =
@@ -394,16 +708,15 @@ let test_trace_sink () =
   Fun.protect
     ~finally:(fun () -> Engine.trace_sink := saved)
     (fun () ->
-      let sg = Semi_graph.of_graph (Gen.path 12) in
+      let topo = Topology.compile (Semi_graph.of_graph (Gen.path 12)) in
       ignore
-        (Runtime.run ~sg
-           ~init:(fun v -> v = 0)
-           ~step:flood_step
-           ~halted:(fun s -> s)
-           ~max_rounds:20 ()));
+        (Flat.exec ~topo ~kernel:(Flat.Kernels.flood ())
+           ~stop:(Engine.Halted 20) ()));
   check_int "sink received exactly one trace" 1 (List.length !got);
-  check "sink trace measured rounds" true
-    ((Trace.metrics (List.hd !got)).Trace.rounds > 0)
+  let t = List.hd !got in
+  check "sink trace measured rounds" true ((Trace.metrics t).Trace.rounds > 0);
+  check "sink trace keeps the default label" true
+    (Trace.label t = "flat.flood")
 
 let test_trace_zero_rounds () =
   (* a trace that never recorded a round: every metric must be defined,
@@ -433,7 +746,7 @@ let test_trace_json_roundtrip () =
   (* rounds_detail through a real parser: tracked fields present,
      untracked (-1) fields omitted per the schema doc in trace.mli *)
   let tr = Trace.create ~label:"rt" () in
-  Trace.set_meta tr ~mode:"naive" ~scheduling:"full-scan" ~n_base:4
+  Trace.set_meta tr ~mode:"flat:seq" ~scheduling:"full-scan" ~n_base:4
     ~n_present:4;
   Trace.record tr
     { Trace.round = 1; active = 4; changed = 2; unhalted = 3; wall_s = 0.5 };
@@ -455,13 +768,23 @@ let test_trace_json_roundtrip () =
   check "r2 active" true (Option.bind (member "active" r2) to_int = Some 3);
   check "label round-trips" true
     (Option.bind (member "label" j) to_str = Some "rt");
+  (* one state layout and no compile step in a run: the schema carries
+     neither *)
+  List.iter
+    (fun key -> check (key ^ " not serialized") true (member key j = None))
+    [ "layout"; "compile_s"; "compile_cached" ];
   (* the accessors added for the span bridge *)
-  check "mode accessor" true (Trace.mode tr = "naive");
+  check "mode accessor" true (Trace.mode tr = "flat:seq");
   check "scheduling accessor" true (Trace.scheduling tr = "full-scan");
   check_int "n_base accessor" 4 (Trace.n_base tr);
   check_int "n_present accessor" 4 (Trace.n_present tr)
 
 (* ---------- mode parsing ---------- *)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 let test_mode_strings () =
   List.iter
@@ -470,7 +793,7 @@ let test_mode_strings () =
         ("round-trip " ^ Engine.mode_to_string m)
         true
         (Engine.mode_of_string (Engine.mode_to_string m) = m))
-    [ Engine.Naive; Engine.Seq; Engine.Par 2; Engine.Par 16 ];
+    [ Engine.Seq; Engine.Par 1; Engine.Par 2; Engine.Par 16; Engine.Proc 3 ];
   List.iter
     (fun s ->
       check ("rejects " ^ s) true
@@ -478,6 +801,7 @@ let test_mode_strings () =
         | exception Invalid_argument _ -> true
         | _ -> false))
     [
+      "naive";
       "par:0";
       "par:x";
       "threads";
@@ -485,6 +809,7 @@ let test_mode_strings () =
       "par";
       "shard:4";
       "par:+2" (* int_of_string would take it; digits-only must not *);
+      "par:02" (* would print back as par:2 *);
       " seq";
       "seq ";
       "par: 2";
@@ -495,13 +820,37 @@ let test_mode_strings () =
      verbatim as usage errors *)
   (match Engine.mode_of_string "par:0" with
   | exception Invalid_argument msg ->
-    check "par:0 message names the input" true
-      (let rec find i =
-         i + 7 <= String.length msg
-         && (String.sub msg i 7 = "\"par:0\"" || find (i + 1))
-       in
-       find 0)
-  | _ -> Alcotest.fail "par:0 must be rejected")
+    check "par:0 message names the input" true (contains msg "\"par:0\"")
+  | _ -> Alcotest.fail "par:0 must be rejected");
+  match Engine.mode_of_string "naive" with
+  | exception Invalid_argument msg ->
+    check "naive message names the modes" true
+      (contains msg "seq | par:<n> | proc:<n>")
+  | _ -> Alcotest.fail "naive must be rejected"
+
+(* Arbitrary bytes, mixed with the near-misses a config line or a
+   request carries: retired and bare mode names, zero and 30-digit
+   counts, whitespace and NUL. *)
+let hostile_mode_string =
+  let open QCheck.Gen in
+  let near_misses =
+    [
+      "naive"; "seq"; "par"; "par:"; "proc"; "proc:"; "proc:0"; "par:0"; "0";
+      "4"; "007"; "123456789012345678901234567890"; " "; "\t"; "\n"; "\r";
+      "\000"; ":"; "+"; "-";
+    ]
+  in
+  let piece = oneof [ oneofl near_misses; string_size ~gen:char (0 -- 6) ] in
+  map (String.concat "") (list_size (0 -- 4) piece)
+
+let prop_hostile_mode_strings =
+  QCheck.Test.make ~name:"hostile strings: exact round-trip or Invalid_argument"
+    ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") hostile_mode_string)
+    (fun s ->
+      match Engine.mode_of_string s with
+      | m -> Engine.mode_to_string m = s
+      | exception Invalid_argument _ -> true)
 
 (* ---------- Pool ---------- *)
 
@@ -607,16 +956,11 @@ let test_team_reuse () =
     ignore (Pool.map pool ~tasks ~f:(fun ~worker:_ ~index:_ x -> x + 1))
   done;
   check_int "pool maps ride the same parked team" s0 (Team.spawns ());
-  let saved = !Engine.par_grain in
-  Engine.par_grain := 0;
-  Fun.protect
-    ~finally:(fun () -> Engine.par_grain := saved)
-    (fun () ->
+  with_par_grain 0 (fun () ->
       let topo = Topology.compile (Semi_graph.of_graph (Gen.path 200)) in
       ignore
-        (Engine.run_until_stable ~mode:(Engine.Par 4) ~topo
-           ~init:(fun v -> v = 0)
-           ~step:flood_step ~equal:Bool.equal ~max_rounds:201 ()));
+        (Flat.exec ~par:4 ~topo ~kernel:(Flat.Kernels.flood ())
+           ~stop:(Engine.Stable 201) ()));
   check_int "par rounds ride the same parked team" s0 (Team.spawns ())
 
 let test_team_exception_lowest_index () =
@@ -642,301 +986,6 @@ let test_team_reentrant_inline () =
   let hits = Array.make 3 0 in
   Team.run ~workers:3 (fun i -> hits.(i) <- 1);
   check "team alive after nested run" true (Array.for_all (fun m -> m = 1) hits)
-
-(* ---------- flat layout vs boxed reference ---------- *)
-
-module Flat = Tl_engine.Flat
-
-let with_par_grain g f =
-  let saved = !Engine.par_grain in
-  Engine.par_grain := g;
-  Fun.protect ~finally:(fun () -> Engine.par_grain := saved) f
-
-(* grain 0 forces even tiny qcheck instances through the team; the
-   default grain exercises the inline path. Results must not depend on
-   either knob. *)
-let flat_variants = [ (1, 2048); (1, 0); (2, 0); (3, 0); (4, 2048) ]
-
-let record_sig t =
-  List.map
-    (fun r -> (r.Trace.round, r.Trace.active, r.Trace.changed, r.Trace.unhalted))
-    (Trace.records t)
-
-let prop_flat_flood_differential =
-  QCheck.Test.make
-    ~name:"flat flood == boxed flood (states, rounds, traces)" ~count:40
-    QCheck.(triple (int_range 2 150) (int_range 0 100000) (int_range 0 3))
-    (fun (n, seed, pick) ->
-      let g = family ~n ~seed ~pick in
-      let mr = Graph.n_nodes g + 1 in
-      List.for_all
-        (fun topo ->
-          List.for_all
-            (fun sched ->
-              let boxed_tr = Trace.create () in
-              let boxed =
-                Engine.run_until_stable ~mode:Engine.Seq ~sched
-                  ~trace:boxed_tr ~topo
-                  ~init:(fun v -> v = 0)
-                  ~step:flood_step ~equal:Bool.equal ~max_rounds:mr ()
-              in
-              let boxed_ints = Array.map Bool.to_int boxed.Engine.states in
-              List.for_all
-                (fun (par, grain) ->
-                  with_par_grain grain (fun () ->
-                      let tr = Trace.create () in
-                      let o =
-                        Flat.run_until_stable ~par ~sched ~trace:tr ~topo
-                          ~kernel:(Flat.Kernels.flood ()) ~max_rounds:mr ()
-                      in
-                      o.Flat.rounds = boxed.Engine.rounds
-                      && Flat.column o ~slot:0 = boxed_ints
-                      && record_sig tr = record_sig boxed_tr
-                      && Trace.layout tr = "flat"))
-                flat_variants)
-            [ Engine.Active_set; Engine.Full_scan ])
-        (views g))
-
-let prop_flat_mis_differential =
-  QCheck.Test.make ~name:"flat MIS == boxed MIS (run with halting)" ~count:40
-    QCheck.(triple (int_range 2 150) (int_range 0 100000) (int_range 0 3))
-    (fun (n, seed, pick) ->
-      let g = family ~n ~seed ~pick in
-      let n = Graph.n_nodes g in
-      let ids = Ids.permuted ~n ~seed:(seed + 3) in
-      List.for_all
-        (fun topo ->
-          let boxed_tr = Trace.create () in
-          let boxed =
-            Engine.run ~mode:Engine.Seq ~trace:boxed_tr ~topo
-              ~init:(fun _ -> 0)
-              ~step:(mis_step ids)
-              ~halted:(fun s -> s <> 0)
-              ~max_rounds:(n + 1) ()
-          in
-          List.for_all
-            (fun (par, grain) ->
-              with_par_grain grain (fun () ->
-                  let tr = Trace.create () in
-                  let o =
-                    Flat.run ~par ~trace:tr ~topo
-                      ~kernel:(Flat.Kernels.mis_local_max ~ids)
-                      ~max_rounds:(n + 1) ()
-                  in
-                  o.Flat.rounds = boxed.Engine.rounds
-                  && Flat.column o ~slot:0 = boxed.Engine.states
-                  && record_sig tr = record_sig boxed_tr))
-            flat_variants)
-        (views g))
-
-let prop_flat_run_rounds_differential =
-  QCheck.Test.make ~name:"flat run_rounds == boxed run_rounds" ~count:30
-    QCheck.(triple (int_range 2 120) (int_range 0 100000) (int_range 0 3))
-    (fun (n, seed, pick) ->
-      let g = family ~n ~seed ~pick in
-      let n = Graph.n_nodes g in
-      let ids = Ids.permuted ~n ~seed:(seed + 3) in
-      let topo = Topology.compile (Semi_graph.of_graph g) in
-      let r = 1 + (seed mod 4) in
-      let boxed =
-        Engine.run_rounds ~mode:Engine.Seq ~topo
-          ~init:(fun _ -> 0)
-          ~step:(mis_step ids) ~rounds:r ()
-      in
-      List.for_all
-        (fun (par, grain) ->
-          with_par_grain grain (fun () ->
-              let o =
-                Flat.run_rounds ~par ~topo
-                  ~kernel:(Flat.Kernels.mis_local_max ~ids)
-                  ~rounds:r ()
-              in
-              o.Flat.rounds = r && Flat.column o ~slot:0 = boxed.Engine.states))
-        flat_variants)
-
-let test_flat_failure_parity () =
-  let topo = Topology.compile (Semi_graph.of_graph (Gen.path 5)) in
-  (* frozen machine: active set drains with unhalted nodes left — flat
-     must fail fast with the byte-identical engine message *)
-  let frozen_kernel =
-    {
-      Flat.name = "frozen";
-      slots = 1;
-      scratch_words = 0;
-      init = (fun ~node:_ ~slot:_ -> 0);
-      step = (fun ctx ~scratch:_ ~round:_ ~node:v -> ctx.Flat.nxt.(v) <- 0);
-      halted = Some (fun _ ~node:_ -> false);
-    }
-  in
-  let boxed_frozen () =
-    Engine.run ~mode:Engine.Seq ~topo
-      ~init:(fun _ -> 0)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
-      ~halted:(fun _ -> false)
-      ~max_rounds:10 ()
-  in
-  let flat_frozen () =
-    Flat.run ~topo ~kernel:frozen_kernel ~max_rounds:10 ()
-  in
-  let m_boxed = failure_message boxed_frozen in
-  check "boxed frozen raises" true (m_boxed <> None);
-  Alcotest.(check (option string))
-    "stall failure parity" m_boxed
-    (failure_message flat_frozen);
-  (* blinker: exhausts max_rounds in run_until_stable *)
-  let blinker_kernel =
-    {
-      Flat.name = "blinker";
-      slots = 1;
-      scratch_words = 0;
-      init = (fun ~node:_ ~slot:_ -> 0);
-      step =
-        (fun ctx ~scratch:_ ~round:_ ~node:v ->
-          ctx.Flat.nxt.(v) <- 1 - ctx.Flat.cur.(v));
-      halted = None;
-    }
-  in
-  let boxed_blinker () =
-    Engine.run_until_stable ~mode:Engine.Seq ~topo
-      ~init:(fun _ -> false)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> not s)
-      ~equal:Bool.equal ~max_rounds:7 ()
-  in
-  let flat_blinker () =
-    Flat.run_until_stable ~topo ~kernel:blinker_kernel ~max_rounds:7 ()
-  in
-  let m_boxed = failure_message boxed_blinker in
-  check "boxed blinker raises" true (m_boxed <> None);
-  Alcotest.(check (option string))
-    "max_rounds failure parity" m_boxed
-    (failure_message flat_blinker);
-  (* a kernel without a halting predicate cannot enter Flat.run *)
-  (match Flat.run ~topo ~kernel:blinker_kernel ~max_rounds:7 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument for halted-less kernel");
-  ()
-
-let test_flat_fault_gate_parity () =
-  (* an armed Engine.fault_gate interrupts flat runs at the same round
-     boundary as boxed Seq under every stop policy: same rounds, states
-     and trace records, and no max_rounds failure *)
-  let n = 20 in
-  let topo = Topology.compile (Semi_graph.of_graph (Gen.path n)) in
-  let kernel = Flat.Kernels.flood () in
-  let saved = !Engine.fault_gate in
-  Engine.fault_gate := Some (fun ~round -> round < 3);
-  Fun.protect
-    ~finally:(fun () -> Engine.fault_gate := saved)
-    (fun () ->
-      let init v = v = 0 in
-      List.iter
-        (fun (policy, boxed, flat) ->
-          let boxed_tr = Trace.create () and flat_tr = Trace.create () in
-          let b = boxed boxed_tr and o = flat flat_tr in
-          check_int (policy ^ ": gate stops boxed at 3") 3 b.Engine.rounds;
-          check_int (policy ^ ": flat rounds") b.Engine.rounds o.Flat.rounds;
-          check (policy ^ ": flat states") true
-            (Flat.column o ~slot:0 = Array.map Bool.to_int b.Engine.states);
-          check (policy ^ ": flat trace records") true
-            (record_sig flat_tr = record_sig boxed_tr))
-        [
-          ( "run",
-            (fun trace ->
-              Engine.run ~mode:Engine.Seq ~trace ~topo ~init ~step:flood_step
-                ~halted:Fun.id ~max_rounds:(n + 1) ()),
-            fun trace -> Flat.run ~trace ~topo ~kernel ~max_rounds:(n + 1) ()
-          );
-          ( "run_until_stable",
-            (fun trace ->
-              Engine.run_until_stable ~mode:Engine.Seq ~trace ~topo ~init
-                ~step:flood_step ~equal:Bool.equal ~max_rounds:(n + 1) ()),
-            fun trace ->
-              Flat.run_until_stable ~trace ~topo ~kernel ~max_rounds:(n + 1) ()
-          );
-          ( "run_rounds",
-            (fun trace ->
-              Engine.run_rounds ~mode:Engine.Seq ~trace ~topo ~init
-                ~step:flood_step ~rounds:10 ()),
-            fun trace -> Flat.run_rounds ~trace ~topo ~kernel ~rounds:10 () );
-        ])
-
-let test_rounds_gate_on_drained_rounds () =
-  (* under Rounds, a round whose active set has drained is skipped but
-     counted, and the gate must see it like any counted round: flood on
-     a 6-path drains after round 6, the gate closes after round 8, and
-     every stepper must stop where the naive reference does *)
-  let topo = Topology.compile (Semi_graph.of_graph (Gen.path 6)) in
-  let saved = !Engine.fault_gate in
-  Engine.fault_gate := Some (fun ~round -> round < 8);
-  Fun.protect
-    ~finally:(fun () -> Engine.fault_gate := saved)
-    (fun () ->
-      let run mode =
-        Engine.run_rounds ~mode ~topo
-          ~init:(fun v -> v = 0)
-          ~step:flood_step ~rounds:20 ()
-      in
-      let naive = run Engine.Naive in
-      check_int "naive stops at the gate" 8 naive.Engine.rounds;
-      List.iter
-        (fun mode ->
-          let o = run mode and m = Engine.mode_to_string mode in
-          check_int (m ^ ": rounds") naive.Engine.rounds o.Engine.rounds;
-          check (m ^ ": states") true (o.Engine.states = naive.Engine.states))
-        [ Engine.Seq; Engine.Par 2 ];
-      let o =
-        Flat.run_rounds ~topo ~kernel:(Flat.Kernels.flood ()) ~rounds:20 ()
-      in
-      check_int "flat: rounds" naive.Engine.rounds o.Flat.rounds;
-      check "flat: states" true
-        (Flat.column o ~slot:0 = Array.map Bool.to_int naive.Engine.states))
-
-let test_flat_zero_alloc_per_step () =
-  (* the flat hot path must allocate nothing on the minor heap per step:
-     run flood down a long path (many rounds, tiny frontiers — the shape
-     that amplifies any per-round or per-step allocation) and bound the
-     whole run's minor-heap delta by a per-run constant. A 2-word leak
-     per round would show up as ~40k words here. Every stop policy is
-     measured: they share one round driver, but each has its own arm.
-     The masked path hides the far half of the same path, so the
-     stepper runs over present nodes that are not the whole id range. *)
-  let n = 20_000 in
-  let g = Gen.path n in
-  let kernel = Flat.Kernels.flood () in
-  List.iter
-    (fun (input, sg, reach) ->
-      let topo = Topology.compile sg in
-      List.iter
-        (fun (arm, run) ->
-          let arm = input ^ " " ^ arm in
-          ignore (run ());
-          let w0 = Gc.minor_words () in
-          let o = run () in
-          let w1 = Gc.minor_words () in
-          check_int (arm ^ ": flood covered the path") (reach - 1) o.Flat.rounds;
-          check (arm ^ ": flood reached every node") true
-            (Array.for_all
-               (fun v -> Flat.read o ~node:v ~slot:0 = Bool.to_int (v < reach))
-               (Array.init n Fun.id));
-          let delta = w1 -. w0 in
-          check
-            (Printf.sprintf "%s: per-run minor words bounded (got %.0f)" arm
-               delta)
-            true (delta < 2048.))
-        [
-          ( "run_until_stable",
-            fun () ->
-              Flat.run_until_stable ~topo ~kernel ~max_rounds:(n + 1) () );
-          ("run", fun () -> Flat.run ~topo ~kernel ~max_rounds:(n + 1) ());
-          ( "run_rounds",
-            fun () -> Flat.run_rounds ~topo ~kernel ~rounds:(reach - 1) () );
-        ])
-    [
-      ("path", Semi_graph.of_graph g, n);
-      ( "masked path",
-        Semi_graph.of_node_subset g (Array.init n (fun v -> v < n / 2)),
-        n / 2 );
-    ]
 
 (* ---------- compile cache ---------- *)
 
@@ -999,34 +1048,6 @@ let test_topology_cache_eviction_generation () =
   let h1, m1 = Topology.cache_stats () in
   check_int "exactly one hit" 1 (h1 - h0);
   check_int "exactly eight misses" 8 (m1 - m0);
-  (* the Runtime span counters must mirror the cache stats *)
-  Topology.clear_cache ();
-  let h2, m2 = Topology.cache_stats () in
-  let flood ~sg =
-    ignore
-      (Runtime.run ~sg
-         ~init:(fun v -> v = 0)
-         ~step:flood_step
-         ~halted:(fun s -> s)
-         ~max_rounds:20 ())
-  in
-  let (), root =
-    Tl_obs.Span.run "cache-counters" (fun () ->
-        flood ~sg:sg2;
-        flood ~sg:sg2;
-        (* hide the far endpoint, not the flood source at node 0 *)
-        Semi_graph.hide_node sg2 9;
-        flood ~sg:sg2)
-  in
-  let h3, m3 = Topology.cache_stats () in
-  let counters = Tl_obs.Span.counters root in
-  let counter k = try List.assoc k counters with Not_found -> 0 in
-  check_int "span topo:cache_hit matches stats" (h3 - h2)
-    (counter "topo:cache_hit");
-  check_int "span topo:cache_miss matches stats" (m3 - m2)
-    (counter "topo:cache_miss");
-  check_int "one hit via runtime" 1 (h3 - h2);
-  check_int "two misses via runtime" 2 (m3 - m2);
   Topology.set_cache_limit 64
 
 let test_topology_cache_limit () =
@@ -1112,9 +1133,6 @@ let () =
             prop_cv_differential;
             prop_run_rounds_differential;
           ] );
-      ( "runtime",
-        [ Alcotest.test_case "wrappers match naive" `Quick
-            test_runtime_matches_naive ] );
       ( "linial",
         [
           Alcotest.test_case "Linial.reduce_topo == Linial.reduce" `Quick
@@ -1136,5 +1154,7 @@ let () =
           Alcotest.test_case "rounds_detail json round-trip" `Quick
             test_trace_json_roundtrip;
         ] );
-      ("modes", [ Alcotest.test_case "parsing" `Quick test_mode_strings ]);
+      ( "modes",
+        Alcotest.test_case "parsing" `Quick test_mode_strings
+        :: qsuite [ prop_hostile_mode_strings ] );
     ]

@@ -529,11 +529,7 @@ let test_chaos_cross_mode () =
               (r.Chaos.digest = want.Chaos.digest && r.Chaos.valid)
           end)
         scenario_specs seq)
-    [ Engine.Proc 2; Engine.Par 2 ];
-  (* the epochs are flat kernels, which have no naive mode *)
-  match mis_chaos ~mode:Engine.Naive ~n:60 ~seed:2 "seed=1" with
-  | _ -> Alcotest.fail "a naive chaos run must be refused"
-  | exception Invalid_argument _ -> ()
+    [ Engine.Proc 2; Engine.Par 2 ]
 
 let test_chaos_empty_schedule_matches_plain () =
   (* armed-but-empty chaos must equal the plain engine answer *)
@@ -545,19 +541,17 @@ let test_chaos_empty_schedule_matches_plain () =
       ~schedule:Schedule.empty ()
   in
   let topo = Topology.compile (Semi_graph.of_graph g) in
-  (* the boxed engine's flood machine, the flat kernel's reference *)
+  (* the naive oracle's flood machine, the flat kernel's reference *)
   let o =
-    Engine.run_until_stable ~topo
-      ~init:(fun v -> if v = 0 then 1 else 0)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-        if s = 1 || List.exists (fun (_, _, su) -> su = 1) neighbors then 1
-        else 0)
-      ~equal:Int.equal ~max_rounds:(n + 1) ()
+    Naive.run_until_stable ~topo
+      ~init:(fun v -> v = 0)
+      ~step:Naive.flood_step ~equal:Bool.equal ~max_rounds:(n + 1)
   in
-  check "labels equal the plain run" true (rep.Chaos.labels = o.Engine.states);
+  check "labels equal the plain run" true
+    (rep.Chaos.labels = Array.map Bool.to_int o.Naive.states);
   check_int "no repairs" 0 rep.Chaos.repairs;
   check_int "one epoch" 1 rep.Chaos.epochs;
-  check_int "rounds equal" o.Engine.rounds rep.Chaos.rounds
+  check_int "rounds equal" o.Naive.rounds rep.Chaos.rounds
 
 (* ---------- churn vs caches (satellite: qcheck property) ---------- *)
 

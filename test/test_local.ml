@@ -1,9 +1,13 @@
-(* Tests for the LOCAL runtime: Runtime, Round_cost, Ids, View. *)
+(* Tests for the LOCAL model's simulation (Definition 5) on the
+   production path, Tl_engine.Flat, and for Round_cost, Ids, View and
+   Gather. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
 module Semi_graph = Tl_graph.Semi_graph
-module Runtime = Tl_local.Runtime
+module Topology = Tl_engine.Topology
+module Engine = Tl_engine.Engine
+module Flat = Tl_engine.Flat
 module Round_cost = Tl_local.Round_cost
 module Ids = Tl_local.Ids
 module View = Tl_local.View
@@ -11,95 +15,99 @@ module View = Tl_local.View
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* ---------- Runtime ---------- *)
+(* ---------- synchronous rounds ---------- *)
+
+let topo_of sg = Topology.compile sg
+
+(* A one-word kernel from an int step of the node's own word, halted by
+   [halted] on the published word. *)
+let own_kernel ?halted ~init step =
+  {
+    Flat.name = "own";
+    slots = 1;
+    scratch_words = 0;
+    init = (fun ~node:_ ~slot:_ -> init);
+    step =
+      (fun ctx ~scratch:_ ~round:_ ~node ->
+        ctx.Flat.nxt.(node) <- step ctx.Flat.cur.(node));
+    halted = Option.map (fun h ctx ~node -> h ctx.Flat.cur.(node)) halted;
+  }
 
 (* Flood a token from node 0: after r rounds exactly the r-ball knows it. *)
-let flood_step ~round:_ ~node:_ state ~neighbors =
-  state || List.exists (fun (_, _, s) -> s) neighbors
+let flood topo stop =
+  Flat.exec ~topo ~kernel:(Flat.Kernels.flood ()) ~stop ()
 
 let test_flooding_rounds () =
   (* halting when flooded: a star floods in 1 round *)
-  let g = Gen.star 8 in
-  let sg = Semi_graph.of_graph g in
-  let outcome =
-    Runtime.run ~sg
-      ~init:(fun v -> v = 0)
-      ~step:flood_step
-      ~halted:(fun s -> s)
-      ~max_rounds:10 ()
-  in
-  check_int "star floods in one round" 1 outcome.Runtime.rounds
+  let topo = topo_of (Semi_graph.of_graph (Gen.star 8)) in
+  let o = flood topo (Engine.Halted 10) in
+  check_int "star floods in one round" 1 o.Flat.rounds
 
 let test_flooding_completes () =
-  let g = Gen.path 10 in
-  let sg = Semi_graph.of_graph g in
   (* run until stable: stabilizes exactly when the whole path is flooded *)
-  let outcome =
-    Runtime.run_until_stable ~sg
-      ~init:(fun v -> v = 0)
-      ~step:flood_step ~equal:( = ) ~max_rounds:100 ()
-  in
-  check "all flooded" true (Array.for_all Fun.id outcome.Runtime.states);
+  let topo = topo_of (Semi_graph.of_graph (Gen.path 10)) in
+  let o = flood topo (Engine.Stable 100) in
+  check "all flooded" true (Array.for_all (( = ) 1) (Flat.column o ~slot:0));
   (* path of 10 nodes: 9 rounds to reach the far end *)
-  check_int "rounds" 9 outcome.Runtime.rounds
+  check_int "rounds" 9 o.Flat.rounds
 
 let test_halted_early_exit () =
-  let g = Gen.star 6 in
-  let sg = Semi_graph.of_graph g in
   (* every node halts immediately: 0 rounds *)
-  let outcome =
-    Runtime.run ~sg
-      ~init:(fun _ -> 1)
-      ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
-      ~halted:(fun s -> s = 1)
-      ~max_rounds:10 ()
+  let o =
+    Flat.exec
+      ~topo:(topo_of (Semi_graph.of_graph (Gen.star 6)))
+      ~kernel:(own_kernel ~halted:(fun s -> s = 1) ~init:1 Fun.id)
+      ~stop:(Engine.Halted 10) ()
   in
-  check_int "zero rounds" 0 outcome.Runtime.rounds
+  check_int "zero rounds" 0 o.Flat.rounds
 
 let test_max_rounds_guard () =
-  let g = Gen.path 3 in
-  let sg = Semi_graph.of_graph g in
-  check "raises" true
-    (try
-       Runtime.run ~sg
-         ~init:(fun _ -> 0)
-         ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s + 1)
-         ~halted:(fun _ -> false)
-         ~max_rounds:5 ()
-       |> ignore;
-       false
-     with Failure _ -> true)
+  let topo = topo_of (Semi_graph.of_graph (Gen.path 3)) in
+  Alcotest.(check (option string))
+    "raises the max_rounds failure"
+    (Some "Engine.run: max_rounds=5 exceeded")
+    (match
+       Flat.exec ~topo
+         ~kernel:(own_kernel ~halted:(fun _ -> false) ~init:0 succ)
+         ~stop:(Engine.Halted 5) ()
+     with
+    | exception Failure m -> Some m
+    | _ -> None)
 
 let test_runtime_respects_semi_graph () =
   (* flooding must not cross rank-1 edges *)
   let g = Gen.path 5 in
   let sg = Semi_graph.of_node_subset g [| true; true; false; true; true |] in
-  let outcome =
-    Runtime.run_until_stable ~sg
-      ~init:(fun v -> v = 0)
-      ~step:flood_step ~equal:( = ) ~max_rounds:50 ()
-  in
-  check "reached 1" true outcome.Runtime.states.(1);
-  check "did not cross the gap" false outcome.Runtime.states.(3)
+  let o = flood (topo_of sg) (Engine.Stable 50) in
+  check "reached 1" true (Flat.read o ~node:1 ~slot:0 = 1);
+  check "did not cross the gap" true (Flat.read o ~node:3 ~slot:0 = 0)
 
 let test_swap_is_synchronous () =
-  let g = Gen.path 2 in
-  let sg = Semi_graph.of_graph g in
-  (* run exactly 2 rounds by halting on round counter in state *)
-  let outcome =
-    Runtime.run ~sg
-      ~init:(fun v -> (v, 0))
-      ~step:(fun ~round ~node:_ (_, _) ~neighbors ->
-        match neighbors with
-        | [ (_, _, (s, _)) ] -> (s, round)
-        | _ -> assert false)
-      ~halted:(fun (_, r) -> r >= 2)
-      ~max_rounds:10 ()
+  (* two words per node, (value, last round): each round a node takes
+     its one neighbor's published value, halting after round 2 *)
+  let kernel =
+    {
+      Flat.name = "swap";
+      slots = 2;
+      scratch_words = 0;
+      init = (fun ~node ~slot -> if slot = 0 then node else 0);
+      step =
+        (fun ctx ~scratch:_ ~round ~node ->
+          let u = ctx.Flat.adj.(ctx.Flat.off.(node)) in
+          ctx.Flat.nxt.(node * 2) <- ctx.Flat.cur.(u * 2);
+          ctx.Flat.nxt.((node * 2) + 1) <- round);
+      halted = Some (fun ctx ~node -> ctx.Flat.cur.((node * 2) + 1) >= 2);
+    }
+  in
+  let o =
+    Flat.exec
+      ~topo:(topo_of (Semi_graph.of_graph (Gen.path 2)))
+      ~kernel ~stop:(Engine.Halted 10) ()
   in
   (* after 2 swaps states are back *)
-  check_int "node 0 state" 0 (fst outcome.Runtime.states.(0));
-  check_int "node 1 state" 1 (fst outcome.Runtime.states.(1));
-  check_int "rounds" 2 outcome.Runtime.rounds
+  check_int "node 0 state" 0 (Flat.read o ~node:0 ~slot:0);
+  check_int "node 1 state" 1 (Flat.read o ~node:1 ~slot:0);
+  check_int "rounds" 2 o.Flat.rounds
 
 (* ---------- Round_cost ---------- *)
 

@@ -11,6 +11,7 @@ module Gen = Tl_graph.Gen
 module Semi_graph = Tl_graph.Semi_graph
 module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
+module Flat = Tl_engine.Flat
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -311,11 +312,8 @@ let test_engine_bridge () =
   in
   let flood () =
     ignore
-      (Engine.run_until_stable ~mode:Engine.Seq ~topo
-         ~init:(fun v -> v = 0)
-         ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-           s || List.exists (fun (_, _, su) -> su) neighbors)
-         ~equal:Bool.equal ~max_rounds:201 ())
+      (Flat.exec ~topo ~kernel:(Flat.Kernels.flood ())
+         ~stop:(Engine.Stable 201) ())
   in
   let runs = Metrics.counter "engine_runs_total" in
   Metrics.disable ();

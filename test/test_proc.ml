@@ -5,8 +5,8 @@
    to its seq mode — labelings, per-round trace records, round counts
    and failure texts, under both schedulings and every stop policy —
    plus worker-crash containment, zombie-free cleanup and the refused
-   pairings (a boxed proc run, a naive kernel run, a zero-slot
-   prologue).
+   pairings (kernels that cannot run under their stop policy, a
+   zero-slot prologue).
 
    Ordering matters on OCaml 5: fork is forbidden once a domain has
    spawned, so every comparison here is against seq — never Par modes,
@@ -41,14 +41,6 @@ let family ~n ~seed ~pick =
   | 1 -> Gen.balanced_regular_tree ~delta:(2 + (seed mod 4)) ~n
   | 2 -> Gen.path n
   | _ -> Gen.forest_union ~n ~arboricity:2 ~seed
-
-let mis_step ids ~round:_ ~node:v s ~neighbors =
-  if s <> 0 then s
-  else if List.exists (fun (_, _, su) -> su = 1) neighbors then 2
-  else if
-    List.for_all (fun (u, _, su) -> su <> 0 || ids.(u) < ids.(v)) neighbors
-  then 1
-  else 0
 
 (* ---------- wire: scalar codec ---------- *)
 
@@ -634,8 +626,8 @@ let test_worker_crash_containment () =
   check "every node counted three rounds" true
     (Array.for_all (fun s -> s = 3) o.Flat.slab)
 
-(* The process backend steps flat kernels only, and a flat kernel has no
-   naive mode: both pairings are refused before any work starts. *)
+(* A kernel that cannot run under its stop policy — no halting predicate
+   under Halted, no state words — is refused before any worker forks. *)
 let test_rejected_pairings () =
   let topo = Topology.compile (Semi_graph.of_graph (Gen.path 3)) in
   let contains hay needle =
@@ -645,23 +637,19 @@ let test_rejected_pairings () =
     in
     go 0
   in
-  (match
-     Engine.run ~mode:(Engine.Proc 2) ~topo
-       ~init:(fun _ -> 0)
-       ~step:(fun ~round:_ ~node:_ s ~neighbors:_ -> s)
-       ~halted:(fun _ -> true)
-       ~max_rounds:1 ()
-   with
-  | exception Invalid_argument m ->
-    check "boxed proc names run_kernel" true (contains m "run_kernel")
-  | _ -> Alcotest.fail "a boxed proc run must be refused");
-  (match
-     kernel_run ~mode:Engine.Naive ~topo ~kernel_for:(Proc.Kernels.flood ())
-       (Engine.Stable 5)
-   with
-  | exception Invalid_argument m ->
-    check "naive kernel run names the modes" true (contains m "proc:N")
-  | _ -> Alcotest.fail "a naive kernel run must be refused");
+  let refused what kernel_for stop needle =
+    match kernel_run ~mode:(Engine.Proc 2) ~topo ~kernel_for stop with
+    | exception Invalid_argument m ->
+      check (what ^ " names it") true (contains m needle)
+    | _ -> Alcotest.failf "%s must be refused" what
+  in
+  refused "a halted-less kernel under Halted"
+    (simple "blinker" (fun ~round:_ s -> 1 - s))
+    (Engine.Halted 5) "halted";
+  refused "a zero-slot kernel"
+    (fun ~l2g ->
+      { (simple "empty" (fun ~round:_ s -> s) ~l2g) with Flat.slots = 0 })
+    (Engine.Stable 5) "slots";
   check "nothing forked" true (no_zombies ())
 
 (* A prologue announcing zero state words per node is refused by the
@@ -787,18 +775,18 @@ let test_flat_proc_parity () =
               (Engine.sched_to_string sched) kernel p
           in
           let seq_flood =
-            Flat.run ~sched ~topo ~kernel:(Flat.Kernels.flood ())
-              ~max_rounds:(n + 1) ()
+            Flat.exec ~sched ~topo ~kernel:(Flat.Kernels.flood ())
+              ~stop:(Engine.Halted (n + 1)) ()
           in
           let seq_mis =
-            Flat.run_until_stable ~sched ~topo
+            Flat.exec ~sched ~topo
               ~kernel:(Flat.Kernels.mis_local_max ~ids)
-              ~max_rounds:(n + 1) ()
+              ~stop:(Engine.Stable (n + 1)) ()
           in
           let seq_hops =
-            Flat.run_until_stable ~sched ~topo
+            Flat.exec ~sched ~topo
               ~kernel:(hops_kernel () ~l2g:identity)
-              ~max_rounds:(n + 1) ()
+              ~stop:(Engine.Stable (n + 1)) ()
           in
           List.iter
             (fun p ->
@@ -815,21 +803,21 @@ let test_flat_proc_parity () =
                 (proc (hops_kernel ()) (Engine.Stable (n + 1)))
                 seq_hops)
             proc_counts;
-          (* and the flat path agrees with the boxed engine, column for
+          (* and the flat path agrees with the naive oracle, column for
              column *)
-          let boxed =
-            Engine.run_until_stable ~sched ~topo
+          let naive =
+            Naive.run_until_stable ~topo
               ~init:(fun _ -> 0)
-              ~step:(mis_step ids) ~equal:Int.equal ~max_rounds:(n + 1) ()
+              ~step:(Naive.mis_step ids) ~equal:Int.equal ~max_rounds:(n + 1)
           in
-          check (gname ^ " flat column = boxed seq states") true
-            (Array.to_list (Flat.column seq_mis ~slot:0)
-            = Array.to_list boxed.Engine.states))
+          check (gname ^ " flat column = naive oracle states") true
+            (Flat.column seq_mis ~slot:0 = naive.Naive.states
+            && seq_mis.Flat.rounds = naive.Naive.rounds))
         scheds)
     [ ("random tree", Gen.random_tree ~n ~seed:13); ("path", Gen.path n) ]
 
-(* Proc runs deliver one engine trace each, stamped proc:N / flat,
-   whose per-round records are Flat.exec's. *)
+(* Proc runs deliver one engine trace each, stamped proc:N, whose
+   per-round records are Flat.exec's. *)
 let test_flat_proc_traces () =
   let n = 400 in
   let topo =
@@ -860,8 +848,7 @@ let test_flat_proc_traces () =
           with
           | [ t ] ->
             check (Printf.sprintf "%s proc:%d trace mode" what p) true
-              (Trace.mode t = Printf.sprintf "proc:%d" p
-              && Trace.layout t = "flat");
+              (Trace.mode t = Printf.sprintf "proc:%d" p);
             check (Printf.sprintf "%s proc:%d records = Flat" what p) true
               (List.map record_key (Trace.records t) = records)
           | ts ->

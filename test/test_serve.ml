@@ -206,11 +206,11 @@ let test_resolve_knobs () =
 (* ---------- differential battery ---------- *)
 
 (* The reference side rebuilds the instance and runs the pipelines
-   directly — no serve code beyond the shared digest — with the mode
-   passed to the engine run and the pool width set process-wide,
-   exactly like a one-shot CLI run. Its flood is the boxed engine's
-   machine, while the daemon serves the flat kernel: an independent
-   differential of the two layouts. *)
+   directly — no serve code beyond the shared digest — with the pool
+   width set process-wide, exactly like a one-shot CLI run. Its flood is
+   the naive oracle's boxed machine (test/naive.ml), while the daemon
+   serves the flat kernel in the request's mode: an independent
+   differential of the two. *)
 
 let build_ref_graph = function
   | P.Edges { n; edges; _ } -> Graph.of_edges ~n edges
@@ -227,7 +227,7 @@ let with_ref_pool ~pool f =
   Pool.default_workers := pool;
   Fun.protect ~finally:(fun () -> Pool.default_workers := saved) f
 
-let reference (r : P.request) ~mode =
+let reference (r : P.request) =
   let g = build_ref_graph r.P.spec in
   let seed =
     match r.P.spec with P.Family { seed; _ } | P.Edges { seed; _ } -> seed
@@ -239,17 +239,14 @@ let reference (r : P.request) ~mode =
       | "flood", _ ->
         let topo = Topology.compile (Semi_graph.of_graph g) in
         let o =
-          Engine.run_until_stable ~mode ~topo
+          Naive.run_until_stable ~topo
             ~init:(fun v -> v = 0)
-            ~step:(fun ~round:_ ~node:_ s ~neighbors ->
-              s || List.exists (fun (_, _, su) -> su) neighbors)
-            ~equal:Bool.equal
+            ~step:Naive.flood_step ~equal:Bool.equal
             ~max_rounds:(Graph.n_nodes g + 1)
-            ()
         in
-        ( P.digest_array (fun b -> if b then 1 else 0) o.Engine.states,
-          o.Engine.rounds,
-          [ ("flood", o.Engine.rounds) ] )
+        ( P.digest_array (fun b -> if b then 1 else 0) o.Naive.states,
+          o.Naive.rounds,
+          [ ("flood", o.Naive.rounds) ] )
       | "mis", "transform" ->
         let r = Pipeline.mis_on_tree ~tree:g ~ids () in
         ( P.digest_labeling ~graph:g r.Pipeline.labeling,
@@ -316,15 +313,13 @@ let prop_serve_differential =
       let resp2 = Server.handle_request server r in
       match (resp.P.outcome, resp2.P.outcome) with
       | P.Solved s, P.Solved s2 ->
-        let mode =
-          match
-            P.resolve_knobs ~engine:r.P.engine ~pool:r.P.pool
-              ~n:(P.spec_n r.P.spec)
-          with
-          | Ok m -> m
-          | Error msg -> QCheck.Test.fail_report msg
-        in
-        let digest, rounds, ledger = reference r ~mode in
+        (match
+           P.resolve_knobs ~engine:r.P.engine ~pool:r.P.pool
+             ~n:(P.spec_n r.P.spec)
+         with
+        | Ok _ -> ()
+        | Error msg -> QCheck.Test.fail_report msg);
+        let digest, rounds, ledger = reference r in
         if s.P.digest <> digest then
           QCheck.Test.fail_reportf "digest %s <> reference %s" s.P.digest
             digest;

@@ -1,9 +1,10 @@
 (* The shard layer under the process backend: plan invariants and
    caches, the shard-local round body ({!Tl_shard.Local}) over flat
    kernel slabs — its link cuts, and shard:{2,4,8} x pool:{1,4} runs of
-   it in one process bit-identical to the boxed seq engine — and the run
-   report's per-shard spans. The backend itself — proc:N over real
-   sockets bit-identical to seq — is test_proc's battery. *)
+   it in one process bit-identical to the naive oracle (test/naive.ml),
+   trace records included — and the run report's per-shard spans. The
+   backend itself — proc:N over real sockets bit-identical to seq — is
+   test_proc's battery. *)
 
 module Graph = Tl_graph.Graph
 module Gen = Tl_graph.Gen
@@ -33,10 +34,7 @@ let family ~n ~seed ~pick =
   | 2 -> Gen.path n
   | _ -> Gen.forest_union ~n ~arboricity:2 ~seed
 
-let flood_step ~round:_ ~node:_ s ~neighbors =
-  s || List.exists (fun (_, _, su) -> su) neighbors
-
-(* max-propagation of the ids: the flat twin of run_rounds' step *)
+(* max-propagation of the ids: the flat twin of Naive.max_step *)
 let max_kernel ids ~l2g =
   {
     Flat.name = "max";
@@ -52,14 +50,6 @@ let max_kernel ids ~l2g =
         ctx.Flat.nxt.(node) <- !best);
     halted = None;
   }
-
-let mis_step ids ~round:_ ~node:v s ~neighbors =
-  if s <> 0 then s
-  else if List.exists (fun (_, _, su) -> su = 1) neighbors then 2
-  else if
-    List.for_all (fun (u, _, su) -> su <> 0 || ids.(u) < ids.(v)) neighbors
-  then 1
-  else 0
 
 (* ---------- plan invariants ---------- *)
 
@@ -244,15 +234,15 @@ let traced run =
   let o = run trace in
   (o, List.map record_key (Trace.records trace))
 
-(* [seq] is the boxed engine's run of the kernel's twin, its states
-   read as ints by [word] *)
-let local_matches_seq ~word ~seq ~local =
-  let seq_o, seq_r = traced seq in
-  let want = (Array.map word seq_o.Engine.states, seq_o.Engine.rounds) in
+(* [want] is the naive oracle's run of the kernel's boxed twin, its
+   states read as ints by [word]; [records] the trace records the oracle
+   derives for the run's scheduling *)
+let local_matches_seq ~word ~(want : _ Naive.outcome) ~records ~local =
+  let want = (Array.map word want.Naive.states, want.Naive.rounds) in
   List.for_all
     (fun shards ->
       List.for_all
-        (fun workers -> traced (local ~shards ~workers) = (want, seq_r))
+        (fun workers -> traced (local ~shards ~workers) = (want, records))
         pool_widths)
     shard_counts
 
@@ -263,21 +253,23 @@ let prop_flood_differential =
     (fun (n, seed, pick) ->
       let g = family ~n ~seed ~pick in
       let max_rounds = Graph.n_nodes g + 1 in
-      let init v = v = 0 in
+      let stop = Engine.Stable max_rounds in
+      let init v = v = 0 and step = Naive.flood_step and equal = Bool.equal in
       (* the full view, and the masked view of prop_plan_on_subsets *)
       let keep = Array.init (Graph.n_nodes g) (fun v -> v mod 3 <> 2) in
       List.for_all
         (fun sg ->
           let topo = Topology.compile sg in
+          let want =
+            Naive.run_until_stable ~topo ~init ~step ~equal ~max_rounds
+          in
           List.for_all
             (fun sched ->
-              local_matches_seq ~word:Bool.to_int
-                ~seq:(fun trace ->
-                  Engine.run_until_stable ~mode:Engine.Seq ~sched ~trace ~topo
-                    ~init ~step:flood_step ~equal:Bool.equal ~max_rounds ())
+              local_matches_seq ~word:Bool.to_int ~want
+                ~records:
+                  (Naive.records ~sched ~stop ~topo ~init ~step ~equal ())
                 ~local:
-                  (run_local ~sched ~topo ~kernel_for:(Kernels.flood ())
-                     (Engine.Stable max_rounds)))
+                  (run_local ~sched ~topo ~kernel_for:(Kernels.flood ()) stop))
             [ Engine.Active_set; Engine.Full_scan ])
         [ Semi_graph.of_graph g; Semi_graph.of_node_subset g keep ])
 
@@ -289,15 +281,16 @@ let prop_mis_differential =
       let n = Graph.n_nodes g in
       let ids = Ids.permuted ~n ~seed:(seed + 3) in
       let topo = Topology.compile (Semi_graph.of_graph g) in
+      let stop = Engine.Halted (n + 1) and step = Naive.mis_step ids in
       let init _ = 0 and halted s = s <> 0 in
       local_matches_seq ~word:Fun.id
-        ~seq:(fun trace ->
-          Engine.run ~mode:Engine.Seq ~trace ~topo ~init ~step:(mis_step ids)
-            ~halted ~max_rounds:(n + 1) ())
+        ~want:(Naive.run ~topo ~init ~step ~halted ~max_rounds:(n + 1))
+        ~records:
+          (Naive.records ~sched:Engine.Active_set ~stop ~topo ~init ~step
+             ~halted ~equal:Int.equal ())
         ~local:
           (run_local ~sched:Engine.Active_set ~topo
-             ~kernel_for:(Kernels.mis_local_max ~ids)
-             (Engine.Halted (n + 1))))
+             ~kernel_for:(Kernels.mis_local_max ~ids) stop))
 
 let prop_run_rounds_differential =
   QCheck.Test.make ~name:"run_rounds: shard x pool == seq, exact count"
@@ -308,18 +301,17 @@ let prop_run_rounds_differential =
       let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 5) in
       let topo = Topology.compile (Semi_graph.of_graph g) in
       let r = 3 + (seed mod 5) in
+      let stop = Engine.Rounds r and step = Naive.max_step in
       let init v = ids.(v) in
-      let step ~round:_ ~node:_ s ~neighbors =
-        List.fold_left (fun acc (_, _, su) -> max acc su) s neighbors
-      in
-      let seq trace =
-        Engine.run_rounds ~mode:Engine.Seq ~trace ~topo ~init ~step ~rounds:r ()
-      in
-      (fst (traced seq)).Engine.rounds = r
-      && local_matches_seq ~word:Fun.id ~seq
+      let want = Naive.run_rounds ~topo ~init ~step ~rounds:r in
+      want.Naive.rounds = r
+      && local_matches_seq ~word:Fun.id ~want
+           ~records:
+             (Naive.records ~sched:Engine.Active_set ~stop ~topo ~init ~step
+                ~equal:Int.equal ())
            ~local:
              (run_local ~sched:Engine.Active_set ~topo
-                ~kernel_for:(max_kernel ids) (Engine.Rounds r)))
+                ~kernel_for:(max_kernel ids) stop))
 
 (* ---------- spans: the per-shard observability contract ---------- *)
 

@@ -164,8 +164,8 @@ let test_cv_large_ids () =
   check "rounds small" true (rounds <= 16)
 
 let test_cv_runtime_differential () =
-  (* the Runtime state-machine execution must also produce a proper
-     3-coloring, within its fixed a-priori schedule *)
+  (* the state-machine execution on the naive LOCAL oracle must also
+     produce a proper 3-coloring, within its fixed a-priori schedule *)
   List.iter
     (fun g ->
       let n = Graph.n_nodes g in
@@ -173,11 +173,12 @@ let test_cv_runtime_differential () =
       let ids = Ids.permuted ~n ~seed:21 in
       let sg = Semi_graph.of_graph g in
       let colors, rounds =
-        CV.color3_runtime ~sg ~nodes:(all_nodes g) ~parent ~ids ()
+        Naive.cv_color3 ~sg ~nodes:(all_nodes g) ~parent ~ids
       in
       check "runtime CV proper" true
         (proper_forest_coloring g parent colors (all_nodes g));
-      check_int "runtime CV schedule" (CV.schedule_length ~max_id:(Ids.max_id ids))
+      check_int "runtime CV schedule"
+        (Naive.schedule_length ~max_id:(Ids.max_id ids))
         rounds;
       (* the array implementation finishes no later than the fixed
          schedule (it detects convergence early) *)
@@ -199,7 +200,7 @@ let prop_cv_runtime_proper =
       let parent = Tree.parents_forest g in
       let ids = Ids.permuted ~n ~seed:(seed + 1) in
       let sg = Semi_graph.of_graph g in
-      let colors, _ = CV.color3_runtime ~sg ~nodes:(all_nodes g) ~parent ~ids () in
+      let colors, _ = Naive.cv_color3 ~sg ~nodes:(all_nodes g) ~parent ~ids in
       proper_forest_coloring g parent colors (all_nodes g))
 
 (* ---------- Linial ---------- *)
