@@ -99,15 +99,19 @@ examples-smoke:
 	done
 
 # End-to-end smoke of the serving layer: the example client spawns the
-# real daemon over pipes (cold request, warm cache-hit repeat, stats,
-# shutdown); the grep asserts the clean exit and the digest check
-# asserts cold and warm served bit-identical results.
+# real daemon over pipes (cold request, warm cache-hit repeat, a proc:4
+# flood and its seq twin on one instance, stats, shutdown); the greps
+# assert the clean exit, that the seq flood reused the snapshot the proc
+# flood compiled (one topo hit, one topo miss), and the digest checks
+# that cold and warm, and proc and seq, served bit-identical results.
 serve-smoke:
 	dune build bin/tree_local_serve.exe examples/serve_client.exe
 	dune exec examples/serve_client.exe | tee serve_smoke.out
 	grep -q "daemon exited cleanly" serve_smoke.out
 	test "$$(grep -oE 'digest=[0-9a-f]+' serve_smoke.out | head -2 | sort -u | wc -l)" -eq 1
 	grep -q "cache_hit=true" serve_smoke.out
+	grep -q "topo:cache_hit=1 topo:cache_miss=1" serve_smoke.out
+	test "$$(grep -E '^  (proc|seq) ' serve_smoke.out | grep -oE 'digest=[0-9a-f]+' | sort | uniq -c | awk '{print $$1}')" = 2
 	grep -q "pool-spawns first=[0-9]* second=[0-9]* stable=true" serve_smoke.out
 	rm -f serve_smoke.out
 

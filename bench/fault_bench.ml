@@ -2,12 +2,16 @@
 
    Two questions, answered on one random tree:
 
-   1. Does incremental repair beat recomputing from scratch? For crash
+   1. What does incremental repair cost against recomputing from
+      scratch? For crash
       rates in {0.1%, 1%, 5%} we converge flood once, crash a seeded
       random node set (the same sampler the chaos schedules use), and
       time (a) Repair.repair_flood over the suspect components against
       (b) a full Topology.compile + re-run of the chaos kernel on the
-      damaged view (Coordinator.run_kernel in seq mode).
+      damaged view (Coordinator.run_kernel in seq mode). The speedup
+      column is recompute / repair per row; no verdict is drawn from
+      it, since at the higher rates the flat recompute runs as fast as
+      the repair (EXPERIMENTS B13).
       Both arms see identical surgery; the repaired labeling must be
       bit-identical to the recomputed one on survivors, and both must
       pass the validity checker. One MIS row rides along at the 1%
@@ -243,12 +247,9 @@ let run () =
        rows);
   let all_valid = List.for_all (fun r -> r.valid) rows in
   let all_identical = List.for_all (fun r -> r.identical) rows in
-  let flood_faster = List.for_all (fun r -> r.repair_t <= r.recompute_t) rows in
   Printf.printf "\nall repairs valid: %s   deterministic: %s\n"
     (Util.pass_fail all_valid)
     (Util.pass_fail all_identical);
-  Printf.printf "incremental repair <= full recompute on every row: %s\n"
-    (Util.pass_fail flood_faster);
   (* ---- disarmed vs armed-empty gate overhead, B10-style ---- *)
   let flood () =
     let o = converge_flood ~topo:topo0 ~n in

@@ -99,13 +99,11 @@ type pool_row = {
   identical : bool;  (* labeling bit-identical to the width-1 run *)
 }
 
-(* Best-of-[reps]; clears the topology compile cache before every run so
-   each width starts cold and repeated runs don't pin big snapshots. *)
+(* Best-of-[reps]. *)
 let bench_pool_widths ~reps ~run ~labels =
   let time w =
     let best = ref infinity and result = ref None in
     for _ = 1 to reps do
-      Topology.clear_cache ();
       let t0 = Unix.gettimeofday () in
       let r = run w in
       let dt = Unix.gettimeofday () -. t0 in
@@ -311,9 +309,6 @@ let run_pool () =
   in
   Printf.printf "\nbase algorithm A, one seq run per kernel and size (s):\n";
   Util.table ~header:([ "kernel"; "n"; "base" ] @ steps) split_rows;
-  let hits, misses = Topology.cache_stats () in
-  Printf.printf "\ntopology compile cache over this process: %d hit(s), %d miss(es)\n"
-    hits misses;
   merge_into_engine_json ~file:"BENCH_engine.json"
     (List.map (fun (name, n, rows) -> pool_kernel_json ~name ~n rows) kernels);
   Printf.printf "merged %d pool kernels into BENCH_engine.json\n"
@@ -332,7 +327,11 @@ let run_pool () =
    "metrics-off" / "metrics-on"), so bench/regress.exe gates the
    instrumentation cost like any other kernel; the acceptance bar —
    metrics-on within 3% of metrics-off — is printed as its own check
-   (with the regress absolute floor for smoke-sized runs). Size is
+   (with the regress absolute floor for smoke-sized runs). The check
+   reads the median of the interleaved pairs' on/off ratios, not the
+   two minima: on the ~0.3 s flood the best-of spread exceeds 3% on
+   both sides, so comparing minima failed unchanged code in about half
+   the runs. Size is
    overridable via TL_METRICS_BENCH_N (CI smoke). *)
 
 module Metrics = Tl_obs.Metrics
@@ -357,12 +356,11 @@ let run_metrics () =
     (o.Flat.slab, o.Flat.rounds)
   in
   let reps = if n >= 500_000 then 5 else 7 in
-  (* One untimed warmup per arm, then interleaved off/on trials: each
-     rep times the off arm and the on arm back to back, so page-cache
-     state and machine-load drift land on both arms alike. (The old
-     all-off-then-all-on ordering let whichever arm ran first absorb
-     the cold start — "on" would occasionally beat "off" on run order
-     alone.) *)
+  (* One untimed warmup per arm, then interleaved off/on pairs: each
+     rep times the two arms back to back, the first arm alternating
+     between reps, so page-cache state, machine-load drift and any
+     second-run advantage land on both arms alike. (With off always
+     first, "on" read 1-11% faster in the median pair.) *)
   Metrics.disable ();
   let off_r = ref (flood ()) in
   Metrics.enable ();
@@ -374,15 +372,24 @@ let run_metrics () =
     (r, Unix.gettimeofday () -. t0)
   in
   let best_off = ref infinity and best_on = ref infinity in
-  for _ = 1 to reps do
-    Metrics.disable ();
+  let pairs = ref [] in
+  let arm ~enabled best last =
+    if enabled then Metrics.enable () else Metrics.disable ();
     let r, dt = time flood in
-    if dt < !best_off then best_off := dt;
-    off_r := r;
-    Metrics.enable ();
-    let r, dt = time flood in
-    if dt < !best_on then best_on := dt;
-    on_r := r
+    if dt < !best then best := dt;
+    last := r;
+    dt
+  in
+  for rep = 1 to reps do
+    let pair =
+      if rep mod 2 = 1 then
+        let off_dt = arm ~enabled:false best_off off_r in
+        (off_dt, arm ~enabled:true best_on on_r)
+      else
+        let on_dt = arm ~enabled:true best_on on_r in
+        (arm ~enabled:false best_off off_r, on_dt)
+    in
+    pairs := pair :: !pairs
   done;
   let off_r = !off_r and on_r = !on_r in
   let off_t = !best_off and on_t = !best_on in
@@ -392,9 +399,13 @@ let run_metrics () =
   in
   Metrics.disable ();
   let identical = off_r = on_r in
-  let overhead_pct =
-    if off_t > 0. then 100. *. ((on_t -. off_t) /. off_t) else 0.
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
   in
+  let ratio = median (List.map (fun (off, on) -> on /. off) !pairs) in
+  let gap = median (List.map (fun (off, on) -> on -. off) !pairs) in
   Util.table
     ~header:[ "mode"; "rounds"; "wall s"; "identical" ]
     [
@@ -407,9 +418,13 @@ let run_metrics () =
   Printf.printf "\nengine counters while enabled: runs=%d steps=%d (%s)\n"
     runs_seen steps_seen
     (Util.pass_fail (runs_seen = reps && steps_seen > 0));
-  Printf.printf "metrics-on within 3%% of metrics-off: %s (%+.2f%%)\n"
-    (Util.pass_fail (on_t <= off_t *. 1.03 || on_t <= off_t +. 0.005))
-    overhead_pct;
+  Printf.printf
+    "metrics-on within 3%% of metrics-off (median of %d interleaved \
+     pairs): %s (%+.2f%%, %+.4f s)\n"
+    reps
+    (Util.pass_fail (ratio <= 1.03 || gap <= 0.005))
+    (100. *. (ratio -. 1.))
+    gap;
   merge_into_engine_json ~file:"BENCH_engine.json"
     [
       Json.Obj
@@ -660,9 +675,8 @@ let proc_bench_n () =
   | Some n when n > 1 -> n
   | _ -> 1_000_000
 
-(* Best-of-[reps] with the shard-plan and topology caches cleared before
-   every run (each mode pays its plan build cold, fork and prologue
-   shipping included) and an untimed pre-rep compaction: plan and
+(* Best-of-[reps]; every run builds its own plan (fork and prologue
+   shipping included), after an untimed pre-rep compaction: plan and
    per-shard context building allocate many large arrays, which crawl
    through a fragmented major heap left behind by whatever ran before —
    untimed defragmentation removes that noise. One untimed run first:
@@ -674,8 +688,6 @@ let bench_proc_arm ~reps f =
   ignore (f ());
   let best = ref infinity and result = ref None in
   for _ = 1 to reps do
-    Shard_plan.clear_cache ();
-    Topology.clear_cache ();
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
     let r = f () in

@@ -306,7 +306,6 @@ let solve problem method_ family n seed a delta k pool profile report_fmt =
   | Ok (P.Flood | P.Chaos) ->
     `Error (false, problem ^ " is an engine workload: run it with chaos")
   | Ok (P.Solve p) -> (
-    Tl_engine.Pool.default_workers := pool;
     setup_profile profile report_fmt;
     Span.set_attr "problem" problem;
     Span.set_attr "method" method_;
@@ -318,7 +317,7 @@ let solve problem method_ family n seed a delta k pool profile report_fmt =
       Span.with_span "instance" (fun () -> build_instance family n seed a delta)
     in
     let ids = Ids.permuted ~n:(Graph.n_nodes graph) ~seed:(seed + 1) in
-    match p.P.solve ~graph ~ids ~a ~k with
+    match p.P.solve ~graph ~ids ~a ~k ~workers:pool with
     | Error msg -> `Error (false, msg)
     | Ok s -> `Ok (report p.P.title s))
 
@@ -437,12 +436,11 @@ let chaos_problem_arg =
     & opt (enum [ ("flood", Flood); ("mis", Mis) ]) Flood
     & info [ "problem" ] ~docv:"P" ~doc)
 
-let chaos problem family n seed a delta engine pool faults trace profile
+let chaos problem family n seed a delta engine faults trace profile
     report_fmt =
   let module Chaos = Tl_fault.Chaos in
   let module Injector = Tl_fault.Injector in
   setup_trace trace;
-  Tl_engine.Pool.default_workers := pool;
   setup_profile profile report_fmt;
   let schedule = Option.value faults ~default:Tl_fault.Schedule.empty in
   let g = build_instance family n seed a delta in
@@ -481,18 +479,20 @@ let chaos_cmd =
     "Run a workload under a deterministic fault schedule and repair the \
      damage incrementally."
   in
-  let chaos_checked problem family n seed a delta engine pool faults trace
+  (* chaos creates no pool (neither Chaos nor Repair fans out), so it
+     takes no width; only the engine mode is checked *)
+  let chaos_checked problem family n seed a delta engine faults trace
       profile report_fmt =
-    with_knobs ~engine ~pool ~n (fun mode ->
+    with_knobs ~engine ~pool:1 ~n (fun mode ->
         `Ok
-          (chaos problem family n seed a delta mode pool faults trace profile
+          (chaos problem family n seed a delta mode faults trace profile
              report_fmt))
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       ret
         (const chaos_checked $ chaos_problem_arg $ family_arg $ n_arg
-       $ seed_arg $ a_arg $ delta_arg $ engine_arg $ pool_arg $ faults_arg
+       $ seed_arg $ a_arg $ delta_arg $ engine_arg $ faults_arg
        $ trace_arg $ profile_arg $ report_fmt_arg))
 
 (* ---------- predict ---------- *)

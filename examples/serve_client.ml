@@ -32,7 +32,10 @@ let spec = P.Family { family = "random-tree"; n = 2000; seed = 42; a = 1; delta 
 
 (* The flood runs on the process backend (proc:4), which forks its
    workers — so it goes before any pooled request parks domains in the
-   daemon (OCaml forbids fork after a domain spawn). Pooled requests:
+   daemon (OCaml forbids fork after a domain spawn). Its seq twin on the
+   same spec follows at once: it reuses the snapshot the proc flood
+   compiled into the instance entry (one topo:cache_miss, then one
+   topo:cache_hit) and must answer the same digest. Pooled requests:
    pool:4 parks a 4-wide domain team in the daemon; the two metrics
    scrapes bracketing them assert the team spawns once and is reused for
    every later job (no per-request domain churn). *)
@@ -45,6 +48,8 @@ let requests =
     P.request_to_json
       (P.request ~id:"proc" ~problem:"flood" ~spec ~engine:"proc:4"
          ~want_span:false ());
+    P.request_to_json
+      (P.request ~id:"seq" ~problem:"flood" ~spec ~want_span:false ());
     P.request_to_json
       (P.request ~id:"pooled" ~problem:"coloring" ~spec ~pool:4
          ~want_span:false ());
@@ -88,7 +93,10 @@ let describe line =
           match List.assoc_opt key kvs with
           | Some v -> Printf.printf " %s=%d" key v
           | None -> ())
-        [ "received"; "served"; "serve:cache_hit"; "topo:cache_hit" ];
+        [
+          "received"; "served"; "serve:cache_hit"; "topo:cache_hit";
+          "topo:cache_miss";
+        ];
       print_newline ()
     | P.Metrics_report snap_json -> (
       match Tl_obs.Metrics.snapshot_of_json snap_json with

@@ -58,21 +58,21 @@ let edge_coloring_spec =
     solve_node_list = Tl_problems.Edge_coloring.solve_node_list;
   }
 
-let mis_on_tree ?k ~tree ~ids () =
+let mis_on_tree ?workers ?k ~tree ~ids () =
   let r =
-    Theorem1.run ?k ~spec:mis_spec ~tree ~ids ~f:Complexity.f_linear ()
+    Theorem1.run ?workers ?k ~spec:mis_spec ~tree ~ids ~f:Complexity.f_linear ()
   in
   finish Tl_problems.Mis.problem tree r.labeling r.cost r.k
 
-let coloring_on_tree ?k ~tree ~ids () =
+let coloring_on_tree ?workers ?k ~tree ~ids () =
   let r =
-    Theorem1.run ?k ~spec:coloring_spec ~tree ~ids ~f:Complexity.f_linear ()
+    Theorem1.run ?workers ?k ~spec:coloring_spec ~tree ~ids ~f:Complexity.f_linear ()
   in
   finish Tl_problems.Coloring.problem_deg_plus_one tree r.labeling r.cost r.k
 
-let delta_coloring_on_tree ?k ~tree ~ids () =
+let delta_coloring_on_tree ?workers ?k ~tree ~ids () =
   let r =
-    Theorem1.run ?k ~spec:coloring_spec ~tree ~ids ~f:Complexity.f_linear ()
+    Theorem1.run ?workers ?k ~spec:coloring_spec ~tree ~ids ~f:Complexity.f_linear ()
   in
   let delta = Graph.max_degree tree in
   finish
@@ -83,23 +83,23 @@ let sinkless_orientation_on_tree ~tree ~ids () =
   let labeling, cost = Sinkless.solve_on_tree tree ~ids in
   finish Tl_problems.Orientation.problem tree labeling cost 2
 
-let matching_on_graph ?rho ?k ~graph ~a ~ids () =
+let matching_on_graph ?workers ?rho ?k ~graph ~a ~ids () =
   let r =
-    Theorem2.run ?rho ?k ~spec:matching_spec ~graph ~a ~ids
+    Theorem2.run ?workers ?rho ?k ~spec:matching_spec ~graph ~a ~ids
       ~f:Complexity.f_linear ()
   in
   finish Tl_problems.Matching.problem graph r.labeling r.cost r.k
 
-let edge_coloring_on_graph ?rho ?k ~graph ~a ~ids () =
+let edge_coloring_on_graph ?workers ?rho ?k ~graph ~a ~ids () =
   let r =
-    Theorem2.run ?rho ?k ~spec:edge_coloring_spec ~graph ~a ~ids
+    Theorem2.run ?workers ?rho ?k ~spec:edge_coloring_spec ~graph ~a ~ids
       ~f:(Complexity.f_polylog ~exponent:12.0) ()
   in
   finish Tl_problems.Edge_coloring.problem graph r.labeling r.cost r.k
 
-let two_delta_edge_coloring_on_graph ?rho ?k ~graph ~a ~ids () =
+let two_delta_edge_coloring_on_graph ?workers ?rho ?k ~graph ~a ~ids () =
   let r =
-    Theorem2.run ?rho ?k ~spec:edge_coloring_spec ~graph ~a ~ids
+    Theorem2.run ?workers ?rho ?k ~spec:edge_coloring_spec ~graph ~a ~ids
       ~f:(Complexity.f_polylog ~exponent:12.0) ()
   in
   let delta = Graph.max_degree graph in

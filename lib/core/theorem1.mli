@@ -56,14 +56,12 @@ val run :
     component completion ({!Tl_problems.Nec.validate_partial}).
 
     Every phase is a direct loop; the run makes no engine run. [T_C] is
-    a fresh view per run, and base algorithm A compiles it outside
-    {!Tl_engine.Topology}'s snapshot cache, so the run leaves no
-    snapshot behind. Phase 3 builds no semi-graph for [T_R] and compiles nothing:
+    a fresh view per run, compiled once by base algorithm A. Phase 3 builds no semi-graph for [T_R] and compiles nothing:
     {!Tl_decompose.Rake_compress.raked_components} finds the components,
     their highest nodes and those nodes' eccentricities in one BFS over
     the tree's rows, sequentially, and the charge is twice the largest
-    eccentricity. [workers] (default {!Tl_engine.Pool.default_workers},
-    i.e. the CLI's [--pool N]) fans out only the [solve_edge_list] calls,
+    eccentricity. [workers] (default [1]; the CLI's [--pool N]) fans
+    out only the [solve_edge_list] calls,
     over that many OCaml 5 domains via {!Tl_engine.Pool}; each call
     writes only the half-edges of its own (node-disjoint) component, so
     the labeling and the ledger are bit-identical to the sequential run

@@ -55,7 +55,7 @@ val run :
     is asserted after the base phase and after each star family
     ({!Tl_problems.Nec.validate_partial}).
 
-    [workers] (default {!Tl_engine.Pool.default_workers}) fans each star
+    [workers] (default [1]; the CLI's [--pool N]) fans each star
     class [F_{i,j}] over that many OCaml 5 domains via
     {!Tl_engine.Pool}: stars of a class are node-disjoint (asserted
     under [check_invariants] before fan-out), classes stay strictly

@@ -1,21 +1,19 @@
 type t = { workers : int }
 
-let default_workers = ref 1
-
 (* Observation hook, owned by Tl_obs.Metrics (above this library in the
    DAG): called once per map on the coordinating domain, before any
    worker runs. *)
 let tap : (tasks:int -> workers:int -> unit) option ref = ref None
 
-let create ?workers () =
-  let w = match workers with Some w -> w | None -> !default_workers in
-  if w < 1 then
-    invalid_arg (Printf.sprintf "Pool.create: workers must be >= 1 (got %d)" w);
-  if w > Team.max_workers then
+let create ?(workers = 1) () =
+  if workers < 1 then
+    invalid_arg
+      (Printf.sprintf "Pool.create: workers must be >= 1 (got %d)" workers);
+  if workers > Team.max_workers then
     invalid_arg
       (Printf.sprintf "Pool.create: workers must be <= %d (got %d)"
-         Team.max_workers w);
-  { workers = w }
+         Team.max_workers workers);
+  { workers }
 
 let workers t = t.workers
 let prewarm t = Team.prewarm t.workers

@@ -33,15 +33,13 @@ val tap : (tasks:int -> workers:int -> unit) option ref
     any worker spawns. Owned by [Tl_obs.Metrics.enable] (the registry
     sits above this library in the DAG); the callback must not raise. *)
 
-val default_workers : int ref
-(** Worker count used when {!create} gets no explicit [workers] — the
-    CLI's [--pool N] sets this once at startup. Defaults to [1]
-    (sequential everywhere unless opted in). *)
-
 val create : ?workers:int -> unit -> t
 (** [create ?workers ()] — a pool descriptor (the domains themselves are
     owned by the process-wide {!Team} and shared between pools).
-    [workers] defaults to [!default_workers]. Raises [Invalid_argument]
+    [workers] defaults to [1] (sequential unless the caller opts in;
+    the width is an argument of each run, never process state — the
+    CLI's [--pool N] and a served request's [pool] pass it down through
+    {!Tl_core.Pipeline}). Raises [Invalid_argument]
     with an explicit message when [workers] is outside [[1, 64]] — the
     bound used to be a silent clamp, which hid typo'd [--pool 640] runs
     behind plausible timings. *)

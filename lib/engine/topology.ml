@@ -62,59 +62,7 @@ let compile sg =
   { sg; n_base = n; n_present = !n_present; present; present_nodes;
     off; adj; eid }
 
-(* ---------- compile cache ----------
-
-   Keyed by view identity: (Semi_graph.stamp, Semi_graph.generation).
-   The stamp is unique per view and the generation bumps on every mask
-   mutation, so a stale snapshot can never be served — mutation simply
-   makes the old key unreachable. Bounded FIFO eviction (a snapshot pins
-   its semi-graph, so an unbounded cache would pin every view ever
-   compiled). The mutex makes the cache safe to reach from pool workers;
-   the counters are atomics so hit/miss accounting stays exact under
-   concurrent compiles. *)
-
-let cache : (int * int, t) Hashtbl.t = Hashtbl.create 64
-let cache_order : (int * int) Queue.t = Queue.create ()
-let cache_limit = ref 64
-let cache_mutex = Mutex.create ()
-let cache_hits = Atomic.make 0
-let cache_misses = Atomic.make 0
-
-let cache_stats () = (Atomic.get cache_hits, Atomic.get cache_misses)
-
-let clear_cache () =
-  Mutex.protect cache_mutex (fun () ->
-      Hashtbl.reset cache;
-      Queue.clear cache_order)
-
-let set_cache_limit n =
-  if n < 0 then invalid_arg "Topology.set_cache_limit: negative limit";
-  Mutex.protect cache_mutex (fun () -> cache_limit := n);
-  if n = 0 then clear_cache ()
-
-let compile_cached_stat sg =
-  let key = (Semi_graph.stamp sg, Semi_graph.generation sg) in
-  let cached =
-    Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache key)
-  in
-  match cached with
-  | Some t ->
-    Atomic.incr cache_hits;
-    (t, true)
-  | None ->
-    Atomic.incr cache_misses;
-    let t = compile sg in
-    Mutex.protect cache_mutex (fun () ->
-        if !cache_limit > 0 && not (Hashtbl.mem cache key) then begin
-          while Queue.length cache_order >= !cache_limit do
-            Hashtbl.remove cache (Queue.pop cache_order)
-          done;
-          Hashtbl.add cache key t;
-          Queue.push key cache_order
-        end);
-    (t, false)
-
-let compile_cached sg = fst (compile_cached_stat sg)
+let clear_cache () = ()
 
 let n_base t = t.n_base
 let n_present t = t.n_present

@@ -27,35 +27,17 @@ type t = private {
 
 val compile : Tl_graph.Semi_graph.t -> t
 (** Flatten the rank-2 adjacency of a semi-graph. [O(n + m)]. Always
-    compiles afresh; see {!compile_cached} for the memoizing variant. *)
-
-val compile_cached : Tl_graph.Semi_graph.t -> t
-(** {!compile} memoized on the view's identity
-    [(Semi_graph.stamp, Semi_graph.generation)]: repeated engine runs
-    over the same view (the daemon's warm [flood] requests, the epochs
-    of a chaos run) reuse one CSR snapshot instead of recompiling per
-    run. Any {!Tl_graph.Semi_graph.hide_node} /
-    [hide_edge] bumps the generation and thereby invalidates the cached
-    snapshot. The cache is bounded (FIFO, default 64 snapshots — a
-    snapshot pins its semi-graph) and safe to call from multiple
-    domains. *)
-
-val compile_cached_stat : Tl_graph.Semi_graph.t -> t * bool
-(** {!compile_cached} plus whether this call was a cache hit, for
-    callers that surface per-compile hit/miss observability. *)
-
-val cache_stats : unit -> int * int
-(** [(hits, misses)] of {!compile_cached} since start (or the last
-    process-wide reset — the counters are never cleared by
-    {!clear_cache}). *)
+    compiles afresh: the library keeps no snapshot across calls. A
+    caller that runs many times over one unchanged view compiles it once
+    and holds the result — the serving daemon keeps each instance's
+    snapshot in its bounded instance cache, and a chaos run recompiles
+    only after an event round changed its view. *)
 
 val clear_cache : unit -> unit
-(** Drop every cached snapshot (counters are kept). *)
-
-val set_cache_limit : int -> unit
-(** Maximum number of cached snapshots; [0] disables caching
-    ({!compile_cached} degrades to {!compile} plus a miss count).
-    Raises [Invalid_argument] on a negative limit. *)
+(** Does nothing. There is no process-wide snapshot cache to clear; the
+    function stays only because the end-to-end benchmark
+    (bench/e2e/batch.ml's [settle]) still calls it, and goes when that
+    benchmark drops the call. *)
 
 val n_base : t -> int
 val n_present : t -> int

@@ -205,7 +205,7 @@ let run ?(mode = Engine.Seq) ~graph ~problem ~schedule () =
       if !deaths > 0 then Metrics.incr (Lazy.force m_deaths) !deaths;
       if !recovered > 0 then Metrics.incr (Lazy.force m_recoveries) !recovered
     end;
-    List.rev !suspects
+    (List.rev !suspects, !deaths > 0 || !any_recover)
   in
   let finished = ref false in
   Span.with_span "fault:chaos"
@@ -215,14 +215,16 @@ let run ?(mode = Engine.Seq) ~graph ~problem ~schedule () =
         ("mode", Engine.mode_to_string mode);
       ]
   @@ fun () ->
+  (* the epochs' snapshot: recompiled only when an event round changed
+     the view, so a retry or an eventless epoch reuses it *)
+  let topo = ref (Topology.compile !sg) in
   while not !finished do
     incr epochs;
     Injector.set_base inj !base;
-    let topo = Topology.compile_cached !sg in
-    let outcome = run_epoch_retrying topo in
+    let outcome = run_epoch_retrying !topo in
     Array.iter
       (fun v -> labels.(v) <- outcome.Flat.slab.(v))
-      topo.Topology.present_nodes;
+      !topo.Topology.present_nodes;
     base := !base + outcome.Flat.rounds;
     rounds := !rounds + outcome.Flat.rounds;
     match Injector.next_topo_round inj with
@@ -232,7 +234,8 @@ let run ?(mode = Engine.Seq) ~graph ~problem ~schedule () =
          ticking through no-op rounds *)
       if !base < r then base := r;
       let events = Injector.take_topo_due inj ~round:!base in
-      let suspects = apply_events events in
+      let suspects, changed = apply_events events in
+      if changed then topo := Topology.compile !sg;
       if is_stale () then begin
         let _ = timed_repair ~suspects in
         if is_stale () then

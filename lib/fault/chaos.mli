@@ -1,16 +1,17 @@
 (** Chaos runs: drive a workload under an armed fault schedule, repair
     the damage, and prove the surviving graph valid.
 
-    A chaos run is an {e epoch loop}. Each epoch compiles the current
-    surviving view ({!Tl_engine.Topology.compile_cached} — repeated
-    epochs over an unchanged view reuse one snapshot) and runs the
-    workload's flat kernel ({!Tl_engine.Flat.Kernels.flood} or
-    [mis_local_max]) from the current labels, in the chosen engine mode,
-    through {!Tl_proc.Coordinator.run_kernel}.
+    A chaos run is an {e epoch loop}. Each epoch runs the workload's
+    flat kernel ({!Tl_engine.Flat.Kernels.flood} or [mis_local_max])
+    from the current labels, in the chosen engine mode, through
+    {!Tl_proc.Coordinator.run_kernel}, over a {!Tl_engine.Topology}
+    snapshot of the current surviving view. The snapshot is compiled at
+    the first epoch and again only after an event round that hid a node
+    or rebuilt the view, so epochs over an unchanged view (and proc
+    retries) share one.
     The armed {!Injector} gate interrupts the run at the round boundary
     before the next crash / recover event; the orchestrator then applies
-    the topology surgery ([hide_node] for crashes — a generation bump
-    that invalidates every cached artifact; a fresh
+    the topology surgery ([hide_node] for crashes; a fresh
     [Semi_graph.of_node_subset] for recoveries, since views only
     shrink), repairs any staleness the surgery created, and loops. When
     a run converges {e before} the next scheduled event, the clock

@@ -62,9 +62,8 @@ val repair_mis :
   graph:Graph.t -> sg:Semi_graph.t -> ids:int array -> labels:int array ->
   stats
 (** Violation scan, reset, region re-run ({!Tl_engine.Flat.exec} of the
-    MIS kernel from the current labels, over an uncached
-    {!Tl_engine.Topology.compile} — repair views are one-shot and must
-    not evict the main run's cached snapshots), splice back into
+    MIS kernel from the current labels, over a one-shot
+    {!Tl_engine.Topology.compile} of the region), splice back into
     [labels]. [ids] must be distinct, as the kernel requires. Raises
     [Failure] only if the region re-run exceeds its round budget, which
     a finite region with distinct ids cannot. *)

@@ -2,14 +2,7 @@ type t = {
   base : Graph.t;
   node_in : bool array;
   edge_in : bool array;
-  stamp : int;  (* unique per view — identity key for compiled snapshots *)
-  mutable generation : int;  (* bumped by every mask mutation *)
 }
-
-(* Views can be constructed from any domain (the pool's workers build
-   sub-views); the stamp counter is the only cross-view shared state. *)
-let next_stamp = Atomic.make 0
-let fresh_stamp () = Atomic.fetch_and_add next_stamp 1
 
 let of_node_subset base node_in =
   if Array.length node_in <> Graph.n_nodes base then
@@ -18,8 +11,7 @@ let of_node_subset base node_in =
   Graph.iter_edges
     (fun e (u, v) -> if node_in.(u) || node_in.(v) then edge_in.(e) <- true)
     base;
-  { base; node_in = Array.copy node_in; edge_in;
-    stamp = fresh_stamp (); generation = 0 }
+  { base; node_in = Array.copy node_in; edge_in }
 
 let of_edge_subset base edge_in =
   if Array.length edge_in <> Graph.n_edges base then
@@ -32,35 +24,21 @@ let of_edge_subset base edge_in =
         node_in.(v) <- true
       end)
     base;
-  { base; node_in; edge_in = Array.copy edge_in;
-    stamp = fresh_stamp (); generation = 0 }
+  { base; node_in; edge_in = Array.copy edge_in }
 
 let of_graph base =
   {
     base;
     node_in = Array.make (Graph.n_nodes base) true;
     edge_in = Array.make (Graph.n_edges base) true;
-    stamp = fresh_stamp ();
-    generation = 0;
   }
 
 let base t = t.base
-let stamp t = t.stamp
-let generation t = t.generation
 let node_present t v = t.node_in.(v)
 let edge_present t e = t.edge_in.(e)
 
-let hide_node t v =
-  if t.node_in.(v) then begin
-    t.node_in.(v) <- false;
-    t.generation <- t.generation + 1
-  end
-
-let hide_edge t e =
-  if t.edge_in.(e) then begin
-    t.edge_in.(e) <- false;
-    t.generation <- t.generation + 1
-  end
+let hide_node t v = t.node_in.(v) <- false
+let hide_edge t e = t.edge_in.(e) <- false
 
 let half_edge_present t h =
   t.edge_in.(Graph.half_edge_edge h) && t.node_in.(Graph.half_edge_node t.base h)

@@ -33,17 +33,6 @@ val of_graph : Graph.t -> t
 
 val base : t -> Graph.t
 
-val stamp : t -> int
-(** Unique id of this view, assigned at construction — together with
-    {!generation} it identifies the view's exact current contents, so
-    compiled snapshots ({!Tl_engine.Topology}) can be cached and reused
-    across repeated runtime phases over the same view. *)
-
-val generation : t -> int
-(** Mutation counter: [0] at construction, bumped by every effective
-    {!hide_node} / {!hide_edge}. A cached artifact keyed by
-    [(stamp, generation)] is automatically invalidated by mutation. *)
-
 val node_present : t -> int -> bool
 val edge_present : t -> int -> bool
 
@@ -51,8 +40,8 @@ val edge_present : t -> int -> bool
 
     Views are mutable only in the shrinking direction: a node or edge
     can be masked out of an existing view (cheaper than rebuilding the
-    view when peeling layers off a decomposition). Both operations bump
-    {!generation}; hiding an already-absent node/edge is a no-op. *)
+    view when peeling layers off a decomposition). Hiding an
+    already-absent node/edge is a no-op. *)
 
 val hide_node : t -> int -> unit
 val hide_edge : t -> int -> unit

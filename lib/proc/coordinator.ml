@@ -157,7 +157,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~trace ~kernel_for
        (OCaml 5 forbids fork after domain creation); run proc-mode work \
        before any par runs";
   let shape = Collective.shape_of_env () in
-  let plan, plan_hit = Plan.build_cached ~topo ~shards:(max 1 procs) in
+  let plan = Plan.build ~topo ~shards:(max 1 procs) in
   let shards = plan.Plan.shards in
   let size = Array.length shards in
   (* halo adjacency between shards, from the exchange route tables *)
@@ -436,7 +436,7 @@ let with_cluster ~procs ~topo ~stop:policy ~sched ~trace ~kernel_for
     Fun.protect
       ~finally:(fun () ->
         cleanup ();
-        Local.report plan ~plan_hit ~shape:(Collective.code_of_shape shape)
+        Local.report plan ~shape:(Collective.code_of_shape shape)
           ~latency_s:(now () -. t_start)
           (fun rank ->
             if have_epi.(rank) then Some (epi_halo.(rank), epi_exch.(rank))

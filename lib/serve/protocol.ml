@@ -446,17 +446,17 @@ let of_raw ~graph ~problem (labeling, cost) =
 type pipeline = {
   title : string;
   solve :
-    graph:Graph.t -> ids:int array -> a:int -> k:int option ->
+    graph:Graph.t -> ids:int array -> a:int -> k:int option -> workers:int ->
     (solution, string) result;
 }
 
 type workload = Solve of pipeline | Flood | Chaos
 
 let pipeline ?tree_only title run =
-  let solve ~graph ~ids ~a ~k =
+  let solve ~graph ~ids ~a ~k ~workers =
     match tree_only with
     | Some msg when not (Props.is_tree graph) -> Stdlib.Error msg
-    | _ -> Ok (run ~graph ~ids ~a ~k)
+    | _ -> Ok (run ~graph ~ids ~a ~k ~workers)
   in
   Solve { title; solve }
 
@@ -467,43 +467,49 @@ let workloads =
   [
     ( ("mis", "transform"),
       pipeline ~tree_only:(theorem12 "mis") "MIS (Theorem 12)"
-        (fun ~graph ~ids ~a:_ ~k ->
-          of_report ~graph (Pipeline.mis_on_tree ?k ~tree:graph ~ids ())) );
+        (fun ~graph ~ids ~a:_ ~k ~workers ->
+          of_report ~graph
+            (Pipeline.mis_on_tree ~workers ?k ~tree:graph ~ids ())) );
     ( ("coloring", "transform"),
       pipeline ~tree_only:(theorem12 "coloring") "(deg+1)-coloring (Theorem 12)"
-        (fun ~graph ~ids ~a:_ ~k ->
+        (fun ~graph ~ids ~a:_ ~k ~workers ->
           of_report ~graph
-            (Pipeline.coloring_on_tree ?k ~tree:graph ~ids ())) );
+            (Pipeline.coloring_on_tree ~workers ?k ~tree:graph ~ids ())) );
     ( ("matching", "transform"),
-      pipeline "maximal matching (Theorem 15)" (fun ~graph ~ids ~a ~k ->
-          of_report ~graph (Pipeline.matching_on_graph ?k ~graph ~a ~ids ())) );
+      pipeline "maximal matching (Theorem 15)"
+        (fun ~graph ~ids ~a ~k ~workers ->
+          of_report ~graph
+            (Pipeline.matching_on_graph ~workers ?k ~graph ~a ~ids ())) );
     ( ("edge-coloring", "transform"),
       pipeline "(edge-degree+1)-edge coloring (Theorem 15)"
-        (fun ~graph ~ids ~a ~k ->
+        (fun ~graph ~ids ~a ~k ~workers ->
           of_report ~graph
-            (Pipeline.edge_coloring_on_graph ?k ~graph ~a ~ids ())) );
+            (Pipeline.edge_coloring_on_graph ~workers ?k ~graph ~a ~ids ())) );
     ( ("mis", "direct"),
-      pipeline "MIS (direct)" (fun ~graph ~ids ~a:_ ~k:_ ->
+      pipeline "MIS (direct)" (fun ~graph ~ids ~a:_ ~k:_ ~workers:_ ->
           of_report ~graph (Pipeline.mis_direct ~graph ~ids)) );
     ( ("coloring", "direct"),
-      pipeline "(deg+1)-coloring (direct)" (fun ~graph ~ids ~a:_ ~k:_ ->
+      pipeline "(deg+1)-coloring (direct)"
+        (fun ~graph ~ids ~a:_ ~k:_ ~workers:_ ->
           of_report ~graph (Pipeline.coloring_direct ~graph ~ids)) );
     ( ("matching", "direct"),
-      pipeline "maximal matching (direct)" (fun ~graph ~ids ~a:_ ~k:_ ->
+      pipeline "maximal matching (direct)"
+        (fun ~graph ~ids ~a:_ ~k:_ ~workers:_ ->
           of_report ~graph (Pipeline.matching_direct ~graph ~ids)) );
     ( ("edge-coloring", "direct"),
       pipeline "(edge-degree+1)-edge coloring (direct)"
-        (fun ~graph ~ids ~a:_ ~k:_ ->
+        (fun ~graph ~ids ~a:_ ~k:_ ~workers:_ ->
           of_report ~graph (Pipeline.edge_coloring_direct ~graph ~ids)) );
     ( ("matching", "baseline"),
       pipeline ~tree_only:(baseline "matching")
-        "maximal matching (BE13-style baseline)" (fun ~graph ~ids ~a:_ ~k:_ ->
+        "maximal matching (BE13-style baseline)"
+        (fun ~graph ~ids ~a:_ ~k:_ ~workers:_ ->
           of_raw ~graph ~problem:Tl_problems.Matching.problem
             (Baseline.matching_on_tree ~tree:graph ~ids)) );
     ( ("edge-coloring", "baseline"),
       pipeline ~tree_only:(baseline "edge-coloring")
         "(edge-degree+1)-edge coloring (BE13-style baseline)"
-        (fun ~graph ~ids ~a:_ ~k:_ ->
+        (fun ~graph ~ids ~a:_ ~k:_ ~workers:_ ->
           of_raw ~graph ~problem:Tl_problems.Edge_coloring.problem
             (Baseline.edge_coloring_on_tree ~tree:graph ~ids)) );
     (("flood", "transform"), Flood);

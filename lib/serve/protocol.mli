@@ -96,8 +96,11 @@ type pipeline = private {
   title : string;  (** e.g. ["MIS (Theorem 12)"] *)
   solve :
     graph:Tl_graph.Graph.t -> ids:int array -> a:int -> k:int option ->
-    (solution, string) result;
-      (** [Error] when the method needs a tree and [graph] is not one *)
+    workers:int -> (solution, string) result;
+      (** [Error] when the method needs a tree and [graph] is not one.
+          [workers] is the pool width of the Theorem 12/15 pipelines
+          (the request's [pool], the CLI's [--pool]); the other methods
+          ignore it. *)
 }
 
 type workload = Solve of pipeline | Flood | Chaos

@@ -10,8 +10,6 @@ module Engine = Tl_engine.Engine
 module Flat = Tl_engine.Flat
 module Topology = Tl_engine.Topology
 module Trace = Tl_engine.Trace
-module Pool = Tl_engine.Pool
-module Plan = Tl_shard.Plan
 module Proc = Tl_proc.Coordinator
 module P = Protocol
 
@@ -48,15 +46,17 @@ type base = {
   b_cache_misses : int;
 }
 
-(* One cached instance per spec key. The semi-graph is lazy so pipeline
-   problems (which build their own internal views) never pay for it;
-   engine kernels (flood) force it once per instance, which is what
-   makes warm same-topology requests hit Topology.compile_cached and
-   Plan.build_cached instead of recompiling. *)
+(* One cached instance per spec key. The semi-graph and its compiled
+   snapshot are lazy so pipeline problems (which build their own
+   internal views) never pay for them; served flood forces [topo] once
+   per instance, and warm flood requests reuse it. The entry is the only
+   holder of the snapshot, so evicting it frees the snapshot with the
+   graph: [cache_slots] bounds what the daemon keeps. *)
 type instance = {
   graph : Graph.t;
   ids : int array;
   sg : Semi_graph.t Lazy.t;
+  topo : Topology.t Lazy.t;
 }
 
 type t = {
@@ -66,6 +66,9 @@ type t = {
   cache_order : string Queue.t;
   base : base;
   mutable max_batch : int;  (* a maximum, not a counter: kept per server *)
+  (* snapshot reuse across requests, per server like [max_batch] *)
+  mutable topo_hits : int;
+  mutable topo_misses : int;
   mutable shutdown : bool;
 }
 
@@ -91,6 +94,8 @@ let create ?(config = default_config) () =
         b_cache_misses = Metrics.counter_value m_cache_misses;
       };
     max_batch = 0;
+    topo_hits = 0;
+    topo_misses = 0;
     shutdown = false;
   }
 
@@ -98,8 +103,6 @@ let config t = t.cfg
 let shutdown_requested t = t.shutdown
 
 let stats t =
-  let topo_h, topo_m = Topology.cache_stats () in
-  let plan_h, plan_m = Plan.cache_stats () in
   [
     ("received", Metrics.counter_value m_received - t.base.b_received);
     ("served", Metrics.counter_value m_served - t.base.b_served);
@@ -111,10 +114,8 @@ let stats t =
     ("serve:cache_hit", Metrics.counter_value m_cache_hits - t.base.b_cache_hits);
     ( "serve:cache_miss",
       Metrics.counter_value m_cache_misses - t.base.b_cache_misses );
-    ("topo:cache_hit", topo_h);
-    ("topo:cache_miss", topo_m);
-    ("plan:cache_hit", plan_h);
-    ("plan:cache_miss", plan_m);
+    ("topo:cache_hit", t.topo_hits);
+    ("topo:cache_miss", t.topo_misses);
   ]
 
 (* ---------- instances ---------- *)
@@ -128,7 +129,8 @@ let build_instance spec =
   in
   (* same ID derivation as the CLI: permuted on seed + 1 *)
   let ids = Ids.permuted ~n:(Graph.n_nodes graph) ~seed:(seed + 1) in
-  { graph; ids; sg = lazy (Semi_graph.of_graph graph) }
+  let sg = lazy (Semi_graph.of_graph graph) in
+  { graph; ids; sg; topo = lazy (Topology.compile (Lazy.force sg)) }
 
 (* FIFO-bounded lookup; counts a hit/miss in the server stats and
    returns whether this call was served from cache. *)
@@ -184,14 +186,6 @@ let validate t (r : P.request) =
 
 (* ---------- execution ---------- *)
 
-(* The pool width is process state ([Pool.default_workers]): scope it
-   to the request. The engine mode is passed down to the runs that take
-   one instead. *)
-let with_pool ~pool f =
-  let saved = !Pool.default_workers in
-  Pool.default_workers := pool;
-  Fun.protect ~finally:(fun () -> Pool.default_workers := saved) f
-
 (* Collect every engine trace of [f] (chaining to any outer sink) to
    report the measured engine rounds per request. *)
 let with_trace_collector f =
@@ -208,14 +202,19 @@ let with_trace_collector f =
       let result = f () in
       (result, List.rev !traces))
 
+(* The instance's snapshot, counting whether an earlier request had
+   already compiled it. *)
+let snapshot t inst =
+  if Lazy.is_val inst.topo then t.topo_hits <- t.topo_hits + 1
+  else t.topo_misses <- t.topo_misses + 1;
+  Lazy.force inst.topo
+
 (* Flooding to a fixed point from node 0 — the flat flood kernel,
-   served straight off the cached semi-graph: warm requests hit
-   Topology.compile_cached (and Plan.build_cached in proc mode). The
-   verdict is Repair's O(n + m) checker: exactly node 0's component is
-   flooded. *)
-let flood ~mode inst =
+   served straight off the instance's snapshot. The verdict is Repair's
+   O(n + m) checker: exactly node 0's component is flooded. *)
+let flood t ~mode inst =
   let sg = Lazy.force inst.sg in
-  let topo = Topology.compile_cached sg in
+  let topo = snapshot t inst in
   let n = Graph.n_nodes inst.graph in
   let tr = Trace.create ~label:"serve:flood" () in
   let o =
@@ -239,7 +238,8 @@ let flood ~mode inst =
 
 (* A chaos run builds its own presence-masked views over the instance
    graph (crashes shrink them in place), so it must never touch the
-   cached [inst.sg] — warm non-chaos requests keep their snapshot. *)
+   cached [inst.sg] or [inst.topo] — warm flood requests keep their
+   snapshot. *)
 let chaos (r : P.request) ~mode inst =
   let schedule =
     match parse_faults r.faults with
@@ -270,13 +270,15 @@ let chaos (r : P.request) ~mode inst =
     violations = [];
   }
 
-let dispatch (r : P.request) ~workload ~mode inst =
+let dispatch t (r : P.request) ~workload ~mode inst =
   match workload with
-  | P.Flood -> flood ~mode inst
+  | P.Flood -> flood t ~mode inst
   | P.Chaos -> chaos r ~mode inst
   | P.Solve p -> (
     let a = match r.spec with P.Family { a; _ } -> a | P.Edges _ -> 1 in
-    match p.P.solve ~graph:inst.graph ~ids:inst.ids ~a ~k:r.k with
+    match
+      p.P.solve ~graph:inst.graph ~ids:inst.ids ~a ~k:r.k ~workers:r.pool
+    with
     | Ok s -> s
     | Error msg -> failwith msg)
 
@@ -315,8 +317,7 @@ let exec t (r : P.request) ~workload ~mode =
         Span.set_attr "spec" (P.spec_key r.spec);
         Span.add_counter "serve:cache_hit" (if cache_hit then 1 else 0);
         Span.add_counter "serve:cache_miss" (if cache_hit then 0 else 1);
-        with_pool ~pool:r.pool (fun () ->
-            with_trace_collector (fun () -> dispatch r ~workload ~mode inst)))
+        with_trace_collector (fun () -> dispatch t r ~workload ~mode inst))
   in
   let engine_rounds =
     List.fold_left (fun acc tr -> acc + (Trace.metrics tr).Trace.rounds) 0

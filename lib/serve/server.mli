@@ -2,7 +2,11 @@
 
     One server value owns a bounded {!Jobq} (the backpressure boundary)
     and a bounded instance cache (graph + ID assignment + lazily-built
-    semi-graph per {!Protocol.spec_key}). Running statistics live in the
+    semi-graph and {!Tl_engine.Topology} snapshot per
+    {!Protocol.spec_key}). The instance entry is the only place reuse
+    across requests lives — the library keeps no process-wide compile
+    or plan cache — so [cache_slots] bounds every graph and snapshot the
+    daemon holds. Running statistics live in the
     process-wide {!Tl_obs.Metrics} registry (enabled by {!create}, which
     also bridges the engine/pool hooks): the [stats] control reports
     per-server deltas against the registry values captured at creation,
@@ -28,9 +32,8 @@
       error (the backpressure contract: never a hang, never a drop);
     + drains the queue, {e batching} jobs by {!Protocol.spec_key}:
       groups run in first-seen order, members in admission order, so
-      same-topology requests reuse one cached instance (and, through
-      it, {!Tl_engine.Topology.compile_cached} snapshots and shard
-      {!Tl_shard.Plan}s) back to back;
+      same-topology requests reuse one cached instance (and, for
+      flood, its compiled snapshot) back to back;
     + answers control messages ([ping]/[stats]/[shutdown] — evaluated
       after the cycle's jobs; [shutdown] acks with a pong and stops the
       loop after the cycle);
@@ -42,10 +45,10 @@
     method on a non-tree instance a [failed] answer. Results are
     bit-identical to direct one-shot runs for every (engine, pool)
     knob: execution passes the request's
-    resolved engine mode to the runs that take one ([flood], [chaos]),
-    scopes the pool width to the request, and runs the very same
-    pipelines; cache reuse only skips instance construction, never
-    changes inputs. *)
+    resolved engine mode to the runs that take one ([flood], [chaos])
+    and its pool width to the pipelines, and runs the very same
+    pipelines; cache reuse only skips instance construction and
+    compilation, never changes inputs. *)
 
 type config = {
   depth : int;  (** job-queue depth (backpressure threshold) *)
@@ -68,9 +71,11 @@ val shutdown_requested : t -> bool
 val stats : t -> (string * int) list
 (** Running counters: [received] (solve requests), [served], [rejected],
     [errors], [batches], [max_batch], [queue_depth], [serve:cache_hit],
-    [serve:cache_miss], plus the process-wide engine cache counters
-    [topo:cache_hit]/[topo:cache_miss] ({!Tl_engine.Topology.cache_stats})
-    and [plan:cache_hit]/[plan:cache_miss] ({!Tl_shard.Plan.cache_stats}). *)
+    [serve:cache_miss], [topo:cache_hit] and [topo:cache_miss]. A flood
+    request counts a [topo:] hit when its instance's snapshot was
+    already compiled by an earlier request, a miss when it compiles it;
+    no other workload touches the snapshot. Every counter starts at [0]
+    for each {!create}d server. *)
 
 val handle_request : t -> Protocol.request -> Protocol.response
 (** Validate and execute one request directly (no queue, no batching) —

@@ -118,7 +118,7 @@ let ghost_written t slot =
 
 (* ---------- the run report ---------- *)
 
-let report plan ~plan_hit ~shape ~latency_s traffic =
+let report plan ~shape ~latency_s traffic =
   let size = Array.length plan.Plan.shards in
   let halo = ref 0 in
   for s = 0 to size - 1 do
@@ -131,7 +131,6 @@ let report plan ~plan_hit ~shape ~latency_s traffic =
     Span.add_counter (key "shape") shape;
     Span.add_counter (key "cut_edges") (Plan.cut_edges_total plan);
     Span.add_counter (key "imbalance") (Plan.imbalance_permille plan);
-    Span.add_counter (key (if plan_hit then "plan_hit" else "plan_miss")) 1;
     Span.add_counter (key "halo_words") !halo;
     Array.iteri
       (fun s sh ->

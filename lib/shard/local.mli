@@ -64,7 +64,6 @@ val exchange_rounds : t -> int
 
 val report :
   Plan.t ->
-  plan_hit:bool ->
   shape:int ->
   latency_s:float ->
   (int -> (int * int) option) ->
@@ -74,9 +73,9 @@ val report :
     [traffic s] is shard [s]'s [(halo_words, exchange_rounds)], [None]
     when unknown; [shape] is the collective-tree shape code. An ambient
     span gets [proc:procs], [proc:shape], [proc:cut_edges],
-    [proc:imbalance], [proc:plan_hit] or [proc:plan_miss] and the summed
-    [proc:halo_words], plus one ["proc:<s>"] child span per known shard
-    with its owned, halo, cut_edges, halo_words, imbalance and
-    exchange_rounds counters. An enabled registry gets
-    [proc_halo_words_total] and [proc_runs_total] increments and one
-    "exchange" recorder event keyed ["procs:<count>"]. *)
+    [proc:imbalance] and the summed [proc:halo_words], plus one
+    ["proc:<s>"] child span per known shard with its owned, halo,
+    cut_edges, halo_words, imbalance and exchange_rounds counters. An
+    enabled registry gets [proc_halo_words_total] and [proc_runs_total]
+    increments and one "exchange" recorder event keyed
+    ["procs:<count>"]. *)

@@ -1,4 +1,3 @@
-module Semi_graph = Tl_graph.Semi_graph
 module Topology = Tl_engine.Topology
 
 type shard = {
@@ -195,51 +194,6 @@ let build ~topo ~shards =
       shards_arr
   in
   { topo; shards = shards_arr; owner }
-
-(* ---------- plan cache ----------
-
-   Same keying discipline as [Topology.compile_cached]: the semi-graph
-   stamp identifies the view, the generation bumps on any mask mutation,
-   and the shard count distinguishes plans over one snapshot. Unlike the
-   topology cache this one is only ever reached from the coordinating
-   domain (plans are built during run setup, never inside pool tasks),
-   so no mutex is needed. *)
-
-let cache : (int * int * int, t) Hashtbl.t = Hashtbl.create 16
-let cache_order : (int * int * int) Queue.t = Queue.create ()
-let cache_limit = 16
-
-(* Process-wide hit/miss counters, same contract as
-   [Topology.cache_stats]: never reset by [clear_cache], surfaced by the
-   serving layer's stats report and the cache-coherence tests. *)
-let cache_hits = ref 0
-let cache_misses = ref 0
-let cache_stats () = (!cache_hits, !cache_misses)
-
-let clear_cache () =
-  Hashtbl.reset cache;
-  Queue.clear cache_order
-
-let build_cached ~topo ~shards =
-  let sg = topo.Topology.sg in
-  let key = (Semi_graph.stamp sg, Semi_graph.generation sg, shards) in
-  match Hashtbl.find_opt cache key with
-  | Some p when p.topo == topo ->
-    incr cache_hits;
-    (p, true)
-  | _ ->
-    incr cache_misses;
-    let p = build ~topo ~shards in
-    if not (Hashtbl.mem cache key) then begin
-      while Queue.length cache_order >= cache_limit do
-        Hashtbl.remove cache (Queue.pop cache_order)
-      done;
-      Hashtbl.add cache key p;
-      Queue.push key cache_order
-    end
-    else Hashtbl.replace cache key p;
-    (p, false)
-
 
 let cut_edges_total t =
   Array.fold_left (fun acc sh -> acc + sh.cut_edges) 0 t.shards

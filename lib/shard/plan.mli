@@ -3,9 +3,9 @@
     exchange routes.
 
     A plan is the static half of the process backend ([Tl_proc]), whose
-    workers each run one shard's {!Local} round body: it is built once
-    per (topology, shard count) pair and shared by every run over that
-    snapshot. Partitioning slices the
+    workers each run one shard's {!Local} round body: every proc run
+    builds its own from the run's topology and shard count ([O(n + m)],
+    small next to the run's forks and prologues). Partitioning slices the
     topology's [present_nodes] array into [S] fixed contiguous chunks —
     the same deterministic discipline as {!Tl_engine.Pool}'s chunking —
     so shard membership is a pure function of [(n_present, S, index)],
@@ -72,24 +72,6 @@ val build : topo:Tl_engine.Topology.t -> shards:int -> t
 (** Partition a snapshot into [max 1 (min shards n_present)] shards.
     [O(n + m)] time and memory. Deterministic: the same topology and
     shard count always produce the identical plan. *)
-
-val build_cached : topo:Tl_engine.Topology.t -> shards:int -> t * bool
-(** {!build} memoized on the view identity
-    [(Semi_graph.stamp, Semi_graph.generation, shards)] — the same
-    keying discipline as {!Tl_engine.Topology.compile_cached}, so
-    repeated runtime phases over one snapshot (color-reduction loops,
-    star families) reuse one plan. Returns the plan and whether it was
-    a cache hit. Bounded FIFO (16 plans); must only be called from the
-    coordinating domain. *)
-
-val clear_cache : unit -> unit
-
-val cache_stats : unit -> int * int
-(** [(hits, misses)] of {!build_cached} since process start — the same
-    contract as {!Tl_engine.Topology.cache_stats}: the counters are
-    never cleared by {!clear_cache}, so callers that need per-window
-    deltas (the serving layer's per-request cache report) subtract
-    snapshots. *)
 
 val cut_edges_total : t -> int
 

@@ -37,10 +37,7 @@ let reduce_rows ~off ~adj ~nodes ~colors =
   end
 
 (* [proper_coloring] plus the snapshot it compiled, which the class sweep
-   of [mis] reads. Every view A runs on is built for that one run (T_C,
-   or a direct run's whole-graph view), so the snapshot bypasses
-   Topology's cache: it could never be hit there, and would only pin the
-   graph and evict a snapshot that can. *)
+   of [mis] reads. *)
 let coloring_and_topo sg ~ids =
   let n = Graph.n_nodes (Semi_graph.base sg) in
   if Array.length ids <> n then invalid_arg "Algos.proper_coloring: bad ids";

@@ -280,13 +280,16 @@ let test_unknown_decomposition_is_usage_error () =
    a usage error naming the offending value — never an uncaught
    exception from deep inside a run. *)
 let test_knob_validation_usage_errors () =
-  let usage args needle =
-    let code, _, stderr = run_cmd (Printf.sprintf "%s chaos %s" cli args) in
-    check_int (args ^ " exits 124") 124 code;
-    check (args ^ " explains itself") true (contains ~needle stderr)
+  let usage_of cmd args needle =
+    let code, _, stderr = run_cmd (Printf.sprintf "%s %s %s" cli cmd args) in
+    check_int (cmd ^ " " ^ args ^ " exits 124") 124 code;
+    check (cmd ^ " " ^ args ^ " explains itself") true (contains ~needle stderr)
   in
-  usage "--pool 0" "invalid pool size";
-  usage "--pool 100" "invalid pool size 100";
+  let usage = usage_of "chaos" in
+  (* the pool width belongs to solve; chaos creates no pool *)
+  usage_of "solve" "--pool 0" "invalid pool size";
+  usage_of "solve" "--pool 100" "invalid pool size 100";
+  usage "--pool 2" "--pool";
   (* mode-string edge cases: zero counts, junk counts and surrounding
      whitespace must all die as usage errors naming the input, not be
      clamped or half-parsed *)

@@ -845,41 +845,6 @@ let test_row_solvers_edge_cases () =
     (mis_refusal Tl_problems.Mis.solve_edge_list = mis_refusal list_mis_solver
     && mis_refusal list_mis_solver <> None)
 
-(* Every view base algorithm A runs on is fresh (T_C, or a direct run's
-   whole-graph view), so A compiles it outside the topology cache: a
-   full cache loses no slot to Theorem 12 or to a direct run, and both
-   views compiled before the run are still hits after it. *)
-let test_theorem1_keeps_no_snapshot () =
-  let module Topology = Tl_engine.Topology in
-  let tree = Gen.random_tree ~n:200 ~seed:71 in
-  let ids = Ids.permuted ~n:200 ~seed:72 in
-  Topology.set_cache_limit 2;
-  Fun.protect
-    ~finally:(fun () -> Topology.set_cache_limit 64)
-    (fun () ->
-      List.iter
-        (fun (name, run) ->
-          Topology.clear_cache ();
-          let view n = Semi_graph.of_graph (Gen.path n) in
-          let a = view 3 and b = view 4 in
-          ignore (Topology.compile_cached a);
-          ignore (Topology.compile_cached b);
-          run ();
-          check (name ^ ": the older cached view survives") true
-            (snd (Topology.compile_cached_stat a));
-          check (name ^ ": the newer cached view survives") true
-            (snd (Topology.compile_cached_stat b)))
-        [
-          ( "Theorem 12",
-            fun () ->
-              ignore
-                (Theorem1.run ~spec:mis_spec ~tree ~ids ~f:Complexity.f_linear
-                   ()) );
-          ("mis_direct", fun () -> ignore (Pipeline.mis_direct ~graph:tree ~ids));
-          ( "coloring_direct",
-            fun () -> ignore (Pipeline.coloring_direct ~graph:tree ~ids) );
-        ])
-
 (* The edge-coloring star solver before it kept each endpoint's colored
    count and color set for a call: it rebuilt both endpoints' label
    lists for every edge. Kept as the oracle of the cached solver. *)
@@ -981,8 +946,6 @@ let () =
           Alcotest.test_case "cost ledger" `Quick test_theorem1_ledger;
           Alcotest.test_case "row-loop solvers: edge cases" `Quick
             test_row_solvers_edge_cases;
-          Alcotest.test_case "keeps no T_C snapshot" `Quick
-            test_theorem1_keeps_no_snapshot;
         ] );
       ( "theorem2",
         [

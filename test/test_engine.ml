@@ -768,11 +768,15 @@ let test_trace_json_roundtrip () =
   check "r2 active" true (Option.bind (member "active" r2) to_int = Some 3);
   check "label round-trips" true
     (Option.bind (member "label" j) to_str = Some "rt");
-  (* one state layout and no compile step in a run: the schema carries
-     neither *)
-  List.iter
-    (fun key -> check (key ^ " not serialized") true (member key j = None))
-    [ "layout"; "compile_s"; "compile_cached" ];
+  (* one state layout and no compile step in a run: the schema's keys
+     are exactly these, with no layout or compile field *)
+  check "top-level keys" true
+    (match j with
+    | Obj fields ->
+      List.map fst fields
+      = [ "label"; "mode"; "scheduling"; "n_base"; "n_present"; "total_s";
+          "metrics"; "rounds_detail" ]
+    | _ -> false);
   (* the accessors added for the span bridge *)
   check "mode accessor" true (Trace.mode tr = "flat:seq");
   check "scheduling accessor" true (Trace.scheduling tr = "full-scan");
@@ -875,10 +879,7 @@ let test_pool_create () =
   rejects "rejects 65 workers" 65;
   rejects "rejects 1000 workers" 1000;
   check_int "64 workers accepted" 64 (Pool.workers (Pool.create ~workers:64 ()));
-  let saved = !Pool.default_workers in
-  Pool.default_workers := 5;
-  check_int "create () reads default_workers" 5 (Pool.workers (Pool.create ()));
-  Pool.default_workers := saved
+  check_int "create () is sequential" 1 (Pool.workers (Pool.create ()))
 
 let test_pool_map_deterministic () =
   let tasks = Array.init 37 (fun i -> i) in
@@ -987,86 +988,31 @@ let test_team_reentrant_inline () =
   Team.run ~workers:3 (fun i -> hits.(i) <- 1);
   check "team alive after nested run" true (Array.for_all (fun m -> m = 1) hits)
 
-(* ---------- compile cache ---------- *)
+(* ---------- masks ---------- *)
 
-let test_topology_cache_hit_and_invalidation () =
-  Topology.clear_cache ();
-  let g = Gen.random_tree ~n:40 ~seed:5 in
-  let sg = Semi_graph.of_graph g in
-  let h0, m0 = Topology.cache_stats () in
-  let t1, hit1 = Topology.compile_cached_stat sg in
-  let t2, hit2 = Topology.compile_cached_stat sg in
-  check "first compile misses" true (not hit1);
-  check "second compile hits" true hit2;
-  check "hit returns the same snapshot" true (t1 == t2);
-  let h1, m1 = Topology.cache_stats () in
-  check_int "one hit counted" 1 (h1 - h0);
-  check_int "one miss counted" 1 (m1 - m0);
-  (* masking a node bumps the generation, making the old key unreachable *)
-  let gen0 = Semi_graph.generation sg in
-  Semi_graph.hide_node sg 0;
-  check_int "generation bumped" (gen0 + 1) (Semi_graph.generation sg);
-  let t3, hit3 = Topology.compile_cached_stat sg in
-  check "mutation invalidates" true (not hit3);
-  check "recompiled snapshot" true (not (t3 == t1));
-  check "node masked out" true (not (Topology.present t3 0));
-  (* hiding an already-hidden node must not bump the generation *)
-  Semi_graph.hide_node sg 0;
-  check_int "no-op hide keeps generation" (gen0 + 1) (Semi_graph.generation sg);
-  let _, hit4 = Topology.compile_cached_stat sg in
-  check "no-op hide keeps the entry live" true hit4
-
-let test_topology_cache_eviction_generation () =
-  (* generation bumps (hide_node / hide_edge) interleaved with FIFO
-     overflow: every transition is predicted and the hit/miss counters
-     must account for all of them exactly *)
-  Topology.clear_cache ();
-  Topology.set_cache_limit 2;
-  let sg = Semi_graph.of_graph (Gen.random_tree ~n:30 ~seed:41) in
-  let sg2 = Semi_graph.of_graph (Gen.path 10) in
-  let sg3 = Semi_graph.of_graph (Gen.star 8) in
-  let h0, m0 = Topology.cache_stats () in
-  check "initial compile misses" true (not (snd (Topology.compile_cached_stat sg)));
-  check "recompile hits" true (snd (Topology.compile_cached_stat sg));
+(* Every compile reads the view's masks afresh: a hidden edge loses its
+   two CSR slots, a hidden node is absent, and hiding what is already
+   hidden changes nothing. *)
+let test_compile_after_hide () =
+  let sg = Semi_graph.of_graph (Gen.random_tree ~n:40 ~seed:5) in
+  let slots t = t.Topology.off.(Array.length t.Topology.off - 1) in
+  let t0 = Topology.compile sg in
   Semi_graph.hide_edge sg 0;
-  check "hide_edge invalidates" true
-    (not (snd (Topology.compile_cached_stat sg)));
-  Semi_graph.hide_node sg 1;
-  (* third generation of the same view: FIFO (limit 2) drops gen 0 *)
-  check "hide_node invalidates again" true
-    (not (snd (Topology.compile_cached_stat sg)));
-  (* two fresh views overflow the bound and evict both sg generations *)
-  check "fresh view misses" true (not (snd (Topology.compile_cached_stat sg2)));
-  check "second fresh view misses" true
-    (not (snd (Topology.compile_cached_stat sg3)));
-  check "sg evicted by overflow" true
-    (not (snd (Topology.compile_cached_stat sg)));
-  check "sg2 evicted by sg reinsert" true
-    (not (snd (Topology.compile_cached_stat sg2)));
-  check "sg3 evicted by sg2 reinsert" true
-    (not (snd (Topology.compile_cached_stat sg3)));
-  let h1, m1 = Topology.cache_stats () in
-  check_int "exactly one hit" 1 (h1 - h0);
-  check_int "exactly eight misses" 8 (m1 - m0);
-  Topology.set_cache_limit 64
-
-let test_topology_cache_limit () =
-  Topology.clear_cache ();
-  (match Topology.set_cache_limit (-1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on negative limit");
-  let sgs = Array.init 3 (fun i -> Semi_graph.of_graph (Gen.path (i + 2))) in
-  Topology.set_cache_limit 2;
-  Array.iter (fun sg -> ignore (Topology.compile_cached_stat sg)) sgs;
-  (* FIFO: inserting the third view evicted the first *)
-  check "oldest evicted" true (not (snd (Topology.compile_cached_stat sgs.(0))));
-  check "recent kept" true (snd (Topology.compile_cached_stat sgs.(2)));
-  Topology.set_cache_limit 0;
-  check "limit 0 disables caching" true
-    (not (snd (Topology.compile_cached_stat sgs.(2))));
-  check "still disabled on repeat" true
-    (not (snd (Topology.compile_cached_stat sgs.(2))));
-  Topology.set_cache_limit 64
+  let t1 = Topology.compile sg in
+  check_int "hide_edge drops two CSR slots" (slots t0 - 2) (slots t1);
+  Semi_graph.hide_node sg 0;
+  let t2 = Topology.compile sg in
+  check "node masked out" true (not (Topology.present t2 0));
+  check "node not listed" false (Array.mem 0 t2.Topology.present_nodes);
+  Semi_graph.hide_node sg 0;
+  Semi_graph.hide_edge sg 0;
+  let t3 = Topology.compile sg in
+  check "hiding a hidden node or edge changes nothing" true
+    (t3.Topology.present = t2.Topology.present
+    && t3.Topology.present_nodes = t2.Topology.present_nodes
+    && t3.Topology.off = t2.Topology.off
+    && t3.Topology.adj = t2.Topology.adj
+    && t3.Topology.eid = t2.Topology.eid)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -1076,12 +1022,8 @@ let () =
       ( "topology",
         qsuite [ prop_topology_matches_semigraph; prop_topology_on_subsets ]
         @ [
-            Alcotest.test_case "compile cache hit/miss/invalidation" `Quick
-              test_topology_cache_hit_and_invalidation;
-            Alcotest.test_case "compile cache FIFO limit" `Quick
-              test_topology_cache_limit;
-            Alcotest.test_case "cache eviction: generation bumps x FIFO"
-              `Quick test_topology_cache_eviction_generation;
+            Alcotest.test_case "compile after hide_node / hide_edge" `Quick
+              test_compile_after_hide;
           ] );
       ( "pool",
         [

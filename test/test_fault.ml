@@ -156,7 +156,7 @@ let test_proc_drop_mis () =
   let g = tree ~n:600 ~seed:2 in
   let ids = Ids.permuted ~n:600 ~seed:3 in
   Injector.with_armed (sched_of link_drop_spec) ~n:600 (fun inj ->
-      let topo = Topology.compile_cached (Semi_graph.of_graph g) in
+      let topo = Topology.compile (Semi_graph.of_graph g) in
       (match
          Proc.run_kernel ~mode:(Engine.Proc 4) ~topo
            ~kernel_for:(Proc.Kernels.mis_local_max ~ids)
@@ -553,65 +553,6 @@ let test_chaos_empty_schedule_matches_plain () =
   check_int "one epoch" 1 rep.Chaos.epochs;
   check_int "rounds equal" o.Naive.rounds rep.Chaos.rounds
 
-(* ---------- churn vs caches (satellite: qcheck property) ---------- *)
-
-let qcheck_churn_cache =
-  QCheck.Test.make
-    ~name:"compile_cached bit-identical to fresh compile under churn"
-    ~count:40
-    QCheck.(triple (int_range 4 80) (int_range 0 100000) (int_range 1 4))
-    (fun (n, seed, limit) ->
-      Topology.set_cache_limit limit;
-      Fun.protect ~finally:(fun () -> Topology.set_cache_limit 64)
-      @@ fun () ->
-      let g = Gen.random_tree ~n ~seed in
-      let present = Array.make n true in
-      let sg = ref (Semi_graph.of_node_subset g present) in
-      let state = ref (seed + 1) in
-      let next () =
-        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-        !state
-      in
-      let ok = ref true in
-      for step = 1 to 12 do
-        (* generation-bumping churn: crash a node, sometimes recover one
-           (a fresh view, exercising FIFO eviction across stamps) *)
-        let v = next () mod n in
-        if present.(v) then begin
-          present.(v) <- false;
-          Semi_graph.hide_node !sg v
-        end
-        else begin
-          present.(v) <- true;
-          sg := Semi_graph.of_node_subset g present
-        end;
-        let cached = Topology.compile_cached !sg in
-        let fresh = Topology.compile !sg in
-        ok :=
-          !ok
-          && cached.Topology.present = fresh.Topology.present
-          && cached.Topology.present_nodes = fresh.Topology.present_nodes
-          && cached.Topology.off = fresh.Topology.off
-          && cached.Topology.adj = fresh.Topology.adj
-          && cached.Topology.eid = fresh.Topology.eid;
-        (* an immediate re-request hits and returns the same snapshot *)
-        let again, hit = Topology.compile_cached_stat !sg in
-        ok := !ok && hit && again == cached;
-        (* shard plans memoized over the cached snapshot stay equal to a
-           fresh build, byte for byte *)
-        if step mod 3 = 0 && Topology.n_present fresh >= 2 then begin
-          let pc, _ = Plan.build_cached ~topo:cached ~shards:2 in
-          let pf = Plan.build ~topo:fresh ~shards:2 in
-          ok :=
-            !ok
-            && Plan.encode_shard pc.Plan.shards.(0)
-               = Plan.encode_shard pf.Plan.shards.(0)
-            && Plan.encode_shard pc.Plan.shards.(1)
-               = Plan.encode_shard pf.Plan.shards.(1)
-        end
-      done;
-      !ok)
-
 (* ---------- serve protocol ---------- *)
 
 let test_request_faults_roundtrip () =
@@ -631,8 +572,6 @@ let test_request_faults_absent () =
   | _ -> Alcotest.fail "round-trip failed"
 
 (* ---------- runner ---------- *)
-
-let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
   Alcotest.run "tl_fault"
@@ -695,7 +634,6 @@ let () =
           Alcotest.test_case "empty schedule = plain engine run" `Quick
             test_chaos_empty_schedule_matches_plain;
         ] );
-      ("churn-cache", qsuite [ qcheck_churn_cache ]);
       ( "serve",
         [
           Alcotest.test_case "faults field round-trips" `Quick

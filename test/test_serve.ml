@@ -13,7 +13,6 @@ module Ids = Tl_local.Ids
 module Round_cost = Tl_local.Round_cost
 module Engine = Tl_engine.Engine
 module Topology = Tl_engine.Topology
-module Pool = Tl_engine.Pool
 module Pipeline = Tl_core.Pipeline
 module P = Tl_serve.Protocol
 module Jobq = Tl_serve.Jobq
@@ -222,11 +221,6 @@ let build_ref_graph = function
     | "forest-union" -> Gen.forest_union ~n ~arboricity:a ~seed
     | other -> failwith ("unexpected test family " ^ other))
 
-let with_ref_pool ~pool f =
-  let saved = !Pool.default_workers in
-  Pool.default_workers := pool;
-  Fun.protect ~finally:(fun () -> Pool.default_workers := saved) f
-
 let reference (r : P.request) =
   let g = build_ref_graph r.P.spec in
   let seed =
@@ -234,40 +228,40 @@ let reference (r : P.request) =
   in
   let ids = Ids.permuted ~n:(Graph.n_nodes g) ~seed:(seed + 1) in
   let a = match r.P.spec with P.Family { a; _ } -> a | P.Edges _ -> 1 in
-  with_ref_pool ~pool:r.P.pool (fun () ->
-      match (r.P.problem, r.P.method_) with
-      | "flood", _ ->
-        let topo = Topology.compile (Semi_graph.of_graph g) in
-        let o =
-          Naive.run_until_stable ~topo
-            ~init:(fun v -> v = 0)
-            ~step:Naive.flood_step ~equal:Bool.equal
-            ~max_rounds:(Graph.n_nodes g + 1)
-        in
-        ( P.digest_array (fun b -> if b then 1 else 0) o.Naive.states,
-          o.Naive.rounds,
-          [ ("flood", o.Naive.rounds) ] )
-      | "mis", "transform" ->
-        let r = Pipeline.mis_on_tree ~tree:g ~ids () in
-        ( P.digest_labeling ~graph:g r.Pipeline.labeling,
-          r.Pipeline.total_rounds,
-          Round_cost.phases r.Pipeline.cost )
-      | "coloring", "direct" ->
-        let r = Pipeline.coloring_direct ~graph:g ~ids in
-        ( P.digest_labeling ~graph:g r.Pipeline.labeling,
-          r.Pipeline.total_rounds,
-          Round_cost.phases r.Pipeline.cost )
-      | "matching", "transform" ->
-        let r = Pipeline.matching_on_graph ~graph:g ~a ~ids () in
-        ( P.digest_labeling ~graph:g r.Pipeline.labeling,
-          r.Pipeline.total_rounds,
-          Round_cost.phases r.Pipeline.cost )
-      | "edge-coloring", "direct" ->
-        let r = Pipeline.edge_coloring_direct ~graph:g ~ids in
-        ( P.digest_labeling ~graph:g r.Pipeline.labeling,
-          r.Pipeline.total_rounds,
-          Round_cost.phases r.Pipeline.cost )
-      | p, m -> failwith ("unexpected test problem " ^ p ^ "/" ^ m))
+  let workers = r.P.pool in
+  match (r.P.problem, r.P.method_) with
+  | "flood", _ ->
+    let topo = Topology.compile (Semi_graph.of_graph g) in
+    let o =
+      Naive.run_until_stable ~topo
+        ~init:(fun v -> v = 0)
+        ~step:Naive.flood_step ~equal:Bool.equal
+        ~max_rounds:(Graph.n_nodes g + 1)
+    in
+    ( P.digest_array (fun b -> if b then 1 else 0) o.Naive.states,
+      o.Naive.rounds,
+      [ ("flood", o.Naive.rounds) ] )
+  | "mis", "transform" ->
+    let r = Pipeline.mis_on_tree ~workers ~tree:g ~ids () in
+    ( P.digest_labeling ~graph:g r.Pipeline.labeling,
+      r.Pipeline.total_rounds,
+      Round_cost.phases r.Pipeline.cost )
+  | "coloring", "direct" ->
+    let r = Pipeline.coloring_direct ~graph:g ~ids in
+    ( P.digest_labeling ~graph:g r.Pipeline.labeling,
+      r.Pipeline.total_rounds,
+      Round_cost.phases r.Pipeline.cost )
+  | "matching", "transform" ->
+    let r = Pipeline.matching_on_graph ~workers ~graph:g ~a ~ids () in
+    ( P.digest_labeling ~graph:g r.Pipeline.labeling,
+      r.Pipeline.total_rounds,
+      Round_cost.phases r.Pipeline.cost )
+  | "edge-coloring", "direct" ->
+    let r = Pipeline.edge_coloring_direct ~graph:g ~ids in
+    ( P.digest_labeling ~graph:g r.Pipeline.labeling,
+      r.Pipeline.total_rounds,
+      Round_cost.phases r.Pipeline.cost )
+  | p, m -> failwith ("unexpected test problem " ^ p ^ "/" ^ m)
 
 let combo_gen =
   QCheck.Gen.(
@@ -589,6 +583,78 @@ let test_instance_cache_eviction () =
   check "A cold again" false (solve 1);
   check "A warm again" true (solve 1)
 
+(* ---------- snapshot reuse lives in the instance entry ---------- *)
+
+let one_slot () =
+  Server.create
+    ~config:{ Server.default_config with Server.cache_slots = 1 }
+    ()
+
+let serve server ?(method_ = "transform") ?faults ?(n = 30) ~seed problem =
+  match
+    Server.handle_request server
+      (P.request ~problem ~method_ ?faults
+         ~spec:
+           (P.Family { family = "random-tree"; n; seed; a = 1; delta = 3 })
+         ~want_span:false ())
+  with
+  | { P.outcome = P.Solved s; _ } -> check "valid" true s.P.valid
+  | _ -> Alcotest.failf "%s/%s on seed %d failed" problem method_ seed
+
+let topo_counters server =
+  let st = Server.stats server in
+  (List.assoc "topo:cache_hit" st, List.assoc "topo:cache_miss" st)
+
+(* With one cache slot, flood on a stream of distinct trees keeps one
+   instance and its snapshot alive, not one per request: the heap after
+   twelve floods exceeds the heap after the first by less than one
+   n = 20,000 instance (3.4 MB). *)
+let test_flood_heap_bounded () =
+  let server = one_slot () in
+  let live_mb () =
+    Gc.full_major ();
+    float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8))
+    /. 1048576.
+  in
+  serve server ~n:20_000 ~seed:1 "flood";
+  let after_first = live_mb () in
+  for seed = 2 to 12 do
+    serve server ~n:20_000 ~seed "flood"
+  done;
+  let growth = live_mb () -. after_first in
+  (* the server stays reachable past the measurement, so what it holds
+     is counted *)
+  check_int "one instance built per flood" 12
+    (List.assoc "serve:cache_miss" (Server.stats server));
+  if growth >= 3.4 then
+    Alcotest.failf "live heap grew %.1f MB over 11 evicted instances" growth
+
+let test_topo_counters () =
+  let server = one_slot () in
+  serve server ~seed:1 "flood";
+  serve server ~seed:1 "flood";
+  check "two floods on one instance: one hit, one miss" true
+    (topo_counters server = (1, 1));
+  (* an MIS request on another spec evicts the flooded instance without
+     touching any snapshot; flooding it again compiles afresh *)
+  serve server ~seed:2 "mis";
+  check "mis moves neither counter" true (topo_counters server = (1, 1));
+  serve server ~seed:1 "flood";
+  check "the evicted instance misses again" true
+    (topo_counters server = (1, 2));
+  serve server ~method_:"chaos" ~faults:"seed=3;crash@2:1" ~seed:1 "flood";
+  serve server ~method_:"chaos" ~seed:1 "mis";
+  check "chaos moves neither counter" true (topo_counters server = (1, 2))
+
+let test_topo_counters_per_server () =
+  let first = Server.create () in
+  serve first ~seed:1 "flood";
+  let second = Server.create () in
+  check "a new server starts at zero" true (topo_counters second = (0, 0));
+  serve second ~seed:1 "flood";
+  check "its first flood misses" true (topo_counters second = (0, 1));
+  check "the first server keeps its own" true (topo_counters first = (0, 1))
+
 (* ---------- the daemon as a subprocess ---------- *)
 
 let daemon = "../bin/tree_local_serve.exe"
@@ -865,6 +931,12 @@ let () =
             test_shard_vs_built_n;
           Alcotest.test_case "instance cache eviction" `Quick
             test_instance_cache_eviction;
+          Alcotest.test_case "flood heap bounded by cache_slots" `Quick
+            test_flood_heap_bounded;
+          Alcotest.test_case "snapshot reuse counters" `Quick
+            test_topo_counters;
+          Alcotest.test_case "snapshot counters per server" `Quick
+            test_topo_counters_per_server;
           Alcotest.test_case "flood validity is checked" `Quick
             test_flood_valid_is_checked;
           Alcotest.test_case "unknown family -> bad_request" `Quick

@@ -326,7 +326,7 @@ let test_shard_spans () =
   let traffic s = if s = 3 then None else Some (10 * (s + 1), s + 1) in
   let (), root =
     Span.run "shard-span-test" (fun () ->
-        Local.report plan ~plan_hit:false ~shape:0 ~latency_s:0. traffic)
+        Local.report plan ~shape:0 ~latency_s:0. traffic)
   in
   let shard_spans =
     find_spans
@@ -351,80 +351,10 @@ let test_shard_spans () =
     shard_spans;
   let root_counters = Span.counters root in
   check_int "aggregate shard count" 4 (List.assoc "proc:procs" root_counters);
-  check "plan miss counted" true
-    (List.mem_assoc "proc:plan_miss" root_counters);
   check_int "known traffic summed" 60
     (List.assoc "proc:halo_words" root_counters);
   check_int "cut edges of the whole plan" (Plan.cut_edges_total plan)
     (List.assoc "proc:cut_edges" root_counters)
-
-let test_plan_cache () =
-  Plan.clear_cache ();
-  let g = Gen.random_tree ~n:80 ~seed:3 in
-  let sg = Semi_graph.of_graph g in
-  let topo = Topology.compile sg in
-  let _, hit1 = Plan.build_cached ~topo ~shards:4 in
-  let p2, hit2 = Plan.build_cached ~topo ~shards:4 in
-  let _, hit3 = Plan.build_cached ~topo ~shards:8 in
-  check "first build misses" true (not hit1);
-  check "second build hits" true hit2;
-  check "different shard count misses" true (not hit3);
-  check "cached plan reuses the topology" true (p2.Plan.topo == topo);
-  (* masking a node bumps the generation: the stale plan is unreachable *)
-  Semi_graph.hide_node sg 0;
-  let topo2 = Topology.compile sg in
-  let _, hit4 = Plan.build_cached ~topo:topo2 ~shards:4 in
-  check "mutation invalidates the plan" true (not hit4)
-
-(* Both caches under interleaved lookups — the serving daemon's access
-   pattern, where batched same-topology requests alternate with other
-   topologies and shard counts. Hit/miss counters must account for
-   every lookup exactly, and a generation bump must never let a stale
-   snapshot or plan resurface. *)
-let test_cache_interleaved () =
-  Topology.clear_cache ();
-  Plan.clear_cache ();
-  let th0, tm0 = Topology.cache_stats () in
-  let ph0, pm0 = Plan.cache_stats () in
-  let sg_a = Semi_graph.of_graph (Gen.random_tree ~n:60 ~seed:5) in
-  let sg_b = Semi_graph.of_graph (Gen.path 40) in
-  (* interleave the two views: A miss, B miss, A hit, B hit *)
-  let ta, ha = Topology.compile_cached_stat sg_a in
-  let tb, hb = Topology.compile_cached_stat sg_b in
-  let ta', ha' = Topology.compile_cached_stat sg_a in
-  let tb', hb' = Topology.compile_cached_stat sg_b in
-  check "interleaved misses then hits" true
-    ((not ha) && (not hb) && ha' && hb');
-  check "snapshots interleave-stable" true (ta == ta' && tb == tb');
-  (* interleave plans across topologies and shard counts *)
-  let _, p1 = Plan.build_cached ~topo:ta ~shards:2 in
-  let _, p2 = Plan.build_cached ~topo:tb ~shards:2 in
-  let _, p3 = Plan.build_cached ~topo:ta ~shards:3 in
-  let _, p4 = Plan.build_cached ~topo:ta ~shards:2 in
-  let _, p5 = Plan.build_cached ~topo:tb ~shards:2 in
-  check "plan keying is (view, shards)" true
-    ((not p1) && (not p2) && (not p3) && p4 && p5);
-  let th1, tm1 = Topology.cache_stats () in
-  let ph1, pm1 = Plan.cache_stats () in
-  check_int "topology hits accounted" 2 (th1 - th0);
-  check_int "topology misses accounted" 2 (tm1 - tm0);
-  check_int "plan hits accounted" 2 (ph1 - ph0);
-  check_int "plan misses accounted" 3 (pm1 - pm0);
-  (* hide an edge of A: its generation bumps, so both the snapshot and
-     every plan derived from it must be rebuilt — while B's entries
-     survive the interleaving untouched *)
-  let slots t = t.Topology.off.(Array.length t.Topology.off - 1) in
-  Semi_graph.hide_edge sg_a 0;
-  let ta2, ha2 = Topology.compile_cached_stat sg_a in
-  check "hide_edge invalidates the snapshot" true (not ha2);
-  check "fresh snapshot, not the stale one" true (not (ta2 == ta));
-  check_int "mutation visible in the recompile" (slots ta - 2) (slots ta2);
-  let _, p6 = Plan.build_cached ~topo:ta2 ~shards:2 in
-  check "stale-generation plan not reused" true (not p6);
-  let _, p7 = Plan.build_cached ~topo:tb ~shards:2 in
-  check "unrelated view's plan survives" true p7;
-  check "unrelated snapshot survives" true
-    (snd (Topology.compile_cached_stat sg_b))
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -432,12 +362,7 @@ let () =
   Alcotest.run "tl_shard"
     [
       ( "plan",
-        qsuite [ prop_plan_invariants; prop_plan_on_subsets ]
-        @ [
-            Alcotest.test_case "plan cache" `Quick test_plan_cache;
-            Alcotest.test_case "interleaved topo+plan caches" `Quick
-              test_cache_interleaved;
-          ] );
+        qsuite [ prop_plan_invariants; prop_plan_on_subsets ] );
       ( "local",
         [ Alcotest.test_case "link cuts skip and count routes" `Quick
             test_local_cuts ] );
