@@ -553,6 +553,58 @@ let test_chaos_empty_schedule_matches_plain () =
   check_int "one epoch" 1 rep.Chaos.epochs;
   check_int "rounds equal" o.Naive.rounds rep.Chaos.rounds
 
+(* ---------- churned views ---------- *)
+
+(* A chaos run hides crashed nodes in its live view and recompiles it after
+   each event round. The snapshot of that churned view must equal the one
+   of a view built afresh over the same present nodes, and so must the
+   shard plans built over the two. *)
+let qcheck_churned_view =
+  QCheck.Test.make ~name:"churned view compiles as a fresh view" ~count:40
+    QCheck.(pair (int_range 4 80) (int_range 0 100000))
+    (fun (n, seed) ->
+      let g = Gen.random_tree ~n ~seed in
+      let present = Array.make n true in
+      let sg = ref (Semi_graph.of_node_subset g present) in
+      let state = ref (seed + 1) in
+      let next () =
+        state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+        !state
+      in
+      let ok = ref true in
+      for step = 1 to 12 do
+        (* crash a node in place, or recover one into a rebuilt view *)
+        let v = next () mod n in
+        if present.(v) then begin
+          present.(v) <- false;
+          Semi_graph.hide_node !sg v
+        end
+        else begin
+          present.(v) <- true;
+          sg := Semi_graph.of_node_subset g present
+        end;
+        let churned = Topology.compile !sg in
+        let fresh = Topology.compile (Semi_graph.of_node_subset g present) in
+        ok :=
+          !ok
+          && churned.Topology.present = fresh.Topology.present
+          && churned.Topology.present_nodes = fresh.Topology.present_nodes
+          && churned.Topology.off = fresh.Topology.off
+          && churned.Topology.adj = fresh.Topology.adj
+          && churned.Topology.eid = fresh.Topology.eid;
+        if step mod 3 = 0 && Topology.n_present fresh >= 2 then begin
+          let pc = Plan.build ~topo:churned ~shards:2 in
+          let pf = Plan.build ~topo:fresh ~shards:2 in
+          ok :=
+            !ok
+            && Plan.encode_shard pc.Plan.shards.(0)
+               = Plan.encode_shard pf.Plan.shards.(0)
+            && Plan.encode_shard pc.Plan.shards.(1)
+               = Plan.encode_shard pf.Plan.shards.(1)
+        end
+      done;
+      !ok)
+
 (* ---------- serve protocol ---------- *)
 
 let test_request_faults_roundtrip () =
@@ -572,6 +624,8 @@ let test_request_faults_absent () =
   | _ -> Alcotest.fail "round-trip failed"
 
 (* ---------- runner ---------- *)
+
+let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
   Alcotest.run "tl_fault"
@@ -634,6 +688,7 @@ let () =
           Alcotest.test_case "empty schedule = plain engine run" `Quick
             test_chaos_empty_schedule_matches_plain;
         ] );
+      ("churn-views", qsuite [ qcheck_churned_view ]);
       ( "serve",
         [
           Alcotest.test_case "faults field round-trips" `Quick
